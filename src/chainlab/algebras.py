@@ -8,8 +8,6 @@ the local augmented algebras used as test bases.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     AssociativityError,
     IdealNotNilpotent,
@@ -17,9 +15,9 @@ from .errors import (
     NotAugmented,
     UnitError,
 )
-from .sparse import SparseMatrix, Subspace, Vector, vec_axpy
+from .sparse import SparseMatrix, Subspace, Vector, exact_vec, vec_axpy, vec_sub
 
-ONE = Fraction(1)
+ONE = 1
 
 
 class Algebra:
@@ -30,13 +28,11 @@ class Algebra:
             raise ValueError("label count != dim")
         self.mul = {}
         for (i, j), vec in mul.items():
-            v = {k: Fraction(c) for k, c in vec.items() if c}
+            v = exact_vec(vec)
             if v:
                 self.mul[(i, j)] = v
-        self.unit = {k: Fraction(c) for k, c in unit.items() if c} if unit else None
-        self.augmentation = (
-            {k: Fraction(c) for k, c in augmentation.items() if c} if augmentation else None
-        )
+        self.unit = exact_vec(unit) if unit else None
+        self.augmentation = exact_vec(augmentation) if augmentation else None
         self.name = name
         if check:
             self._validate()
@@ -69,12 +65,11 @@ class Algebra:
     def is_unital(self):
         return self.unit is not None
 
-    def counit(self, x: Vector) -> Fraction:
+    def counit(self, x: Vector):
         """Value of the augmentation functional on x."""
         if self.augmentation is None:
             raise NotAugmented(f"algebra {self.name or ''} has no augmentation")
-        return sum((self.augmentation[k] * c for k, c in x.items() if k in self.augmentation),
-                   start=Fraction(0))
+        return sum(self.augmentation[k] * c for k, c in x.items() if k in self.augmentation)
 
     def nilpotency_order(self):
         """Least N with all length-N products zero, or None if not nilpotent."""
@@ -118,7 +113,7 @@ class Algebra:
                 raise UnitError("augmentation does not send the unit to 1")
             for i in range(self.dim):
                 for j in range(self.dim):
-                    if self.counit(self.mul_basis(i, j)) != self.augmentation.get(i, Fraction(0)) * self.augmentation.get(j, Fraction(0)):
+                    if self.counit(self.mul_basis(i, j)) != self.augmentation.get(i, 0) * self.augmentation.get(j, 0):
                         raise UnitError(f"augmentation is not multiplicative on pair ({i + 1},{j + 1})")
 
     def __repr__(self):
@@ -131,8 +126,8 @@ class Bimodule:
     def __init__(self, algebra: Algebra, dim, left, right, name=None, check=True):
         self.algebra = algebra
         self.dim = dim
-        self.left = {k: {m: Fraction(c) for m, c in v.items() if c} for k, v in left.items() if v}
-        self.right = {k: {m: Fraction(c) for m, c in v.items() if c} for k, v in right.items() if v}
+        self.left = {k: exact_vec(v) for k, v in left.items()}
+        self.right = {k: exact_vec(v) for k, v in right.items()}
         self.left = {k: v for k, v in self.left.items() if v}
         self.right = {k: v for k, v in self.right.items() if v}
         self.name = name
@@ -382,7 +377,7 @@ def matrix_units_trace(A: Algebra, r: int, v: Vector) -> Vector:
         pos, a = divmod(key, d)
         i, j = divmod(pos, r)
         if i == j:
-            s = out.get(a, Fraction(0)) + c
+            s = out.get(a, 0) + c
             if s:
                 out[a] = s
             else:
@@ -499,16 +494,6 @@ def commutator_subspace(A: Algebra):
         for j in range(i + 1, A.dim):
             lhs = A.mul_vec({i: ONE}, {j: ONE})
             rhs = A.mul_vec({j: ONE}, {i: ONE})
-            span.add(vec_sub_safe(lhs, rhs))
+            span.add(vec_sub(lhs, rhs))
     return span.basis()
 
-
-def vec_sub_safe(u: Vector, v: Vector) -> Vector:
-    out = dict(u)
-    for k, val in v.items():
-        s = out.get(k, Fraction(0)) - val
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out

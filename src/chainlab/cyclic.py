@@ -14,14 +14,13 @@ squares then anticommute degreewise, which the constructor asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import Algebra, Bimodule
 from .complexes import ChainComplex, ChainMap, HomologySpace, HomologyReport, Interval
 from .errors import SizeLimit, UnitError
 from .sparse import QuotientSpace, SparseMatrix, Vector
 
-ONE = Fraction(1)
+ONE = 1
 
 DEFAULT_SIZE_LIMIT = 2_000_000
 
@@ -48,7 +47,7 @@ def b_prime_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
 
     def add(r, c, val):
         key = (r, c)
-        s = entries.get(key, Fraction(0)) + val
+        s = entries.get(key, 0) + val
         if s:
             entries[key] = s
         else:
@@ -101,7 +100,7 @@ def hoch_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
         head = sum(word[t] * powers[p - 2 - t] for t in range(p - 1))
         for m2, coef in M.left_basis(word[p - 1], m_idx).items():
             key = (m2 * powers[p - 1] + head, col)
-            s = entries.get(key, Fraction(0)) + sign * coef
+            s = entries.get(key, 0) + sign * coef
             if s:
                 entries[key] = s
             else:

@@ -39,7 +39,7 @@ def _parse_terms(text, line_no, dim):
         k = int(m.group(2))
         if not 1 <= k <= dim:
             raise ParseError(f"basis index {k} out of range 1..{dim}", line=line_no)
-        s = out.get(k - 1, Fraction(0)) + coeff
+        s = out.get(k - 1, 0) + coeff
         if s:
             out[k - 1] = s
         else:
@@ -121,7 +121,7 @@ def parse_algebra(text: str) -> Algebra:
             k = int(m.group(1))
             if not 1 <= k <= dim:
                 raise ParseError(f"basis index {k} out of range 1..{dim}", line=line_no)
-            augmentation = {k - 1: Fraction(1)}
+            augmentation = {k - 1: 1}
         else:
             raise ParseError(f"unknown directive '{tokens[0]}'", line=line_no)
 

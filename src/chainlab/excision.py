@@ -19,7 +19,6 @@ identity asserted in graded_piece_check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal
 from .complexes import (
@@ -41,7 +40,7 @@ from .cyclic import (
 from .errors import DegreeMismatch, NotAnIdeal
 from .sparse import SparseMatrix
 
-ONE = Fraction(1)
+ONE = 1
 
 
 class ExtensionData:

@@ -16,7 +16,6 @@ matrix check with a single global sign, frozen below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -24,9 +23,9 @@ from .algebras import Algebra, Ideal, matrix_algebra
 from .complexes import ChainComplex, HomologyReport, Interval
 from .cyclic import LambdaComplex, hc_homology, lambda_complex
 from .errors import NotNilpotent, SizeLimit
-from .sparse import SparseMatrix, Subspace, Vector, vec_axpy
+from .sparse import SparseMatrix, Subspace, Vector, exact_vec, vec_axpy, vec_sub
 
-ONE = Fraction(1)
+ONE = 1
 
 # Frozen convention: Tr . d_CE = TRACE_CHAIN_SIGN * d_lambda . Tr.
 TRACE_CHAIN_SIGN = -1
@@ -42,7 +41,7 @@ class LieAlgebra:
         self.provenance = provenance
         self.bracket = {}
         for (i, j), vec in bracket.items():
-            v = {k: Fraction(c) for k, c in vec.items() if c}
+            v = exact_vec(vec)
             if not v:
                 continue
             if i == j:
@@ -106,13 +105,7 @@ def lie_from_assoc(A: Algebra) -> LieAlgebra:
     bracket = {}
     for i in range(A.dim):
         for j in range(i + 1, A.dim):
-            v = dict(A.mul_basis(i, j))
-            for k, c in A.mul_basis(j, i).items():
-                s = v.get(k, Fraction(0)) - c
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
+            v = vec_sub(A.mul_basis(i, j), A.mul_basis(j, i))
             if v:
                 bracket[(i, j)] = v
     return LieAlgebra(A.dim, A.labels, bracket, name=f"Lie({A.name or 'A'})",
@@ -165,14 +158,7 @@ def triangular_lie(A: Algebra, I: Ideal, n: int, sigma) -> LieAlgebra:
     for a in range(dim):
         for b in range(a + 1, dim):
             x, y = basis_vectors[a], basis_vectors[b]
-            comm = glA.mul_vec(x, y)
-            for k, c in glA.mul_vec(y, x).items():
-                s = comm.get(k, Fraction(0)) - c
-                if s:
-                    comm[k] = s
-                else:
-                    comm.pop(k, None)
-            brackets.append(((a, b), comm))
+            brackets.append(((a, b), vec_sub(glA.mul_vec(x, y), glA.mul_vec(y, x))))
     sols = basis_matrix.solve_many([v for _, v in brackets])
     table = {}
     for ((a, b), _), sol in zip(brackets, sols):
@@ -225,7 +211,7 @@ def _ce_matrix(g: LieAlgebra, tuples_p, index_pm1, p) -> SparseMatrix:
                     new = rest[:k] + (c,) + rest[k:]
                     sign = pair_sign * (1 if k % 2 == 0 else -1)
                     key = (index_pm1[new], col)
-                    val = entries.get(key, Fraction(0)) + sign * coef
+                    val = entries.get(key, 0) + sign * coef
                     if val:
                         entries[key] = val
                     else:
@@ -298,7 +284,7 @@ def generalized_trace_matrix(A: Algebra, r: int, n: int, lam: LambdaComplex,
                 if not ok or chain != i0:
                     continue
                 sgn = _perm_sign(perm)
-                vec_axpy(acc, Fraction(sgn), lam.project_element(n, {word_idx: ONE}))
+                vec_axpy(acc, sgn, lam.project_element(n, {word_idx: ONE}))
         cols.append(acc)
     return SparseMatrix.from_columns(lam.complex.dim(n), cols)
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebras import Algebra, AlgebraMorphism, matrix_algebra, product_algebra
 from .errors import ParseError
 from .sparse import SparseMatrix
 
-ONE = Fraction(1)
+ONE = 1
 
 
 def rationals() -> Algebra:

@@ -1,11 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are dictionaries (row, col) -> nonzero Fraction.  Rank and kernel
-computations run a fraction-free integer elimination: each row is cleared of
-denominators, pivots are chosen by sparsity (fewest-entries row, then
-fewest-entries column), and updated rows are renormalised by their gcd to
-keep coefficient growth in check.  Independent column blocks of the support
-graph are eliminated separately.
+Matrices are dictionaries (row, col) -> nonzero exact scalar.  One scalar
+discipline holds throughout, and exact() enforces it: a plain int wherever a
+value is integral, a Fraction only where a real denominator appears, and
+never a float (rejected with TypeError).  Every division goes through
+Fraction, so int operands cannot silently produce a float.
+
+Rank and kernel computations run a fraction-free integer elimination: each
+row is cleared of denominators, pivots are chosen by sparsity (fewest-entries
+row, then fewest-entries column), and updated rows are renormalised by their
+gcd to keep coefficient growth in check.  Independent column blocks of the
+support graph are eliminated separately.
 """
 
 from __future__ import annotations
@@ -14,9 +19,28 @@ import heapq
 from fractions import Fraction
 from math import gcd
 
-Vector = dict  # {index: Fraction}, zero entries absent
+Vector = dict  # {index: int or Fraction}, zero entries absent
 
-ZERO = Fraction(0)
+ZERO = 0
+
+
+def exact(c):
+    """c as an exact scalar: int if integral, Fraction otherwise; float raises."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"exact scalar (int or Fraction) expected, got {type(c).__name__} {c!r}")
+
+
+def exact_vec(v) -> Vector:
+    """v with every coefficient passed through exact() and zeros dropped."""
+    out = {}
+    for k, c in v.items():
+        c = exact(c)
+        if c:
+            out[k] = c
+    return out
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -42,7 +66,7 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 
 
 def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
+    c = exact(c)
     if not c:
         return {}
     return {k: c * val for k, val in v.items()}
@@ -78,7 +102,8 @@ class SparseMatrix:
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (i, j), val in items:
-                val = Fraction(val)
+                if type(val) is not int:
+                    val = exact(val)
                 if not val:
                     continue
                 if not (0 <= i < nrows and 0 <= j < ncols):
@@ -89,7 +114,7 @@ class SparseMatrix:
     # -- constructors -------------------------------------------------
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, nrows, ncols):
@@ -102,8 +127,7 @@ class SparseMatrix:
         ent = {}
         for i, row in enumerate(rows):
             for j, val in enumerate(row):
-                if val:
-                    ent[(i, j)] = Fraction(val)
+                ent[(i, j)] = val
         return cls(nrows, ncols, ent)
 
     @classmethod
@@ -111,8 +135,7 @@ class SparseMatrix:
         ent = {}
         for j, col in enumerate(columns):
             for i, val in col.items():
-                if val:
-                    ent[(i, j)] = Fraction(val)
+                ent[(i, j)] = val
         return cls(nrows, len(columns), ent)
 
     @classmethod
@@ -122,7 +145,7 @@ class SparseMatrix:
         for row_off, col_off, mat, scale in blocks:
             if mat is None:
                 continue
-            scale = Fraction(scale)
+            scale = exact(scale)
             if not scale:
                 continue
             for (i, j), val in mat.entries.items():
@@ -200,7 +223,7 @@ class SparseMatrix:
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return SparseMatrix(self.nrows, self.ncols)
         return SparseMatrix(self.nrows, self.ncols, {k: c * v for k, v in self.entries.items()})
@@ -273,7 +296,7 @@ class SparseMatrix:
         touched = set()
         for r in rows:
             touched.update(r)
-        basis = [{c: Fraction(1)} for c in range(self.ncols) if c not in touched]
+        basis = [{c: 1} for c in range(self.ncols) if c not in touched]
         for comp_rows in _split_components(rows):
             comp_cols = set()
             for r in comp_rows:
@@ -482,14 +505,14 @@ def _echelonize(rows, forbidden_cols):
 
 def _back_substitute(pivots, free_col):
     """Kernel vector with 1 at free_col, solving the echelon rows."""
-    x = {free_col: Fraction(1)}
+    x = {free_col: 1}
     for pc, row in reversed(pivots):
         s = ZERO
         for c, v in row.items():
             if c != pc and c in x:
                 s += v * x[c]
         if s:
-            x[pc] = -s / row[pc]
+            x[pc] = exact(Fraction(-s, row[pc]))
     return x
 
 
@@ -501,12 +524,12 @@ def _solve_back(pivots, sentinel, k, ncols):
     for pc, row in reversed(pivots):
         if pc >= sentinel:
             continue
-        s = Fraction(row.get(col, 0))
+        s = row.get(col, 0)
         for c, v in row.items():
             if c != pc and c < sentinel and c in x:
                 s -= v * x[c]
         if s:
-            x[pc] = s / row[pc]
+            x[pc] = exact(Fraction(s, row[pc]))
     return x
 
 
@@ -550,7 +573,7 @@ class Subspace:
             return False
         pc = min(r)
         pval = r[pc]
-        row = {k: val / pval for k, val in r.items()}
+        row = {k: exact(Fraction(val, pval)) for k, val in r.items()}
         for other in self._rows.values():
             coef = other.get(pc)
             if coef:
@@ -586,9 +609,9 @@ class QuotientSpace:
         return {self.complement[j]: val for j, val in w.items()}
 
     def projection_matrix(self) -> SparseMatrix:
-        cols = [self.project({i: Fraction(1)}) for i in range(self.dim)]
+        cols = [self.project({i: 1}) for i in range(self.dim)]
         return SparseMatrix.from_columns(self.qdim, cols)
 
     def section_matrix(self) -> SparseMatrix:
-        cols = [{self.complement[j]: Fraction(1)} for j in range(self.qdim)]
+        cols = [{self.complement[j]: 1} for j in range(self.qdim)]
         return SparseMatrix.from_columns(self.dim, cols)

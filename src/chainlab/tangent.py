@@ -30,9 +30,9 @@ from .cyclic import hc_bicomplex, hc_homology
 from .errors import NotNilpotent
 from .excision import ExtensionData, comparison_map, relative_hc
 from .complexes import is_quasi_iso
-from .sparse import SparseMatrix, Subspace, Vector, vec_axpy
+from .sparse import SparseMatrix, Subspace, Vector, exact, vec_axpy
 
-ONE = Fraction(1)
+ONE = 1
 
 _MAX_NILPOTENCY = 128
 
@@ -45,8 +45,7 @@ def nilpotent_log(A: Algebra, nilpart: Vector) -> Vector:
     while power:
         if k > _MAX_NILPOTENCY:
             raise NotNilpotent("element does not appear to be nilpotent")
-        sign = ONE if k % 2 == 1 else -ONE
-        vec_axpy(out, sign / k, power)
+        vec_axpy(out, exact(Fraction(1 if k % 2 == 1 else -1, k)), power)
         power = A.mul_vec(power, nilpart)
         k += 1
     return out
@@ -61,7 +60,7 @@ def nilpotent_exp(A: Algebra, x: Vector) -> Vector:
     while power:
         if k > _MAX_NILPOTENCY:
             raise NotNilpotent("element does not appear to be nilpotent")
-        vec_axpy(out, Fraction(1, factorial), power)
+        vec_axpy(out, exact(Fraction(1, factorial)), power)
         power = A.mul_vec(power, x)
         k += 1
         factorial *= k
@@ -167,7 +166,7 @@ class LogTraceProbe:
         for v in self.ideal_basis:
             c = rng.randint(-2, 2)
             if c:
-                vec_axpy(m, Fraction(c), v)
+                vec_axpy(m, c, v)
         return self.unipotent(m)
 
     def defect_in_commutators(self, v: Vector) -> bool:

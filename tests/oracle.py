@@ -10,7 +10,7 @@ from fractions import Fraction
 def dense_rank(M) -> int:
     rows = [[Fraction(0)] * M.ncols for _ in range(M.nrows)]
     for (i, j), v in M.entries.items():
-        rows[i][j] = v
+        rows[i][j] = Fraction(v)  # int entries would make '/' below float division
     rank = 0
     row = 0
     for col in range(M.ncols):

@@ -1,7 +1,15 @@
 import random
 from fractions import Fraction
 
-from chainlab.sparse import QuotientSpace, SparseMatrix, Subspace
+import pytest
+
+from chainlab.algebras import Algebra, Bimodule
+from chainlab.cyclic import hc_bicomplex
+from chainlab.dsl import parse_algebra
+from chainlab.lie import LieAlgebra
+from chainlab.presets import algebra_preset, truncated_poly
+from chainlab.sparse import QuotientSpace, SparseMatrix, Subspace, exact, vec_scale
+from chainlab.tangent import nilpotent_log
 
 from oracle import dense_rank
 
@@ -115,3 +123,82 @@ def test_empty_shapes():
     N = SparseMatrix.zeros(5, 0)
     assert N.rank() == 0
     assert N.kernel_basis() == []
+
+
+# ---------------------------------------------------------------------------
+# scalar discipline: int where integral, Fraction only with a real denominator
+# ---------------------------------------------------------------------------
+
+
+def is_canonical(v):
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def test_exact_normalises_and_rejects_float():
+    assert type(exact(Fraction(4, 2))) is int and exact(Fraction(4, 2)) == 2
+    assert exact(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(exact(True)) is int
+    with pytest.raises(TypeError):
+        exact(0.5)
+
+
+def test_float_rejected_at_every_entry_point():
+    with pytest.raises(TypeError):
+        SparseMatrix(2, 2, {(0, 0): 0.5})
+    with pytest.raises(TypeError):
+        vec_scale(0.5, {0: 1})
+    with pytest.raises(TypeError):
+        Algebra(1, ["1"], {(0, 0): {0: 1.0}})
+    Q = Algebra(1, ["1"], {(0, 0): {0: 1}})
+    with pytest.raises(TypeError):
+        Bimodule(Q, 1, {(0, 0): {0: 1.0}}, {(0, 0): {0: 1}})
+    with pytest.raises(TypeError):
+        LieAlgebra(2, None, {(0, 1): {0: 0.5}})
+
+
+HALF_DUAL = """
+algebra half_dual dim 2
+basis f1 f2        # f1 = 1/2, f2 = 1 + e in Q[e]
+mul 1 1 = 1/2*1
+mul 1 2 = 1/2*2
+mul 2 1 = 1/2*2
+mul 2 2 = -2*1 + 2*2
+unit = 2*1
+"""
+
+
+@pytest.mark.parametrize("make", [lambda: algebra_preset("matrix:2"),
+                                  lambda: parse_algebra(HALF_DUAL)])
+def test_bicomplex_entries_canonical(make):
+    A = make()
+    assert all(is_canonical(c) for v in A.mul.values() for c in v.values())
+    bc = hc_bicomplex(A, 3)
+    values = [v for d in bc.total.diffs.values() for v in d.entries.values()]
+    assert values and all(is_canonical(v) for v in values)
+
+
+def test_rational_constants_keep_real_denominators():
+    bc = hc_bicomplex(parse_algebra(HALF_DUAL), 3)
+    assert any(type(v) is Fraction for d in bc.total.diffs.values() for v in d.entries.values())
+
+
+def test_subspace_normalisation_is_exact():
+    s = Subspace(2)
+    s.add({0: 2, 1: 3})
+    row = s.basis()[0]
+    assert row == {0: 1, 1: Fraction(3, 2)}
+    assert type(row[0]) is int and type(row[1]) is Fraction
+
+
+def test_kernel_and_solution_vectors_canonical():
+    M = SparseMatrix.from_dense([[2, 3, 0], [0, 0, 0]])
+    for v in M.kernel_basis():
+        assert all(is_canonical(c) for c in v.values())
+    sol = SparseMatrix.from_dense([[2, 0], [0, 4]]).solve({0: 4, 1: 2})
+    assert sol == {0: 2, 1: Fraction(1, 2)} and all(is_canonical(c) for c in sol.values())
+
+
+def test_nilpotent_log_coefficients_are_fractions():
+    lg = nilpotent_log(truncated_poly(4), {1: 1})
+    assert lg == {1: 1, 2: Fraction(-1, 2), 3: Fraction(1, 3)}
+    assert type(lg[2]) is Fraction and type(lg[3]) is Fraction
