@@ -47,7 +47,6 @@ def _base_parser(sub, name, help_text, needs_algebra=True, needs_ext=False):
     p.add_argument("--size-limit", type=int, default=None, dest="size_limit")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--reps", action="store_true", help="emit homology representatives")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for per-degree ranks")
     p.add_argument("--timings", action="store_true", help="record wall-clock timings")
     return p
 
@@ -89,8 +88,8 @@ def _load_algebra(args):
 
 
 def _config_echo(args):
-    # jobs and timings are scheduling details: they must not influence the
-    # report bytes, so they are not echoed
+    # timings are a measurement detail: they must not influence the report
+    # bytes, so they are not echoed
     keys = ("command", "preset", "file", "ext", "degree_bound", "rank", "seed",
             "samples", "size_limit", "format", "reps", "level", "kind",
             "flavor", "gl", "bases")
@@ -104,8 +103,6 @@ def _validate(args):
         raise ChainlabError("rank must be >= 1")
     if args.size_limit is not None and args.size_limit <= 0:
         raise ChainlabError("size limit must be positive")
-    if getattr(args, "jobs", 1) < 1:
-        raise ChainlabError("jobs must be >= 1")
 
 
 def run(args) -> Report:
@@ -118,12 +115,12 @@ def run(args) -> Report:
     if cmd in ("hh", "hc"):
         A = _load_algebra(args)
         fn = hh_homology if cmd == "hh" else hc_homology
-        rep = fn(A, D, args.size_limit, jobs=args.jobs, reps=args.reps)
+        rep = fn(A, D, args.size_limit, reps=args.reps)
         report.add(cmd, {"algebra": A.name, "D": D}, **betti_payload(rep))
     elif cmd == "lambda":
         A = _load_algebra(args)
         lam = lambda_complex(A, D, args.size_limit)
-        rep = lam.homology(jobs=args.jobs, reps=args.reps)
+        rep = lam.homology(reps=args.reps)
         payload = betti_payload(rep)
         payload["dims"] = {str(p): lam.complex.dim(p) for p in range(0, D + 1)}
         report.add(cmd, {"algebra": A.name, "D": D}, **payload)
@@ -135,7 +132,7 @@ def run(args) -> Report:
         report.add(cmd, {"algebra": A.name, "D": D}, verdict=res.exact, **res.to_jsonable())
     elif cmd == "hunital":
         A = _load_algebra(args)
-        res = h_unitality_check(A, D, args.size_limit, jobs=args.jobs)
+        res = h_unitality_check(A, D, args.size_limit)
         report.add(cmd, {"algebra": A.name, "D": D}, verdict=res.passed, **res.to_jsonable())
     elif cmd == "filtration":
         ext = ExtensionData(extension_preset(args.ext))
@@ -158,16 +155,16 @@ def run(args) -> Report:
                          "flavor": args.flavor, "D": D}, **payload)
     elif cmd == "wodzicki":
         ext = ExtensionData(extension_preset(args.ext))
-        res = wodzicki_verify(ext, D, args.size_limit, jobs=args.jobs)
+        res = wodzicki_verify(ext, D, args.size_limit)
         payload = {"verdict": res.passed}
         payload.update(res.to_jsonable())
-        payload["relative_hh"] = betti_payload(relative_hh(ext, D, args.size_limit, jobs=args.jobs))
-        payload["relative_hc"] = betti_payload(relative_hc(ext, D, args.size_limit, jobs=args.jobs))
+        payload["relative_hh"] = betti_payload(relative_hh(ext, D, args.size_limit))
+        payload["relative_hc"] = betti_payload(relative_hc(ext, D, args.size_limit))
         report.add(cmd, {"ext": args.ext, "D": D}, **payload)
     elif cmd == "ce":
         A = _load_algebra(args)
         g = gl(A, args.gl) if args.gl else lie_from_assoc(A)
-        rep = ce_homology(g, D, args.size_limit, jobs=args.jobs, reps=args.reps)
+        rep = ce_homology(g, D, args.size_limit, reps=args.reps)
         report.add(cmd, {"lie": g.name, "D": D}, **betti_payload(rep))
     elif cmd == "trace":
         A = _load_algebra(args)
@@ -176,12 +173,12 @@ def run(args) -> Report:
                    verdict=res.chain_map_ok, **res.to_jsonable())
     elif cmd == "lqt":
         A = _load_algebra(args)
-        res = lqt_verify(A, args.rank, D, args.size_limit, jobs=args.jobs)
+        res = lqt_verify(A, args.rank, D, args.size_limit)
         report.add(cmd, {"algebra": A.name, "r": args.rank, "D": D},
                    verdict=res.all_match, **res.to_jsonable())
     elif cmd == "h2hc1":
         A = _load_algebra(args)
-        res = h2_vs_hc1(A, args.rank, args.size_limit, jobs=args.jobs)
+        res = h2_vs_hc1(A, args.rank, args.size_limit)
         report.add(cmd, {"algebra": A.name, "r": args.rank},
                    verdict=res.equal, **res.to_jsonable())
     elif cmd == "chern1":
@@ -194,7 +191,7 @@ def run(args) -> Report:
         C = _load_algebra(args)
         bases = [ArtinianBase.from_algebra(algebra_preset(spec.strip()))
                  for spec in args.bases.split(",") if spec.strip()]
-        rows = tangent_table(C, bases, D, args.size_limit, jobs=args.jobs)
+        rows = tangent_table(C, bases, D, args.size_limit)
         report.add(cmd, {"algebra": C.name, "bases": args.bases, "D": D},
                    rows=[row.to_jsonable() for row in rows])
     else:  # pragma: no cover

@@ -8,7 +8,6 @@ is materialised for the reported homology to equal the untruncated answer.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, RangeNotCertified
@@ -120,14 +119,9 @@ class ChainComplex:
             raise RangeNotCertified(f"degree {n} outside certified {self.certified}")
         return self.dim(n) - self.rank_d(n) - self.rank_d(n + 1)
 
-    def homology(self, rng: Interval, reps=False, jobs=1) -> HomologyReport:
+    def homology(self, rng: Interval, reps=False) -> HomologyReport:
         if rng.lo not in self.certified or rng.hi not in self.certified:
             raise RangeNotCertified(f"requested {rng} outside certified {self.certified}")
-        needed = [n for n in range(rng.lo, rng.hi + 2) if n not in self._ranks and n in self.diffs]
-        if jobs > 1 and len(needed) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for n, r in zip(needed, pool.map(lambda m: self.diffs[m].rank(), needed)):
-                    self._ranks[n] = r
         betti = {n: self.betti(n) for n in rng}
         representatives = None
         if reps:
@@ -229,10 +223,10 @@ class QuasiIsoVerdict:
         return out
 
 
-def is_quasi_iso(f: ChainMap, rng: Interval, jobs=1) -> QuasiIsoVerdict:
+def is_quasi_iso(f: ChainMap, rng: Interval) -> QuasiIsoVerdict:
     cn = cone(f)
     rng = rng.intersect(cn.certified)
-    report = cn.homology(rng, jobs=jobs)
+    report = cn.homology(rng)
     for n in rng:
         if report.betti[n]:
             return QuasiIsoVerdict(False, rng, n, report.betti[n])

@@ -14,6 +14,8 @@ squares then anticommute degreewise, which the constructor asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 
 from .algebras import Algebra, Bimodule
 from .complexes import ChainComplex, ChainMap, HomologySpace, HomologyReport, Interval
@@ -31,18 +33,51 @@ def _guard(dim, size_limit, what):
         raise SizeLimit(f"{what} has dimension {dim} > size limit {limit}")
 
 
-def _word_dims(A: Algebra, M: Bimodule, D):
-    return {p: M.dim * A.dim ** p for p in range(D + 1)}
+class WordBasis:
+    """Mixed-radix index layout of a tensor-word basis.
+
+    A word is a tuple (w_0, ..., w_k) with 0 <= w_t < radices[t]; slot 0 is
+    the most significant, so iteration (itertools.product) runs in index
+    order.  A radix of 0 gives the empty basis.
+    """
+
+    def __init__(self, radices):
+        self.radices = tuple(radices)
+        steps = []
+        size = 1
+        for r in reversed(self.radices):
+            steps.append(size)
+            size *= r
+        self._steps = tuple(reversed(steps))
+        self._size = size
+
+    def __len__(self):
+        return self._size
+
+    def __iter__(self):
+        return product(*map(range, self.radices))
+
+    def index(self, word) -> int:
+        return sum(map(mul, word, self._steps))
+
+    def word(self, index) -> tuple:
+        out = []
+        for r in reversed(self.radices):
+            index, w = divmod(index, r)
+            out.append(w)
+        return tuple(reversed(out))
+
+
+def words(A: Algebra, M: Bimodule, p: int) -> WordBasis:
+    """Words (m; a_1, ..., a_p) of M (x) A^p: module slot first."""
+    return WordBasis((M.dim,) + (A.dim,) * p)
 
 
 def b_prime_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
     """b' on M (x) A^p: alternating sum of the p adjacent contractions."""
-    dA, dM = A.dim, M.dim
-    src = dM * dA ** p
-    tgt = dM * dA ** (p - 1)
     if p < 1:
         raise ValueError("b' starts at degree 1")
-    powers = [dA ** t for t in range(p + 1)]  # powers[t] = dA^t
+    src, tgt = words(A, M, p), words(A, M, p - 1)
     entries = {}
 
     def add(r, c, val):
@@ -53,74 +88,46 @@ def b_prime_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
         else:
             entries.pop(key, None)
 
-    word = [0] * p
-    for col in range(src):
-        rest = col
-        m_idx = rest // powers[p]
-        rest %= powers[p]
-        for t in range(p):
-            word[t] = rest // powers[p - 1 - t]
-            rest %= powers[p - 1 - t]
+    for col, (m, *w) in enumerate(src):
         # i = 0: module slot times first algebra slot (right action).
-        tail = sum(word[t] * powers[p - 1 - t] for t in range(1, p))
-        for m2, coef in M.right_basis(m_idx, word[0]).items():
-            add(m2 * powers[p - 1] + tail, col, coef)
+        for m2, coef in M.right_basis(m, w[0]).items():
+            add(tgt.index((m2, *w[1:])), col, coef)
         # i >= 1: internal products.
         sign = -1
         for i in range(1, p):
-            prod = A.mul_basis(word[i - 1], word[i])
-            if prod:
-                base = m_idx * powers[p - 1]
-                for t in range(p):
-                    if t == i - 1 or t == i:
-                        continue
-                    tt = t if t < i else t - 1
-                    base += word[t] * powers[p - 2 - tt]
-                for k, coef in prod.items():
-                    add(base + k * powers[p - 1 - i], col, sign * coef)
+            for k, coef in A.mul_basis(w[i - 1], w[i]).items():
+                add(tgt.index((m, *w[:i - 1], k, *w[i + 1:])), col, sign * coef)
             sign = -sign
-    return SparseMatrix(tgt, src, entries)
+    return SparseMatrix(len(tgt), len(src), entries)
+
+
+def wrap_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
+    """(-1)^p times the wrap term of b: the last slot acts on the module from the left."""
+    src, tgt = words(A, M, p), words(A, M, p - 1)
+    sign = 1 if p % 2 == 0 else -1
+    entries = {}
+    for col, (m, *w) in enumerate(src):
+        for m2, coef in M.left_basis(w[-1], m).items():
+            entries[(tgt.index((m2, *w[:-1])), col)] = sign * coef
+    return SparseMatrix(len(tgt), len(src), entries)
 
 
 def hoch_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
     """b = b' + (-1)^p (last slot wraps onto the module by the left action)."""
-    base = b_prime_matrix(A, M, p)
-    dA, dM = A.dim, M.dim
-    powers = [dA ** t for t in range(p + 1)]
-    entries = dict(base.entries)
-    sign = 1 if p % 2 == 0 else -1
-    word = [0] * p
-    for col in range(dM * powers[p]):
-        rest = col
-        m_idx = rest // powers[p]
-        rest %= powers[p]
-        for t in range(p):
-            word[t] = rest // powers[p - 1 - t]
-            rest %= powers[p - 1 - t]
-        head = sum(word[t] * powers[p - 2 - t] for t in range(p - 1))
-        for m2, coef in M.left_basis(word[p - 1], m_idx).items():
-            key = (m2 * powers[p - 1] + head, col)
-            s = entries.get(key, 0) + sign * coef
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
-    return SparseMatrix(base.nrows, base.ncols, entries)
+    return b_prime_matrix(A, M, p) + wrap_matrix(A, M, p)
 
 
 def unit_homotopy(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
     """s_p = (-1)^p (append the unit): satisfies b' s + s b' = id degreewise."""
     if not A.is_unital:
         raise UnitError("contracting homotopy needs a unital algebra")
-    dA, dM = A.dim, M.dim
-    src = dM * dA ** p
-    tgt = dM * dA ** (p + 1)
+    src, tgt = words(A, M, p), words(A, M, p + 1)
     sign = ONE if p % 2 == 0 else -ONE
     entries = {}
-    for col in range(src):
+    for col, w in enumerate(src):
         for k, coef in A.unit.items():
-            entries[(col * dA + k, col)] = sign * coef
-    return SparseMatrix(tgt, src, entries)
+            entries[(tgt.index((*w, k)), col)] = sign * coef
+    return SparseMatrix(len(tgt), len(src), entries)
 
 
 @dataclass
@@ -150,7 +157,7 @@ def bar_complex(A: Algebra, M: Bimodule | None = None, D: int = 4,
     if D < 1:
         raise ValueError("D must be >= 1")
     M = M or Bimodule.regular(A)
-    dims = _word_dims(A, M, D)
+    dims = {p: len(words(A, M, p)) for p in range(D + 1)}
     _guard(max(dims.values(), default=0), size_limit, "Bar complex top degree")
     bprimes = {p: b_prime_matrix(A, M, p) for p in range(1, D + 1)}
     diffs = {p: bprimes[p].scale(-1) for p in bprimes}
@@ -163,7 +170,7 @@ def hoch_complex(A: Algebra, M: Bimodule | None = None, D: int = 4,
     if D < 1:
         raise ValueError("D must be >= 1")
     M = M or Bimodule.regular(A)
-    dims = _word_dims(A, M, D)
+    dims = {p: len(words(A, M, p)) for p in range(D + 1)}
     _guard(max(dims.values(), default=0), size_limit, "Hochschild complex top degree")
     diffs = {p: hoch_matrix(A, M, p) for p in range(1, D + 1)}
     cx = ChainComplex(dims, diffs, Interval(0, D - 1))
@@ -179,7 +186,7 @@ def verify_unit_homotopy(A: Algebra, M: Bimodule | None = None, D: int = 4):
         lhs = bc.b_prime[p + 1] @ s_p
         if p >= 1:
             lhs = lhs + unit_homotopy(A, M, p - 1) @ bc.b_prime[p]
-        if lhs != SparseMatrix.identity(M.dim * A.dim ** p):
+        if lhs != SparseMatrix.identity(len(words(A, M, p))):
             return False, p
     return True, None
 
@@ -191,15 +198,11 @@ def verify_unit_homotopy(A: Algebra, M: Bimodule | None = None, D: int = 4):
 
 def rotation_matrix(A: Algebra, p: int) -> SparseMatrix:
     """t on A^(p+1): signed rotation a_0...a_p -> (-1)^p a_p a_0...a_{p-1}."""
-    d = A.dim
-    n = d ** (p + 1)
+    # On the two-slot layout (A^p, A) the rotation swaps the slots.
+    src, tgt = WordBasis((A.dim ** p, A.dim)), WordBasis((A.dim, A.dim ** p))
     sign = ONE if p % 2 == 0 else -ONE
-    entries = {}
-    for col in range(n):
-        last = col % d
-        rest = col // d
-        entries[(last * d ** p + rest, col)] = sign
-    return SparseMatrix(n, n, entries)
+    entries = {(tgt.index((last, rest)), col): sign for col, (rest, last) in enumerate(src)}
+    return SparseMatrix(len(src), len(src), entries)
 
 
 def norm_matrix(A: Algebra, p: int) -> SparseMatrix:
@@ -238,7 +241,7 @@ class CyclicBicomplex:
         for p in range(1, max_p + 1):
             bp = b_prime_matrix(A, M, p)
             self._vertical[("bar", p)] = bp.scale(-1)
-            self._vertical[("hoch", p)] = hoch_matrix(A, M, p)
+            self._vertical[("hoch", p)] = bp + wrap_matrix(A, M, p)
         self._rot = {p: rotation_matrix(A, p) for p in range(0, max_p + 1)}
         self._one_minus_t = {
             p: SparseMatrix.identity(self._rot[p].nrows) - self._rot[p] for p in self._rot
@@ -311,18 +314,18 @@ class CyclicBicomplex:
         """Chain map on totals induced by an algebra morphism self.A -> other.A."""
         if other.ncols != self.ncols or other.bound != self.bound:
             raise ValueError("bicomplex shapes differ")
-        powers = {}
+        tensor_powers = {}
         comps = {}
         for n in range(0, self.bound + 1):
             blocks = []
             tgt = {(q, p): off for q, p, off, _ in other.layout[n]}
             for q, p, off, w in self.layout[n]:
-                if p not in powers:
+                if p not in tensor_powers:
                     mat = morphism_matrix
                     for _ in range(p):
                         mat = mat.tensor(morphism_matrix)
-                    powers[p] = mat
-                blocks.append((tgt[(q, p)], off, powers[p], 1))
+                    tensor_powers[p] = mat
+                blocks.append((tgt[(q, p)], off, tensor_powers[p], 1))
             comps[n] = SparseMatrix.assemble(other.total.dim(n), self.total.dim(n), blocks)
         return ChainMap(self.total, other.total, comps)
 
@@ -335,18 +338,18 @@ def hc_bicomplex(A: Algebra, D: int, size_limit=None) -> CyclicBicomplex:
     return CyclicBicomplex(A, D + 1, D, size_limit)
 
 
-def hh_homology(A: Algebra, D: int, size_limit=None, jobs=1, reps=False) -> HomologyReport:
+def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     if D < 2:
         raise ValueError("D must be >= 2")
     bc = hh_bicomplex(A, D, size_limit)
-    return bc.total.homology(Interval(0, D - 2), jobs=jobs, reps=reps)
+    return bc.total.homology(Interval(0, D - 2), reps=reps)
 
 
-def hc_homology(A: Algebra, D: int, size_limit=None, jobs=1, reps=False) -> HomologyReport:
+def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     if D < 2:
         raise ValueError("D must be >= 2")
     bc = hc_bicomplex(A, D, size_limit)
-    return bc.total.homology(Interval(0, D - 2), jobs=jobs, reps=reps)
+    return bc.total.homology(Interval(0, D - 2), reps=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +474,23 @@ class LambdaComplex:
         M = Bimodule.regular(A)
         _guard(A.dim ** (D + 1), size_limit, "lambda complex top degree")
         self.quotients = {}
-        for p in range(0, D + 1):
-            one_minus_t = SparseMatrix.identity(A.dim ** (p + 1)) - rotation_matrix(A, p)
-            self.quotients[p] = QuotientSpace(A.dim ** (p + 1), one_minus_t.columns())
-        dims = {p: self.quotients[p].qdim for p in range(0, D + 1)}
         diffs = {}
-        for p in range(1, D + 1):
+        for p in range(0, D + 1):
+            rot = rotation_matrix(A, p)
+            one_minus_t = SparseMatrix.identity(rot.nrows) - rot
+            self.quotients[p] = QuotientSpace(rot.nrows, one_minus_t.columns())
+            if p == 0:
+                continue
             b = hoch_matrix(A, M, p)
             proj = self.quotients[p - 1].projection_matrix()
             section = self.quotients[p].section_matrix()
             induced = proj @ b @ section
             # well-definedness: b maps im(1-t) into im(1-t)
-            rot = rotation_matrix(A, p)
-            check = proj @ b @ (SparseMatrix.identity(rot.nrows) - rot)
+            check = proj @ b @ one_minus_t
             if not check.is_zero():
                 raise ValueError(f"induced differential ill-defined at degree {p}")
             diffs[p] = induced
+        dims = {p: self.quotients[p].qdim for p in range(0, D + 1)}
         self.complex = ChainComplex(dims, diffs, Interval(0, D - 1))
 
     def project_element(self, p, v: Vector) -> Vector:

@@ -19,6 +19,7 @@ identity asserted in graded_piece_check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal
 from .complexes import (
@@ -31,11 +32,14 @@ from .complexes import (
     is_quasi_iso,
 )
 from .cyclic import (
+    WordBasis,
     b_prime_matrix,
     bar_complex,
     hc_bicomplex,
     hh_bicomplex,
+    hoch_complex,
     hoch_matrix,
+    words,
 )
 from .errors import DegreeMismatch, NotAnIdeal
 from .sparse import SparseMatrix
@@ -134,41 +138,23 @@ class HUnitalityVerdict:
         }
 
 
-def h_unitary_check(A: Algebra, M: Bimodule, D: int, size_limit=None, jobs=1) -> HUnitalityVerdict:
+def h_unitary_check(A: Algebra, M: Bimodule, D: int, size_limit=None) -> HUnitalityVerdict:
     """Bounded certificate: Bar(A, M) acyclic in degrees < D."""
     if D < 2:
         raise ValueError("D must be >= 2")
     bc = bar_complex(A, M, D, size_limit)
-    rep = bc.complex.homology(Interval(0, D - 1), jobs=jobs)
+    rep = bc.complex.homology(Interval(0, D - 1))
     failing = next((n for n in sorted(rep.betti) if rep.betti[n]), None)
     return HUnitalityVerdict(failing is None, rep.betti, rep.certified, failing)
 
 
-def h_unitality_check(A: Algebra, D: int, size_limit=None, jobs=1) -> HUnitalityVerdict:
-    return h_unitary_check(A, Bimodule.regular(A), D, size_limit, jobs)
+def h_unitality_check(A: Algebra, D: int, size_limit=None) -> HUnitalityVerdict:
+    return h_unitary_check(A, Bimodule.regular(A), D, size_limit)
 
 
 # ---------------------------------------------------------------------------
 # filtration stages
 # ---------------------------------------------------------------------------
-
-
-def _word_indices(dA, dM, p, slot_ranges):
-    """Indices of words (m; a_1..a_p) with slot t < slot_ranges[t]; full radix dA."""
-    out = []
-    word = [0] * p
-
-    def rec(t, acc):
-        if t == p:
-            out.append(acc)
-            return
-        step = dA ** (p - 1 - t)
-        for a in range(slot_ranges[t]):
-            rec(t + 1, acc + a * step)
-
-    for m in range(dM):
-        rec(0, m * dA ** p)
-    return out
 
 
 @dataclass
@@ -211,13 +197,15 @@ def filtration_F(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
     sign = -1 if kind == "bar" else 1
     full_mats = {p: builder(A, M_ad, p).scale(sign) for p in range(1, D + 1)}
     indices = {}
+    ambient = {}
     for p in range(D + 1):
-        ranges = [dI if t < p - n else A.dim for t in range(p)]
-        indices[p] = _word_indices(A.dim, M_ad.dim, p, ranges)
+        full = words(A, M_ad, p)
+        stage = WordBasis([M_ad.dim] + [dI if t < p - n else A.dim for t in range(p)])
+        indices[p] = [full.index(w) for w in stage]
+        ambient[p] = len(full)
     diffs = _restrict_to_indices(full_mats, indices, D, f"F^{n}")
     dims = {p: len(indices[p]) for p in range(D + 1)}
     cx = ChainComplex(dims, diffs, Interval(0, D - 1))
-    ambient = {p: M_ad.dim * A.dim ** p for p in range(D + 1)}
     return FiltrationStage(n, f"F-{kind}", cx, indices, ambient)
 
 
@@ -264,10 +252,14 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
         p: b_prime_matrix(I_alg, M_res, p).scale(-1) for p in range(1, max(1, D - n))
     }
     free_dim = dB * dA ** n
+    # model: free (x) Bar(I, M)[n+1]; a degree-p word is the free part
+    # (a_1..a_n, c) followed by the Bar word (m; i_1..i_k), k = p - n - 1
+    model = {p: WordBasis((dA,) * n + (dB, dM) + (dI,) * (p - n - 1))
+             for p in range(n + 1, D + 1)}
+    mdl_dims = {p: len(model[p]) if p in model else 0 for p in range(D + 1)}
 
     results = {}
     quotient_dims = {}
-    model_dims = {}
     for kind in ("bar", "hoch"):
         inner = filtration_F(ext, M, n, D, kind, size_limit)
         outer = filtration_F(ext, M, n + 1, D, kind, size_limit)
@@ -282,12 +274,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
         quot_dims = {p: len(quot_idx[p]) for p in range(D + 1)}
         quotient_dims = {p: quot_dims[p] for p in quot_dims}
 
-        # model: free (x) Bar(I, M)[n+1]; at degree p the Bar part has p-n-1 slots
-        mdl_dims = {}
         mdl_diffs = {}
-        for p in range(D + 1):
-            k = p - n - 1
-            mdl_dims[p] = free_dim * dM * dI ** k if k >= 0 else 0
         sign = 1 if kind == "bar" else -1
         for p in range(1, D + 1):
             k = p - n - 1
@@ -295,7 +282,6 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
                 mdl_diffs[p] = SparseMatrix.identity(free_dim).tensor(model_bar[k]).scale(sign)
             else:
                 mdl_diffs[p] = SparseMatrix.zeros(mdl_dims[p - 1], mdl_dims[p])
-        model_dims = dict(mdl_dims)
 
         # reordering isomorphism phi_p: (m; i_1..i_k, c, a_1..a_n) ->
         # free part (a_1..a_n, c) (x) bar word (m; i_1..i_k)
@@ -304,19 +290,11 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
             k = p - n - 1
             ent = {}
             if k >= 0:
+                ambient = words(A, M_ad, p)
                 for col, g in enumerate(quot_idx[p]):
-                    word, m_idx = _decode_word(g, dA, p)
-                    i_slots = word[:k]
-                    c_slot = word[k] - dI
-                    a_slots = word[k + 1:]
-                    free = 0
-                    for a in a_slots:
-                        free = free * dA + a
-                    free = free * dB + c_slot
-                    bar = m_idx
-                    for i in i_slots:
-                        bar = bar * dI + i
-                    ent[(free * (dM * dI ** k) + bar, col)] = ONE
+                    m, *w = ambient.word(g)
+                    i_slots, c_slot, a_slots = w[:k], w[k] - dI, w[k + 1:]
+                    ent[(model[p].index((*a_slots, c_slot, m, *i_slots)), col)] = ONE
             phi[p] = SparseMatrix(mdl_dims[p], quot_dims[p], ent)
 
         ok, failing = True, None
@@ -327,7 +305,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
         results[kind] = (ok, failing)
 
     passed = all(ok for ok, _ in results.values())
-    return GradedPieceReport(passed, results, quotient_dims, model_dims)
+    return GradedPieceReport(passed, results, quotient_dims, mdl_dims)
 
 
 def _positions(ambient_list, selected):
@@ -335,18 +313,15 @@ def _positions(ambient_list, selected):
     return [pos[g] for g in selected]
 
 
-def _decode_word(g, dA, p):
-    word = []
-    rest = g
-    for t in range(p):
-        word.append(rest // dA ** (p - 1 - t) % dA)
-    m_idx = g // dA ** p
-    return word, m_idx
-
-
 # ---------------------------------------------------------------------------
 # quotient filtration from the (A, B) complex to the (B, B) complex
 # ---------------------------------------------------------------------------
+
+
+def _q_stage_words(ext: ExtensionData, n: int, p: int) -> WordBasis:
+    """Stage-n words (b; x_1..x_p) of the Q filtration: x_t in B for t <= n, else in A."""
+    q = min(n, p)
+    return WordBasis((ext.B.dim,) * (1 + q) + (ext.A_ad.dim,) * (p - q))
 
 
 def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
@@ -355,54 +330,28 @@ def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
     if n < 0 or D < 1:
         raise ValueError("need n >= 0 and D >= 1")
     A = ext.A_ad
-    B = ext.B
-    dA, dI, dB = A.dim, ext.ideal_dim, B.dim
+    dI = ext.ideal_dim
     M_B = Bimodule.over_morphism(ext.f_ad)
     builder = b_prime_matrix if kind == "bar" else hoch_matrix
     sign = -1 if kind == "bar" else 1
     full_mats = {p: builder(A, M_B, p).scale(sign) for p in range(1, D + 1)}
 
-    # Stage coordinates: words (b; x_1..x_p), x_t in B for t <= n, else in A.
-    # proj: full word -> stage word (kill early I-slots); section: lift B to
-    # the complement coordinates dI..dA-1.
+    # section: lift each stage word's B-slots to the complement coordinates
+    # dI..dA-1 of the full word.  The lift preserves word order, so proj (kill
+    # words with an early I-slot, drop the lift on the rest) is its transpose.
     proj = {}
     section = {}
     dims = {}
+    ambient = {}
     for p in range(D + 1):
-        widths = [dB if t < min(n, p) else dA for t in range(p)]
-        dims[p] = dB * _prod(widths)
-        sec_ent = {}
-        prj_ent = {}
-        for s in range(dims[p]):
-            rest = s
-            vals = []
-            for t in range(p - 1, -1, -1):
-                vals.append(rest % widths[t])
-                rest //= widths[t]
-            vals.reverse()
-            b_idx = rest
-            g = b_idx
-            for t in range(p):
-                lift = vals[t] + dI if t < min(n, p) else vals[t]
-                g = g * dA + lift
-            sec_ent[(g, s)] = ONE
-        # projection: iterate full words
-        for g in range(dB * dA ** p):
-            word, b_idx = _decode_word(g, dA, p)
-            s = b_idx
-            ok = True
-            for t in range(p):
-                if t < min(n, p):
-                    if word[t] < dI:
-                        ok = False
-                        break
-                    s = s * dB + (word[t] - dI)
-                else:
-                    s = s * dA + word[t]
-            if ok:
-                prj_ent[(s, g)] = ONE
-        proj[p] = SparseMatrix(dims[p], dB * dA ** p, prj_ent)
-        section[p] = SparseMatrix(dB * dA ** p, dims[p], sec_ent)
+        full = words(A, M_B, p)
+        stage_words = _q_stage_words(ext, n, p)
+        lift = (0,) + (dI,) * min(n, p) + (0,) * (p - min(n, p))
+        sec_ent = {(full.index(map(add, w, lift)), s): ONE for s, w in enumerate(stage_words)}
+        dims[p] = len(stage_words)
+        ambient[p] = len(full)
+        section[p] = SparseMatrix(ambient[p], dims[p], sec_ent)
+        proj[p] = section[p].transpose()
 
     diffs = {}
     for p in range(1, D + 1):
@@ -412,7 +361,7 @@ def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
             raise ValueError(f"Q^{n}: induced differential ill-defined at degree {p}")
         diffs[p] = induced
     cx = ChainComplex(dims, diffs, Interval(0, D - 1))
-    stage = FiltrationStage(n, f"Q-{kind}", cx, {}, {p: dB * dA ** p for p in range(D + 1)})
+    stage = FiltrationStage(n, f"Q-{kind}", cx, {}, ambient)
     stage.projection = {p: proj[p] for p in proj}
     stage.section = {p: section[p] for p in section}
     return stage
@@ -422,37 +371,13 @@ def q_kernel_complex(ext: ExtensionData, n: int, D: int, kind: str = "bar",
                      size_limit=None) -> ChainComplex:
     """Kernel of Q^n -> Q^{n+1}: stage-n words whose slot n+1 lies in I."""
     stage = filtration_Q(ext, n, D, kind, size_limit)
-    dA, dI, dB = ext.A_ad.dim, ext.ideal_dim, ext.B.dim
+    dI = ext.ideal_dim
     indices = {}
     for p in range(D + 1):
-        sel = []
-        widths = [dB if t < min(n, p) else dA for t in range(p)]
-        for s in range(stage.complex.dim(p)):
-            rest = s
-            vals = []
-            for t in range(p - 1, -1, -1):
-                vals.append(rest % widths[t])
-                rest //= widths[t]
-            vals.reverse()
-            if p > n and vals[n] < dI:
-                sel.append(s)
-        indices[p] = sel
-    diffs = {}
-    for p in range(1, D + 1):
-        rows, cols = indices[p - 1], indices[p]
-        row_set = set(rows)
-        for (r, c) in stage.complex.diffs[p].entries:
-            if c in set(cols) and r not in row_set:
-                raise ValueError(f"Q-kernel not closed under the differential at degree {p}")
-        diffs[p] = stage.complex.diffs[p].submatrix(rows, cols)
+        stage_words = _q_stage_words(ext, n, p)
+        indices[p] = [s for s, (_, *x) in enumerate(stage_words) if p > n and x[n] < dI]
+    diffs = _restrict_to_indices(stage.complex.diffs, indices, D, "Q-kernel")
     return ChainComplex({p: len(indices[p]) for p in indices}, diffs, Interval(0, D - 1))
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +395,20 @@ def _relative_fiber(ext: ExtensionData, D: int, flavor: str, size_limit=None):
 
 
 def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
-                      size_limit=None, jobs=1) -> HomologyReport:
+                      size_limit=None) -> HomologyReport:
     """Betti numbers of the homotopy fiber of the induced map on totals."""
     if D < 2:
         raise ValueError("D must be >= 2")
     fib, _, _ = _relative_fiber(ext, D, flavor, size_limit)
-    return fib.homology(Interval(0, D - 2), jobs=jobs)
+    return fib.homology(Interval(0, D - 2))
 
 
-def relative_hh(ext: ExtensionData, D: int, size_limit=None, jobs=1) -> HomologyReport:
-    return relative_homology(ext, D, "hh", size_limit, jobs)
+def relative_hh(ext: ExtensionData, D: int, size_limit=None) -> HomologyReport:
+    return relative_homology(ext, D, "hh", size_limit)
 
 
-def relative_hc(ext: ExtensionData, D: int, size_limit=None, jobs=1) -> HomologyReport:
-    return relative_homology(ext, D, "hc", size_limit, jobs)
+def relative_hc(ext: ExtensionData, D: int, size_limit=None) -> HomologyReport:
+    return relative_homology(ext, D, "hc", size_limit)
 
 
 def comparison_map(ext: ExtensionData, D: int, flavor: str, size_limit=None) -> ChainMap:
@@ -511,8 +436,6 @@ def _column_comparison(ext: ExtensionData, D: int, kind: str, size_limit=None) -
 
     These are the intermediate maps of the excision proof; for a non-H-unital
     ideal they are where the failure shows up."""
-    from .cyclic import hoch_complex
-
     make = bar_complex if kind == "bar" else hoch_complex
     I_alg = ext.ideal_algebra()
     cx_I = make(I_alg, None, D, size_limit).complex
@@ -573,7 +496,7 @@ class WodzickiReport:
         }
 
 
-def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None, jobs=1) -> WodzickiReport:
+def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
     """Quasi-isomorphism ranges of the ideal-to-relative comparison maps.
 
     Four comparisons are run: the two totalized ones (HH and HC bicomplexes)
@@ -585,11 +508,11 @@ def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None, jobs=1) -> Wodz
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-    verdict_hh = is_quasi_iso(comparison_map(ext, D, "hh", size_limit), rng, jobs=jobs)
-    verdict_hc = is_quasi_iso(comparison_map(ext, D, "hc", size_limit), rng, jobs=jobs)
-    verdict_hoch = is_quasi_iso(_column_comparison(ext, D, "hoch", size_limit), rng, jobs=jobs)
-    verdict_bar = is_quasi_iso(_column_comparison(ext, D, "bar", size_limit), rng, jobs=jobs)
-    hu = h_unitality_check(ext.ideal_algebra(), D, size_limit, jobs=jobs)
+    verdict_hh = is_quasi_iso(comparison_map(ext, D, "hh", size_limit), rng)
+    verdict_hc = is_quasi_iso(comparison_map(ext, D, "hc", size_limit), rng)
+    verdict_hoch = is_quasi_iso(_column_comparison(ext, D, "hoch", size_limit), rng)
+    verdict_bar = is_quasi_iso(_column_comparison(ext, D, "bar", size_limit), rng)
+    hu = h_unitality_check(ext.ideal_algebra(), D, size_limit)
     return WodzickiReport(verdict_hh, verdict_hc, verdict_hoch, verdict_bar, hu)
 
 
@@ -627,19 +550,11 @@ def hoch_inclusion(ext: ExtensionData, M: Bimodule | None, D: int, size_limit=No
     M_ad = ext.adapt_module(M)
     I_alg = ext.ideal_algebra()
     M_res = ext.restrict_module_to_ideal(M_ad)
-    from .cyclic import hoch_complex
-
     src = hoch_complex(I_alg, M_res, D, size_limit).complex
     tgt = hoch_complex(ext.A_ad, M_ad, D, size_limit).complex
-    dA, dI = ext.A_ad.dim, I_alg.dim
     comps = {}
     for p in range(D + 1):
-        ent = {}
-        for col in range(src.dim(p)):
-            word, m_idx = _decode_word(col, dI, p)
-            g = m_idx
-            for t in range(p):
-                g = g * dA + word[t]
-            ent[(g, col)] = ONE
+        ambient = words(ext.A_ad, M_ad, p)
+        ent = {(ambient.index(w), col): ONE for col, w in enumerate(words(I_alg, M_res, p))}
         comps[p] = SparseMatrix(tgt.dim(p), src.dim(p), ent)
     return ChainMap(src, tgt, comps)

@@ -21,7 +21,7 @@ from math import comb
 
 from .algebras import Algebra, Ideal, matrix_algebra
 from .complexes import ChainComplex, HomologyReport, Interval
-from .cyclic import LambdaComplex, hc_homology, lambda_complex
+from .cyclic import LambdaComplex, WordBasis, hc_homology, lambda_complex
 from .errors import NotNilpotent, SizeLimit
 from .sparse import SparseMatrix, Subspace, Vector, exact_vec, vec_axpy, vec_sub
 
@@ -237,10 +237,10 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
     return CEComplex(cx, g, D, tuples)
 
 
-def ce_homology(g: LieAlgebra, D: int, size_limit=None, jobs=1, reps=False) -> HomologyReport:
+def ce_homology(g: LieAlgebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     ce = ce_complex(g, D, size_limit)
     hi = min(D - 1, ce.complex.certified.hi)
-    return ce.complex.homology(Interval(0, hi), jobs=jobs, reps=reps)
+    return ce.complex.homology(Interval(0, hi), reps=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,7 @@ def generalized_trace_matrix(A: Algebra, r: int, n: int, lam: LambdaComplex,
     the class of a_0 (x) a_{s(1)} (x) ... in coker(1 - t)."""
     dA = A.dim
     tuples = ce.tuples[n + 1]
+    cyclic_words = WordBasis((dA,) * (n + 1))
     cols = []
     for tup in tuples:
         decoded = []
@@ -272,19 +273,18 @@ def generalized_trace_matrix(A: Algebra, r: int, n: int, lam: LambdaComplex,
         else:
             for perm in permutations(range(1, n + 1)):
                 chain = j0
-                word_idx = a0
                 ok = True
                 for t in perm:
-                    it, jt, at = decoded[t]
+                    it, jt, _ = decoded[t]
                     if chain != it:
                         ok = False
                         break
                     chain = jt
-                    word_idx = word_idx * dA + at
                 if not ok or chain != i0:
                     continue
+                word = [a0] + [decoded[t][2] for t in perm]
                 sgn = _perm_sign(perm)
-                vec_axpy(acc, sgn, lam.project_element(n, {word_idx: ONE}))
+                vec_axpy(acc, sgn, lam.project_element(n, {cyclic_words.index(word): ONE}))
         cols.append(acc)
     return SparseMatrix.from_columns(lam.complex.dim(n), cols)
 
@@ -396,14 +396,14 @@ class LqtReport:
         }
 
 
-def lqt_verify(A: Algebra, r: int, D: int, size_limit=None, jobs=1) -> LqtReport:
+def lqt_verify(A: Algebra, r: int, D: int, size_limit=None) -> LqtReport:
     """Compare CE betti of gl_r(A) against the free graded-commutative model
     on the cyclic homology of A shifted up by one.  Outside the stable range
     r >= D a mismatch is reported, not failed."""
     if not A.is_unital:
         raise ValueError("the stable comparison expects a unital algebra")
-    ce_rep = ce_homology(gl(A, r), D + 1, size_limit, jobs=jobs)
-    hc_rep = hc_homology(A, D + 2, size_limit, jobs=jobs)
+    ce_rep = ce_homology(gl(A, r), D + 1, size_limit)
+    hc_rep = hc_homology(A, D + 2, size_limit)
     gens = {n: hc_rep.betti[n - 1] for n in range(1, D + 1)}
     sym = sym_model_betti(gens, D)
     degrees = Interval(0, D)
@@ -431,12 +431,12 @@ class CentralExtensionReport:
         }
 
 
-def h2_vs_hc1(A: Algebra, r: int, size_limit=None, jobs=1) -> CentralExtensionReport:
+def h2_vs_hc1(A: Algebra, r: int, size_limit=None) -> CentralExtensionReport:
     """Compare HC_1(A) with the kernel size of the universal central extension
     of gl_r(A), i.e. the indecomposable part of H_2: products of H_1 classes
     (their exterior square) are discounted from the raw dimension."""
-    rep = ce_homology(gl(A, r), 3, size_limit, jobs=jobs)
+    rep = ce_homology(gl(A, r), 3, size_limit)
     h1, h2 = rep.betti[1], rep.betti[2]
     prim = h2 - comb(h1, 2)
-    hc1 = hc_homology(A, 3, size_limit, jobs=jobs).betti[1]
+    hc1 = hc_homology(A, 3, size_limit).betti[1]
     return CentralExtensionReport(h1, h2, prim, hc1, prim == hc1)

@@ -357,7 +357,7 @@ class TangentRow:
         }
 
 
-def tangent_table(C: Algebra, bases, D: int, size_limit=None, jobs=1):
+def tangent_table(C: Algebra, bases, D: int, size_limit=None):
     """For each Artinian base B: relative HC of C (x) B -> C, the HC of the
     augmentation-ideal coefficients C (x) Aug(B), and the quasi-isomorphism
     range of the comparison map between them."""
@@ -367,9 +367,9 @@ def tangent_table(C: Algebra, bases, D: int, size_limit=None, jobs=1):
     for base in bases:
         ext = base_extension(C, base)
         rng = Interval(0, D - 2)
-        rel = relative_hc(ext, D, size_limit, jobs=jobs)
-        ideal_rep = hc_homology(ext.ideal_algebra(), D, size_limit, jobs=jobs)
-        alpha = is_quasi_iso(comparison_map(ext, D, "hc", size_limit), rng, jobs=jobs)
+        rel = relative_hc(ext, D, size_limit)
+        ideal_rep = hc_homology(ext.ideal_algebra(), D, size_limit)
+        alpha = is_quasi_iso(comparison_map(ext, D, "hc", size_limit), rng)
         # dim I / (I cap [A, A]): the concrete degree-zero relative class space
         comm = Subspace(ext.A_ad.dim, commutator_subspace(ext.A_ad))
         base_rank = comm.rank

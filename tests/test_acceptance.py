@@ -272,12 +272,12 @@ DETERMINISM_BUNDLE = [
 ]
 
 
-def _run_bundle(jobs):
+def _run_bundle():
     chunks = []
     for argv in DETERMINISM_BUNDLE:
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = cli_main(argv + ["--format", "json", "--jobs", str(jobs)])
+            code = cli_main(argv + ["--format", "json"])
         assert code == 0, argv
         json.loads(buf.getvalue())  # must be valid JSON
         chunks.append(buf.getvalue())
@@ -285,11 +285,9 @@ def _run_bundle(jobs):
 
 
 def test_a13_deterministic_reports():
-    """Byte-identical JSON across single- and multi-threaded runs."""
-    single = _run_bundle(1)
-    multi = _run_bundle(4)
-    assert single == multi
-    again = _run_bundle(1)
-    assert single == again
+    """Byte-identical JSON across repeated runs."""
+    first = _run_bundle()
+    again = _run_bundle()
+    assert first == again
     _ok(f"deterministic reports: {len(DETERMINISM_BUNDLE)} subcommand runs "
-        f"byte-identical across 1-thread, 4-thread and repeated execution")
+        f"byte-identical across repeated execution")

@@ -94,16 +94,6 @@ def test_every_subcommand_runs(capsys):
         assert doc["results"], argv
 
 
-def test_reports_deterministic_across_jobs(capsys):
-    outputs = []
-    for jobs in ("1", "4"):
-        code, out, _ = run_cli(capsys, "hc", "--preset", "dual_numbers", "-D", "5",
-                               "--format", "json", "--jobs", jobs)
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 def test_reps_flag_emits_representatives(capsys):
     code, out, _ = run_cli(capsys, "hc", "--preset", "dual_numbers", "-D", "4",
                            "--format", "json", "--reps")

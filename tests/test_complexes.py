@@ -143,11 +143,3 @@ def test_homology_space_classify():
     )
     with pytest.raises(ValueError):
         one_up.classify({0: Fraction(1)})
-
-
-def test_homology_jobs_deterministic():
-    d1 = SparseMatrix.from_dense([[1, 0, 0], [0, 0, 0]])
-    d2 = SparseMatrix.from_dense([[0, 0], [0, 0], [0, 1]])
-    C1 = ChainComplex({0: 2, 1: 3, 2: 2}, {1: d1, 2: d2}, Interval(0, 1))
-    C2 = ChainComplex({0: 2, 1: 3, 2: 2}, {1: d1, 2: d2}, Interval(0, 1))
-    assert C1.homology(Interval(0, 1), jobs=1).betti == C2.homology(Interval(0, 1), jobs=4).betti

@@ -4,6 +4,7 @@ from chainlab.algebras import Bimodule, commutator_subspace, matrix_algebra
 from chainlab.complexes import Interval
 from chainlab.cyclic import (
     CyclicBicomplex,
+    WordBasis,
     b_prime_matrix,
     bar_complex,
     connes_check,
@@ -15,6 +16,7 @@ from chainlab.cyclic import (
     norm_matrix,
     rotation_matrix,
     verify_unit_homotopy,
+    words,
 )
 from chainlab.errors import SizeLimit
 from chainlab.presets import (
@@ -52,6 +54,30 @@ def test_bar_nonunital_truncated_ideal_not_acyclic():
     I = augmentation_ideal(truncated_poly(3)).as_algebra()
     rep = bar_complex(I, D=4).homology(Interval(0, 3))
     assert any(v for v in rep.betti.values())
+
+
+def test_word_basis_mixed_radices():
+    basis = WordBasis((2, 3, 1, 4))
+    listed = list(basis)
+    assert len(basis) == len(listed) == 24
+    assert listed == sorted(listed)  # slot 0 most significant
+    for i, w in enumerate(listed):
+        assert basis.index(w) == i
+        assert basis.word(basis.index(w)) == w
+
+
+@pytest.mark.parametrize("radices", [(0,), (3, 0), (2, 0, 5)])
+def test_word_basis_zero_radix_is_empty(radices):
+    basis = WordBasis(radices)
+    assert len(basis) == 0
+    assert list(basis) == []
+
+
+def test_words_of_tensor_powers():
+    A, Z = dual_numbers(), zero_algebra()
+    assert list(words(A, Bimodule.regular(A), 0)) == [(0,), (1,)]
+    assert len(words(A, Bimodule.regular(A), 3)) == 16
+    assert len(words(Z, Bimodule.regular(Z), 2)) == 0
 
 
 @pytest.mark.parametrize("A", UNITAL_PRESETS, ids=lambda a: a.name)

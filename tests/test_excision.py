@@ -7,6 +7,7 @@ from chainlab.complexes import ChainMap, Interval, is_quasi_iso
 from chainlab.cyclic import bar_complex, hoch_complex
 from chainlab.excision import (
     ExtensionData,
+    _restrict_to_indices,
     filtration_F,
     filtration_Q,
     graded_piece_check,
@@ -123,6 +124,21 @@ def test_graded_pieces_pass(name, level):
 
 def test_graded_piece_identity_extension_vacuous():
     assert graded_piece_check(ext_of("identity:dual_numbers"), None, 0, 4).passed
+
+
+def test_zero_ideal_gives_empty_word_families():
+    ext = ext_of("identity:dual_numbers")
+    stage = filtration_F(ext, None, 0, 4)
+    assert [stage.complex.dim(p) for p in range(5)] == [2, 0, 0, 0, 0]
+    inc = hoch_inclusion(ext, None, 3)
+    assert [inc.component(p).ncols for p in range(4)] == [2, 0, 0, 0]
+
+
+def test_restrict_to_indices_rejects_leak():
+    full = {1: SparseMatrix(2, 2, {(1, 0): 1})}
+    assert _restrict_to_indices(full, {0: [1], 1: [0]}, 1, "S")[1] == SparseMatrix.identity(1)
+    with pytest.raises(ValueError, match="S: differential leaks out of the stage at degree 1"):
+        _restrict_to_indices(full, {0: [0], 1: [0]}, 1, "S")
 
 
 def test_q_stage_zero_is_bar_of_a_with_b_coefficients():

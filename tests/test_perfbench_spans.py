@@ -1,0 +1,45 @@
+"""The benchmark traces chainlab from outside, by attribute path
+(perfbench/tracer.py).  A rename in the package must fail here rather than
+break the benchmark's traced run later."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from chainlab.cli import main as cli_main
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_span_resolves():
+    missing = []
+    for modname, path, _ in _load_tracer().SPANS:
+        owner_name, _, meth = path.partition(".")
+        owner = getattr(importlib.import_module(f"chainlab.{modname}"), owner_name, None)
+        if owner is None or (isinstance(owner, type) and (meth or "__init__") not in vars(owner)):
+            missing.append(f"{modname}.{path}")
+    assert not missing
+
+
+def test_instrument_counts_and_restores(capsys):
+    tracer = _load_tracer()
+    from chainlab import cyclic
+
+    original = cyclic.b_prime_matrix
+    rec = tracer.Tracer()
+    restore = tracer.instrument(rec)
+    try:
+        assert cli_main(["hh", "--preset", "dual_numbers", "-D", "3", "--format", "json"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    assert rec.counters["cyclic.bicomplex.builds"] == 1
+    assert rec.calls["cyclic.b_prime_matrix"] == 3
+    assert cyclic.b_prime_matrix is original
