@@ -196,24 +196,33 @@ def verify_unit_homotopy(A: Algebra, M: Bimodule | None = None, D: int = 4):
 # ---------------------------------------------------------------------------
 
 
+def _rotation_power(d: int, p: int, i: int):
+    """((row, col), sign) entries of t^i on A^(p+1), dim A = d: t^i moves the
+    last i slots to the front, a swap on the layout (A^(p+1-i), A^i)."""
+    high = d ** (p + 1 - i)
+    sign = -ONE if p * i % 2 else ONE
+    return (((last * high + rest, col), sign)
+            for col, (rest, last) in enumerate(WordBasis((high, d ** i))))
+
+
 def rotation_matrix(A: Algebra, p: int) -> SparseMatrix:
     """t on A^(p+1): signed rotation a_0...a_p -> (-1)^p a_p a_0...a_{p-1}."""
-    # On the two-slot layout (A^p, A) the rotation swaps the slots.
-    src, tgt = WordBasis((A.dim ** p, A.dim)), WordBasis((A.dim, A.dim ** p))
-    sign = ONE if p % 2 == 0 else -ONE
-    entries = {(tgt.index((last, rest)), col): sign for col, (rest, last) in enumerate(src)}
-    return SparseMatrix(len(src), len(src), entries)
+    n = A.dim ** (p + 1)
+    return SparseMatrix(n, n, _rotation_power(A.dim, p, 1))
 
 
 def norm_matrix(A: Algebra, p: int) -> SparseMatrix:
-    """N = sum of t^i for i = 0..p."""
-    t = rotation_matrix(A, p)
-    acc = SparseMatrix.identity(t.nrows)
-    out = acc
-    for _ in range(p):
-        acc = t @ acc
-        out = out + acc
-    return out
+    """N = sum of t^i for i = 0..p, summed entrywise; entries that cancel are dropped."""
+    n = A.dim ** (p + 1)
+    entries = {}
+    for i in range(p + 1):
+        for key, sign in _rotation_power(A.dim, p, i):
+            s = entries.get(key, 0) + sign
+            if s:
+                entries[key] = s
+            else:
+                del entries[key]
+    return SparseMatrix(n, n, entries)
 
 
 # ---------------------------------------------------------------------------

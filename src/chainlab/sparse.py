@@ -6,18 +6,22 @@ value is integral, a Fraction only where a real denominator appears, and
 never a float (rejected with TypeError).  Every division goes through
 Fraction, so int operands cannot silently produce a float.
 
+Products run fraction-free: each row of the left factor and each column of
+the right factor is scaled by the lcm of its denominators as it is read, the
+sums are taken in ints and divided back exactly.  Int factors skip this.
+
 Rank and kernel computations run a fraction-free integer elimination: each
-row is cleared of denominators, pivots are chosen by sparsity (fewest-entries
-row, then fewest-entries column), and updated rows are renormalised by their
-gcd to keep coefficient growth in check.  Independent column blocks of the
-support graph are eliminated separately.
+row is cleared of denominators by the same scaling, pivots are chosen by
+sparsity (fewest-entries row, then fewest-entries column), and updated rows
+are renormalised by their gcd to keep coefficient growth in check.
+Independent column blocks of the support graph are eliminated separately.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = dict  # {index: int or Fraction}, zero entries absent
 
@@ -26,6 +30,8 @@ ZERO = 0
 
 def exact(c):
     """c as an exact scalar: int if integral, Fraction otherwise; float raises."""
+    if type(c) is int:  # before isinstance(c, Fraction), an ABC check that costs more
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
@@ -74,6 +80,8 @@ def vec_scale(c, v: Vector) -> Vector:
 
 def vec_axpy(out: Vector, c, v: Vector) -> None:
     """In place out += c*v."""
+    if type(c) is not int:
+        c = exact(c)
     if not c:
         return
     for k, val in v.items():
@@ -84,32 +92,30 @@ def vec_axpy(out: Vector, c, v: Vector) -> None:
             out.pop(k, None)
 
 
-def vec_dot(u: Vector, v: Vector):
-    if len(u) > len(v):
-        u, v = v, u
-    return sum((val * v[k] for k, val in u.items() if k in v), start=ZERO)
-
-
 class SparseMatrix:
-    """Immutable-by-convention sparse rational matrix."""
+    """Immutable-by-convention sparse rational matrix; fractional is True when
+    some entry is a Fraction (a product of two int matrices skips scaling)."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "entries", "fractional")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
         self.ncols = ncols
         data = {}
+        fractional = False
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (i, j), val in items:
                 if type(val) is not int:
                     val = exact(val)
+                    fractional = fractional or type(val) is not int
                 if not val:
                     continue
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                 data[(i, j)] = val
         self.entries = data
+        self.fractional = fractional
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -148,9 +154,14 @@ class SparseMatrix:
             scale = exact(scale)
             if not scale:
                 continue
-            for (i, j), val in mat.entries.items():
+            items = mat.entries.items()
+            if scale == -1:
+                items = ((k, -v) for k, v in items)
+            elif scale != 1:
+                items = ((k, scale * v) for k, v in items)
+            for (i, j), val in items:
                 key = (row_off + i, col_off + j)
-                s = ent.get(key, ZERO) + scale * val
+                s = ent.get(key, ZERO) + val
                 if s:
                     ent[key] = s
                 else:
@@ -226,16 +237,28 @@ class SparseMatrix:
         c = exact(c)
         if not c:
             return SparseMatrix(self.nrows, self.ncols)
+        if c == -1:
+            return SparseMatrix(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
         return SparseMatrix(self.nrows, self.ncols, {k: c * v for k, v in self.entries.items()})
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
+        # Row i of self is scaled by row_den[i], column j of other by
+        # col_den[j]; entry (i, j) of the int product is divided back by both.
+        row_den = _denominator_lcms(self.entries, 0) if self.fractional else {}
+        col_den = _denominator_lcms(other.entries, 1) if other.fractional else {}
+        left = self.entries.items()
+        if row_den:
+            left = (((i, k), _int_scale(v, row_den.get(i, 1))) for (i, k), v in left)
         rows_of_self = {}
-        for (i, k), v in self.entries.items():
+        for (i, k), v in left:
             rows_of_self.setdefault(k, []).append((i, v))
+        right = other.entries.items()
+        if col_den:
+            right = (((k, j), _int_scale(w, col_den.get(j, 1))) for (k, j), w in right)
         ent = {}
-        for (k, j), w in other.entries.items():
+        for (k, j), w in right:
             hits = rows_of_self.get(k)
             if not hits:
                 continue
@@ -246,6 +269,11 @@ class SparseMatrix:
                     ent[key] = s
                 else:
                     ent.pop(key, None)
+        if row_den or col_den:
+            for key, s in ent.items():
+                d = row_den.get(key[0], 1) * col_den.get(key[1], 1)
+                if d != 1:
+                    ent[key] = Fraction(s, d)
         return SparseMatrix(self.nrows, other.ncols, ent)
 
     def apply(self, v: Vector) -> Vector:
@@ -359,15 +387,27 @@ class SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _int_scale(v, m) -> int:
+    """v * m as an int, for m a multiple of v's denominator."""
+    return v * m if type(v) is int else v.numerator * (m // v.denominator)
+
+
+def _denominator_lcms(entries, axis) -> dict:
+    """{row (axis 0) or column (axis 1): lcm of its denominators}, for the
+    rows or columns holding a Fraction; empty when every entry is an int."""
+    out = {}
+    for key, v in entries.items():
+        if type(v) is not int:
+            i = key[axis]
+            out[i] = lcm(out.get(i, 1), v.denominator)
+    return out
+
+
 def _clear_denominators(row: Vector) -> dict:
     if not row:
         return {}
-    denom = 1
-    for v in row.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    out = {}
-    for k, v in row.items():
-        out[k] = int(v * denom)
+    denom = lcm(*[v.denominator for v in row.values()])
+    out = {k: _int_scale(v, denom) for k, v in row.items()}
     g = 0
     for v in out.values():
         g = gcd(g, v)

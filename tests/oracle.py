@@ -7,6 +7,14 @@ elimination, no pivoting tricks shared with the production path.
 from fractions import Fraction
 
 
+def dense_product(A, B) -> list:
+    """A @ B as dense rows of Fractions, each entry summed term by term."""
+    return [[sum((Fraction(A.get(i, k)) * Fraction(B.get(k, j)) for k in range(A.ncols)),
+                 Fraction(0))
+             for j in range(B.ncols)]
+            for i in range(A.nrows)]
+
+
 def dense_rank(M) -> int:
     rows = [[Fraction(0)] * M.ncols for _ in range(M.nrows)]
     for (i, j), v in M.entries.items():

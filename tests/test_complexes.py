@@ -42,6 +42,15 @@ def test_d_squared_enforced():
         ChainComplex({0: 1, 1: 1, 2: 1}, {1: bad, 2: bad}, Interval(0, 1))
 
 
+def test_d_squared_fractional_defect_named():
+    d1 = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(1, 3)]])
+    good = SparseMatrix.from_dense([[Fraction(2, 3)], [-1]])
+    ChainComplex({0: 1, 1: 2, 2: 1}, {1: d1, 2: good}, Interval(0, 1))
+    off = SparseMatrix.from_dense([[Fraction(2, 3)], [Fraction(-6, 7)]])  # d.d = 1/21
+    with pytest.raises(ValueError, match=r"d_1 \. d_2 != 0"):
+        ChainComplex({0: 1, 1: 2, 2: 1}, {1: d1, 2: off}, Interval(0, 1))
+
+
 def test_range_not_certified():
     C = two_step([[0]])
     with pytest.raises(RangeNotCertified):
@@ -120,6 +129,14 @@ def test_chain_map_must_commute():
     C = two_step([[1]])
     with pytest.raises(ValueError):
         ChainMap(C, C, {0: SparseMatrix.from_dense([[1]]), 1: SparseMatrix.from_dense([[2]])})
+
+
+def test_fractional_chain_map_must_commute():
+    C = two_step([[Fraction(2, 3)]])
+    half = SparseMatrix.from_dense([[Fraction(1, 2)]])
+    ChainMap(C, C, {0: half, 1: half})
+    with pytest.raises(ValueError, match="degree 1"):
+        ChainMap(C, C, {0: half, 1: SparseMatrix.from_dense([[Fraction(1, 3)]])})
 
 
 def test_homology_space_classify():

@@ -94,6 +94,21 @@ def test_rotation_and_norm_small_cases():
     assert norm_matrix(Q, 0) == SparseMatrix.identity(1)
 
 
+@pytest.mark.parametrize("A", [rationals(), dual_numbers(), truncated_poly(3)],
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("p", range(6))
+def test_norm_equals_sum_of_rotation_powers(A, p):
+    t = rotation_matrix(A, p)
+    power = SparseMatrix.identity(t.nrows)
+    by_products = power
+    for _ in range(p):
+        power = t @ power
+        by_products = by_products + power
+    assert norm_matrix(A, p) == by_products
+    if A.dim == 1 and p % 2:
+        assert norm_matrix(A, p).is_zero()  # the signed terms cancel
+
+
 def test_rotation_power_is_identity():
     E = dual_numbers()
     for p in range(0, 6):

@@ -2,16 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainlab.algebras import Algebra, Bimodule
 from chainlab.cyclic import hc_bicomplex
 from chainlab.dsl import parse_algebra
 from chainlab.lie import LieAlgebra
 from chainlab.presets import algebra_preset, truncated_poly
-from chainlab.sparse import QuotientSpace, SparseMatrix, Subspace, exact, vec_scale
+from chainlab.sparse import QuotientSpace, SparseMatrix, Subspace, exact, vec_axpy, vec_scale
 from chainlab.tangent import nilpotent_log
 
-from oracle import dense_rank
+from oracle import dense_product, dense_rank
 
 
 def random_matrix(rng, nrows, ncols, fill=0.3, denominators=True):
@@ -82,6 +83,13 @@ def test_matmul_and_tensor():
     A = SparseMatrix.from_dense([[1, 2], [0, 1]])
     B = SparseMatrix.from_dense([[1, 0], [3, 1]])
     assert (A @ B).to_dense() == SparseMatrix.from_dense([[7, 2], [3, 1]]).to_dense()
+    F = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(1, 3)], [0, 0], [2, Fraction(3, 4)]])
+    G = SparseMatrix.from_dense([[Fraction(2, 3), 1], [-1, Fraction(3, 2)]])
+    P = F @ G  # denominators divided back exactly: 1/3 - 1/3 cancels, 1/2 + 1/2 is int 1
+    assert P.to_dense() == [[0, 1], [0, 0], [Fraction(7, 12), Fraction(25, 8)]]
+    assert type(P.get(0, 1)) is int and P.nnz == 3
+    assert F.fractional and P.fractional and not (A.fractional or (A @ B).fractional)
+    assert not SparseMatrix(1, 1, {(0, 0): Fraction(4, 2)}).fractional
     T = A.tensor(B)
     assert T.nrows == 4 and T.ncols == 4
     assert T.get(0, 0) == 1 and T.get(1, 0) == 3 and T.get(0, 2) == 2
@@ -148,6 +156,8 @@ def test_float_rejected_at_every_entry_point():
     with pytest.raises(TypeError):
         vec_scale(0.5, {0: 1})
     with pytest.raises(TypeError):
+        vec_axpy({}, 0.5, {0: 1})
+    with pytest.raises(TypeError):
         Algebra(1, ["1"], {(0, 0): {0: 1.0}})
     Q = Algebra(1, ["1"], {(0, 0): {0: 1}})
     with pytest.raises(TypeError):
@@ -202,3 +212,54 @@ def test_nilpotent_log_coefficients_are_fractions():
     lg = nilpotent_log(truncated_poly(4), {1: 1})
     assert lg == {1: 1, 2: Fraction(-1, 2), 3: Fraction(1, 3)}
     assert type(lg[2]) is Fraction and type(lg[3]) is Fraction
+
+
+def test_vec_axpy_folds_integral_fraction():
+    out = {0: 1}
+    vec_axpy(out, Fraction(4, 2), {0: 1, 1: 3})
+    assert out == {0: 3, 1: 6} and all(type(v) is int for v in out.values())
+
+
+# ---------------------------------------------------------------------------
+# fraction-free products against the dense oracle
+# ---------------------------------------------------------------------------
+
+INTS = st.integers(-4, 4)
+FRACTIONS = st.sampled_from(sorted({Fraction(n, d) for n in range(-5, 6) for d in range(2, 7)}
+                                   - set(range(-5, 6))))
+SCALARS = {"int": INTS, "mixed": st.one_of(INTS, FRACTIONS), "fraction": FRACTIONS}
+PRODUCT_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    nrows = draw(st.integers(0, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 5)) if ncols is None else ncols
+    if not (nrows and ncols):
+        return SparseMatrix(nrows, ncols)
+    cell = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    scalar = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    return SparseMatrix(nrows, ncols, draw(st.dictionaries(cell, scalar, max_size=nrows * ncols)))
+
+
+@st.composite
+def factor_pairs(draw):
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(matrices(n, k)), draw(matrices(k, m))
+
+
+@PRODUCT_SETTINGS
+@given(factor_pairs())
+def test_product_matches_dense_oracle(pair):
+    A, B = pair
+    P = A @ B
+    assert (P.nrows, P.ncols) == (A.nrows, B.ncols)
+    assert P.to_dense() == dense_product(A, B)
+    assert all(is_canonical(v) for v in P.entries.values())
+
+
+@PRODUCT_SETTINGS
+@given(matrices())
+def test_product_with_kernel_cancels_exactly(A):
+    K = SparseMatrix.from_columns(A.ncols, A.kernel_basis())
+    assert (A @ K).is_zero()
