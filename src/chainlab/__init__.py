@@ -54,8 +54,7 @@ from .excision import (
     h_unitality_check,
     h_unitary_check,
     q_kernel_complex,
-    relative_hc,
-    relative_hh,
+    relative_homology,
     stage_inclusion,
     wodzicki_verify,
 )
@@ -75,6 +74,7 @@ from .presets import algebra_preset, extension_preset
 from .sparse import QuotientSpace, SparseMatrix, Subspace
 from .tangent import (
     ArtinianBase,
+    LogTraceProbe,
     UnipotentElement,
     chern1,
     k1_rel_probe,

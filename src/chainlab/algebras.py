@@ -283,12 +283,6 @@ class Ideal:
     def inclusion_matrix(self) -> SparseMatrix:
         return SparseMatrix.from_columns(self.ambient.dim, self.basis)
 
-    def coords(self, v: Vector) -> Vector:
-        sol = self.inclusion_matrix().solve(v)
-        if sol is None:
-            raise ValueError("vector not in the ideal")
-        return sol
-
     def as_algebra(self) -> Algebra:
         """The ideal with its induced multiplication, in the reduced basis."""
         if self._algebra is None:

@@ -22,14 +22,12 @@ from .excision import (
     graded_piece_check,
     h_unitality_check,
     q_kernel_complex,
-    relative_hc,
-    relative_hh,
     wodzicki_verify,
 )
 from .lie import ce_homology, gl, h2_vs_hc1, lie_from_assoc, lqt_verify, trace_chain_check
 from .presets import algebra_preset, extension_preset
 from .reports import Report, betti_payload, render_table
-from .tangent import ArtinianBase, chern1, k1_rel_probe, tangent_table
+from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_table
 
 
 def _base_parser(sub, name, help_text, needs_algebra=True, needs_ext=False):
@@ -158,8 +156,8 @@ def run(args) -> Report:
         res = wodzicki_verify(ext, D, args.size_limit)
         payload = {"verdict": res.passed}
         payload.update(res.to_jsonable())
-        payload["relative_hh"] = betti_payload(relative_hh(ext, D, args.size_limit))
-        payload["relative_hc"] = betti_payload(relative_hc(ext, D, args.size_limit))
+        payload["relative_hh"] = betti_payload(res.relative_hh)
+        payload["relative_hc"] = betti_payload(res.relative_hc)
         report.add(cmd, {"ext": args.ext, "D": D}, **payload)
     elif cmd == "ce":
         A = _load_algebra(args)
@@ -182,9 +180,10 @@ def run(args) -> Report:
         report.add(cmd, {"algebra": A.name, "r": args.rank},
                    verdict=res.equal, **res.to_jsonable())
     elif cmd == "chern1":
-        ext = ExtensionData(extension_preset(args.ext))
-        res = chern1(ext, args.rank, args.seed, args.samples, args.size_limit)
-        k1 = k1_rel_probe(ext, args.rank, args.seed, max(1, args.samples // 2), args.size_limit)
+        probe = LogTraceProbe(ExtensionData(extension_preset(args.ext)), args.rank,
+                              size_limit=args.size_limit)
+        res = chern1(probe, args.seed, args.samples)
+        k1 = k1_rel_probe(probe, args.seed, max(1, args.samples // 2))
         report.add(cmd, {"ext": args.ext, "r": args.rank}, verdict=res.passed,
                    **res.to_jsonable(), k1_probe=k1.to_jsonable())
     elif cmd == "tangent":

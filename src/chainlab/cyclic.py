@@ -225,6 +225,14 @@ def norm_matrix(A: Algebra, p: int) -> SparseMatrix:
     return SparseMatrix(n, n, entries)
 
 
+def tensor_powers(matrix: SparseMatrix, D: int) -> dict:
+    """p -> matrix tensored with itself p+1 times (the map on row p), p = 0..D."""
+    powers = {0: matrix}
+    for p in range(1, D + 1):
+        powers[p] = powers[p - 1].tensor(matrix)
+    return powers
+
+
 # ---------------------------------------------------------------------------
 # bicomplexes and totalizations
 # ---------------------------------------------------------------------------
@@ -238,32 +246,35 @@ class CyclicBicomplex:
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
     the ChainComplex constructor asserts.
+
+    Only the blocks the layout places are built: b' on rows 1..D (b on every
+    one of them, the Bar copy -b' on rows 1..D-1), 1-t on rows 0..D-1, and N
+    on rows 0..D-2 when there is a column q >= 2 (ncols > 2).  Every N built
+    is checked against N(1-t) = 0 and (1-t)N = 0.
     """
 
     def __init__(self, A: Algebra, ncols: int, D: int, size_limit=None):
+        _guard(A.dim ** (D + 1), size_limit, "bicomplex row")
         self.algebra = A
         self.ncols = ncols
         self.bound = D
         M = Bimodule.regular(A)
-        max_p = D
         self._vertical = {}
-        for p in range(1, max_p + 1):
+        for p in range(1, D + 1):
             bp = b_prime_matrix(A, M, p)
-            self._vertical[("bar", p)] = bp.scale(-1)
             self._vertical[("hoch", p)] = bp + wrap_matrix(A, M, p)
-        self._rot = {p: rotation_matrix(A, p) for p in range(0, max_p + 1)}
-        self._one_minus_t = {
-            p: SparseMatrix.identity(self._rot[p].nrows) - self._rot[p] for p in self._rot
-        }
-        self._norm = {p: norm_matrix(A, p) for p in range(0, max_p + 1)}
-        for p in range(0, max_p + 1):
-            if not (self._norm[p] @ self._one_minus_t[p]).is_zero():
+            if p < D:
+                self._vertical[("bar", p)] = bp.scale(-1)
+        self._one_minus_t = {}
+        for p in range(0, D):
+            t = rotation_matrix(A, p)
+            self._one_minus_t[p] = SparseMatrix.identity(t.nrows) - t
+        self._norm = {p: norm_matrix(A, p) for p in range(0, D - 1)} if ncols > 2 else {}
+        for p, N in self._norm.items():
+            if not (N @ self._one_minus_t[p]).is_zero():
                 raise ValueError(f"N(1-t) != 0 at row {p}")
-            if not (self._one_minus_t[p] @ self._norm[p]).is_zero():
+            if not (self._one_minus_t[p] @ N).is_zero():
                 raise ValueError(f"(1-t)N != 0 at row {p}")
-
-        space = {p: A.dim ** (p + 1) for p in range(0, max_p + 1)}
-        _guard(max(space.values(), default=0), size_limit, "bicomplex row")
 
         # layout[n]: list of (q, p, offset, width) for the degree-n total.
         self.layout = {}
@@ -273,7 +284,7 @@ class CyclicBicomplex:
             off = 0
             for q in range(0, min(n, ncols - 1) + 1):
                 p = n - q
-                w = space[p]
+                w = A.dim ** (p + 1)
                 comps.append((q, p, off, w))
                 off += w
             self.layout[n] = comps
@@ -284,22 +295,17 @@ class CyclicBicomplex:
             blocks = []
             tgt = {(q, p): off for q, p, off, _ in self.layout[n - 1]}
             for q, p, off, width in self.layout[n]:
-                if p >= 1 and (q, p - 1) in tgt:
+                if p >= 1:
                     kind = "hoch" if q % 2 == 0 else "bar"
                     blocks.append((tgt[(q, p - 1)], off, self._vertical[(kind, p)], 1))
-                if q >= 1 and (q - 1, p) in tgt:
+                if q >= 1:
                     horiz = self._one_minus_t[p] if q % 2 == 1 else self._norm[p]
                     blocks.append((tgt[(q - 1, p)], off, horiz, 1))
             diffs[n] = SparseMatrix.assemble(dims[n - 1], dims[n], blocks)
 
         self.total = ChainComplex(dims, diffs, Interval(0, D - 1))
 
-    def component_slice(self, n, predicate):
-        """Offsets/widths in degree n of the components whose column satisfies
-        the predicate, in layout order."""
-        return [(q, p, off, w) for q, p, off, w in self.layout[n] if predicate(q)]
-
-    def restriction(self, predicate, relabel=lambda q: q):
+    def restriction(self, predicate):
         """Sub- or quotient-complex data spanned by the selected columns.
 
         Returns (complex, per-degree column-index lists into the total).
@@ -323,18 +329,11 @@ class CyclicBicomplex:
         """Chain map on totals induced by an algebra morphism self.A -> other.A."""
         if other.ncols != self.ncols or other.bound != self.bound:
             raise ValueError("bicomplex shapes differ")
-        tensor_powers = {}
+        powers = tensor_powers(morphism_matrix, self.bound)
         comps = {}
         for n in range(0, self.bound + 1):
-            blocks = []
             tgt = {(q, p): off for q, p, off, _ in other.layout[n]}
-            for q, p, off, w in self.layout[n]:
-                if p not in tensor_powers:
-                    mat = morphism_matrix
-                    for _ in range(p):
-                        mat = mat.tensor(morphism_matrix)
-                    tensor_powers[p] = mat
-                blocks.append((tgt[(q, p)], off, tensor_powers[p], 1))
+            blocks = [(tgt[(q, p)], off, powers[p], 1) for q, p, off, _ in self.layout[n]]
             comps[n] = SparseMatrix.assemble(other.total.dim(n), self.total.dim(n), blocks)
         return ChainMap(self.total, other.total, comps)
 

@@ -39,6 +39,7 @@ from .cyclic import (
     hh_bicomplex,
     hoch_complex,
     hoch_matrix,
+    tensor_powers,
     words,
 )
 from .errors import DegreeMismatch, NotAnIdeal
@@ -110,11 +111,14 @@ class ExtensionData:
             raise ValueError("module is defined over a different algebra")
         return M.with_algebra(self.A_ad, self.basis_map)
 
-    def restrict_module_to_ideal(self, M_ad: Bimodule) -> Bimodule:
-        inc = SparseMatrix(
+    def ideal_inclusion(self) -> SparseMatrix:
+        """I -> A in adapted coordinates: the leading coordinates."""
+        return SparseMatrix(
             self.A_ad.dim, self.ideal_dim, {(t, t): ONE for t in range(self.ideal_dim)}
         )
-        return M_ad.with_algebra(self.ideal_algebra(), inc)
+
+    def restrict_module_to_ideal(self, M_ad: Bimodule) -> Bimodule:
+        return M_ad.with_algebra(self.ideal_algebra(), self.ideal_inclusion())
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +142,18 @@ class HUnitalityVerdict:
         }
 
 
+def _bar_acyclicity(bar: ChainComplex, D: int) -> HUnitalityVerdict:
+    """Verdict on a Bar complex built to degree D: acyclic in degrees < D."""
+    rep = bar.homology(Interval(0, D - 1))
+    failing = next((n for n in sorted(rep.betti) if rep.betti[n]), None)
+    return HUnitalityVerdict(failing is None, rep.betti, rep.certified, failing)
+
+
 def h_unitary_check(A: Algebra, M: Bimodule, D: int, size_limit=None) -> HUnitalityVerdict:
     """Bounded certificate: Bar(A, M) acyclic in degrees < D."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    bc = bar_complex(A, M, D, size_limit)
-    rep = bc.complex.homology(Interval(0, D - 1))
-    failing = next((n for n in sorted(rep.betti) if rep.betti[n]), None)
-    return HUnitalityVerdict(failing is None, rep.betti, rep.certified, failing)
+    return _bar_acyclicity(bar_complex(A, M, D, size_limit).complex, D)
 
 
 def h_unitality_check(A: Algebra, D: int, size_limit=None) -> HUnitalityVerdict:
@@ -386,12 +394,12 @@ def q_kernel_complex(ext: ExtensionData, n: int, D: int, kind: str = "bar",
 
 
 def _relative_fiber(ext: ExtensionData, D: int, flavor: str, size_limit=None):
-    """(fiber complex, source bicomplex, target bicomplex) for HH or HC."""
+    """(fiber complex, source bicomplex) for HH or HC."""
     make = hh_bicomplex if flavor == "hh" else hc_bicomplex
     bc_A = make(ext.A_ad, D, size_limit)
     bc_B = make(ext.B, D, size_limit)
     induced = bc_A.induced_map(bc_B, ext.f_ad.matrix)
-    return homotopy_fiber(induced), bc_A, bc_B
+    return homotopy_fiber(induced), bc_A
 
 
 def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
@@ -399,35 +407,29 @@ def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
     """Betti numbers of the homotopy fiber of the induced map on totals."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    fib, _, _ = _relative_fiber(ext, D, flavor, size_limit)
+    fib, _ = _relative_fiber(ext, D, flavor, size_limit)
     return fib.homology(Interval(0, D - 2))
 
 
-def relative_hh(ext: ExtensionData, D: int, size_limit=None) -> HomologyReport:
-    return relative_homology(ext, D, "hh", size_limit)
-
-
-def relative_hc(ext: ExtensionData, D: int, size_limit=None) -> HomologyReport:
-    return relative_homology(ext, D, "hc", size_limit)
+def _into_fiber(cx_I: ChainComplex, cx_A: ChainComplex, fib: ChainComplex,
+                inc: dict, D: int) -> ChainMap:
+    """The ideal's complex into the A-part of fib = hofib(cx_A -> cx_B),
+    by the components inc[n] : cx_I_n -> cx_A_n, in degrees 0..D-1."""
+    comps = {}
+    for n in range(0, D):
+        # fiber_n = cone_{n+1} = B_{n+1} (+) A_n; land in the A-part
+        top = fib.dim(n) - cx_A.dim(n)
+        comps[n] = SparseMatrix.assemble(fib.dim(n), cx_I.dim(n), [(top, 0, inc[n], 1)])
+    return ChainMap(cx_I, fib, comps)
 
 
 def comparison_map(ext: ExtensionData, D: int, flavor: str, size_limit=None) -> ChainMap:
     """Canonical map from the ideal's total complex to the relative fiber."""
-    fib, bc_A, _ = _relative_fiber(ext, D, flavor, size_limit)
+    fib, bc_A = _relative_fiber(ext, D, flavor, size_limit)
     make = hh_bicomplex if flavor == "hh" else hc_bicomplex
-    I_alg = ext.ideal_algebra()
-    bc_I = make(I_alg, D, size_limit)
-    inc_matrix = SparseMatrix(
-        ext.A_ad.dim, I_alg.dim, {(t, t): ONE for t in range(I_alg.dim)}
-    )
-    inc_induced = bc_I.induced_map(bc_A, inc_matrix)
-    comps = {}
-    for n in range(0, D):
-        # fiber_n = cone_{n+1} = totB_{n+1} (+) totA_n; land in the A-part
-        top = fib.dim(n) - bc_A.total.dim(n)
-        blocks = [(top, 0, inc_induced.components[n], 1)]
-        comps[n] = SparseMatrix.assemble(fib.dim(n), bc_I.total.dim(n), blocks)
-    return ChainMap(bc_I.total, fib, comps)
+    bc_I = make(ext.ideal_algebra(), D, size_limit)
+    inc = bc_I.induced_map(bc_A, ext.ideal_inclusion())
+    return _into_fiber(bc_I.total, bc_A.total, fib, inc.components, D)
 
 
 def _column_comparison(ext: ExtensionData, D: int, kind: str, size_limit=None) -> ChainMap:
@@ -437,33 +439,11 @@ def _column_comparison(ext: ExtensionData, D: int, kind: str, size_limit=None) -
     These are the intermediate maps of the excision proof; for a non-H-unital
     ideal they are where the failure shows up."""
     make = bar_complex if kind == "bar" else hoch_complex
-    I_alg = ext.ideal_algebra()
-    cx_I = make(I_alg, None, D, size_limit).complex
+    cx_I = make(ext.ideal_algebra(), None, D, size_limit).complex
     cx_A = make(ext.A_ad, None, D, size_limit).complex
     cx_B = make(ext.B, None, D, size_limit).complex
-
-    def power_components(matrix):
-        comps = {}
-        mat = matrix
-        for p in range(0, D + 1):
-            comps[p] = mat
-            if p < D:
-                mat = mat.tensor(matrix)
-        return comps
-
-    g = ChainMap(cx_A, cx_B, power_components(ext.f_ad.matrix))
-    fib = homotopy_fiber(g)
-    inc_matrix = SparseMatrix(
-        ext.A_ad.dim, I_alg.dim, {(t, t): ONE for t in range(I_alg.dim)}
-    )
-    inc_pow = power_components(inc_matrix)
-    comps = {}
-    for n in range(0, D):
-        top = fib.dim(n) - cx_A.dim(n)
-        comps[n] = SparseMatrix.assemble(
-            fib.dim(n), cx_I.dim(n), [(top, 0, inc_pow[n], 1)]
-        )
-    return ChainMap(cx_I, fib, comps)
+    fib = homotopy_fiber(ChainMap(cx_A, cx_B, tensor_powers(ext.f_ad.matrix, D)))
+    return _into_fiber(cx_I, cx_A, fib, tensor_powers(ext.ideal_inclusion(), D), D)
 
 
 @dataclass
@@ -473,6 +453,8 @@ class WodzickiReport:
     hoch_level: QuasiIsoVerdict
     bar_level: QuasiIsoVerdict
     ideal_h_unitality: HUnitalityVerdict
+    relative_hh: HomologyReport
+    relative_hc: HomologyReport
 
     @property
     def passed(self):
@@ -503,17 +485,24 @@ def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiRepo
     and the two single-column ones the proof factors through.  The verdict
     also carries the bounded H-unitality certificate of the ideal, so a
     report exhibits "H-unital implies excision" on instances; all verdicts
-    are descriptive and a failure is a successful computation.
+    are descriptive and a failure is a successful computation.  Relative
+    HH and HC are read off the totalized maps' targets (the fibers) and the
+    certificate off the Bar comparison's source (the ideal's Bar complex).
     """
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-    verdict_hh = is_quasi_iso(comparison_map(ext, D, "hh", size_limit), rng)
-    verdict_hc = is_quasi_iso(comparison_map(ext, D, "hc", size_limit), rng)
+
+    def totalized(flavor):
+        eta = comparison_map(ext, D, flavor, size_limit)
+        return is_quasi_iso(eta, rng), eta.target.homology(rng)
+
+    verdict_hh, rel_hh = totalized("hh")
+    verdict_hc, rel_hc = totalized("hc")
     verdict_hoch = is_quasi_iso(_column_comparison(ext, D, "hoch", size_limit), rng)
-    verdict_bar = is_quasi_iso(_column_comparison(ext, D, "bar", size_limit), rng)
-    hu = h_unitality_check(ext.ideal_algebra(), D, size_limit)
-    return WodzickiReport(verdict_hh, verdict_hc, verdict_hoch, verdict_bar, hu)
+    bar = _column_comparison(ext, D, "bar", size_limit)
+    return WodzickiReport(verdict_hh, verdict_hc, verdict_hoch, is_quasi_iso(bar, rng),
+                          _bar_acyclicity(bar.source, D), rel_hh, rel_hc)
 
 
 # ---------------------------------------------------------------------------

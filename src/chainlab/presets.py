@@ -131,10 +131,6 @@ def algebra_preset(spec: str) -> Algebra:
     return builder(args)
 
 
-def algebra_preset_names():
-    return sorted(_ALGEBRA_BUILDERS)
-
-
 # ---------------------------------------------------------------------------
 # surjection presets (extensions I -> A -> B)
 # ---------------------------------------------------------------------------
@@ -213,7 +209,3 @@ def extension_preset(spec: str) -> AlgebraMorphism:
         raise ParseError(f"unknown extension preset '{name}' "
                          f"(known: {', '.join(sorted(_EXTENSION_BUILDERS))})")
     return builder(args)
-
-
-def extension_preset_names():
-    return sorted(_EXTENSION_BUILDERS)

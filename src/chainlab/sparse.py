@@ -49,17 +49,6 @@ def exact_vec(v) -> Vector:
     return out
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    out = dict(u)
-    for k, val in v.items():
-        s = out.get(k, ZERO) + val
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     out = dict(u)
     for k, val in v.items():

@@ -25,12 +25,10 @@ from .algebras import (
     matrix_units_trace,
     tensor,
 )
-from .complexes import HomologySpace, Interval, cone
-from .cyclic import hc_bicomplex, hc_homology
+from .complexes import HomologySpace, Interval, is_quasi_iso
 from .errors import NotNilpotent
-from .excision import ExtensionData, comparison_map, relative_hc
-from .complexes import is_quasi_iso
-from .sparse import SparseMatrix, Subspace, Vector, exact, vec_axpy
+from .excision import ExtensionData, _relative_fiber, comparison_map
+from .sparse import SparseMatrix, Subspace, Vector, exact, exact_vec, vec_axpy
 
 ONE = 1
 
@@ -136,23 +134,22 @@ class LogTraceProbe:
             for t in range(ext.ideal_dim):
                 self.ideal_basis.append({pos * A.dim + t: ONE})
         self.commutators = Subspace(A.dim, commutator_subspace(A))
-        bc_A = hc_bicomplex(A, D, size_limit)
-        bc_B = hc_bicomplex(ext.B, D, size_limit)
-        self.cone = cone(bc_A.induced_map(bc_B, ext.f_ad.matrix))
-        self.b_offset = bc_B.total.dim(1)
-        self.hs = HomologySpace(self.cone, 1)  # rel HC_0 = H_1 of the cone
+        fib, bc_A = _relative_fiber(ext, D, "hc", size_limit)
+        # fiber_0 = B_1 (+) A_0: a trace in A lands in the A-part
+        self.a_offset = fib.dim(0) - bc_A.total.dim(0)
+        self.hs = HomologySpace(fib, 0)  # rel HC_0
 
     @property
     def rel_hc0_dim(self):
         return self.hs.dim
 
     def trace_log(self, u: UnipotentElement) -> Vector:
-        return matrix_units_trace(self.ext.A_ad, self.r, u.log())
+        return exact_vec(matrix_units_trace(self.ext.A_ad, self.r, u.log()))
 
     def chern_class(self, u: UnipotentElement) -> Vector:
         """Class of trace(log u) in rel HC_0 (coordinates over representatives)."""
         v = self.trace_log(u)
-        embedded = {self.b_offset + k: c for k, c in v.items()}
+        embedded = {self.a_offset + k: c for k, c in v.items()}
         return self.hs.classify(embedded)
 
     def unipotent(self, nilpart: Vector) -> UnipotentElement:
@@ -207,13 +204,11 @@ class Chern1Report:
         }
 
 
-def chern1(ext: ExtensionData, r: int, seed: int = 0, samples: int = 100,
-           size_limit=None) -> Chern1Report:
+def chern1(probe: LogTraceProbe, seed: int = 0, samples: int = 100) -> Chern1Report:
     """Verify the log-trace map is a surjection (1 + M_r(I))^x -> rel HC_0:
     homomorphism defects and commutator values land in [A, A] (exact
     membership), conjugation invariance holds, and the generator classes span.
     """
-    probe = LogTraceProbe(ext, r, size_limit=size_limit)
     rng = random.Random(seed)
 
     image = Subspace(probe.rel_hc0_dim)
@@ -272,11 +267,10 @@ class K1ProbeReport:
         }
 
 
-def k1_rel_probe(ext: ExtensionData, r: int, seed: int = 0, samples: int = 50,
-                 size_limit=None) -> K1ProbeReport:
+def k1_rel_probe(probe: LogTraceProbe, seed: int = 0, samples: int = 50) -> K1ProbeReport:
     """Dimension of the span of {trace(log u)} in I/(I cap [A, A]), compared
     against the relative HC_0 computed homologically."""
-    probe = LogTraceProbe(ext, r, size_limit=size_limit)
+    ext = probe.ext
     rng = random.Random(seed)
     span = Subspace(ext.A_ad.dim, commutator_subspace(ext.A_ad))
     base_rank = span.rank
@@ -360,16 +354,18 @@ class TangentRow:
 def tangent_table(C: Algebra, bases, D: int, size_limit=None):
     """For each Artinian base B: relative HC of C (x) B -> C, the HC of the
     augmentation-ideal coefficients C (x) Aug(B), and the quasi-isomorphism
-    range of the comparison map between them."""
+    range of the comparison map between them.  Both HC columns are read off
+    that map: its target is the relative fiber, its source the ideal's total."""
     if D < 2:
         raise ValueError("D must be >= 2")
     rows = []
     for base in bases:
         ext = base_extension(C, base)
         rng = Interval(0, D - 2)
-        rel = relative_hc(ext, D, size_limit)
-        ideal_rep = hc_homology(ext.ideal_algebra(), D, size_limit)
-        alpha = is_quasi_iso(comparison_map(ext, D, "hc", size_limit), rng)
+        eta = comparison_map(ext, D, "hc", size_limit)
+        rel = eta.target.homology(rng)
+        ideal_rep = eta.source.homology(rng)
+        alpha = is_quasi_iso(eta, rng)
         # dim I / (I cap [A, A]): the concrete degree-zero relative class space
         comm = Subspace(ext.A_ad.dim, commutator_subspace(ext.A_ad))
         base_rank = comm.rank

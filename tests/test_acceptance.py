@@ -44,7 +44,7 @@ from chainlab.presets import (
     truncated_poly,
     upper_triangular,
 )
-from chainlab.tangent import chern1, k1_rel_probe
+from chainlab.tangent import LogTraceProbe, chern1, k1_rel_probe
 from chainlab.complexes import cone
 
 from oracle import dense_betti
@@ -242,10 +242,10 @@ def test_a12_degree_one_chern_probe():
     seeded samples each; span dimension equals relative HC_0."""
     cases = [("dual_numbers", 1), ("matrix_dual:2", 1), ("truncated_poly:3", 1)]
     for name, r in cases:
-        ext = ExtensionData(extension_preset(name))
-        rep = chern1(ext, r, seed=0, samples=100)
+        probe = LogTraceProbe(ExtensionData(extension_preset(name)), r)
+        rep = chern1(probe, seed=0, samples=100)
         assert rep.passed, (name, rep)
-        k1 = k1_rel_probe(ext, r, seed=0, samples=50)
+        k1 = k1_rel_probe(probe, seed=0, samples=50)
         assert k1.contained and k1.equal, (name, k1)
     _ok("degree-one log-trace probe: all group-level properties hold on 100 "
         "seeded samples and the class span equals relative HC_0 "

@@ -1,5 +1,6 @@
 import pytest
 
+from chainlab import cyclic
 from chainlab.algebras import Bimodule, commutator_subspace, matrix_algebra
 from chainlab.complexes import Interval
 from chainlab.cyclic import (
@@ -216,3 +217,32 @@ def test_size_limit_guard():
 def test_bicomplex_rotation_norm_composites_vanish():
     # (1-t)N = N(1-t) = 0 is asserted on build; exercise the build path
     CyclicBicomplex(fat_point(), 4, 3)
+
+
+def test_bicomplex_size_guard_runs_before_any_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block was built before the size guard ran")
+
+    monkeypatch.setattr(cyclic, "b_prime_matrix", refuse)
+    with pytest.raises(SizeLimit, match="bicomplex row"):
+        hc_homology(matrix_algebra(rationals(), 2), 6, size_limit=100)
+
+
+def test_bicomplex_builds_only_the_blocks_it_places():
+    E = dual_numbers()
+    hh = CyclicBicomplex(E, 2, 4)
+    assert sorted(hh._vertical) == [("bar", 1), ("bar", 2), ("bar", 3),
+                                    ("hoch", 1), ("hoch", 2), ("hoch", 3), ("hoch", 4)]
+    assert sorted(hh._one_minus_t) == [0, 1, 2, 3]
+    assert not hh._norm
+    assert sorted(CyclicBicomplex(E, 5, 4)._norm) == [0, 1, 2]
+
+
+def test_bicomplex_checks_every_norm_it_builds(monkeypatch):
+    # a wrong N on the last row that carries one (row D-2) must be caught
+    def norm(A, p):
+        return SparseMatrix.identity(A.dim ** (p + 1)) if p == 2 else norm_matrix(A, p)
+
+    monkeypatch.setattr(cyclic, "norm_matrix", norm)
+    with pytest.raises(ValueError, match=r"N\(1-t\) != 0 at row 2"):
+        CyclicBicomplex(dual_numbers(), 5, 4)

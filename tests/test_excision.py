@@ -16,7 +16,7 @@ from chainlab.excision import (
     hoch_inclusion,
     module_b_tensor_ideal,
     q_kernel_complex,
-    relative_hc,
+    relative_homology,
     stage_inclusion,
     wodzicki_verify,
 )
@@ -173,11 +173,11 @@ def test_q_kernel_dims_match_lemma():
 
 
 def test_relative_identities():
-    relid = relative_hc(ext_of("identity:dual_numbers"), 4)
+    relid = relative_homology(ext_of("identity:dual_numbers"), 4, "hc")
     assert all(v == 0 for v in relid.betti.values())
-    rel = relative_hc(ext_of("dual_numbers"), 4)
+    rel = relative_homology(ext_of("dual_numbers"), 4, "hc")
     assert rel.betti[0] == 1
-    relm = relative_hc(ext_of("matrix_dual:2"), 3)
+    relm = relative_homology(ext_of("matrix_dual:2"), 3, "hc")
     assert relm.betti[0] == 1
 
 
@@ -274,3 +274,19 @@ def test_square_zero_quotient_coefficients_fail():
     cm = ChainMap(src, tgt, comps)
     verdict = is_quasi_iso(cm, Interval(0, 2))
     assert not verdict.ok and verdict.failing_degree == 2
+
+
+@pytest.mark.parametrize("name", ["split_product", "square_zero", "upper_triangular:2",
+                                  "identity:dual_numbers", "collapse:dual_numbers",
+                                  "dual_numbers", "truncated_poly:3", "matrix_dual:2"])
+def test_wodzicki_reads_the_reference_relative_homology(name):
+    # the verifier reads relative HH/HC off its comparison maps' fibers and
+    # the ideal's certificate off the Bar comparison's source; the reference
+    # path builds each of them again on its own
+    ext = ext_of(name)
+    D = 4
+    rep = wodzicki_verify(ext, D)
+    for flavor, got in (("hh", rep.relative_hh), ("hc", rep.relative_hc)):
+        ref = relative_homology(ext, D, flavor)
+        assert (got.betti, got.certified) == (ref.betti, ref.certified), flavor
+    assert rep.ideal_h_unitality == h_unitality_check(ext.ideal_algebra(), D)

@@ -43,3 +43,34 @@ def test_instrument_counts_and_restores(capsys):
     assert rec.counters["cyclic.bicomplex.builds"] == 1
     assert rec.calls["cyclic.b_prime_matrix"] == 3
     assert cyclic.b_prime_matrix is original
+
+
+def _traced(argv):
+    tracer = _load_tracer()
+    rec = tracer.Tracer()
+    restore = tracer.instrument(rec)
+    try:
+        assert cli_main(argv + ["--format", "json"]) == 0
+    finally:
+        restore()
+    return rec
+
+
+def test_wodzicki_builds_each_bicomplex_once(capsys):
+    rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "3"])
+    capsys.readouterr()
+    assert rec.counters["cyclic.bicomplex.builds"] == 6
+    assert rec.counters["cyclic.bicomplex.distinct"] == 6
+
+
+def test_chern1_builds_one_probe(capsys):
+    rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1", "--samples", "2"])
+    capsys.readouterr()
+    assert rec.counters["cyclic.bicomplex.builds"] == 2
+
+
+def test_two_column_build_makes_no_norm(capsys):
+    rec = _traced(["hh", "--preset", "dual_numbers", "-D", "3"])
+    capsys.readouterr()
+    assert rec.counters["cyclic.bicomplex.builds"] == 1
+    assert rec.calls["cyclic.norm_matrix"] == 0

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from chainlab.algebras import matrix_algebra
+from chainlab.cyclic import hc_homology
 from chainlab.errors import NotNilpotent
-from chainlab.excision import ExtensionData
+from chainlab.excision import ExtensionData, relative_homology
 from chainlab.presets import (
     dual_numbers,
     extension_preset,
@@ -14,6 +15,7 @@ from chainlab.presets import (
     square_zero,
     truncated_poly,
 )
+from chainlab.sparse import SparseMatrix
 from chainlab.tangent import (
     ArtinianBase,
     LogTraceProbe,
@@ -110,14 +112,14 @@ def test_chern1_matrix_units():
     ("truncated_poly:3", 1, 2),
 ])
 def test_chern1_properties(name, r, relhc0):
-    rep = chern1(ext_of(name), r, seed=0, samples=40)
+    rep = chern1(LogTraceProbe(ext_of(name), r), seed=0, samples=40)
     assert rep.passed
     assert rep.rel_hc0_dim == relhc0
 
 
 def test_chern1_rejects_non_nilpotent_kernel():
     with pytest.raises(NotNilpotent):
-        chern1(ext_of("split_product"), 1)
+        chern1(LogTraceProbe(ext_of("split_product"), 1))
 
 
 @pytest.mark.parametrize("name,r,expect", [
@@ -126,14 +128,14 @@ def test_chern1_rejects_non_nilpotent_kernel():
     ("truncated_poly:3", 1, 2),
 ])
 def test_k1_probe_matches_relative_hc0(name, r, expect):
-    rep = k1_rel_probe(ext_of(name), r, seed=0, samples=25)
+    rep = k1_rel_probe(LogTraceProbe(ext_of(name), r), seed=0, samples=25)
     assert rep.contained and rep.equal
     assert rep.span_dim == expect == rep.rel_hc0_dim
 
 
 def test_k1_probe_stabilisation_is_consistent():
-    a = k1_rel_probe(ext_of("dual_numbers"), 1, seed=0, samples=20)
-    b = k1_rel_probe(ext_of("dual_numbers"), 2, seed=0, samples=20)
+    a = k1_rel_probe(LogTraceProbe(ext_of("dual_numbers"), 1), seed=0, samples=20)
+    b = k1_rel_probe(LogTraceProbe(ext_of("dual_numbers"), 2), seed=0, samples=20)
     assert a.span_dim == b.span_dim == 1
 
 
@@ -172,3 +174,32 @@ def test_tangent_table_matrix_coefficients():
     assert rows[0].ideal_hc[0] == 4
     assert rows[0].ideal_mod_ambient_commutators == 1
     assert not rows[0].alpha_quasi_iso
+
+
+def test_tangent_table_matches_the_separate_computations():
+    # rows are read off one comparison map; the reference path builds the
+    # relative fiber and the ideal's bicomplex on their own
+    D = 3
+    for C in (rationals(), dual_numbers()):
+        bases = [ArtinianBase.from_algebra(B) for B in (dual_numbers(), fat_point(), rationals())]
+        for base, row in zip(bases, tangent_table(C, bases, D)):
+            ext = base_extension(C, base)
+            assert row.rel_hc == relative_homology(ext, D, "hc").betti, (C.name, base.name)
+            assert row.ideal_hc == hc_homology(ext.ideal_algebra(), D).betti, (C.name, base.name)
+
+
+def test_log_trace_vectors_reach_the_solver_canonical(monkeypatch):
+    rhs = []
+    solve_many = SparseMatrix.solve_many
+
+    def recording(self, bs):
+        bs = list(bs)
+        rhs.extend(bs)
+        return solve_many(self, bs)
+
+    probe = LogTraceProbe(ext_of("truncated_poly:3"), 1)
+    monkeypatch.setattr(SparseMatrix, "solve_many", recording)
+    assert chern1(probe, seed=0, samples=20).passed
+    assert rhs
+    assert not [c for v in rhs for c in v.values()
+                if isinstance(c, Fraction) and c.denominator == 1]
