@@ -15,7 +15,7 @@ from .errors import (
     NotAugmented,
     UnitError,
 )
-from .sparse import SparseMatrix, Subspace, Vector, exact_vec, vec_axpy, vec_sub
+from .sparse import SparseMatrix, Subspace, Vector, exact_vec, product_ranks, vec_axpy, vec_sub
 
 ONE = 1
 
@@ -73,19 +73,9 @@ class Algebra:
 
     def nilpotency_order(self):
         """Least N with all length-N products zero, or None if not nilpotent."""
-        span = Subspace(self.dim, [{i: ONE} for i in range(self.dim)])
-        power = 1
-        while True:
-            nxt = Subspace(self.dim)
-            for i in range(self.dim):
-                for row in span.basis():
-                    nxt.add(self.mul_vec({i: ONE}, row))
-            power += 1
-            if nxt.rank == 0:
-                return power
-            if nxt.rank == span.rank:
-                return None
-            span = nxt
+        units = [{i: ONE} for i in range(self.dim)]
+        ranks = product_ranks(self.dim, units, self.mul_vec, Subspace(self.dim, units))
+        return None if ranks[-1] else len(ranks)
 
     # -- validation -------------------------------------------------------
     def _validate(self):
@@ -308,19 +298,10 @@ class Ideal:
 
     def nilpotency_order(self):
         """Least N with I^N = 0, or None when the power chain stabilises."""
-        span = self._span
-        power = 1
-        while True:
-            nxt = Subspace(self.ambient.dim)
-            for x in self.basis:
-                for row in span.basis():
-                    nxt.add(self.ambient.mul_vec(x, row))
-            power += 1
-            if nxt.rank == 0:
-                return power if span.rank else 1
-            if nxt.rank == span.rank:
-                return None
-            span = nxt
+        ranks = product_ranks(self.ambient.dim, self.basis, self.ambient.mul_vec, self._span)
+        if ranks[-1]:
+            return None
+        return len(ranks) if ranks[0] else 1
 
     @property
     def is_nilpotent(self):

@@ -5,6 +5,11 @@ the Bar differential is -b' with b' the alternating sum of adjacent
 contractions, the Hochschild differential is b = b' + (-1)^p (wrap term), and
 the cyclic rotation on p+1 tensor factors carries the sign (-1)^p.
 
+Differentials are written by index arithmetic on the WordBasis layout, with
+no word formed per entry: b' is the Kronecker sum of (-1)^i id (x) mu_i (x) id
+(mu_0 the right action on the module slot, mu_i the product of slots i, i+1),
+so each structure constant of mu_i gives one strided run of entries.
+
 Totalization convention (validated by the d.d = 0 construction check): the
 Hochschild columns keep b, the Bar columns keep -b', the horizontal maps 1-t
 and N are used unmodified, and the total differential is the plain sum.  The
@@ -14,8 +19,8 @@ squares then anticommute degreewise, which the constructor asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from itertools import product, repeat, starmap
+from operator import add, floordiv, mod, mul
 
 from .algebras import Algebra, Bimodule
 from .complexes import ChainComplex, ChainMap, HomologySpace, HomologyReport, Interval
@@ -73,43 +78,66 @@ def words(A: Algebra, M: Bimodule, p: int) -> WordBasis:
     return WordBasis((M.dim,) + (A.dim,) * p)
 
 
+def _from_flat(nrows, ncols, flat) -> SparseMatrix:
+    """The matrix whose entry (row, col) is flat[col*nrows + row].  Entries go in
+    column by column, the order in which a product's partial sums cancel soonest."""
+    keys = sorted(flat)
+    rows, cols = map(mod, keys, repeat(nrows)), map(floordiv, keys, repeat(nrows))
+    return SparseMatrix(nrows, ncols, zip(zip(rows, cols), map(flat.__getitem__, keys)))
+
+
+def _slot_product(table, d, d_out, n_left, n_right, sign, nrows) -> dict:
+    """Flat entries (see _from_flat) of sign * (id_L (x) mu (x) id_R), where
+    mu = table: (x, y) -> {k: c} maps slots x (radix d_out), y (radix d) to k
+    (radix d_out), so entry (L, k, R) <- (L, x, y, R) sits at row
+    (L*d_out + k)*n_right + R and column ((L*d_out + x)*d + y)*n_right + R."""
+    out = {}
+    left_step = d_out * n_right * (d * nrows + 1)  # flat-index step of L; R steps by nrows + 1
+    right = range(0, n_right * (nrows + 1), nrows + 1)
+    for (x, y), vec in table.items():
+        for k, coef in vec.items():
+            start = ((x * d + y) * nrows + k) * n_right
+            keys = range(start, start + n_left * left_step, left_step)
+            if n_right > 1:
+                keys = starmap(add, product(keys, right))
+            out.update(zip(keys, repeat(sign * coef)))
+    return out
+
+
 def b_prime_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
     """b' on M (x) A^p: alternating sum of the p adjacent contractions."""
     if p < 1:
         raise ValueError("b' starts at degree 1")
-    src, tgt = words(A, M, p), words(A, M, p - 1)
-    entries = {}
-
-    def add(r, c, val):
-        key = (r, c)
-        s = entries.get(key, 0) + val
-        if s:
-            entries[key] = s
-        else:
-            entries.pop(key, None)
-
-    for col, (m, *w) in enumerate(src):
-        # i = 0: module slot times first algebra slot (right action).
-        for m2, coef in M.right_basis(m, w[0]).items():
-            add(tgt.index((m2, *w[1:])), col, coef)
-        # i >= 1: internal products.
-        sign = -1
-        for i in range(1, p):
-            for k, coef in A.mul_basis(w[i - 1], w[i]).items():
-                add(tgt.index((m, *w[:i - 1], k, *w[i + 1:])), col, sign * coef)
-            sign = -sign
-    return SparseMatrix(len(tgt), len(src), entries)
+    d = A.dim
+    nrows = M.dim * d ** (p - 1)
+    entries = _slot_product(M.right, d, M.dim, 1, d ** (p - 1), 1, nrows)
+    for i in range(1, p):
+        term = _slot_product(A.mul, d, d, M.dim * d ** (i - 1), d ** (p - 1 - i),
+                             -1 if i % 2 else 1, nrows)
+        for key in entries.keys() & term.keys():
+            s = term[key] + entries.pop(key)
+            if s:
+                term[key] = s
+            else:
+                del term[key]
+        entries.update(term)
+    return _from_flat(nrows, nrows * d, entries)
 
 
 def wrap_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
-    """(-1)^p times the wrap term of b: the last slot acts on the module from the left."""
-    src, tgt = words(A, M, p), words(A, M, p - 1)
+    """(-1)^p times the wrap term of b: the last slot acts on the module from the
+    left, so entry (m2, w) <- (m, w, a) for (a, m) -> m2 and every middle word w."""
+    d = A.dim
+    n_mid = d ** (p - 1)
+    nrows = M.dim * n_mid
     sign = 1 if p % 2 == 0 else -1
     entries = {}
-    for col, (m, *w) in enumerate(src):
-        for m2, coef in M.left_basis(w[-1], m).items():
-            entries[(tgt.index((m2, *w[:-1])), col)] = sign * coef
-    return SparseMatrix(len(tgt), len(src), entries)
+    for (a, m), vec in M.left.items():
+        for m2, coef in vec.items():
+            start = (m * n_mid * d + a) * nrows + m2 * n_mid
+            keys = range(start, start + n_mid * (d * nrows + 1), d * nrows + 1)
+            entries.update(zip(keys, repeat(sign * coef)))
+    return _from_flat(nrows, nrows * d, entries)
 
 
 def hoch_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
@@ -118,16 +146,13 @@ def hoch_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
 
 
 def unit_homotopy(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
-    """s_p = (-1)^p (append the unit): satisfies b' s + s b' = id degreewise."""
+    """s_p = (-1)^p (append the unit) = (-1)^p id (x) unit: satisfies
+    b' s + s b' = id degreewise."""
     if not A.is_unital:
         raise UnitError("contracting homotopy needs a unital algebra")
-    src, tgt = words(A, M, p), words(A, M, p + 1)
+    unit = SparseMatrix(A.dim, 1, {(k, 0): c for k, c in A.unit.items()})
     sign = ONE if p % 2 == 0 else -ONE
-    entries = {}
-    for col, w in enumerate(src):
-        for k, coef in A.unit.items():
-            entries[(tgt.index((*w, k)), col)] = sign * coef
-    return SparseMatrix(len(tgt), len(src), entries)
+    return SparseMatrix.identity(M.dim * A.dim ** p).tensor(unit).scale(sign)
 
 
 @dataclass

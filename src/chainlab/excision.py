@@ -41,6 +41,7 @@ from .cyclic import (
     hoch_matrix,
     tensor_powers,
     words,
+    wrap_matrix,
 )
 from .errors import DegreeMismatch, NotAnIdeal
 from .sparse import SparseMatrix
@@ -196,14 +197,20 @@ def _restrict_to_indices(full_mats, indices, D, what):
 def filtration_F(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
                  kind: str = "bar", size_limit=None) -> FiltrationStage:
     """Stage n of the filtration from the (I, M) complex to the (A, M) one."""
-    if n < 0 or D < 1:
-        raise ValueError("need n >= 0 and D >= 1")
     M_ad = ext.adapt_module(M)
-    A = ext.A_ad
-    dI = ext.ideal_dim
     builder = b_prime_matrix if kind == "bar" else hoch_matrix
     sign = -1 if kind == "bar" else 1
-    full_mats = {p: builder(A, M_ad, p).scale(sign) for p in range(1, D + 1)}
+    full_mats = {p: builder(ext.A_ad, M_ad, p).scale(sign) for p in range(1, D + 1)}
+    return _stage_F(ext, M_ad, n, D, kind, full_mats)
+
+
+def _stage_F(ext: ExtensionData, M_ad: Bimodule, n: int, D: int, kind: str,
+             full_mats: dict) -> FiltrationStage:
+    """Stage n cut out of the full (A, M) differentials full_mats[p]."""
+    if n < 0 or D < 1:
+        raise ValueError("need n >= 0 and D >= 1")
+    A = ext.A_ad
+    dI = ext.ideal_dim
     indices = {}
     ambient = {}
     for p in range(D + 1):
@@ -266,11 +273,14 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
              for p in range(n + 1, D + 1)}
     mdl_dims = {p: len(model[p]) if p in model else 0 for p in range(D + 1)}
 
+    # one b' per degree serves both kinds and both stages
+    bprimes = {p: b_prime_matrix(A, M_ad, p) for p in range(1, D + 1)}
+    full_mats = {"bar": {p: bp.scale(-1) for p, bp in bprimes.items()},
+                 "hoch": {p: bp + wrap_matrix(A, M_ad, p) for p, bp in bprimes.items()}}
     results = {}
-    quotient_dims = {}
     for kind in ("bar", "hoch"):
-        inner = filtration_F(ext, M, n, D, kind, size_limit)
-        outer = filtration_F(ext, M, n + 1, D, kind, size_limit)
+        inner = _stage_F(ext, M_ad, n, D, kind, full_mats[kind])
+        outer = _stage_F(ext, M_ad, n + 1, D, kind, full_mats[kind])
         inner_sets = {p: set(inner.indices[p]) for p in range(D + 1)}
         quot_idx = {p: [g for g in outer.indices[p] if g not in inner_sets[p]] for p in range(D + 1)}
         quot_diffs = {}
@@ -279,8 +289,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
                 _positions(outer.indices[p - 1], quot_idx[p - 1]),
                 _positions(outer.indices[p], quot_idx[p]),
             )
-        quot_dims = {p: len(quot_idx[p]) for p in range(D + 1)}
-        quotient_dims = {p: quot_dims[p] for p in quot_dims}
+        quotient_dims = {p: len(quot_idx[p]) for p in range(D + 1)}
 
         mdl_diffs = {}
         sign = 1 if kind == "bar" else -1
@@ -303,7 +312,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
                     m, *w = ambient.word(g)
                     i_slots, c_slot, a_slots = w[:k], w[k] - dI, w[k + 1:]
                     ent[(model[p].index((*a_slots, c_slot, m, *i_slots)), col)] = ONE
-            phi[p] = SparseMatrix(mdl_dims[p], quot_dims[p], ent)
+            phi[p] = SparseMatrix(mdl_dims[p], quotient_dims[p], ent)
 
         ok, failing = True, None
         for p in range(1, D + 1):

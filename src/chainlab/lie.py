@@ -6,8 +6,10 @@ with differential
 
     d(x_1 ^ ... ^ x_p) = sum_{r<s} (-1)^{r+s} [x_r, x_s] ^ x_1 ... ^x_r ... ^x_s ... x_p
 
-(1-based positions).  The generalized trace sends a wedge of matrices over an
-algebra to the signed sum over cyclic words of matrix-trace coefficients,
+(1-based positions), built over bitmask subsets: x_S is keyed by the mask of
+S, positions and signs are popcounts of lower bits, and only pairs with a
+nonzero bracket are visited.  The generalized trace sends a wedge of matrices
+over an algebra to the signed sum over cyclic words of matrix-trace coefficients,
 landing in the rotation-coinvariants model of the cyclic complex; its
 chain-map identity against the Chevalley-Eilenberg differential is an exact
 matrix check with a single global sign, frozen below.
@@ -16,14 +18,14 @@ matrix check with a single global sign, frozen below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb
 
 from .algebras import Algebra, Ideal, matrix_algebra
 from .complexes import ChainComplex, HomologyReport, Interval
 from .cyclic import LambdaComplex, WordBasis, hc_homology, lambda_complex
 from .errors import NotNilpotent, SizeLimit
-from .sparse import SparseMatrix, Subspace, Vector, exact_vec, vec_axpy, vec_sub
+from .sparse import SparseMatrix, Subspace, Vector, exact_vec, product_ranks, vec_axpy, vec_sub
 
 ONE = 1
 
@@ -80,17 +82,8 @@ class LieAlgebra:
 
     def lower_central_series(self):
         """Dims of g = L_1 >= L_2 >= ... until stabilisation or zero."""
-        span = Subspace(self.dim, [{i: ONE} for i in range(self.dim)])
-        dims = [span.rank]
-        while True:
-            nxt = Subspace(self.dim)
-            for i in range(self.dim):
-                for row in span.basis():
-                    nxt.add(self.bracket_vec({i: ONE}, row))
-            dims.append(nxt.rank)
-            if nxt.rank == 0 or nxt.rank == span.rank:
-                return dims
-            span = nxt
+        units = [{i: ONE} for i in range(self.dim)]
+        return product_ranks(self.dim, units, self.bracket_vec, Subspace(self.dim, units))
 
     @property
     def is_nilpotent(self):
@@ -194,28 +187,32 @@ class CEComplex:
 
 
 def _ce_matrix(g: LieAlgebra, tuples_p, index_pm1, p) -> SparseMatrix:
+    """d on wedge degree p; index_pm1 is keyed by bitmask.  [x_a, x_b] for
+    a < b in S lands on S - {a, b} + {c} for each term c outside it."""
+    terms = [{} for _ in range(g.dim)]  # terms[a][bit of b]: the terms of [x_a, x_b], a < b
+    for (a, b), vec in g.bracket.items():
+        terms[a][1 << b] = [(1 << c, (1 << c) - 1, coef) for c, coef in vec.items()]
+    partners = [sum(t) for t in terms]  # mask of the b > a with [x_a, x_b] != 0
+    bits = [1 << i for i in range(g.dim)]
     entries = {}
     for col, tup in enumerate(tuples_p):
-        for r in range(p):
-            for s in range(r + 1, p):
-                br = g.bracket_basis(tup[r], tup[s])
-                if not br:
-                    continue
-                rest = tup[:r] + tup[r + 1:s] + tup[s + 1:]
-                # 1-based positions i = r+1, j = s+1: (-1)^{i+j} = (-1)^{r+s}
-                pair_sign = 1 if (r + s) % 2 == 0 else -1
-                for c, coef in br.items():
-                    if c in rest:
+        S = sum(map(bits.__getitem__, tup))
+        out = {}
+        for r, a in enumerate(tup):
+            pairs = partners[a] & S
+            while pairs:
+                b_bit = pairs & -pairs
+                pairs ^= b_bit
+                rest = S ^ (1 << a) ^ b_bit
+                rs = r + (S & (b_bit - 1)).bit_count()
+                for c_bit, below, coef in terms[a][b_bit]:
+                    if rest & c_bit:
                         continue
-                    k = sum(1 for x in rest if x < c)
-                    new = rest[:k] + (c,) + rest[k:]
-                    sign = pair_sign * (1 if k % 2 == 0 else -1)
-                    key = (index_pm1[new], col)
-                    val = entries.get(key, 0) + sign * coef
-                    if val:
-                        entries[key] = val
-                    else:
-                        entries.pop(key, None)
+                    row = index_pm1[rest | c_bit]
+                    if (rs + (rest & below).bit_count()) % 2:
+                        coef = -coef
+                    out[row] = out.get(row, 0) + coef
+        entries.update(zip(zip(out, repeat(col)), out.values()))  # SparseMatrix drops zeros
     return SparseMatrix(len(index_pm1), len(tuples_p), entries)
 
 
@@ -228,9 +225,13 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
         if comb(g.dim, p) > limit:
             raise SizeLimit(f"exterior power C({g.dim},{p}) exceeds limit {limit}")
     tuples = {p: list(combinations(range(g.dim), p)) for p in range(top + 1)}
-    index = {p: {t: i for i, t in enumerate(tuples[p])} for p in range(top + 1)}
     dims = {p: len(tuples[p]) for p in range(top + 1)}
-    diffs = {p: _ce_matrix(g, tuples[p], index[p - 1], p) for p in range(1, top + 1)}
+    bits = [1 << i for i in range(g.dim)]
+    diffs, index = {}, {0: 0}  # index: bitmask -> position in degree p - 1, one degree at a time
+    for p in range(1, top + 1):
+        diffs[p] = _ce_matrix(g, tuples[p], index, p)
+        if p < top:
+            index = {sum(map(bits.__getitem__, t)): i for i, t in enumerate(tuples[p])}
     bounded = top == g.dim
     certified = Interval(0, top if bounded else top - 1)
     cx = ChainComplex(dims, diffs, certified, bounded_above=bounded)
@@ -267,46 +268,22 @@ def generalized_trace_matrix(A: Algebra, r: int, n: int, lam: LambdaComplex,
             decoded.append((i, j, a))
         acc: Vector = {}
         i0, j0, a0 = decoded[0]
-        if n == 0:
-            if i0 == j0:
-                vec_axpy(acc, ONE, lam.project_element(0, {a0: ONE}))
-        else:
-            for perm in permutations(range(1, n + 1)):
-                chain = j0
-                ok = True
-                for t in perm:
-                    it, jt, _ = decoded[t]
-                    if chain != it:
-                        ok = False
-                        break
-                    chain = jt
-                if not ok or chain != i0:
-                    continue
-                word = [a0] + [decoded[t][2] for t in perm]
-                sgn = _perm_sign(perm)
-                vec_axpy(acc, sgn, lam.project_element(n, {cyclic_words.index(word): ONE}))
+        for perm in permutations(range(1, n + 1)):  # n = 0: the empty permutation
+            chain = j0
+            ok = True
+            for t in perm:
+                it, jt, _ = decoded[t]
+                if chain != it:
+                    ok = False
+                    break
+                chain = jt
+            if not ok or chain != i0:
+                continue
+            word = [a0] + [decoded[t][2] for t in perm]
+            sgn = -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1  # inversions
+            vec_axpy(acc, sgn, lam.project_element(n, {cyclic_words.index(word): ONE}))
         cols.append(acc)
     return SparseMatrix.from_columns(lam.complex.dim(n), cols)
-
-
-def _perm_sign(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    order = sorted(perm)
-    pos = {v: i for i, v in enumerate(order)}
-    arr = [pos[v] for v in perm]
-    for start in range(len(arr)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = arr[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass

@@ -54,7 +54,7 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     for k, val in v.items():
         s = out.get(k, ZERO) - val
         if s:
-            out[k] = s
+            out[k] = s if type(s) is int else exact(s)
         else:
             out.pop(k, None)
     return out
@@ -615,6 +615,22 @@ class Subspace:
 
     def pivot_cols(self):
         return sorted(self._rows)
+
+
+def product_ranks(dim, factors, product, span: Subspace) -> list:
+    """Ranks of span, then of the span of product(x, row) over x in factors and
+    the basis rows of the previous one, and so on until a rank is 0 or repeats."""
+    ranks = [span.rank]
+    while True:
+        nxt = Subspace(dim)
+        rows = span.basis()
+        for x in factors:
+            for row in rows:
+                nxt.add(product(x, row))
+        ranks.append(nxt.rank)
+        if nxt.rank in (0, span.rank):
+            return ranks
+        span = nxt
 
 
 class QuotientSpace:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .algebras import (
     Algebra,
@@ -35,34 +36,28 @@ ONE = 1
 _MAX_NILPOTENCY = 128
 
 
-def nilpotent_log(A: Algebra, nilpart: Vector) -> Vector:
-    """log(1 + m) = sum (-1)^{k+1} m^k / k, finite because m is nilpotent."""
+def _nilpotent_series(A: Algebra, x: Vector, coefficient) -> Vector:
+    """sum_{k >= 1} coefficient(k) x^k, finite because x is nilpotent."""
     out: Vector = {}
-    power = dict(nilpart)
+    power = dict(x)
     k = 1
     while power:
         if k > _MAX_NILPOTENCY:
             raise NotNilpotent("element does not appear to be nilpotent")
-        vec_axpy(out, exact(Fraction(1 if k % 2 == 1 else -1, k)), power)
-        power = A.mul_vec(power, nilpart)
+        vec_axpy(out, coefficient(k), power)
+        power = A.mul_vec(power, x)
         k += 1
     return out
+
+
+def nilpotent_log(A: Algebra, nilpart: Vector) -> Vector:
+    """log(1 + m) = sum (-1)^{k+1} m^k / k, finite because m is nilpotent."""
+    return _nilpotent_series(A, nilpart, lambda k: exact(Fraction(1 if k % 2 == 1 else -1, k)))
 
 
 def nilpotent_exp(A: Algebra, x: Vector) -> Vector:
     """exp(x) - 1 for nilpotent x (the constant term is left implicit)."""
-    out: Vector = {}
-    power = dict(x)
-    factorial = 1
-    k = 1
-    while power:
-        if k > _MAX_NILPOTENCY:
-            raise NotNilpotent("element does not appear to be nilpotent")
-        vec_axpy(out, exact(Fraction(1, factorial)), power)
-        power = A.mul_vec(power, x)
-        k += 1
-        factorial *= k
-    return out
+    return _nilpotent_series(A, x, lambda k: exact(Fraction(1, factorial(k))))
 
 
 @dataclass
@@ -90,16 +85,10 @@ class UnipotentElement:
         return UnipotentElement(self.ambient, m)
 
     def inverse(self) -> "UnipotentElement":
-        out: Vector = {}
-        power = {k: -c for k, c in self.nilpart.items()}
-        k = 0
-        while power:
-            if k > _MAX_NILPOTENCY:
-                raise NotNilpotent("element does not appear to be nilpotent")
-            vec_axpy(out, ONE, power)
-            power = self.ambient.mul_vec(power, {k2: -c for k2, c in self.nilpart.items()})
-            k += 1
-        return UnipotentElement(self.ambient, out)
+        """(1 + m)^-1 = 1 + sum_{k >= 1} (-m)^k."""
+        minus_m = {k: -c for k, c in self.nilpart.items()}
+        series = _nilpotent_series(self.ambient, minus_m, lambda k: ONE)
+        return UnipotentElement(self.ambient, series)
 
     def conjugate_by(self, g: "UnipotentElement") -> "UnipotentElement":
         gi = g.inverse()

@@ -1,10 +1,16 @@
-"""Independent dense-elimination oracle used to cross-check sparse results.
+"""Independent oracles used to cross-check production results.
 
-Deliberately naive: dense row lists of Fractions, textbook Gaussian
-elimination, no pivoting tricks shared with the production path.
+Deliberately naive: dense row lists of Fractions and textbook Gaussian
+elimination, with no pivoting tricks shared with the production path; and
+differentials built one basis word at a time through WordBasis.index and
+sorted index tuples, against which the index-arithmetic builders are checked.
 """
 
 from fractions import Fraction
+from itertools import combinations
+
+from chainlab.cyclic import words
+from chainlab.sparse import SparseMatrix
 
 
 def dense_product(A, B) -> list:
@@ -50,3 +56,78 @@ def dense_betti(cx, lo, hi) -> dict:
         d = cx.diffs.get(n)
         ranks[n] = dense_rank(d) if d is not None else 0
     return {n: cx.dim(n) - ranks[n] - ranks[n + 1] for n in range(lo, hi + 1)}
+
+
+# ---------------------------------------------------------------------------
+# word-by-word differentials: the straightforward builders that the
+# index-arithmetic ones in chainlab.cyclic and chainlab.lie must reproduce
+# ---------------------------------------------------------------------------
+
+
+def b_prime_matrix(A, M, p):
+    """b' on M (x) A^p, one source word and one contraction at a time."""
+    src, tgt = words(A, M, p), words(A, M, p - 1)
+    entries = {}
+
+    def add(r, c, val):
+        s = entries.get((r, c), 0) + val
+        if s:
+            entries[(r, c)] = s
+        else:
+            entries.pop((r, c), None)
+
+    for col, (m, *w) in enumerate(src):
+        for m2, coef in M.right_basis(m, w[0]).items():
+            add(tgt.index((m2, *w[1:])), col, coef)
+        sign = -1
+        for i in range(1, p):
+            for k, coef in A.mul_basis(w[i - 1], w[i]).items():
+                add(tgt.index((m, *w[:i - 1], k, *w[i + 1:])), col, sign * coef)
+            sign = -sign
+    return SparseMatrix(len(tgt), len(src), entries)
+
+
+def wrap_matrix(A, M, p):
+    """(-1)^p times the wrap term: the last slot acts on the module from the left."""
+    src, tgt = words(A, M, p), words(A, M, p - 1)
+    sign = 1 if p % 2 == 0 else -1
+    entries = {}
+    for col, (m, *w) in enumerate(src):
+        for m2, coef in M.left_basis(w[-1], m).items():
+            entries[(tgt.index((m2, *w[:-1])), col)] = sign * coef
+    return SparseMatrix(len(tgt), len(src), entries)
+
+
+def unit_homotopy(A, M, p):
+    """(-1)^p times appending the unit to every word."""
+    src, tgt = words(A, M, p), words(A, M, p + 1)
+    sign = 1 if p % 2 == 0 else -1
+    entries = {}
+    for col, w in enumerate(src):
+        for k, coef in A.unit.items():
+            entries[(tgt.index((*w, k)), col)] = sign * coef
+    return SparseMatrix(len(tgt), len(src), entries)
+
+
+def ce_matrix(g, p):
+    """Chevalley-Eilenberg d on the wedge degree p, over sorted index tuples."""
+    tuples_p = list(combinations(range(g.dim), p))
+    index_pm1 = {t: i for i, t in enumerate(combinations(range(g.dim), p - 1))}
+    entries = {}
+    for col, tup in enumerate(tuples_p):
+        for r in range(p):
+            for s in range(r + 1, p):
+                rest = tup[:r] + tup[r + 1:s] + tup[s + 1:]
+                pair_sign = 1 if (r + s) % 2 == 0 else -1
+                for c, coef in g.bracket_basis(tup[r], tup[s]).items():
+                    if c in rest:
+                        continue
+                    k = sum(1 for x in rest if x < c)
+                    new = rest[:k] + (c,) + rest[k:]
+                    key = (index_pm1[new], col)
+                    val = entries.get(key, 0) + pair_sign * (1 if k % 2 == 0 else -1) * coef
+                    if val:
+                        entries[key] = val
+                    else:
+                        entries.pop(key, None)
+    return SparseMatrix(len(index_pm1), len(tuples_p), entries)

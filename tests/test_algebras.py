@@ -26,6 +26,7 @@ from chainlab.presets import (
     square_zero,
     truncated_poly,
     upper_triangular,
+    zero_algebra,
 )
 from chainlab.sparse import SparseMatrix
 
@@ -192,3 +193,22 @@ def test_product_algebra():
     P = product_algebra(rationals(), rationals())
     assert P.dim == 2 and P.unit == {0: ONE, 1: ONE}
     assert P.mul == product_qq().mul
+
+
+def test_power_chains():
+    # nilpotency orders and the lower central series share one rank chain
+    from chainlab.lie import gl, triangular_lie
+
+    Q, E = rationals(), dual_numbers()
+    assert square_zero(2).nilpotency_order() == 2
+    assert augmentation_ideal(truncated_poly(4)).as_algebra().nilpotency_order() == 4
+    assert zero_algebra().nilpotency_order() == 2
+    assert Q.nilpotency_order() is None and product_qq().nilpotency_order() is None
+    assert Ideal(Q, []).nilpotency_order() == 1
+    assert Ideal(Q, [{0: 1}]).nilpotency_order() is None
+    assert augmentation_ideal(truncated_poly(5)).nilpotency_order() == 5
+    assert gl(Q, 2).lower_central_series() == [4, 3, 3]
+    t = triangular_lie(E, augmentation_ideal(E), 3, [(1, 2), (2, 3)])
+    assert t.lower_central_series() == [12, 8, 5, 3, 1, 0]
+    chain = triangular_lie(Q, Ideal(Q, []), 4, [(1, 2), (2, 3), (3, 4)])
+    assert chain.lower_central_series() == [6, 3, 1, 0]

@@ -74,3 +74,16 @@ def test_two_column_build_makes_no_norm(capsys):
     capsys.readouterr()
     assert rec.counters["cyclic.bicomplex.builds"] == 1
     assert rec.calls["cyclic.norm_matrix"] == 0
+
+
+def test_builder_spans_resolve():
+    names = {name for _, _, name in _load_tracer().SPANS}
+    assert {"cyclic.b_prime_matrix", "cyclic.hoch_matrix", "lie.ce_complex"} <= names
+
+
+def test_graded_piece_check_builds_b_prime_once_per_degree(capsys):
+    # filtration_F of the report: 5 b' on (A, A); graded_piece_check: 5 b' on
+    # (A, A) shared by its four stages, and 3 on (I, I) for the model
+    rec = _traced(["filtration", "--ext", "truncated_poly:3", "--level", "1", "-D", "5"])
+    capsys.readouterr()
+    assert rec.calls["cyclic.b_prime_matrix"] == 13

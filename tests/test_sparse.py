@@ -9,7 +9,15 @@ from chainlab.cyclic import hc_bicomplex
 from chainlab.dsl import parse_algebra
 from chainlab.lie import LieAlgebra
 from chainlab.presets import algebra_preset, truncated_poly
-from chainlab.sparse import QuotientSpace, SparseMatrix, Subspace, exact, vec_axpy, vec_scale
+from chainlab.sparse import (
+    QuotientSpace,
+    SparseMatrix,
+    Subspace,
+    exact,
+    vec_axpy,
+    vec_scale,
+    vec_sub,
+)
 from chainlab.tangent import nilpotent_log
 
 from oracle import dense_product, dense_rank
@@ -218,6 +226,13 @@ def test_vec_axpy_folds_integral_fraction():
     out = {0: 1}
     vec_axpy(out, Fraction(4, 2), {0: 1, 1: 3})
     assert out == {0: 3, 1: 6} and all(type(v) is int for v in out.values())
+
+
+def test_vec_sub_folds_integral_fraction():
+    out = vec_sub({0: Fraction(3, 2), 1: Fraction(1, 3)}, {0: Fraction(1, 2), 2: 4})
+    assert out == {0: 1, 1: Fraction(1, 3), 2: -4}
+    assert type(out[0]) is int and type(out[1]) is Fraction
+    assert vec_sub({0: Fraction(1, 2)}, {0: Fraction(1, 2)}) == {}
 
 
 # ---------------------------------------------------------------------------
