@@ -71,7 +71,7 @@ from .lie import (
     triangular_lie,
 )
 from .presets import algebra_preset, extension_preset
-from .sparse import QuotientSpace, SparseMatrix, Subspace
+from .sparse import SparseMatrix, Subspace
 from .tangent import (
     ArtinianBase,
     LogTraceProbe,

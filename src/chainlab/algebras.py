@@ -276,24 +276,13 @@ class Ideal:
     def as_algebra(self) -> Algebra:
         """The ideal with its induced multiplication, in the reduced basis."""
         if self._algebra is None:
-            inc = self.inclusion_matrix()
-            prods = []
-            for i, x in enumerate(self.basis):
-                for j, y in enumerate(self.basis):
-                    prods.append(((i, j), self.ambient.mul_vec(x, y)))
-            sols = inc.solve_many([p for _, p in prods])
-            mul = {}
-            for ((i, j), _), sol in zip(prods, sols):
-                if sol is None:
-                    raise NotAnIdeal("ideal not closed under its own multiplication")
-                if sol:
-                    mul[(i, j)] = sol
-            self._algebra = Algebra(
-                self.dim,
-                [f"i{k + 1}" for k in range(self.dim)],
-                mul,
-                name=(self.name or "ideal"),
-            )
+            prods = [self.ambient.mul_vec(x, y) for x in self.basis for y in self.basis]
+            sols = self.inclusion_matrix().solve_many(prods)
+            if None in sols:
+                raise NotAnIdeal("ideal not closed under its own multiplication")
+            mul = {divmod(k, self.dim): sol for k, sol in enumerate(sols) if sol}
+            self._algebra = Algebra(self.dim, [f"i{k + 1}" for k in range(self.dim)], mul,
+                                    name=(self.name or "ideal"))
         return self._algebra
 
     def nilpotency_order(self):

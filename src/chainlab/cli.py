@@ -17,7 +17,6 @@ from .dsl import parse_algebra_file
 from .errors import ChainlabError, ParseError
 from .excision import (
     ExtensionData,
-    filtration_F,
     filtration_Q,
     graded_piece_check,
     h_unitality_check,
@@ -135,8 +134,8 @@ def run(args) -> Report:
     elif cmd == "filtration":
         ext = ExtensionData(extension_preset(args.ext))
         if args.kind == "F":
-            stage = filtration_F(ext, None, args.level, D, args.flavor, args.size_limit)
             piece = graded_piece_check(ext, None, args.level, D, args.size_limit)
+            stage = piece.stages[args.flavor]
             payload = {
                 "dims": {str(p): stage.complex.dim(p) for p in range(0, D + 1)},
                 "verdict": piece.passed,

@@ -10,6 +10,10 @@ no word formed per entry: b' is the Kronecker sum of (-1)^i id (x) mu_i (x) id
 (mu_0 the right action on the module slot, mu_i the product of slots i, i+1),
 so each structure constant of mu_i gives one strided run of entries.
 
+The rotation t is a signed permutation of the words, so coker(1 - t) keeps
+one word per orbit whose signs multiply to +1, its largest, with [e_y] =
++-[e_top] along the orbit; the other orbits vanish (see LambdaComplex).
+
 Totalization convention (validated by the d.d = 0 construction check): the
 Hochschild columns keep b, the Bar columns keep -b', the horizontal maps 1-t
 and N are used unmodified, and the total differential is the plain sum.  The
@@ -25,7 +29,7 @@ from operator import add, floordiv, mod, mul
 from .algebras import Algebra, Bimodule
 from .complexes import ChainComplex, ChainMap, HomologySpace, HomologyReport, Interval
 from .errors import SizeLimit, UnitError
-from .sparse import QuotientSpace, SparseMatrix, Vector
+from .sparse import SparseMatrix, Vector, vec_axpy
 
 ONE = 1
 
@@ -496,8 +500,42 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
 # ---------------------------------------------------------------------------
 
 
+def _orbit_classes(rot: SparseMatrix):
+    """(classes, tops) from one walk over the orbits of the signed permutation rot:
+    classes[y] = (j, c) when [e_y] = c [e_top] in coker(1 - t), top = tops[j] the
+    largest word of y's orbit, and None when the orbit's signs multiply to -1."""
+    image = {y: (y2, s) for (y2, y), s in rot.entries.items()}
+    walked = {}  # y -> (top of y's orbit, c)
+    tops = []
+    for top in reversed(range(rot.nrows)):  # an orbit is first met at its largest word
+        if top in walked:
+            continue
+        y, c = top, 1
+        while y not in walked:
+            walked[y] = (top, c)
+            y, s = image[y]
+            c *= s  # e_y = s e_y' modulo im(1 - t)
+        if c == 1:
+            tops.append(top)
+    tops.reverse()
+    j_of = {top: j for j, top in enumerate(tops)}
+    classes = [None] * rot.nrows
+    for y, (top, c) in walked.items():
+        if top in j_of:
+            classes[y] = (j_of[top], c)
+    return classes, tops
+
+
 class LambdaComplex:
-    """Degree-n space coker(1 - t) on A^(n+1), differential induced by b."""
+    """Degree-n space coker(1 - t) on A^(n+1), differential induced by b.
+
+    coker(1 - t) keeps one word per orbit of the signed permutation t whose
+    signs multiply to +1: its largest, the column a minimal-pivot echelon form
+    of im(1 - t) leaves free, with [e_y] = c [e_top], c the product of the signs
+    walked from top to y.  An orbit whose signs multiply to -1 vanishes.  One
+    walk over the orbits of rotation_matrix, with no elimination, gives proj and
+    the section; construction checks proj (1 - t) = 0 and proj b (1 - t) = 0.
+    """
 
     def __init__(self, A: Algebra, D: int, size_limit=None):
         if D < 1:
@@ -506,28 +544,39 @@ class LambdaComplex:
         self.bound = D
         M = Bimodule.regular(A)
         _guard(A.dim ** (D + 1), size_limit, "lambda complex top degree")
-        self.quotients = {}
+        self._walks = {}
         diffs = {}
         for p in range(0, D + 1):
             rot = rotation_matrix(A, p)
-            one_minus_t = SparseMatrix.identity(rot.nrows) - rot
-            self.quotients[p] = QuotientSpace(rot.nrows, one_minus_t.columns())
-            if p == 0:
-                continue
-            b = hoch_matrix(A, M, p)
-            proj = self.quotients[p - 1].projection_matrix()
-            section = self.quotients[p].section_matrix()
-            induced = proj @ b @ section
-            # well-definedness: b maps im(1-t) into im(1-t)
-            check = proj @ b @ one_minus_t
-            if not check.is_zero():
-                raise ValueError(f"induced differential ill-defined at degree {p}")
-            diffs[p] = induced
-        dims = {p: self.quotients[p].qdim for p in range(0, D + 1)}
+            classes, _ = self._walks[p] = _orbit_classes(rot)
+            for (y2, y), s in rot.entries.items():  # (1 - t) e_y = e_y - s e_y2
+                if classes[y] != (classes[y2] and (classes[y2][0], s * classes[y2][1])):
+                    raise ValueError(f"projection does not kill im(1-t) at degree {p}")
+            if p:
+                proj_b = self.projection_matrix(p - 1) @ hoch_matrix(A, M, p)
+                # well-definedness: b maps im(1-t) into im(1-t)
+                if not (proj_b @ (SparseMatrix.identity(rot.nrows) - rot)).is_zero():
+                    raise ValueError(f"induced differential ill-defined at degree {p}")
+                diffs[p] = proj_b @ self.section_matrix(p)
+        dims = {p: len(tops) for p, (_, tops) in self._walks.items()}
         self.complex = ChainComplex(dims, diffs, Interval(0, D - 1))
 
+    def projection_matrix(self, p) -> SparseMatrix:
+        classes, tops = self._walks[p]
+        return SparseMatrix(len(tops), len(classes),
+                            (((hit[0], y), hit[1]) for y, hit in enumerate(classes) if hit))
+
+    def section_matrix(self, p) -> SparseMatrix:
+        classes, tops = self._walks[p]
+        return SparseMatrix(len(classes), len(tops), (((y, j), ONE) for j, y in enumerate(tops)))
+
     def project_element(self, p, v: Vector) -> Vector:
-        return self.quotients[p].project(v)
+        classes = self._walks[p][0]
+        out = {}
+        for y, val in v.items():
+            if classes[y]:
+                vec_axpy(out, val * classes[y][1], {classes[y][0]: ONE})
+        return out
 
     def homology(self, rng=None, **kw) -> HomologyReport:
         rng = rng or self.complex.certified

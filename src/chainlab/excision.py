@@ -70,21 +70,12 @@ class ExtensionData:
         lifts = self.f.matrix.solve_many([{k: ONE} for k in range(B.dim)])
         cols = [dict(v) for v in I.basis] + [dict(s) for s in lifts]
         P = SparseMatrix.from_columns(A.dim, cols)
-        prods = []
-        for i in range(A.dim):
-            for j in range(A.dim):
-                prods.append(A.mul_vec(P.column(i), P.column(j)))
-        unit_target = [A.unit] if A.is_unital else []
-        sols = P.solve_many(prods + unit_target)
-        mul = {}
-        k = 0
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if sols[k] is None:
-                    raise ValueError("adapted basis is not invertible")
-                if sols[k]:
-                    mul[(i, j)] = sols[k]
-                k += 1
+        basis = P.columns()
+        prods = [A.mul_vec(x, y) for x in basis for y in basis]
+        sols = P.solve_many(prods + ([A.unit] if A.is_unital else []))
+        if None in sols[:len(prods)]:
+            raise ValueError("adapted basis is not invertible")
+        mul = {divmod(k, A.dim): sol for k, sol in enumerate(sols[:len(prods)]) if sol}
         unit = sols[-1] if A.is_unital else None
         labels = [f"i{t + 1}" for t in range(I.dim)] + [f"c:{B.labels[t]}" for t in range(B.dim)]
         self.A_ad = Algebra(A.dim, labels, mul, unit=unit, name=f"{A.name or 'A'}~")
@@ -244,6 +235,7 @@ class GradedPieceReport:
     kind_results: dict  # "bar"/"hoch" -> (ok, failing_degree)
     quotient_dims: dict
     model_dims: dict
+    stages: dict  # "bar"/"hoch" -> stage F^n, the inner stage of the check
 
     def to_jsonable(self):
         return {
@@ -256,7 +248,10 @@ class GradedPieceReport:
 def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
                        size_limit=None) -> GradedPieceReport:
     """Verify F^{n+1}/F^n is the (I, M) Bar complex tensored with A^n (x) B,
-    shifted by n + 1, through the explicit reordering isomorphism."""
+    shifted by n + 1, through the explicit reordering isomorphism.  The
+    report's stages hold F^n of both kinds."""
+    if n < 0 or D < 1:  # before the model's b' up to degree D - n - 1
+        raise ValueError("need n >= 0 and D >= 1")
     M_ad = ext.adapt_module(M)
     A = ext.A_ad
     dA, dI, dB, dM = A.dim, ext.ideal_dim, ext.B.dim, M_ad.dim
@@ -278,8 +273,9 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
     full_mats = {"bar": {p: bp.scale(-1) for p, bp in bprimes.items()},
                  "hoch": {p: bp + wrap_matrix(A, M_ad, p) for p, bp in bprimes.items()}}
     results = {}
+    stages = {}
     for kind in ("bar", "hoch"):
-        inner = _stage_F(ext, M_ad, n, D, kind, full_mats[kind])
+        inner = stages[kind] = _stage_F(ext, M_ad, n, D, kind, full_mats[kind])
         outer = _stage_F(ext, M_ad, n + 1, D, kind, full_mats[kind])
         inner_sets = {p: set(inner.indices[p]) for p in range(D + 1)}
         quot_idx = {p: [g for g in outer.indices[p] if g not in inner_sets[p]] for p in range(D + 1)}
@@ -322,7 +318,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
         results[kind] = (ok, failing)
 
     passed = all(ok for ok, _ in results.values())
-    return GradedPieceReport(passed, results, quotient_dims, mdl_dims)
+    return GradedPieceReport(passed, results, quotient_dims, mdl_dims, stages)
 
 
 def _positions(ambient_list, selected):
@@ -372,16 +368,13 @@ def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
 
     diffs = {}
     for p in range(1, D + 1):
-        induced = proj[p - 1] @ full_mats[p] @ section[p]
+        proj_full = proj[p - 1] @ full_mats[p]
+        diffs[p] = proj_full @ section[p]
         # well-definedness: the full differential descends along proj
-        if proj[p - 1] @ full_mats[p] != induced @ proj[p]:
+        if proj_full != diffs[p] @ proj[p]:
             raise ValueError(f"Q^{n}: induced differential ill-defined at degree {p}")
-        diffs[p] = induced
     cx = ChainComplex(dims, diffs, Interval(0, D - 1))
-    stage = FiltrationStage(n, f"Q-{kind}", cx, {}, ambient)
-    stage.projection = {p: proj[p] for p in proj}
-    stage.section = {p: section[p] for p in section}
-    return stage
+    return FiltrationStage(n, f"Q-{kind}", cx, {}, ambient)
 
 
 def q_kernel_complex(ext: ExtensionData, n: int, D: int, kind: str = "bar",

@@ -563,16 +563,20 @@ def _solve_back(pivots, sentinel, k, ncols):
 
 
 # ---------------------------------------------------------------------------
-# subspaces and quotients
+# subspaces
 # ---------------------------------------------------------------------------
 
 
 class Subspace:
-    """Row-reduced span of vectors in Q^dim with canonical reduction."""
+    """Span of vectors in Q^dim in reduced row echelon form: each row has value 1
+    at its pivot, its smallest column, and 0 at every other pivot.  A column index
+    maps each non-pivot column to the rows holding it, so an insert back-substitutes
+    only into the rows that hold its pivot, and reduce is one pass."""
 
     def __init__(self, dim, vectors=()):
         self.dim = dim
         self._rows = {}  # pivot_col -> reduced row with pivot value 1
+        self._col_rows = {}  # non-pivot col -> set of pivot cols whose row holds it
         for v in vectors:
             self.add(v)
 
@@ -582,14 +586,11 @@ class Subspace:
 
     def reduce(self, v: Vector) -> Vector:
         out = dict(v)
-        hits = [c for c in out if c in self._rows]
-        while hits:
-            for c in hits:
-                coef = out.get(c)
-                if not coef:
-                    continue
-                vec_axpy(out, -coef, self._rows[c])
-            hits = [c for c in out if c in self._rows]
+        rows = self._rows
+        for c in [c for c in out if c in rows]:
+            coef = out[c]
+            if coef:
+                vec_axpy(out, -coef, rows[c])
         return out
 
     def contains(self, v: Vector) -> bool:
@@ -603,10 +604,18 @@ class Subspace:
         pc = min(r)
         pval = r[pc]
         row = {k: exact(Fraction(val, pval)) for k, val in r.items()}
-        for other in self._rows.values():
-            coef = other.get(pc)
-            if coef:
-                vec_axpy(other, -coef, row)
+        col_rows = self._col_rows
+        rest = [c for c in row if c != pc]
+        for c in rest:
+            col_rows.setdefault(c, set()).add(pc)
+        for other_pc in col_rows.pop(pc, ()):
+            other = self._rows[other_pc]
+            vec_axpy(other, -other[pc], row)
+            for c in rest:
+                if c in other:
+                    col_rows[c].add(other_pc)
+                else:
+                    col_rows[c].discard(other_pc)
         self._rows[pc] = row
         return True
 
@@ -631,32 +640,3 @@ def product_ranks(dim, factors, product, span: Subspace) -> list:
         if nxt.rank in (0, span.rank):
             return ranks
         span = nxt
-
-
-class QuotientSpace:
-    """Q^dim modulo a span; complement coordinates are the non-pivot ones."""
-
-    def __init__(self, dim, span_vectors=()):
-        self.dim = dim
-        self.sub = Subspace(dim, span_vectors)
-        self.complement = [c for c in range(dim) if c not in self.sub._rows]
-        self._index = {c: j for j, c in enumerate(self.complement)}
-
-    @property
-    def qdim(self):
-        return len(self.complement)
-
-    def project(self, v: Vector) -> Vector:
-        r = self.sub.reduce(v)
-        return {self._index[c]: val for c, val in r.items()}
-
-    def lift(self, w: Vector) -> Vector:
-        return {self.complement[j]: val for j, val in w.items()}
-
-    def projection_matrix(self) -> SparseMatrix:
-        cols = [self.project({i: 1}) for i in range(self.dim)]
-        return SparseMatrix.from_columns(self.qdim, cols)
-
-    def section_matrix(self) -> SparseMatrix:
-        cols = [{self.complement[j]: 1} for j in range(self.qdim)]
-        return SparseMatrix.from_columns(self.dim, cols)

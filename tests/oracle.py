@@ -1,16 +1,19 @@
 """Independent oracles used to cross-check production results.
 
 Deliberately naive: dense row lists of Fractions and textbook Gaussian
-elimination, with no pivoting tricks shared with the production path; and
+elimination, with no pivoting tricks shared with the production path;
 differentials built one basis word at a time through WordBasis.index and
-sorted index tuples, against which the index-arithmetic builders are checked.
+sorted index tuples, against which the index-arithmetic builders are checked;
+and a Subspace that back-substitutes each new pivot into every stored row,
+with the QuotientSpace on top of it, against which the column-indexed
+Subspace and the orbit walk of the rotation coinvariants are checked.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from chainlab.cyclic import words
-from chainlab.sparse import SparseMatrix
+from chainlab.sparse import SparseMatrix, Vector, exact, vec_axpy
 
 
 def dense_product(A, B) -> list:
@@ -131,3 +134,89 @@ def ce_matrix(g, p):
                     else:
                         entries.pop(key, None)
     return SparseMatrix(len(index_pm1), len(tuples_p), entries)
+
+
+# ---------------------------------------------------------------------------
+# elimination-backed subspaces and quotients: the Subspace that
+# chainlab.sparse refines with a column index, and the QuotientSpace that the
+# orbit walk of chainlab.cyclic.LambdaComplex must reproduce
+# ---------------------------------------------------------------------------
+
+
+class Subspace:
+    """Row-reduced span of vectors in Q^dim with canonical reduction."""
+
+    def __init__(self, dim, vectors=()):
+        self.dim = dim
+        self._rows = {}  # pivot_col -> reduced row with pivot value 1
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def reduce(self, v: Vector) -> Vector:
+        out = dict(v)
+        hits = [c for c in out if c in self._rows]
+        while hits:
+            for c in hits:
+                coef = out.get(c)
+                if not coef:
+                    continue
+                vec_axpy(out, -coef, self._rows[c])
+            hits = [c for c in out if c in self._rows]
+        return out
+
+    def contains(self, v: Vector) -> bool:
+        return not self.reduce(v)
+
+    def add(self, v: Vector) -> bool:
+        """Insert v; True if the rank grew."""
+        r = self.reduce(v)
+        if not r:
+            return False
+        pc = min(r)
+        pval = r[pc]
+        row = {k: exact(Fraction(val, pval)) for k, val in r.items()}
+        for other in self._rows.values():
+            coef = other.get(pc)
+            if coef:
+                vec_axpy(other, -coef, row)
+        self._rows[pc] = row
+        return True
+
+    def basis(self):
+        return [dict(self._rows[c]) for c in sorted(self._rows)]
+
+    def pivot_cols(self):
+        return sorted(self._rows)
+
+
+class QuotientSpace:
+    """Q^dim modulo a span; complement coordinates are the non-pivot ones."""
+
+    def __init__(self, dim, span_vectors=()):
+        self.dim = dim
+        self.sub = Subspace(dim, span_vectors)
+        self.complement = [c for c in range(dim) if c not in self.sub._rows]
+        self._index = {c: j for j, c in enumerate(self.complement)}
+
+    @property
+    def qdim(self):
+        return len(self.complement)
+
+    def project(self, v: Vector) -> Vector:
+        r = self.sub.reduce(v)
+        return {self._index[c]: val for c, val in r.items()}
+
+    def lift(self, w: Vector) -> Vector:
+        return {self.complement[j]: val for j, val in w.items()}
+
+    def projection_matrix(self) -> SparseMatrix:
+        cols = [self.project({i: 1}) for i in range(self.dim)]
+        return SparseMatrix.from_columns(self.qdim, cols)
+
+    def section_matrix(self) -> SparseMatrix:
+        cols = [{self.complement[j]: 1} for j in range(self.qdim)]
+        return SparseMatrix.from_columns(self.dim, cols)

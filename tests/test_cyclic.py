@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from chainlab import cyclic
@@ -30,8 +32,9 @@ from chainlab.presets import (
     upper_triangular,
     zero_algebra,
 )
-from chainlab.sparse import SparseMatrix
+from chainlab.sparse import SparseMatrix, exact_vec
 
+import oracle
 from oracle import dense_betti
 
 UNITAL_PRESETS = [rationals(), dual_numbers(), truncated_poly(3), fat_point(),
@@ -193,6 +196,38 @@ def test_connes_exactness():
 def test_lambda_dims_ground_field():
     lam = lambda_complex(rationals(), 5)
     assert [lam.complex.dim(p) for p in range(6)] == [1, 0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("A", [zero_algebra(), rationals(), dual_numbers(), truncated_poly(3)],
+                         ids=lambda A: f"dim{A.dim}")
+def test_lambda_orbit_walk_matches_the_elimination_oracle(A):
+    D = max(p for p in range(7) if A.dim ** (p + 1) <= 3 ** 6)
+    lam = lambda_complex(A, D)
+    for p in range(D + 1):
+        one_minus_t = SparseMatrix.identity(A.dim ** (p + 1)) - rotation_matrix(A, p)
+        quotient = oracle.QuotientSpace(one_minus_t.nrows, one_minus_t.columns())
+        assert lam.projection_matrix(p) == quotient.projection_matrix()
+        assert lam.section_matrix(p) == quotient.section_matrix()
+        assert lam.complex.dim(p) == one_minus_t.nrows - one_minus_t.rank()
+        for y in range(one_minus_t.nrows):
+            assert lam.project_element(p, {y: 1}) == quotient.project({y: 1})
+        v = {y: Fraction(y - 2, 3) for y in range(0, one_minus_t.nrows, 2) if y != 2}
+        assert lam.project_element(p, v) == exact_vec(quotient.project(v))
+
+
+def test_lambda_checks_the_orbit_projection(monkeypatch):
+    walk = cyclic._orbit_classes
+
+    def one_wrong_sign(rot):
+        classes, tops = walk(rot)
+        if rot.nrows == 8:  # degree 2 of a 2-dimensional algebra
+            y = next(y for y, hit in enumerate(classes) if hit and tops[hit[0]] != y)
+            classes[y] = (classes[y][0], -classes[y][1])
+        return classes, tops
+
+    monkeypatch.setattr(cyclic, "_orbit_classes", one_wrong_sign)
+    with pytest.raises(ValueError, match="projection does not kill im\\(1-t\\) at degree 2"):
+        lambda_complex(dual_numbers(), 3)
 
 
 def test_lambda_agrees_with_hc():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from chainlab import excision
 from chainlab.algebras import Bimodule
 from chainlab.complexes import ChainMap, Interval, is_quasi_iso
 from chainlab.cyclic import bar_complex, hoch_complex
@@ -120,6 +121,26 @@ def test_stage_inclusions_are_chain_maps():
 def test_graded_pieces_pass(name, level):
     rep = graded_piece_check(ext_of(name), None, level, 5)
     assert rep.passed, rep.kind_results
+
+
+@pytest.mark.parametrize("name,level", [("truncated_poly:3", 1), ("split_product", 0),
+                                        ("upper_triangular:2", 2)])
+def test_graded_piece_stages_are_the_filtration_stages(name, level):
+    ext = ext_of(name)
+    rep = graded_piece_check(ext, None, level, 5)
+    for kind in ("bar", "hoch"):
+        stage = filtration_F(ext, None, level, 5, kind)
+        assert rep.stages[kind].indices == stage.indices
+        assert rep.stages[kind].complex.diffs == stage.complex.diffs
+
+
+def test_graded_piece_check_rejects_a_negative_level_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("b' built for a negative level")
+
+    monkeypatch.setattr(excision, "b_prime_matrix", refuse)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        graded_piece_check(ext_of("truncated_poly:3"), None, -30, 4)
 
 
 def test_graded_piece_identity_extension_vacuous():

@@ -82,8 +82,16 @@ def test_builder_spans_resolve():
 
 
 def test_graded_piece_check_builds_b_prime_once_per_degree(capsys):
-    # filtration_F of the report: 5 b' on (A, A); graded_piece_check: 5 b' on
-    # (A, A) shared by its four stages, and 3 on (I, I) for the model
+    # graded_piece_check: 5 b' on (A, A) shared by its four stages, the report's
+    # stage among them, and 3 on (I, I) for the model
     rec = _traced(["filtration", "--ext", "truncated_poly:3", "--level", "1", "-D", "5"])
     capsys.readouterr()
-    assert rec.calls["cyclic.b_prime_matrix"] == 13
+    assert rec.calls["cyclic.b_prime_matrix"] == 8
+
+
+def test_lambda_complex_runs_no_elimination(capsys):
+    # coker(1 - t) is read off a walk over the orbits of t: no elimination
+    rec = _traced(["lambda", "--preset", "truncated_poly:3", "-D", "6"])
+    capsys.readouterr()
+    assert rec.calls["cyclic.LambdaComplex"] == 1
+    assert rec.calls["sparse.Subspace.add"] == 0

@@ -10,7 +10,6 @@ from chainlab.dsl import parse_algebra
 from chainlab.lie import LieAlgebra
 from chainlab.presets import algebra_preset, truncated_poly
 from chainlab.sparse import (
-    QuotientSpace,
     SparseMatrix,
     Subspace,
     exact,
@@ -20,6 +19,7 @@ from chainlab.sparse import (
 )
 from chainlab.tangent import nilpotent_log
 
+import oracle
 from oracle import dense_product, dense_rank
 
 
@@ -123,7 +123,7 @@ def test_subspace_reduce_canonical():
 
 
 def test_quotient_space_projection_section():
-    q = QuotientSpace(4, [{0: Fraction(1), 2: Fraction(1)}])
+    q = oracle.QuotientSpace(4, [{0: Fraction(1), 2: Fraction(1)}])
     assert q.qdim == 3
     for j in range(q.qdim):
         v = q.lift({j: Fraction(1)})
@@ -278,3 +278,48 @@ def test_product_matches_dense_oracle(pair):
 def test_product_with_kernel_cancels_exactly(A):
     K = SparseMatrix.from_columns(A.ncols, A.kernel_basis())
     assert (A @ K).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the column-indexed Subspace against the parent's back-substitute-everything one
+# ---------------------------------------------------------------------------
+
+
+def holders(rows):
+    """{column: pivots of the rows that hold it}, over the non-pivot entries."""
+    out = {}
+    for pc, row in rows.items():
+        for c in row:
+            if c != pc:
+                out.setdefault(c, set()).add(pc)
+    return out
+
+
+@st.composite
+def subspace_inputs(draw):
+    dim = draw(st.integers(1, 8))
+    scalar = SCALARS[draw(st.sampled_from(sorted(SCALARS)))].filter(bool)
+    vector = st.dictionaries(st.integers(0, dim - 1), scalar, max_size=dim)
+    vectors = draw(st.lists(vector, max_size=12))
+    order = draw(st.permutations(range(len(vectors))))
+    return dim, vectors, order, draw(st.lists(vector, max_size=4))
+
+
+@PRODUCT_SETTINGS
+@given(subspace_inputs())
+def test_subspace_matches_the_oracle(case):
+    dim, vectors, order, queries = case
+    expected = oracle.Subspace(dim)
+    grew = [expected.add(v) for v in vectors]
+    same = Subspace(dim)
+    assert [same.add(v) for v in vectors] == grew
+    assert [list(row.items()) for row in same._rows.values()] == \
+        [list(row.items()) for row in expected._rows.values()]
+    shuffled = Subspace(dim, [vectors[i] for i in order])
+    for span in (same, shuffled):
+        assert span._rows == expected._rows  # the reduced row echelon form is unique
+        index = holders(span._rows)
+        assert not index.keys() & span._rows.keys()  # fully reduced
+        assert {c: rows for c, rows in span._col_rows.items() if rows} == index
+        for q in queries + vectors:
+            assert span.reduce(q) == expected.reduce(q)
