@@ -8,17 +8,35 @@ with differential
 
 (1-based positions), built over bitmask subsets: x_S is keyed by the mask of
 S, positions and signs are popcounts of lower bits, and only pairs with a
-nonzero bracket are visited.  The generalized trace sends a wedge of matrices
-over an algebra to the signed sum over cyclic words of matrix-trace coefficients,
-landing in the rotation-coinvariants model of the cyclic complex; its
-chain-map identity against the Chevalley-Eilenberg differential is an exact
-matrix check with a single global sign, frozen below.
+nonzero bracket are visited.
+
+Homology is read off the weight-0 summand when the Lie algebra declares a
+grading: an integer weight w_k in Z^r for each basis element and inner
+elements h_1..h_r of weight 0 with [h_i, x_k] = w_k[i] x_k, the bracket adding
+weights.  All three conditions are checked exactly on construction.  A wedge then
+has the sum of its weights as weight, d preserves it, and by Cartan's formula
+L_h = d i_h + i_h d (i_h = wedge with h) the action of h_i, which is w[i]
+times the identity on the weight-w summand, is null-homotopic; over Q every
+summand of nonzero weight is acyclic (Loday, Cyclic Homology, 10.1).  gl(A, r)
+declares the grading w(E_kl (x) a) = e_k - e_l with h_i = E_ii (x) 1 when A is
+unital; the weight-0 wedges are those whose row multiset equals their column
+multiset.  ce_homology builds only those, in the same lexicographic order,
+and reports representatives at their positions in the full exterior power;
+the size guard still reads the full exterior power C(dim g, p).  Commutator Lie algebras, triangular_lie and gl of a non-unital algebra
+declare no grading and build every wedge.
+
+The generalized trace sends a wedge of matrices over an algebra to the signed
+sum over cyclic words of matrix-trace coefficients, landing in the
+rotation-coinvariants model of the cyclic complex; a wedge of nonzero weight
+closes no matrix-unit chain and maps to 0.  Its chain-map identity against the
+Chevalley-Eilenberg differential is an exact matrix check with a single global
+sign, frozen below, made on the full complex: every wedge is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, repeat
+from itertools import chain, combinations, permutations, product, repeat
 from math import comb
 
 from .algebras import Algebra, Ideal, matrix_algebra
@@ -34,9 +52,14 @@ TRACE_CHAIN_SIGN = -1
 
 
 class LieAlgebra:
-    """Antisymmetric bracket table with the Jacobi identity checked on build."""
+    """Antisymmetric bracket table with the Jacobi identity checked on build.
 
-    def __init__(self, dim, labels, bracket, name=None, provenance="custom", check=True):
+    grading, when given, is (weights, inner): one tuple of r ints per basis
+    element and r vectors h_i of weight 0 with [h_i, x_k] = weights[k][i] x_k.
+    It is validated exactly whether or not check is set."""
+
+    def __init__(self, dim, labels, bracket, name=None, provenance="custom", check=True,
+                 grading=None):
         self.dim = dim
         self.labels = list(labels) if labels else [f"x{i + 1}" for i in range(dim)]
         self.name = name
@@ -54,6 +77,9 @@ class LieAlgebra:
                 self.bracket[(j, i)] = {k: -c for k, c in v.items()}
         if check:
             self._validate()
+        self.weights = self.inner = None
+        if grading is not None:
+            self._declare_grading(*grading)
 
     def bracket_basis(self, i, j) -> Vector:
         if i == j:
@@ -80,6 +106,32 @@ class LieAlgebra:
                     if acc:
                         raise ValueError(f"Jacobi identity fails on triple ({i + 1},{j + 1},{k + 1})")
 
+    def _declare_grading(self, weights, inner):
+        weights = [tuple(w) for w in weights]
+        inner = [exact_vec(h) for h in inner]
+        r = len(inner)
+        if len(weights) != self.dim or any(len(w) != r or any(type(x) is not int for x in w)
+                                           for w in weights):
+            raise ValueError(f"grading needs one weight of {r} ints per basis element")
+        label = self.labels
+        for (a, b), vec in self.bracket.items():
+            w = tuple(x + y for x, y in zip(weights[a], weights[b]))
+            for c in vec:
+                if weights[c] != w:
+                    raise ValueError(f"grading: [{label[a]}, {label[b]}] has the term {label[c]} "
+                                     f"of weight {weights[c]}, not {w}")
+        zero = (0,) * r
+        for i, h in enumerate(inner):
+            for k in h:
+                if weights[k] != zero:
+                    raise ValueError(f"grading: h{i + 1} has the term {label[k]} of nonzero weight")
+            for k in range(self.dim):
+                want = {k: weights[k][i]} if weights[k][i] else {}
+                if self.bracket_vec(h, {k: ONE}) != want:
+                    raise ValueError(f"grading: [h{i + 1}, {label[k]}] is not "
+                                     f"{weights[k][i]}*{label[k]}")
+        self.weights, self.inner = weights, inner
+
     def lower_central_series(self):
         """Dims of g = L_1 >= L_2 >= ... until stabilisation or zero."""
         units = [{i: ONE} for i in range(self.dim)]
@@ -93,23 +145,34 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'anonymous'}, dim={self.dim})"
 
 
-def lie_from_assoc(A: Algebra) -> LieAlgebra:
-    """Commutator bracket on the underlying space of an associative algebra."""
+def _commutators(A: Algebra) -> dict:
     bracket = {}
     for i in range(A.dim):
         for j in range(i + 1, A.dim):
             v = vec_sub(A.mul_basis(i, j), A.mul_basis(j, i))
             if v:
                 bracket[(i, j)] = v
-    return LieAlgebra(A.dim, A.labels, bracket, name=f"Lie({A.name or 'A'})",
+    return bracket
+
+
+def lie_from_assoc(A: Algebra) -> LieAlgebra:
+    """Commutator bracket on the underlying space of an associative algebra."""
+    return LieAlgebra(A.dim, A.labels, _commutators(A), name=f"Lie({A.name or 'A'})",
                       provenance="from_assoc")
 
 
 def gl(A: Algebra, r: int) -> LieAlgebra:
-    g = lie_from_assoc(matrix_algebra(A, r))
-    g.name = f"gl{r}({A.name or 'A'})"
-    g.provenance = "gl"
-    return g
+    """gl_r(A), graded by w(E_kl (x) a) = e_k - e_l with h_i = E_ii (x) 1 when A
+    is unital (basis index (k*r + l)*dim A + a, as in matrix_algebra)."""
+    M = matrix_algebra(A, r)
+    grading = None
+    if A.is_unital:
+        weights = [tuple(int(i == k) - int(i == l) for i in range(r))
+                   for k in range(r) for l in range(r) for _ in range(A.dim)]
+        inner = [{(i * r + i) * A.dim + a: c for a, c in A.unit.items()} for i in range(r)]
+        grading = (weights, inner)
+    return LieAlgebra(M.dim, M.labels, _commutators(M), name=f"gl{r}({A.name or 'A'})",
+                      provenance="gl", grading=grading)
 
 
 def triangular_lie(A: Algebra, I: Ideal, n: int, sigma) -> LieAlgebra:
@@ -180,10 +243,58 @@ class CEComplex:
     lie: LieAlgebra
     bound: int
     tuples: dict = field(repr=False)  # p -> list of index tuples
+    weight_zero: bool = False  # tuples hold only the wedges of weight 0
 
     def homology(self, rng=None, **kw) -> HomologyReport:
         rng = rng or self.complex.certified
-        return self.complex.homology(rng, **kw)
+        rep = self.complex.homology(rng, **kw)
+        if self.weight_zero and rep.representatives is not None:
+            n = self.lie.dim
+            rep.representatives = {
+                p: [{_lex_rank(self.tuples[p][k], n): c for k, c in v.items()} for v in vecs]
+                for p, vecs in rep.representatives.items()}
+        return rep
+
+
+def _lex_rank(tup, n) -> int:
+    """Position of the sorted tuple among the len(tup)-subsets of range(n),
+    in lexicographic order."""
+    p = len(tup)
+    return comb(n, p) - 1 - sum(comb(n - 1 - c, p - i) for i, c in enumerate(tup))
+
+
+def _weight_zero_wedges(weights, p) -> list:
+    """The p-subsets of the basis whose weights sum to zero, lexicographic.
+
+    The basis is grouped by weight; a walk over the groups (zero weight last)
+    picks how many elements each gives, abandoning a branch once the partial
+    sum is further from zero in the l1 norm than the remaining picks can
+    travel, and each complete choice contributes its products of subsets."""
+    groups = {}
+    for k, w in enumerate(weights):
+        groups.setdefault(w, []).append(k)
+    classes = sorted(groups.items(), key=lambda wm: not any(wm[0]))
+    reach = [0] * (len(classes) + 1)  # reach[i]: largest l1 norm among classes[i:]
+    for i in range(len(classes) - 1, -1, -1):
+        reach[i] = max(reach[i + 1], sum(map(abs, classes[i][0])))
+    out = []
+
+    def walk(i, left, partial, picks):
+        if sum(map(abs, partial)) > left * reach[i]:
+            return
+        if i == len(classes):
+            if not left:
+                for parts in product(*(combinations(m, k) for m, k in picks)):
+                    out.append(tuple(sorted(chain.from_iterable(parts))))
+            return
+        w, members = classes[i]
+        for k in range(min(left, len(members)) + 1):
+            walk(i + 1, left - k, tuple(x + k * y for x, y in zip(partial, w)),
+                 picks + [(members, k)] if k else picks)
+
+    walk(0, p, (0,) * len(classes[0][0]) if classes else (), [])
+    out.sort()
+    return out
 
 
 def _ce_matrix(g: LieAlgebra, tuples_p, index_pm1, p) -> SparseMatrix:
@@ -216,7 +327,10 @@ def _ce_matrix(g: LieAlgebra, tuples_p, index_pm1, p) -> SparseMatrix:
     return SparseMatrix(len(index_pm1), len(tuples_p), entries)
 
 
-def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
+def ce_complex(g: LieAlgebra, D: int, size_limit=None, *, _weight_zero=False) -> CEComplex:
+    """Chevalley-Eilenberg chains through wedge degree D; with _weight_zero
+    and a declared grading, only the summand of weight 0.  The size guard
+    reads the full exterior powers either way."""
     if D < 1:
         raise ValueError("D must be >= 1")
     limit = DEFAULT_EXTERIOR_LIMIT if size_limit is None else size_limit
@@ -224,7 +338,11 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
     for p in range(top + 1):
         if comb(g.dim, p) > limit:
             raise SizeLimit(f"exterior power C({g.dim},{p}) exceeds limit {limit}")
-    tuples = {p: list(combinations(range(g.dim), p)) for p in range(top + 1)}
+    weight_zero = _weight_zero and g.weights is not None
+    if weight_zero:
+        tuples = {p: _weight_zero_wedges(g.weights, p) for p in range(top + 1)}
+    else:
+        tuples = {p: list(combinations(range(g.dim), p)) for p in range(top + 1)}
     dims = {p: len(tuples[p]) for p in range(top + 1)}
     bits = [1 << i for i in range(g.dim)]
     diffs, index = {}, {0: 0}  # index: bitmask -> position in degree p - 1, one degree at a time
@@ -235,13 +353,15 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
     bounded = top == g.dim
     certified = Interval(0, top if bounded else top - 1)
     cx = ChainComplex(dims, diffs, certified, bounded_above=bounded)
-    return CEComplex(cx, g, D, tuples)
+    return CEComplex(cx, g, D, tuples, weight_zero)
 
 
 def ce_homology(g: LieAlgebra, D: int, size_limit=None, reps=False) -> HomologyReport:
-    ce = ce_complex(g, D, size_limit)
+    """Homology through degree D - 1, read off the weight-0 summand when g
+    declares a grading (the other summands are acyclic)."""
+    ce = ce_complex(g, D, size_limit, _weight_zero=True)
     hi = min(D - 1, ce.complex.certified.hi)
-    return ce.complex.homology(Interval(0, hi), reps=reps)
+    return ce.homology(Interval(0, hi), reps=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -255,34 +375,39 @@ def generalized_trace_matrix(A: Algebra, r: int, n: int, lam: LambdaComplex,
 
     On a wedge of elementary matrices a_i (x) E(i_k, j_k) the image is the
     signed sum over permutations fixing slot 0 of trace(E_0 E_{s(1)} ...) times
-    the class of a_0 (x) a_{s(1)} (x) ... in coker(1 - t)."""
+    the class of a_0 (x) a_{s(1)} (x) ... in coker(1 - t).  No chain of matrix
+    units closes unless the row indices are the column indices rearranged (the
+    wedge has weight 0), so other wedges map to 0 without a walk."""
     dA = A.dim
     tuples = ce.tuples[n + 1]
     cyclic_words = WordBasis((dA,) * (n + 1))
+    units = [(*divmod(pos, r), a) for pos in range(r * r) for a in range(dA)]  # (i, j, a)
+    # row i counts 1 << i*shift, column j counts -(1 << j*shift): a wedge sums to
+    # 0 exactly when its rows are its columns rearranged (no count reaches 2**shift)
+    shift = (n + 1).bit_length()
+    weight = [(1 << i * shift) - (1 << j * shift) for i, j, _ in units]
     cols = []
     for tup in tuples:
-        decoded = []
-        for idx in tup:
-            pos, a = divmod(idx, dA)
-            i, j = divmod(pos, r)
-            decoded.append((i, j, a))
         acc: Vector = {}
+        cols.append(acc)
+        if sum(map(weight.__getitem__, tup)):
+            continue
+        decoded = [units[idx] for idx in tup]
         i0, j0, a0 = decoded[0]
         for perm in permutations(range(1, n + 1)):  # n = 0: the empty permutation
-            chain = j0
+            at = j0
             ok = True
             for t in perm:
                 it, jt, _ = decoded[t]
-                if chain != it:
+                if at != it:
                     ok = False
                     break
-                chain = jt
-            if not ok or chain != i0:
+                at = jt
+            if not ok or at != i0:
                 continue
             word = [a0] + [decoded[t][2] for t in perm]
             sgn = -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1  # inversions
             vec_axpy(acc, sgn, lam.project_element(n, {cyclic_words.index(word): ONE}))
-        cols.append(acc)
     return SparseMatrix.from_columns(lam.complex.dim(n), cols)
 
 

@@ -12,8 +12,11 @@ sums are taken in ints and divided back exactly.  Int factors skip this.
 
 Rank and kernel computations run a fraction-free integer elimination: each
 row is cleared of denominators by the same scaling, pivots are chosen by
-sparsity (fewest-entries row, then fewest-entries column), and updated rows
-are renormalised by their gcd to keep coefficient growth in check.
+sparsity (fewest-entries row, then fewest-entries column), and a row is
+cleared against a pivot row by the pivot value and its own entry, both first
+divided by their gcd, so the intermediate integers stay small; the updated
+row is then renormalised by its gcd, which makes it the same row the
+undivided combination would give.
 Independent column blocks of the support graph are eliminated separately.
 """
 
@@ -506,9 +509,11 @@ def _echelonize(rows, forbidden_cols):
         for rid2 in list(col_rows.get(pc, ())):
             row2 = active[rid2]
             factor = row2[pc]
-            new_row = {}
-            for c, v in row2.items():
-                new_row[c] = pval * v
+            mul = pval
+            g = gcd(pval, factor)
+            if g != 1:
+                mul, factor = pval // g, factor // g
+            new_row = {c: mul * v for c, v in row2.items()}
             for c, v in prow.items():
                 s = new_row.get(c, 0) - factor * v
                 if s:

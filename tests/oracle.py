@@ -4,15 +4,19 @@ Deliberately naive: dense row lists of Fractions and textbook Gaussian
 elimination, with no pivoting tricks shared with the production path;
 differentials built one basis word at a time through WordBasis.index and
 sorted index tuples, against which the index-arithmetic builders are checked;
-and a Subspace that back-substitutes each new pivot into every stored row,
+a Subspace that back-substitutes each new pivot into every stored row,
 with the QuotientSpace on top of it, against which the column-indexed
-Subspace and the orbit walk of the rotation coinvariants are checked.
+Subspace and the orbit walk of the rotation coinvariants are checked; the
+integer elimination that combines rows by the undivided pivot value and
+entry; and the generalized trace that walks every permutation of every wedge.
 """
 
+import heapq
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import gcd
 
-from chainlab.cyclic import words
+from chainlab.cyclic import WordBasis, words
 from chainlab.sparse import SparseMatrix, Vector, exact, vec_axpy
 
 
@@ -220,3 +224,124 @@ class QuotientSpace:
     def section_matrix(self) -> SparseMatrix:
         cols = [{self.complement[j]: 1} for j in range(self.qdim)]
         return SparseMatrix.from_columns(self.dim, cols)
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination combining rows by the undivided pivot value and
+# entry, whose pivots chainlab.sparse._echelonize must reproduce
+# ---------------------------------------------------------------------------
+
+
+def _normalize_int_row(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    if g > 1:
+        return {k: v // g for k, v in row.items()}
+    return row
+
+
+def echelonize(rows, forbidden_cols):
+    """Sparse-pivot integer elimination; [(pivot_col, row_dict), ...]."""
+    active = {}
+    col_rows = {}
+    heap = []
+    for rid, row in enumerate(rows):
+        if not row:
+            continue
+        active[rid] = row
+        for c in row:
+            col_rows.setdefault(c, set()).add(rid)
+        heapq.heappush(heap, (len(row), rid))
+
+    pivots = []
+    while active:
+        while heap:
+            size, rid = heapq.heappop(heap)
+            if rid not in active:
+                continue
+            if len(active[rid]) != size:
+                heapq.heappush(heap, (len(active[rid]), rid))
+                continue
+            break
+        else:
+            break
+        prow = active.pop(rid)
+        candidates = [c for c in prow if c not in forbidden_cols]
+        if not candidates:
+            pc = min(prow)
+        else:
+            pc = min(candidates, key=lambda c: (len(col_rows.get(c, ())), c))
+        for c in prow:
+            col_rows[c].discard(rid)
+        pivots.append((pc, prow))
+        if pc in forbidden_cols:
+            continue
+        pval = prow[pc]
+        for rid2 in list(col_rows.get(pc, ())):
+            row2 = active[rid2]
+            factor = row2[pc]
+            new_row = {}
+            for c, v in row2.items():
+                new_row[c] = pval * v
+            for c, v in prow.items():
+                s = new_row.get(c, 0) - factor * v
+                if s:
+                    new_row[c] = s
+                else:
+                    new_row.pop(c, None)
+            new_row = _normalize_int_row(new_row)
+            for c in row2:
+                if c not in new_row:
+                    col_rows[c].discard(rid2)
+            for c in new_row:
+                if c not in row2:
+                    col_rows.setdefault(c, set()).add(rid2)
+            if new_row:
+                active[rid2] = new_row
+                heapq.heappush(heap, (len(new_row), rid2))
+            else:
+                del active[rid2]
+                for c in row2:
+                    col_rows[c].discard(rid2)
+    return pivots
+
+
+# ---------------------------------------------------------------------------
+# the generalized trace walking all n! permutations of every wedge, which
+# chainlab.lie.generalized_trace_matrix must reproduce
+# ---------------------------------------------------------------------------
+
+
+def generalized_trace_matrix(A, r, n, lam, tuples):
+    """Wedge degree n+1 of gl_r(A) (the sorted index tuples given) to the
+    degree-n rotation coinvariants."""
+    dA = A.dim
+    cyclic_words = WordBasis((dA,) * (n + 1))
+    cols = []
+    for tup in tuples:
+        decoded = []
+        for idx in tup:
+            pos, a = divmod(idx, dA)
+            i, j = divmod(pos, r)
+            decoded.append((i, j, a))
+        acc = {}
+        i0, j0, a0 = decoded[0]
+        for perm in permutations(range(1, n + 1)):
+            at = j0
+            ok = True
+            for t in perm:
+                it, jt, _ = decoded[t]
+                if at != it:
+                    ok = False
+                    break
+                at = jt
+            if not ok or at != i0:
+                continue
+            word = [a0] + [decoded[t][2] for t in perm]
+            sgn = -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1
+            vec_axpy(acc, sgn, lam.project_element(n, {cyclic_words.index(word): 1}))
+        cols.append(acc)
+    return SparseMatrix.from_columns(lam.complex.dim(n), cols)

@@ -1,15 +1,27 @@
+import hashlib
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import oracle
 from chainlab.algebras import Ideal, augmentation_ideal, matrix_algebra
+from chainlab.cli import main as cli_main
+from chainlab.complexes import Interval
+from chainlab.cyclic import lambda_complex
+from chainlab.dsl import parse_algebra
 from chainlab.errors import NotNilpotent, SizeLimit
 from chainlab.lie import (
     LieAlgebra,
     ce_complex,
     ce_homology,
+    generalized_trace_matrix,
     gl,
     h2_vs_hc1,
     lie_from_assoc,
@@ -18,9 +30,16 @@ from chainlab.lie import (
     trace_chain_check,
     triangular_lie,
 )
-from chainlab.presets import dual_numbers, product_qq, rationals, upper_triangular
+from chainlab.presets import algebra_preset, dual_numbers, product_qq, rationals, upper_triangular
+from chainlab.reports import betti_payload
 
 ONE = Fraction(1)
+
+PRESETS = ["rationals", "zero", "dual_numbers", "truncated_poly:3", "truncated_poly:4",
+           "square_zero:2", "fat_point", "product", "matrix:2", "upper_triangular:2",
+           "upper_triangular:3", "tensor:dual_numbers,truncated_poly:3"]
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def sl2():
@@ -181,3 +200,135 @@ def test_h2_hc1_product_additivity():
     assert rep.hc1 == 2 * q.hc1
     assert rep.h2_indecomposable == 2 * q.h2_indecomposable
     assert rep.equal
+
+
+# ---------------------------------------------------------------------------
+# the weight-0 summand of gl_r(A) and the generalized trace
+# ---------------------------------------------------------------------------
+
+
+def full_homology(g, D, reps=False):
+    """Homology read off every wedge, as ce_homology did before the grading."""
+    ce = ce_complex(g, D)
+    return ce.homology(Interval(0, min(D - 1, ce.complex.certified.hi)), reps=reps)
+
+
+def _rebased_algebras(seed):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for slot, (_, preset, _, bits) in enumerate(workloads.REBASED):
+        yield parse_algebra(workloads.generate_rebased(preset, bits, seed, slot)[0])
+
+
+def test_gradings_declared():
+    assert gl(dual_numbers(), 3).weights[1 * 2] == (1, -1, 0)  # E12 (x) 1
+    assert gl(dual_numbers(), 3).inner[2] == {(2 * 3 + 2) * 2: 1}  # h_3 = E33 (x) 1
+    assert lie_from_assoc(matrix_algebra(rationals(), 2)).weights is None
+    assert gl(algebra_preset("square_zero:2"), 2).weights is None
+    E = dual_numbers()
+    assert triangular_lie(E, augmentation_ideal(E), 3, [(1, 2), (2, 3)]).weights is None
+
+
+def test_weight_zero_wedges_are_the_balanced_ones():
+    g = gl(dual_numbers(), 3)
+    ce = ce_complex(g, 4, _weight_zero=True)
+    assert ce.weight_zero
+    for p in range(5):
+        rows_cols = [[divmod(k // 2, 3) for k in t] for t in combinations(range(g.dim), p)]
+        balanced = [t for t, rc in zip(combinations(range(g.dim), p), rows_cols)
+                    if sorted(i for i, _ in rc) == sorted(j for _, j in rc)]
+        assert ce.tuples[p] == balanced
+
+
+@pytest.mark.parametrize("spec", [s for s in PRESETS if algebra_preset(s).is_unital])
+def test_weight_zero_betti_equal_full_betti_on_presets(spec):
+    A = algebra_preset(spec)
+    for r in (1, 2, 3):
+        g = gl(A, r)
+        D = next((D for D in (5, 4, 3) if sum(comb(g.dim, p) for p in range(D + 1)) <= 6000),
+                 None)
+        if D is None:
+            continue  # the full complex does not fit
+        assert ce_homology(g, D).betti == full_homology(g, D).betti, (spec, r, D)
+
+
+def test_weight_zero_betti_equal_full_betti_on_rebased_tables():
+    for A in _rebased_algebras(seed=3):
+        for r, D in ((1, 5), (2, 4 if A.dim <= 3 else 3)):
+            g = gl(A, r)
+            assert g.weights is not None
+            assert ce_homology(g, D).betti == full_homology(g, D).betti, (A.name, r)
+
+
+# sha256 of the reports these commands gave while ce built every wedge
+FULL_REPORT_SHA256 = {
+    ("dual_numbers", "3", "4"): "5be05db9dccd10bca81504038e7dbc71329e23acb5024e43b1aec68b85224ddd",
+    ("rationals", "4", "5"): "efe2ff4fc2b06d618da1907460f78287bab21e7690fd3f0ffa51c3571eccf316",
+    ("truncated_poly:3", "2", "5"): "ead481c73e1c50c3ae9f09818272d549a3054373f515ec7f532a20df75bfbad8",
+    ("matrix:2", "2", "4"): "c604dc0d82ff48ce357e899e007ae3f0d3e56c5aee51c04bc6bfcb9db39eb729",
+}
+
+
+@pytest.mark.parametrize("spec,r,D", sorted(FULL_REPORT_SHA256))
+def test_reps_reports_are_those_of_the_full_complex(spec, r, D, capsys):
+    assert cli_main(["ce", "--preset", spec, "--gl", r, "-D", D, "--reps", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_REPORT_SHA256[(spec, r, D)]
+    g = gl(algebra_preset(spec), int(r))
+    full = betti_payload(full_homology(g, int(D), reps=True))
+    assert json.dumps(betti_payload(ce_homology(g, int(D), reps=True))) == json.dumps(full)
+
+
+def test_wrong_weight_is_rejected():
+    g = gl(rationals(), 2)  # basis E11, E12, E21, E22
+    weights = list(g.weights)
+    weights[1] = (-1, 1)
+    with pytest.raises(ValueError, match=r"\[E12\*1, E21\*1\] has the term E11\*1"):
+        LieAlgebra(g.dim, g.labels, g.bracket, grading=(weights, g.inner))
+
+
+def test_wrong_inner_element_is_rejected():
+    g = gl(rationals(), 2)
+    identity = {0: 1, 3: 1}  # central: [1, E12] = 0, not E12
+    with pytest.raises(ValueError, match=r"\[h1, E12\*1\] is not 1\*E12\*1"):
+        LieAlgebra(g.dim, g.labels, g.bracket, grading=(g.weights, [identity, g.inner[1]]))
+    with pytest.raises(ValueError, match=r"h1 has the term E12\*1 of nonzero weight"):
+        LieAlgebra(g.dim, g.labels, g.bracket, grading=(g.weights, [{0: 1, 1: 1}, g.inner[1]]))
+
+
+def test_gl_of_a_non_unital_algebra_builds_every_wedge():
+    for spec in ("square_zero:2", "zero"):
+        g = gl(algebra_preset(spec), 2)
+        assert g.weights is None and not ce_complex(g, 4, _weight_zero=True).weight_zero
+        assert ce_homology(g, 4, reps=True) == full_homology(g, 4, reps=True)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ce", "--preset", "rationals", "--gl", "4", "-D", "5", "--size-limit", "1000"],
+     "error: exterior power C(16,4) exceeds limit 1000\n"),
+    (["lqt", "--preset", "rationals", "-r", "4", "-D", "4", "--size-limit", "500"],
+     "error: exterior power C(16,3) exceeds limit 500\n"),
+    (["h2hc1", "--preset", "truncated_poly:3", "-r", "3", "--size-limit", "2000"],
+     "error: exterior power C(27,3) exceeds limit 2000\n"),
+])
+def test_size_guard_reads_the_full_exterior_power(argv, message, capsys):
+    # the weight-0 wedges would fit (C(16,4) = 1820 wedges hold 132 of weight
+    # 0), but the guard keeps rejecting what the full complex would exceed
+    assert cli_main(argv + ["--format", "json"]) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("spec", PRESETS)
+def test_generalized_trace_matches_the_permutation_walk(spec):
+    A = algebra_preset(spec)
+    lam = lambda_complex(A, 3)
+    for r in (1, 2, 3):
+        dim = r * r * A.dim
+        for n in range(4):
+            if n + 1 > dim or comb(dim, n + 1) > 60000:
+                continue
+            tuples = list(combinations(range(dim), n + 1))
+            ce = SimpleNamespace(tuples={n + 1: tuples})
+            assert generalized_trace_matrix(A, r, n, lam, ce) == \
+                oracle.generalized_trace_matrix(A, r, n, lam, tuples), (spec, r, n)

@@ -95,3 +95,11 @@ def test_lambda_complex_runs_no_elimination(capsys):
     capsys.readouterr()
     assert rec.calls["cyclic.LambdaComplex"] == 1
     assert rec.calls["sparse.Subspace.add"] == 0
+
+
+def test_ce_of_gl_ranks_only_the_weight_zero_summand(capsys):
+    # 1 323 weight-0 columns in degrees 1..5; the full exterior powers have 12 615
+    rec = _traced(["ce", "--preset", "dual_numbers", "--gl", "3", "-D", "5"])
+    capsys.readouterr()
+    assert rec.counters["sparse.rank.cols"] == 1323
+    assert rec.calls["lie.ce_complex"] == 1

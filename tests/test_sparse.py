@@ -12,6 +12,8 @@ from chainlab.presets import algebra_preset, truncated_poly
 from chainlab.sparse import (
     SparseMatrix,
     Subspace,
+    _clear_denominators,
+    _echelonize,
     exact,
     vec_axpy,
     vec_scale,
@@ -323,3 +325,30 @@ def test_subspace_matches_the_oracle(case):
         assert {c: rows for c, rows in span._col_rows.items() if rows} == index
         for q in queries + vectors:
             assert span.reduce(q) == expected.reduce(q)
+
+
+# ---------------------------------------------------------------------------
+# rows cleared by the gcd-reduced pivot value and entry: the pivots of the
+# undivided combination
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def row_systems(draw):
+    ncols = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(sorted(SCALARS) + ["wide int"]))
+    scalar = (st.integers(-60, 60) if kind == "wide int" else SCALARS[kind]).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), scalar, max_size=ncols)
+    rows = draw(st.lists(row, max_size=9))
+    return rows, draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+
+
+@PRODUCT_SETTINGS
+@given(row_systems())
+def test_echelonize_matches_the_undivided_combination(case):
+    rows, forbidden = case
+    int_rows = [_clear_denominators(r) for r in rows]
+    expected = oracle.echelonize([dict(r) for r in int_rows], forbidden)
+    got = _echelonize([dict(r) for r in int_rows], forbidden)
+    assert [(pc, list(row.items())) for pc, row in got] == \
+        [(pc, list(row.items())) for pc, row in expected]
