@@ -143,7 +143,7 @@ def run(args) -> Report:
             }
         else:
             stage = filtration_Q(ext, args.level, D, args.flavor, args.size_limit)
-            kern = q_kernel_complex(ext, args.level, D, args.flavor, args.size_limit)
+            kern = q_kernel_complex(ext, stage)
             payload = {
                 "dims": {str(p): stage.complex.dim(p) for p in range(0, D + 1)},
                 "kernel_dims": {str(p): kern.dim(p) for p in range(0, D + 1)},

@@ -4,6 +4,13 @@ Homological (lower) indexing throughout: d_n maps degree n to degree n-1 and
 d_n . d_{n+1} = 0 is asserted exactly when a complex is constructed.  Every
 complex carries a certified interval: the degrees where enough boundary data
 is materialised for the reported homology to equal the untruncated answer.
+
+Every restricted complex is cut out of a built one by one of two primitives,
+each checking that the cut is closed under d before it keeps the result:
+subcomplex keeps a coordinate family and raises if d leaks out of it;
+quotient_complex passes to a quotient whose classes are signed coordinates
+(a plain coordinate quotient is a selection) and checks column by column that
+d descends, i.e. proj d = d' proj.
 """
 
 from __future__ import annotations
@@ -130,6 +137,66 @@ class ChainComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** n * d for n, d in self.dims.items())
+
+
+def subcomplex(diffs: dict, keep: dict, what: str) -> ChainComplex:
+    """The coordinates keep[n] of each degree n (contiguous keys lo..hi), with d
+    restricted to them; raises unless d maps keep[n] into keep[n-1].  As for a
+    complex built to degree hi, homology is certified on lo..hi-1."""
+    lo, hi = min(keep), max(keep)
+    sub = {}
+    for n in range(lo + 1, hi + 1):
+        rows = {r: i for i, r in enumerate(keep[n - 1])}
+        cols = {c: j for j, c in enumerate(keep[n])}
+        ent = {}
+        for (r, c), v in diffs[n].entries.items():
+            if c in cols:
+                if r not in rows:
+                    raise ValueError(f"{what}: differential leaks out of the subcomplex at degree {n}")
+                ent[(rows[r], cols[c])] = v
+        sub[n] = SparseMatrix(len(rows), len(cols), ent)
+    return ChainComplex({n: len(keep[n]) for n in keep}, sub, Interval(lo, hi - 1))
+
+
+def selection(keep, dim):
+    """The walk (classes, tops) of the coordinate quotient of Q^dim onto keep."""
+    classes = [None] * dim
+    for j, y in enumerate(keep):
+        classes[y] = (j, 1)
+    return classes, list(keep)
+
+
+def quotient_complex(diffs: dict, walks: dict, what: str) -> ChainComplex:
+    """The quotient of each degree n (contiguous keys lo..hi) by walks[n] =
+    (classes, tops): classes[y] = (j, c) with c = +-1 when [e_y] = c [e_tops[j]],
+    None when [e_y] = 0.  Homology is certified on lo..hi-1.
+
+    proj d is d with each entry moved to its row's class and negated where the
+    class sign is -1, never multiplied, so Fraction entries stay cheap.  d
+    descends exactly when proj d = d' proj, checked column by column: the
+    column of e_y is c times that of e_tops[j], or 0 when [e_y] = 0.
+    """
+    lo, hi = min(walks), max(walks)
+    quot = {}
+    for n in range(lo + 1, hi + 1):
+        row_classes, row_tops = walks[n - 1]
+        classes, tops = walks[n]
+        cols = [{} for _ in classes]  # y -> proj d e_y
+        for (r, y), v in diffs[n].entries.items():
+            hit = row_classes[r]
+            if hit:
+                s = cols[y].get(hit[0], 0) + (v if hit[1] == 1 else -v)
+                if s:
+                    cols[y][hit[0]] = s
+                else:
+                    del cols[y][hit[0]]
+        for col, hit in zip(cols, classes):
+            top = cols[tops[hit[0]]] if hit else {}
+            if col != (top if not hit or hit[1] == 1 else {i: -v for i, v in top.items()}):
+                raise ValueError(f"{what}: induced differential ill-defined at degree {n}")
+        quot[n] = SparseMatrix(len(row_tops), len(tops), (
+            ((i, j), v) for j, y in enumerate(tops) for i, v in cols[y].items()))
+    return ChainComplex({n: len(walks[n][1]) for n in walks}, quot, Interval(lo, hi - 1))
 
 
 def shift(C: ChainComplex, k: int) -> ChainComplex:

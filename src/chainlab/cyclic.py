@@ -12,7 +12,10 @@ so each structure constant of mu_i gives one strided run of entries.
 
 The rotation t is a signed permutation of the words, so coker(1 - t) keeps
 one word per orbit whose signs multiply to +1, its largest, with [e_y] =
-+-[e_top] along the orbit; the other orbits vanish (see LambdaComplex).
++-[e_top] along the orbit; the other orbits vanish (see LambdaComplex).  b
+descends to that quotient, which complexes.quotient_complex checks column by
+column; since ker proj = im(1 - t), this is the statement that b maps
+im(1 - t) into itself.
 
 Totalization convention (validated by the d.d = 0 construction check): the
 Hochschild columns keep b, the Bar columns keep -b', the horizontal maps 1-t
@@ -27,7 +30,8 @@ from itertools import product, repeat, starmap
 from operator import add, floordiv, mod, mul
 
 from .algebras import Algebra, Bimodule
-from .complexes import ChainComplex, ChainMap, HomologySpace, HomologyReport, Interval
+from .complexes import (ChainComplex, ChainMap, HomologyReport, HomologySpace, Interval,
+                        quotient_complex, selection, subcomplex)
 from .errors import SizeLimit, UnitError
 from .sparse import SparseMatrix, Vector, vec_axpy
 
@@ -334,26 +338,6 @@ class CyclicBicomplex:
 
         self.total = ChainComplex(dims, diffs, Interval(0, D - 1))
 
-    def restriction(self, predicate):
-        """Sub- or quotient-complex data spanned by the selected columns.
-
-        Returns (complex, per-degree column-index lists into the total).
-        """
-        dims = {}
-        index_lists = {}
-        for n in range(0, self.bound + 1):
-            idx = []
-            for q, p, off, w in self.layout[n]:
-                if predicate(q):
-                    idx.extend(range(off, off + w))
-            index_lists[n] = idx
-            dims[n] = len(idx)
-        diffs = {}
-        for n in range(1, self.bound + 1):
-            diffs[n] = self.total.diffs[n].submatrix(index_lists[n - 1], index_lists[n])
-        cx = ChainComplex(dims, diffs, Interval(0, self.bound - 1))
-        return cx, index_lists
-
     def induced_map(self, other: "CyclicBicomplex", morphism_matrix: SparseMatrix) -> ChainMap:
         """Chain map on totals induced by an algebra morphism self.A -> other.A."""
         if other.ncols != self.ncols or other.bound != self.bound:
@@ -423,14 +407,24 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
 
     Uses the degreewise split short exact sequence (columns 0..1) ->
     (all columns) -> (columns >= 2) of the cyclic bicomplex; the last is the
-    cyclic total complex shifted by two.
+    cyclic total complex shifted by two.  Both ends are cut out of the built
+    total, each with its closure check (subcomplex, quotient_complex).
     """
     if D < 3:
         raise ValueError("D must be >= 3")
     bc = hc_bicomplex(A, D, size_limit)
-    sub, sub_idx = bc.restriction(lambda q: q <= 1)
-    quot, quot_idx = bc.restriction(lambda q: q >= 2)
     total = bc.total
+
+    def columns(keep):
+        """degree -> the total's indices of the columns q with keep(q)."""
+        return {n: [i for q, _, off, w in comps if keep(q) for i in range(off, off + w)]
+                for n, comps in bc.layout.items()}
+
+    sub_idx = columns(lambda q: q <= 1)
+    quot_idx = columns(lambda q: q >= 2)
+    sub = subcomplex(total.diffs, sub_idx, "columns q <= 1")
+    quot = quotient_complex(total.diffs, {n: selection(idx, total.dim(n))
+                                          for n, idx in quot_idx.items()}, "columns q >= 2")
 
     n_max = D - 2  # nodes need H_{n+1}(quot) and H_{n-1}(sub), both certified
     hs_sub = {n: HomologySpace(sub, n) for n in range(0, n_max + 1)}
@@ -533,8 +527,12 @@ class LambdaComplex:
     signs multiply to +1: its largest, the column a minimal-pivot echelon form
     of im(1 - t) leaves free, with [e_y] = c [e_top], c the product of the signs
     walked from top to y.  An orbit whose signs multiply to -1 vanishes.  One
-    walk over the orbits of rotation_matrix, with no elimination, gives proj and
-    the section; construction checks proj (1 - t) = 0 and proj b (1 - t) = 0.
+    walk over the orbits of rotation_matrix, with no elimination, gives these
+    classes, and construction checks proj (1 - t) = 0 on them.  An orbit of k
+    words adds k - 1 to the dimensions of both im(1 - t) and ker proj (k if it
+    vanishes), so ker proj = im(1 - t).  quotient_complex checks column by
+    column that b descends, proj b = d' proj, i.e. that b kills ker proj: the
+    same as proj b (1 - t) = 0, b mapping im(1 - t) into itself.
     """
 
     def __init__(self, A: Algebra, D: int, size_limit=None):
@@ -545,30 +543,14 @@ class LambdaComplex:
         M = Bimodule.regular(A)
         _guard(A.dim ** (D + 1), size_limit, "lambda complex top degree")
         self._walks = {}
-        diffs = {}
         for p in range(0, D + 1):
             rot = rotation_matrix(A, p)
             classes, _ = self._walks[p] = _orbit_classes(rot)
             for (y2, y), s in rot.entries.items():  # (1 - t) e_y = e_y - s e_y2
                 if classes[y] != (classes[y2] and (classes[y2][0], s * classes[y2][1])):
                     raise ValueError(f"projection does not kill im(1-t) at degree {p}")
-            if p:
-                proj_b = self.projection_matrix(p - 1) @ hoch_matrix(A, M, p)
-                # well-definedness: b maps im(1-t) into im(1-t)
-                if not (proj_b @ (SparseMatrix.identity(rot.nrows) - rot)).is_zero():
-                    raise ValueError(f"induced differential ill-defined at degree {p}")
-                diffs[p] = proj_b @ self.section_matrix(p)
-        dims = {p: len(tops) for p, (_, tops) in self._walks.items()}
-        self.complex = ChainComplex(dims, diffs, Interval(0, D - 1))
-
-    def projection_matrix(self, p) -> SparseMatrix:
-        classes, tops = self._walks[p]
-        return SparseMatrix(len(tops), len(classes),
-                            (((hit[0], y), hit[1]) for y, hit in enumerate(classes) if hit))
-
-    def section_matrix(self, p) -> SparseMatrix:
-        classes, tops = self._walks[p]
-        return SparseMatrix(len(classes), len(tops), (((y, j), ONE) for j, y in enumerate(tops)))
+        hoch = {p: hoch_matrix(A, M, p) for p in range(1, D + 1)}
+        self.complex = quotient_complex(hoch, self._walks, "LambdaComplex")
 
     def project_element(self, p, v: Vector) -> Vector:
         classes = self._walks[p][0]

@@ -5,7 +5,10 @@ An extension is a surjective algebra map f : A -> B with kernel ideal I.  All
 computations run in an adapted copy of A whose first dim(I) basis vectors
 span I and whose remaining basis vectors map to the basis of B under f; the
 filtration stages are then spanned by coordinate subsets of the tensor-word
-bases.
+bases.  Each stage, graded piece and kernel is cut out of a built complex by
+complexes.subcomplex (F^n, the kernel of Q^n -> Q^{n+1}) or
+complexes.quotient_complex (Q^n, F^{n+1}/F^n), which check that the cut is
+closed under the differential.
 
 Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
@@ -30,6 +33,9 @@ from .complexes import (
     QuasiIsoVerdict,
     homotopy_fiber,
     is_quasi_iso,
+    quotient_complex,
+    selection,
+    subcomplex,
 )
 from .cyclic import (
     WordBasis,
@@ -163,26 +169,9 @@ class FiltrationStage:
     kind: str  # "F-bar" | "F-hoch" | "Q-bar" | "Q-hoch"
     complex: ChainComplex
     indices: dict  # degree -> index list into the ambient word basis
-    ambient_dims: dict
 
     def dims_tuple(self):
         return tuple(self.complex.dim(p) for p in range(self.complex.lo, self.complex.hi + 1))
-
-
-def _restrict_to_indices(full_mats, indices, D, what):
-    """Submatrices on a coordinate-closed family of columns, leak-checked."""
-    diffs = {}
-    for p in range(1, D + 1):
-        rows = indices[p - 1]
-        cols = indices[p]
-        row_set = set(rows)
-        col_set = set(cols)
-        full = full_mats[p]
-        for (r, c) in full.entries:
-            if c in col_set and r not in row_set:
-                raise ValueError(f"{what}: differential leaks out of the stage at degree {p}")
-        diffs[p] = full.submatrix(rows, cols)
-    return diffs
 
 
 def filtration_F(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
@@ -203,16 +192,11 @@ def _stage_F(ext: ExtensionData, M_ad: Bimodule, n: int, D: int, kind: str,
     A = ext.A_ad
     dI = ext.ideal_dim
     indices = {}
-    ambient = {}
     for p in range(D + 1):
         full = words(A, M_ad, p)
         stage = WordBasis([M_ad.dim] + [dI if t < p - n else A.dim for t in range(p)])
         indices[p] = [full.index(w) for w in stage]
-        ambient[p] = len(full)
-    diffs = _restrict_to_indices(full_mats, indices, D, f"F^{n}")
-    dims = {p: len(indices[p]) for p in range(D + 1)}
-    cx = ChainComplex(dims, diffs, Interval(0, D - 1))
-    return FiltrationStage(n, f"F-{kind}", cx, indices, ambient)
+    return FiltrationStage(n, f"F-{kind}", subcomplex(full_mats, indices, f"F^{n}"), indices)
 
 
 def stage_inclusion(inner: FiltrationStage, outer: FiltrationStage) -> ChainMap:
@@ -277,15 +261,13 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
     for kind in ("bar", "hoch"):
         inner = stages[kind] = _stage_F(ext, M_ad, n, D, kind, full_mats[kind])
         outer = _stage_F(ext, M_ad, n + 1, D, kind, full_mats[kind])
-        inner_sets = {p: set(inner.indices[p]) for p in range(D + 1)}
-        quot_idx = {p: [g for g in outer.indices[p] if g not in inner_sets[p]] for p in range(D + 1)}
-        quot_diffs = {}
-        for p in range(1, D + 1):
-            quot_diffs[p] = outer.complex.diffs[p].submatrix(
-                _positions(outer.indices[p - 1], quot_idx[p - 1]),
-                _positions(outer.indices[p], quot_idx[p]),
-            )
-        quotient_dims = {p: len(quot_idx[p]) for p in range(D + 1)}
+        keep = {}  # degree -> positions in F^{n+1} of the words outside F^n
+        for p in range(D + 1):
+            inner_set = set(inner.indices[p])
+            keep[p] = [i for i, g in enumerate(outer.indices[p]) if g not in inner_set]
+        quot = quotient_complex(outer.complex.diffs, {
+            p: selection(keep[p], outer.complex.dim(p)) for p in keep}, f"F^{n + 1}/F^{n}")
+        quotient_dims = quot.dims
 
         mdl_diffs = {}
         sign = 1 if kind == "bar" else -1
@@ -304,26 +286,21 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
             ent = {}
             if k >= 0:
                 ambient = words(A, M_ad, p)
-                for col, g in enumerate(quot_idx[p]):
-                    m, *w = ambient.word(g)
+                for col, i in enumerate(keep[p]):
+                    m, *w = ambient.word(outer.indices[p][i])
                     i_slots, c_slot, a_slots = w[:k], w[k] - dI, w[k + 1:]
                     ent[(model[p].index((*a_slots, c_slot, m, *i_slots)), col)] = ONE
             phi[p] = SparseMatrix(mdl_dims[p], quotient_dims[p], ent)
 
         ok, failing = True, None
         for p in range(1, D + 1):
-            if phi[p - 1] @ quot_diffs[p] != mdl_diffs[p] @ phi[p]:
+            if phi[p - 1] @ quot.diffs[p] != mdl_diffs[p] @ phi[p]:
                 ok, failing = False, p
                 break
         results[kind] = (ok, failing)
 
     passed = all(ok for ok, _ in results.values())
     return GradedPieceReport(passed, results, quotient_dims, mdl_dims, stages)
-
-
-def _positions(ambient_list, selected):
-    pos = {g: i for i, g in enumerate(ambient_list)}
-    return [pos[g] for g in selected]
 
 
 # ---------------------------------------------------------------------------
@@ -349,45 +326,25 @@ def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
     sign = -1 if kind == "bar" else 1
     full_mats = {p: builder(A, M_B, p).scale(sign) for p in range(1, D + 1)}
 
-    # section: lift each stage word's B-slots to the complement coordinates
-    # dI..dA-1 of the full word.  The lift preserves word order, so proj (kill
-    # words with an early I-slot, drop the lift on the rest) is its transpose.
-    proj = {}
-    section = {}
-    dims = {}
-    ambient = {}
+    # Q^n is the coordinate quotient onto the lifts of the stage words: their
+    # B-slots moved to the complement coordinates dI..dA-1 of the full word, in
+    # word order; a word with an I-slot among the first n goes to 0.
+    walks = {}
     for p in range(D + 1):
         full = words(A, M_B, p)
-        stage_words = _q_stage_words(ext, n, p)
         lift = (0,) + (dI,) * min(n, p) + (0,) * (p - min(n, p))
-        sec_ent = {(full.index(map(add, w, lift)), s): ONE for s, w in enumerate(stage_words)}
-        dims[p] = len(stage_words)
-        ambient[p] = len(full)
-        section[p] = SparseMatrix(ambient[p], dims[p], sec_ent)
-        proj[p] = section[p].transpose()
-
-    diffs = {}
-    for p in range(1, D + 1):
-        proj_full = proj[p - 1] @ full_mats[p]
-        diffs[p] = proj_full @ section[p]
-        # well-definedness: the full differential descends along proj
-        if proj_full != diffs[p] @ proj[p]:
-            raise ValueError(f"Q^{n}: induced differential ill-defined at degree {p}")
-    cx = ChainComplex(dims, diffs, Interval(0, D - 1))
-    return FiltrationStage(n, f"Q-{kind}", cx, {}, ambient)
+        walks[p] = selection([full.index(map(add, w, lift)) for w in _q_stage_words(ext, n, p)],
+                             len(full))
+    return FiltrationStage(n, f"Q-{kind}", quotient_complex(full_mats, walks, f"Q^{n}"), {})
 
 
-def q_kernel_complex(ext: ExtensionData, n: int, D: int, kind: str = "bar",
-                     size_limit=None) -> ChainComplex:
-    """Kernel of Q^n -> Q^{n+1}: stage-n words whose slot n+1 lies in I."""
-    stage = filtration_Q(ext, n, D, kind, size_limit)
-    dI = ext.ideal_dim
-    indices = {}
-    for p in range(D + 1):
-        stage_words = _q_stage_words(ext, n, p)
-        indices[p] = [s for s, (_, *x) in enumerate(stage_words) if p > n and x[n] < dI]
-    diffs = _restrict_to_indices(stage.complex.diffs, indices, D, "Q-kernel")
-    return ChainComplex({p: len(indices[p]) for p in indices}, diffs, Interval(0, D - 1))
+def q_kernel_complex(ext: ExtensionData, stage: FiltrationStage) -> ChainComplex:
+    """Kernel of Q^n -> Q^{n+1} in the built stage Q^n: stage-n words whose
+    slot n+1 lies in I."""
+    n, dI = stage.level, ext.ideal_dim
+    indices = {p: [s for s, (_, *x) in enumerate(_q_stage_words(ext, n, p)) if p > n and x[n] < dI]
+               for p in stage.complex.dims}
+    return subcomplex(stage.complex.diffs, indices, "Q-kernel")
 
 
 # ---------------------------------------------------------------------------

@@ -293,15 +293,6 @@ class SparseMatrix:
                 ent[(i1 * other.nrows + i2, j1 * other.ncols + j2)] = v1 * v2
         return SparseMatrix(self.nrows * other.nrows, self.ncols * other.ncols, ent)
 
-    def submatrix(self, rows, cols):
-        rmap = {r: i for i, r in enumerate(rows)}
-        cmap = {c: j for j, c in enumerate(cols)}
-        ent = {}
-        for (i, j), v in self.entries.items():
-            if i in rmap and j in cmap:
-                ent[(rmap[i], cmap[j])] = v
-        return SparseMatrix(len(rows), len(cols), ent)
-
     # -- elimination-backed queries ------------------------------------
     def rank(self) -> int:
         rows = _integer_rows(self)

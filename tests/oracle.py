@@ -7,8 +7,10 @@ sorted index tuples, against which the index-arithmetic builders are checked;
 a Subspace that back-substitutes each new pivot into every stored row,
 with the QuotientSpace on top of it, against which the column-indexed
 Subspace and the orbit walk of the rotation coinvariants are checked; the
-integer elimination that combines rows by the undivided pivot value and
-entry; and the generalized trace that walks every permutation of every wedge.
+quotient complex formed by sparse products with projection and section
+matrices; the integer elimination that combines rows by the undivided pivot
+value and entry; and the generalized trace that walks every permutation of
+every wedge.
 """
 
 import heapq
@@ -217,13 +219,28 @@ class QuotientSpace:
     def lift(self, w: Vector) -> Vector:
         return {self.complement[j]: val for j, val in w.items()}
 
-    def projection_matrix(self) -> SparseMatrix:
-        cols = [self.project({i: 1}) for i in range(self.dim)]
-        return SparseMatrix.from_columns(self.qdim, cols)
 
-    def section_matrix(self) -> SparseMatrix:
-        cols = [{self.complement[j]: 1} for j in range(self.qdim)]
-        return SparseMatrix.from_columns(self.dim, cols)
+# ---------------------------------------------------------------------------
+# the quotient complex by sparse products, whose differentials and descent
+# verdict chainlab.complexes.quotient_complex must reproduce
+# ---------------------------------------------------------------------------
+
+
+def quotient_differentials(diffs, walks) -> dict:
+    """d' = proj d section in each degree n of walks (see quotient_complex); raises
+    ValueError naming the first degree where d does not descend, proj d != d' proj."""
+    proj, section = {}, {}
+    for n, (classes, tops) in walks.items():
+        proj[n] = SparseMatrix(len(tops), len(classes),
+                               (((hit[0], y), hit[1]) for y, hit in enumerate(classes) if hit))
+        section[n] = SparseMatrix(len(classes), len(tops), (((y, j), 1) for j, y in enumerate(tops)))
+    out = {}
+    for n in sorted(walks)[1:]:
+        proj_d = proj[n - 1] @ diffs[n]
+        out[n] = proj_d @ section[n]
+        if proj_d != out[n] @ proj[n]:
+            raise ValueError(f"induced differential ill-defined at degree {n}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from chainlab.complexes import (
     ChainComplex,
     ChainMap,
@@ -10,10 +12,13 @@ from chainlab.complexes import (
     cone,
     homotopy_fiber,
     is_quasi_iso,
+    quotient_complex,
+    selection,
     shift,
+    subcomplex,
 )
 from chainlab.errors import RangeNotCertified
-from chainlab.sparse import SparseMatrix
+from chainlab.sparse import SparseMatrix, vec_axpy, vec_scale
 
 
 def two_step(matrix):
@@ -160,3 +165,82 @@ def test_homology_space_classify():
     )
     with pytest.raises(ValueError):
         one_up.classify({0: Fraction(1)})
+
+
+def test_subcomplex_rejects_leak():
+    full = {1: SparseMatrix(2, 2, {(1, 0): 1})}
+    assert subcomplex(full, {0: [1], 1: [0]}, "S").diffs[1] == SparseMatrix.identity(1)
+    with pytest.raises(ValueError, match="S: differential leaks out of the subcomplex at degree 1"):
+        subcomplex(full, {0: [0], 1: [0]}, "S")
+
+
+def test_quotient_complex_rejects_a_dropped_coordinate_hitting_a_kept_one():
+    # d_2 e_1 = e_0; degree 1 keeps coordinate 0, degree 2 drops coordinate 1
+    diffs = {1: SparseMatrix(1, 2), 2: SparseMatrix(2, 2, {(0, 1): 1})}
+    walks = {0: selection([0], 1), 1: selection([0], 2), 2: selection([0], 2)}
+    with pytest.raises(ValueError, match="Q: induced differential ill-defined at degree 2"):
+        quotient_complex(diffs, walks, "Q")
+    walks[1] = selection([1], 2)  # the image of the dropped coordinate is dropped too
+    assert quotient_complex(diffs, walks, "Q").diffs[2] == SparseMatrix(1, 1)
+
+
+def test_quotient_complex_rejects_a_signed_class_whose_members_disagree():
+    # degree 1: [e_1] = -[e_0]; degree 0: [e_1] = -[e_0] as well
+    walks = {0: ([(0, 1), (0, -1)], [0]), 1: ([(0, 1), (0, -1)], [0])}
+    same_sign = {1: SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 1})}
+    with pytest.raises(ValueError, match="Q: induced differential ill-defined at degree 1"):
+        quotient_complex(same_sign, walks, "Q")
+    # d e_0 = e_1 projects to -[e_0], and d e_1 = -e_1 to +[e_0] = -(-[e_0])
+    descends = {1: SparseMatrix(2, 2, {(1, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2)})}
+    assert quotient_complex(descends, walks, "Q").diffs[1] == SparseMatrix(1, 1, {(0, 0): Fraction(-1, 2)})
+
+
+QUOTIENT_VALUES = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+QUOTIENT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def signed_classes(draw, dim):
+    """(classes, tops) of a quotient of Q^dim by signed coordinate classes."""
+    labels = draw(st.lists(st.integers(-1, 2), min_size=dim, max_size=dim))  # -1: [e_y] = 0
+    classes, tops = [None] * dim, []
+    for label in sorted(set(labels) - {-1}):
+        members = [y for y in range(dim) if labels[y] == label]
+        top = draw(st.sampled_from(members))
+        for y in members:
+            classes[y] = (len(tops), 1 if y == top else draw(st.sampled_from([1, -1])))
+        tops.append(top)
+    return classes, tops
+
+
+@st.composite
+def quotient_cases(draw):
+    """d_1 : Q^m -> Q^k with signed-class quotients of both; built to descend,
+    then perturbed in one entry half of the time."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    (rows, row_tops), (cols, col_tops) = signed_classes(draw, k), signed_classes(draw, m)
+    relations = [{y: 1} if hit is None else {y: 1, row_tops[hit[0]]: -hit[1]}  # span ker proj
+                 for y, hit in enumerate(rows) if hit is None or y != row_tops[hit[0]]]
+    columns = {top: draw(st.dictionaries(st.integers(0, k - 1), QUOTIENT_VALUES)) for top in col_tops}
+    for y, hit in enumerate(cols):
+        if y not in columns:
+            columns[y] = {} if hit is None else vec_scale(hit[1], columns[col_tops[hit[0]]])
+            for rel in draw(st.lists(st.sampled_from(relations), max_size=2)) if relations else ():
+                vec_axpy(columns[y], draw(QUOTIENT_VALUES), rel)
+    if draw(st.booleans()):
+        vec_axpy(columns[draw(st.integers(0, m - 1))], draw(QUOTIENT_VALUES),
+                 {draw(st.integers(0, k - 1)): 1})
+    d = SparseMatrix(k, m, (((i, y), v) for y, col in columns.items() for i, v in col.items()))
+    return {1: d}, {0: (rows, row_tops), 1: (cols, col_tops)}
+
+
+@QUOTIENT_SETTINGS
+@given(quotient_cases())
+def test_quotient_complex_matches_the_product_oracle(case):
+    diffs, walks = case
+    try:
+        expected = oracle.quotient_differentials(diffs, walks)
+    except ValueError:
+        with pytest.raises(ValueError, match="Q: induced differential ill-defined at degree 1"):
+            quotient_complex(diffs, walks, "Q")
+        return
+    assert quotient_complex(diffs, walks, "Q").diffs == expected

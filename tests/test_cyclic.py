@@ -206,10 +206,9 @@ def test_lambda_orbit_walk_matches_the_elimination_oracle(A):
     for p in range(D + 1):
         one_minus_t = SparseMatrix.identity(A.dim ** (p + 1)) - rotation_matrix(A, p)
         quotient = oracle.QuotientSpace(one_minus_t.nrows, one_minus_t.columns())
-        assert lam.projection_matrix(p) == quotient.projection_matrix()
-        assert lam.section_matrix(p) == quotient.section_matrix()
+        assert lam._walks[p][1] == quotient.complement  # the section: e_j -> e_tops[j]
         assert lam.complex.dim(p) == one_minus_t.nrows - one_minus_t.rank()
-        for y in range(one_minus_t.nrows):
+        for y in range(one_minus_t.nrows):  # the projection, column by column
             assert lam.project_element(p, {y: 1}) == quotient.project({y: 1})
         v = {y: Fraction(y - 2, 3) for y in range(0, one_minus_t.nrows, 2) if y != 2}
         assert lam.project_element(p, v) == exact_vec(quotient.project(v))
@@ -227,6 +226,13 @@ def test_lambda_checks_the_orbit_projection(monkeypatch):
 
     monkeypatch.setattr(cyclic, "_orbit_classes", one_wrong_sign)
     with pytest.raises(ValueError, match="projection does not kill im\\(1-t\\) at degree 2"):
+        lambda_complex(dual_numbers(), 3)
+
+
+def test_lambda_checks_that_the_differential_descends(monkeypatch):
+    # b' does not map im(1 - t) into itself: on A (x) A, b'(1 - t)(a (x) a') = aa' + a'a
+    monkeypatch.setattr(cyclic, "hoch_matrix", cyclic.b_prime_matrix)
+    with pytest.raises(ValueError, match="LambdaComplex: induced differential ill-defined at degree 1"):
         lambda_complex(dual_numbers(), 3)
 
 

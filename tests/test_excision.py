@@ -5,10 +5,9 @@ import pytest
 from chainlab import excision
 from chainlab.algebras import Bimodule
 from chainlab.complexes import ChainMap, Interval, is_quasi_iso
-from chainlab.cyclic import bar_complex, hoch_complex
+from chainlab.cyclic import b_prime_matrix, bar_complex, hoch_complex
 from chainlab.excision import (
     ExtensionData,
-    _restrict_to_indices,
     filtration_F,
     filtration_Q,
     graded_piece_check,
@@ -155,13 +154,6 @@ def test_zero_ideal_gives_empty_word_families():
     assert [inc.component(p).ncols for p in range(4)] == [2, 0, 0, 0]
 
 
-def test_restrict_to_indices_rejects_leak():
-    full = {1: SparseMatrix(2, 2, {(1, 0): 1})}
-    assert _restrict_to_indices(full, {0: [1], 1: [0]}, 1, "S")[1] == SparseMatrix.identity(1)
-    with pytest.raises(ValueError, match="S: differential leaks out of the stage at degree 1"):
-        _restrict_to_indices(full, {0: [0], 1: [0]}, 1, "S")
-
-
 def test_q_stage_zero_is_bar_of_a_with_b_coefficients():
     ext = ext_of("dual_numbers")
     st = filtration_Q(ext, 0, 4, "bar")
@@ -169,6 +161,18 @@ def test_q_stage_zero_is_bar_of_a_with_b_coefficients():
     bc = bar_complex(ext.A_ad, MB, 4)
     for p in range(1, 5):
         assert st.complex.diffs[p] == bc.complex.diffs[p]
+
+
+def test_q_stage_checks_that_the_differential_descends(monkeypatch):
+    ext = ext_of("dual_numbers")
+
+    def leaky(A, M, p):  # (b; x_1) with x_1 in I is 0 in Q^1; let it hit the kept word (b)
+        bp = b_prime_matrix(A, M, p)
+        return bp + SparseMatrix(bp.nrows, bp.ncols, {(0, 0): 1}) if p == 1 else bp
+
+    monkeypatch.setattr(excision, "b_prime_matrix", leaky)
+    with pytest.raises(ValueError, match=r"Q\^1: induced differential ill-defined at degree 1"):
+        filtration_Q(ext, 1, 3, "bar")
 
 
 def test_q_stage_exhausts_to_quotient_complex():
@@ -187,7 +191,7 @@ def test_q_kernel_dims_match_lemma():
     ext = ext_of("dual_numbers")
     dB, dI, dA = ext.B.dim, ext.ideal_dim, ext.A_ad.dim
     for n in range(0, 3):
-        kern = q_kernel_complex(ext, n, 5, "bar")
+        kern = q_kernel_complex(ext, filtration_Q(ext, n, 5, "bar"))
         for p in range(0, 6):
             expect = dB ** (n + 1) * dI * dA ** (p - n - 1) if p > n else 0
             assert kern.dim(p) == expect, (n, p)

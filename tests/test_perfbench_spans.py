@@ -95,6 +95,18 @@ def test_lambda_complex_runs_no_elimination(capsys):
     capsys.readouterr()
     assert rec.calls["cyclic.LambdaComplex"] == 1
     assert rec.calls["sparse.Subspace.add"] == 0
+    # b descends by a relabelling of its entries: the only products are the
+    # d∘d validation of degrees 2..6
+    assert rec.calls["sparse.matmul"] == 5
+
+
+def test_q_filtration_builds_its_stage_once(capsys):
+    # filtration_Q builds b' in degrees 1..5; the kernel is cut out of that stage
+    rec = _traced(["filtration", "--ext", "truncated_poly:3", "--level", "1", "-D", "5",
+                   "--kind", "Q"])
+    capsys.readouterr()
+    assert rec.calls["cyclic.b_prime_matrix"] == 5
+    assert rec.calls["sparse.matmul"] == 8  # d∘d of the stage and of the kernel
 
 
 def test_ce_of_gl_ranks_only_the_weight_zero_summand(capsys):
