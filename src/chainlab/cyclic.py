@@ -40,7 +40,7 @@ ONE = 1
 DEFAULT_SIZE_LIMIT = 2_000_000
 
 
-def _guard(dim, size_limit, what):
+def size_guard(dim, size_limit, what):
     limit = DEFAULT_SIZE_LIMIT if size_limit is None else size_limit
     if dim > limit:
         raise SizeLimit(f"{what} has dimension {dim} > size limit {limit}")
@@ -191,7 +191,7 @@ def bar_complex(A: Algebra, M: Bimodule | None = None, D: int = 4,
         raise ValueError("D must be >= 1")
     M = M or Bimodule.regular(A)
     dims = {p: len(words(A, M, p)) for p in range(D + 1)}
-    _guard(max(dims.values(), default=0), size_limit, "Bar complex top degree")
+    size_guard(max(dims.values(), default=0), size_limit, "Bar complex top degree")
     bprimes = {p: b_prime_matrix(A, M, p) for p in range(1, D + 1)}
     diffs = {p: bprimes[p].scale(-1) for p in bprimes}
     cx = ChainComplex(dims, diffs, Interval(0, D - 1))
@@ -204,7 +204,7 @@ def hoch_complex(A: Algebra, M: Bimodule | None = None, D: int = 4,
         raise ValueError("D must be >= 1")
     M = M or Bimodule.regular(A)
     dims = {p: len(words(A, M, p)) for p in range(D + 1)}
-    _guard(max(dims.values(), default=0), size_limit, "Hochschild complex top degree")
+    size_guard(max(dims.values(), default=0), size_limit, "Hochschild complex top degree")
     diffs = {p: hoch_matrix(A, M, p) for p in range(1, D + 1)}
     cx = ChainComplex(dims, diffs, Interval(0, D - 1))
     return HochComplex(cx, A, M, D)
@@ -287,7 +287,7 @@ class CyclicBicomplex:
     """
 
     def __init__(self, A: Algebra, ncols: int, D: int, size_limit=None):
-        _guard(A.dim ** (D + 1), size_limit, "bicomplex row")
+        size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
         self.algebra = A
         self.ncols = ncols
         self.bound = D
@@ -541,7 +541,7 @@ class LambdaComplex:
         self.algebra = A
         self.bound = D
         M = Bimodule.regular(A)
-        _guard(A.dim ** (D + 1), size_limit, "lambda complex top degree")
+        size_guard(A.dim ** (D + 1), size_limit, "lambda complex top degree")
         self._walks = {}
         for p in range(0, D + 1):
             rot = rotation_matrix(A, p)

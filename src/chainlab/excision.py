@@ -45,6 +45,7 @@ from .cyclic import (
     hh_bicomplex,
     hoch_complex,
     hoch_matrix,
+    size_guard,
     tensor_powers,
     words,
     wrap_matrix,
@@ -178,6 +179,7 @@ def filtration_F(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
                  kind: str = "bar", size_limit=None) -> FiltrationStage:
     """Stage n of the filtration from the (I, M) complex to the (A, M) one."""
     M_ad = ext.adapt_module(M)
+    size_guard(len(words(ext.A_ad, M_ad, D)), size_limit, "filtration complex top degree")
     builder = b_prime_matrix if kind == "bar" else hoch_matrix
     sign = -1 if kind == "bar" else 1
     full_mats = {p: builder(ext.A_ad, M_ad, p).scale(sign) for p in range(1, D + 1)}
@@ -238,6 +240,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
         raise ValueError("need n >= 0 and D >= 1")
     M_ad = ext.adapt_module(M)
     A = ext.A_ad
+    size_guard(len(words(A, M_ad, D)), size_limit, "filtration complex top degree")
     dA, dI, dB, dM = A.dim, ext.ideal_dim, ext.B.dim, M_ad.dim
     I_alg = ext.ideal_algebra()
     M_res = ext.restrict_module_to_ideal(M_ad)
@@ -322,6 +325,7 @@ def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
     A = ext.A_ad
     dI = ext.ideal_dim
     M_B = Bimodule.over_morphism(ext.f_ad)
+    size_guard(len(words(A, M_B, D)), size_limit, "filtration complex top degree")
     builder = b_prime_matrix if kind == "bar" else hoch_matrix
     sign = -1 if kind == "bar" else 1
     full_mats = {p: builder(A, M_B, p).scale(sign) for p in range(1, D + 1)}

@@ -30,7 +30,9 @@ sum over cyclic words of matrix-trace coefficients, landing in the
 rotation-coinvariants model of the cyclic complex; a wedge of nonzero weight
 closes no matrix-unit chain and maps to 0.  Its chain-map identity against the
 Chevalley-Eilenberg differential is an exact matrix check with a single global
-sign, frozen below, made on the full complex: every wedge is checked.
+sign, frozen below, made on every wedge trace_chain_check builds: the weight-0
+wedges when gl declares a grading, since d preserves weight and both sides of
+the identity vanish on a wedge of nonzero weight, and every wedge otherwise.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, permutations, product, repeat
 from math import comb
 
-from .algebras import Algebra, Ideal, matrix_algebra
+from .algebras import Algebra, Ideal, matrix_algebra, mismatches, nested_products
 from .complexes import ChainComplex, HomologyReport, Interval
 from .cyclic import LambdaComplex, WordBasis, hc_homology, lambda_complex
 from .errors import NotNilpotent, SizeLimit
@@ -64,17 +66,15 @@ class LieAlgebra:
         self.labels = list(labels) if labels else [f"x{i + 1}" for i in range(dim)]
         self.name = name
         self.provenance = provenance
-        self.bracket = {}
+        self._both = {}  # [x_i, x_j] for i < j and for i > j
         for (i, j), vec in bracket.items():
             v = exact_vec(vec)
             if not v:
                 continue
             if i == j:
                 raise ValueError("[x, x] must vanish")
-            if i < j:
-                self.bracket[(i, j)] = v
-            else:
-                self.bracket[(j, i)] = {k: -c for k, c in v.items()}
+            self._both[(i, j)], self._both[(j, i)] = v, {k: -c for k, c in v.items()}
+        self.bracket = {(i, j): v for (i, j), v in self._both.items() if i < j}
         if check:
             self._validate()
         self.weights = self.inner = None
@@ -82,11 +82,7 @@ class LieAlgebra:
             self._declare_grading(*grading)
 
     def bracket_basis(self, i, j) -> Vector:
-        if i == j:
-            return {}
-        if i < j:
-            return self.bracket.get((i, j), {})
-        return {k: -c for k, c in self.bracket.get((j, i), {}).items()}
+        return self._both.get((i, j), {})
 
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
         out = {}
@@ -96,15 +92,17 @@ class LieAlgebra:
         return out
 
     def _validate(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    acc = {}
-                    vec_axpy(acc, ONE, self.bracket_vec(self.bracket_basis(i, j), {k: ONE}))
-                    vec_axpy(acc, ONE, self.bracket_vec(self.bracket_basis(j, k), {i: ONE}))
-                    vec_axpy(acc, ONE, self.bracket_vec(self.bracket_basis(k, i), {j: ONE}))
-                    if acc:
-                        raise ValueError(f"Jacobi identity fails on triple ({i + 1},{j + 1},{k + 1})")
+        """Jacobi on every triple i < j < k, the sum of [[x_i, x_j], x_k] over
+        the cyclic rotations, built from the nonzero terms [[x_a, x_b], x_c],
+        a < b.  Such a term is a rotation of the sorted triple unless
+        a < c < b, where it enters with the sign of a transposition."""
+        jacobi = {}
+        for (a, b, c), vec in nested_products(self.bracket, self._both, True).items():
+            if c != a and c != b:
+                vec_axpy(jacobi.setdefault(tuple(sorted((a, b, c))), {}), -1 if a < c < b else 1, vec)
+        bad = min(mismatches(jacobi, {}, (self.dim,) * 3), default=None)
+        if bad is not None:
+            raise ValueError("Jacobi identity fails on triple (%d,%d,%d)" % tuple(x + 1 for x in bad))
 
     def _declare_grading(self, weights, inner):
         weights = [tuple(w) for w in weights]
@@ -429,10 +427,11 @@ class TraceReport:
 
 def trace_chain_check(A: Algebra, r: int, N: int, size_limit=None):
     """Exact matrix identity Tr . d_CE = sign * d_lambda . Tr for wedge
-    degrees <= N + 1; returns (report, trace matrices, lambda complex, ce)."""
+    degrees <= N + 1, on the weight-0 wedges when gl_r(A) is graded; returns
+    (report, trace matrices, lambda complex, ce)."""
     g = gl(A, r)
     N = min(N, g.dim - 1)  # higher exterior powers vanish
-    ce = ce_complex(g, N + 1, size_limit)
+    ce = ce_complex(g, N + 1, size_limit, _weight_zero=True)
     lam = lambda_complex(A, N, size_limit)
     traces = {n: generalized_trace_matrix(A, r, n, lam, ce) for n in range(0, N + 1)}
     failing = None

@@ -9,8 +9,9 @@ with the QuotientSpace on top of it, against which the column-indexed
 Subspace and the orbit walk of the rotation coinvariants are checked; the
 quotient complex formed by sparse products with projection and section
 matrices; the integer elimination that combines rows by the undivided pivot
-value and entry; and the generalized trace that walks every permutation of
-every wedge.
+value and entry; the generalized trace that walks every permutation of
+every wedge; and the validators that loop over every basis triple for
+associativity, the Jacobi identity and the bimodule axioms.
 """
 
 import heapq
@@ -19,6 +20,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 from chainlab.cyclic import WordBasis, words
+from chainlab.errors import AssociativityError
 from chainlab.sparse import SparseMatrix, Vector, exact, vec_axpy
 
 
@@ -362,3 +364,58 @@ def generalized_trace_matrix(A, r, n, lam, tuples):
             vec_axpy(acc, sgn, lam.project_element(n, {cyclic_words.index(word): 1}))
         cols.append(acc)
     return SparseMatrix.from_columns(lam.complex.dim(n), cols)
+
+
+# ---------------------------------------------------------------------------
+# validators looping over every basis triple, whose verdicts and first failing
+# triple the nonzero-product walks of chainlab.algebras and chainlab.lie must
+# reproduce
+# ---------------------------------------------------------------------------
+
+ONE = 1
+
+
+def associativity(A):
+    """Raises AssociativityError on the first triple, in lexicographic order,
+    where (x_i x_j) x_k != x_i (x_j x_k)."""
+    for i in range(A.dim):
+        for j in range(A.dim):
+            left = A.mul_basis(i, j)
+            for k in range(A.dim):
+                lhs = A.mul_vec(left, {k: ONE})
+                rhs = A.mul_vec({i: ONE}, A.mul_basis(j, k))
+                if lhs != rhs:
+                    raise AssociativityError((i + 1, j + 1, k + 1))
+
+
+def jacobi(g):
+    """Raises ValueError on the first triple i < j < k, in lexicographic order,
+    where the Jacobi sum is nonzero."""
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                acc = {}
+                vec_axpy(acc, ONE, g.bracket_vec(g.bracket_basis(i, j), {k: ONE}))
+                vec_axpy(acc, ONE, g.bracket_vec(g.bracket_basis(j, k), {i: ONE}))
+                vec_axpy(acc, ONE, g.bracket_vec(g.bracket_basis(k, i), {j: ONE}))
+                if acc:
+                    raise ValueError(f"Jacobi identity fails on triple ({i + 1},{j + 1},{k + 1})")
+
+
+def bimodule_axioms(M):
+    """Raises ValueError on the first (a, b, m) where the left action, the
+    right action or their compatibility fails, checked in that order."""
+    A = M.algebra
+    for a in range(A.dim):
+        for b in range(A.dim):
+            ab = A.mul_basis(a, b)
+            for m in range(M.dim):
+                mv = {m: ONE}
+                if M.left_vec(ab, mv) != M.left_vec({a: ONE}, M.left_vec({b: ONE}, mv)):
+                    raise ValueError(f"left action not associative at ({a},{b},{m})")
+                if M.right_vec(mv, ab) != M.right_vec(M.right_vec(mv, {a: ONE}), {b: ONE}):
+                    raise ValueError(f"right action not associative at ({m},{a},{b})")
+                lhs = M.right_vec(M.left_vec({a: ONE}, mv), {b: ONE})
+                rhs = M.left_vec({a: ONE}, M.right_vec(mv, {b: ONE}))
+                if lhs != rhs:
+                    raise ValueError(f"left/right actions do not commute at ({a},{m},{b})")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chainlab.cli import main
 
 
@@ -109,3 +111,16 @@ def test_timings_flag_adds_timing(capsys):
                            "--format", "json", "--timings")
     doc = json.loads(out)
     assert isinstance(doc["results"][0]["timings_ms"], int)
+
+
+@pytest.mark.parametrize("kind,dim", [("F", 243), ("Q", 81)])
+def test_filtration_respects_the_size_limit(kind, dim, capsys):
+    # the (A, M) words of truncated_poly:3 in degree 4: 3 * 3^4 for F (M = A),
+    # 1 * 3^4 for Q (M = B = Q)
+    code, out, err = run_cli(capsys, "filtration", "--ext", "truncated_poly:3", "--level", "1",
+                             "-D", "4", "--kind", kind, "--size-limit", "1")
+    assert code == 2 and not out
+    assert err == f"error: filtration complex top degree has dimension {dim} > size limit 1\n"
+    code, _, _ = run_cli(capsys, "filtration", "--ext", "truncated_poly:3", "--level", "1",
+                         "-D", "4", "--kind", kind, "--size-limit", str(dim))
+    assert code == 0

@@ -6,6 +6,7 @@ from chainlab import excision
 from chainlab.algebras import Bimodule
 from chainlab.complexes import ChainMap, Interval, is_quasi_iso
 from chainlab.cyclic import b_prime_matrix, bar_complex, hoch_complex
+from chainlab.errors import SizeLimit
 from chainlab.excision import (
     ExtensionData,
     filtration_F,
@@ -90,6 +91,17 @@ def test_filtration_stage_zero_equals_ideal_bar():
     bc = bar_complex(ext.ideal_algebra(), ext.restrict_module_to_ideal(ext.adapt_module(None)), 4)
     for p in range(1, 5):
         assert st.complex.diffs[p] == bc.complex.diffs[p]
+
+
+def test_filtration_builders_guard_the_top_degree():
+    # (A, M) words in degree 4: 3 * 3^4 = 243 for F (M = A), 1 * 3^4 = 81 for Q (M = B)
+    ext = ext_of("truncated_poly:3")
+    for build, dim in [(lambda limit: filtration_F(ext, None, 1, 4, "bar", limit), 243),
+                       (lambda limit: graded_piece_check(ext, None, 1, 4, limit), 243),
+                       (lambda limit: filtration_Q(ext, 1, 4, "hoch", limit), 81)]:
+        with pytest.raises(SizeLimit, match=f"has dimension {dim} > size limit {dim - 1}$"):
+            build(dim - 1)
+        build(dim)
 
 
 def test_filtration_exhausts_at_high_level():

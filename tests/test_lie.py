@@ -18,6 +18,7 @@ from chainlab.cyclic import lambda_complex
 from chainlab.dsl import parse_algebra
 from chainlab.errors import NotNilpotent, SizeLimit
 from chainlab.lie import (
+    TRACE_CHAIN_SIGN,
     LieAlgebra,
     ce_complex,
     ce_homology,
@@ -311,6 +312,8 @@ def test_gl_of_a_non_unital_algebra_builds_every_wedge():
      "error: exterior power C(16,3) exceeds limit 500\n"),
     (["h2hc1", "--preset", "truncated_poly:3", "-r", "3", "--size-limit", "2000"],
      "error: exterior power C(27,3) exceeds limit 2000\n"),
+    (["trace", "--preset", "dual_numbers", "-r", "3", "-D", "4", "--size-limit", "1000"],
+     "error: exterior power C(18,4) exceeds limit 1000\n"),
 ])
 def test_size_guard_reads_the_full_exterior_power(argv, message, capsys):
     # the weight-0 wedges would fit (C(16,4) = 1820 wedges hold 132 of weight
@@ -332,3 +335,36 @@ def test_generalized_trace_matches_the_permutation_walk(spec):
             ce = SimpleNamespace(tuples={n + 1: tuples})
             assert generalized_trace_matrix(A, r, n, lam, ce) == \
                 oracle.generalized_trace_matrix(A, r, n, lam, tuples), (spec, r, n)
+
+
+# the trace checked on every wedge: trace_chain_check builds only the weight-0
+# wedges of a graded gl_r(A), which is sound because every other column of Tr
+# is 0 and d_CE preserves weight
+FULL_TRACE_CASES = [(s, r, 3) for s in PRESETS for r in (1, 2)
+                    if algebra_preset(s).is_unital and r * r * algebra_preset(s).dim > 1]
+
+
+@pytest.mark.parametrize("spec,r,N", FULL_TRACE_CASES + [("dual_numbers", 3, 2)])
+def test_trace_identity_holds_on_every_wedge(spec, r, N):
+    A = algebra_preset(spec)
+    g = gl(A, r)
+    N = min(N, g.dim - 1)
+    ce = ce_complex(g, N + 1)
+    assert not ce.weight_zero
+    lam = lambda_complex(A, N)
+    traces = {n: generalized_trace_matrix(A, r, n, lam, ce) for n in range(N + 1)}
+    for n, tr in traces.items():
+        for col, tup in enumerate(ce.tuples[n + 1]):
+            if any(map(sum, zip(*(g.weights[k] for k in tup)))):
+                assert not tr.column(col), (n, tup)
+    for n in range(1, N + 1):
+        assert traces[n - 1] @ ce.complex.diffs[n + 1] == \
+            (lam.complex.diffs[n] @ traces[n]).scale(TRACE_CHAIN_SIGN), n
+
+
+def test_trace_on_an_ungraded_gl_builds_every_wedge():
+    A = algebra_preset("square_zero:2")
+    rep, traces, lam, ce = trace_chain_check(A, 2, 3)
+    assert rep.chain_map_ok and not ce.weight_zero
+    for p in range(5):
+        assert ce.tuples[p] == list(combinations(range(ce.lie.dim), p))
