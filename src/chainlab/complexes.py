@@ -135,9 +135,6 @@ class ChainComplex:
             representatives = {n: HomologySpace(self, n).representatives for n in rng}
         return HomologyReport(betti, rng, representatives)
 
-    def euler_characteristic(self):
-        return sum((-1) ** n * d for n, d in self.dims.items())
-
 
 def subcomplex(diffs: dict, keep: dict, what: str) -> ChainComplex:
     """The coordinates keep[n] of each degree n (contiguous keys lo..hi), with d

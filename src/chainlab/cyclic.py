@@ -275,6 +275,9 @@ class CyclicBicomplex:
     """First-quadrant bicomplex, columns alternating Hochschild (even q,
     differential b) and Bar (odd q, differential -b'), horizontal maps 1-t
     (odd q -> even) and N (even q -> odd), materialised to total degree D.
+    hh_homology, hc_homology and connes_check report at bound D off the build
+    to D - 1, guarded as for D (_read_bicomplex); the excision comparisons and
+    the induced maps of hh_bicomplex/hc_bicomplex use the full build.
 
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
@@ -359,17 +362,27 @@ def hc_bicomplex(A: Algebra, D: int, size_limit=None) -> CyclicBicomplex:
     return CyclicBicomplex(A, D + 1, D, size_limit)
 
 
+def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None) -> CyclicBicomplex:
+    """The bicomplex to total degree D - 1, all that a result reported at bound D
+    reads: degrees 0..D-2 need only d_1..d_{D-1}.  The guard still reads the row
+    A.dim^(D+1) of total degree D, so a size limit rejects the same inputs."""
+    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
+    return CyclicBicomplex(A, ncols, D - 1, size_limit)
+
+
 def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
+    """HH_0..HH_{D-2} off the two-column bicomplex built to total degree D - 1."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    bc = hh_bicomplex(A, D, size_limit)
+    bc = _read_bicomplex(A, 2, D, size_limit)
     return bc.total.homology(Interval(0, D - 2), reps=reps)
 
 
 def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
+    """HC_0..HC_{D-2} off the cyclic bicomplex built to total degree D - 1."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    bc = hc_bicomplex(A, D, size_limit)
+    bc = _read_bicomplex(A, D + 1, D, size_limit)
     return bc.total.homology(Interval(0, D - 2), reps=reps)
 
 
@@ -406,13 +419,18 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     """Exactness of HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} by rank bookkeeping.
 
     Uses the degreewise split short exact sequence (columns 0..1) ->
-    (all columns) -> (columns >= 2) of the cyclic bicomplex; the last is the
-    cyclic total complex shifted by two.  Both ends are cut out of the built
-    total, each with its closure check (subcomplex, quotient_complex).
+    (all columns) -> (columns >= 2) of the cyclic bicomplex, built to total
+    degree D - 1 with the guard of degree D (see _read_bicomplex).  Both ends
+    are cut out of the built total, each with its closure check (subcomplex,
+    quotient_complex).  The columns q >= 2 of degree n are, block for block
+    and in the same offset order, the columns of degree n - 2, so the quotient
+    is the total shifted by two: the cut's d_n is checked equal to the total's
+    d_{n-2} on every built degree, and H_n of the quotient is H_{n-2} of the
+    total, which reaches H_{D-1} without d_D.
     """
     if D < 3:
         raise ValueError("D must be >= 3")
-    bc = hc_bicomplex(A, D, size_limit)
+    bc = _read_bicomplex(A, D + 1, D, size_limit)
     total = bc.total
 
     def columns(keep):
@@ -425,11 +443,15 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     sub = subcomplex(total.diffs, sub_idx, "columns q <= 1")
     quot = quotient_complex(total.diffs, {n: selection(idx, total.dim(n))
                                           for n, idx in quot_idx.items()}, "columns q >= 2")
+    for n in range(3, D):
+        if quot.diffs[n] != total.diffs[n - 2]:
+            raise ValueError(f"columns q >= 2 are not the total shifted by two at degree {n}")
 
     n_max = D - 2  # nodes need H_{n+1}(quot) and H_{n-1}(sub), both certified
     hs_sub = {n: HomologySpace(sub, n) for n in range(0, n_max + 1)}
     hs_tot = {n: HomologySpace(total, n) for n in range(0, n_max + 1)}
-    hs_quot = {n: HomologySpace(quot, n) for n in range(0, n_max + 2)}
+    # degrees 0 and 1 of the quotient are zero spaces
+    hs_quot = {n: HomologySpace(quot, n) if n < 2 else hs_tot[n - 2] for n in range(0, n_max + 2)}
 
     def include(n):
         idx = sub_idx[n]

@@ -44,7 +44,7 @@ from math import comb
 from .algebras import Algebra, Ideal, matrix_algebra, mismatches, nested_products
 from .complexes import ChainComplex, HomologyReport, Interval
 from .cyclic import LambdaComplex, WordBasis, hc_homology, lambda_complex
-from .errors import NotNilpotent, SizeLimit
+from .errors import ChainlabError, NotNilpotent, SizeLimit
 from .sparse import SparseMatrix, Subspace, Vector, exact_vec, product_ranks, vec_axpy, vec_sub
 
 ONE = 1
@@ -430,6 +430,8 @@ def trace_chain_check(A: Algebra, r: int, N: int, size_limit=None):
     degrees <= N + 1, on the weight-0 wedges when gl_r(A) is graded; returns
     (report, trace matrices, lambda complex, ce)."""
     g = gl(A, r)
+    if g.dim < 2:  # no d_CE to check: the exterior powers stop at degree g.dim
+        raise ChainlabError(f"trace needs dim gl_r(A) >= 2, got {g.dim} for r = {r}")
     N = min(N, g.dim - 1)  # higher exterior powers vanish
     ce = ce_complex(g, N + 1, size_limit, _weight_zero=True)
     lam = lambda_complex(A, N, size_limit)

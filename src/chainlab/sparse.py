@@ -63,13 +63,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return out
 
 
-def vec_scale(c, v: Vector) -> Vector:
-    c = exact(c)
-    if not c:
-        return {}
-    return {k: c * val for k, val in v.items()}
-
-
 def vec_axpy(out: Vector, c, v: Vector) -> None:
     """In place out += c*v."""
     if type(c) is not int:
@@ -117,16 +110,6 @@ class SparseMatrix:
     @classmethod
     def zeros(cls, nrows, ncols):
         return cls(nrows, ncols)
-
-    @classmethod
-    def from_dense(cls, rows):
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        ent = {}
-        for i, row in enumerate(rows):
-            for j, val in enumerate(row):
-                ent[(i, j)] = val
-        return cls(nrows, ncols, ent)
 
     @classmethod
     def from_columns(cls, nrows, columns):
@@ -199,12 +182,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-    def to_dense(self):
-        out = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -282,9 +259,6 @@ class SparseMatrix:
                     out.pop(i, None)
         return out
 
-    def transpose(self):
-        return SparseMatrix(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
-
     def tensor(self, other):
         """Kronecker product, row-major index convention."""
         ent = {}
@@ -319,10 +293,6 @@ class SparseMatrix:
         basis.sort(key=lambda v: min(v))
         return basis
 
-    def rank_kernel(self):
-        ker = self.kernel_basis()
-        return self.ncols - len(ker), ker
-
     def solve(self, b: Vector):
         """One solution of Mx = b, or None."""
         return self.solve_many([b])[0]
@@ -354,15 +324,6 @@ class SparseMatrix:
                 continue
             sols.append(_solve_back(pivots, sentinel, k, self.ncols))
         return sols
-
-    def image_basis(self) -> list:
-        """Columns forming a basis of the column space (original column vectors)."""
-        span = Subspace(self.nrows)
-        out = []
-        for col in self.columns():
-            if span.add(col):
-                out.append(col)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ Subspace and the orbit walk of the rotation coinvariants are checked; the
 quotient complex formed by sparse products with projection and section
 matrices; the integer elimination that combines rows by the undivided pivot
 value and entry; the generalized trace that walks every permutation of
-every wedge; and the validators that loop over every basis triple for
-associativity, the Jacobi identity and the bimodule axioms.
+every wedge; the validators that loop over every basis triple for
+associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
+Connes check read off the bicomplex built to total degree D; and the dense
+conversions and elimination-backed queries that only tests read.
 """
 
 import heapq
@@ -19,9 +21,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from chainlab.cyclic import WordBasis, words
+from chainlab.algebras import Algebra
+from chainlab.complexes import (HomologyReport, HomologySpace, Interval, quotient_complex,
+                                selection, subcomplex)
+from chainlab.cyclic import (ConnesReport, WordBasis, _induced_matrix, hc_bicomplex, hh_bicomplex,
+                             words)
 from chainlab.errors import AssociativityError
-from chainlab.sparse import SparseMatrix, Vector, exact, vec_axpy
+from chainlab.sparse import SparseMatrix, Subspace as SparseSubspace, Vector, exact, vec_axpy
 
 
 def dense_product(A, B) -> list:
@@ -419,3 +425,152 @@ def bimodule_axioms(M):
                 rhs = M.left_vec({a: ONE}, M.right_vec(mv, {b: ONE}))
                 if lhs != rhs:
                     raise ValueError(f"left/right actions do not commute at ({a},{m},{b})")
+
+
+# ---------------------------------------------------------------------------
+# hh, hc and connes read off the bicomplex built to total degree D: the
+# full-bound builds whose reports chainlab.cyclic must reproduce from the
+# build to D - 1
+# ---------------------------------------------------------------------------
+
+
+def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
+    if D < 2:
+        raise ValueError("D must be >= 2")
+    bc = hh_bicomplex(A, D, size_limit)
+    return bc.total.homology(Interval(0, D - 2), reps=reps)
+
+
+def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
+    if D < 2:
+        raise ValueError("D must be >= 2")
+    bc = hc_bicomplex(A, D, size_limit)
+    return bc.total.homology(Interval(0, D - 2), reps=reps)
+
+
+def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
+    """Exactness of HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} by rank bookkeeping.
+
+    Uses the degreewise split short exact sequence (columns 0..1) ->
+    (all columns) -> (columns >= 2) of the cyclic bicomplex; the last is the
+    cyclic total complex shifted by two.  Both ends are cut out of the built
+    total, each with its closure check (subcomplex, quotient_complex).
+    """
+    if D < 3:
+        raise ValueError("D must be >= 3")
+    bc = hc_bicomplex(A, D, size_limit)
+    total = bc.total
+
+    def columns(keep):
+        """degree -> the total's indices of the columns q with keep(q)."""
+        return {n: [i for q, _, off, w in comps if keep(q) for i in range(off, off + w)]
+                for n, comps in bc.layout.items()}
+
+    sub_idx = columns(lambda q: q <= 1)
+    quot_idx = columns(lambda q: q >= 2)
+    sub = subcomplex(total.diffs, sub_idx, "columns q <= 1")
+    quot = quotient_complex(total.diffs, {n: selection(idx, total.dim(n))
+                                          for n, idx in quot_idx.items()}, "columns q >= 2")
+
+    n_max = D - 2  # nodes need H_{n+1}(quot) and H_{n-1}(sub), both certified
+    hs_sub = {n: HomologySpace(sub, n) for n in range(0, n_max + 1)}
+    hs_tot = {n: HomologySpace(total, n) for n in range(0, n_max + 1)}
+    hs_quot = {n: HomologySpace(quot, n) for n in range(0, n_max + 2)}
+
+    def include(n):
+        idx = sub_idx[n]
+
+        def f(v: Vector) -> Vector:
+            return {idx[i]: c for i, c in v.items()}
+
+        return f
+
+    def project(n):
+        pos = {g: i for i, g in enumerate(quot_idx[n])}
+
+        def f(v: Vector) -> Vector:
+            return {pos[g]: c for g, c in v.items() if g in pos}
+
+        return f
+
+    def connecting(n):
+        """H_n(quot) -> H_{n-1}(sub): lift, differentiate, land in the sub."""
+        idx = quot_idx[n]
+        sub_pos = {g: i for i, g in enumerate(sub_idx[n - 1])}
+        d_n = total.diffs[n]
+
+        def f(v: Vector) -> Vector:
+            lifted = {idx[i]: c for i, c in v.items()}
+            w = d_n.apply(lifted)
+            out = {}
+            for g, c in w.items():
+                if g not in sub_pos:
+                    raise ValueError("connecting map left the subcomplex")
+                out[sub_pos[g]] = c
+            return out
+
+        return f
+
+    degrees = {}
+    failing = None
+    for n in range(0, n_max + 1):
+        i_n = _induced_matrix(hs_sub[n].representatives, include(n), hs_tot[n])
+        p_n = _induced_matrix(hs_tot[n].representatives, project(n), hs_quot[n])
+        del_n1 = _induced_matrix(
+            hs_quot[n + 1].representatives, connecting(n + 1), hs_sub[n]
+        )
+        at_hc = (p_n @ i_n).is_zero() and i_n.rank() + p_n.rank() == hs_tot[n].dim
+        at_hh = (i_n @ del_n1).is_zero() and del_n1.rank() + i_n.rank() == hs_sub[n].dim
+        if n >= 1:
+            del_n = _induced_matrix(
+                hs_quot[n].representatives, connecting(n), hs_sub[n - 1]
+            )
+            at_shift = (del_n @ p_n).is_zero() and p_n.rank() + del_n.rank() == hs_quot[n].dim
+        else:
+            at_shift = hs_quot[0].dim == 0  # column-shift quotient vanishes in degree 0
+        ok = at_hh and at_hc and at_shift
+        degrees[n] = {"at_hh": at_hh, "at_hc": at_hc, "at_shift": at_shift}
+        if not ok and failing is None:
+            failing = n
+    return ConnesReport(failing is None, Interval(0, n_max), degrees, failing)
+
+
+# ---------------------------------------------------------------------------
+# dense conversions and elimination-backed queries that only tests read
+# ---------------------------------------------------------------------------
+
+
+def from_dense(rows) -> SparseMatrix:
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    return SparseMatrix(nrows, ncols, {(i, j): v for i, row in enumerate(rows)
+                                       for j, v in enumerate(row)})
+
+
+def to_dense(M) -> list:
+    out = [[0] * M.ncols for _ in range(M.nrows)]
+    for (i, j), v in M.entries.items():
+        out[i][j] = v
+    return out
+
+
+def vec_scale(c, v: Vector) -> Vector:
+    c = exact(c)
+    if not c:
+        return {}
+    return {k: c * val for k, val in v.items()}
+
+
+def rank_kernel(M):
+    ker = M.kernel_basis()
+    return M.ncols - len(ker), ker
+
+
+def image_basis(M) -> list:
+    """Columns of M forming a basis of its column space."""
+    span = SparseSubspace(M.nrows)
+    return [col for col in M.columns() if span.add(col)]
+
+
+def euler_characteristic(C) -> int:
+    return sum((-1) ** n * d for n, d in C.dims.items())

@@ -124,3 +124,22 @@ def test_filtration_respects_the_size_limit(kind, dim, capsys):
     code, _, _ = run_cli(capsys, "filtration", "--ext", "truncated_poly:3", "--level", "1",
                          "-D", "4", "--kind", kind, "--size-limit", str(dim))
     assert code == 0
+
+
+@pytest.mark.parametrize("preset,rank,dim", [("rationals", "1", 1), ("zero", "2", 0)])
+def test_trace_rejects_a_gl_without_a_differential(preset, rank, dim, capsys):
+    code, out, err = run_cli(capsys, "trace", "--preset", preset, "-r", rank, "-D", "3")
+    assert code == 2 and not out
+    assert err == f"error: trace needs dim gl_r(A) >= 2, got {dim} for r = {rank}\n"
+
+
+@pytest.mark.parametrize("cmd", ["hh", "hc", "connes"])
+def test_size_guard_reads_the_row_of_degree_d(cmd, capsys):
+    # matrix:2 at D = 5: the guard reads 4^6 = 4096 although the largest row
+    # built, total degree D - 1 = 4, is 4^5 = 1024
+    code, out, err = run_cli(capsys, cmd, "--preset", "matrix:2", "-D", "5",
+                             "--size-limit", "4095")
+    assert code == 2 and not out
+    assert err == "error: bicomplex row has dimension 4096 > size limit 4095\n"
+    code, _, _ = run_cli(capsys, cmd, "--preset", "matrix:2", "-D", "5", "--size-limit", "4096")
+    assert code == 0

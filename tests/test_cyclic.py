@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +23,10 @@ from chainlab.cyclic import (
     verify_unit_homotopy,
     words,
 )
+from chainlab.dsl import parse_algebra
 from chainlab.errors import SizeLimit
 from chainlab.presets import (
+    algebra_preset,
     dual_numbers,
     fat_point,
     product_qq,
@@ -32,6 +36,7 @@ from chainlab.presets import (
     upper_triangular,
     zero_algebra,
 )
+from chainlab.reports import betti_payload
 from chainlab.sparse import SparseMatrix, exact_vec
 
 import oracle
@@ -287,3 +292,71 @@ def test_bicomplex_checks_every_norm_it_builds(monkeypatch):
     monkeypatch.setattr(cyclic, "norm_matrix", norm)
     with pytest.raises(ValueError, match=r"N\(1-t\) != 0 at row 2"):
         CyclicBicomplex(dual_numbers(), 5, 4)
+
+
+# ---------------------------------------------------------------------------
+# hh, hc and connes read off the build to D - 1 against the full-bound oracle
+# ---------------------------------------------------------------------------
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+PRESETS = ["rationals", "zero", "dual_numbers", "truncated_poly:3", "truncated_poly:4",
+           "square_zero:2", "fat_point", "product", "matrix:2", "upper_triangular:2",
+           "upper_triangular:3", "tensor:dual_numbers,truncated_poly:3"]
+
+
+def assert_reports_match_full_bound(A, D, reps=(False, True)):
+    for name in ("hh_homology", "hc_homology"):
+        for r in reps:
+            got = getattr(cyclic, name)(A, D, reps=r)
+            assert betti_payload(got) == betti_payload(getattr(oracle, name)(A, D, reps=r)), \
+                (A.name, name, D, r)
+    if D >= 3:
+        assert connes_check(A, D).to_jsonable() == oracle.connes_check(A, D).to_jsonable(), \
+            (A.name, D)
+
+
+@pytest.mark.parametrize("spec", PRESETS)
+def test_reports_match_the_full_bound_build(spec):
+    A = algebra_preset(spec)
+    for D in range(2, 6):
+        if A.dim ** (D + 1) <= 8000:  # the full build's top row
+            assert_reports_match_full_bound(A, D)
+
+
+def test_connes_matches_the_full_bound_build_on_matrices_to_degree_six():
+    A = matrix_algebra(rationals(), 2)
+    assert connes_check(A, 6).to_jsonable() == oracle.connes_check(A, 6).to_jsonable()
+
+
+def test_reports_match_the_full_bound_build_on_rebased_tables():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for slot, (cmd, preset, D, bits) in enumerate(workloads.REBASED):
+        A = parse_algebra(workloads.generate_rebased(preset, bits, 3, slot)[0])
+        assert_reports_match_full_bound(A, 3)
+        # the benchmark job's own report, without --reps
+        if cmd == "connes":
+            assert connes_check(A, D).to_jsonable() == oracle.connes_check(A, D).to_jsonable()
+        elif cmd in ("hh", "hc"):
+            name = cmd + "_homology"
+            assert betti_payload(getattr(cyclic, name)(A, D)) == \
+                betti_payload(getattr(oracle, name)(A, D)), (slot, D)
+
+
+def test_connes_checks_that_the_quotient_is_the_shifted_total(monkeypatch):
+    # a quotient cut that differs from the total's d_{n-2} in one entry at the
+    # top built degree (n = D - 1 = 4) must be caught
+    cut = cyclic.quotient_complex
+
+    def perturbed(diffs, walks, what):
+        quot = cut(diffs, walks, what)
+        d = quot.diffs[4]
+        (key, v), *_ = d.entries.items()
+        quot.diffs[4] = SparseMatrix(d.nrows, d.ncols, {**d.entries, key: v + 1})
+        return quot
+
+    monkeypatch.setattr(cyclic, "quotient_complex", perturbed)
+    with pytest.raises(ValueError, match="not the total shifted by two at degree 4"):
+        connes_check(dual_numbers(), 5)

@@ -41,7 +41,7 @@ def test_instrument_counts_and_restores(capsys):
         restore()
     capsys.readouterr()
     assert rec.counters["cyclic.bicomplex.builds"] == 1
-    assert rec.calls["cyclic.b_prime_matrix"] == 3
+    assert rec.calls["cyclic.b_prime_matrix"] == 2  # rows 1..D-1: hh reads degrees 0..D-2
     assert cyclic.b_prime_matrix is original
 
 
@@ -124,3 +124,27 @@ def test_trace_checks_the_weight_zero_summand(capsys):
     capsys.readouterr()
     assert rec.counters["sparse.nnz_built"] == 3911
     assert rec.calls["lie.ce_complex"] == 1
+
+
+def test_hh_builds_only_the_degrees_it_ranks(capsys):
+    # HH_0..HH_3 need d_1..d_4: the total to degree 4, 2 802 stored entries,
+    # against 12 918 with degree 5
+    rec = _traced(["hh", "--preset", "truncated_poly:4", "-D", "5"])
+    capsys.readouterr()
+    assert rec.counters["sparse.nnz_built"] == 2802
+    assert rec.counters["complexes.degrees_built"] == rec.counters["complexes.degrees_ranked"] == 4
+
+
+def test_hc_builds_only_the_degrees_it_ranks(capsys):
+    # the total to degree 4: N on rows 0..2, 3 444 stored entries against 16 440
+    rec = _traced(["hc", "--preset", "matrix:2", "-D", "5"])
+    capsys.readouterr()
+    assert rec.counters["sparse.nnz_built"] == 3444
+    assert rec.calls["cyclic.norm_matrix"] == 3
+
+
+def test_connes_reads_the_quotient_off_the_shifted_total(capsys):
+    # H_{D-1} of the columns q >= 2 is H_{D-3} of the total: no b' on row D
+    rec = _traced(["connes", "--preset", "matrix:2", "-D", "5"])
+    capsys.readouterr()
+    assert rec.calls["cyclic.b_prime_matrix"] == 4
