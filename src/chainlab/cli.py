@@ -100,6 +100,10 @@ def _validate(args):
         raise ChainlabError("rank must be >= 1")
     if args.size_limit is not None and args.size_limit <= 0:
         raise ChainlabError("size limit must be positive")
+    if getattr(args, "gl", None) is not None and args.gl < 1:
+        raise ChainlabError("gl rank must be >= 1")
+    if getattr(args, "level", 0) < 0:
+        raise ChainlabError("filtration level must be >= 0")
 
 
 def run(args) -> Report:
@@ -160,7 +164,7 @@ def run(args) -> Report:
         report.add(cmd, {"ext": args.ext, "D": D}, **payload)
     elif cmd == "ce":
         A = _load_algebra(args)
-        g = gl(A, args.gl) if args.gl else lie_from_assoc(A)
+        g = lie_from_assoc(A) if args.gl is None else gl(A, args.gl)
         rep = ce_homology(g, D, args.size_limit, reps=args.reps)
         report.add(cmd, {"lie": g.name, "D": D}, **betti_payload(rep))
     elif cmd == "trace":

@@ -287,14 +287,18 @@ class QuasiIsoVerdict:
         return out
 
 
-def is_quasi_iso(f: ChainMap, rng: Interval) -> QuasiIsoVerdict:
-    cn = cone(f)
+def acyclicity(cn: ChainComplex, rng: Interval) -> QuasiIsoVerdict:
+    """Verdict that cn, a map's cone, is acyclic on rng within its certified range."""
     rng = rng.intersect(cn.certified)
     report = cn.homology(rng)
     for n in rng:
         if report.betti[n]:
             return QuasiIsoVerdict(False, rng, n, report.betti[n])
     return QuasiIsoVerdict(True, rng)
+
+
+def is_quasi_iso(f: ChainMap, rng: Interval) -> QuasiIsoVerdict:
+    return acyclicity(cone(f), rng)
 
 
 class HomologySpace:
@@ -313,7 +317,6 @@ class HomologySpace:
             for col in d_in.columns():
                 if span.add(col):
                     boundary_basis.append(col)
-        self.boundaries = boundary_basis
         self.representatives = []
         for v in kernel:
             if span.add(v):

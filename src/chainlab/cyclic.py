@@ -281,7 +281,9 @@ class CyclicBicomplex:
 
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
-    the ChainComplex constructor asserts.
+    the ChainComplex constructor asserts.  No map raises q and each degree
+    lists its columns by q, so the columns q < k (for k = 2 the two-column
+    total, for k = 1 the Hochschild complex) are its first width(n, k).
 
     Only the blocks the layout places are built: b' on rows 1..D (b on every
     one of them, the Bar copy -b' on rows 1..D-1), 1-t on rows 0..D-1, and N
@@ -340,6 +342,10 @@ class CyclicBicomplex:
             diffs[n] = SparseMatrix.assemble(dims[n - 1], dims[n], blocks)
 
         self.total = ChainComplex(dims, diffs, Interval(0, D - 1))
+
+    def width(self, n: int, k: int) -> int:
+        """Number of coordinates of the columns q < k in total degree n."""
+        return sum(w for q, _, _, w in self.layout.get(n, ()) if q < k)
 
     def induced_map(self, other: "CyclicBicomplex", morphism_matrix: SparseMatrix) -> ChainMap:
         """Chain map on totals induced by an algebra morphism self.A -> other.A."""
@@ -409,8 +415,7 @@ class ConnesReport:
         return out
 
 
-def _induced_matrix(src_reps, raw_map, target_hs: HomologySpace) -> SparseMatrix:
-    images = [raw_map(v) for v in src_reps]
+def _induced_matrix(images, target_hs: HomologySpace) -> SparseMatrix:
     classes = target_hs.classify_many(images) if images else []
     return SparseMatrix.from_columns(target_hs.dim, classes)
 
@@ -421,28 +426,22 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     Uses the degreewise split short exact sequence (columns 0..1) ->
     (all columns) -> (columns >= 2) of the cyclic bicomplex, built to total
     degree D - 1 with the guard of degree D (see _read_bicomplex).  Both ends
-    are cut out of the built total, each with its closure check (subcomplex,
-    quotient_complex).  The columns q >= 2 of degree n are, block for block
-    and in the same offset order, the columns of degree n - 2, so the quotient
-    is the total shifted by two: the cut's d_n is checked equal to the total's
-    d_{n-2} on every built degree, and H_n of the quotient is H_{n-2} of the
-    total, which reaches H_{D-1} without d_D.
+    are cut at the offset width(n, 2), each with its closure check
+    (subcomplex, quotient_complex).  The columns q >= 2 of degree n are,
+    block for block and in the same offset order, the columns of degree n - 2,
+    so the quotient is the total shifted by two: the cut's d_n is checked
+    equal to the total's d_{n-2} on every built degree, and H_n of the
+    quotient is H_{n-2} of the total, which reaches H_{D-1} without d_D.
     """
     if D < 3:
         raise ValueError("D must be >= 3")
     bc = _read_bicomplex(A, D + 1, D, size_limit)
     total = bc.total
+    w = {n: bc.width(n, 2) for n in total.dims}
 
-    def columns(keep):
-        """degree -> the total's indices of the columns q with keep(q)."""
-        return {n: [i for q, _, off, w in comps if keep(q) for i in range(off, off + w)]
-                for n, comps in bc.layout.items()}
-
-    sub_idx = columns(lambda q: q <= 1)
-    quot_idx = columns(lambda q: q >= 2)
-    sub = subcomplex(total.diffs, sub_idx, "columns q <= 1")
-    quot = quotient_complex(total.diffs, {n: selection(idx, total.dim(n))
-                                          for n, idx in quot_idx.items()}, "columns q >= 2")
+    sub = subcomplex(total.diffs, {n: range(w[n]) for n in w}, "columns q <= 1")
+    quot = quotient_complex(total.diffs, {n: selection(range(w[n], total.dim(n)), total.dim(n))
+                                          for n in w}, "columns q >= 2")
     for n in range(3, D):
         if quot.diffs[n] != total.diffs[n - 2]:
             raise ValueError(f"columns q >= 2 are not the total shifted by two at degree {n}")
@@ -453,54 +452,28 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     # degrees 0 and 1 of the quotient are zero spaces
     hs_quot = {n: HomologySpace(quot, n) if n < 2 else hs_tot[n - 2] for n in range(0, n_max + 2)}
 
-    def include(n):
-        idx = sub_idx[n]
+    def project(n, v: Vector) -> Vector:
+        return {g - w[n]: c for g, c in v.items() if g >= w[n]}
 
-        def f(v: Vector) -> Vector:
-            return {idx[i]: c for i, c in v.items()}
-
-        return f
-
-    def project(n):
-        pos = {g: i for i, g in enumerate(quot_idx[n])}
-
-        def f(v: Vector) -> Vector:
-            return {pos[g]: c for g, c in v.items() if g in pos}
-
-        return f
-
-    def connecting(n):
+    def connecting(n, v: Vector) -> Vector:
         """H_n(quot) -> H_{n-1}(sub): lift, differentiate, land in the sub."""
-        idx = quot_idx[n]
-        sub_pos = {g: i for i, g in enumerate(sub_idx[n - 1])}
-        d_n = total.diffs[n]
-
-        def f(v: Vector) -> Vector:
-            lifted = {idx[i]: c for i, c in v.items()}
-            w = d_n.apply(lifted)
-            out = {}
-            for g, c in w.items():
-                if g not in sub_pos:
-                    raise ValueError("connecting map left the subcomplex")
-                out[sub_pos[g]] = c
-            return out
-
-        return f
+        out = total.diffs[n].apply({w[n] + i: c for i, c in v.items()})
+        if any(g >= w[n - 1] for g in out):
+            raise ValueError("connecting map left the subcomplex")
+        return out
 
     degrees = {}
     failing = None
     for n in range(0, n_max + 1):
-        i_n = _induced_matrix(hs_sub[n].representatives, include(n), hs_tot[n])
-        p_n = _induced_matrix(hs_tot[n].representatives, project(n), hs_quot[n])
-        del_n1 = _induced_matrix(
-            hs_quot[n + 1].representatives, connecting(n + 1), hs_sub[n]
-        )
+        i_n = _induced_matrix(hs_sub[n].representatives, hs_tot[n])
+        p_n = _induced_matrix([project(n, v) for v in hs_tot[n].representatives], hs_quot[n])
+        del_n1 = _induced_matrix([connecting(n + 1, v) for v in hs_quot[n + 1].representatives],
+                                 hs_sub[n])
         at_hc = (p_n @ i_n).is_zero() and i_n.rank() + p_n.rank() == hs_tot[n].dim
         at_hh = (i_n @ del_n1).is_zero() and del_n1.rank() + i_n.rank() == hs_sub[n].dim
         if n >= 1:
-            del_n = _induced_matrix(
-                hs_quot[n].representatives, connecting(n), hs_sub[n - 1]
-            )
+            del_n = _induced_matrix([connecting(n, v) for v in hs_quot[n].representatives],
+                                    hs_sub[n - 1])
             at_shift = (del_n @ p_n).is_zero() and p_n.rank() + del_n.rank() == hs_quot[n].dim
         else:
             at_shift = hs_quot[0].dim == 0  # column-shift quotient vanishes in degree 0

@@ -8,7 +8,8 @@ filtration stages are then spanned by coordinate subsets of the tensor-word
 bases.  Each stage, graded piece and kernel is cut out of a built complex by
 complexes.subcomplex (F^n, the kernel of Q^n -> Q^{n+1}) or
 complexes.quotient_complex (Q^n, F^{n+1}/F^n), which check that the cut is
-closed under the differential.
+closed under the differential.  So are the excision verifier's HH and
+Hochschild-column comparisons: the columns q < 2 and q < 1 of the HC one.
 
 Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
@@ -31,6 +32,8 @@ from .complexes import (
     HomologyReport,
     Interval,
     QuasiIsoVerdict,
+    acyclicity,
+    cone,
     homotopy_fiber,
     is_quasi_iso,
     quotient_complex,
@@ -220,7 +223,6 @@ class GradedPieceReport:
     passed: bool
     kind_results: dict  # "bar"/"hoch" -> (ok, failing_degree)
     quotient_dims: dict
-    model_dims: dict
     stages: dict  # "bar"/"hoch" -> stage F^n, the inner stage of the check
 
     def to_jsonable(self):
@@ -303,7 +305,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
         results[kind] = (ok, failing)
 
     passed = all(ok for ok, _ in results.values())
-    return GradedPieceReport(passed, results, quotient_dims, mdl_dims, stages)
+    return GradedPieceReport(passed, results, quotient_dims, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +359,11 @@ def q_kernel_complex(ext: ExtensionData, stage: FiltrationStage) -> ChainComplex
 
 
 def _relative_fiber(ext: ExtensionData, D: int, flavor: str, size_limit=None):
-    """(fiber complex, source bicomplex) for HH or HC."""
+    """(fiber complex, source bicomplex, target bicomplex) for HH or HC."""
     make = hh_bicomplex if flavor == "hh" else hc_bicomplex
     bc_A = make(ext.A_ad, D, size_limit)
     bc_B = make(ext.B, D, size_limit)
-    induced = bc_A.induced_map(bc_B, ext.f_ad.matrix)
-    return homotopy_fiber(induced), bc_A
+    return homotopy_fiber(bc_A.induced_map(bc_B, ext.f_ad.matrix)), bc_A, bc_B
 
 
 def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
@@ -370,7 +371,7 @@ def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
     """Betti numbers of the homotopy fiber of the induced map on totals."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    fib, _ = _relative_fiber(ext, D, flavor, size_limit)
+    fib, _, _ = _relative_fiber(ext, D, flavor, size_limit)
     return fib.homology(Interval(0, D - 2))
 
 
@@ -386,25 +387,43 @@ def _into_fiber(cx_I: ChainComplex, cx_A: ChainComplex, fib: ChainComplex,
     return ChainMap(cx_I, fib, comps)
 
 
-def comparison_map(ext: ExtensionData, D: int, flavor: str, size_limit=None) -> ChainMap:
-    """Canonical map from the ideal's total complex to the relative fiber."""
-    fib, bc_A = _relative_fiber(ext, D, flavor, size_limit)
+def _comparison(ext: ExtensionData, D: int, flavor: str, size_limit=None):
+    """comparison_map, with the bicomplexes (bc_I, bc_A, bc_B) it is built from."""
+    fib, bc_A, bc_B = _relative_fiber(ext, D, flavor, size_limit)
     make = hh_bicomplex if flavor == "hh" else hc_bicomplex
     bc_I = make(ext.ideal_algebra(), D, size_limit)
     inc = bc_I.induced_map(bc_A, ext.ideal_inclusion())
-    return _into_fiber(bc_I.total, bc_A.total, fib, inc.components, D)
+    return _into_fiber(bc_I.total, bc_A.total, fib, inc.components, D), (bc_I, bc_A, bc_B)
 
 
-def _column_comparison(ext: ExtensionData, D: int, kind: str, size_limit=None) -> ChainMap:
-    """Comparison at the single-column level: the (I, I) Bar or Hochschild
-    complex mapping into the homotopy fiber of the (A, A) -> (B, B) one.
+def comparison_map(ext: ExtensionData, D: int, flavor: str, size_limit=None) -> ChainMap:
+    """Canonical map from the ideal's total complex to the relative fiber."""
+    return _comparison(ext, D, flavor, size_limit)[0]
 
-    These are the intermediate maps of the excision proof; for a non-H-unital
-    ideal they are where the failure shows up."""
-    make = bar_complex if kind == "bar" else hoch_complex
-    cx_I = make(ext.ideal_algebra(), None, D, size_limit).complex
-    cx_A = make(ext.A_ad, None, D, size_limit).complex
-    cx_B = make(ext.B, None, D, size_limit).complex
+
+def _column_cut(cx: ChainComplex, parts, k: int) -> ChainComplex:
+    """The columns q < k of cx, whose degree n is the direct sum, in order, of
+    the totals of parts = [(bicomplex, s)] in degree n + s: their leading
+    width(n + s, k) coordinates.  The maps of a comparison are blockwise, so
+    the cut is the one built on the columns q < k alone."""
+    keep = {}
+    for n in cx.dims:
+        keep[n], off = [], 0
+        for bc, s in parts:
+            keep[n] += range(off, off + bc.width(n + s, k))
+            off += bc.total.dim(n + s)
+        if off != cx.dim(n):
+            raise DegreeMismatch(f"parts do not add up to degree {n}")
+    return subcomplex(cx.diffs, keep, f"columns q < {k}")
+
+
+def _column_comparison(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
+    """The (I, I) Bar complex into the homotopy fiber of the (A, A) -> (B, B)
+    one: the comparison of the excision proof where a non-H-unital ideal shows
+    up.  It needs b'_D, which the bicomplexes to total degree D leave out."""
+    cx_I = bar_complex(ext.ideal_algebra(), None, D, size_limit).complex
+    cx_A = bar_complex(ext.A_ad, None, D, size_limit).complex
+    cx_B = bar_complex(ext.B, None, D, size_limit).complex
     fib = homotopy_fiber(ChainMap(cx_A, cx_B, tensor_powers(ext.f_ad.matrix, D)))
     return _into_fiber(cx_I, cx_A, fib, tensor_powers(ext.ideal_inclusion(), D), D)
 
@@ -444,28 +463,26 @@ class WodzickiReport:
 def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
     """Quasi-isomorphism ranges of the ideal-to-relative comparison maps.
 
-    Four comparisons are run: the two totalized ones (HH and HC bicomplexes)
-    and the two single-column ones the proof factors through.  The verdict
-    also carries the bounded H-unitality certificate of the ideal, so a
-    report exhibits "H-unital implies excision" on instances; all verdicts
-    are descriptive and a failure is a successful computation.  Relative
-    HH and HC are read off the totalized maps' targets (the fibers) and the
-    certificate off the Bar comparison's source (the ideal's Bar complex).
+    Four comparisons are run: HC, HH and the Hochschild and Bar columns the
+    proof factors through.  Bar is built on its own; HH and Hochschild are
+    the columns q < 2 and q < 1 of HC, whose fiber is B_{n+1} (+) A_n and
+    cone fiber_n (+) I_{n-1}.  The report also carries the ideal's bounded
+    H-unitality certificate, read off the Bar comparison's source, so it
+    exhibits "H-unital implies excision" on instances; a failed verdict is a
+    successful computation.  Relative HH and HC are read off the fibers.
     """
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-
-    def totalized(flavor):
-        eta = comparison_map(ext, D, flavor, size_limit)
-        return is_quasi_iso(eta, rng), eta.target.homology(rng)
-
-    verdict_hh, rel_hh = totalized("hh")
-    verdict_hc, rel_hc = totalized("hc")
-    verdict_hoch = is_quasi_iso(_column_comparison(ext, D, "hoch", size_limit), rng)
-    bar = _column_comparison(ext, D, "bar", size_limit)
-    return WodzickiReport(verdict_hh, verdict_hc, verdict_hoch, is_quasi_iso(bar, rng),
-                          _bar_acyclicity(bar.source, D), rel_hh, rel_hc)
+    eta, (bc_I, bc_A, bc_B) = _comparison(ext, D, "hc", size_limit)
+    cn = cone(eta)
+    fib_parts = [(bc_B, 1), (bc_A, 0)]
+    hh, hoch = (acyclicity(_column_cut(cn, fib_parts + [(bc_I, -1)], k), rng) for k in (2, 1))
+    bar = _column_comparison(ext, D, size_limit)
+    return WodzickiReport(hh, acyclicity(cn, rng), hoch, is_quasi_iso(bar, rng),
+                          _bar_acyclicity(bar.source, D),
+                          _column_cut(eta.target, fib_parts, 2).homology(rng),
+                          eta.target.homology(rng))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from math import comb
 from .algebras import Algebra, Ideal, matrix_algebra, mismatches, nested_products
 from .complexes import ChainComplex, HomologyReport, Interval
 from .cyclic import LambdaComplex, WordBasis, hc_homology, lambda_complex
-from .errors import ChainlabError, NotNilpotent, SizeLimit
+from .errors import ChainlabError, NotNilpotent, SizeLimit, UnitError
 from .sparse import SparseMatrix, Subspace, Vector, exact_vec, product_ranks, vec_axpy, vec_sub
 
 ONE = 1
@@ -477,6 +477,12 @@ def sym_model_betti(generator_counts: dict, D: int) -> list:
     return series
 
 
+def _ce_betti(rep: HomologyReport, g: LieAlgebra, n: int) -> int:
+    """Betti number n of a ce_homology report on g: CE chains vanish above
+    dim g, where the report stops."""
+    return rep.betti[n] if n <= g.dim else 0
+
+
 @dataclass
 class LqtReport:
     ce_betti: dict
@@ -504,13 +510,14 @@ def lqt_verify(A: Algebra, r: int, D: int, size_limit=None) -> LqtReport:
     on the cyclic homology of A shifted up by one.  Outside the stable range
     r >= D a mismatch is reported, not failed."""
     if not A.is_unital:
-        raise ValueError("the stable comparison expects a unital algebra")
-    ce_rep = ce_homology(gl(A, r), D + 1, size_limit)
+        raise UnitError("the stable comparison expects a unital algebra")
+    g = gl(A, r)
+    ce_rep = ce_homology(g, D + 1, size_limit)
     hc_rep = hc_homology(A, D + 2, size_limit)
     gens = {n: hc_rep.betti[n - 1] for n in range(1, D + 1)}
     sym = sym_model_betti(gens, D)
     degrees = Interval(0, D)
-    ce_betti = {n: ce_rep.betti[n] for n in degrees}
+    ce_betti = {n: _ce_betti(ce_rep, g, n) for n in degrees}
     sym_betti = {n: sym[n] for n in degrees}
     matches = {n: ce_betti[n] == sym_betti[n] for n in degrees}
     return LqtReport(ce_betti, sym_betti, matches, all(matches.values()), r >= D, r, degrees)
@@ -538,8 +545,9 @@ def h2_vs_hc1(A: Algebra, r: int, size_limit=None) -> CentralExtensionReport:
     """Compare HC_1(A) with the kernel size of the universal central extension
     of gl_r(A), i.e. the indecomposable part of H_2: products of H_1 classes
     (their exterior square) are discounted from the raw dimension."""
-    rep = ce_homology(gl(A, r), 3, size_limit)
-    h1, h2 = rep.betti[1], rep.betti[2]
+    g = gl(A, r)
+    rep = ce_homology(g, 3, size_limit)
+    h1, h2 = _ce_betti(rep, g, 1), _ce_betti(rep, g, 2)
     prim = h2 - comb(h1, 2)
     hc1 = hc_homology(A, 3, size_limit).betti[1]
     return CentralExtensionReport(h1, h2, prim, hc1, prim == hc1)

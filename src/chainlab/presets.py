@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .algebras import Algebra, AlgebraMorphism, matrix_algebra, product_algebra
-from .errors import ParseError
+from .errors import NotAugmented, ParseError, UnitError
 from .sparse import SparseMatrix
 
 ONE = 1
@@ -62,7 +62,7 @@ def upper_triangular(n: int, base: Algebra | None = None) -> Algebra:
     """Upper-triangular n x n matrices over a unital base."""
     base = base or rationals()
     if not base.is_unital:
-        raise ValueError("upper_triangular needs a unital base")
+        raise UnitError("upper_triangular needs a unital base")
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     pos = {p: k for k, p in enumerate(pairs)}
     d = base.dim
@@ -91,21 +91,33 @@ def upper_triangular(n: int, base: Algebra | None = None) -> Algebra:
     return Algebra(dim, labels, mul, unit=unit, name=f"UT{n}({base.name or 'A'})")
 
 
+def _int_arg(args, default: int, least: int = 1) -> int:
+    """The first preset parameter as an int >= least, default when there is none."""
+    if not args:
+        return default
+    try:
+        value = int(args[0])
+    except ValueError:
+        raise ParseError(f"preset parameter '{args[0]}' is not an integer") from None
+    if value < least:
+        raise ParseError(f"preset parameter {value} must be >= {least}")
+    return value
+
+
 _ALGEBRA_BUILDERS = {
     "rationals": lambda args: rationals(),
     "q": lambda args: rationals(),
     "zero": lambda args: zero_algebra(),
     "dual_numbers": lambda args: dual_numbers(),
-    "truncated_poly": lambda args: truncated_poly(int(args[0]) if args else 3),
-    "square_zero": lambda args: square_zero(int(args[0]) if args else 1),
+    "truncated_poly": lambda args: truncated_poly(_int_arg(args, 3)),
+    "square_zero": lambda args: square_zero(_int_arg(args, 1, least=0)),
     "fat_point": lambda args: fat_point(),
     "product": lambda args: product_qq(),
     "matrix": lambda args: matrix_algebra(
-        algebra_preset(args[1]) if len(args) > 1 else rationals(), int(args[0]) if args else 2
+        algebra_preset(args[1]) if len(args) > 1 else rationals(), _int_arg(args, 2)
     ),
     "upper_triangular": lambda args: upper_triangular(
-        int(args[0]) if args else 2,
-        algebra_preset(args[1]) if len(args) > 1 else None,
+        _int_arg(args, 2), algebra_preset(args[1]) if len(args) > 1 else None,
     ),
     "tensor": lambda args: _tensor_preset(args),
 }
@@ -138,8 +150,10 @@ def algebra_preset(spec: str) -> Algebra:
 
 def _augmentation_extension(B: Algebra):
     """B --aug--> Q for an augmented preset."""
+    if B.augmentation is None:
+        raise NotAugmented(f"{B.name or 'the algebra'} has no augmentation")
     Q = rationals()
-    matrix = SparseMatrix(1, B.dim, {(0, k): v for k, v in (B.augmentation or {}).items()})
+    matrix = SparseMatrix(1, B.dim, {(0, k): v for k, v in B.augmentation.items()})
     return AlgebraMorphism(B, Q, matrix)
 
 
@@ -188,15 +202,13 @@ _EXTENSION_BUILDERS = {
     "split_product": lambda args: _split_product_extension(),
     "square_zero": lambda args: _augmentation_extension(dual_numbers()),
     "dual_numbers": lambda args: _augmentation_extension(dual_numbers()),
-    "truncated_poly": lambda args: _augmentation_extension(
-        truncated_poly(int(args[0]) if args else 3)
-    ),
+    "truncated_poly": lambda args: _augmentation_extension(truncated_poly(_int_arg(args, 3))),
     "fat_point": lambda args: _augmentation_extension(fat_point()),
-    "upper_triangular": lambda args: _upper_triangular_extension(int(args[0]) if args else 2),
-    "matrix_dual": lambda args: _matrix_dual_extension(int(args[0]) if args else 2),
+    "upper_triangular": lambda args: _upper_triangular_extension(_int_arg(args, 2)),
+    "matrix_dual": lambda args: _matrix_dual_extension(_int_arg(args, 2)),
     "identity": lambda args: _identity_extension(args[0] if args else "rationals"),
     "collapse": lambda args: _collapse_extension(args[0] if args else "rationals"),
-    "aug": lambda args: _augmentation_extension(algebra_preset(args[0])),
+    "aug": lambda args: _augmentation_extension(algebra_preset(args[0] if args else "rationals")),
 }
 
 

@@ -1,8 +1,8 @@
 """Deterministic run reports: a config echo plus one result entry per task.
 
 JSON serialisation is canonical (sorted keys, fixed separators) so reports
-are byte-identical across runs and thread counts; wall-clock timings are only
-recorded on request.
+are byte-identical across runs; wall-clock timings are only recorded on
+request.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .algebras import (
     tensor,
 )
 from .complexes import HomologySpace, Interval, is_quasi_iso
-from .errors import NotNilpotent
+from .errors import NotNilpotent, UnitError
 from .excision import ExtensionData, _relative_fiber, comparison_map
 from .sparse import SparseMatrix, Subspace, Vector, exact, exact_vec, vec_axpy
 
@@ -123,7 +123,7 @@ class LogTraceProbe:
             for t in range(ext.ideal_dim):
                 self.ideal_basis.append({pos * A.dim + t: ONE})
         self.commutators = Subspace(A.dim, commutator_subspace(A))
-        fib, bc_A = _relative_fiber(ext, D, "hc", size_limit)
+        fib, bc_A, _ = _relative_fiber(ext, D, "hc", size_limit)
         # fiber_0 = B_1 (+) A_0: a trace in A lands in the A-part
         self.a_offset = fib.dim(0) - bc_A.total.dim(0)
         self.hs = HomologySpace(fib, 0)  # rel HC_0
@@ -303,7 +303,7 @@ class ArtinianBase:
 def base_extension(C: Algebra, base: ArtinianBase) -> ExtensionData:
     """C (x) B --id(x)aug--> C, the nilpotent extension probed by the table."""
     if not C.is_unital:
-        raise ValueError("tangent tables need a unital coefficient algebra")
+        raise UnitError("tangent tables need a unital coefficient algebra")
     B = base.algebra
     A = tensor(C, B)
     ent = {}

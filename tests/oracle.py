@@ -12,7 +12,8 @@ matrices; the integer elimination that combines rows by the undivided pivot
 value and entry; the generalized trace that walks every permutation of
 every wedge; the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
-Connes check read off the bicomplex built to total degree D; and the dense
+Connes check read off the bicomplex built to total degree D; the excision
+verifier that builds each of its four comparisons on its own; and the dense
 conversions and elimination-backed queries that only tests read.
 """
 
@@ -22,10 +23,13 @@ from itertools import combinations, permutations
 from math import gcd
 
 from chainlab.algebras import Algebra
-from chainlab.complexes import (HomologyReport, HomologySpace, Interval, quotient_complex,
-                                selection, subcomplex)
-from chainlab.cyclic import (ConnesReport, WordBasis, _induced_matrix, hc_bicomplex, hh_bicomplex,
-                             words)
+from chainlab.complexes import (ChainMap, HomologyReport, HomologySpace, Interval,
+                                homotopy_fiber, is_quasi_iso, quotient_complex, selection,
+                                subcomplex)
+from chainlab.cyclic import (ConnesReport, WordBasis, bar_complex, hc_bicomplex, hh_bicomplex,
+                             hoch_complex, tensor_powers, words)
+from chainlab.excision import (ExtensionData, WodzickiReport, _bar_acyclicity, _into_fiber,
+                               comparison_map)
 from chainlab.errors import AssociativityError
 from chainlab.sparse import SparseMatrix, Subspace as SparseSubspace, Vector, exact, vec_axpy
 
@@ -448,6 +452,12 @@ def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyRepo
     return bc.total.homology(Interval(0, D - 2), reps=reps)
 
 
+def _induced_matrix(src_reps, raw_map, target_hs: HomologySpace) -> SparseMatrix:
+    images = [raw_map(v) for v in src_reps]
+    classes = target_hs.classify_many(images) if images else []
+    return SparseMatrix.from_columns(target_hs.dim, classes)
+
+
 def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     """Exactness of HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} by rank bookkeeping.
 
@@ -533,6 +543,54 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
         if not ok and failing is None:
             failing = n
     return ConnesReport(failing is None, Interval(0, n_max), degrees, failing)
+
+
+# ---------------------------------------------------------------------------
+# the excision verifier with every comparison built on its own: the HH and
+# HC bicomplex comparisons and the Hochschild and Bar column comparisons,
+# whose reports chainlab.excision must reproduce from the HC one and its cuts
+# ---------------------------------------------------------------------------
+
+
+def _column_comparison(ext: ExtensionData, D: int, kind: str, size_limit=None) -> ChainMap:
+    """Comparison at the single-column level: the (I, I) Bar or Hochschild
+    complex mapping into the homotopy fiber of the (A, A) -> (B, B) one.
+
+    These are the intermediate maps of the excision proof; for a non-H-unital
+    ideal they are where the failure shows up."""
+    make = bar_complex if kind == "bar" else hoch_complex
+    cx_I = make(ext.ideal_algebra(), None, D, size_limit).complex
+    cx_A = make(ext.A_ad, None, D, size_limit).complex
+    cx_B = make(ext.B, None, D, size_limit).complex
+    fib = homotopy_fiber(ChainMap(cx_A, cx_B, tensor_powers(ext.f_ad.matrix, D)))
+    return _into_fiber(cx_I, cx_A, fib, tensor_powers(ext.ideal_inclusion(), D), D)
+
+
+def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
+    """Quasi-isomorphism ranges of the ideal-to-relative comparison maps.
+
+    Four comparisons are run: the two totalized ones (HH and HC bicomplexes)
+    and the two single-column ones the proof factors through.  The verdict
+    also carries the bounded H-unitality certificate of the ideal, so a
+    report exhibits "H-unital implies excision" on instances; all verdicts
+    are descriptive and a failure is a successful computation.  Relative
+    HH and HC are read off the totalized maps' targets (the fibers) and the
+    certificate off the Bar comparison's source (the ideal's Bar complex).
+    """
+    if D < 2:
+        raise ValueError("D must be >= 2")
+    rng = Interval(0, D - 2)
+
+    def totalized(flavor):
+        eta = comparison_map(ext, D, flavor, size_limit)
+        return is_quasi_iso(eta, rng), eta.target.homology(rng)
+
+    verdict_hh, rel_hh = totalized("hh")
+    verdict_hc, rel_hc = totalized("hc")
+    verdict_hoch = is_quasi_iso(_column_comparison(ext, D, "hoch", size_limit), rng)
+    bar = _column_comparison(ext, D, "bar", size_limit)
+    return WodzickiReport(verdict_hh, verdict_hc, verdict_hoch, is_quasi_iso(bar, rng),
+                          _bar_acyclicity(bar.source, D), rel_hh, rel_hc)
 
 
 # ---------------------------------------------------------------------------

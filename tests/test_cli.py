@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainlab.cli import main
+from chainlab.presets import _ALGEBRA_BUILDERS, _EXTENSION_BUILDERS
 
 
 def run_cli(capsys, *argv):
@@ -143,3 +147,102 @@ def test_size_guard_reads_the_row_of_degree_d(cmd, capsys):
     assert err == "error: bicomplex row has dimension 4096 > size limit 4095\n"
     code, _, _ = run_cli(capsys, cmd, "--preset", "matrix:2", "-D", "5", "--size-limit", "4096")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["lqt", "--preset", "rationals", "-r", "1", "-D", "2"],
+     {"all_match": True, "ce_betti": {"0": 1, "1": 1, "2": 0}, "degrees": [0, 2],
+      "matches": {"0": True, "1": True, "2": True}, "rank": 1,
+      "sym_model_betti": {"0": 1, "1": 1, "2": 0}, "verdict": True,
+      "within_stable_range": False}),
+    (["lqt", "--preset", "dual_numbers", "-r", "1", "-D", "3"],
+     {"all_match": False, "ce_betti": {"0": 1, "1": 2, "2": 1, "3": 0}, "degrees": [0, 3],
+      "matches": {"0": True, "1": True, "2": True, "3": False}, "rank": 1,
+      "sym_model_betti": {"0": 1, "1": 2, "2": 1, "3": 2}, "verdict": False,
+      "within_stable_range": False}),
+    (["h2hc1", "--preset", "rationals", "-r", "1"],
+     {"dim_h1": 1, "dim_h2": 0, "dim_h2_indecomposable": 0, "dim_hc1": 0, "equal": True,
+      "verdict": True}),
+    (["h2hc1", "--preset", "zero", "-r", "1"],
+     {"dim_h1": 0, "dim_h2": 0, "dim_h2_indecomposable": 0, "dim_hc1": 0, "equal": True,
+      "verdict": True}),
+])
+def test_ce_betti_vanish_above_the_dimension(argv, expected, capsys):
+    # gl_1(Q), gl_1(Q[e]) and gl_1(0) have dimension 1, 2 and 0: the CE report
+    # stops at dim g, and the degrees above it read as 0
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    result = json.loads(out)["results"][0]
+    for key in ("task", "inputs", "timings_ms"):
+        del result[key]
+    assert result == expected
+
+
+def test_ce_report_stops_at_the_dimension(capsys):
+    code, out, _ = run_cli(capsys, "ce", "--preset", "rationals", "--gl", "1", "-D", "4",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["betti"] == {"0": 1, "1": 1}
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["ce", "--gl", "0"], "error: gl rank must be >= 1\n"),
+    (["filtration", "--ext", "dual_numbers", "--level", "-1"],
+     "error: filtration level must be >= 0\n"),
+    (["hh", "--preset", "truncated_poly:x"],
+     "parse error: preset parameter 'x' is not an integer\n"),
+    (["hh", "--preset", "truncated_poly:0"], "parse error: preset parameter 0 must be >= 1\n"),
+    (["hh", "--preset", "matrix:0"], "parse error: preset parameter 0 must be >= 1\n"),
+    (["hh", "--preset", "square_zero:-1"], "parse error: preset parameter -1 must be >= 0\n"),
+    (["hh", "--preset", "upper_triangular:0"], "parse error: preset parameter 0 must be >= 1\n"),
+    (["wodzicki", "--ext", "matrix_dual:0"], "parse error: preset parameter 0 must be >= 1\n"),
+    (["wodzicki", "--ext", "aug:square_zero"], "error: V1(0-mult) has no augmentation\n"),
+    (["tangent", "--preset", "square_zero"],
+     "error: tangent tables need a unital coefficient algebra\n"),
+    (["lqt", "--preset", "square_zero"],
+     "error: the stable comparison expects a unital algebra\n"),
+])
+def test_bad_inputs_exit_2(argv, err, capsys):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+ALGEBRA_NAMES = sorted(_ALGEBRA_BUILDERS) + ["nope"]
+EXTENSION_NAMES = sorted(_EXTENSION_BUILDERS) + ["nope"]
+PARAMS = st.sampled_from(["", "", "-1", "0", "1", "2", "3", "x"])
+
+
+@st.composite
+def preset_spec(draw, names):
+    """name, name:param or name:param,algebra with small or malformed params."""
+    name = draw(st.sampled_from(names))
+    args = [draw(PARAMS)]
+    if draw(st.booleans()):
+        args.append(draw(st.sampled_from(ALGEBRA_NAMES)))
+    return f"{name}:{','.join(args)}" if any(args) else name
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(["hh", "hc", "connes", "hunital", "filtration", "wodzicki", "ce",
+                                "trace", "lqt", "h2hc1", "chern1", "tangent", "lambda"]))
+    small = st.integers(-1, 3)
+    argv = [cmd, "--size-limit", "3000", "-D", str(draw(st.integers(0, 5))),
+            "-r", str(draw(st.integers(0, 3))), "--samples", str(draw(st.integers(1, 3)))]
+    if cmd in ("filtration", "wodzicki", "chern1"):
+        argv += ["--ext", draw(preset_spec(EXTENSION_NAMES))]
+    else:
+        argv += ["--preset", draw(preset_spec(ALGEBRA_NAMES))]
+    if cmd == "filtration":
+        argv += ["--level", str(draw(small)), "--kind", draw(st.sampled_from(["F", "Q"]))]
+    if cmd == "ce" and draw(st.booleans()):
+        argv += ["--gl", str(draw(small))]
+    if cmd == "tangent":
+        argv += ["--bases", draw(preset_spec(ALGEBRA_NAMES))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_every_input_ends_in_a_report_or_exit_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2), argv

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from chainlab import excision
 from chainlab.algebras import Bimodule
-from chainlab.complexes import ChainMap, Interval, is_quasi_iso
-from chainlab.cyclic import b_prime_matrix, bar_complex, hoch_complex
-from chainlab.errors import SizeLimit
+from chainlab.complexes import ChainMap, Interval, cone, is_quasi_iso, subcomplex
+from chainlab.cyclic import b_prime_matrix, bar_complex, hc_bicomplex, hoch_complex
+from chainlab.errors import DegreeMismatch, SizeLimit
 from chainlab.excision import (
     ExtensionData,
+    comparison_map,
     filtration_F,
     filtration_Q,
     graded_piece_check,
@@ -22,6 +24,7 @@ from chainlab.excision import (
     wodzicki_verify,
 )
 from chainlab.presets import (
+    _EXTENSION_BUILDERS,
     dual_numbers,
     extension_preset,
     rationals,
@@ -327,3 +330,68 @@ def test_wodzicki_reads_the_reference_relative_homology(name):
         ref = relative_homology(ext, D, flavor)
         assert (got.betti, got.certified) == (ref.betti, ref.certified), flavor
     assert rep.ideal_h_unitality == h_unitality_check(ext.ideal_algebra(), D)
+
+
+# every extension preset with its default parameters, and a few others
+EXTENSION_SPECS = sorted(_EXTENSION_BUILDERS) + [
+    "aug:product", "truncated_poly:4", "upper_triangular:3", "identity:dual_numbers",
+    "collapse:dual_numbers"]
+
+
+def _wodzicki_payload(verify, ext, D):
+    """The report's JSON payload, or the message of the size limit it hit."""
+    try:
+        rep = verify(ext, D, 5000)
+    except SizeLimit as exc:
+        return str(exc)
+    return {**rep.to_jsonable(), "relative_hh": rep.relative_hh.to_jsonable(),
+            "relative_hc": rep.relative_hc.to_jsonable()}
+
+
+@pytest.mark.parametrize("spec", EXTENSION_SPECS)
+def test_wodzicki_matches_the_verifier_that_builds_every_comparison(spec):
+    # the HH and Hochschild-column verdicts are read off cuts of the HC
+    # comparison; the oracle builds all four comparisons on their own
+    ext = ext_of(spec)
+    payloads = [(_wodzicki_payload(wodzicki_verify, ext, D),
+                 _wodzicki_payload(oracle.wodzicki_verify, ext, D)) for D in range(2, 6)]
+    assert isinstance(payloads[0][0], dict)  # D = 2 fits every spec
+    for D, (got, ref) in enumerate(payloads, start=2):
+        assert got == ref, D
+
+
+@pytest.mark.parametrize("name", ["split_product", "square_zero", "upper_triangular:2",
+                                  "identity:dual_numbers", "collapse:dual_numbers",
+                                  "truncated_poly:3"])
+def test_column_cuts_are_the_direct_comparisons(name):
+    # columns q < 2 of the HC comparison's fiber and cone are the HH ones,
+    # columns q < 1 the Hochschild-column ones: same dims, same matrices
+    ext = ext_of(name)
+    D = 4
+    eta, (bc_I, bc_A, bc_B) = excision._comparison(ext, D, "hc")
+    cn = cone(eta)
+    fib_parts = [(bc_B, 1), (bc_A, 0)]
+    for k, ref in ((2, comparison_map(ext, D, "hh")),
+                   (1, oracle._column_comparison(ext, D, "hoch"))):
+        fib_k = excision._column_cut(eta.target, fib_parts, k)
+        cone_k = excision._column_cut(cn, fib_parts + [(bc_I, -1)], k)
+        ref_cone = cone(ref)
+        assert (fib_k.dims, fib_k.diffs) == (ref.target.dims, ref.target.diffs), k
+        assert (cone_k.dims, cone_k.diffs) == (ref_cone.dims, ref_cone.diffs), k
+        assert cone_k.certified == ref_cone.certified, k
+
+
+def test_a_cut_that_is_not_closed_is_refused():
+    # the column q = 1 without q = 0: 1 - t carries it into q = 0 from degree 2 on
+    bc = hc_bicomplex(truncated_poly(3), 3)
+    keep = {n: range(bc.width(n, 1), bc.width(n, 2)) for n in bc.total.dims}
+    with pytest.raises(ValueError, match="column q = 1: differential leaks out of the "
+                                         "subcomplex at degree 2"):
+        subcomplex(bc.total.diffs, keep, "column q = 1")
+
+
+def test_a_cut_whose_parts_miss_a_summand_is_refused():
+    # the cone's degree n is fiber_n (+) I_{n-1}: the fiber's parts fall short from n = 1
+    eta, (_, bc_A, bc_B) = excision._comparison(ext_of("truncated_poly:3"), 3, "hc")
+    with pytest.raises(DegreeMismatch, match="parts do not add up to degree 1"):
+        excision._column_cut(cone(eta), [(bc_B, 1), (bc_A, 0)], 2)
