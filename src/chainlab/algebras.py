@@ -226,14 +226,11 @@ class Bimodule:
 
 
 class AlgebraMorphism:
-    def __init__(self, source: Algebra, target: Algebra, matrix: SparseMatrix,
-                 unital_morphism=False, check=True):
+    def __init__(self, source: Algebra, target: Algebra, matrix: SparseMatrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.unital_morphism = unital_morphism
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if (self.matrix.nrows, self.matrix.ncols) != (self.target.dim, self.source.dim):
@@ -244,11 +241,6 @@ class AlgebraMorphism:
                 rhs = self.target.mul_vec(self.apply_basis(i), self.apply_basis(j))
                 if lhs != rhs:
                     raise ValueError(f"not multiplicative on basis pair ({i + 1},{j + 1})")
-        if self.unital_morphism:
-            if not (self.source.is_unital and self.target.is_unital):
-                raise UnitError("unital_morphism set but an algebra has no unit")
-            if self.apply(self.source.unit) != self.target.unit:
-                raise UnitError("unit is not preserved")
 
     def apply_basis(self, i) -> Vector:
         return self.matrix.column(i)
@@ -266,15 +258,14 @@ class AlgebraMorphism:
 class Ideal:
     """Two-sided ideal given by a spanning set, stored in reduced basis form."""
 
-    def __init__(self, ambient: Algebra, vectors, check=True, name=None):
+    def __init__(self, ambient: Algebra, vectors, name=None):
         self.ambient = ambient
         span = Subspace(ambient.dim, vectors)
         self.basis = span.basis()
         self._span = span
         self.name = name
         self._algebra = None
-        if check:
-            self._validate()
+        self._validate()
 
     @property
     def dim(self):

@@ -25,7 +25,7 @@ from .excision import (
 )
 from .lie import ce_homology, gl, h2_vs_hc1, lie_from_assoc, lqt_verify, trace_chain_check
 from .presets import algebra_preset, extension_preset
-from .reports import Report, betti_payload, render_table
+from .reports import Report, render_table
 from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_table
 
 
@@ -104,6 +104,8 @@ def _validate(args):
         raise ChainlabError("gl rank must be >= 1")
     if getattr(args, "level", 0) < 0:
         raise ChainlabError("filtration level must be >= 0")
+    if args.samples < 0:
+        raise ChainlabError("samples must be >= 0")
 
 
 def run(args) -> Report:
@@ -117,12 +119,12 @@ def run(args) -> Report:
         A = _load_algebra(args)
         fn = hh_homology if cmd == "hh" else hc_homology
         rep = fn(A, D, args.size_limit, reps=args.reps)
-        report.add(cmd, {"algebra": A.name, "D": D}, **betti_payload(rep))
+        report.add(cmd, {"algebra": A.name, "D": D}, **rep.to_jsonable())
     elif cmd == "lambda":
         A = _load_algebra(args)
         lam = lambda_complex(A, D, args.size_limit)
         rep = lam.homology(reps=args.reps)
-        payload = betti_payload(rep)
+        payload = rep.to_jsonable()
         payload["dims"] = {str(p): lam.complex.dim(p) for p in range(0, D + 1)}
         report.add(cmd, {"algebra": A.name, "D": D}, **payload)
     elif cmd == "connes":
@@ -159,14 +161,14 @@ def run(args) -> Report:
         res = wodzicki_verify(ext, D, args.size_limit)
         payload = {"verdict": res.passed}
         payload.update(res.to_jsonable())
-        payload["relative_hh"] = betti_payload(res.relative_hh)
-        payload["relative_hc"] = betti_payload(res.relative_hc)
+        payload["relative_hh"] = res.relative_hh.to_jsonable()
+        payload["relative_hc"] = res.relative_hc.to_jsonable()
         report.add(cmd, {"ext": args.ext, "D": D}, **payload)
     elif cmd == "ce":
         A = _load_algebra(args)
         g = lie_from_assoc(A) if args.gl is None else gl(A, args.gl)
         rep = ce_homology(g, D, args.size_limit, reps=args.reps)
-        report.add(cmd, {"lie": g.name, "D": D}, **betti_payload(rep))
+        report.add(cmd, {"lie": g.name, "D": D}, **rep.to_jsonable())
     elif cmd == "trace":
         A = _load_algebra(args)
         res, _, _, _ = trace_chain_check(A, args.rank, D, args.size_limit)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, RangeNotCertified
-from .sparse import SparseMatrix, Subspace, Vector
+from .sparse import SparseMatrix, Subspace, Vector, exact_vec
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,11 @@ def shift(C: ChainComplex, k: int) -> ChainComplex:
 class ChainMap:
     """Degreewise map commuting with the differentials."""
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, components: dict, check=True):
+    def __init__(self, source: ChainComplex, target: ChainComplex, components: dict):
         self.source = source
         self.target = target
         self.components = dict(components)
-        if check:
-            self.validate()
+        self.validate()
 
     def component(self, n) -> SparseMatrix:
         f = self.components.get(n)
@@ -302,7 +301,16 @@ def is_quasi_iso(f: ChainMap, rng: Interval) -> QuasiIsoVerdict:
 
 
 class HomologySpace:
-    """Cycles modulo boundaries in one degree, with explicit representatives."""
+    """Cycles modulo boundaries in one degree, with explicit representatives.
+
+    Each kernel_basis vector is led by its free column, 1 there and 0 at every
+    other free column, so a cycle's coordinates over the kernel basis are its
+    free-column entries, and a boundary's are d_{n+1}'s rows at those columns.
+    The boundaries span a Subspace whose slots hold the kernel vectors in
+    reverse order, so its pivots are the kernel vectors that depend on the
+    boundaries and the kernel vectors before them; the rest, in kernel order,
+    are the representatives.  classify reduces free-column entries against it.
+    """
 
     def __init__(self, C: ChainComplex, n: int):
         if n not in C.certified:
@@ -310,21 +318,24 @@ class HomologySpace:
         self.complex = C
         self.degree = n
         kernel = C.differential(n).kernel_basis() if C.dim(n) else []
-        span = Subspace(C.dim(n))
-        boundary_basis = []
+        last = len(kernel) - 1
+        self._slot = {next(iter(v)): last - i for i, v in enumerate(kernel)}  # free column -> slot
+        self._boundaries = Subspace(len(kernel))
         d_in = C.diffs.get(n + 1)
         if d_in is not None:
-            for col in d_in.columns():
-                if span.add(col):
-                    boundary_basis.append(col)
+            cols = {}
+            for (r, c), v in d_in.entries.items():
+                if r in self._slot:
+                    cols.setdefault(c, {})[self._slot[r]] = v
+            for col in cols.values():
+                self._boundaries.add(col)
+        bounded = set(self._boundaries.pivot_cols())
         self.representatives = []
-        for v in kernel:
-            if span.add(v):
+        self._rep = {}  # slot -> index among the representatives
+        for i, v in enumerate(kernel):
+            if last - i not in bounded:
+                self._rep[last - i] = len(self.representatives)
                 self.representatives.append(v)
-        self._classifier = SparseMatrix.from_columns(
-            C.dim(n), boundary_basis + self.representatives
-        )
-        self._n_bound = len(boundary_basis)
 
     @property
     def dim(self):
@@ -334,16 +345,8 @@ class HomologySpace:
         """Coordinates of the class [v] over the representative basis."""
         if self.complex.differential(self.degree).apply(v):
             raise ValueError("vector is not a cycle")
-        sol = self._classifier.solve(v)
-        if sol is None:
-            raise ValueError("cycle not in span of boundaries and representatives")
-        return {j - self._n_bound: c for j, c in sol.items() if j >= self._n_bound}
+        r = self._boundaries.reduce({self._slot[k]: c for k, c in v.items() if k in self._slot})
+        return exact_vec({self._rep[s]: c for s, c in r.items()})
 
     def classify_many(self, vectors):
-        sols = self._classifier.solve_many(list(vectors))
-        out = []
-        for sol in sols:
-            if sol is None:
-                raise ValueError("cycle not in span of boundaries and representatives")
-            out.append({j - self._n_bound: c for j, c in sol.items() if j >= self._n_bound})
-        return out
+        return [self.classify(v) for v in vectors]

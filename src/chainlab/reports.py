@@ -31,20 +31,6 @@ class Report:
         return json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\n"
 
 
-def betti_payload(report) -> dict:
-    """Common fields for a HomologyReport."""
-    out = {
-        "betti": {str(k): v for k, v in sorted(report.betti.items())},
-        "certified_range": report.certified.to_jsonable(),
-    }
-    if report.representatives is not None:
-        out["representatives"] = {
-            str(n): [sorted((k, str(c)) for k, c in vec.items()) for vec in vecs]
-            for n, vecs in sorted(report.representatives.items())
-        }
-    return out
-
-
 def render_table(report: Report) -> str:
     """Human-readable rendering of a report."""
     lines = [f"chainlab {report.version}"]

@@ -276,7 +276,9 @@ class SparseMatrix:
         return total
 
     def kernel_basis(self) -> list:
-        """Basis of {v : Mv = 0}, exact rational vectors."""
+        """Basis of {v : Mv = 0}, exact rational vectors ordered by smallest key:
+        one per free (non-pivot) column, whose first key is that column, 1 there
+        and 0 at every other free column."""
         rows = _integer_rows(self)
         touched = set()
         for r in rows:
@@ -292,10 +294,6 @@ class SparseMatrix:
                 basis.append(_back_substitute(pivots, f))
         basis.sort(key=lambda v: min(v))
         return basis
-
-    def solve(self, b: Vector):
-        """One solution of Mx = b, or None."""
-        return self.solve_many([b])[0]
 
     def solve_many(self, bs):
         """Solve Mx = b for each b; aligned list of solutions (None if inconsistent)."""

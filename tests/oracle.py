@@ -13,8 +13,10 @@ value and entry; the generalized trace that walks every permutation of
 every wedge; the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
 Connes check read off the bicomplex built to total degree D; the excision
-verifier that builds each of its four comparisons on its own; and the dense
-conversions and elimination-backed queries that only tests read.
+verifier that builds each of its four comparisons on its own; the homology
+space that spans the boundaries in the full dimension of the degree and solves
+a classifier matrix for every class; and the dense conversions and
+elimination-backed queries that only tests read.
 """
 
 import heapq
@@ -23,14 +25,14 @@ from itertools import combinations, permutations
 from math import gcd
 
 from chainlab.algebras import Algebra
-from chainlab.complexes import (ChainMap, HomologyReport, HomologySpace, Interval,
+from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval,
                                 homotopy_fiber, is_quasi_iso, quotient_complex, selection,
                                 subcomplex)
 from chainlab.cyclic import (ConnesReport, WordBasis, bar_complex, hc_bicomplex, hh_bicomplex,
                              hoch_complex, tensor_powers, words)
 from chainlab.excision import (ExtensionData, WodzickiReport, _bar_acyclicity, _into_fiber,
                                comparison_map)
-from chainlab.errors import AssociativityError
+from chainlab.errors import AssociativityError, RangeNotCertified
 from chainlab.sparse import SparseMatrix, Subspace as SparseSubspace, Vector, exact, vec_axpy
 
 
@@ -438,18 +440,78 @@ def bimodule_axioms(M):
 # ---------------------------------------------------------------------------
 
 
+class HomologySpace:
+    """Cycles modulo boundaries in one degree, with explicit representatives.
+
+    The span of the boundaries and every kernel vector in the full dimension of
+    the degree, and a classifier matrix solved on every call.
+    """
+
+    def __init__(self, C: ChainComplex, n: int):
+        if n not in C.certified:
+            raise RangeNotCertified(f"degree {n} outside certified {C.certified}")
+        self.complex = C
+        self.degree = n
+        kernel = C.differential(n).kernel_basis() if C.dim(n) else []
+        span = SparseSubspace(C.dim(n))
+        boundary_basis = []
+        d_in = C.diffs.get(n + 1)
+        if d_in is not None:
+            for col in d_in.columns():
+                if span.add(col):
+                    boundary_basis.append(col)
+        self.representatives = []
+        for v in kernel:
+            if span.add(v):
+                self.representatives.append(v)
+        self._classifier = SparseMatrix.from_columns(
+            C.dim(n), boundary_basis + self.representatives
+        )
+        self._n_bound = len(boundary_basis)
+
+    @property
+    def dim(self):
+        return len(self.representatives)
+
+    def classify(self, v: Vector) -> Vector:
+        """Coordinates of the class [v] over the representative basis."""
+        if self.complex.differential(self.degree).apply(v):
+            raise ValueError("vector is not a cycle")
+        sol = self._classifier.solve_many([v])[0]
+        if sol is None:
+            raise ValueError("cycle not in span of boundaries and representatives")
+        return {j - self._n_bound: c for j, c in sol.items() if j >= self._n_bound}
+
+    def classify_many(self, vectors):
+        sols = self._classifier.solve_many(list(vectors))
+        out = []
+        for sol in sols:
+            if sol is None:
+                raise ValueError("cycle not in span of boundaries and representatives")
+            out.append({j - self._n_bound: c for j, c in sol.items() if j >= self._n_bound})
+        return out
+
+
+def homology(C: ChainComplex, rng: Interval, reps: bool) -> HomologyReport:
+    """C.homology(rng), with the representatives of this module's HomologySpace."""
+    report = C.homology(rng)
+    if reps:
+        report.representatives = {n: HomologySpace(C, n).representatives for n in rng}
+    return report
+
+
 def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     if D < 2:
         raise ValueError("D must be >= 2")
     bc = hh_bicomplex(A, D, size_limit)
-    return bc.total.homology(Interval(0, D - 2), reps=reps)
+    return homology(bc.total, Interval(0, D - 2), reps)
 
 
 def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     if D < 2:
         raise ValueError("D must be >= 2")
     bc = hc_bicomplex(A, D, size_limit)
-    return bc.total.homology(Interval(0, D - 2), reps=reps)
+    return homology(bc.total, Interval(0, D - 2), reps)
 
 
 def _induced_matrix(src_reps, raw_map, target_hs: HomologySpace) -> SparseMatrix:

@@ -201,6 +201,8 @@ def test_ce_report_stops_at_the_dimension(capsys):
      "error: tangent tables need a unital coefficient algebra\n"),
     (["lqt", "--preset", "square_zero"],
      "error: the stable comparison expects a unital algebra\n"),
+    (["chern1", "--ext", "matrix_dual:2", "-r", "1", "--samples", "-5"],
+     "error: samples must be >= 0\n"),
 ])
 def test_bad_inputs_exit_2(argv, err, capsys):
     assert run_cli(capsys, *argv) == (2, "", err)

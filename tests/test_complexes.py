@@ -245,3 +245,60 @@ def test_quotient_complex_matches_the_product_oracle(case):
             quotient_complex(diffs, walks, "Q")
         return
     assert quotient_complex(diffs, walks, "Q").diffs == expected
+
+
+# ---------------------------------------------------------------------------
+# HomologySpace against the parent's span-and-solve one
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def homology_cases(draw):
+    """0 -> Q^c -> Q^b -> Q^a -> 0 with d_2 = K Y for K the kernel basis of a
+    random d_1, so d_1 d_2 = 0 and im d_2 reaches part of ker d_1; a degree
+    to classify in, and cycles of that degree as coefficient draws."""
+    a, b, c = (draw(st.integers(1, 4)) for _ in range(3))
+    cell = st.tuples(st.integers(0, a - 1), st.integers(0, b - 1))
+    d1 = SparseMatrix(a, b, draw(st.dictionaries(cell, QUOTIENT_VALUES, max_size=a * b)))
+    kernel = d1.kernel_basis()
+    cols = []
+    for _ in range(c):
+        col = {}
+        for v in kernel:
+            if draw(st.booleans()):
+                vec_axpy(col, draw(QUOTIENT_VALUES), v)
+        cols.append(col)
+    C = ChainComplex({0: a, 1: b, 2: c}, {1: d1, 2: SparseMatrix.from_columns(b, cols)},
+                     Interval(0, 1))
+    n = draw(st.integers(0, 1))
+    cycles = draw(st.lists(st.tuples(st.lists(QUOTIENT_VALUES, min_size=b, max_size=b),
+                                     st.lists(QUOTIENT_VALUES, min_size=c, max_size=c)),
+                           min_size=1, max_size=3))
+    return C, n, cycles
+
+
+@QUOTIENT_SETTINGS
+@given(homology_cases())
+def test_homology_space_matches_the_span_and_solve_oracle(case):
+    C, n, draws = case
+    new, old = HomologySpace(C, n), oracle.HomologySpace(C, n)
+    assert new.representatives == old.representatives
+    d_out, d_in = C.differential(n), C.differential(n + 1)
+    kernel = d_out.kernel_basis()
+    cycles = []
+    for coeffs, pre in draws:  # a kernel combination plus a boundary
+        z = d_in.apply(dict(enumerate(pre)))
+        for coef, v in zip(coeffs, kernel):
+            vec_axpy(z, coef, v)
+        cycles.append(z)
+        assert new.classify(z) == old.classify(z)
+    assert new.classify_many(cycles) == old.classify_many(cycles)
+    moved = [j for j in range(C.dim(n)) if d_out.apply({j: 1})]
+    if moved:  # a cycle plus a coordinate d_n does not kill
+        bad = dict(cycles[0])
+        vec_axpy(bad, 1, {moved[0]: 1})
+        for hs in (new, old):
+            with pytest.raises(ValueError):
+                hs.classify(bad)
+            with pytest.raises(ValueError):
+                hs.classify_many(cycles + [bad])

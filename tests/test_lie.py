@@ -32,7 +32,6 @@ from chainlab.lie import (
     triangular_lie,
 )
 from chainlab.presets import algebra_preset, dual_numbers, product_qq, rationals, upper_triangular
-from chainlab.reports import betti_payload
 
 ONE = Fraction(1)
 
@@ -277,8 +276,8 @@ def test_reps_reports_are_those_of_the_full_complex(spec, r, D, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FULL_REPORT_SHA256[(spec, r, D)]
     g = gl(algebra_preset(spec), int(r))
-    full = betti_payload(full_homology(g, int(D), reps=True))
-    assert json.dumps(betti_payload(ce_homology(g, int(D), reps=True))) == json.dumps(full)
+    full = full_homology(g, int(D), reps=True).to_jsonable()
+    assert json.dumps(ce_homology(g, int(D), reps=True).to_jsonable()) == json.dumps(full)
 
 
 def test_wrong_weight_is_rejected():

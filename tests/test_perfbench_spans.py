@@ -161,3 +161,15 @@ def test_connes_reads_the_quotient_off_the_shifted_total(capsys):
     rec = _traced(["connes", "--preset", "matrix:2", "-D", "5"])
     capsys.readouterr()
     assert rec.calls["cyclic.b_prime_matrix"] == 4
+    # each HomologySpace reads classes off its kernel basis: one kernel_basis
+    # in each of degrees 0..3 of the sub and of the total; the quotient's
+    # degrees 0 and 1 are zero spaces and its higher ones are the total's
+    assert rec.calls["sparse.solve_many"] == 0
+    assert rec.calls["sparse.kernel_basis"] == 8
+
+
+def test_chern1_solves_only_for_the_extension_data(capsys):
+    # the two solves of ExtensionData._adapt; the log-trace classes take none
+    rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1"])
+    capsys.readouterr()
+    assert rec.calls["sparse.solve_many"] == 2

@@ -72,11 +72,11 @@ def test_solve_consistent_and_inconsistent():
         M = random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
         x = {j: Fraction(rng.randint(-3, 3)) for j in range(M.ncols) if rng.random() < 0.5}
         b = M.apply(x)
-        sol = M.solve(b)
+        sol = M.solve_many([b])[0]
         assert sol is not None
         assert M.apply(sol) == b
     M = from_dense([[1, 0], [1, 0]])
-    assert M.solve({0: Fraction(1), 1: Fraction(2)}) is None
+    assert M.solve_many([{0: Fraction(1), 1: Fraction(2)}]) == [None]
 
 
 def test_solve_many_mixed():
@@ -213,7 +213,7 @@ def test_kernel_and_solution_vectors_canonical():
     M = from_dense([[2, 3, 0], [0, 0, 0]])
     for v in M.kernel_basis():
         assert all(is_canonical(c) for c in v.values())
-    sol = from_dense([[2, 0], [0, 4]]).solve({0: 4, 1: 2})
+    sol = from_dense([[2, 0], [0, 4]]).solve_many([{0: 4, 1: 2}])[0]
     assert sol == {0: 2, 1: Fraction(1, 2)} and all(is_canonical(c) for c in sol.values())
 
 
@@ -279,6 +279,16 @@ def test_product_matches_dense_oracle(pair):
 def test_product_with_kernel_cancels_exactly(A):
     K = SparseMatrix.from_columns(A.ncols, A.kernel_basis())
     assert (A @ K).is_zero()
+
+
+@PRODUCT_SETTINGS
+@given(matrices())
+def test_kernel_vectors_lead_with_their_free_column(A):
+    ker = A.kernel_basis()
+    free = [next(iter(v)) for v in ker]
+    assert len(set(free)) == len(ker) == A.ncols - dense_rank(A)
+    for f, v in zip(free, ker):
+        assert v[f] == 1 and set(v) & set(free) == {f}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chainlab.algebras import matrix_algebra
+from chainlab.complexes import HomologySpace
 from chainlab.cyclic import hc_homology
 from chainlab.errors import NotNilpotent
 from chainlab.excision import ExtensionData, relative_homology
@@ -15,7 +16,6 @@ from chainlab.presets import (
     square_zero,
     truncated_poly,
 )
-from chainlab.sparse import SparseMatrix
 from chainlab.tangent import (
     ArtinianBase,
     LogTraceProbe,
@@ -188,18 +188,17 @@ def test_tangent_table_matches_the_separate_computations():
             assert row.ideal_hc == hc_homology(ext.ideal_algebra(), D).betti, (C.name, base.name)
 
 
-def test_log_trace_vectors_reach_the_solver_canonical(monkeypatch):
-    rhs = []
-    solve_many = SparseMatrix.solve_many
+def test_log_trace_vectors_reach_the_classifier_canonical(monkeypatch):
+    seen = []
+    classify = HomologySpace.classify
 
-    def recording(self, bs):
-        bs = list(bs)
-        rhs.extend(bs)
-        return solve_many(self, bs)
+    def recording(self, v):
+        seen.append(v)
+        return classify(self, v)
 
     probe = LogTraceProbe(ext_of("truncated_poly:3"), 1)
-    monkeypatch.setattr(SparseMatrix, "solve_many", recording)
+    monkeypatch.setattr(HomologySpace, "classify", recording)
     assert chern1(probe, seed=0, samples=20).passed
-    assert rhs
-    assert not [c for v in rhs for c in v.values()
+    assert seen
+    assert not [c for v in seen for c in v.values()
                 if isinstance(c, Fraction) and c.denominator == 1]
