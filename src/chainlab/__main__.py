@@ -1,0 +1,5 @@
+"""python -m chainlab <subcommand> [flags]: the command-line driver."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from .cyclic import connes_check, hc_homology, hh_homology, lambda_complex
+from .cyclic import connes_check, hc_homology, hh_homology, lambda_complex, size_guard
 from .dsl import parse_algebra_file
 from .errors import ChainlabError, ParseError
 from .excision import (
@@ -24,7 +24,7 @@ from .excision import (
     wodzicki_verify,
 )
 from .lie import ce_homology, gl, h2_vs_hc1, lie_from_assoc, lqt_verify, trace_chain_check
-from .presets import algebra_preset, extension_preset
+from .presets import algebra_preset, extension_preset, preset_dim
 from .reports import Report, render_table
 from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_table
 
@@ -78,10 +78,22 @@ def build_parser():
     return ap
 
 
+def _preset(args, spec, extension=False):
+    """The algebra (or extension) spec names, once the dimension read off spec
+    is within the size limit; a spec preset_dim cannot read is left to the
+    builder's own error."""
+    try:
+        dim = preset_dim(spec, extension)
+    except (ParseError, LookupError):
+        dim = 0
+    size_guard(dim, args.size_limit, f"{'extension' if extension else 'preset'} '{spec}'")
+    return (extension_preset if extension else algebra_preset)(spec)
+
+
 def _load_algebra(args):
     if getattr(args, "file", None):
         return parse_algebra_file(args.file)
-    return algebra_preset(args.preset or "rationals")
+    return _preset(args, args.preset or "rationals")
 
 
 def _config_echo(args):
@@ -138,7 +150,7 @@ def run(args) -> Report:
         res = h_unitality_check(A, D, args.size_limit)
         report.add(cmd, {"algebra": A.name, "D": D}, verdict=res.passed, **res.to_jsonable())
     elif cmd == "filtration":
-        ext = ExtensionData(extension_preset(args.ext))
+        ext = ExtensionData(_preset(args, args.ext, extension=True))
         if args.kind == "F":
             piece = graded_piece_check(ext, None, args.level, D, args.size_limit)
             stage = piece.stages[args.flavor]
@@ -157,7 +169,7 @@ def run(args) -> Report:
         report.add(cmd, {"ext": args.ext, "level": args.level, "kind": args.kind,
                          "flavor": args.flavor, "D": D}, **payload)
     elif cmd == "wodzicki":
-        ext = ExtensionData(extension_preset(args.ext))
+        ext = ExtensionData(_preset(args, args.ext, extension=True))
         res = wodzicki_verify(ext, D, args.size_limit)
         payload = {"verdict": res.passed}
         payload.update(res.to_jsonable())
@@ -185,7 +197,7 @@ def run(args) -> Report:
         report.add(cmd, {"algebra": A.name, "r": args.rank},
                    verdict=res.equal, **res.to_jsonable())
     elif cmd == "chern1":
-        probe = LogTraceProbe(ExtensionData(extension_preset(args.ext)), args.rank,
+        probe = LogTraceProbe(ExtensionData(_preset(args, args.ext, extension=True)), args.rank,
                               size_limit=args.size_limit)
         res = chern1(probe, args.seed, args.samples)
         k1 = k1_rel_probe(probe, args.seed, max(1, args.samples // 2))
@@ -193,7 +205,7 @@ def run(args) -> Report:
                    **res.to_jsonable(), k1_probe=k1.to_jsonable())
     elif cmd == "tangent":
         C = _load_algebra(args)
-        bases = [ArtinianBase.from_algebra(algebra_preset(spec.strip()))
+        bases = [ArtinianBase.from_algebra(_preset(args, spec.strip()))
                  for spec in args.bases.split(",") if spec.strip()]
         rows = tangent_table(C, bases, D, args.size_limit)
         report.add(cmd, {"algebra": C.name, "bases": args.bases, "D": D},

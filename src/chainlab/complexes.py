@@ -88,6 +88,7 @@ class ChainComplex:
         self.certified = certified
         self.bounded_above = bounded_above  # True: degrees above hi are genuinely zero
         self._ranks = {}
+        self._pivots = None  # n -> pivot columns of d_n, kept once d.d = 0 is checked
         if check:
             self.validate()
 
@@ -105,6 +106,7 @@ class ChainComplex:
             prod = self.diffs[n - 1] @ self.diffs[n]
             if not prod.is_zero():
                 raise ValueError(f"d_{n - 1} . d_{n} != 0")
+        self._pivots = {}
 
     def dim(self, n):
         return self.dims.get(n, 0)
@@ -116,9 +118,17 @@ class ChainComplex:
         return SparseMatrix.zeros(self.dim(n - 1), self.dim(n))
 
     def rank_d(self, n) -> int:
+        """rank d_n, without the rows at d_{n-1}'s pivot columns when d_{n-1} was
+        ranked first and d.d = 0 was checked (validate ran, or this is a shift of
+        a complex where it did): the cut keeps the rank (see sparse)."""
         if n not in self._ranks:
             d = self.diffs.get(n)
+            below = self._pivots.get(n - 1) if self._pivots is not None else None
+            if d is not None and below:
+                d = d.without_rows(below)
             self._ranks[n] = d.rank() if d is not None else 0
+            if self._pivots is not None:
+                self._pivots[n] = d.pivots if d is not None else set()
         return self._ranks[n]
 
     def betti(self, n) -> int:
@@ -204,6 +214,8 @@ def shift(C: ChainComplex, k: int) -> ChainComplex:
     cert = Interval(C.certified.lo + k, C.certified.hi + k)
     out = ChainComplex(dims, diffs, cert, check=False, bounded_above=C.bounded_above)
     out._ranks = {n + k: r for n, r in C._ranks.items()}
+    if C._pivots is not None:  # d.d = 0 was checked on C
+        out._pivots = {n + k: p for n, p in C._pivots.items()}
     return out
 
 

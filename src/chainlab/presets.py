@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 from .algebras import Algebra, AlgebraMorphism, matrix_algebra, product_algebra
 from .errors import NotAugmented, ParseError, UnitError
 from .sparse import SparseMatrix
@@ -131,11 +133,14 @@ def _tensor_preset(args):
     return tensor(algebra_preset(args[0]), algebra_preset(args[1]))
 
 
+def _parse(spec: str):
+    name, _, argstr = spec.partition(":")
+    return name.strip().lower(), [a.strip() for a in argstr.split(",") if a.strip()] if argstr else []
+
+
 def algebra_preset(spec: str) -> Algebra:
     """Resolve 'name' or 'name:arg1,arg2' to an Algebra."""
-    name, _, argstr = spec.partition(":")
-    name = name.strip().lower()
-    args = [a.strip() for a in argstr.split(",") if a.strip()] if argstr else []
+    name, args = _parse(spec)
     builder = _ALGEBRA_BUILDERS.get(name)
     if builder is None:
         raise ParseError(f"unknown algebra preset '{name}' "
@@ -213,11 +218,40 @@ _EXTENSION_BUILDERS = {
 
 
 def extension_preset(spec: str) -> AlgebraMorphism:
-    name, _, argstr = spec.partition(":")
-    name = name.strip().lower()
-    args = [a.strip() for a in argstr.split(",") if a.strip()] if argstr else []
+    name, args = _parse(spec)
     builder = _EXTENSION_BUILDERS.get(name)
     if builder is None:
         raise ParseError(f"unknown extension preset '{name}' "
                          f"(known: {', '.join(sorted(_EXTENSION_BUILDERS))})")
     return builder(args)
+
+
+# The dimension of each preset's algebra (of an extension's source algebra),
+# read off its parameters so that a size guard can run before anything is built.
+_ALGEBRA_DIMS = {
+    "rationals": lambda args: 1, "q": lambda args: 1, "zero": lambda args: 0,
+    "dual_numbers": lambda args: 2, "fat_point": lambda args: 3, "product": lambda args: 2,
+    "truncated_poly": lambda args: _int_arg(args, 3),
+    "square_zero": lambda args: _int_arg(args, 1, least=0),
+    "matrix": lambda args: _int_arg(args, 2) ** 2 * (preset_dim(args[1]) if len(args) > 1 else 1),
+    "upper_triangular": lambda args: (comb(_int_arg(args, 2) + 1, 2)
+                                      * (preset_dim(args[1]) if len(args) > 1 else 1)),
+    "tensor": lambda args: preset_dim(args[0]) * preset_dim(args[1]),
+}
+_EXTENSION_DIMS = {
+    "split_product": lambda args: 2, "square_zero": lambda args: 2,
+    "dual_numbers": lambda args: 2, "fat_point": lambda args: 3,
+    "truncated_poly": lambda args: _int_arg(args, 3),
+    "upper_triangular": lambda args: comb(_int_arg(args, 2) + 1, 2),
+    "matrix_dual": lambda args: 2 * _int_arg(args, 2) ** 2,
+    **dict.fromkeys(("identity", "collapse", "aug"),
+                    lambda args: preset_dim(args[0] if args else "rationals")),
+}
+
+
+def preset_dim(spec: str, extension=False) -> int:
+    """The dimension of the algebra spec names (of the source, for an extension
+    preset), without building it.  Raises ParseError or LookupError on some of
+    the specs the builder rejects."""
+    name, args = _parse(spec)
+    return (_EXTENSION_DIMS if extension else _ALGEBRA_DIMS)[name](args)

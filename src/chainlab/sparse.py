@@ -18,6 +18,14 @@ divided by their gcd, so the intermediate integers stay small; the updated
 row is then renormalised by its gcd, which makes it the same row the
 undivided combination would give.
 Independent column blocks of the support graph are eliminated separately.
+
+rank() keeps the pivot columns it chose, and a chain complex ranks d_n
+without the rows at d_{n-1}'s pivot columns P (complexes.ChainComplex.rank_d).
+The columns P of d_{n-1} are independent, so ker d_{n-1} meets the span of the
+coordinates P only in 0; once d_{n-1} d_n = 0 is checked, im d_n lies in ker
+d_{n-1}, so zeroing the rows P keeps d_n's rank and row space.  About rank d_n
++ betti_{n-1} rows are left instead of dim C_{n-1}, almost none of them
+eliminated down to zero.
 """
 
 from __future__ import annotations
@@ -79,9 +87,10 @@ def vec_axpy(out: Vector, c, v: Vector) -> None:
 
 class SparseMatrix:
     """Immutable-by-convention sparse rational matrix; fractional is True when
-    some entry is a Fraction (a product of two int matrices skips scaling)."""
+    some entry is a Fraction (a product of two int matrices skips scaling);
+    pivots is None until rank() keeps the independent columns it pivoted on."""
 
-    __slots__ = ("nrows", "ncols", "entries", "fractional")
+    __slots__ = ("nrows", "ncols", "entries", "fractional", "pivots")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
@@ -101,6 +110,7 @@ class SparseMatrix:
                 data[(i, j)] = val
         self.entries = data
         self.fractional = fractional
+        self.pivots = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -268,12 +278,19 @@ class SparseMatrix:
         return SparseMatrix(self.nrows * other.nrows, self.ncols * other.ncols, ent)
 
     # -- elimination-backed queries ------------------------------------
+    def without_rows(self, rows):
+        """This matrix with the rows in `rows` zeroed; the shape is kept."""
+        out = SparseMatrix(self.nrows, self.ncols)
+        out.entries = {k: v for k, v in self.entries.items() if k[0] not in rows}
+        out.fractional = self.fractional
+        return out
+
     def rank(self) -> int:
-        rows = _integer_rows(self)
-        total = 0
-        for comp_rows in _split_components(rows):
-            total += len(_echelonize(comp_rows, set()))
-        return total
+        pivots = set()
+        for comp_rows in _split_components(_integer_rows(self)):
+            pivots.update(pc for pc, _ in _echelonize(comp_rows, set()))
+        self.pivots = pivots
+        return len(pivots)
 
     def kernel_basis(self) -> list:
         """Basis of {v : Mv = 0}, exact rational vectors ordered by smallest key:
@@ -359,10 +376,7 @@ def _clear_denominators(row: Vector) -> dict:
 
 
 def _integer_rows(M: SparseMatrix):
-    rows = [dict() for _ in range(M.nrows)]
-    for (i, j), v in M.entries.items():
-        rows[i][j] = v
-    return [_clear_denominators(r) for r in rows if r]
+    return [_clear_denominators(r) for r in M.rows_list() if r]
 
 
 def _split_components(rows):

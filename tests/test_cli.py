@@ -1,12 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainlab.algebras import Algebra
 from chainlab.cli import main
-from chainlab.presets import _ALGEBRA_BUILDERS, _EXTENSION_BUILDERS
+from chainlab.errors import ChainlabError
+from chainlab.presets import (_ALGEBRA_BUILDERS, _EXTENSION_BUILDERS, algebra_preset,
+                              extension_preset, preset_dim)
 
 
 def run_cli(capsys, *argv):
@@ -120,11 +127,11 @@ def test_timings_flag_adds_timing(capsys):
 @pytest.mark.parametrize("kind,dim", [("F", 243), ("Q", 81)])
 def test_filtration_respects_the_size_limit(kind, dim, capsys):
     # the (A, M) words of truncated_poly:3 in degree 4: 3 * 3^4 for F (M = A),
-    # 1 * 3^4 for Q (M = B = Q)
+    # 1 * 3^4 for Q (M = B = Q); a limit of 3 lets the algebra itself be built
     code, out, err = run_cli(capsys, "filtration", "--ext", "truncated_poly:3", "--level", "1",
-                             "-D", "4", "--kind", kind, "--size-limit", "1")
+                             "-D", "4", "--kind", kind, "--size-limit", "3")
     assert code == 2 and not out
-    assert err == f"error: filtration complex top degree has dimension {dim} > size limit 1\n"
+    assert err == f"error: filtration complex top degree has dimension {dim} > size limit 3\n"
     code, _, _ = run_cli(capsys, "filtration", "--ext", "truncated_poly:3", "--level", "1",
                          "-D", "4", "--kind", kind, "--size-limit", str(dim))
     assert code == 0
@@ -248,3 +255,73 @@ def cli_argv(draw):
 def test_every_input_ends_in_a_report_or_exit_2(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2), argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(preset_spec(ALGEBRA_NAMES).map(lambda spec: (spec, False)),
+                 preset_spec(EXTENSION_NAMES).map(lambda spec: (spec, True))))
+def test_preset_dim_is_the_dimension_the_builder_builds(case):
+    spec, extension = case
+    try:
+        built = extension_preset(spec).source if extension else algebra_preset(spec)
+    except (ChainlabError, ValueError):
+        return  # the guard leaves a rejected spec to the builder's own error
+    assert preset_dim(spec, extension) == built.dim, spec
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The dimension of every Algebra constructed while the test runs."""
+    dims = []
+    init = Algebra.__init__
+
+    def counted_init(self, dim, *rest, **kwargs):
+        dims.append(dim)
+        init(self, dim, *rest, **kwargs)
+    monkeypatch.setattr(Algebra, "__init__", counted_init)
+    return dims
+
+
+@pytest.mark.parametrize("argv,what", [
+    ([cmd, "--preset", "truncated_poly:300"], "preset 'truncated_poly:300' has dimension 300")
+    for cmd in ("hh", "hc", "connes", "hunital", "ce", "trace", "lqt", "h2hc1", "tangent",
+                "lambda")
+] + [
+    ([cmd, "--ext", "truncated_poly:300"], "extension 'truncated_poly:300' has dimension 300")
+    for cmd in ("filtration", "wodzicki", "chern1")
+] + [
+    (["ce", "--preset", "matrix:20,fat_point", "--gl", "2"],
+     "preset 'matrix:20,fat_point' has dimension 1200"),
+    (["wodzicki", "--ext", "matrix_dual:40"], "extension 'matrix_dual:40' has dimension 3200"),
+    (["filtration", "--ext", "collapse:upper_triangular:30", "--kind", "Q"],
+     "extension 'collapse:upper_triangular:30' has dimension 465"),
+    (["tangent", "--preset", "dual_numbers", "--bases", "fat_point,tensor:fat_point,matrix"],
+     None),  # a spec the dimension table cannot read is left to the builder
+])
+def test_an_oversized_preset_is_rejected_before_it_is_built(argv, what, capsys, built):
+    code, out, err = run_cli(capsys, *argv, "-D", "3", "--size-limit", "10")
+    assert code == 2 and not out
+    if what is None:
+        assert err == "parse error: tensor preset needs two algebra names\n"
+    else:
+        assert err == f"error: {what} > size limit 10\n"
+        assert built == []
+
+
+def test_tangent_guards_each_base_before_building_it(capsys, built):
+    code, _, err = run_cli(capsys, "tangent", "--preset", "rationals",
+                           "--bases", "dual_numbers,truncated_poly:300", "--size-limit", "10")
+    assert code == 2
+    assert err == "error: preset 'truncated_poly:300' has dimension 300 > size limit 10\n"
+    assert max(built) <= 10
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["hc", "--preset", "dual_numbers", "-D", "4", "--format", "json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "chainlab", *argv], capture_output=True,
+                          text=True, env=env, check=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, "") == (0, "")
+    assert proc.stdout == out and json.loads(out)["results"]

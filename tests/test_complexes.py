@@ -302,3 +302,55 @@ def test_homology_space_matches_the_span_and_solve_oracle(case):
                 hs.classify(bad)
             with pytest.raises(ValueError):
                 hs.classify_many(cycles + [bad])
+
+
+# ---------------------------------------------------------------------------
+# rank_d, which cuts d_n down to the rows d_{n-1}'s pivot columns left free
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def zero_composing_complexes(draw):
+    """dims and differentials of 0 -> C_top -> ... -> C_0 -> 0 with int or
+    Fraction entries: d_1 is drawn, each d_{n+1} has columns drawn from the
+    span of d_n's kernel basis, so every d_n d_{n+1} = 0."""
+    values = draw(st.sampled_from([st.sampled_from([1, -1, 2, -3]), QUOTIENT_VALUES]))
+    top = draw(st.integers(2, 4))
+    dims = {n: draw(st.integers(1, 5)) for n in range(top + 1)}
+    cell = st.tuples(st.integers(0, dims[0] - 1), st.integers(0, dims[1] - 1))
+    diffs = {1: SparseMatrix(dims[0], dims[1], draw(st.dictionaries(cell, values)))}
+    for n in range(2, top + 1):
+        kernel = diffs[n - 1].kernel_basis()
+        cols = []
+        for _ in range(dims[n]):
+            col = {}
+            for v in kernel:
+                if draw(st.booleans()):
+                    vec_axpy(col, draw(values), v)
+            cols.append(col)
+        diffs[n] = SparseMatrix.from_columns(dims[n - 1], cols)
+    return dims, diffs
+
+
+@QUOTIENT_SETTINGS
+@given(zero_composing_complexes(), st.data())
+def test_rank_d_matches_the_dense_rank(case, data):
+    dims, diffs = case
+    top = max(dims)
+    degrees = range(top + 2)
+    expected = {n: oracle.dense_rank(diffs[n]) if n in diffs else 0 for n in degrees}
+
+    def fresh():
+        return ChainComplex(dims, diffs, Interval(0, top - 1))
+
+    ascending = fresh()
+    assert {n: ascending.rank_d(n) for n in degrees} == expected
+    descending = fresh()
+    assert {n: descending.rank_d(n) for n in reversed(degrees)} == expected
+    # a shift taken after ranking the degrees up to some n carries their pivots
+    C, n, k = fresh(), data.draw(st.integers(0, top)), data.draw(st.integers(-2, 2))
+    for m in range(n + 1):
+        C.rank_d(m)
+    moved = shift(C, k)
+    assert {m - k: moved.rank_d(m) for m in range(k, top + 2 + k)} == expected
+    assert {m: C.rank_d(m) for m in degrees} == expected

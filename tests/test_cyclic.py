@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from chainlab import cyclic
+from chainlab import cyclic, sparse
 from chainlab.algebras import Bimodule, commutator_subspace, matrix_algebra
-from chainlab.complexes import Interval
+from chainlab.complexes import ChainComplex, Interval
 from chainlab.cyclic import (
     CyclicBicomplex,
     WordBasis,
@@ -359,3 +359,39 @@ def test_connes_checks_that_the_quotient_is_the_shifted_total(monkeypatch):
     monkeypatch.setattr(cyclic, "quotient_complex", perturbed)
     with pytest.raises(ValueError, match="not the total shifted by two at degree 4"):
         connes_check(dual_numbers(), 5)
+
+
+def test_hc_ranks_each_differential_on_the_rows_the_degree_below_left_free(monkeypatch):
+    # d_n is eliminated without the rows at d_{n-1}'s pivot columns: at most
+    # dim ker d_{n-1} = rank d_n + betti_{n-1} rows, where the whole of d_n has
+    # dim C_{n-1} of them
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    slot = next(i for i, job in enumerate(workloads.REBASED) if job[:2] == ("hc", "matrix:2"))
+    _, preset, D, bits = workloads.REBASED[slot]
+    A = parse_algebra(workloads.generate_rebased(preset, bits, 1, slot)[0])
+    rows, degree, complexes = {}, [], []
+    rank_d, echelonize = ChainComplex.rank_d, sparse._echelonize
+
+    def spy_rank_d(self, n):
+        complexes.append(self)
+        degree.append(n)
+        try:
+            return rank_d(self, n)
+        finally:
+            degree.pop()
+
+    def spy_echelonize(comp_rows, forbidden):
+        rows[degree[-1]] = rows.get(degree[-1], 0) + len(comp_rows)
+        return echelonize(comp_rows, forbidden)
+
+    monkeypatch.setattr(ChainComplex, "rank_d", spy_rank_d)
+    monkeypatch.setattr(sparse, "_echelonize", spy_echelonize)
+    betti = hc_homology(A, D).betti
+    monkeypatch.undo()
+    (C,) = set(complexes)
+    assert sorted(rows) == list(range(1, D))
+    for n, count in rows.items():
+        assert count <= C.rank_d(n) + betti[n - 1], n
+        assert n == 1 or count < C.dim(n - 1), n  # d_0 = 0 has no pivots
