@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from .cyclic import connes_check, hc_homology, hh_homology, lambda_complex, size_guard
+from .cyclic import connes_check, hc_homology, hh_homology, lambda_complex
 from .dsl import parse_algebra_file
 from .errors import ChainlabError, ParseError
 from .excision import (
@@ -24,7 +24,7 @@ from .excision import (
     wodzicki_verify,
 )
 from .lie import ce_homology, gl, h2_vs_hc1, lie_from_assoc, lqt_verify, trace_chain_check
-from .presets import algebra_preset, extension_preset, preset_dim
+from .presets import guarded_preset
 from .reports import Report, render_table
 from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_table
 
@@ -78,22 +78,10 @@ def build_parser():
     return ap
 
 
-def _preset(args, spec, extension=False):
-    """The algebra (or extension) spec names, once the dimension read off spec
-    is within the size limit; a spec preset_dim cannot read is left to the
-    builder's own error."""
-    try:
-        dim = preset_dim(spec, extension)
-    except (ParseError, LookupError):
-        dim = 0
-    size_guard(dim, args.size_limit, f"{'extension' if extension else 'preset'} '{spec}'")
-    return (extension_preset if extension else algebra_preset)(spec)
-
-
 def _load_algebra(args):
     if getattr(args, "file", None):
-        return parse_algebra_file(args.file)
-    return _preset(args, args.preset or "rationals")
+        return parse_algebra_file(args.file, args.size_limit)
+    return guarded_preset(args.preset or "rationals", args.size_limit)
 
 
 def _config_echo(args):
@@ -150,7 +138,7 @@ def run(args) -> Report:
         res = h_unitality_check(A, D, args.size_limit)
         report.add(cmd, {"algebra": A.name, "D": D}, verdict=res.passed, **res.to_jsonable())
     elif cmd == "filtration":
-        ext = ExtensionData(_preset(args, args.ext, extension=True))
+        ext = ExtensionData(guarded_preset(args.ext, args.size_limit, extension=True))
         if args.kind == "F":
             piece = graded_piece_check(ext, None, args.level, D, args.size_limit)
             stage = piece.stages[args.flavor]
@@ -169,7 +157,7 @@ def run(args) -> Report:
         report.add(cmd, {"ext": args.ext, "level": args.level, "kind": args.kind,
                          "flavor": args.flavor, "D": D}, **payload)
     elif cmd == "wodzicki":
-        ext = ExtensionData(_preset(args, args.ext, extension=True))
+        ext = ExtensionData(guarded_preset(args.ext, args.size_limit, extension=True))
         res = wodzicki_verify(ext, D, args.size_limit)
         payload = {"verdict": res.passed}
         payload.update(res.to_jsonable())
@@ -197,15 +185,15 @@ def run(args) -> Report:
         report.add(cmd, {"algebra": A.name, "r": args.rank},
                    verdict=res.equal, **res.to_jsonable())
     elif cmd == "chern1":
-        probe = LogTraceProbe(ExtensionData(_preset(args, args.ext, extension=True)), args.rank,
-                              size_limit=args.size_limit)
+        ext = ExtensionData(guarded_preset(args.ext, args.size_limit, extension=True))
+        probe = LogTraceProbe(ext, args.rank, size_limit=args.size_limit)
         res = chern1(probe, args.seed, args.samples)
         k1 = k1_rel_probe(probe, args.seed, max(1, args.samples // 2))
         report.add(cmd, {"ext": args.ext, "r": args.rank}, verdict=res.passed,
                    **res.to_jsonable(), k1_probe=k1.to_jsonable())
     elif cmd == "tangent":
         C = _load_algebra(args)
-        bases = [ArtinianBase.from_algebra(_preset(args, spec.strip()))
+        bases = [ArtinianBase.from_algebra(guarded_preset(spec.strip(), args.size_limit))
                  for spec in args.bases.split(",") if spec.strip()]
         rows = tangent_table(C, bases, D, args.size_limit)
         report.add(cmd, {"algebra": C.name, "bases": args.bases, "D": D},

@@ -163,62 +163,45 @@ def unit_homotopy(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
     return SparseMatrix.identity(M.dim * A.dim ** p).tensor(unit).scale(sign)
 
 
-@dataclass
-class BarComplex:
-    complex: ChainComplex
-    algebra: Algebra
-    module: Bimodule
-    bound: int
-    b_prime: dict  # p -> b'_p
-
-    def homology(self, rng=None, **kw) -> HomologyReport:
-        rng = rng or self.complex.certified
-        return self.complex.homology(rng, **kw)
-
-
-@dataclass
-class HochComplex:
-    complex: ChainComplex
-    algebra: Algebra
-    module: Bimodule
-    bound: int
+def bar_from_b_prime(b_prime: dict) -> ChainComplex:
+    """The Bar complex with differential -b', degrees 0..D, from b'_1..b'_D."""
+    dims = {0: b_prime[1].nrows, **{p: bp.ncols for p, bp in b_prime.items()}}
+    diffs = {p: bp.scale(-1) for p, bp in b_prime.items()}
+    return ChainComplex(dims, diffs, Interval(0, len(b_prime) - 1))
 
 
 def bar_complex(A: Algebra, M: Bimodule | None = None, D: int = 4,
-                size_limit=None) -> BarComplex:
+                size_limit=None) -> ChainComplex:
     """Augmented Bar complex of (A, M) with differential -b', degrees 0..D."""
     if D < 1:
         raise ValueError("D must be >= 1")
     M = M or Bimodule.regular(A)
-    dims = {p: len(words(A, M, p)) for p in range(D + 1)}
-    size_guard(max(dims.values(), default=0), size_limit, "Bar complex top degree")
-    bprimes = {p: b_prime_matrix(A, M, p) for p in range(1, D + 1)}
-    diffs = {p: bprimes[p].scale(-1) for p in bprimes}
-    cx = ChainComplex(dims, diffs, Interval(0, D - 1))
-    return BarComplex(cx, A, M, D, bprimes)
+    size_guard(max(len(words(A, M, p)) for p in range(D + 1)), size_limit,
+               "Bar complex top degree")
+    return bar_from_b_prime({p: b_prime_matrix(A, M, p) for p in range(1, D + 1)})
 
 
 def hoch_complex(A: Algebra, M: Bimodule | None = None, D: int = 4,
-                 size_limit=None) -> HochComplex:
+                 size_limit=None) -> ChainComplex:
     if D < 1:
         raise ValueError("D must be >= 1")
     M = M or Bimodule.regular(A)
     dims = {p: len(words(A, M, p)) for p in range(D + 1)}
     size_guard(max(dims.values(), default=0), size_limit, "Hochschild complex top degree")
     diffs = {p: hoch_matrix(A, M, p) for p in range(1, D + 1)}
-    cx = ChainComplex(dims, diffs, Interval(0, D - 1))
-    return HochComplex(cx, A, M, D)
+    return ChainComplex(dims, diffs, Interval(0, D - 1))
 
 
 def verify_unit_homotopy(A: Algebra, M: Bimodule | None = None, D: int = 4):
     """Exact matrix check of b' s + s b' = id for degrees <= D."""
     M = M or Bimodule.regular(A)
-    bc = bar_complex(A, M, D + 1)
+    size_guard(len(words(A, M, D + 1)), None, "Bar complex top degree")
+    b_prime = {p: b_prime_matrix(A, M, p) for p in range(1, D + 2)}
     for p in range(0, D + 1):
         s_p = unit_homotopy(A, M, p)
-        lhs = bc.b_prime[p + 1] @ s_p
+        lhs = b_prime[p + 1] @ s_p
         if p >= 1:
-            lhs = lhs + unit_homotopy(A, M, p - 1) @ bc.b_prime[p]
+            lhs = lhs + unit_homotopy(A, M, p - 1) @ b_prime[p]
         if lhs != SparseMatrix.identity(len(words(A, M, p))):
             return False, p
     return True, None
@@ -276,8 +259,8 @@ class CyclicBicomplex:
     differential b) and Bar (odd q, differential -b'), horizontal maps 1-t
     (odd q -> even) and N (even q -> odd), materialised to total degree D.
     hh_homology, hc_homology and connes_check report at bound D off the build
-    to D - 1, guarded as for D (_read_bicomplex); the excision comparisons and
-    the induced maps of hh_bicomplex/hc_bicomplex use the full build.
+    to D - 1, guarded as for D (_read_bicomplex); the excision comparisons
+    use the full hc_bicomplex build and its b_prime.
 
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
@@ -285,10 +268,11 @@ class CyclicBicomplex:
     lists its columns by q, so the columns q < k (for k = 2 the two-column
     total, for k = 1 the Hochschild complex) are its first width(n, k).
 
-    Only the blocks the layout places are built: b' on rows 1..D (b on every
-    one of them, the Bar copy -b' on rows 1..D-1), 1-t on rows 0..D-1, and N
-    on rows 0..D-2 when there is a column q >= 2 (ncols > 2).  Every N built
-    is checked against N(1-t) = 0 and (1-t)N = 0.
+    Only the blocks the layout places are built: b' on rows 1..D, kept as
+    b_prime (b on every row, and the Bar columns' -b' on rows 1..D-1 as b'
+    with the scale -1), 1-t on rows 0..D-1, and N on rows 0..D-2 when there
+    is a column q >= 2 (ncols > 2).  Every N built is checked against
+    N(1-t) = 0 and (1-t)N = 0.
     """
 
     def __init__(self, A: Algebra, ncols: int, D: int, size_limit=None):
@@ -297,21 +281,17 @@ class CyclicBicomplex:
         self.ncols = ncols
         self.bound = D
         M = Bimodule.regular(A)
-        self._vertical = {}
-        for p in range(1, D + 1):
-            bp = b_prime_matrix(A, M, p)
-            self._vertical[("hoch", p)] = bp + wrap_matrix(A, M, p)
-            if p < D:
-                self._vertical[("bar", p)] = bp.scale(-1)
-        self._one_minus_t = {}
+        self.b_prime = {p: b_prime_matrix(A, M, p) for p in range(1, D + 1)}
+        hoch = {p: bp + wrap_matrix(A, M, p) for p, bp in self.b_prime.items()}
+        one_minus_t = {}
         for p in range(0, D):
             t = rotation_matrix(A, p)
-            self._one_minus_t[p] = SparseMatrix.identity(t.nrows) - t
-        self._norm = {p: norm_matrix(A, p) for p in range(0, D - 1)} if ncols > 2 else {}
-        for p, N in self._norm.items():
-            if not (N @ self._one_minus_t[p]).is_zero():
+            one_minus_t[p] = SparseMatrix.identity(t.nrows) - t
+        norm = {p: norm_matrix(A, p) for p in range(0, D - 1)} if ncols > 2 else {}
+        for p, N in norm.items():
+            if not (N @ one_minus_t[p]).is_zero():
                 raise ValueError(f"N(1-t) != 0 at row {p}")
-            if not (self._one_minus_t[p] @ N).is_zero():
+            if not (one_minus_t[p] @ N).is_zero():
                 raise ValueError(f"(1-t)N != 0 at row {p}")
 
         # layout[n]: list of (q, p, offset, width) for the degree-n total.
@@ -334,10 +314,10 @@ class CyclicBicomplex:
             tgt = {(q, p): off for q, p, off, _ in self.layout[n - 1]}
             for q, p, off, width in self.layout[n]:
                 if p >= 1:
-                    kind = "hoch" if q % 2 == 0 else "bar"
-                    blocks.append((tgt[(q, p - 1)], off, self._vertical[(kind, p)], 1))
+                    vert = (hoch[p], 1) if q % 2 == 0 else (self.b_prime[p], -1)
+                    blocks.append((tgt[(q, p - 1)], off, *vert))
                 if q >= 1:
-                    horiz = self._one_minus_t[p] if q % 2 == 1 else self._norm[p]
+                    horiz = one_minus_t[p] if q % 2 == 1 else norm[p]
                     blocks.append((tgt[(q - 1, p)], off, horiz, 1))
             diffs[n] = SparseMatrix.assemble(dims[n - 1], dims[n], blocks)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebras import Algebra
 from .errors import ParseError
-from .presets import algebra_preset
+from .presets import guarded_preset
 
 _TERM = re.compile(r"^([+-]?\d+(?:/\d+)?)\*(\d+)$")
 
@@ -47,7 +47,8 @@ def _parse_terms(text, line_no, dim):
     return out
 
 
-def parse_algebra(text: str) -> Algebra:
+def parse_algebra(text: str, size_limit=None) -> Algebra:
+    """The algebra text declares; a preset line is size-guarded before it is built."""
     name = None
     dim = None
     labels = None
@@ -70,7 +71,7 @@ def parse_algebra(text: str) -> Algebra:
                 raise ParseError("preset needs a name", line=line_no)
             spec = tokens[1] if len(tokens) == 2 else tokens[1] + ":" + ",".join(tokens[2:])
             try:
-                return algebra_preset(spec)
+                return guarded_preset(spec, size_limit)
             except ParseError as exc:
                 raise ParseError(str(exc), line=line_no) from None
 
@@ -130,6 +131,6 @@ def parse_algebra(text: str) -> Algebra:
     return Algebra(dim, labels or None, mul, unit=unit, augmentation=augmentation, name=name)
 
 
-def parse_algebra_file(path) -> Algebra:
+def parse_algebra_file(path, size_limit=None) -> Algebra:
     with open(path, encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+        return parse_algebra(fh.read(), size_limit)

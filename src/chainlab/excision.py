@@ -8,8 +8,10 @@ filtration stages are then spanned by coordinate subsets of the tensor-word
 bases.  Each stage, graded piece and kernel is cut out of a built complex by
 complexes.subcomplex (F^n, the kernel of Q^n -> Q^{n+1}) or
 complexes.quotient_complex (Q^n, F^{n+1}/F^n), which check that the cut is
-closed under the differential.  So are the excision verifier's HH and
-Hochschild-column comparisons: the columns q < 2 and q < 1 of the HC one.
+closed under the differential.  So are relative HH and the excision
+verifier's HH and Hochschild-column comparisons: the columns q < 2 and q < 1
+of the HC comparison, the one square every relative and excision result reads;
+its Bar column is built from the b' that the HC bicomplexes keep.
 
 Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
@@ -44,8 +46,8 @@ from .cyclic import (
     WordBasis,
     b_prime_matrix,
     bar_complex,
+    bar_from_b_prime,
     hc_bicomplex,
-    hh_bicomplex,
     hoch_complex,
     hoch_matrix,
     size_guard,
@@ -155,7 +157,7 @@ def h_unitary_check(A: Algebra, M: Bimodule, D: int, size_limit=None) -> HUnital
     """Bounded certificate: Bar(A, M) acyclic in degrees < D."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    return _bar_acyclicity(bar_complex(A, M, D, size_limit).complex, D)
+    return _bar_acyclicity(bar_complex(A, M, D, size_limit), D)
 
 
 def h_unitality_check(A: Algebra, D: int, size_limit=None) -> HUnitalityVerdict:
@@ -358,20 +360,22 @@ def q_kernel_complex(ext: ExtensionData, stage: FiltrationStage) -> ChainComplex
 # ---------------------------------------------------------------------------
 
 
-def _relative_fiber(ext: ExtensionData, D: int, flavor: str, size_limit=None):
-    """(fiber complex, source bicomplex, target bicomplex) for HH or HC."""
-    make = hh_bicomplex if flavor == "hh" else hc_bicomplex
-    bc_A = make(ext.A_ad, D, size_limit)
-    bc_B = make(ext.B, D, size_limit)
+def _relative_fiber(ext: ExtensionData, D: int, size_limit=None):
+    """(fiber complex, source bicomplex, target bicomplex) of HC to total degree D."""
+    bc_A = hc_bicomplex(ext.A_ad, D, size_limit)
+    bc_B = hc_bicomplex(ext.B, D, size_limit)
     return homotopy_fiber(bc_A.induced_map(bc_B, ext.f_ad.matrix)), bc_A, bc_B
 
 
 def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
                       size_limit=None) -> HomologyReport:
-    """Betti numbers of the homotopy fiber of the induced map on totals."""
+    """Betti numbers of the homotopy fiber of the induced map on HC totals,
+    or for flavor "hh" on its columns q < 2, the two-column HH totals."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    fib, _, _ = _relative_fiber(ext, D, flavor, size_limit)
+    fib, bc_A, bc_B = _relative_fiber(ext, D, size_limit)
+    if flavor == "hh":
+        fib = _column_cut(fib, [(bc_B, 1), (bc_A, 0)], 2)
     return fib.homology(Interval(0, D - 2))
 
 
@@ -387,18 +391,17 @@ def _into_fiber(cx_I: ChainComplex, cx_A: ChainComplex, fib: ChainComplex,
     return ChainMap(cx_I, fib, comps)
 
 
-def _comparison(ext: ExtensionData, D: int, flavor: str, size_limit=None):
+def _comparison(ext: ExtensionData, D: int, size_limit=None):
     """comparison_map, with the bicomplexes (bc_I, bc_A, bc_B) it is built from."""
-    fib, bc_A, bc_B = _relative_fiber(ext, D, flavor, size_limit)
-    make = hh_bicomplex if flavor == "hh" else hc_bicomplex
-    bc_I = make(ext.ideal_algebra(), D, size_limit)
+    fib, bc_A, bc_B = _relative_fiber(ext, D, size_limit)
+    bc_I = hc_bicomplex(ext.ideal_algebra(), D, size_limit)
     inc = bc_I.induced_map(bc_A, ext.ideal_inclusion())
     return _into_fiber(bc_I.total, bc_A.total, fib, inc.components, D), (bc_I, bc_A, bc_B)
 
 
-def comparison_map(ext: ExtensionData, D: int, flavor: str, size_limit=None) -> ChainMap:
-    """Canonical map from the ideal's total complex to the relative fiber."""
-    return _comparison(ext, D, flavor, size_limit)[0]
+def comparison_map(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
+    """Canonical map from the ideal's HC total complex to the relative fiber."""
+    return _comparison(ext, D, size_limit)[0]
 
 
 def _column_cut(cx: ChainComplex, parts, k: int) -> ChainComplex:
@@ -417,13 +420,13 @@ def _column_cut(cx: ChainComplex, parts, k: int) -> ChainComplex:
     return subcomplex(cx.diffs, keep, f"columns q < {k}")
 
 
-def _column_comparison(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
+def _column_comparison(ext: ExtensionData, *bcs) -> ChainMap:
     """The (I, I) Bar complex into the homotopy fiber of the (A, A) -> (B, B)
     one: the comparison of the excision proof where a non-H-unital ideal shows
-    up.  It needs b'_D, which the bicomplexes to total degree D leave out."""
-    cx_I = bar_complex(ext.ideal_algebra(), None, D, size_limit).complex
-    cx_A = bar_complex(ext.A_ad, None, D, size_limit).complex
-    cx_B = bar_complex(ext.B, None, D, size_limit).complex
+    up.  Each Bar complex is built from the b' on rows 1..D that the HC
+    bicomplex bcs = (bc_I, bc_A, bc_B) of its algebra keeps."""
+    cx_I, cx_A, cx_B = (bar_from_b_prime(bc.b_prime) for bc in bcs)
+    D = bcs[0].bound
     fib = homotopy_fiber(ChainMap(cx_A, cx_B, tensor_powers(ext.f_ad.matrix, D)))
     return _into_fiber(cx_I, cx_A, fib, tensor_powers(ext.ideal_inclusion(), D), D)
 
@@ -463,22 +466,23 @@ class WodzickiReport:
 def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
     """Quasi-isomorphism ranges of the ideal-to-relative comparison maps.
 
-    Four comparisons are run: HC, HH and the Hochschild and Bar columns the
-    proof factors through.  Bar is built on its own; HH and Hochschild are
-    the columns q < 2 and q < 1 of HC, whose fiber is B_{n+1} (+) A_n and
-    cone fiber_n (+) I_{n-1}.  The report also carries the ideal's bounded
-    H-unitality certificate, read off the Bar comparison's source, so it
-    exhibits "H-unital implies excision" on instances; a failed verdict is a
-    successful computation.  Relative HH and HC are read off the fibers.
+    Four comparisons are run off the HC bicomplexes of I, A and B: HC, HH and
+    the Hochschild and Bar columns the proof factors through.  HH and
+    Hochschild are the columns q < 2 and q < 1 of HC, whose fiber is
+    B_{n+1} (+) A_n and cone fiber_n (+) I_{n-1}; Bar is built from their b'.
+    The report also carries the ideal's bounded H-unitality certificate, read
+    off the Bar comparison's source, so it exhibits "H-unital implies
+    excision" on instances; a failed verdict is a successful computation.
+    Relative HH and HC are read off the fibers.
     """
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-    eta, (bc_I, bc_A, bc_B) = _comparison(ext, D, "hc", size_limit)
+    eta, (bc_I, bc_A, bc_B) = _comparison(ext, D, size_limit)
     cn = cone(eta)
     fib_parts = [(bc_B, 1), (bc_A, 0)]
     hh, hoch = (acyclicity(_column_cut(cn, fib_parts + [(bc_I, -1)], k), rng) for k in (2, 1))
-    bar = _column_comparison(ext, D, size_limit)
+    bar = _column_comparison(ext, bc_I, bc_A, bc_B)
     return WodzickiReport(hh, acyclicity(cn, rng), hoch, is_quasi_iso(bar, rng),
                           _bar_acyclicity(bar.source, D),
                           _column_cut(eta.target, fib_parts, 2).homology(rng),
@@ -519,8 +523,8 @@ def hoch_inclusion(ext: ExtensionData, M: Bimodule | None, D: int, size_limit=No
     M_ad = ext.adapt_module(M)
     I_alg = ext.ideal_algebra()
     M_res = ext.restrict_module_to_ideal(M_ad)
-    src = hoch_complex(I_alg, M_res, D, size_limit).complex
-    tgt = hoch_complex(ext.A_ad, M_ad, D, size_limit).complex
+    src = hoch_complex(I_alg, M_res, D, size_limit)
+    tgt = hoch_complex(ext.A_ad, M_ad, D, size_limit)
     comps = {}
     for p in range(D + 1):
         ambient = words(ext.A_ad, M_ad, p)

@@ -20,10 +20,11 @@ times the identity on the weight-w summand, is null-homotopic; over Q every
 summand of nonzero weight is acyclic (Loday, Cyclic Homology, 10.1).  gl(A, r)
 declares the grading w(E_kl (x) a) = e_k - e_l with h_i = E_ii (x) 1 when A is
 unital; the weight-0 wedges are those whose row multiset equals their column
-multiset.  ce_homology builds only those, in the same lexicographic order,
-and reports representatives at their positions in the full exterior power;
-the size guard still reads the full exterior power C(dim g, p).  Commutator Lie algebras, triangular_lie and gl of a non-unital algebra
-declare no grading and build every wedge.
+multiset.  ce_complex builds only those, in the same lexicographic order,
+and ce_homology reports representatives at their positions in the full
+exterior power; the size guard still reads the full exterior power
+C(dim g, p).  Commutator Lie algebras, triangular_lie and gl of a non-unital
+algebra declare no grading and build every wedge.
 
 The generalized trace sends a wedge of matrices over an algebra to the signed
 sum over cyclic words of matrix-trace coefficients, landing in the
@@ -60,12 +61,10 @@ class LieAlgebra:
     element and r vectors h_i of weight 0 with [h_i, x_k] = weights[k][i] x_k.
     It is validated exactly whether or not check is set."""
 
-    def __init__(self, dim, labels, bracket, name=None, provenance="custom", check=True,
-                 grading=None):
+    def __init__(self, dim, labels, bracket, name=None, check=True, grading=None):
         self.dim = dim
         self.labels = list(labels) if labels else [f"x{i + 1}" for i in range(dim)]
         self.name = name
-        self.provenance = provenance
         self._both = {}  # [x_i, x_j] for i < j and for i > j
         for (i, j), vec in bracket.items():
             v = exact_vec(vec)
@@ -155,8 +154,7 @@ def _commutators(A: Algebra) -> dict:
 
 def lie_from_assoc(A: Algebra) -> LieAlgebra:
     """Commutator bracket on the underlying space of an associative algebra."""
-    return LieAlgebra(A.dim, A.labels, _commutators(A), name=f"Lie({A.name or 'A'})",
-                      provenance="from_assoc")
+    return LieAlgebra(A.dim, A.labels, _commutators(A), name=f"Lie({A.name or 'A'})")
 
 
 def gl(A: Algebra, r: int) -> LieAlgebra:
@@ -170,7 +168,7 @@ def gl(A: Algebra, r: int) -> LieAlgebra:
         inner = [{(i * r + i) * A.dim + a: c for a, c in A.unit.items()} for i in range(r)]
         grading = (weights, inner)
     return LieAlgebra(M.dim, M.labels, _commutators(M), name=f"gl{r}({A.name or 'A'})",
-                      provenance="gl", grading=grading)
+                      grading=grading)
 
 
 def triangular_lie(A: Algebra, I: Ideal, n: int, sigma) -> LieAlgebra:
@@ -220,8 +218,7 @@ def triangular_lie(A: Algebra, I: Ideal, n: int, sigma) -> LieAlgebra:
             raise NotNilpotent("bracket leaves the triangular subspace; bad sigma or ideal")
         if sol:
             table[(a, b)] = sol
-    g = LieAlgebra(dim, labels, table, name=f"t^sigma_{n}({A.name or 'A'})",
-                   provenance="t_sigma")
+    g = LieAlgebra(dim, labels, table, name=f"t^sigma_{n}({A.name or 'A'})")
     if not g.is_nilpotent:
         raise NotNilpotent("triangular Lie algebra fails the lower-central-series test")
     return g
@@ -325,10 +322,10 @@ def _ce_matrix(g: LieAlgebra, tuples_p, index_pm1, p) -> SparseMatrix:
     return SparseMatrix(len(index_pm1), len(tuples_p), entries)
 
 
-def ce_complex(g: LieAlgebra, D: int, size_limit=None, *, _weight_zero=False) -> CEComplex:
-    """Chevalley-Eilenberg chains through wedge degree D; with _weight_zero
-    and a declared grading, only the summand of weight 0.  The size guard
-    reads the full exterior powers either way."""
+def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
+    """Chevalley-Eilenberg chains through wedge degree D; when g declares a
+    grading, only the summand of weight 0 (the others are acyclic).  The size
+    guard reads the full exterior powers either way."""
     if D < 1:
         raise ValueError("D must be >= 1")
     limit = DEFAULT_EXTERIOR_LIMIT if size_limit is None else size_limit
@@ -336,7 +333,7 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None, *, _weight_zero=False) ->
     for p in range(top + 1):
         if comb(g.dim, p) > limit:
             raise SizeLimit(f"exterior power C({g.dim},{p}) exceeds limit {limit}")
-    weight_zero = _weight_zero and g.weights is not None
+    weight_zero = g.weights is not None
     if weight_zero:
         tuples = {p: _weight_zero_wedges(g.weights, p) for p in range(top + 1)}
     else:
@@ -357,7 +354,7 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None, *, _weight_zero=False) ->
 def ce_homology(g: LieAlgebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     """Homology through degree D - 1, read off the weight-0 summand when g
     declares a grading (the other summands are acyclic)."""
-    ce = ce_complex(g, D, size_limit, _weight_zero=True)
+    ce = ce_complex(g, D, size_limit)
     hi = min(D - 1, ce.complex.certified.hi)
     return ce.homology(Interval(0, hi), reps=reps)
 
@@ -433,7 +430,7 @@ def trace_chain_check(A: Algebra, r: int, N: int, size_limit=None):
     if g.dim < 2:  # no d_CE to check: the exterior powers stop at degree g.dim
         raise ChainlabError(f"trace needs dim gl_r(A) >= 2, got {g.dim} for r = {r}")
     N = min(N, g.dim - 1)  # higher exterior powers vanish
-    ce = ce_complex(g, N + 1, size_limit, _weight_zero=True)
+    ce = ce_complex(g, N + 1, size_limit)
     lam = lambda_complex(A, N, size_limit)
     traces = {n: generalized_trace_matrix(A, r, n, lam, ce) for n in range(0, N + 1)}
     failing = None

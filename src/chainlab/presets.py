@@ -5,6 +5,7 @@ from __future__ import annotations
 from math import comb
 
 from .algebras import Algebra, AlgebraMorphism, matrix_algebra, product_algebra
+from .cyclic import size_guard
 from .errors import NotAugmented, ParseError, UnitError
 from .sparse import SparseMatrix
 
@@ -255,3 +256,15 @@ def preset_dim(spec: str, extension=False) -> int:
     the specs the builder rejects."""
     name, args = _parse(spec)
     return (_EXTENSION_DIMS if extension else _ALGEBRA_DIMS)[name](args)
+
+
+def guarded_preset(spec: str, size_limit=None, extension=False):
+    """The algebra (or extension) spec names, once the dimension read off spec
+    is within the size limit; a spec preset_dim cannot read is left to the
+    builder's own error."""
+    try:
+        dim = preset_dim(spec, extension)
+    except (ParseError, LookupError):
+        dim = 0
+    size_guard(dim, size_limit, f"{'extension' if extension else 'preset'} '{spec}'")
+    return (extension_preset if extension else algebra_preset)(spec)

@@ -27,6 +27,7 @@ from .algebras import (
     tensor,
 )
 from .complexes import HomologySpace, Interval, is_quasi_iso
+from .cyclic import size_guard
 from .errors import NotNilpotent, UnitError
 from .excision import ExtensionData, _relative_fiber, comparison_map
 from .sparse import SparseMatrix, Subspace, Vector, exact, exact_vec, vec_axpy
@@ -109,9 +110,14 @@ class UnipotentElement:
 
 
 class LogTraceProbe:
-    """Shared machinery for the degree-one Chern data of an extension."""
+    """Shared machinery for the degree-one Chern data of an extension.
 
-    def __init__(self, ext: ExtensionData, r: int, D: int = 3, size_limit=None):
+    rel HC_0 reads the relative fiber in degrees 0 and 1, so the HC
+    bicomplexes of A and B are built to total degree 2; the size guard reads
+    the row A.dim^4 of total degree 3, as _read_bicomplex does for a result
+    reported at bound 3, so a size limit rejects the same inputs."""
+
+    def __init__(self, ext: ExtensionData, r: int, size_limit=None):
         if ext.ideal_dim and not ext.I_ad.is_nilpotent:
             raise NotNilpotent("kernel ideal must be nilpotent")
         self.ext = ext
@@ -123,7 +129,8 @@ class LogTraceProbe:
             for t in range(ext.ideal_dim):
                 self.ideal_basis.append({pos * A.dim + t: ONE})
         self.commutators = Subspace(A.dim, commutator_subspace(A))
-        fib, bc_A, _ = _relative_fiber(ext, D, "hc", size_limit)
+        size_guard(A.dim ** 4, size_limit, "bicomplex row")
+        fib, bc_A, _ = _relative_fiber(ext, 2, size_limit)
         # fiber_0 = B_1 (+) A_0: a trace in A lands in the A-part
         self.a_offset = fib.dim(0) - bc_A.total.dim(0)
         self.hs = HomologySpace(fib, 0)  # rel HC_0
@@ -351,7 +358,7 @@ def tangent_table(C: Algebra, bases, D: int, size_limit=None):
     for base in bases:
         ext = base_extension(C, base)
         rng = Interval(0, D - 2)
-        eta = comparison_map(ext, D, "hc", size_limit)
+        eta = comparison_map(ext, D, size_limit)
         rel = eta.target.homology(rng)
         ideal_rep = eta.source.homology(rng)
         alpha = is_quasi_iso(eta, rng)

@@ -12,8 +12,11 @@ matrices; the integer elimination that combines rows by the undivided pivot
 value and entry; the generalized trace that walks every permutation of
 every wedge; the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
-Connes check read off the bicomplex built to total degree D; the excision
-verifier that builds each of its four comparisons on its own; the homology
+Connes check read off the bicomplex built to total degree D; relative HH
+and HC and their comparison maps built on the HH or HC bicomplexes of their
+own; the excision verifier that builds each of its four comparisons on its
+own; the log-trace probe whose relative fiber is built to total degree 3,
+one beyond the two degrees rel HC_0 reads; the homology
 space that spans the boundaries in the full dimension of the degree and solves
 a classifier matrix for every class; and the dense conversions and
 elimination-backed queries that only tests read.
@@ -24,15 +27,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from chainlab.algebras import Algebra
+from chainlab import tangent
+from chainlab.algebras import Algebra, commutator_subspace, matrix_algebra
 from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval,
                                 homotopy_fiber, is_quasi_iso, quotient_complex, selection,
                                 subcomplex)
 from chainlab.cyclic import (ConnesReport, WordBasis, bar_complex, hc_bicomplex, hh_bicomplex,
                              hoch_complex, tensor_powers, words)
-from chainlab.excision import (ExtensionData, WodzickiReport, _bar_acyclicity, _into_fiber,
-                               comparison_map)
-from chainlab.errors import AssociativityError, RangeNotCertified
+from chainlab.excision import ExtensionData, WodzickiReport, _bar_acyclicity, _into_fiber
+from chainlab.errors import AssociativityError, NotNilpotent, RangeNotCertified
 from chainlab.sparse import SparseMatrix, Subspace as SparseSubspace, Vector, exact, vec_axpy
 
 
@@ -614,6 +617,29 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
 # ---------------------------------------------------------------------------
 
 
+def _relative_fiber(ext: ExtensionData, D: int, flavor: str, size_limit=None):
+    """(fiber, source bicomplex, builder) on the HH ("hh") or HC bicomplexes."""
+    make = hh_bicomplex if flavor == "hh" else hc_bicomplex
+    bc_A = make(ext.A_ad, D, size_limit)
+    bc_B = make(ext.B, D, size_limit)
+    return homotopy_fiber(bc_A.induced_map(bc_B, ext.f_ad.matrix)), bc_A, make
+
+
+def relative_homology(ext: ExtensionData, D: int, flavor: str, size_limit=None):
+    """Relative HH or HC off the fiber of the HH or HC bicomplexes."""
+    if D < 2:
+        raise ValueError("D must be >= 2")
+    return _relative_fiber(ext, D, flavor, size_limit)[0].homology(Interval(0, D - 2))
+
+
+def comparison_map(ext: ExtensionData, D: int, flavor: str, size_limit=None) -> ChainMap:
+    """The ideal's HH or HC total complex into the relative fiber."""
+    fib, bc_A, make = _relative_fiber(ext, D, flavor, size_limit)
+    bc_I = make(ext.ideal_algebra(), D, size_limit)
+    inc = bc_I.induced_map(bc_A, ext.ideal_inclusion())
+    return _into_fiber(bc_I.total, bc_A.total, fib, inc.components, D)
+
+
 def _column_comparison(ext: ExtensionData, D: int, kind: str, size_limit=None) -> ChainMap:
     """Comparison at the single-column level: the (I, I) Bar or Hochschild
     complex mapping into the homotopy fiber of the (A, A) -> (B, B) one.
@@ -621,9 +647,9 @@ def _column_comparison(ext: ExtensionData, D: int, kind: str, size_limit=None) -
     These are the intermediate maps of the excision proof; for a non-H-unital
     ideal they are where the failure shows up."""
     make = bar_complex if kind == "bar" else hoch_complex
-    cx_I = make(ext.ideal_algebra(), None, D, size_limit).complex
-    cx_A = make(ext.A_ad, None, D, size_limit).complex
-    cx_B = make(ext.B, None, D, size_limit).complex
+    cx_I = make(ext.ideal_algebra(), None, D, size_limit)
+    cx_A = make(ext.A_ad, None, D, size_limit)
+    cx_B = make(ext.B, None, D, size_limit)
     fib = homotopy_fiber(ChainMap(cx_A, cx_B, tensor_powers(ext.f_ad.matrix, D)))
     return _into_fiber(cx_I, cx_A, fib, tensor_powers(ext.ideal_inclusion(), D), D)
 
@@ -653,6 +679,24 @@ def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiRepo
     bar = _column_comparison(ext, D, "bar", size_limit)
     return WodzickiReport(verdict_hh, verdict_hc, verdict_hoch, is_quasi_iso(bar, rng),
                           _bar_acyclicity(bar.source, D), rel_hh, rel_hc)
+
+
+class LogTraceProbe(tangent.LogTraceProbe):
+    """The log-trace probe on the relative HC fiber built to total degree 3,
+    classified by this module's HomologySpace."""
+
+    def __init__(self, ext: ExtensionData, r: int, size_limit=None):
+        if ext.ideal_dim and not ext.I_ad.is_nilpotent:
+            raise NotNilpotent("kernel ideal must be nilpotent")
+        self.ext, self.r = ext, r
+        A = ext.A_ad
+        self.Am = matrix_algebra(A, r)
+        self.ideal_basis = [{pos * A.dim + t: 1} for pos in range(r * r)
+                            for t in range(ext.ideal_dim)]
+        self.commutators = SparseSubspace(A.dim, commutator_subspace(A))
+        fib, bc_A, _ = _relative_fiber(ext, 3, "hc", size_limit)
+        self.a_offset = fib.dim(0) - bc_A.total.dim(0)
+        self.hs = HomologySpace(fib, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_builders_match_oracle_on_other_bimodules(name):
                                     ("dual_numbers", 3), ("upper_triangular:2", 2)])
 def test_ce_matches_oracle_on_gl(spec, r):
     g = gl(algebra_preset(spec), r)
-    ce = ce_complex(g, 5)
+    ce = ce_complex(LieAlgebra(g.dim, g.labels, g.bracket), 5)  # ungraded: every wedge
     for p in range(1, min(5, g.dim) + 1):
         assert ce.complex.diffs[p] == oracle.ce_matrix(g, p), p
     assert ce.tuples[2] == list(combinations(range(g.dim), 2))

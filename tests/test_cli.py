@@ -308,6 +308,16 @@ def test_an_oversized_preset_is_rejected_before_it_is_built(argv, what, capsys, 
         assert built == []
 
 
+def test_a_dsl_preset_line_is_guarded_before_it_is_built(tmp_path, capsys, built):
+    # --size-limit reaches the preset line of an algebra file
+    path = tmp_path / "big.alg"
+    path.write_text("preset truncated_poly:150\n")
+    code, out, err = run_cli(capsys, "hh", "--file", str(path), "-D", "2", "--size-limit", "10")
+    assert code == 2 and not out
+    assert err == "error: preset 'truncated_poly:150' has dimension 150 > size limit 10\n"
+    assert built == []
+
+
 def test_tangent_guards_each_base_before_building_it(capsys, built):
     code, _, err = run_cli(capsys, "tangent", "--preset", "rationals",
                            "--bases", "dual_numbers,truncated_poly:300", "--size-limit", "10")

@@ -273,14 +273,25 @@ def test_bicomplex_size_guard_runs_before_any_block(monkeypatch):
         hc_homology(matrix_algebra(rationals(), 2), 6, size_limit=100)
 
 
-def test_bicomplex_builds_only_the_blocks_it_places():
+def test_bicomplex_builds_only_the_blocks_it_places(monkeypatch):
+    # b' once per row 1..D (b on every row, the Bar columns' -b' on rows
+    # 1..D-1), 1-t on rows 0..D-1, N on rows 0..D-2 only with a column q >= 2
+    rows = {"b_prime_matrix": [], "rotation_matrix": [], "norm_matrix": []}
+    for name, seen in rows.items():
+        def spy(*args, build=getattr(cyclic, name), seen=seen):
+            seen.append(args[-1])  # the row p
+            return build(*args)
+        monkeypatch.setattr(cyclic, name, spy)
     E = dual_numbers()
     hh = CyclicBicomplex(E, 2, 4)
-    assert sorted(hh._vertical) == [("bar", 1), ("bar", 2), ("bar", 3),
-                                    ("hoch", 1), ("hoch", 2), ("hoch", 3), ("hoch", 4)]
-    assert sorted(hh._one_minus_t) == [0, 1, 2, 3]
-    assert not hh._norm
-    assert sorted(CyclicBicomplex(E, 5, 4)._norm) == [0, 1, 2]
+    assert rows == {"b_prime_matrix": [1, 2, 3, 4], "rotation_matrix": [0, 1, 2, 3],
+                    "norm_matrix": []}
+    assert sorted(hh.b_prime) == [1, 2, 3, 4]
+    for seen in rows.values():
+        seen.clear()
+    CyclicBicomplex(E, 5, 4)
+    assert rows == {"b_prime_matrix": [1, 2, 3, 4], "rotation_matrix": [0, 1, 2, 3],
+                    "norm_matrix": [0, 1, 2]}
 
 
 def test_bicomplex_checks_every_norm_it_builds(monkeypatch):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from chainlab.algebras import Algebra
 from chainlab.dsl import parse_algebra
-from chainlab.errors import AssociativityError, ParseError
+from chainlab.errors import AssociativityError, ParseError, SizeLimit
 from chainlab.presets import dual_numbers
 
 ONE = Fraction(1)
@@ -20,6 +21,22 @@ def test_preset_with_params():
     assert A.dim == 4
     B = parse_algebra("preset matrix:2\n")
     assert B.dim == 4
+
+
+def test_a_preset_line_is_guarded_before_it_is_built(monkeypatch):
+    built = []
+    init = Algebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Algebra, "__init__", counted_init)
+    for line in ("preset truncated_poly:150\n", "preset truncated_poly 150\n"):
+        with pytest.raises(SizeLimit) as exc:
+            parse_algebra(line, size_limit=10)
+        assert str(exc.value) == "preset 'truncated_poly:150' has dimension 150 > size limit 10"
+    assert built == []
+    assert parse_algebra("preset truncated_poly 10\n", size_limit=10).dim == 10
 
 
 def test_explicit_q_times_q():

@@ -149,7 +149,7 @@ def test_trace_degree_zero_values():
 
     Q = rationals()
     lam = lambda_complex(Q, 2)
-    ce = ce_complex(gl(Q, 2), 3)
+    ce = ce_complex(ungraded(gl(Q, 2)), 3)  # every wedge, so E12 has a column
     tr0 = generalized_trace_matrix(Q, 2, 0, lam, ce)
     assert tr0.column(0) == {0: ONE}   # E11 -> [1]
     assert tr0.column(1) == {}         # E12 -> 0
@@ -207,9 +207,14 @@ def test_h2_hc1_product_additivity():
 # ---------------------------------------------------------------------------
 
 
+def ungraded(g):
+    """g with no grading declared, whose CE complex has every wedge."""
+    return LieAlgebra(g.dim, g.labels, g.bracket)
+
+
 def full_homology(g, D, reps=False):
     """Homology read off every wedge, as ce_homology did before the grading."""
-    ce = ce_complex(g, D)
+    ce = ce_complex(ungraded(g), D)
     return ce.homology(Interval(0, min(D - 1, ce.complex.certified.hi)), reps=reps)
 
 
@@ -232,7 +237,7 @@ def test_gradings_declared():
 
 def test_weight_zero_wedges_are_the_balanced_ones():
     g = gl(dual_numbers(), 3)
-    ce = ce_complex(g, 4, _weight_zero=True)
+    ce = ce_complex(g, 4)
     assert ce.weight_zero
     for p in range(5):
         rows_cols = [[divmod(k // 2, 3) for k in t] for t in combinations(range(g.dim), p)]
@@ -300,7 +305,7 @@ def test_wrong_inner_element_is_rejected():
 def test_gl_of_a_non_unital_algebra_builds_every_wedge():
     for spec in ("square_zero:2", "zero"):
         g = gl(algebra_preset(spec), 2)
-        assert g.weights is None and not ce_complex(g, 4, _weight_zero=True).weight_zero
+        assert g.weights is None and not ce_complex(g, 4).weight_zero
         assert ce_homology(g, 4, reps=True) == full_homology(g, 4, reps=True)
 
 
@@ -348,7 +353,7 @@ def test_trace_identity_holds_on_every_wedge(spec, r, N):
     A = algebra_preset(spec)
     g = gl(A, r)
     N = min(N, g.dim - 1)
-    ce = ce_complex(g, N + 1)
+    ce = ce_complex(ungraded(g), N + 1)
     assert not ce.weight_zero
     lam = lambda_complex(A, N)
     traces = {n: generalized_trace_matrix(A, r, n, lam, ce) for n in range(N + 1)}

@@ -66,12 +66,12 @@ def test_wodzicki_builds_each_bicomplex_once(capsys):
 
 
 def test_wodzicki_cuts_instead_of_rebuilding(capsys):
-    # b' on rows 1..5 for each of the three HC bicomplexes and the three Bar
-    # complexes; no Hochschild column of its own; the cone of the HC
+    # b' on rows 1..5 for each of the three HC bicomplexes, which the Bar
+    # complexes reuse; no Hochschild column of its own; the cone of the HC
     # comparison and the fiber under it, and the same two for the Bar one
     rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "5"])
     capsys.readouterr()
-    assert rec.calls["cyclic.b_prime_matrix"] == 30
+    assert rec.calls["cyclic.b_prime_matrix"] == 15
     assert rec.calls["cyclic.hoch_matrix"] == 0
     assert rec.calls["complexes.cone"] == 4
 
@@ -173,3 +173,13 @@ def test_chern1_solves_only_for_the_extension_data(capsys):
     rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1"])
     capsys.readouterr()
     assert rec.calls["sparse.solve_many"] == 2
+
+
+def test_chern1_builds_the_probe_to_total_degree_two(capsys):
+    # rel HC_0 reads fiber degrees 0 and 1: the HC bicomplexes of A and B to
+    # total degree 2, 8 differentials with 1 122 stored entries, against 12
+    # with 10 358 when they were built to degree 3
+    rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1"])
+    capsys.readouterr()
+    assert rec.counters["complexes.degrees_built"] == 8
+    assert rec.counters["sparse.nnz_built"] == 1122

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from chainlab.algebras import matrix_algebra
 from chainlab.complexes import HomologySpace
 from chainlab.cyclic import hc_homology
-from chainlab.errors import NotNilpotent
+from chainlab.errors import ChainlabError, NotNilpotent, SizeLimit
 from chainlab.excision import ExtensionData, relative_homology
 from chainlab.presets import (
+    _EXTENSION_BUILDERS,
     dual_numbers,
     extension_preset,
     fat_point,
@@ -202,3 +204,31 @@ def test_log_trace_vectors_reach_the_classifier_canonical(monkeypatch):
     assert seen
     assert not [c for v in seen for c in v.values()
                 if isinstance(c, Fraction) and c.denominator == 1]
+
+
+def _probe_payloads(make, ext, r):
+    """chern1 and k1 payloads of the probe make(ext, r), or the error it raised."""
+    try:
+        probe = make(ext, r)
+    except ChainlabError as exc:
+        return type(exc), str(exc)
+    return (chern1(probe, seed=1, samples=12).to_jsonable(),
+            k1_rel_probe(probe, seed=1, samples=6).to_jsonable())
+
+
+@pytest.mark.parametrize("spec", sorted(_EXTENSION_BUILDERS))
+def test_probe_reads_rel_hc0_off_the_build_to_degree_two(spec):
+    # the oracle probe builds the relative fiber to total degree 3
+    ext = ext_of(spec)
+    for r in (1, 2):
+        assert _probe_payloads(LogTraceProbe, ext, r) == \
+            _probe_payloads(oracle.LogTraceProbe, ext, r), r
+
+
+def test_probe_keeps_the_guard_of_degree_three():
+    # matrix_dual:2: A.dim^3 = 512 would pass a limit the row A.dim^4 = 4096 exceeds
+    ext = ext_of("matrix_dual:2")
+    for limit in (600, 4000):
+        with pytest.raises(SizeLimit, match=f"^bicomplex row has dimension 4096 > size limit {limit}$"):
+            LogTraceProbe(ext, 1, size_limit=limit)
+    assert LogTraceProbe(ext, 1, size_limit=5000).rel_hc0_dim == 1
