@@ -13,6 +13,9 @@ test bases.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .errors import (
     AssociativityError,
     IdealNotNilpotent,
@@ -84,6 +87,19 @@ class Algebra:
         for _ in range(k - 1):
             out = self.mul_vec(out, x)
         return out
+
+    def integral(self):
+        """(B, L): this algebra in the basis L e_i, L the lcm of the structure
+        constants' denominators.  B's constants L c are ints, its unit is u / L
+        and its augmentation L eps; an integral table gives (self, 1), no copy."""
+        L = lcm(*(c.denominator for v in self.mul.values() for c in v.values()
+                  if type(c) is not int))
+        if L == 1:
+            return self, 1
+        mul = {k: {i: L * c for i, c in v.items()} for k, v in self.mul.items()}
+        unit = self.unit and {i: Fraction(c, L) for i, c in self.unit.items()}
+        aug = self.augmentation and {i: L * c for i, c in self.augmentation.items()}
+        return Algebra(self.dim, self.labels, mul, unit, aug, self.name), L
 
     @property
     def is_unital(self):

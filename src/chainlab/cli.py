@@ -122,7 +122,7 @@ def run(args) -> Report:
         report.add(cmd, {"algebra": A.name, "D": D}, **rep.to_jsonable())
     elif cmd == "lambda":
         A = _load_algebra(args)
-        lam = lambda_complex(A, D, args.size_limit)
+        lam = lambda_complex(A.integral()[0], D, args.size_limit)  # same report in L e_i
         rep = lam.homology(reps=args.reps)
         payload = rep.to_jsonable()
         payload["dims"] = {str(p): lam.complex.dim(p) for p in range(0, D + 1)}

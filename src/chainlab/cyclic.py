@@ -21,11 +21,18 @@ Totalization convention (validated by the d.d = 0 construction check): the
 Hochschild columns keep b, the Bar columns keep -b', the horizontal maps 1-t
 and N are used unmodified, and the total differential is the plain sum.  The
 squares then anticommute degreewise, which the constructor asserts.
+
+hh_homology, hc_homology and connes_check build on A.integral(), the same
+algebra in a basis where its constants are ints, so none of their
+differentials holds a Fraction; the CLI's lambda does too.  lie.py builds
+lambda_complex on A itself, since its trace chain map is written in A's basis.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product, repeat, starmap
 from operator import add, floordiv, mod, mul
 
@@ -33,7 +40,7 @@ from .algebras import Algebra, Bimodule
 from .complexes import (ChainComplex, ChainMap, HomologyReport, HomologySpace, Interval,
                         quotient_complex, selection, subcomplex)
 from .errors import SizeLimit, UnitError
-from .sparse import SparseMatrix, Vector, vec_axpy
+from .sparse import SparseMatrix, Vector, exact, vec_axpy
 
 ONE = 1
 
@@ -348,28 +355,46 @@ def hc_bicomplex(A: Algebra, D: int, size_limit=None) -> CyclicBicomplex:
     return CyclicBicomplex(A, D + 1, D, size_limit)
 
 
-def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None) -> CyclicBicomplex:
-    """The bicomplex to total degree D - 1, all that a result reported at bound D
-    reads: degrees 0..D-2 need only d_1..d_{D-1}.  The guard still reads the row
-    A.dim^(D+1) of total degree D, so a size limit rejects the same inputs."""
+def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None):
+    """(bc, L): the bicomplex of A's integral basis (Algebra.integral) to total
+    degree D - 1, all that a result reported at bound D reads: degrees 0..D-2
+    need only d_1..d_{D-1}.  The guard still reads the row A.dim^(D+1) of total
+    degree D, so a size limit rejects the same inputs."""
     size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
-    return CyclicBicomplex(A, ncols, D - 1, size_limit)
+    B, L = A.integral()
+    return CyclicBicomplex(B, ncols, D - 1, size_limit), L
+
+
+def _in_basis_of_A(bc: CyclicBicomplex, L: int, report: HomologyReport) -> HomologyReport:
+    """report with its representatives mapped from bc's basis L e_i back to A's.
+    A word of column q in degree n has n - q + 1 letters, so the chain
+    isomorphism scales that coordinate by L^(n - q + 1); normalised to 1 at the
+    vector's free column f (its first key), coordinate k gets L^(q_f - q_k)."""
+    if L == 1 or report.representatives is None:
+        return report
+    for n, vecs in report.representatives.items():
+        offsets = [off for _, _, off, _ in bc.layout[n]]  # listed by q
+        for v in vecs:
+            q_f = bisect_right(offsets, next(iter(v)))
+            for k, c in v.items():
+                v[k] = exact(c * Fraction(L) ** (q_f - bisect_right(offsets, k)))
+    return report
 
 
 def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     """HH_0..HH_{D-2} off the two-column bicomplex built to total degree D - 1."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    bc = _read_bicomplex(A, 2, D, size_limit)
-    return bc.total.homology(Interval(0, D - 2), reps=reps)
+    bc, L = _read_bicomplex(A, 2, D, size_limit)
+    return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=reps))
 
 
 def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     """HC_0..HC_{D-2} off the cyclic bicomplex built to total degree D - 1."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    bc = _read_bicomplex(A, D + 1, D, size_limit)
-    return bc.total.homology(Interval(0, D - 2), reps=reps)
+    bc, L = _read_bicomplex(A, D + 1, D, size_limit)
+    return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=reps))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +440,7 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     """
     if D < 3:
         raise ValueError("D must be >= 3")
-    bc = _read_bicomplex(A, D + 1, D, size_limit)
+    bc, _ = _read_bicomplex(A, D + 1, D, size_limit)
     total = bc.total
     w = {n: bc.width(n, 2) for n in total.dims}
 

@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 
 from .algebras import Algebra
+from .cyclic import size_guard
 from .errors import ParseError
 from .presets import guarded_preset
 
@@ -35,7 +36,10 @@ def _parse_terms(text, line_no, dim):
         m = _TERM.match(chunk)
         if m is None:
             raise ParseError(f"bad term '{chunk.strip()}' (expected coeff*index)", line=line_no)
-        coeff = Fraction(m.group(1))
+        try:
+            coeff = Fraction(m.group(1))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in '{chunk}'", line=line_no) from None
         k = int(m.group(2))
         if not 1 <= k <= dim:
             raise ParseError(f"basis index {k} out of range 1..{dim}", line=line_no)
@@ -48,7 +52,8 @@ def _parse_terms(text, line_no, dim):
 
 
 def parse_algebra(text: str, size_limit=None) -> Algebra:
-    """The algebra text declares; a preset line is size-guarded before it is built."""
+    """The algebra text declares; a preset or algebra line is size-guarded
+    before anything of that dimension is built."""
     name = None
     dim = None
     labels = None
@@ -86,6 +91,7 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
                 raise ParseError(f"bad dimension '{tokens[3]}'", line=line_no) from None
             if dim < 0:
                 raise ParseError("dimension must be >= 0", line=line_no)
+            size_guard(dim, size_limit, f"algebra '{name}'")
         elif head == "basis":
             if dim is None:
                 raise ParseError("basis line before algebra line", line=line_no)

@@ -212,3 +212,63 @@ def test_power_chains():
     assert t.lower_central_series() == [12, 8, 5, 3, 1, 0]
     chain = triangular_lie(Q, Ideal(Q, []), 4, [(1, 2), (2, 3), (3, 4)])
     assert chain.lower_central_series() == [6, 3, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# Algebra.integral: the same algebra in the basis L e_i
+# ---------------------------------------------------------------------------
+
+
+def test_integral_of_an_integer_table_is_the_same_object():
+    for A in [rationals(), truncated_poly(3), upper_triangular(2), square_zero(2), zero_algebra()]:
+        B, L = A.integral()
+        assert B is A and L == 1
+
+
+def _rational_q_times_q():
+    """Q x Q in the basis e1 = p1 / 2, e2 = p2 / 3 (p1, p2 the idempotents):
+    e1 e1 = e1 / 2, e2 e2 = e2 / 3, unit 2 e1 + 3 e2, augmentation onto p1."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    mul = {(0, 0): {0: half}, (1, 1): {1: third}}
+    return Algebra(2, ["a", "b"], mul, unit={0: 2, 1: 3}, augmentation={0: half}, name="QxQ'")
+
+
+def test_integral_clears_the_lcm_of_the_denominators():
+    A = _rational_q_times_q()
+    B, L = A.integral()
+    assert L == 6
+    assert B.mul == {(0, 0): {0: 3}, (1, 1): {1: 2}}
+    assert all(type(c) is int for v in B.mul.values() for c in v.values())
+    assert (B.dim, B.labels, B.name) == (A.dim, A.labels, A.name)
+
+
+def test_integral_scales_the_unit_and_the_augmentation_and_revalidates(monkeypatch):
+    A = _rational_q_times_q()
+    validated = []
+    check = Algebra._validate
+
+    def spy(self):
+        validated.append(self)
+        check(self)
+    monkeypatch.setattr(Algebra, "_validate", spy)
+    B, L = A.integral()
+    assert validated == [B]
+    assert B.unit == {0: Fraction(1, 3), 1: Fraction(1, 2)}  # u / 6
+    assert B.augmentation == {0: 3}  # 6 eps
+    assert B.counit(B.unit) == 1
+
+
+def test_integral_of_a_nonunital_rational_table():
+    # span{x, y} with x x = (2/5) y: non-unital, nilpotent
+    A = Algebra(2, None, {(0, 0): {1: Fraction(2, 5)}})
+    B, L = A.integral()
+    assert L == 5 and not B.is_unital and B.augmentation is None
+    assert B.mul == {(0, 0): {1: 2}}
+    assert B.nilpotency_order() == A.nilpotency_order() == 3
+
+
+def test_an_integral_fraction_folds_to_an_int():
+    A = Algebra(1, None, {(0, 0): {0: Fraction(4, 2)}}, unit={0: Fraction(1, 2)})
+    assert A.mul == {(0, 0): {0: 2}} and type(A.mul[(0, 0)][0]) is int
+    B, L = A.integral()
+    assert B is A and L == 1

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from chainlab import cyclic, sparse
-from chainlab.algebras import Bimodule, commutator_subspace, matrix_algebra
+from chainlab.algebras import Algebra, Bimodule, commutator_subspace, matrix_algebra
+from chainlab.cli import main
 from chainlab.complexes import ChainComplex, Interval
 from chainlab.cyclic import (
     CyclicBicomplex,
@@ -339,12 +340,23 @@ def test_connes_matches_the_full_bound_build_on_matrices_to_degree_six():
     assert connes_check(A, 6).to_jsonable() == oracle.connes_check(A, 6).to_jsonable()
 
 
-def test_reports_match_the_full_bound_build_on_rebased_tables():
+def _workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def rebased_jobs(seed):
+    """(slot, cmd, D, A, DSL text of A) of each rebased benchmark job at seed."""
+    workloads = _workloads()
     for slot, (cmd, preset, D, bits) in enumerate(workloads.REBASED):
-        A = parse_algebra(workloads.generate_rebased(preset, bits, 3, slot)[0])
+        text = workloads.generate_rebased(preset, bits, seed, slot)[0]
+        yield slot, cmd, D, parse_algebra(text), text
+
+
+def test_reports_match_the_full_bound_build_on_rebased_tables():
+    for slot, cmd, D, A, _ in rebased_jobs(3):
         assert_reports_match_full_bound(A, 3)
         # the benchmark job's own report, without --reps
         if cmd == "connes":
@@ -353,6 +365,63 @@ def test_reports_match_the_full_bound_build_on_rebased_tables():
             name = cmd + "_homology"
             assert getattr(cyclic, name)(A, D).to_jsonable() == \
                 getattr(oracle, name)(A, D).to_jsonable(), (slot, D)
+
+
+# hh, hc and connes build on the table's integral basis (Algebra.integral), the
+# CLI's lambda too; the oracle and the rational-table builds below do not
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reps_match_the_full_bound_build_at_each_rebased_jobs_degree(seed):
+    # column q of degree n holds words of n - q + 1 letters, so the reps read
+    # in the basis L e_i scale by L^(q_f - q_k), q_f - q_k up to D - 2
+    for slot, cmd, D, A, _ in rebased_jobs(seed):
+        for name in ("hh_homology", "hc_homology"):
+            want = getattr(oracle, name)(A, D, reps=True).to_jsonable()
+            assert getattr(cyclic, name)(A, D, reps=True).to_jsonable() == want, (slot, name)
+            del want["representatives"]
+            assert getattr(cyclic, name)(A, D).to_jsonable() == want, (slot, name)
+
+
+def _cli_bytes(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_lambda_reps_match_the_build_on_the_rational_table(seed, tmp_path, monkeypatch,
+                                                               capsys):
+    # each degree of the lambda complex has one word length, so the scale L^(n+1)
+    # cancels when a representative is normalised to 1 at its free column
+    for slot, cmd, D, A, text in rebased_jobs(seed):
+        path = tmp_path / f"rebased_{slot}.alg"
+        path.write_text(text, encoding="utf-8")
+        argv = ["lambda", "--file", str(path), "-D", str(D), "--reps", "--format", "json"]
+        got = _cli_bytes(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(Algebra, "integral", lambda self: (self, 1))
+            assert _cli_bytes(capsys, argv) == got, slot
+
+
+def test_no_differential_built_on_a_rebased_table_holds_a_fraction(tmp_path, monkeypatch,
+                                                                   capsys):
+    built = []
+    init = ChainComplex.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(ChainComplex, "__init__", spy)
+    for slot, cmd, D, A, text in rebased_jobs(1):
+        assert A.integral()[1] > 1, slot  # every rebased table has a real denominator
+        path = tmp_path / f"rebased_{slot}.alg"
+        path.write_text(text, encoding="utf-8")
+        for sub in ("hh", "hc", "lambda", "connes"):
+            built.clear()
+            _cli_bytes(capsys, [sub, "--file", str(path), "-D", str(D), "--reps"])
+            assert built, (slot, sub)
+            fractional = [n for C in built for n, d in C.diffs.items() if d.fractional]
+            assert fractional == [], (slot, sub)
 
 
 def test_connes_checks_that_the_quotient_is_the_shifted_total(monkeypatch):
@@ -376,9 +445,7 @@ def test_hc_ranks_each_differential_on_the_rows_the_degree_below_left_free(monke
     # d_n is eliminated without the rows at d_{n-1}'s pivot columns: at most
     # dim ker d_{n-1} = rank d_n + betti_{n-1} rows, where the whole of d_n has
     # dim C_{n-1} of them
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     slot = next(i for i, job in enumerate(workloads.REBASED) if job[:2] == ("hc", "matrix:2"))
     _, preset, D, bits = workloads.REBASED[slot]
     A = parse_algebra(workloads.generate_rebased(preset, bits, 1, slot)[0])

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainlab.algebras import Algebra
 from chainlab.dsl import parse_algebra
-from chainlab.errors import AssociativityError, ParseError, SizeLimit
+from chainlab.errors import AssociativityError, ChainlabError, ParseError, SizeLimit
 from chainlab.presets import dual_numbers
 
 ONE = Fraction(1)
@@ -123,3 +124,89 @@ def test_augmentation_must_be_multiplicative():
     """
     with pytest.raises(Exception):
         parse_algebra(text)
+
+
+def test_a_zero_denominator_is_a_parse_error_that_names_the_line():
+    with pytest.raises(ParseError) as exc:
+        parse_algebra("algebra x dim 1\nmul 1 1 = 1/0*1\n")
+    assert exc.value.line == 2 and str(exc.value) == "zero denominator in '1/0*1' (line 2)"
+
+
+def test_the_algebra_line_is_guarded_before_anything_is_built(monkeypatch):
+    built = []
+    init = Algebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Algebra, "__init__", counted_init)
+    with pytest.raises(SizeLimit) as exc:
+        parse_algebra("algebra big dim 3000000\nmul 1 1 = 1*1\n")
+    assert str(exc.value) == "algebra 'big' has dimension 3000000 > size limit 2000000"
+    with pytest.raises(SizeLimit) as exc:
+        parse_algebra("algebra v dim 11\n", size_limit=10)
+    assert str(exc.value) == "algebra 'v' has dimension 11 > size limit 10"
+    assert built == []
+    assert parse_algebra("algebra v dim 10\n", size_limit=10).dim == 10
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every generated text ends in an Algebra or a ChainlabError
+# ---------------------------------------------------------------------------
+
+@st.composite
+def coefficient(draw):
+    """An integer or p/q, with zero and negative denominators among the q."""
+    num = str(draw(st.integers(-3, 3)))
+    den = draw(st.sampled_from([None, None, None, 1, 2, 3, 0, -2]))
+    return num if den is None else f"{num}/{den}"
+
+
+@st.composite
+def terms(draw, dim):
+    """'c*k + ...' with k in 1..dim (the junk lines of dsl_text go out of range)."""
+    index = st.integers(1, max(dim, 1))
+    parts = [f"{draw(coefficient())}*{draw(index)}" for _ in range(draw(st.integers(0, 2)))]
+    return " + ".join(parts) if parts else draw(st.sampled_from(["0*1", "x", ""]))
+
+
+@st.composite
+def dsl_text(draw):
+    """An algebra line, usually well formed and first, then table lines in any
+    order: mul, unit, augmentation and basis lines, now and then a malformed one."""
+    dim = draw(st.sampled_from([1, 2, 3, 2, 3, 0]))
+    index = st.integers(1, max(dim, 1))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["mul"] * 8 + ["unit", "unit", "augmentation", "basis",
+                                                   "junk"]))
+        if kind == "mul":
+            lines.append(f"mul {draw(index)} {draw(index)} = {draw(terms(dim))}")
+        elif kind == "unit":
+            lines.append(f"unit = {draw(terms(dim))}")
+        elif kind == "augmentation":
+            lines.append(f"augmentation = {draw(index)}")
+        elif kind == "basis":
+            lines.append("basis " + " ".join(f"b{i}" for i in range(draw(st.integers(0, 4)))))
+        else:
+            lines.append(draw(st.sampled_from([
+                "preset dual_numbers", "preset nope", "mul 1 1", "mul 0 1 = 1*1",
+                f"mul 1 {dim + 1} = 1*1", f"mul 1 1 = 1*{dim + 1}", "augmentation = 0",
+                "unit", "# comment", "frobnicate"])))
+    header = draw(st.sampled_from([f"algebra a dim {dim}"] * 12 + [
+        "algebra a dim 11", "algebra a dim -1", "algebra a dim x", "algebra a 2", None]))
+    if header is not None:
+        lines.insert(draw(st.sampled_from([0] * 7 + [len(lines)])), header)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dsl_text())
+def test_every_text_ends_in_an_algebra_or_a_chainlab_error(text):
+    try:
+        A = parse_algebra(text, size_limit=10)
+    except ChainlabError:
+        return
+    assert isinstance(A, Algebra), text
+    B, L = A.integral()  # the integral basis validates too
+    assert B.dim == A.dim and (B is A) == (L == 1), text
