@@ -6,6 +6,9 @@ identity, (x_i x_j) x_k and x_i (x_j x_k), as tensors keyed (i, j, k) by
 walking only the nonzero structure constants; a triple neither side reaches
 is 0 = 0, so every triple is covered, and the smallest triple where the sides
 differ is the one reported.  The bimodule axioms are checked the same way.
+An algebra's rational table is checked on its constants times L, the lcm of
+their denominators, as ints: both sides scale by L^2, so the failing triples
+are the same.
 Algebras may be non-unital; an optional augmentation (an algebra map to Q
 given by a coefficient functional) marks the local augmented algebras used as
 test bases.
@@ -51,6 +54,16 @@ def mismatches(lhs: dict, rhs: dict, bounds) -> list:
             if lhs.get(k, {}) != rhs.get(k, {}) and all(0 <= x < n for x, n in zip(k, bounds))]
 
 
+def _integral_table(mul: dict) -> tuple:
+    """(L, table): L the lcm of the denominators of the structure constants mul,
+    table the constants times L as ints (mul itself when L = 1)."""
+    L = lcm(*(c.denominator for v in mul.values() for c in v.values() if type(c) is not int))
+    if L == 1:
+        return 1, mul
+    return L, {k: {i: c * L if type(c) is int else c.numerator * (L // c.denominator)
+                   for i, c in v.items()} for k, v in mul.items()}
+
+
 class Algebra:
     def __init__(self, dim, labels, mul, unit=None, augmentation=None, name=None, check=True):
         self.dim = dim
@@ -92,11 +105,9 @@ class Algebra:
         """(B, L): this algebra in the basis L e_i, L the lcm of the structure
         constants' denominators.  B's constants L c are ints, its unit is u / L
         and its augmentation L eps; an integral table gives (self, 1), no copy."""
-        L = lcm(*(c.denominator for v in self.mul.values() for c in v.values()
-                  if type(c) is not int))
+        L, mul = _integral_table(self.mul)
         if L == 1:
             return self, 1
-        mul = {k: {i: L * c for i, c in v.items()} for k, v in self.mul.items()}
         unit = self.unit and {i: Fraction(c, L) for i, c in self.unit.items()}
         aug = self.augmentation and {i: L * c for i, c in self.augmentation.items()}
         return Algebra(self.dim, self.labels, mul, unit, aug, self.name), L
@@ -125,8 +136,10 @@ class Algebra:
             for k in vec:
                 if not 0 <= k < self.dim:
                     raise ValueError("product coefficient index out of range")
-        bad = min(mismatches(nested_products(self.mul, self.mul, True),
-                             nested_products(self.mul, self.mul, False), (self.dim,) * 3),
+        # in the basis L e_i both sides scale by L^2: the same mismatches, in ints
+        table = _integral_table(self.mul)[1]
+        bad = min(mismatches(nested_products(table, table, True),
+                             nested_products(table, table, False), (self.dim,) * 3),
                   default=None)
         if bad is not None:
             raise AssociativityError(tuple(x + 1 for x in bad))

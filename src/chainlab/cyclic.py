@@ -8,7 +8,8 @@ the cyclic rotation on p+1 tensor factors carries the sign (-1)^p.
 Differentials are written by index arithmetic on the WordBasis layout, with
 no word formed per entry: b' is the Kronecker sum of (-1)^i id (x) mu_i (x) id
 (mu_0 the right action on the module slot, mu_i the product of slots i, i+1),
-so each structure constant of mu_i gives one strided run of entries.
+so each structure constant of mu_i gives one strided run of entries.  b adds
+the wrap term's runs to those of b' before its one matrix is built.
 
 The rotation t is a signed permutation of the words, so coker(1 - t) keeps
 one word per orbit whose signs multiply to +1, its largest, with [e_y] =
@@ -21,6 +22,14 @@ Totalization convention (validated by the d.d = 0 construction check): the
 Hochschild columns keep b, the Bar columns keep -b', the horizontal maps 1-t
 and N are used unmodified, and the total differential is the plain sum.  The
 squares then anticommute degreewise, which the constructor asserts.
+
+Over Q, HC is the homology of the lambda complex for any algebra (Connes;
+Loday, Cyclic Homology, 2.1.5), so hc_homology reads its betti numbers off
+LambdaComplex, the smaller model.  The bicomplex is kept where its own
+coordinates or columns are read: hh_homology (its columns q < 2),
+connes_check (the columns q <= 1 and q >= 2), hc_homology with reps (its
+representatives are written in the bicomplex's basis) and the excision
+comparisons.
 
 hh_homology, hc_homology and connes_check build on A.integral(), the same
 algebra in a basis where its constants are ints, so none of their
@@ -119,29 +128,35 @@ def _slot_product(table, d, d_out, n_left, n_right, sign, nrows) -> dict:
     return out
 
 
-def b_prime_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
-    """b' on M (x) A^p: alternating sum of the p adjacent contractions."""
+def _sum_into(entries: dict, term: dict) -> dict:
+    """entries += term in place (term is used up); sums that cancel are dropped."""
+    for key in entries.keys() & term.keys():
+        s = term[key] + entries.pop(key)
+        if s:
+            term[key] = s
+        else:
+            del term[key]
+    entries.update(term)
+    return entries
+
+
+def _b_prime_flat(A: Algebra, M: Bimodule, p: int) -> dict:
+    """Flat entries of b' on M (x) A^p, M.dim * A.dim^(p-1) rows (see _from_flat)."""
     if p < 1:
         raise ValueError("b' starts at degree 1")
     d = A.dim
     nrows = M.dim * d ** (p - 1)
     entries = _slot_product(M.right, d, M.dim, 1, d ** (p - 1), 1, nrows)
     for i in range(1, p):
-        term = _slot_product(A.mul, d, d, M.dim * d ** (i - 1), d ** (p - 1 - i),
-                             -1 if i % 2 else 1, nrows)
-        for key in entries.keys() & term.keys():
-            s = term[key] + entries.pop(key)
-            if s:
-                term[key] = s
-            else:
-                del term[key]
-        entries.update(term)
-    return _from_flat(nrows, nrows * d, entries)
+        _sum_into(entries, _slot_product(A.mul, d, d, M.dim * d ** (i - 1), d ** (p - 1 - i),
+                                         -1 if i % 2 else 1, nrows))
+    return entries
 
 
-def wrap_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
-    """(-1)^p times the wrap term of b: the last slot acts on the module from the
-    left, so entry (m2, w) <- (m, w, a) for (a, m) -> m2 and every middle word w."""
+def _wrap_flat(A: Algebra, M: Bimodule, p: int) -> dict:
+    """Flat entries of (-1)^p times the wrap term of b: the last slot acts on the
+    module from the left, so entry (m2, w) <- (m, w, a) for (a, m) -> m2 and
+    every middle word w."""
     d = A.dim
     n_mid = d ** (p - 1)
     nrows = M.dim * n_mid
@@ -152,12 +167,30 @@ def wrap_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
             start = (m * n_mid * d + a) * nrows + m2 * n_mid
             keys = range(start, start + n_mid * (d * nrows + 1), d * nrows + 1)
             entries.update(zip(keys, repeat(sign * coef)))
-    return _from_flat(nrows, nrows * d, entries)
+    return entries
+
+
+def b_prime_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
+    """b' on M (x) A^p: alternating sum of the p adjacent contractions."""
+    entries = _b_prime_flat(A, M, p)
+    nrows = M.dim * A.dim ** (p - 1)
+    return _from_flat(nrows, nrows * A.dim, entries)
 
 
 def hoch_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
-    """b = b' + (-1)^p (last slot wraps onto the module by the left action)."""
-    return b_prime_matrix(A, M, p) + wrap_matrix(A, M, p)
+    """b = b' + (-1)^p (last slot wraps onto the module by the left action),
+    summed entrywise before the one matrix is built."""
+    entries = _sum_into(_b_prime_flat(A, M, p), _wrap_flat(A, M, p))
+    nrows = M.dim * A.dim ** (p - 1)
+    return _from_flat(nrows, nrows * A.dim, entries)
+
+
+def hoch_from_b_prime(b_prime: SparseMatrix, A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
+    """hoch_matrix(A, M, p) from b_prime = b_prime_matrix(A, M, p) already built:
+    the wrap entries summed into a copy of b_prime's."""
+    n = b_prime.nrows
+    wrap = {(k % n, k // n): c for k, c in _wrap_flat(A, M, p).items()}
+    return SparseMatrix(n, b_prime.ncols, _sum_into(dict(b_prime.entries), wrap))
 
 
 def unit_homotopy(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
@@ -265,9 +298,10 @@ class CyclicBicomplex:
     """First-quadrant bicomplex, columns alternating Hochschild (even q,
     differential b) and Bar (odd q, differential -b'), horizontal maps 1-t
     (odd q -> even) and N (even q -> odd), materialised to total degree D.
-    hh_homology, hc_homology and connes_check report at bound D off the build
-    to D - 1, guarded as for D (_read_bicomplex); the excision comparisons
-    use the full hc_bicomplex build and its b_prime.
+    hh_homology, connes_check and hc_homology with reps report at bound D off
+    the build to D - 1, guarded as for D (_read_bicomplex); hc_homology
+    without reps reads LambdaComplex instead.  The excision comparisons use
+    the full hc_bicomplex build and its b_prime.
 
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
@@ -276,10 +310,10 @@ class CyclicBicomplex:
     total, for k = 1 the Hochschild complex) are its first width(n, k).
 
     Only the blocks the layout places are built: b' on rows 1..D, kept as
-    b_prime (b on every row, and the Bar columns' -b' on rows 1..D-1 as b'
-    with the scale -1), 1-t on rows 0..D-1, and N on rows 0..D-2 when there
-    is a column q >= 2 (ncols > 2).  Every N built is checked against
-    N(1-t) = 0 and (1-t)N = 0.
+    b_prime (b on every row, its wrap entries summed into a copy of b', and
+    the Bar columns' -b' on rows 1..D-1 as b' with the scale -1), 1-t on rows
+    0..D-1, and N on rows 0..D-2 when there is a column q >= 2 (ncols > 2).
+    Every N built is checked against N(1-t) = 0 and (1-t)N = 0.
     """
 
     def __init__(self, A: Algebra, ncols: int, D: int, size_limit=None):
@@ -289,7 +323,7 @@ class CyclicBicomplex:
         self.bound = D
         M = Bimodule.regular(A)
         self.b_prime = {p: b_prime_matrix(A, M, p) for p in range(1, D + 1)}
-        hoch = {p: bp + wrap_matrix(A, M, p) for p, bp in self.b_prime.items()}
+        hoch = {p: hoch_from_b_prime(bp, A, M, p) for p, bp in self.b_prime.items()}
         one_minus_t = {}
         for p in range(0, D):
             t = rotation_matrix(A, p)
@@ -390,11 +424,17 @@ def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyRepo
 
 
 def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
-    """HC_0..HC_{D-2} off the cyclic bicomplex built to total degree D - 1."""
+    """HC_0..HC_{D-2}, guarded as the cyclic bicomplex of bound D, off the
+    lambda complex built to degree D - 1: in degree n about (n + 1) d / (d - 1)
+    times smaller than the bicomplex's total.  With reps, off the bicomplex
+    built to total degree D - 1, whose coordinates the representatives are in."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    bc, L = _read_bicomplex(A, D + 1, D, size_limit)
-    return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=reps))
+    if reps:
+        bc, L = _read_bicomplex(A, D + 1, D, size_limit)
+        return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=True))
+    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
+    return lambda_complex(A.integral()[0], D - 1, size_limit).homology(Interval(0, D - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,11 @@ from .cyclic import (
     bar_from_b_prime,
     hc_bicomplex,
     hoch_complex,
+    hoch_from_b_prime,
     hoch_matrix,
     size_guard,
     tensor_powers,
     words,
-    wrap_matrix,
 )
 from .errors import DegreeMismatch, NotAnIdeal
 from .sparse import SparseMatrix
@@ -262,7 +262,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
     # one b' per degree serves both kinds and both stages
     bprimes = {p: b_prime_matrix(A, M_ad, p) for p in range(1, D + 1)}
     full_mats = {"bar": {p: bp.scale(-1) for p, bp in bprimes.items()},
-                 "hoch": {p: bp + wrap_matrix(A, M_ad, p) for p, bp in bprimes.items()}}
+                 "hoch": {p: hoch_from_b_prime(bp, A, M_ad, p) for p, bp in bprimes.items()}}
     results = {}
     stages = {}
     for kind in ("bar", "hoch"):

@@ -160,7 +160,7 @@ def test_a06_rotation_coinvariants_model_agreement():
     for A in [rationals(), dual_numbers(), truncated_poly(3),
               matrix_algebra(rationals(), 2)]:
         lam = lambda_complex(A, 4).homology(Interval(0, 3))
-        hc = hc_homology(A, 5)
+        hc = oracle.hc_homology(A, 5)  # hc_homology reads the lambda complex itself
         assert all(lam.betti[n] == hc.betti[n] for n in range(4)), A.name
     _ok("rotation-coinvariants model agrees with the cyclic bicomplex on "
         "degrees <= 3 for Q, Q[e], Q[t]/t^3, M2(Q)")

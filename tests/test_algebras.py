@@ -1,8 +1,11 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from chainlab import algebras
 from chainlab.algebras import (
     Algebra,
     AlgebraMorphism,
@@ -17,6 +20,7 @@ from chainlab.algebras import (
     tensor,
     unitalization,
 )
+from chainlab.dsl import parse_algebra
 from chainlab.errors import AssociativityError, IdealNotNilpotent, NotAnIdeal, UnitError
 from chainlab.presets import (
     dual_numbers,
@@ -272,3 +276,32 @@ def test_an_integral_fraction_folds_to_an_int():
     assert A.mul == {(0, 0): {0: 2}} and type(A.mul[(0, 0)][0]) is int
     B, L = A.integral()
     assert B is A and L == 1
+
+
+def test_a_rational_non_associative_table_names_the_same_triple():
+    # (e2 e3) e3 = (2/3)(-1/6) e1 but e2 (e3 e3) = 0; (e2 e2) e3 and (e2 e3) e2
+    # agree with the other bracketing, so the smallest failing triple is (2, 3, 3)
+    mul = {(1, 1): {1: Fraction(2, 3)}, (1, 2): {2: Fraction(2, 3)},
+           (2, 1): {2: Fraction(5, 7)}, (2, 2): {0: Fraction(-1, 6)}}
+    with pytest.raises(AssociativityError) as exc:
+        Algebra(3, None, mul)
+    assert exc.value.triple == (2, 3, 3)
+    assert str(exc.value) == "associativity fails on basis triple (2, 3, 3)"
+
+
+def test_associativity_of_a_rebased_table_is_checked_in_ints(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seen = []
+    nested = algebras.nested_products
+
+    def spy(inner, outer, left):
+        seen.extend(type(c) for table in (inner, outer) for v in table.values() for c in v.values())
+        return nested(inner, outer, left)
+    monkeypatch.setattr(algebras, "nested_products", spy)
+    for slot, (_, preset, _, bits) in enumerate(workloads.REBASED):
+        A = parse_algebra(workloads.generate_rebased(preset, bits, 1, slot)[0])
+        assert A.integral()[1] > 1, slot
+    assert seen and set(seen) == {int}

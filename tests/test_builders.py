@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from chainlab import lie
 from chainlab.algebras import Algebra, Bimodule
-from chainlab.cyclic import b_prime_matrix, hoch_matrix, unit_homotopy, wrap_matrix
+from chainlab.cyclic import b_prime_matrix, hoch_from_b_prime, hoch_matrix, unit_homotopy
 from chainlab.dsl import parse_algebra
 from chainlab.excision import ExtensionData, module_b_tensor_ideal
 from chainlab.lie import LieAlgebra, ce_complex, gl, lie_from_assoc
@@ -30,8 +30,11 @@ PRESETS = ["rationals", "zero", "dual_numbers", "truncated_poly:3", "truncated_p
 
 def assert_builders_match(A, M, top):
     for p in range(1, top + 1):
-        assert b_prime_matrix(A, M, p) == oracle.b_prime_matrix(A, M, p), ("b'", p)
-        assert wrap_matrix(A, M, p) == oracle.wrap_matrix(A, M, p), ("wrap", p)
+        b_prime = oracle.b_prime_matrix(A, M, p)
+        b = b_prime + oracle.wrap_matrix(A, M, p)
+        assert b_prime_matrix(A, M, p) == b_prime, ("b'", p)
+        assert hoch_matrix(A, M, p) == b, ("b", p)
+        assert hoch_from_b_prime(b_prime, A, M, p) == b, ("b from b'", p)
     if A.is_unital:
         for p in range(0, top + 1):
             assert unit_homotopy(A, M, p) == oracle.unit_homotopy(A, M, p), ("s", p)
@@ -131,8 +134,11 @@ def algebras_and_modules(draw):
 @given(algebras_and_modules(), st.integers(1, 3))
 def test_builders_match_oracle_on_random_tables(pair, p):
     A, M = pair
-    assert b_prime_matrix(A, M, p) == oracle.b_prime_matrix(A, M, p)
-    assert wrap_matrix(A, M, p) == oracle.wrap_matrix(A, M, p)
+    b_prime = oracle.b_prime_matrix(A, M, p)
+    b = b_prime + oracle.wrap_matrix(A, M, p)
+    assert b_prime_matrix(A, M, p) == b_prime
+    assert hoch_matrix(A, M, p) == b
+    assert hoch_from_b_prime(b_prime, A, M, p) == b
     if A.is_unital:
         assert unit_homotopy(A, M, p) == oracle.unit_homotopy(A, M, p)
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from chainlab import cyclic, sparse
-from chainlab.algebras import Algebra, Bimodule, commutator_subspace, matrix_algebra
+from chainlab.algebras import (Algebra, Bimodule, augmentation_ideal, commutator_subspace,
+                               matrix_algebra)
 from chainlab.cli import main
 from chainlab.complexes import ChainComplex, Interval
 from chainlab.cyclic import (
@@ -26,9 +27,11 @@ from chainlab.cyclic import (
 )
 from chainlab.dsl import parse_algebra
 from chainlab.errors import SizeLimit
+from chainlab.excision import ExtensionData
 from chainlab.presets import (
     algebra_preset,
     dual_numbers,
+    extension_preset,
     fat_point,
     product_qq,
     rationals,
@@ -58,8 +61,6 @@ def test_bar_of_zero_multiplication():
 
 
 def test_bar_nonunital_truncated_ideal_not_acyclic():
-    from chainlab.algebras import augmentation_ideal
-
     I = augmentation_ideal(truncated_poly(3)).as_algebra()
     rep = bar_complex(I, D=4).homology(Interval(0, 3))
     assert any(v for v in rep.betti.values())
@@ -241,12 +242,38 @@ def test_lambda_checks_that_the_differential_descends(monkeypatch):
         lambda_complex(dual_numbers(), 3)
 
 
+def _nonunital_algebras():
+    ideals = [ExtensionData(extension_preset(spec)).ideal_algebra()
+              for spec in ("matrix_dual:2", "upper_triangular:3", "truncated_poly:3")]
+    return ideals + [augmentation_ideal(truncated_poly(4)).as_algebra()]
+
+
 def test_lambda_agrees_with_hc():
+    # hc_homology reads the lambda complex itself, so the second model here is
+    # the cyclic bicomplex of the oracle
     for A in [dual_numbers(), truncated_poly(3), fat_point(), product_qq(),
-              upper_triangular(2), square_zero(1)]:
+              upper_triangular(2), square_zero(1)] + _nonunital_algebras():
         lam = lambda_complex(A, 5).homology(Interval(0, 3))
-        hc = hc_homology(A, 5)
+        hc = oracle.hc_homology(A, 5)
         assert all(lam.betti[n] == hc.betti[n] for n in range(4)), A.name
+
+
+@pytest.mark.parametrize("D", [3, 4, 5])
+def test_hc_matches_the_bicomplex_on_nonunital_algebras(D):
+    # Connes' theorem needs no unit: C^lambda computes HC of the ideals too
+    for A in _nonunital_algebras():
+        assert not A.is_unital
+        assert hc_homology(A, D).to_jsonable() == oracle.hc_homology(A, D).to_jsonable(), \
+            (A.name, D)
+
+
+@pytest.mark.parametrize("k, D", [(2, 9), (3, 9), (4, 8)])
+def test_hc_of_truncated_polynomials_in_closed_form(k, D):
+    # HC_n(Q[t]/t^k) = k for n even and 0 for n odd over Q: HC_n(Q) plus the
+    # k - 1 classes of the reduced part, all in even degrees.  The bicomplex
+    # at these bounds is beyond the suite's oracle
+    betti = hc_homology(truncated_poly(k), D).betti
+    assert betti == {n: k if n % 2 == 0 else 0 for n in range(D - 1)}
 
 
 def test_zero_algebra_everything_vanishes():
@@ -416,9 +443,11 @@ def test_no_differential_built_on_a_rebased_table_holds_a_fraction(tmp_path, mon
         assert A.integral()[1] > 1, slot  # every rebased table has a real denominator
         path = tmp_path / f"rebased_{slot}.alg"
         path.write_text(text, encoding="utf-8")
-        for sub in ("hh", "hc", "lambda", "connes"):
+        # hc reads the lambda complex, and the bicomplex with --reps
+        for sub, *reps in (("hh", "--reps"), ("hc", "--reps"), ("hc",), ("lambda", "--reps"),
+                           ("connes", "--reps")):
             built.clear()
-            _cli_bytes(capsys, [sub, "--file", str(path), "-D", str(D), "--reps"])
+            _cli_bytes(capsys, [sub, "--file", str(path), "-D", str(D), *reps])
             assert built, (slot, sub)
             fractional = [n for C in built for n, d in C.diffs.items() if d.fractional]
             assert fractional == [], (slot, sub)

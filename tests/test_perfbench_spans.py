@@ -149,11 +149,26 @@ def test_hh_builds_only_the_degrees_it_ranks(capsys):
 
 
 def test_hc_builds_only_the_degrees_it_ranks(capsys):
-    # the total to degree 4: N on rows 0..2, 3 444 stored entries against 16 440
+    # HC_0..HC_3 off the lambda complex to degree 4: 384 stored entries in its
+    # d_1..d_4, against 3 444 in the cyclic bicomplex's total to degree 4
     rec = _traced(["hc", "--preset", "matrix:2", "-D", "5"])
     capsys.readouterr()
+    assert rec.counters["sparse.nnz_built"] == 384
+    assert rec.counters["complexes.degrees_built"] == rec.counters["complexes.degrees_ranked"] == 4
+    assert rec.calls["cyclic.LambdaComplex"] == 1
+    assert rec.calls["cyclic.CyclicBicomplex"] == 0
+    assert rec.calls["cyclic.norm_matrix"] == 0
+
+
+def test_hc_reps_keeps_one_bicomplex(capsys):
+    # representatives are written in the bicomplex's coordinates: the total to
+    # degree 4, N on rows 0..2, 3 444 stored entries, and no lambda complex
+    rec = _traced(["hc", "--preset", "matrix:2", "-D", "5", "--reps"])
+    capsys.readouterr()
+    assert rec.counters["cyclic.bicomplex.builds"] == 1
     assert rec.counters["sparse.nnz_built"] == 3444
     assert rec.calls["cyclic.norm_matrix"] == 3
+    assert rec.calls["cyclic.LambdaComplex"] == 0
 
 
 def test_connes_reads_the_quotient_off_the_shifted_total(capsys):
