@@ -93,14 +93,6 @@ class Algebra:
                 vec_axpy(out, ci * cj, self.mul_basis(i, j))
         return out
 
-    def power(self, x: Vector, k: int) -> Vector:
-        if k < 1:
-            raise ValueError("power needs k >= 1")
-        out = dict(x)
-        for _ in range(k - 1):
-            out = self.mul_vec(out, x)
-        return out
-
     def integral(self):
         """(B, L): this algebra in the basis L e_i, L the lcm of the structure
         constants' denominators.  B's constants L c are ints, its unit is u / L

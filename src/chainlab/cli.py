@@ -29,52 +29,56 @@ from .reports import Report, render_table
 from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_table
 
 
-def _base_parser(sub, name, help_text, needs_algebra=True, needs_ext=False):
-    p = sub.add_parser(name, help=help_text)
-    if needs_algebra:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--preset", help="algebra preset name[:params]")
-        group.add_argument("--file", help="algebra DSL file")
-    if needs_ext:
-        p.add_argument("--ext", required=True, help="extension preset name[:params]")
-    p.add_argument("-D", "--degree-bound", type=int, default=5, dest="degree_bound")
-    p.add_argument("-r", "--rank", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--size-limit", type=int, default=None, dest="size_limit")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.add_argument("--reps", action="store_true", help="emit homology representatives")
-    p.add_argument("--timings", action="store_true", help="record wall-clock timings")
-    return p
+def _parents():
+    """(algebra, extension, common): parent parsers, declared once, of the
+    --preset/--file input group, the --ext input and the shared options."""
+    algebra = argparse.ArgumentParser(add_help=False)
+    group = algebra.add_mutually_exclusive_group()
+    group.add_argument("--preset", help="algebra preset name[:params]")
+    group.add_argument("--file", help="algebra DSL file")
+    extension = argparse.ArgumentParser(add_help=False)
+    extension.add_argument("--ext", required=True, help="extension preset name[:params]")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-D", "--degree-bound", type=int, default=5, dest="degree_bound")
+    common.add_argument("-r", "--rank", type=int, default=2)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--samples", type=int, default=100)
+    common.add_argument("--size-limit", type=int, default=None, dest="size_limit")
+    common.add_argument("--format", choices=["table", "json"], default="table")
+    common.add_argument("--reps", action="store_true", help="emit homology representatives")
+    common.add_argument("--timings", action="store_true", help="record wall-clock timings")
+    return algebra, extension, common
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="chainlab",
                                  description="Exact chain-level homology workbench for finite-dimensional rational algebras")
     sub = ap.add_subparsers(dest="command", required=True)
-    _base_parser(sub, "hh", "Hochschild homology (two-column totalization)")
-    _base_parser(sub, "hc", "cyclic homology (first-quadrant totalization)")
-    _base_parser(sub, "connes", "exactness of the degree-lowering long exact sequence")
-    _base_parser(sub, "hunital", "bounded H-unitality certificate")
-    p = _base_parser(sub, "filtration", "filtration stages of an extension",
-                     needs_algebra=False, needs_ext=True)
+    algebra, extension, common = _parents()
+
+    def add(name, help_text, source=algebra):
+        return sub.add_parser(name, help=help_text, parents=[source, common])
+
+    add("hh", "Hochschild homology (two-column totalization)")
+    add("hc", "cyclic homology (first-quadrant totalization)")
+    add("connes", "exactness of the degree-lowering long exact sequence")
+    add("hunital", "bounded H-unitality certificate")
+    p = add("filtration", "filtration stages of an extension", extension)
     p.add_argument("--level", type=int, default=0, help="stage index n")
     p.add_argument("--kind", choices=["F", "Q"], default="F")
     p.add_argument("--flavor", choices=["bar", "hoch"], default="bar")
-    _base_parser(sub, "wodzicki", "excision verifier for an extension",
-                 needs_algebra=False, needs_ext=True)
-    p = _base_parser(sub, "ce", "Chevalley-Eilenberg homology")
+    add("wodzicki", "excision verifier for an extension", extension)
+    p = add("ce", "Chevalley-Eilenberg homology")
     p.add_argument("--gl", type=int, default=None,
                    help="use gl_r of the algebra instead of its underlying Lie algebra")
-    _base_parser(sub, "trace", "chain-map identity of the generalized trace")
-    _base_parser(sub, "lqt", "stable-range comparison with the symmetric model")
-    _base_parser(sub, "h2hc1", "central extension shadow: H_2 vs HC_1")
-    _base_parser(sub, "chern1", "degree-one log-trace probe of a nilpotent extension",
-                 needs_algebra=False, needs_ext=True)
-    p = _base_parser(sub, "tangent", "tangent table over Artinian bases")
+    add("trace", "chain-map identity of the generalized trace")
+    add("lqt", "stable-range comparison with the symmetric model")
+    add("h2hc1", "central extension shadow: H_2 vs HC_1")
+    add("chern1", "degree-one log-trace probe of a nilpotent extension", extension)
+    p = add("tangent", "tangent table over Artinian bases")
     p.add_argument("--bases", default="dual_numbers",
                    help="comma-separated augmented presets")
-    _base_parser(sub, "lambda", "rotation-coinvariants model of the cyclic complex")
+    add("lambda", "rotation-coinvariants model of the cyclic complex")
     return ap
 
 

@@ -81,6 +81,8 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
                 raise ParseError(str(exc), line=line_no) from None
 
         saw_table_line = True
+        if head in ("basis", "mul", "unit", "augmentation") and dim is None:
+            raise ParseError(f"{head} line before algebra line", line=line_no)
         if head == "algebra":
             if len(tokens) != 4 or tokens[2].lower() != "dim":
                 raise ParseError("expected: algebra <name> dim <d>", line=line_no)
@@ -93,14 +95,10 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
                 raise ParseError("dimension must be >= 0", line=line_no)
             size_guard(dim, size_limit, f"algebra '{name}'")
         elif head == "basis":
-            if dim is None:
-                raise ParseError("basis line before algebra line", line=line_no)
             labels = tokens[1:]
             if len(labels) != dim:
                 raise ParseError(f"expected {dim} basis labels, got {len(labels)}", line=line_no)
         elif head == "mul":
-            if dim is None:
-                raise ParseError("mul line before algebra line", line=line_no)
             m = re.match(r"^mul\s+(\d+)\s+(\d+)\s*=\s*(.+)$", line, re.IGNORECASE)
             if m is None:
                 raise ParseError("expected: mul <i> <j> = <coeff>*<k> [+ ...]", line=line_no)
@@ -113,15 +111,11 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
             if vec:
                 mul[(i - 1, j - 1)] = vec
         elif head == "unit":
-            if dim is None:
-                raise ParseError("unit line before algebra line", line=line_no)
             m = re.match(r"^unit\s*=\s*(.+)$", line, re.IGNORECASE)
             if m is None:
                 raise ParseError("expected: unit = <coeff>*<k> [+ ...]", line=line_no)
             unit = _parse_terms(m.group(1), line_no, dim)
         elif head == "augmentation":
-            if dim is None:
-                raise ParseError("augmentation line before algebra line", line=line_no)
             m = re.match(r"^augmentation\s*=\s*(\d+)$", line, re.IGNORECASE)
             if m is None:
                 raise ParseError("expected: augmentation = <basis index>", line=line_no)

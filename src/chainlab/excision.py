@@ -8,10 +8,13 @@ filtration stages are then spanned by coordinate subsets of the tensor-word
 bases.  Each stage, graded piece and kernel is cut out of a built complex by
 complexes.subcomplex (F^n, the kernel of Q^n -> Q^{n+1}) or
 complexes.quotient_complex (Q^n, F^{n+1}/F^n), which check that the cut is
-closed under the differential.  So are relative HH and the excision
-verifier's HH and Hochschild-column comparisons: the columns q < 2 and q < 1
-of the HC comparison, the one square every relative and excision result reads;
-its Bar column is built from the b' that the HC bicomplexes keep.
+closed under the differential.  So is every relative and excision result:
+f_ad projects each letter onto the letters dim(I)..dim(A)-1, so the kernel K
+of C(A) -> C(B) is the subcomplex of words holding an ideal letter, and C(I)
+that of words of ideal letters only.  f is onto and C(I) -> K one-to-one, so
+H(K) is relative homology and K / C(I) is acyclic exactly where the
+comparison is a quasi-isomorphism.  All are cut out of A's HC bicomplex, HH
+and the Hochschild column as its columns q < 2 and q < 1, Bar from its b'.
 
 Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
@@ -35,24 +38,20 @@ from .complexes import (
     Interval,
     QuasiIsoVerdict,
     acyclicity,
-    cone,
-    homotopy_fiber,
-    is_quasi_iso,
     quotient_complex,
     selection,
     subcomplex,
 )
 from .cyclic import (
+    CyclicBicomplex,
     WordBasis,
     b_prime_matrix,
     bar_complex,
-    bar_from_b_prime,
     hc_bicomplex,
     hoch_complex,
     hoch_from_b_prime,
     hoch_matrix,
     size_guard,
-    tensor_powers,
     words,
 )
 from .errors import DegreeMismatch, NotAnIdeal
@@ -360,75 +359,85 @@ def q_kernel_complex(ext: ExtensionData, stage: FiltrationStage) -> ChainComplex
 # ---------------------------------------------------------------------------
 
 
-def _relative_fiber(ext: ExtensionData, D: int, size_limit=None):
-    """(fiber complex, source bicomplex, target bicomplex) of HC to total degree D."""
-    bc_A = hc_bicomplex(ext.A_ad, D, size_limit)
-    bc_B = hc_bicomplex(ext.B, D, size_limit)
-    return homotopy_fiber(bc_A.induced_map(bc_B, ext.f_ad.matrix)), bc_A, bc_B
+def _hc_of_A(ext: ExtensionData, D: int, size_limit=None) -> CyclicBicomplex:
+    """A's HC bicomplex to total degree D - 1, all that a result reported at
+    bound D reads: degrees 0..D-2 of a cut need only d_1..d_{D-1}.  The guard
+    still reads the row A.dim^(D+1) of total degree D, as
+    cyclic._read_bicomplex does, so a size limit rejects the same inputs."""
+    size_guard(ext.A_ad.dim ** (D + 1), size_limit, "bicomplex row")
+    return hc_bicomplex(ext.A_ad, D - 1, size_limit)
+
+
+def _word_cut(ext: ExtensionData, diffs: dict, rows: dict, what: str):
+    """(K, inner) of a complex whose degree n is the direct sum, in order, of
+    the regular words A^(p+1) for p in rows[n].  K keeps the words holding an
+    ideal letter: the kernel of the map to B's complex, which applies f_ad,
+    the projection onto the other letters, letter by letter.  inner[n] lists
+    the positions in K_n of C(I), the words of ideal letters only.
+    subcomplex raises unless d keeps K."""
+    dA, dI = ext.A_ad.dim, ext.ideal_dim
+    marks = {}  # p -> (x, ideal letters only) for the words x of A^(p+1) in K
+    keep, inner = {}, {}
+    for n, ps in rows.items():
+        keep[n], inner[n], off = [], [], 0
+        for p in ps:
+            if p not in marks:
+                marks[p] = [(x, max(w) < dI) for x, w in enumerate(WordBasis((dA,) * (p + 1)))
+                            if min(w) < dI]
+            for x, pure in marks[p]:
+                if pure:
+                    inner[n].append(len(keep[n]))
+                keep[n].append(off + x)
+            off += dA ** (p + 1)
+    return subcomplex(diffs, keep, what), inner
+
+
+def _mod_ideal(K: ChainComplex, inner: dict) -> ChainComplex:
+    """K / C(I), C(I) at the positions inner[n] of K_n; quotient_complex
+    raises unless d keeps C(I)."""
+    walks = {n: selection(sorted(set(range(K.dim(n))).difference(pos)), K.dim(n))
+             for n, pos in inner.items()}
+    return quotient_complex(K.diffs, walks, "K / C(I)")
+
+
+def _kernel_cut(ext: ExtensionData, bc: CyclicBicomplex, k: int | None = None):
+    """_word_cut of the columns q < k of bc's total, every column by default.
+    No map raises q and each degree lists its columns by q, so these lead
+    each degree and are closed under d."""
+    k = k or bc.ncols
+    rows = {n: [p for q, p, _, _ in comps if q < k] for n, comps in bc.layout.items()}
+    return _word_cut(ext, bc.total.diffs, rows, f"columns q < {k}")
 
 
 def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
                       size_limit=None) -> HomologyReport:
-    """Betti numbers of the homotopy fiber of the induced map on HC totals,
-    or for flavor "hh" on its columns q < 2, the two-column HH totals."""
+    """Relative HC, or for flavor "hh" relative HH: the homology of
+    K = ker(C(A) -> C(B)) on every column, or on the columns q < 2.  f is
+    onto, so K is quasi-isomorphic to the homotopy fiber of C(A) -> C(B)."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    fib, bc_A, bc_B = _relative_fiber(ext, D, size_limit)
-    if flavor == "hh":
-        fib = _column_cut(fib, [(bc_B, 1), (bc_A, 0)], 2)
-    return fib.homology(Interval(0, D - 2))
-
-
-def _into_fiber(cx_I: ChainComplex, cx_A: ChainComplex, fib: ChainComplex,
-                inc: dict, D: int) -> ChainMap:
-    """The ideal's complex into the A-part of fib = hofib(cx_A -> cx_B),
-    by the components inc[n] : cx_I_n -> cx_A_n, in degrees 0..D-1."""
-    comps = {}
-    for n in range(0, D):
-        # fiber_n = cone_{n+1} = B_{n+1} (+) A_n; land in the A-part
-        top = fib.dim(n) - cx_A.dim(n)
-        comps[n] = SparseMatrix.assemble(fib.dim(n), cx_I.dim(n), [(top, 0, inc[n], 1)])
-    return ChainMap(cx_I, fib, comps)
-
-
-def _comparison(ext: ExtensionData, D: int, size_limit=None):
-    """comparison_map, with the bicomplexes (bc_I, bc_A, bc_B) it is built from."""
-    fib, bc_A, bc_B = _relative_fiber(ext, D, size_limit)
-    bc_I = hc_bicomplex(ext.ideal_algebra(), D, size_limit)
-    inc = bc_I.induced_map(bc_A, ext.ideal_inclusion())
-    return _into_fiber(bc_I.total, bc_A.total, fib, inc.components, D), (bc_I, bc_A, bc_B)
+    K = _kernel_cut(ext, _hc_of_A(ext, D, size_limit), 2 if flavor == "hh" else None)[0]
+    return K.homology(Interval(0, D - 2))
 
 
 def comparison_map(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
-    """Canonical map from the ideal's HC total complex to the relative fiber."""
-    return _comparison(ext, D, size_limit)[0]
+    """The HC comparison of excision: the inclusion of the ideal's total
+    complex C(I) into K = ker(C(A) -> C(B)).  Its cone is quasi-isomorphic to
+    K / C(I), and to the cone of C(I) into the relative fiber."""
+    K, inner = _kernel_cut(ext, _hc_of_A(ext, D, size_limit))
+    comps = {n: SparseMatrix(K.dim(n), len(pos), {(i, j): ONE for j, i in enumerate(pos)})
+             for n, pos in inner.items()}
+    return ChainMap(subcomplex(K.diffs, inner, "C(I)"), K, comps)
 
 
-def _column_cut(cx: ChainComplex, parts, k: int) -> ChainComplex:
-    """The columns q < k of cx, whose degree n is the direct sum, in order, of
-    the totals of parts = [(bicomplex, s)] in degree n + s: their leading
-    width(n + s, k) coordinates.  The maps of a comparison are blockwise, so
-    the cut is the one built on the columns q < k alone."""
-    keep = {}
-    for n in cx.dims:
-        keep[n], off = [], 0
-        for bc, s in parts:
-            keep[n] += range(off, off + bc.width(n + s, k))
-            off += bc.total.dim(n + s)
-        if off != cx.dim(n):
-            raise DegreeMismatch(f"parts do not add up to degree {n}")
-    return subcomplex(cx.diffs, keep, f"columns q < {k}")
-
-
-def _column_comparison(ext: ExtensionData, *bcs) -> ChainMap:
-    """The (I, I) Bar complex into the homotopy fiber of the (A, A) -> (B, B)
-    one: the comparison of the excision proof where a non-H-unital ideal shows
-    up.  Each Bar complex is built from the b' on rows 1..D that the HC
-    bicomplex bcs = (bc_I, bc_A, bc_B) of its algebra keeps."""
-    cx_I, cx_A, cx_B = (bar_from_b_prime(bc.b_prime) for bc in bcs)
-    D = bcs[0].bound
-    fib = homotopy_fiber(ChainMap(cx_A, cx_B, tensor_powers(ext.f_ad.matrix, D)))
-    return _into_fiber(cx_I, cx_A, fib, tensor_powers(ext.ideal_inclusion(), D), D)
+def _column_comparison(ext: ExtensionData, bc: CyclicBicomplex) -> ChainComplex:
+    """K / C(I) of the Bar complex, acyclic exactly where the (I, I) Bar
+    complex maps quasi-isomorphically into the homotopy fiber of the (A, A)
+    -> (B, B) one: the comparison of the excision proof where a non-H-unital
+    ideal shows up.  The Bar complex of A, whose degree n holds the words
+    A^(n+1), is built from the b' on rows 1..D-1 that bc keeps."""
+    diffs = {p: bp.scale(-1) for p, bp in bc.b_prime.items()}
+    return _mod_ideal(*_word_cut(ext, diffs, {n: [n] for n in range(bc.bound + 1)}, "Bar"))
 
 
 @dataclass
@@ -466,27 +475,23 @@ class WodzickiReport:
 def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
     """Quasi-isomorphism ranges of the ideal-to-relative comparison maps.
 
-    Four comparisons are run off the HC bicomplexes of I, A and B: HC, HH and
-    the Hochschild and Bar columns the proof factors through.  HH and
-    Hochschild are the columns q < 2 and q < 1 of HC, whose fiber is
-    B_{n+1} (+) A_n and cone fiber_n (+) I_{n-1}; Bar is built from their b'.
-    The report also carries the ideal's bounded H-unitality certificate, read
-    off the Bar comparison's source, so it exhibits "H-unital implies
-    excision" on instances; a failed verdict is a successful computation.
-    Relative HH and HC are read off the fibers.
+    Four comparisons are read off A's HC bicomplex: HC, HH (its columns
+    q < 2) and the Hochschild and Bar columns the proof factors through (its
+    column q < 1, and the Bar complex of its b').  Each is a quasi-isomorphism
+    exactly where its K / C(I) is acyclic, with the same failing degree and
+    defect.  The report also carries the ideal's bounded H-unitality
+    certificate, so it exhibits "H-unital implies excision" on instances; a
+    failed verdict is a successful computation.  Relative HH and HC are H(K).
     """
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-    eta, (bc_I, bc_A, bc_B) = _comparison(ext, D, size_limit)
-    cn = cone(eta)
-    fib_parts = [(bc_B, 1), (bc_A, 0)]
-    hh, hoch = (acyclicity(_column_cut(cn, fib_parts + [(bc_I, -1)], k), rng) for k in (2, 1))
-    bar = _column_comparison(ext, bc_I, bc_A, bc_B)
-    return WodzickiReport(hh, acyclicity(cn, rng), hoch, is_quasi_iso(bar, rng),
-                          _bar_acyclicity(bar.source, D),
-                          _column_cut(eta.target, fib_parts, 2).homology(rng),
-                          eta.target.homology(rng))
+    bc = _hc_of_A(ext, D, size_limit)
+    cuts = [_kernel_cut(ext, bc, k) for k in (2, None, 1)]  # HH, HC, Hochschild
+    hh, hc, hoch = (acyclicity(_mod_ideal(*cut), rng) for cut in cuts)
+    rel_hh, rel_hc = (K.homology(rng) for K, _ in cuts[:2])
+    return WodzickiReport(hh, hc, hoch, acyclicity(_column_comparison(ext, bc), rng),
+                          h_unitality_check(ext.ideal_algebra(), D, size_limit), rel_hh, rel_hc)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from .algebras import (
     matrix_units_trace,
     tensor,
 )
-from .complexes import HomologySpace, Interval, is_quasi_iso
+from .complexes import HomologySpace, Interval, acyclicity, subcomplex
 from .cyclic import size_guard
 from .errors import NotNilpotent, UnitError
-from .excision import ExtensionData, _relative_fiber, comparison_map
+from .excision import ExtensionData, _hc_of_A, _kernel_cut, _mod_ideal
 from .sparse import SparseMatrix, Subspace, Vector, exact, exact_vec, vec_axpy
 
 ONE = 1
@@ -112,10 +112,12 @@ class UnipotentElement:
 class LogTraceProbe:
     """Shared machinery for the degree-one Chern data of an extension.
 
-    rel HC_0 reads the relative fiber in degrees 0 and 1, so the HC
-    bicomplexes of A and B are built to total degree 2; the size guard reads
-    the row A.dim^4 of total degree 3, as _read_bicomplex does for a result
-    reported at bound 3, so a size limit rejects the same inputs."""
+    rel HC_0 is H_0 of K = ker(C(A) -> C(B)), which reads K in degrees 0 and
+    1, so A's HC bicomplex is built to total degree 1.  K_0 is I, in the
+    ideal's own coordinates, so a trace in I is its own chain.  The size
+    guard reads the row A.dim^4 of total degree 3, as _read_bicomplex does
+    for a result reported at bound 3, so a size limit rejects the same
+    inputs."""
 
     def __init__(self, ext: ExtensionData, r: int, size_limit=None):
         if ext.ideal_dim and not ext.I_ad.is_nilpotent:
@@ -130,10 +132,7 @@ class LogTraceProbe:
                 self.ideal_basis.append({pos * A.dim + t: ONE})
         self.commutators = Subspace(A.dim, commutator_subspace(A))
         size_guard(A.dim ** 4, size_limit, "bicomplex row")
-        fib, bc_A, _ = _relative_fiber(ext, 2, size_limit)
-        # fiber_0 = B_1 (+) A_0: a trace in A lands in the A-part
-        self.a_offset = fib.dim(0) - bc_A.total.dim(0)
-        self.hs = HomologySpace(fib, 0)  # rel HC_0
+        self.hs = HomologySpace(_kernel_cut(ext, _hc_of_A(ext, 2, size_limit))[0], 0)  # rel HC_0
 
     @property
     def rel_hc0_dim(self):
@@ -145,8 +144,9 @@ class LogTraceProbe:
     def chern_class(self, u: UnipotentElement) -> Vector:
         """Class of trace(log u) in rel HC_0 (coordinates over representatives)."""
         v = self.trace_log(u)
-        embedded = {self.a_offset + k: c for k, c in v.items()}
-        return self.hs.classify(embedded)
+        if any(k >= self.ext.ideal_dim for k in v):
+            raise ValueError("log-trace is not a chain of K: it leaves the ideal")
+        return self.hs.classify(v)
 
     def unipotent(self, nilpart: Vector) -> UnipotentElement:
         return UnipotentElement(self.Am, nilpart)
@@ -350,18 +350,19 @@ class TangentRow:
 def tangent_table(C: Algebra, bases, D: int, size_limit=None):
     """For each Artinian base B: relative HC of C (x) B -> C, the HC of the
     augmentation-ideal coefficients C (x) Aug(B), and the quasi-isomorphism
-    range of the comparison map between them.  Both HC columns are read off
-    that map: its target is the relative fiber, its source the ideal's total."""
+    range of the comparison map between them.  All three are read off one cut
+    of A's HC bicomplex: relative HC is H(K), the ideal's HC is H(C(I)), and
+    the comparison is a quasi-isomorphism where K / C(I) is acyclic."""
     if D < 2:
         raise ValueError("D must be >= 2")
     rows = []
     for base in bases:
         ext = base_extension(C, base)
         rng = Interval(0, D - 2)
-        eta = comparison_map(ext, D, size_limit)
-        rel = eta.target.homology(rng)
-        ideal_rep = eta.source.homology(rng)
-        alpha = is_quasi_iso(eta, rng)
+        K, inner = _kernel_cut(ext, _hc_of_A(ext, D, size_limit))
+        rel = K.homology(rng)
+        ideal_rep = subcomplex(K.diffs, inner, "C(I)").homology(rng)
+        alpha = acyclicity(_mod_ideal(K, inner), rng)
         # dim I / (I cap [A, A]): the concrete degree-zero relative class space
         comm = Subspace(ext.A_ad.dim, commutator_subspace(ext.A_ad))
         base_rank = comm.rank

@@ -14,9 +14,11 @@ every wedge; the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
 Connes check read off the bicomplex built to total degree D; relative HH
 and HC and their comparison maps built on the HH or HC bicomplexes of their
-own; the excision verifier that builds each of its four comparisons on its
-own; the log-trace probe whose relative fiber is built to total degree 3,
-one beyond the two degrees rel HC_0 reads; the homology
+own, each a map into a homotopy fiber (_into_fiber); the excision verifier
+that builds each of its four comparisons and their cones on its own; the
+log-trace probe whose relative fiber is built to total degree 3, one beyond
+the two degrees rel HC_0 reads, and which classifies a trace as a chain of
+the fiber's A-part; the homology
 space that spans the boundaries in the full dimension of the degree and solves
 a classifier matrix for every class; and the dense conversions and
 elimination-backed queries that only tests read.
@@ -34,7 +36,7 @@ from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval
                                 subcomplex)
 from chainlab.cyclic import (ConnesReport, WordBasis, bar_complex, hc_bicomplex, hh_bicomplex,
                              hoch_complex, tensor_powers, words)
-from chainlab.excision import ExtensionData, WodzickiReport, _bar_acyclicity, _into_fiber
+from chainlab.excision import ExtensionData, WodzickiReport, _bar_acyclicity
 from chainlab.errors import AssociativityError, NotNilpotent, RangeNotCertified
 from chainlab.sparse import SparseMatrix, Subspace as SparseSubspace, Vector, exact, vec_axpy
 
@@ -625,6 +627,18 @@ def _relative_fiber(ext: ExtensionData, D: int, flavor: str, size_limit=None):
     return homotopy_fiber(bc_A.induced_map(bc_B, ext.f_ad.matrix)), bc_A, make
 
 
+def _into_fiber(cx_I: ChainComplex, cx_A: ChainComplex, fib: ChainComplex,
+                inc: dict, D: int) -> ChainMap:
+    """The ideal's complex into the A-part of fib = hofib(cx_A -> cx_B),
+    by the components inc[n] : cx_I_n -> cx_A_n, in degrees 0..D-1."""
+    comps = {}
+    for n in range(0, D):
+        # fiber_n = cone_{n+1} = B_{n+1} (+) A_n; land in the A-part
+        top = fib.dim(n) - cx_A.dim(n)
+        comps[n] = SparseMatrix.assemble(fib.dim(n), cx_I.dim(n), [(top, 0, inc[n], 1)])
+    return ChainMap(cx_I, fib, comps)
+
+
 def relative_homology(ext: ExtensionData, D: int, flavor: str, size_limit=None):
     """Relative HH or HC off the fiber of the HH or HC bicomplexes."""
     if D < 2:
@@ -695,8 +709,13 @@ class LogTraceProbe(tangent.LogTraceProbe):
                             for t in range(ext.ideal_dim)]
         self.commutators = SparseSubspace(A.dim, commutator_subspace(A))
         fib, bc_A, _ = _relative_fiber(ext, 3, "hc", size_limit)
-        self.a_offset = fib.dim(0) - bc_A.total.dim(0)
+        self.a_offset = fib.dim(0) - bc_A.total.dim(0)  # fiber_0 = B_1 (+) A_0
         self.hs = HomologySpace(fib, 0)
+
+    def chern_class(self, u):
+        """Class of trace(log u), a chain in the A-part of the fiber."""
+        v = self.trace_log(u)
+        return self.hs.classify({self.a_offset + k: c for k, c in v.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainlab.algebras import Algebra
-from chainlab.cli import main
+from chainlab.cli import build_parser, main
 from chainlab.errors import ChainlabError
 from chainlab.presets import (_ALGEBRA_BUILDERS, _EXTENSION_BUILDERS, algebra_preset,
                               extension_preset, preset_dim)
@@ -335,3 +336,28 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert (proc.returncode, proc.stderr) == (code, "") == (0, "")
     assert proc.stdout == out and json.loads(out)["results"]
+
+
+COMMON_OPTIONS = ["-D", "--degree-bound", "-r", "--rank", "--seed", "--samples", "--size-limit",
+                  "--format", "--reps", "--timings"]
+ALGEBRA_INPUT = ["--preset", "--file"]
+
+
+@pytest.mark.parametrize("cmd,own", [
+    ("hh", []), ("hc", []), ("connes", []), ("hunital", []), ("ce", ["--gl"]),
+    ("trace", []), ("lqt", []), ("h2hc1", []), ("tangent", ["--bases"]), ("lambda", []),
+    ("filtration", ["--level", "--kind", "--flavor"]), ("wodzicki", []), ("chern1", []),
+])
+def test_each_subcommand_keeps_its_option_strings(cmd, own):
+    # the shared options and the input group are declared once, as parents:
+    # each subcommand still has them, in this order, and nothing else
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parser = subs.choices[cmd]
+    by_ext = cmd in ("filtration", "wodzicki", "chern1")
+    source = ["--ext"] if by_ext else ALGEBRA_INPUT
+    assert [s for a in parser._actions for s in a.option_strings] == \
+        ["-h", "--help"] + source + COMMON_OPTIONS + own
+    groups = [[s for a in g._group_actions for s in a.option_strings]
+              for g in parser._mutually_exclusive_groups]
+    assert groups == ([] if by_ext else [ALGEBRA_INPUT])
+    assert [a.required for a in parser._actions if "--ext" in a.option_strings] == [True] * by_ext

@@ -85,6 +85,13 @@ def test_parse_error_carries_line():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("line", ["basis a", "MUL 1 1 = 1*1", "unit = 1*1", "augmentation = 1"])
+def test_a_table_line_before_the_algebra_line_names_its_directive(line):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(f"# no algebra yet\n{line}\nalgebra x dim 1\n")
+    assert str(exc.value) == f"{line.split()[0].lower()} line before algebra line (line 2)"
+
+
 def test_misc_errors():
     with pytest.raises(ParseError):
         parse_algebra("")

@@ -1,13 +1,14 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import oracle
 from chainlab import excision
 from chainlab.algebras import Bimodule
-from chainlab.complexes import ChainMap, Interval, cone, is_quasi_iso, subcomplex
-from chainlab.cyclic import b_prime_matrix, bar_complex, hc_bicomplex, hoch_complex
-from chainlab.errors import DegreeMismatch, SizeLimit
+from chainlab.complexes import ChainMap, Interval, is_quasi_iso, subcomplex
+from chainlab.cyclic import b_prime_matrix, bar_complex, hc_bicomplex, hh_bicomplex, hoch_complex
+from chainlab.errors import SizeLimit
 from chainlab.excision import (
     ExtensionData,
     comparison_map,
@@ -383,21 +384,19 @@ def test_relative_hh_is_the_two_column_cut_of_the_hc_fiber(spec):
                                   "identity:dual_numbers", "collapse:dual_numbers",
                                   "truncated_poly:3"])
 def test_column_cuts_are_the_direct_comparisons(name):
-    # columns q < 2 of the HC comparison's fiber and cone are the HH ones,
-    # columns q < 1 the Hochschild-column ones: same dims, same matrices
+    # the columns q < 2 of A's HC bicomplex are its HH bicomplex, q < 1 the
+    # Hochschild column: their K, K / C(I) and positions of C(I) are those of
+    # the same cuts of hh_bicomplex's total
     ext = ext_of(name)
     D = 4
-    eta, (bc_I, bc_A, bc_B) = excision._comparison(ext, D)
-    cn = cone(eta)
-    fib_parts = [(bc_B, 1), (bc_A, 0)]
-    for k, ref in ((2, oracle.comparison_map(ext, D, "hh")),
-                   (1, oracle._column_comparison(ext, D, "hoch"))):
-        fib_k = excision._column_cut(eta.target, fib_parts, k)
-        cone_k = excision._column_cut(cn, fib_parts + [(bc_I, -1)], k)
-        ref_cone = cone(ref)
-        assert (fib_k.dims, fib_k.diffs) == (ref.target.dims, ref.target.diffs), k
-        assert (cone_k.dims, cone_k.diffs) == (ref_cone.dims, ref_cone.diffs), k
-        assert cone_k.certified == ref_cone.certified, k
+    bc, ref = excision._hc_of_A(ext, D), hh_bicomplex(ext.A_ad, D - 1)
+    for k in (2, 1):
+        (K, inner), (ref_K, ref_inner) = (excision._kernel_cut(ext, b, k) for b in (bc, ref))
+        Q, ref_Q = excision._mod_ideal(K, inner), excision._mod_ideal(ref_K, ref_inner)
+        for got, want in ((K, ref_K), (Q, ref_Q)):
+            assert (got.dims, got.diffs, got.certified) == \
+                (want.dims, want.diffs, want.certified), k
+        assert inner == ref_inner, k
 
 
 def test_a_cut_that_is_not_closed_is_refused():
@@ -409,8 +408,10 @@ def test_a_cut_that_is_not_closed_is_refused():
         subcomplex(bc.total.diffs, keep, "column q = 1")
 
 
-def test_a_cut_whose_parts_miss_a_summand_is_refused():
-    # the cone's degree n is fiber_n (+) I_{n-1}: the fiber's parts fall short from n = 1
-    eta, (_, bc_A, bc_B) = excision._comparison(ext_of("truncated_poly:3"), 3)
-    with pytest.raises(DegreeMismatch, match="parts do not add up to degree 1"):
-        excision._column_cut(cone(eta), [(bc_B, 1), (bc_A, 0)], 2)
+def test_a_cut_whose_letters_are_not_an_ideal_is_refused():
+    # the letter 1 of Q[t]/t^3 spans no ideal: the Bar column's -b' sends the
+    # word (1, t) of total degree 2 to -(t), which holds no letter 1
+    A = truncated_poly(3)
+    with pytest.raises(ValueError, match="^columns q < 4: differential leaks out of the "
+                                         "subcomplex at degree 2$"):
+        excision._kernel_cut(SimpleNamespace(A_ad=A, ideal_dim=1), hc_bicomplex(A, 3))

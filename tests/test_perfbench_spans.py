@@ -57,29 +57,30 @@ def _traced(argv):
 
 
 def test_wodzicki_builds_each_bicomplex_once(capsys):
-    # one HC bicomplex for each of I, A and B: the HH and Hochschild-column
-    # comparisons are cut out of the HC one
+    # A's HC bicomplex alone: every comparison is a cut of it, no bicomplex of
+    # I or B is built
     rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "3"])
     capsys.readouterr()
-    assert rec.counters["cyclic.bicomplex.builds"] == 3
-    assert rec.counters["cyclic.bicomplex.distinct"] == 3
+    assert rec.counters["cyclic.bicomplex.builds"] == 1
+    assert rec.counters["cyclic.bicomplex.distinct"] == 1
 
 
 def test_wodzicki_cuts_instead_of_rebuilding(capsys):
-    # b' on rows 1..5 for each of the three HC bicomplexes, which the Bar
-    # complexes reuse; no Hochschild column of its own; the cone of the HC
-    # comparison and the fiber under it, and the same two for the Bar one
+    # b' on rows 1..4 for A's HC bicomplex to total degree 4, which the Bar
+    # cut reuses, and on rows 1..5 for the ideal's H-unitality certificate; no
+    # Hochschild column of its own; no induced map, fiber or cone
     rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "5"])
     capsys.readouterr()
-    assert rec.calls["cyclic.b_prime_matrix"] == 15
+    assert rec.calls["cyclic.b_prime_matrix"] == 9
     assert rec.calls["cyclic.hoch_matrix"] == 0
-    assert rec.calls["complexes.cone"] == 4
+    assert rec.calls["complexes.cone"] == 0
+    assert rec.calls["cyclic.induced_map"] == 0
 
 
 def test_chern1_builds_one_probe(capsys):
     rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1", "--samples", "2"])
     capsys.readouterr()
-    assert rec.counters["cyclic.bicomplex.builds"] == 2
+    assert rec.counters["cyclic.bicomplex.builds"] == 1
 
 
 def test_two_column_build_makes_no_norm(capsys):
@@ -190,11 +191,11 @@ def test_chern1_solves_only_for_the_extension_data(capsys):
     assert rec.calls["sparse.solve_many"] == 2
 
 
-def test_chern1_builds_the_probe_to_total_degree_two(capsys):
-    # rel HC_0 reads fiber degrees 0 and 1: the HC bicomplexes of A and B to
-    # total degree 2, 8 differentials with 1 122 stored entries, against 12
-    # with 10 358 when they were built to degree 3
+def test_chern1_builds_the_probe_to_total_degree_one(capsys):
+    # rel HC_0 = H_0(K) reads K in degrees 0 and 1: A's HC bicomplex to total
+    # degree 1 and K cut from it, 2 differentials with 60 stored entries,
+    # against 8 with 1 122 for the relative fiber to degree 1
     rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1"])
     capsys.readouterr()
-    assert rec.counters["complexes.degrees_built"] == 8
-    assert rec.counters["sparse.nnz_built"] == 1122
+    assert rec.counters["complexes.degrees_built"] == 2
+    assert rec.counters["sparse.nnz_built"] == 60

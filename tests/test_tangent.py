@@ -232,3 +232,13 @@ def test_probe_keeps_the_guard_of_degree_three():
         with pytest.raises(SizeLimit, match=f"^bicomplex row has dimension 4096 > size limit {limit}$"):
             LogTraceProbe(ext, 1, size_limit=limit)
     assert LogTraceProbe(ext, 1, size_limit=5000).rel_hc0_dim == 1
+
+
+def test_a_log_trace_outside_the_ideal_is_refused():
+    # identity:dual_numbers has I = 0, so trace log(1 + e) = e is no relative chain
+    ext = ext_of("identity:dual_numbers")
+    probe = LogTraceProbe(ext, 1)
+    u = probe.unipotent({ext.A_ad.labels.index("c:e"): ONE})
+    assert probe.trace_log(u)
+    with pytest.raises(ValueError):
+        probe.chern_class(u)
