@@ -59,7 +59,7 @@ def build_parser():
     def add(name, help_text, source=algebra):
         return sub.add_parser(name, help=help_text, parents=[source, common])
 
-    add("hh", "Hochschild homology (two-column totalization)")
+    add("hh", "Hochschild homology (normalized complex when unital)")
     add("hc", "cyclic homology (first-quadrant totalization)")
     add("connes", "exactness of the degree-lowering long exact sequence")
     add("hunital", "bounded H-unitality certificate")

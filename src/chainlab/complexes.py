@@ -355,6 +355,10 @@ class HomologySpace:
 
     def classify(self, v: Vector) -> Vector:
         """Coordinates of the class [v] over the representative basis."""
+        dim = self.complex.dim(self.degree)
+        if any(not 0 <= k < dim for k in v):
+            raise ValueError(f"vector has a coordinate outside degree {self.degree} "
+                             f"of dimension {dim}")
         if self.complex.differential(self.degree).apply(v):
             raise ValueError("vector is not a cycle")
         r = self._boundaries.reduce({self._slot[k]: c for k, c in v.items() if k in self._slot})

@@ -25,16 +25,21 @@ squares then anticommute degreewise, which the constructor asserts.
 
 Over Q, HC is the homology of the lambda complex for any algebra (Connes;
 Loday, Cyclic Homology, 2.1.5), so hc_homology reads its betti numbers off
-LambdaComplex, the smaller model.  The bicomplex is kept where its own
-coordinates or columns are read: hh_homology (its columns q < 2),
-connes_check (the columns q <= 1 and q >= 2), hc_homology with reps (its
-representatives are written in the bicomplex's basis) and the excision
-comparisons.
+LambdaComplex, the smaller model.  For unital A, HH is the homology of the
+normalized complex C_n = A (x) Abar^n, Abar = A/Q.1, and Connes' sequence
+that of the (b, B) bicomplex on it (Loday 1.1.14, 2.1.7-2.1.9): no Bar
+columns, N or 1 - t, and d - 1 letters per inner slot.  hh_homology without
+reps and connes_check read those.  The bicomplex is kept where its own
+coordinates or columns are read, or there is no unit: hh_homology (its
+columns q < 2) and connes_check (q <= 1 and q >= 2) on non-unital A,
+hh_homology and hc_homology with reps (whose representatives are written in
+the bicomplex's basis) and the excision comparisons.
 
-hh_homology, hc_homology and connes_check build on A.integral(), the same
-algebra in a basis where its constants are ints, so none of their
-differentials holds a Fraction; the CLI's lambda does too.  lie.py builds
-lambda_complex on A itself, since its trace chain map is written in A's basis.
+hh_homology, hc_homology and connes_check build on A.integral() or
+A.unit_adapted(), the same algebra in a basis where its constants are ints,
+so none of their differentials holds a Fraction; the CLI's lambda does too.
+lie.py builds lambda_complex on A itself, since its trace chain map is
+written in A's basis.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat, starmap
 from operator import add, floordiv, mod, mul
+from types import SimpleNamespace
 
 from .algebras import Algebra, Bimodule
 from .complexes import (ChainComplex, ChainMap, HomologyReport, HomologySpace, Interval,
@@ -267,18 +273,34 @@ def rotation_matrix(A: Algebra, p: int) -> SparseMatrix:
     return SparseMatrix(n, n, _rotation_power(A.dim, p, 1))
 
 
-def norm_matrix(A: Algebra, p: int) -> SparseMatrix:
-    """N = sum of t^i for i = 0..p, summed entrywise; entries that cancel are dropped."""
-    n = A.dim ** (p + 1)
+def _norm_entries(d: int, p: int) -> dict:
+    """(row, col) -> entry of N = sum of t^i for i = 0..p on d-letter words of
+    length p+1, summed entrywise; entries that cancel are dropped."""
     entries = {}
     for i in range(p + 1):
-        for key, sign in _rotation_power(A.dim, p, i):
+        for key, sign in _rotation_power(d, p, i):
             s = entries.get(key, 0) + sign
             if s:
                 entries[key] = s
             else:
                 del entries[key]
-    return SparseMatrix(n, n, entries)
+    return entries
+
+
+def norm_matrix(A: Algebra, p: int) -> SparseMatrix:
+    """N = sum of t^i for i = 0..p on A^(p+1)."""
+    n = A.dim ** (p + 1)
+    return SparseMatrix(n, n, _norm_entries(A.dim, p))
+
+
+def _connes_B(e: int, p: int) -> SparseMatrix:
+    """Connes' B from the normalized C_p = A (x) Abar^p to C_{p+1}, dim Abar = e:
+    a_0 ... a_p -> sum of (-1)^(pi) 1 t^i(a_0 ... a_p), the norm N on Abar^(p+1)
+    (B kills a_0 = 1).  Its rows are the words led by g_0 = 1 and its columns
+    those past them, at offset e^p."""
+    off = e ** p
+    return SparseMatrix((e + 1) * off * e, (e + 1) * off,
+                        {(r, off + c): v for (r, c), v in _norm_entries(e, p).items()})
 
 
 def tensor_powers(matrix: SparseMatrix, D: int) -> dict:
@@ -298,10 +320,11 @@ class CyclicBicomplex:
     """First-quadrant bicomplex, columns alternating Hochschild (even q,
     differential b) and Bar (odd q, differential -b'), horizontal maps 1-t
     (odd q -> even) and N (even q -> odd), materialised to total degree D.
-    hh_homology, connes_check and hc_homology with reps report at bound D off
-    the build to D - 1, guarded as for D (_read_bicomplex); hc_homology
-    without reps reads LambdaComplex instead.  The excision comparisons use
-    the full hc_bicomplex build and its b_prime.
+    hh_homology and hc_homology with reps, and hh_homology and connes_check
+    without a unit, report at bound D off the build to D - 1, guarded as for D
+    (_read_bicomplex); the other cases read LambdaComplex or the normalized
+    complex instead.  The excision comparisons use the full hc_bicomplex
+    build and its b_prime.
 
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
@@ -399,6 +422,41 @@ def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None):
     return CyclicBicomplex(B, ncols, D - 1, size_limit), L
 
 
+def _normalized_b(A: Algebra, D: int, size_limit=None):
+    """(b, w): b_1..b_{D-1} of the normalized Hochschild complex C_p = A (x)
+    Abar^p of unital A, Abar = A/Q.1, and w[p] = dim C_p for p < D, guarded as
+    the bicomplex of bound D.  On A.unit_adapted() Abar's letters are g_1..g_e,
+    so hoch_matrix writes b on the radices (e + 1, e, ..., e): the inner slots
+    multiply through the projection dropping g_0, the module slot and the wrap
+    through A's product."""
+    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
+    G = A.unit_adapted()
+    e = G.dim - 1
+    letters = SimpleNamespace(dim=e, mul={(x - 1, y - 1): {z - 1: c for z, c in v.items() if z}
+                                          for (x, y), v in G.mul.items() if x and y})
+    module = SimpleNamespace(dim=e + 1, right={(m, a - 1): v for (m, a), v in G.mul.items() if a},
+                             left={(a - 1, m): v for (a, m), v in G.mul.items() if a})
+    return ({p: hoch_matrix(letters, module, p) for p in range(1, D)},
+            {p: (e + 1) * e ** p for p in range(D)})
+
+
+def _connes_total(A: Algebra, D: int, size_limit=None):
+    """(total, w): Connes' (b, B) bicomplex on the normalized complex of unital A
+    to total degree D - 1, w[n] = dim C_n the width of its column 0.  Degree n
+    lists the columns C_n, C_{n-2}, ..., so C_p sits at offset dims[n] - dims[p];
+    d is b down each column and B from C_p to C_{p+1} one column left."""
+    b, w = _normalized_b(A, D, size_limit)
+    B = {p: _connes_B(A.dim - 1, p) for p in range(D - 2)}
+    dims = {n: sum(w[p] for p in range(n, -1, -2)) for n in range(D)}
+    diffs = {}
+    for n in range(1, D):
+        blocks = [(dims[n - 1] - dims[p - 1], dims[n] - dims[p], b[p], 1) for p in range(n, 0, -2)]
+        blocks += [(dims[n - 1] - dims[p + 1], dims[n] - dims[p], B[p], 1)
+                   for p in range(n - 2, -1, -2)]
+        diffs[n] = SparseMatrix.assemble(dims[n - 1], dims[n], blocks)
+    return ChainComplex(dims, diffs, Interval(0, D - 2)), w
+
+
 def _in_basis_of_A(bc: CyclicBicomplex, L: int, report: HomologyReport) -> HomologyReport:
     """report with its representatives mapped from bc's basis L e_i back to A's.
     A word of column q in degree n has n - q + 1 letters, so the chain
@@ -416,9 +474,13 @@ def _in_basis_of_A(bc: CyclicBicomplex, L: int, report: HomologyReport) -> Homol
 
 
 def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
-    """HH_0..HH_{D-2} off the two-column bicomplex built to total degree D - 1."""
+    """HH_0..HH_{D-2} off the normalized complex of unital A without reps,
+    else the two-column bicomplex; either built to degree D - 1."""
     if D < 2:
         raise ValueError("D must be >= 2")
+    if A.is_unital and not reps:
+        b, w = _normalized_b(A, D, size_limit)
+        return ChainComplex(w, b, Interval(0, D - 2)).homology(Interval(0, D - 2))
     bc, L = _read_bicomplex(A, 2, D, size_limit)
     return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=reps))
 
@@ -468,21 +530,25 @@ def _induced_matrix(images, target_hs: HomologySpace) -> SparseMatrix:
 def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     """Exactness of HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} by rank bookkeeping.
 
-    Uses the degreewise split short exact sequence (columns 0..1) ->
-    (all columns) -> (columns >= 2) of the cyclic bicomplex, built to total
-    degree D - 1 with the guard of degree D (see _read_bicomplex).  Both ends
-    are cut at the offset width(n, 2), each with its closure check
-    (subcomplex, quotient_complex).  The columns q >= 2 of degree n are,
-    block for block and in the same offset order, the columns of degree n - 2,
-    so the quotient is the total shifted by two: the cut's d_n is checked
-    equal to the total's d_{n-2} on every built degree, and H_n of the
-    quotient is H_{n-2} of the total, which reaches H_{D-1} without d_D.
+    Uses the degreewise split short exact sequence (HH columns) -> (total) ->
+    (the other columns) of a total built to degree D - 1 with the guard of
+    degree D: for unital A the (b, B) bicomplex on the normalized complex,
+    whose HH column is column 0 (_connes_total); otherwise the cyclic
+    bicomplex, whose HH columns are q <= 1 (_read_bicomplex).  Both ends are
+    cut at the width w[n] of the HH columns, each with its closure check
+    (subcomplex, quotient_complex).  The other columns of degree n are,
+    block for block and in the same offset order, the columns of degree
+    n - 2, so the quotient is the total shifted by two: the cut's d_n is
+    checked equal to the total's d_{n-2} on every built degree, and H_n of
+    the quotient is H_{n-2} of the total, which reaches H_{D-1} without d_D.
     """
     if D < 3:
         raise ValueError("D must be >= 3")
-    bc, _ = _read_bicomplex(A, D + 1, D, size_limit)
-    total = bc.total
-    w = {n: bc.width(n, 2) for n in total.dims}
+    if A.is_unital:
+        total, w = _connes_total(A, D, size_limit)
+    else:
+        bc, _ = _read_bicomplex(A, D + 1, D, size_limit)
+        total, w = bc.total, {n: bc.width(n, 2) for n in bc.total.dims}
 
     sub = subcomplex(total.diffs, {n: range(w[n]) for n in w}, "columns q <= 1")
     quot = quotient_complex(total.diffs, {n: selection(range(w[n], total.dim(n)), total.dim(n))

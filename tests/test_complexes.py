@@ -168,6 +168,16 @@ def test_homology_space_classify():
         one_up.classify({0: Fraction(1)})
 
 
+def test_homology_space_classify_rejects_coordinates_outside_the_degree():
+    # apply ignores keys past ncols, so without the check {0: 1, 7: 3} classified as {}
+    C = ChainComplex({0: 1, 1: 2}, {1: from_dense([[1, 0]])}, Interval(0, 0))
+    hs = HomologySpace(C, 0)
+    assert hs.classify({0: 1}) == {}
+    for bad in ({0: 1, 7: 3}, {-1: 2}, {1: 1}):
+        with pytest.raises(ValueError, match="outside degree 0 of dimension 1"):
+            hs.classify(bad)
+
+
 def test_subcomplex_rejects_leak():
     full = {1: SparseMatrix(2, 2, {(1, 0): 1})}
     assert subcomplex(full, {0: [1], 1: [0]}, "S").diffs[1] == SparseMatrix.identity(1)

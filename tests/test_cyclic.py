@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chainlab import cyclic, sparse
 from chainlab.algebras import (Algebra, Bimodule, augmentation_ideal, commutator_subspace,
@@ -410,6 +411,16 @@ def test_reps_match_the_full_bound_build_at_each_rebased_jobs_degree(seed):
             assert getattr(cyclic, name)(A, D).to_jsonable() == want, (slot, name)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_connes_matches_the_full_bound_build_at_each_rebased_jobs_degree(seed):
+    # every rebased table is unital, so connes reads the normalized (b, B) total;
+    # hh without reps is checked at the same degrees above
+    for slot, cmd, D, A, _ in rebased_jobs(seed):
+        assert A.is_unital, slot
+        assert connes_check(A, D).to_jsonable() == oracle.connes_check(A, D).to_jsonable(), \
+            (slot, D)
+
+
 def _cli_bytes(capsys, argv):
     assert main(argv) == 0
     return capsys.readouterr().out
@@ -444,8 +455,10 @@ def test_no_differential_built_on_a_rebased_table_holds_a_fraction(tmp_path, mon
         path = tmp_path / f"rebased_{slot}.alg"
         path.write_text(text, encoding="utf-8")
         # hc reads the lambda complex, and the bicomplex with --reps
-        for sub, *reps in (("hh", "--reps"), ("hc", "--reps"), ("hc",), ("lambda", "--reps"),
-                           ("connes", "--reps")):
+        # hh without --reps and connes (which has no reps to write) read the
+        # unit-adapted copy (Algebra.unit_adapted)
+        for sub, *reps in (("hh", "--reps"), ("hh",), ("hc", "--reps"), ("hc",),
+                           ("lambda", "--reps"), ("connes", "--reps")):
             built.clear()
             _cli_bytes(capsys, [sub, "--file", str(path), "-D", str(D), *reps])
             assert built, (slot, sub)
@@ -468,6 +481,88 @@ def test_connes_checks_that_the_quotient_is_the_shifted_total(monkeypatch):
     monkeypatch.setattr(cyclic, "quotient_complex", perturbed)
     with pytest.raises(ValueError, match="not the total shifted by two at degree 4"):
         connes_check(dual_numbers(), 5)
+
+
+# ---------------------------------------------------------------------------
+# unital hh and connes read the normalized complex and its (b, B) total
+# ---------------------------------------------------------------------------
+
+FACTORS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def unital_tables(draw):
+    """A unital preset in the basis f_i = sum_a P[a][i] e_a, P = L U with L unit
+    lower and U upper triangular, drawn so that the unit is not a basis vector."""
+    A = draw(st.sampled_from(UNITAL_PRESETS[1:]))
+    n = A.dim
+    lower = SparseMatrix(n, n, {(i, j): 1 if i == j else draw(FACTORS)
+                                for i in range(n) for j in range(i + 1)})
+    upper = SparseMatrix(n, n, {(i, j): draw(FACTORS.filter(bool) if i == j else FACTORS)
+                                for i in range(n) for j in range(i, n)})
+    P = lower @ upper
+    f = [P.column(i) for i in range(n)]
+
+    def in_f(v):
+        return P.solve_many([v])[0]
+
+    unit = in_f(A.unit)
+    assume(len(unit) > 1)
+    mul = {(i, j): in_f(A.mul_vec(f[i], f[j])) for i in range(n) for j in range(n)}
+    return Algebra(n, None, mul, unit=unit, name=f"{A.name} rebased")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(unital_tables(), st.sampled_from([3, 4]))
+def test_unital_reports_match_the_bicomplex_when_the_unit_is_no_basis_vector(A, D):
+    G = A.unit_adapted()
+    assert G.unit == {0: 1}
+    assert all(type(c) is int for v in G.mul.values() for c in v.values())
+    assert hh_homology(A, D).to_jsonable() == oracle.hh_homology(A, D).to_jsonable()
+    assert connes_check(A, D).to_jsonable() == oracle.connes_check(A, D).to_jsonable()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hh_of_truncated_polynomials_in_closed_form(k):
+    # HH_n(Q[t]/t^k) = k - 1 for n >= 1 and k for n = 0 over Q.  The two-column
+    # bicomplex at D = 9 is beyond the suite's oracle
+    assert hh_homology(truncated_poly(k), 9).betti == {n: k - 1 if n else k for n in range(8)}
+
+
+@pytest.mark.parametrize("A, D", [(A, 6 if A.dim < 4 else 5) for A in UNITAL_PRESETS]
+                         + [(truncated_poly(4), 7)], ids=lambda x: getattr(x, "name", x))
+def test_the_bB_total_and_the_lambda_complex_agree_on_hc(A, D):
+    # two models of HC: Connes' (b, B) bicomplex on the normalized complex, and
+    # the coinvariants of the rotation that hc_homology reads
+    total, w = cyclic._connes_total(A, D)
+    assert total.homology(Interval(0, D - 2)).betti == hc_homology(A, D).betti
+    assert w == {p: A.dim * (A.dim - 1) ** p for p in range(D)}
+
+
+def test_the_bB_total_is_checked_for_d_squared(monkeypatch):
+    # B with one sign flipped no longer anticommutes with b
+    build = cyclic._connes_B
+
+    def flipped(e, p):
+        B = build(e, p)
+        if p == 1:
+            (key, v), *_ = B.entries.items()
+            B = SparseMatrix(B.nrows, B.ncols, {**B.entries, key: -v})
+        return B
+
+    monkeypatch.setattr(cyclic, "_connes_B", flipped)
+    with pytest.raises(ValueError, match="!= 0"):
+        connes_check(truncated_poly(3), 5)
+
+
+def test_unital_size_guard_runs_before_the_adapted_copy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the adapted copy was built before the size guard ran")
+
+    monkeypatch.setattr(Algebra, "unit_adapted", refuse)
+    for check in (hh_homology, connes_check):
+        with pytest.raises(SizeLimit, match="bicomplex row"):
+            check(matrix_algebra(rationals(), 2), 6, size_limit=100)
 
 
 def test_hc_ranks_each_differential_on_the_rows_the_degree_below_left_free(monkeypatch):

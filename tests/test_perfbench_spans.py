@@ -36,7 +36,9 @@ def test_instrument_counts_and_restores(capsys):
     rec = tracer.Tracer()
     restore = tracer.instrument(rec)
     try:
-        assert cli_main(["hh", "--preset", "dual_numbers", "-D", "3", "--format", "json"]) == 0
+        # --reps keeps the bicomplex, whose representatives are in A's coordinates
+        assert cli_main(["hh", "--preset", "dual_numbers", "-D", "3", "--reps",
+                         "--format", "json"]) == 0
     finally:
         restore()
     capsys.readouterr()
@@ -84,7 +86,7 @@ def test_chern1_builds_one_probe(capsys):
 
 
 def test_two_column_build_makes_no_norm(capsys):
-    rec = _traced(["hh", "--preset", "dual_numbers", "-D", "3"])
+    rec = _traced(["hh", "--preset", "dual_numbers", "-D", "3", "--reps"])
     capsys.readouterr()
     assert rec.counters["cyclic.bicomplex.builds"] == 1
     assert rec.calls["cyclic.norm_matrix"] == 0
@@ -141,12 +143,23 @@ def test_trace_checks_the_weight_zero_summand(capsys):
 
 
 def test_hh_builds_only_the_degrees_it_ranks(capsys):
-    # HH_0..HH_3 need d_1..d_4: the total to degree 4, 2 802 stored entries,
-    # against 12 918 with degree 5
-    rec = _traced(["hh", "--preset", "truncated_poly:4", "-D", "5"])
+    # HH_0..HH_3 need d_1..d_4: with --reps the two-column total to degree 4,
+    # 2 802 stored entries, against 12 918 with degree 5
+    rec = _traced(["hh", "--preset", "truncated_poly:4", "-D", "5", "--reps"])
     capsys.readouterr()
     assert rec.counters["sparse.nnz_built"] == 2802
     assert rec.counters["complexes.degrees_built"] == rec.counters["complexes.degrees_ranked"] == 4
+
+
+def test_unital_hh_reads_the_normalized_complex(capsys):
+    # b on A (x) Abar^p for p = 1..4: 852 stored entries, no bicomplex and no N
+    rec = _traced(["hh", "--preset", "truncated_poly:4", "-D", "5"])
+    capsys.readouterr()
+    assert rec.counters["sparse.nnz_built"] == 852
+    assert rec.counters["complexes.degrees_built"] == rec.counters["complexes.degrees_ranked"] == 4
+    assert rec.calls["cyclic.hoch_matrix"] == 4
+    assert rec.calls["cyclic.CyclicBicomplex"] == 0
+    assert rec.calls["cyclic.norm_matrix"] == 0
 
 
 def test_hc_builds_only_the_degrees_it_ranks(capsys):
@@ -173,13 +186,29 @@ def test_hc_reps_keeps_one_bicomplex(capsys):
 
 
 def test_connes_reads_the_quotient_off_the_shifted_total(capsys):
-    # H_{D-1} of the columns q >= 2 is H_{D-3} of the total: no b' on row D
-    rec = _traced(["connes", "--preset", "matrix:2", "-D", "5"])
+    # H_{D-1} of the columns q >= 2 is H_{D-3} of the total: no b' on row D.
+    # A non-unital input keeps the cyclic bicomplex
+    rec = _traced(["connes", "--preset", "square_zero:2", "-D", "5"])
     capsys.readouterr()
+    assert rec.counters["cyclic.bicomplex.builds"] == 1
     assert rec.calls["cyclic.b_prime_matrix"] == 4
     # each HomologySpace reads classes off its kernel basis: one kernel_basis
     # in each of degrees 0..3 of the sub and of the total; the quotient's
     # degrees 0 and 1 are zero spaces and its higher ones are the total's
+    assert rec.calls["sparse.solve_many"] == 0
+    assert rec.calls["sparse.kernel_basis"] == 8
+
+
+def test_unital_connes_reads_the_normalized_bB_total(capsys):
+    # the (b, B) total to degree 4 and its column-0 sub and shifted quotient:
+    # 2 254 stored entries, b on rows 1..4, no bicomplex, no N, one kernel_basis
+    # in each of degrees 0..3 of the sub and of the total
+    rec = _traced(["connes", "--preset", "matrix:2", "-D", "5"])
+    capsys.readouterr()
+    assert rec.counters["sparse.nnz_built"] == 2254
+    assert rec.calls["cyclic.hoch_matrix"] == 4
+    assert rec.calls["cyclic.CyclicBicomplex"] == 0
+    assert rec.calls["cyclic.norm_matrix"] == 0
     assert rec.calls["sparse.solve_many"] == 0
     assert rec.calls["sparse.kernel_basis"] == 8
 

@@ -206,6 +206,14 @@ def test_log_trace_vectors_reach_the_classifier_canonical(monkeypatch):
                 if isinstance(c, Fraction) and c.denominator == 1]
 
 
+def test_chern_class_names_a_log_trace_that_leaves_the_ideal(monkeypatch):
+    # the probe's own check runs before HomologySpace.classify's range check
+    probe = LogTraceProbe(ext_of("truncated_poly:3"), 1)
+    monkeypatch.setattr(probe, "trace_log", lambda u: {probe.ext.ideal_dim: 1})
+    with pytest.raises(ValueError, match="log-trace is not a chain of K: it leaves the ideal"):
+        probe.chern_class(None)
+
+
 def _probe_payloads(make, ext, r):
     """chern1 and k1 payloads of the probe make(ext, r), or the error it raised."""
     try:
