@@ -29,57 +29,78 @@ from .reports import Report, render_table
 from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_table
 
 
-def _parents():
-    """(algebra, extension, common): parent parsers, declared once, of the
-    --preset/--file input group, the --ext input and the shared options."""
-    algebra = argparse.ArgumentParser(add_help=False)
-    group = algebra.add_mutually_exclusive_group()
-    group.add_argument("--preset", help="algebra preset name[:params]")
-    group.add_argument("--file", help="algebra DSL file")
-    extension = argparse.ArgumentParser(add_help=False)
-    extension.add_argument("--ext", required=True, help="extension preset name[:params]")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-D", "--degree-bound", type=int, default=5, dest="degree_bound")
-    common.add_argument("-r", "--rank", type=int, default=2)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=100)
-    common.add_argument("--size-limit", type=int, default=None, dest="size_limit")
-    common.add_argument("--format", choices=["table", "json"], default="table")
-    common.add_argument("--reps", action="store_true", help="emit homology representatives")
-    common.add_argument("--timings", action="store_true", help="record wall-clock timings")
-    return algebra, extension, common
+# name -> (help line, input kind, own options): the input is --preset or --file
+# for "algebra" and --ext for "extension"; both parse paths read this table
+COMMANDS = {
+    "hh": ("Hochschild homology (normalized complex when unital)", "algebra", ()),
+    "hc": ("cyclic homology (lambda complex; bicomplex for --reps)", "algebra", ()),
+    "connes": ("exactness of the degree-lowering long exact sequence", "algebra", ()),
+    "hunital": ("bounded H-unitality certificate", "algebra", ()),
+    "filtration": ("filtration stages of an extension", "extension", (
+        ("--level", {"type": int, "default": 0, "help": "stage index n"}),
+        ("--kind", {"choices": ["F", "Q"], "default": "F"}),
+        ("--flavor", {"choices": ["bar", "hoch"], "default": "bar"}))),
+    "wodzicki": ("excision verifier for an extension", "extension", ()),
+    "ce": ("Chevalley-Eilenberg homology", "algebra", (
+        ("--gl", {"type": int, "default": None,
+                  "help": "use gl_r of the algebra instead of its underlying Lie algebra"}),)),
+    "trace": ("chain-map identity of the generalized trace", "algebra", ()),
+    "lqt": ("stable-range comparison with the symmetric model", "algebra", ()),
+    "h2hc1": ("central extension shadow: H_2 vs HC_1", "algebra", ()),
+    "chern1": ("degree-one log-trace probe of a nilpotent extension", "extension", ()),
+    "tangent": ("tangent table over Artinian bases", "algebra", (
+        ("--bases", {"default": "dual_numbers", "help": "comma-separated augmented presets"}),)),
+    "lambda": ("rotation-coinvariants model of the cyclic complex", "algebra", ()),
+}
+
+
+def _add_options(parser, name):
+    """Give `parser` subcommand `name`'s input, the shared options and its own
+    options, in that order."""
+    _, kind, own = COMMANDS[name]
+    if kind == "extension":
+        parser.add_argument("--ext", required=True, help="extension preset name[:params]")
+    else:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--preset", help="algebra preset name[:params]")
+        group.add_argument("--file", help="algebra DSL file")
+    parser.add_argument("-D", "--degree-bound", type=int, default=5, dest="degree_bound")
+    parser.add_argument("-r", "--rank", type=int, default=2)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=int, default=100)
+    parser.add_argument("--size-limit", type=int, default=None, dest="size_limit")
+    parser.add_argument("--format", choices=["table", "json"], default="table")
+    parser.add_argument("--reps", action="store_true", help="emit homology representatives")
+    parser.add_argument("--timings", action="store_true", help="record wall-clock timings")
+    for flag, kwargs in own:
+        parser.add_argument(flag, **kwargs)
+    return parser
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="chainlab",
                                  description="Exact chain-level homology workbench for finite-dimensional rational algebras")
     sub = ap.add_subparsers(dest="command", required=True)
-    algebra, extension, common = _parents()
-
-    def add(name, help_text, source=algebra):
-        return sub.add_parser(name, help=help_text, parents=[source, common])
-
-    add("hh", "Hochschild homology (normalized complex when unital)")
-    add("hc", "cyclic homology (first-quadrant totalization)")
-    add("connes", "exactness of the degree-lowering long exact sequence")
-    add("hunital", "bounded H-unitality certificate")
-    p = add("filtration", "filtration stages of an extension", extension)
-    p.add_argument("--level", type=int, default=0, help="stage index n")
-    p.add_argument("--kind", choices=["F", "Q"], default="F")
-    p.add_argument("--flavor", choices=["bar", "hoch"], default="bar")
-    add("wodzicki", "excision verifier for an extension", extension)
-    p = add("ce", "Chevalley-Eilenberg homology")
-    p.add_argument("--gl", type=int, default=None,
-                   help="use gl_r of the algebra instead of its underlying Lie algebra")
-    add("trace", "chain-map identity of the generalized trace")
-    add("lqt", "stable-range comparison with the symmetric model")
-    add("h2hc1", "central extension shadow: H_2 vs HC_1")
-    add("chern1", "degree-one log-trace probe of a nilpotent extension", extension)
-    p = add("tangent", "tangent table over Artinian bases")
-    p.add_argument("--bases", default="dual_numbers",
-                   help="comma-separated augmented presets")
-    add("lambda", "rotation-coinvariants model of the cyclic complex")
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return ap
+
+
+def command_parser(name):
+    """Subcommand `name`'s parser on its own, as build_parser() makes it."""
+    return _add_options(argparse.ArgumentParser(prog=f"chainlab {name}"), name)
+
+
+def parse_args(argv):
+    """The namespace of `argv`, read by argv[0]'s parser alone when argv[0] is a
+    subcommand and that parser reads every word; else by the full parser, which
+    alone prints the top-level usage, help and errors. Exits as argparse does."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _load_algebra(args):
@@ -132,6 +153,8 @@ def run(args) -> Report:
         payload["dims"] = {str(p): lam.complex.dim(p) for p in range(0, D + 1)}
         report.add(cmd, {"algebra": A.name, "D": D}, **payload)
     elif cmd == "connes":
+        if args.reps:
+            raise ChainlabError("connes has no representatives: --reps does not apply")
         if D < 3:
             raise ChainlabError("connes needs a degree bound >= 3")
         A = _load_algebra(args)
@@ -211,9 +234,8 @@ def run(args) -> Report:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

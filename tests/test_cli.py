@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainlab import cli
 from chainlab.algebras import Algebra
-from chainlab.cli import build_parser, main
+from chainlab.cli import COMMANDS, build_parser, command_parser, main
 from chainlab.errors import ChainlabError
 from chainlab.presets import (_ALGEBRA_BUILDERS, _EXTENSION_BUILDERS, algebra_preset,
                               extension_preset, preset_dim)
@@ -211,6 +213,8 @@ def test_ce_report_stops_at_the_dimension(capsys):
      "error: the stable comparison expects a unital algebra\n"),
     (["chern1", "--ext", "matrix_dual:2", "-r", "1", "--samples", "-5"],
      "error: samples must be >= 0\n"),
+    (["connes", "--preset", "dual_numbers", "-D", "3", "--reps"],
+     "error: connes has no representatives: --reps does not apply\n"),
 ])
 def test_bad_inputs_exit_2(argv, err, capsys):
     assert run_cli(capsys, *argv) == (2, "", err)
@@ -256,6 +260,66 @@ def cli_argv(draw):
 def test_every_input_ends_in_a_report_or_exit_2(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2), argv
+
+
+# whole option groups: VALID_GROUPS are valid for some subcommand; ODD_GROUPS
+# hold unknown flags, bad ints and choices, missing values, abbreviations,
+# strays, help flags and "--"
+VALID_GROUPS = {
+    "common": [["-D", "3"], ["-D4"], ["--degree-bound=2"], ["-r", "-1"], ["--samples", "3"],
+               ["--size-limit", "10"], ["--format", "json"], ["--reps"], ["--timings"]],
+    "algebra": [["--preset", "dual_numbers"], ["--file", "a.alg"]],
+    "extension": [["--ext", "square_zero"]],
+    "--level": [["--level", "1"]], "--kind": [["--kind", "Q"]], "--flavor": [["--flavor", "hoch"]],
+    "--gl": [["--gl", "2"]], "--bases": [["--bases", "fat_point"]],
+}
+ODD_GROUPS = [
+    ["-D", "x"], ["-D"], ["--seed", "1.5"], ["--format", "xml"], ["--kind", "Z"],
+    ["--pre", "rationals"], ["--nope"], ["-x"], ["stray"], ["-h"], ["--help"], ["--"], ["hh"],
+]
+
+
+@st.composite
+def parse_argv(draw):
+    head = draw(st.sampled_from([[cmd] for cmd in COMMANDS] + [[], ["nope"], ["--"], ["-h"]]))
+    if head and head[0] in COMMANDS:
+        _, kind, own = COMMANDS[head[0]]
+        valid = [g for key in ["common", kind] + [flag for flag, _ in own]
+                 for g in VALID_GROUPS[key]]
+    else:
+        valid = [g for groups in VALID_GROUPS.values() for g in groups]
+    groups = draw(st.lists(st.one_of(st.sampled_from(valid), st.sampled_from(valid),
+                                     st.sampled_from(ODD_GROUPS)), max_size=5))
+    return head + [token for group in groups for token in group]
+
+
+def _outcome(call):
+    """(result or exit code, stdout, stderr) of call()."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parse_argv())
+def test_main_parses_every_argv_as_the_full_parser_does(argv):
+    parsed = []
+
+    def record(args):
+        parsed.append(args)
+        raise ChainlabError("parsed")
+    with mock.patch.object(cli, "run", record):
+        code, out, err = _outcome(lambda: main(argv))
+    want, want_out, want_err = _outcome(lambda: build_parser().parse_args(argv))
+    if parsed:
+        assert (code, err) == (2, "error: parsed\n"), argv
+        assert (parsed[0], want_out, want_err) == (want, "", ""), argv
+    else:
+        assert (code, out, err) == (want, want_out, want_err), argv
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -338,6 +402,12 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == out and json.loads(out)["results"]
 
 
+def _full_subparsers():
+    """{name: subparser} of build_parser()."""
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
 COMMON_OPTIONS = ["-D", "--degree-bound", "-r", "--rank", "--seed", "--samples", "--size-limit",
                   "--format", "--reps", "--timings"]
 ALGEBRA_INPUT = ["--preset", "--file"]
@@ -349,10 +419,10 @@ ALGEBRA_INPUT = ["--preset", "--file"]
     ("filtration", ["--level", "--kind", "--flavor"]), ("wodzicki", []), ("chern1", []),
 ])
 def test_each_subcommand_keeps_its_option_strings(cmd, own):
-    # the shared options and the input group are declared once, as parents:
-    # each subcommand still has them, in this order, and nothing else
-    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    parser = subs.choices[cmd]
+    # the shared options and the input group are declared once, in
+    # cli._add_options: each subcommand still has them, in this order, and
+    # nothing else
+    parser = _full_subparsers()[cmd]
     by_ext = cmd in ("filtration", "wodzicki", "chern1")
     source = ["--ext"] if by_ext else ALGEBRA_INPUT
     assert [s for a in parser._actions for s in a.option_strings] == \
@@ -361,3 +431,44 @@ def test_each_subcommand_keeps_its_option_strings(cmd, own):
               for g in parser._mutually_exclusive_groups]
     assert groups == ([] if by_ext else [ALGEBRA_INPUT])
     assert [a.required for a in parser._actions if "--ext" in a.option_strings] == [True] * by_ext
+
+
+def _mutex_groups(parser):
+    return [(g.required, [a.option_strings for a in g._group_actions])
+            for g in parser._mutually_exclusive_groups]
+
+
+def _options(parser):
+    return [(a.option_strings, a.dest, a.default, a.required, a.type, a.choices, a.help,
+             type(a)) for a in parser._actions]
+
+
+def test_the_table_lists_every_subcommand_in_order():
+    assert list(_full_subparsers()) == list(COMMANDS) and len(COMMANDS) == 13
+
+
+@pytest.mark.parametrize("cmd", list(COMMANDS))
+def test_the_subcommand_parser_alone_matches_the_full_parsers(cmd):
+    # the parser main builds for a call led by cmd prints and parses as the
+    # subparser the full parser hands that call to
+    full, alone = _full_subparsers()[cmd], command_parser(cmd)
+    assert alone.prog == full.prog == f"chainlab {cmd}"
+    assert alone.format_help() == full.format_help()
+    assert _options(alone) == _options(full)
+    assert _mutex_groups(alone) == _mutex_groups(full)
+
+
+@pytest.mark.parametrize("argv,progs", [
+    (["hh", "--preset", "dual_numbers", "-D", "3"], ["chainlab hh"]),
+    (["--help"], ["chainlab"] + [f"chainlab {cmd}" for cmd in COMMANDS]),
+])
+def test_a_call_led_by_a_subcommand_builds_its_parser_alone(argv, progs, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert main(argv) == 0
+    assert built == progs

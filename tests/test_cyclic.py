@@ -458,7 +458,7 @@ def test_no_differential_built_on_a_rebased_table_holds_a_fraction(tmp_path, mon
         # hh without --reps and connes (which has no reps to write) read the
         # unit-adapted copy (Algebra.unit_adapted)
         for sub, *reps in (("hh", "--reps"), ("hh",), ("hc", "--reps"), ("hc",),
-                           ("lambda", "--reps"), ("connes", "--reps")):
+                           ("lambda", "--reps"), ("connes",)):
             built.clear()
             _cli_bytes(capsys, [sub, "--file", str(path), "-D", str(D), *reps])
             assert built, (slot, sub)
