@@ -658,8 +658,12 @@ class LambdaComplex:
         hoch = {p: hoch_matrix(A, M, p) for p in range(1, D + 1)}
         self.complex = quotient_complex(hoch, self._walks, "LambdaComplex")
 
+    def word_classes(self, p) -> list:
+        """[e_y] = c [e_tops[j]] as classes[y] = (j, c), or None when 0."""
+        return self._walks[p][0]
+
     def project_element(self, p, v: Vector) -> Vector:
-        classes = self._walks[p][0]
+        classes = self.word_classes(p)
         out = {}
         for y, val in v.items():
             if classes[y]:

@@ -39,12 +39,12 @@ the identity vanish on a wedge of nonzero weight, and every wedge otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import repeat
 from math import comb
 
 from .algebras import Algebra, Ideal, matrix_algebra, mismatches, nested_products
 from .complexes import ChainComplex, HomologyReport, Interval
-from .cyclic import LambdaComplex, WordBasis, hc_homology, lambda_complex
+from .cyclic import LambdaComplex, hc_homology, lambda_complex
 from .errors import ChainlabError, NotNilpotent, SizeLimit, UnitError
 from .sparse import SparseMatrix, Subspace, Vector, exact_vec, product_ranks, vec_axpy, vec_sub
 
@@ -258,51 +258,50 @@ def _lex_rank(tup, n) -> int:
     return comb(n, p) - 1 - sum(comb(n - 1 - c, p - i) for i, c in enumerate(tup))
 
 
-def _weight_zero_wedges(weights, p) -> list:
-    """The p-subsets of the basis whose weights sum to zero, lexicographic.
+def _weight_zero_wedges(weights, top) -> dict:
+    """p -> (tuples, masks) for p <= top: the p-subsets of the basis whose
+    weights sum to zero, lexicographic, with their bitmasks.  A weight is
+    packed into one int in base 2 top m + 1, m the largest |coordinate|, so a
+    sum of at most top weights is 0 exactly when every coordinate is.  One
+    depth-first walk per degree takes the indices in increasing order, k only
+    while the rest of the sum is in reach[k + 1], so every branch ends in a
+    wedge."""
+    n = len(weights)
+    m = max((abs(x) for w in weights for x in w), default=0)
+    base = 2 * top * m + 1
+    packed = [sum(x * base ** i for i, x in enumerate(w)) for w in weights]
+    reach = [None] * n + [[{0}] + [set()] * top]  # [k][j]: the sums of j weights from k on
+    for k in range(n - 1, -1, -1):
+        below, w = reach[k + 1], packed[k]
+        reach[k] = [{0}] + [below[j] | {w + s for s in below[j - 1]} for j in range(1, top + 1)]
+    out = {0: ([()], [0])}
+    for p in range(1, top + 1):
+        tuples, masks = out[p] = [], []
 
-    The basis is grouped by weight; a walk over the groups (zero weight last)
-    picks how many elements each gives, abandoning a branch once the partial
-    sum is further from zero in the l1 norm than the remaining picks can
-    travel, and each complete choice contributes its products of subsets."""
-    groups = {}
-    for k, w in enumerate(weights):
-        groups.setdefault(w, []).append(k)
-    classes = sorted(groups.items(), key=lambda wm: not any(wm[0]))
-    reach = [0] * (len(classes) + 1)  # reach[i]: largest l1 norm among classes[i:]
-    for i in range(len(classes) - 1, -1, -1):
-        reach[i] = max(reach[i + 1], sum(map(abs, classes[i][0])))
-    out = []
+        def walk(start, left, need, tup, mask):
+            if left == 1:
+                for k in range(start, n):
+                    if packed[k] == need:
+                        tuples.append(tup + (k,))
+                        masks.append(mask | 1 << k)
+                return
+            for k in range(start, n - left + 1):
+                if need - packed[k] in reach[k + 1][left - 1]:
+                    walk(k + 1, left - 1, need - packed[k], tup + (k,), mask | 1 << k)
 
-    def walk(i, left, partial, picks):
-        if sum(map(abs, partial)) > left * reach[i]:
-            return
-        if i == len(classes):
-            if not left:
-                for parts in product(*(combinations(m, k) for m, k in picks)):
-                    out.append(tuple(sorted(chain.from_iterable(parts))))
-            return
-        w, members = classes[i]
-        for k in range(min(left, len(members)) + 1):
-            walk(i + 1, left - k, tuple(x + k * y for x, y in zip(partial, w)),
-                 picks + [(members, k)] if k else picks)
-
-    walk(0, p, (0,) * len(classes[0][0]) if classes else (), [])
-    out.sort()
+        walk(0, p, 0, (), 0)
     return out
 
 
-def _ce_matrix(g: LieAlgebra, tuples_p, index_pm1, p) -> SparseMatrix:
-    """d on wedge degree p; index_pm1 is keyed by bitmask.  [x_a, x_b] for
-    a < b in S lands on S - {a, b} + {c} for each term c outside it."""
+def _ce_matrix(g: LieAlgebra, tuples_p, masks_p, index_pm1) -> SparseMatrix:
+    """d on the p-wedges, as tuples and bitmasks; index_pm1 is keyed by bitmask.
+    [x_a, x_b] for a < b in S lands on S - {a, b} + {c} for each term c outside it."""
     terms = [{} for _ in range(g.dim)]  # terms[a][bit of b]: the terms of [x_a, x_b], a < b
     for (a, b), vec in g.bracket.items():
         terms[a][1 << b] = [(1 << c, (1 << c) - 1, coef) for c, coef in vec.items()]
     partners = [sum(t) for t in terms]  # mask of the b > a with [x_a, x_b] != 0
-    bits = [1 << i for i in range(g.dim)]
     entries = {}
-    for col, tup in enumerate(tuples_p):
-        S = sum(map(bits.__getitem__, tup))
+    for col, (tup, S) in enumerate(zip(tuples_p, masks_p)):
         out = {}
         for r, a in enumerate(tup):
             pairs = partners[a] & S
@@ -334,21 +333,14 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
         if comb(g.dim, p) > limit:
             raise SizeLimit(f"exterior power C({g.dim},{p}) exceeds limit {limit}")
     weight_zero = g.weights is not None
-    if weight_zero:
-        tuples = {p: _weight_zero_wedges(g.weights, p) for p in range(top + 1)}
-    else:
-        tuples = {p: list(combinations(range(g.dim), p)) for p in range(top + 1)}
-    dims = {p: len(tuples[p]) for p in range(top + 1)}
-    bits = [1 << i for i in range(g.dim)]
-    diffs, index = {}, {0: 0}  # index: bitmask -> position in degree p - 1, one degree at a time
-    for p in range(1, top + 1):
-        diffs[p] = _ce_matrix(g, tuples[p], index, p)
-        if p < top:
-            index = {sum(map(bits.__getitem__, t)): i for i, t in enumerate(tuples[p])}
+    wedges = _weight_zero_wedges(g.weights or [()] * g.dim, top)  # no grading: every wedge
+    dims = {p: len(tuples) for p, (tuples, _) in wedges.items()}
+    diffs = {p: _ce_matrix(g, *wedges[p], dict(zip(wedges[p - 1][1], range(dims[p - 1]))))
+             for p in range(1, top + 1)}  # rows keyed by bitmask
     bounded = top == g.dim
     certified = Interval(0, top if bounded else top - 1)
     cx = ChainComplex(dims, diffs, certified, bounded_above=bounded)
-    return CEComplex(cx, g, D, tuples, weight_zero)
+    return CEComplex(cx, g, D, {p: tuples for p, (tuples, _) in wedges.items()}, weight_zero)
 
 
 def ce_homology(g: LieAlgebra, D: int, size_limit=None, reps=False) -> HomologyReport:
@@ -364,46 +356,51 @@ def ce_homology(g: LieAlgebra, D: int, size_limit=None, reps=False) -> HomologyR
 # ---------------------------------------------------------------------------
 
 
+def _closed_chains(units, n) -> list:
+    """(sign, slot order) of each closed chain of the matrix units (i_t, j_t)
+    from slot 0: a depth-first walk places slot t next only when i_t is the
+    column reached, flipping the sign when an odd number of placed slots lie above t."""
+    i0, j0 = units[0]
+    out = []
+    stack = [(j0, 1, 1, (0,))]  # (column reached, mask of placed slots, sign, slot order)
+    while stack:
+        at, placed, sgn, order = stack.pop()
+        if len(order) > n:
+            if at == i0:
+                out.append((sgn, order))
+            continue
+        for t in range(1, n + 1):
+            if units[t][0] == at and not placed >> t & 1:
+                stack.append((units[t][1], placed | 1 << t,
+                              -sgn if (placed >> t).bit_count() % 2 else sgn, order + (t,)))
+    return out
+
+
 def generalized_trace_matrix(A: Algebra, r: int, n: int, lam: LambdaComplex,
                              ce: CEComplex) -> SparseMatrix:
     """Wedge degree n+1 of gl_r(A) to the degree-n rotation coinvariants.
 
-    On a wedge of elementary matrices a_i (x) E(i_k, j_k) the image is the
-    signed sum over permutations fixing slot 0 of trace(E_0 E_{s(1)} ...) times
-    the class of a_0 (x) a_{s(1)} (x) ... in coker(1 - t).  No chain of matrix
-    units closes unless the row indices are the column indices rearranged (the
-    wedge has weight 0), so other wedges map to 0 without a walk."""
+    On a wedge of elementary matrices a_t (x) E(i_t, j_t) the image is the
+    signed sum over permutations s fixing slot 0 of trace(E_0 E_{s(1)} ...)
+    times the class of a_0 (x) a_{s(1)} (x) ... in coker(1 - t), nonzero only
+    on closed chains, walked once per pattern of units (a wedge of nonzero
+    weight closes none); the word's mixed-radix index builds up slot by slot."""
     dA = A.dim
-    tuples = ce.tuples[n + 1]
-    cyclic_words = WordBasis((dA,) * (n + 1))
-    units = [(*divmod(pos, r), a) for pos in range(r * r) for a in range(dA)]  # (i, j, a)
-    # row i counts 1 << i*shift, column j counts -(1 << j*shift): a wedge sums to
-    # 0 exactly when its rows are its columns rearranged (no count reaches 2**shift)
-    shift = (n + 1).bit_length()
-    weight = [(1 << i * shift) - (1 << j * shift) for i, j, _ in units]
-    cols = []
-    for tup in tuples:
-        acc: Vector = {}
-        cols.append(acc)
-        if sum(map(weight.__getitem__, tup)):
-            continue
-        decoded = [units[idx] for idx in tup]
-        i0, j0, a0 = decoded[0]
-        for perm in permutations(range(1, n + 1)):  # n = 0: the empty permutation
-            at = j0
-            ok = True
-            for t in perm:
-                it, jt, _ = decoded[t]
-                if at != it:
-                    ok = False
-                    break
-                at = jt
-            if not ok or at != i0:
-                continue
-            word = [a0] + [decoded[t][2] for t in perm]
-            sgn = -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1  # inversions
-            vec_axpy(acc, sgn, lam.project_element(n, {cyclic_words.index(word): ONE}))
-    return SparseMatrix.from_columns(lam.complex.dim(n), cols)
+    classes = lam.word_classes(n)
+    chains_of = {}  # matrix units of a wedge -> its closed chains
+    entries = {}
+    for col, tup in enumerate(ce.tuples[n + 1]):
+        units = tuple(divmod(idx // dA, r) for idx in tup)
+        if units not in chains_of:
+            chains_of[units] = _closed_chains(units, n)
+        for sgn, order in chains_of[units]:
+            word = 0
+            for t in order:
+                word = word * dA + tup[t] % dA
+            hit = classes[word]
+            if hit:
+                entries[hit[0], col] = entries.get((hit[0], col), 0) + sgn * hit[1]
+    return SparseMatrix(lam.complex.dim(n), len(ce.tuples[n + 1]), entries)
 
 
 @dataclass

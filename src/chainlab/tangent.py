@@ -143,7 +143,10 @@ class LogTraceProbe:
 
     def chern_class(self, u: UnipotentElement) -> Vector:
         """Class of trace(log u) in rel HC_0 (coordinates over representatives)."""
-        v = self.trace_log(u)
+        return self.classify_trace(self.trace_log(u))
+
+    def classify_trace(self, v: Vector) -> Vector:
+        """Class in rel HC_0 of v = trace(log u), computed once by the caller."""
         if any(k >= self.ext.ideal_dim for k in v):
             raise ValueError("log-trace is not a chain of K: it leaves the ideal")
         return self.hs.classify(v)
@@ -216,16 +219,17 @@ def chern1(probe: LogTraceProbe, seed: int = 0, samples: int = 100) -> Chern1Rep
     for _ in range(samples):
         u = probe.random_unipotent(rng)
         v = probe.random_unipotent(rng)
-        image.add(probe.chern_class(u))
+        log_u = probe.trace_log(u)
+        image.add(probe.classify_trace(log_u))
         uv = u.mul(v)
         defect = probe.trace_log(uv)
-        vec_axpy(defect, -ONE, probe.trace_log(u))
+        vec_axpy(defect, -ONE, log_u)
         vec_axpy(defect, -ONE, probe.trace_log(v))
         if not probe.defect_in_commutators(defect):
             hom_ok = False
         g = probe.random_unipotent(rng)
         conj_defect = probe.trace_log(u.conjugate_by(g))
-        vec_axpy(conj_defect, -ONE, probe.trace_log(u))
+        vec_axpy(conj_defect, -ONE, log_u)
         if not probe.defect_in_commutators(conj_defect):
             conj_ok = False
         w = uv.mul(u.inverse()).mul(v.inverse())
@@ -278,7 +282,7 @@ def k1_rel_probe(probe: LogTraceProbe, seed: int = 0, samples: int = 50) -> K1Pr
         if any(k >= ext.ideal_dim for k in v):
             raise NotNilpotent("log-trace left the ideal; extension data corrupt")
         span.add(v)
-        classes.add(probe.chern_class(u))
+        classes.add(probe.classify_trace(v))
     span_dim = span.rank - base_rank
     if classes.rank != span_dim:
         contained = False  # the span fails to embed into rel HC_0

@@ -712,9 +712,8 @@ class LogTraceProbe(tangent.LogTraceProbe):
         self.a_offset = fib.dim(0) - bc_A.total.dim(0)  # fiber_0 = B_1 (+) A_0
         self.hs = HomologySpace(fib, 0)
 
-    def chern_class(self, u):
-        """Class of trace(log u), a chain in the A-part of the fiber."""
-        v = self.trace_log(u)
+    def classify_trace(self, v):
+        """Class of v = trace(log u), a chain in the A-part of the fiber."""
         return self.hs.classify({self.a_offset + k: c for k, c in v.items()})
 
 

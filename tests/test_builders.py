@@ -156,8 +156,9 @@ def lie_tables(draw):
 
 def _ce_matrix(g, p):
     """The production differential on wedge degree p, fed as ce_complex feeds it."""
-    index = {sum(1 << i for i in t): k for k, t in enumerate(combinations(range(g.dim), p - 1))}
-    return lie._ce_matrix(g, list(combinations(range(g.dim), p)), index, p)
+    wedges = lie._weight_zero_wedges([()] * g.dim, p)  # no grading: every wedge
+    index = {mask: k for k, mask in enumerate(wedges[p - 1][1])}
+    return lie._ce_matrix(g, *wedges[p], index)
 
 
 @BUILDER_SETTINGS

@@ -9,6 +9,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from chainlab.algebras import Ideal, augmentation_ideal, matrix_algebra
@@ -20,6 +22,7 @@ from chainlab.errors import NotNilpotent, SizeLimit
 from chainlab.lie import (
     TRACE_CHAIN_SIGN,
     LieAlgebra,
+    _weight_zero_wedges,
     ce_complex,
     ce_homology,
     generalized_trace_matrix,
@@ -246,6 +249,66 @@ def test_weight_zero_wedges_are_the_balanced_ones():
         assert ce.tuples[p] == balanced
 
 
+@st.composite
+def weight_lists(draw):
+    r = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * r), max_size=10))
+    return weights, draw(st.integers(0, len(weights)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weight_lists())
+@example(([(0, 0)] * 7, 5))  # m = 0: every subset sums to zero
+@example(([(1,), (2,), (3,), (1,)], 4))  # no nonempty subset sums to zero
+@example(([(1, 0), (1, -1)], 2))  # packs to 1 - 1 = 0 in a base of top * m = 2
+def test_weight_zero_wedges_are_the_zero_sum_subsets_in_order(case):
+    weights, top = case
+    wedges = _weight_zero_wedges(weights, top)
+    assert sorted(wedges) == list(range(top + 1))
+    for p, (tuples, masks) in wedges.items():
+        assert tuples == sorted(tuples)
+        assert tuples == [t for t in combinations(range(len(weights)), p)
+                          if not any(map(sum, zip(*(weights[k] for k in t))))]
+        assert masks == [sum(1 << k for k in t) for t in tuples]
+
+
+def _weight_zero_counts(weights, top) -> list:
+    """Coefficients of x^0..x^top in the constant term in z of
+    prod_k (1 + x z^{w_k}), by a dict over (degree, weight sum)."""
+    poly = {(0, (0,) * len(weights[0])): 1}
+    for w in weights:
+        for (p, s), c in list(poly.items()):
+            if p < top:
+                key = (p + 1, tuple(map(sum, zip(s, w))))
+                poly[key] = poly.get(key, 0) + c
+    return [poly.get((p, (0,) * len(weights[0])), 0) for p in range(top + 1)]
+
+
+def _dims_cases():
+    """(spec, r, D) for the unital presets and r <= 4, D the largest <= 5
+    whose weight-0 wedges number at most 2500, and the lie workload's gl_4(Q)
+    and gl_3(Q[e]) at D 5."""
+    cases = {("rationals", 4, 5), ("dual_numbers", 3, 5)}
+    for spec in PRESETS:
+        A = algebra_preset(spec)
+        for r in range(1, 5):
+            if not A.is_unital:
+                continue
+            g = gl(A, r)
+            D = next((D for D in (5, 4, 3, 2, 1)
+                      if sum(_weight_zero_counts(g.weights, min(D, g.dim))) <= 2500), None)
+            if D is not None:
+                cases.add((spec, r, D))
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("spec,r,D", _dims_cases())
+def test_weight_zero_dims_are_the_generating_function(spec, r, D):
+    g = gl(algebra_preset(spec), r)
+    top = min(D, g.dim)
+    assert list(ce_complex(g, D).complex.dims.values()) == _weight_zero_counts(g.weights, top)
+
+
 @pytest.mark.parametrize("spec", [s for s in PRESETS if algebra_preset(s).is_unital])
 def test_weight_zero_betti_equal_full_betti_on_presets(spec):
     A = algebra_preset(spec)
@@ -326,10 +389,15 @@ def test_size_guard_reads_the_full_exterior_power(argv, message, capsys):
     assert capsys.readouterr().err == message
 
 
+# gl_r(A) whose trace is also checked at n = 4, on the weight-0 wedges: the
+# full exterior power is too large for the oracle's n! walk per wedge
+WEIGHT_ZERO_TRACE = {"dual_numbers": 3, "truncated_poly:3": 2}
+
+
 @pytest.mark.parametrize("spec", PRESETS)
 def test_generalized_trace_matches_the_permutation_walk(spec):
     A = algebra_preset(spec)
-    lam = lambda_complex(A, 3)
+    lam = lambda_complex(A, 4 if spec in WEIGHT_ZERO_TRACE else 3)
     for r in (1, 2, 3):
         dim = r * r * A.dim
         for n in range(4):
@@ -339,6 +407,12 @@ def test_generalized_trace_matches_the_permutation_walk(spec):
             ce = SimpleNamespace(tuples={n + 1: tuples})
             assert generalized_trace_matrix(A, r, n, lam, ce) == \
                 oracle.generalized_trace_matrix(A, r, n, lam, tuples), (spec, r, n)
+    if spec in WEIGHT_ZERO_TRACE:
+        r = WEIGHT_ZERO_TRACE[spec]
+        ce = ce_complex(gl(A, r), 5)
+        assert ce.weight_zero and ce.tuples[5]
+        assert generalized_trace_matrix(A, r, 4, lam, ce) == \
+            oracle.generalized_trace_matrix(A, r, 4, lam, ce.tuples[5]), (spec, r, 4)
 
 
 # the trace checked on every wedge: trace_chain_check builds only the weight-0

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from chainlab.cli import main as cli_main
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -83,6 +85,9 @@ def test_chern1_builds_one_probe(capsys):
     rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1", "--samples", "2"])
     capsys.readouterr()
     assert rec.counters["cyclic.bicomplex.builds"] == 1
+    # one log per trace: chern1 takes the 4 generators and, per sample, u, v,
+    # uv, the conjugate of u and the commutator; k1 the 4 generators and 1 sample
+    assert rec.calls["tangent.nilpotent_log"] == 4 + 2 * 5 + 5
 
 
 def test_two_column_build_makes_no_norm(capsys):
@@ -140,6 +145,16 @@ def test_trace_checks_the_weight_zero_summand(capsys):
     capsys.readouterr()
     assert rec.counters["sparse.nnz_built"] == 3911
     assert rec.calls["lie.ce_complex"] == 1
+
+
+@pytest.mark.parametrize("argv", [["lqt", "--preset", "rationals", "-r", "4", "-D", "4"],
+                                  ["h2hc1", "--preset", "truncated_poly:3", "-r", "3"]])
+def test_lie_comparisons_build_each_complex_once(argv, capsys):
+    # the CE complex of gl_r(A) and the lambda complex of A, one each
+    rec = _traced(argv)
+    capsys.readouterr()
+    assert rec.calls["lie.ce_complex"] == 1
+    assert rec.calls["cyclic.LambdaComplex"] == 1
 
 
 def test_hh_builds_only_the_degrees_it_ranks(capsys):
