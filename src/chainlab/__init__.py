@@ -43,7 +43,6 @@ from .cyclic import (
     norm_matrix,
     rotation_matrix,
     unit_homotopy,
-    verify_unit_homotopy,
 )
 from .dsl import parse_algebra, parse_algebra_file
 from .excision import (

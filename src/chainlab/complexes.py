@@ -10,7 +10,10 @@ each checking that the cut is closed under d before it keeps the result:
 subcomplex keeps a coordinate family and raises if d leaks out of it;
 quotient_complex passes to a quotient whose classes are signed coordinates
 (a plain coordinate quotient is a selection) and checks column by column that
-d descends, i.e. proj d = d' proj.
+d descends, i.e. proj d = d' proj.  It reads d as ((row, col), value)
+entries, the form a SparseMatrix is built from: a built complex's through
+entries_of, and b's as the lambda complex computes them, never built into a
+matrix.
 """
 
 from __future__ import annotations
@@ -173,15 +176,23 @@ def selection(keep, dim):
     return classes, list(keep)
 
 
-def quotient_complex(diffs: dict, walks: dict, what: str) -> ChainComplex:
+def entries_of(diffs: dict) -> dict:
+    """n -> the ((row, col), value) entries of the matrix diffs[n]."""
+    return {n: d.entries.items() for n, d in diffs.items()}
+
+
+def quotient_complex(entries: dict, walks: dict, what: str) -> ChainComplex:
     """The quotient of each degree n (contiguous keys lo..hi) by walks[n] =
     (classes, tops): classes[y] = (j, c) with c = +-1 when [e_y] = c [e_tops[j]],
-    None when [e_y] = 0.  Homology is certified on lo..hi-1.
+    None when [e_y] = 0.  entries[n] yields the nonzero entries of d_n as
+    ((row, col), value); one outside the degrees raises IndexError.  Homology
+    is certified on lo..hi-1.
 
     proj d is d with each entry moved to its row's class and negated where the
     class sign is -1, never multiplied, so Fraction entries stay cheap.  d
     descends exactly when proj d = d' proj, checked column by column: the
-    column of e_y is c times that of e_tops[j], or 0 when [e_y] = 0.
+    column of e_y is c times that of e_tops[j], or 0 when [e_y] = 0.  d' is
+    built as a SparseMatrix, which normalizes its entries.
     """
     lo, hi = min(walks), max(walks)
     quot = {}
@@ -189,14 +200,18 @@ def quotient_complex(diffs: dict, walks: dict, what: str) -> ChainComplex:
         row_classes, row_tops = walks[n - 1]
         classes, tops = walks[n]
         cols = [{} for _ in classes]  # y -> proj d e_y
-        for (r, y), v in diffs[n].entries.items():
-            hit = row_classes[r]
+        for (r, y), v in entries[n]:
+            try:
+                hit, col = row_classes[r], cols[y]
+            except IndexError:
+                raise IndexError(f"{what}: entry ({r},{y}) of d_{n} outside "
+                                 f"{len(row_classes)}x{len(classes)}") from None
             if hit:
-                s = cols[y].get(hit[0], 0) + (v if hit[1] == 1 else -v)
+                s = col.get(hit[0], 0) + (v if hit[1] == 1 else -v)
                 if s:
-                    cols[y][hit[0]] = s
+                    col[hit[0]] = s
                 else:
-                    del cols[y][hit[0]]
+                    del col[hit[0]]
         for col, hit in zip(cols, classes):
             top = cols[tops[hit[0]]] if hit else {}
             if col != (top if not hit or hit[1] == 1 else {i: -v for i, v in top.items()}):

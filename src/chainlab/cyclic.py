@@ -9,14 +9,15 @@ Differentials are written by index arithmetic on the WordBasis layout, with
 no word formed per entry: b' is the Kronecker sum of (-1)^i id (x) mu_i (x) id
 (mu_0 the right action on the module slot, mu_i the product of slots i, i+1),
 so each structure constant of mu_i gives one strided run of entries.  b adds
-the wrap term's runs to those of b' before its one matrix is built.
+the wrap term's runs to those of b' before any matrix is built.
 
 The rotation t is a signed permutation of the words, so coker(1 - t) keeps
 one word per orbit whose signs multiply to +1, its largest, with [e_y] =
-+-[e_top] along the orbit; the other orbits vanish (see LambdaComplex).  b
-descends to that quotient, which complexes.quotient_complex checks column by
-column; since ker proj = im(1 - t), this is the statement that b maps
-im(1 - t) into itself.
++-[e_top] along the orbit; the other orbits vanish (see LambdaComplex).  Its
+walk reads t by index arithmetic, and b's entries go to the quotient as they
+are computed: neither is built into a matrix.  b descends to that quotient,
+which complexes.quotient_complex checks column by column; since ker proj =
+im(1 - t), this is the statement that b maps im(1 - t) into itself.
 
 Totalization convention (validated by the d.d = 0 construction check): the
 Hochschild columns keep b, the Bar columns keep -b', the horizontal maps 1-t
@@ -53,9 +54,9 @@ from types import SimpleNamespace
 
 from .algebras import Algebra, Bimodule
 from .complexes import (ChainComplex, ChainMap, HomologyReport, HomologySpace, Interval,
-                        quotient_complex, selection, subcomplex)
+                        entries_of, quotient_complex, selection, subcomplex)
 from .errors import SizeLimit, UnitError
-from .sparse import SparseMatrix, Vector, exact, vec_axpy
+from .sparse import SparseMatrix, Vector, exact
 
 ONE = 1
 
@@ -108,16 +109,16 @@ def words(A: Algebra, M: Bimodule, p: int) -> WordBasis:
     return WordBasis((M.dim,) + (A.dim,) * p)
 
 
-def _from_flat(nrows, ncols, flat) -> SparseMatrix:
-    """The matrix whose entry (row, col) is flat[col*nrows + row].  Entries go in
-    column by column, the order in which a product's partial sums cancel soonest."""
+def _decode(nrows, flat):
+    """((row, col), value) of the entries flat[col*nrows + row], column by
+    column: the order in which a product's partial sums cancel soonest."""
     keys = sorted(flat)
-    rows, cols = map(mod, keys, repeat(nrows)), map(floordiv, keys, repeat(nrows))
-    return SparseMatrix(nrows, ncols, zip(zip(rows, cols), map(flat.__getitem__, keys)))
+    return zip(zip(map(mod, keys, repeat(nrows)), map(floordiv, keys, repeat(nrows))),
+               map(flat.__getitem__, keys))
 
 
 def _slot_product(table, d, d_out, n_left, n_right, sign, nrows) -> dict:
-    """Flat entries (see _from_flat) of sign * (id_L (x) mu (x) id_R), where
+    """Flat entries (see _decode) of sign * (id_L (x) mu (x) id_R), where
     mu = table: (x, y) -> {k: c} maps slots x (radix d_out), y (radix d) to k
     (radix d_out), so entry (L, k, R) <- (L, x, y, R) sits at row
     (L*d_out + k)*n_right + R and column ((L*d_out + x)*d + y)*n_right + R."""
@@ -147,7 +148,7 @@ def _sum_into(entries: dict, term: dict) -> dict:
 
 
 def _b_prime_flat(A: Algebra, M: Bimodule, p: int) -> dict:
-    """Flat entries of b' on M (x) A^p, M.dim * A.dim^(p-1) rows (see _from_flat)."""
+    """Flat entries of b' on M (x) A^p, M.dim * A.dim^(p-1) rows (see _decode)."""
     if p < 1:
         raise ValueError("b' starts at degree 1")
     d = A.dim
@@ -180,15 +181,25 @@ def b_prime_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
     """b' on M (x) A^p: alternating sum of the p adjacent contractions."""
     entries = _b_prime_flat(A, M, p)
     nrows = M.dim * A.dim ** (p - 1)
-    return _from_flat(nrows, nrows * A.dim, entries)
+    return SparseMatrix(nrows, nrows * A.dim, _decode(nrows, entries))
+
+
+def _hoch_flat(A: Algebra, M: Bimodule, p: int) -> dict:
+    """Flat entries of b = b' + (-1)^p (last slot wraps onto the module by the
+    left action), summed entrywise."""
+    return _sum_into(_b_prime_flat(A, M, p), _wrap_flat(A, M, p))
 
 
 def hoch_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
-    """b = b' + (-1)^p (last slot wraps onto the module by the left action),
-    summed entrywise before the one matrix is built."""
-    entries = _sum_into(_b_prime_flat(A, M, p), _wrap_flat(A, M, p))
+    """b on M (x) A^p as one matrix."""
     nrows = M.dim * A.dim ** (p - 1)
-    return _from_flat(nrows, nrows * A.dim, entries)
+    return SparseMatrix(nrows, nrows * A.dim, _decode(nrows, _hoch_flat(A, M, p)))
+
+
+def _hoch_entries(A: Algebra, M: Bimodule, p: int):
+    """b's entries in hoch_matrix's order, with no matrix built; b is computed
+    when the first entry is read."""
+    yield from _decode(M.dim * A.dim ** (p - 1), _hoch_flat(A, M, p))
 
 
 def hoch_from_b_prime(b_prime: SparseMatrix, A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
@@ -238,39 +249,25 @@ def hoch_complex(A: Algebra, M: Bimodule | None = None, D: int = 4,
     return ChainComplex(dims, diffs, Interval(0, D - 1))
 
 
-def verify_unit_homotopy(A: Algebra, M: Bimodule | None = None, D: int = 4):
-    """Exact matrix check of b' s + s b' = id for degrees <= D."""
-    M = M or Bimodule.regular(A)
-    size_guard(len(words(A, M, D + 1)), None, "Bar complex top degree")
-    b_prime = {p: b_prime_matrix(A, M, p) for p in range(1, D + 2)}
-    for p in range(0, D + 1):
-        s_p = unit_homotopy(A, M, p)
-        lhs = b_prime[p + 1] @ s_p
-        if p >= 1:
-            lhs = lhs + unit_homotopy(A, M, p - 1) @ b_prime[p]
-        if lhs != SparseMatrix.identity(len(words(A, M, p))):
-            return False, p
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # cyclic operators
 # ---------------------------------------------------------------------------
 
 
 def _rotation_power(d: int, p: int, i: int):
-    """((row, col), sign) entries of t^i on A^(p+1), dim A = d: t^i moves the
-    last i slots to the front, a swap on the layout (A^(p+1-i), A^i)."""
-    high = d ** (p + 1 - i)
-    sign = -ONE if p * i % 2 else ONE
-    return (((last * high + rest, col), sign)
-            for col, (rest, last) in enumerate(WordBasis((high, d ** i))))
+    """(targets, sign) of t^i on A^(p+1), dim A = d: t^i moves the last i slots
+    to the front, a swap on the layout (A^(p+1-i), A^i), so it sends word x to
+    targets[x] = (x mod d^i) d^(p+1-i) + x div d^i, with the sign (-1)^(p i)."""
+    high, low = d ** (p + 1 - i), d ** i
+    return ([last * high + rest for rest in range(high) for last in range(low)],
+            -ONE if p * i % 2 else ONE)
 
 
 def rotation_matrix(A: Algebra, p: int) -> SparseMatrix:
     """t on A^(p+1): signed rotation a_0...a_p -> (-1)^p a_p a_0...a_{p-1}."""
-    n = A.dim ** (p + 1)
-    return SparseMatrix(n, n, _rotation_power(A.dim, p, 1))
+    targets, sign = _rotation_power(A.dim, p, 1)
+    return SparseMatrix(len(targets), len(targets),
+                        zip(zip(targets, range(len(targets))), repeat(sign)))
 
 
 def _norm_entries(d: int, p: int) -> dict:
@@ -278,7 +275,8 @@ def _norm_entries(d: int, p: int) -> dict:
     length p+1, summed entrywise; entries that cancel are dropped."""
     entries = {}
     for i in range(p + 1):
-        for key, sign in _rotation_power(d, p, i):
+        targets, sign = _rotation_power(d, p, i)
+        for key in zip(targets, range(len(targets))):
             s = entries.get(key, 0) + sign
             if s:
                 entries[key] = s
@@ -551,8 +549,8 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
         total, w = bc.total, {n: bc.width(n, 2) for n in bc.total.dims}
 
     sub = subcomplex(total.diffs, {n: range(w[n]) for n in w}, "columns q <= 1")
-    quot = quotient_complex(total.diffs, {n: selection(range(w[n], total.dim(n)), total.dim(n))
-                                          for n in w}, "columns q >= 2")
+    quot = quotient_complex(entries_of(total.diffs), {
+        n: selection(range(w[n], total.dim(n)), total.dim(n)) for n in w}, "columns q >= 2")
     for n in range(3, D):
         if quot.diffs[n] != total.diffs[n - 2]:
             raise ValueError(f"columns q >= 2 are not the total shifted by two at degree {n}")
@@ -600,30 +598,31 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_classes(rot: SparseMatrix):
-    """(classes, tops) from one walk over the orbits of the signed permutation rot:
-    classes[y] = (j, c) when [e_y] = c [e_top] in coker(1 - t), top = tops[j] the
-    largest word of y's orbit, and None when the orbit's signs multiply to -1."""
-    image = {y: (y2, s) for (y2, y), s in rot.entries.items()}
-    walked = {}  # y -> (top of y's orbit, c)
-    tops = []
-    for top in reversed(range(rot.nrows)):  # an orbit is first met at its largest word
-        if top in walked:
+def _orbit_classes(image: list, s: int):
+    """(classes, tops) from one walk over the orbits of the signed permutation
+    e_y -> s e_image[y], read by index arithmetic with no matrix built:
+    classes[y] = (j, c) when [e_y] = c [e_top] in coker(1 - t), top = tops[j]
+    the largest word of y's orbit, and None when the orbit's signs multiply to
+    -1, i.e. s = -1 on an orbit of odd length."""
+    walked = bytearray(len(image))
+    orbits = []  # the orbits kept, each listed from its top, largest top first
+    for top in reversed(range(len(image))):  # an orbit is first met at its largest word
+        if walked[top]:
             continue
-        y, c = top, 1
-        while y not in walked:
-            walked[y] = (top, c)
-            y, s = image[y]
-            c *= s  # e_y = s e_y' modulo im(1 - t)
-        if c == 1:
-            tops.append(top)
-    tops.reverse()
-    j_of = {top: j for j, top in enumerate(tops)}
-    classes = [None] * rot.nrows
-    for y, (top, c) in walked.items():
-        if top in j_of:
-            classes[y] = (j_of[top], c)
-    return classes, tops
+        orbit, y = [], top
+        while not walked[y]:
+            walked[y] = 1
+            orbit.append(y)
+            y = image[y]
+        if s == 1 or len(orbit) % 2 == 0:
+            orbits.append(orbit)
+    orbits.reverse()
+    classes = [None] * len(image)
+    for j, orbit in enumerate(orbits):
+        hits = ((j, 1), (j, s))
+        for k, y in enumerate(orbit):  # e_y = s e_image[y] modulo im(1 - t)
+            classes[y] = hits[k % 2]
+    return classes, [orbit[0] for orbit in orbits]
 
 
 class LambdaComplex:
@@ -633,12 +632,13 @@ class LambdaComplex:
     signs multiply to +1: its largest, the column a minimal-pivot echelon form
     of im(1 - t) leaves free, with [e_y] = c [e_top], c the product of the signs
     walked from top to y.  An orbit whose signs multiply to -1 vanishes.  One
-    walk over the orbits of rotation_matrix, with no elimination, gives these
-    classes, and construction checks proj (1 - t) = 0 on them.  An orbit of k
-    words adds k - 1 to the dimensions of both im(1 - t) and ker proj (k if it
-    vanishes), so ker proj = im(1 - t).  quotient_complex checks column by
-    column that b descends, proj b = d' proj, i.e. that b kills ker proj: the
-    same as proj b (1 - t) = 0, b mapping im(1 - t) into itself.
+    walk over the orbits, t read by index arithmetic and no elimination, gives
+    these classes, and construction checks proj (1 - t) = 0 on every word.  An
+    orbit of k words adds k - 1 to the dimensions of both im(1 - t) and ker
+    proj (k if it vanishes), so ker proj = im(1 - t).  quotient_complex reads
+    b's entries, never built into a matrix, and checks column by column that b
+    descends, proj b = d' proj, i.e. that b kills ker proj: the same as
+    proj b (1 - t) = 0, b mapping im(1 - t) into itself.
     """
 
     def __init__(self, A: Algebra, D: int, size_limit=None):
@@ -650,25 +650,19 @@ class LambdaComplex:
         size_guard(A.dim ** (D + 1), size_limit, "lambda complex top degree")
         self._walks = {}
         for p in range(0, D + 1):
-            rot = rotation_matrix(A, p)
-            classes, _ = self._walks[p] = _orbit_classes(rot)
-            for (y2, y), s in rot.entries.items():  # (1 - t) e_y = e_y - s e_y2
-                if classes[y] != (classes[y2] and (classes[y2][0], s * classes[y2][1])):
-                    raise ValueError(f"projection does not kill im(1-t) at degree {p}")
-        hoch = {p: hoch_matrix(A, M, p) for p in range(1, D + 1)}
-        self.complex = quotient_complex(hoch, self._walks, "LambdaComplex")
+            image, s = _rotation_power(A.dim, p, 1)
+            classes, _ = self._walks[p] = _orbit_classes(image, s)
+            moved = map(classes.__getitem__, image)  # (1 - t) e_y = e_y - s e_image[y]
+            if s == -1:
+                moved = (hit and (hit[0], -hit[1]) for hit in moved)
+            if list(moved) != classes:
+                raise ValueError(f"projection does not kill im(1-t) at degree {p}")
+        self.complex = quotient_complex({p: _hoch_entries(A, M, p) for p in range(1, D + 1)},
+                                        self._walks, "LambdaComplex")
 
     def word_classes(self, p) -> list:
         """[e_y] = c [e_tops[j]] as classes[y] = (j, c), or None when 0."""
         return self._walks[p][0]
-
-    def project_element(self, p, v: Vector) -> Vector:
-        classes = self.word_classes(p)
-        out = {}
-        for y, val in v.items():
-            if classes[y]:
-                vec_axpy(out, val * classes[y][1], {classes[y][0]: ONE})
-        return out
 
     def homology(self, rng=None, **kw) -> HomologyReport:
         rng = rng or self.complex.certified

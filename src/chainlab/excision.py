@@ -38,6 +38,7 @@ from .complexes import (
     Interval,
     QuasiIsoVerdict,
     acyclicity,
+    entries_of,
     quotient_complex,
     selection,
     subcomplex,
@@ -48,7 +49,6 @@ from .cyclic import (
     b_prime_matrix,
     bar_complex,
     hc_bicomplex,
-    hoch_complex,
     hoch_from_b_prime,
     hoch_matrix,
     size_guard,
@@ -271,7 +271,7 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
         for p in range(D + 1):
             inner_set = set(inner.indices[p])
             keep[p] = [i for i, g in enumerate(outer.indices[p]) if g not in inner_set]
-        quot = quotient_complex(outer.complex.diffs, {
+        quot = quotient_complex(entries_of(outer.complex.diffs), {
             p: selection(keep[p], outer.complex.dim(p)) for p in keep}, f"F^{n + 1}/F^{n}")
         quotient_dims = quot.dims
 
@@ -342,7 +342,8 @@ def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
         lift = (0,) + (dI,) * min(n, p) + (0,) * (p - min(n, p))
         walks[p] = selection([full.index(map(add, w, lift)) for w in _q_stage_words(ext, n, p)],
                              len(full))
-    return FiltrationStage(n, f"Q-{kind}", quotient_complex(full_mats, walks, f"Q^{n}"), {})
+    quot = quotient_complex(entries_of(full_mats), walks, f"Q^{n}")
+    return FiltrationStage(n, f"Q-{kind}", quot, {})
 
 
 def q_kernel_complex(ext: ExtensionData, stage: FiltrationStage) -> ChainComplex:
@@ -397,7 +398,7 @@ def _mod_ideal(K: ChainComplex, inner: dict) -> ChainComplex:
     raises unless d keeps C(I)."""
     walks = {n: selection(sorted(set(range(K.dim(n))).difference(pos)), K.dim(n))
              for n, pos in inner.items()}
-    return quotient_complex(K.diffs, walks, "K / C(I)")
+    return quotient_complex(entries_of(K.diffs), walks, "K / C(I)")
 
 
 def _kernel_cut(ext: ExtensionData, bc: CyclicBicomplex, k: int | None = None):
@@ -522,17 +523,3 @@ def module_b_tensor_ideal(ext: ExtensionData) -> Bimodule:
                     right[(nb * dI + x, a)] = {nb * dI + k: c for k, c in prod.items()}
     return Bimodule(A, dim, left, right, name="B(x)I")
 
-
-def hoch_inclusion(ext: ExtensionData, M: Bimodule | None, D: int, size_limit=None) -> ChainMap:
-    """(I, M) Hochschild complex into the (A, M) one, coordinate inclusion."""
-    M_ad = ext.adapt_module(M)
-    I_alg = ext.ideal_algebra()
-    M_res = ext.restrict_module_to_ideal(M_ad)
-    src = hoch_complex(I_alg, M_res, D, size_limit)
-    tgt = hoch_complex(ext.A_ad, M_ad, D, size_limit)
-    comps = {}
-    for p in range(D + 1):
-        ambient = words(ext.A_ad, M_ad, p)
-        ent = {(ambient.index(w), col): ONE for col, w in enumerate(words(I_alg, M_res, p))}
-        comps[p] = SparseMatrix(tgt.dim(p), src.dim(p), ent)
-    return ChainMap(src, tgt, comps)

@@ -8,7 +8,11 @@ a Subspace that back-substitutes each new pivot into every stored row,
 with the QuotientSpace on top of it, against which the column-indexed
 Subspace and the orbit walk of the rotation coinvariants are checked; the
 quotient complex formed by sparse products with projection and section
-matrices; the integer elimination that combines rows by the undivided pivot
+matrices; the lambda complex through full-size matrices (the rotation built
+word by word and walked, quotient_complex over the built matrix of b) and the
+projection onto its classes; the unit-homotopy check b' s + s b' = id and
+the inclusion of the (I, M) Hochschild complex, which only tests run; the
+integer elimination that combines rows by the undivided pivot
 value and entry; the generalized trace that walks every permutation of
 every wedge; the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
@@ -29,13 +33,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from chainlab import tangent
-from chainlab.algebras import Algebra, commutator_subspace, matrix_algebra
-from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval,
+from chainlab import cyclic, tangent
+from chainlab.algebras import Algebra, Bimodule, commutator_subspace, matrix_algebra
+from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval, entries_of,
                                 homotopy_fiber, is_quasi_iso, quotient_complex, selection,
                                 subcomplex)
 from chainlab.cyclic import (ConnesReport, WordBasis, bar_complex, hc_bicomplex, hh_bicomplex,
-                             hoch_complex, tensor_powers, words)
+                             hoch_complex, hoch_matrix, tensor_powers, words)
 from chainlab.excision import ExtensionData, WodzickiReport, _bar_acyclicity
 from chainlab.errors import AssociativityError, NotNilpotent, RangeNotCertified
 from chainlab.sparse import SparseMatrix, Subspace as SparseSubspace, Vector, exact, vec_axpy
@@ -263,6 +267,107 @@ def quotient_differentials(diffs, walks) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# checks that only tests run: the unit homotopy on the Bar complex and the
+# coordinate inclusion of the (I, M) Hochschild complex into the (A, M) one
+# ---------------------------------------------------------------------------
+
+
+def verify_unit_homotopy(A, M=None, D=4):
+    """(ok, failing degree) of the exact matrix check b' s + s b' = id in
+    degrees <= D, on the production b' and s."""
+    M = M or Bimodule.regular(A)
+    b_prime = {p: cyclic.b_prime_matrix(A, M, p) for p in range(1, D + 2)}
+    for p in range(0, D + 1):
+        lhs = b_prime[p + 1] @ cyclic.unit_homotopy(A, M, p)
+        if p >= 1:
+            lhs = lhs + cyclic.unit_homotopy(A, M, p - 1) @ b_prime[p]
+        if lhs != SparseMatrix.identity(len(words(A, M, p))):
+            return False, p
+    return True, None
+
+
+def hoch_inclusion(ext: ExtensionData, M, D: int) -> ChainMap:
+    """(I, M) Hochschild complex into the (A, M) one, coordinate inclusion."""
+    M_ad = ext.adapt_module(M)
+    I_alg = ext.ideal_algebra()
+    M_res = ext.restrict_module_to_ideal(M_ad)
+    src = hoch_complex(I_alg, M_res, D)
+    tgt = hoch_complex(ext.A_ad, M_ad, D)
+    comps = {}
+    for p in range(D + 1):
+        ambient = words(ext.A_ad, M_ad, p)
+        ent = {(ambient.index(w), col): 1 for col, w in enumerate(words(I_alg, M_res, p))}
+        comps[p] = SparseMatrix(tgt.dim(p), src.dim(p), ent)
+    return ChainMap(src, tgt, comps)
+
+
+# ---------------------------------------------------------------------------
+# the lambda complex through full-size matrices: the rotation built word by
+# word and walked, proj (1 - t) = 0 checked on its entries, then
+# quotient_complex over the built matrix of b; chainlab.cyclic.LambdaComplex,
+# which builds neither matrix, must give the same walks and quotient
+# ---------------------------------------------------------------------------
+
+
+def rotation_matrix(A, p) -> SparseMatrix:
+    """t on A^(p+1), word by word: a_0...a_p -> (-1)^p a_p a_0...a_{p-1}."""
+    basis = WordBasis((A.dim,) * (p + 1))
+    sign = -1 if p % 2 else 1
+    return SparseMatrix(len(basis), len(basis),
+                        {(basis.index(w[-1:] + w[:-1]), basis.index(w)): sign for w in basis})
+
+
+def orbit_classes(rot: SparseMatrix):
+    """(classes, tops) of coker(1 - rot) from one walk over the orbits of the
+    signed permutation rot, as chainlab.cyclic.LambdaComplex defines them."""
+    image = {y: (y2, s) for (y2, y), s in rot.entries.items()}
+    walked = {}  # y -> (top of y's orbit, c)
+    tops = []
+    for top in reversed(range(rot.nrows)):  # an orbit is first met at its largest word
+        if top in walked:
+            continue
+        y, c = top, 1
+        while y not in walked:
+            walked[y] = (top, c)
+            y, s = image[y]
+            c *= s
+        if c == 1:
+            tops.append(top)
+    tops.reverse()
+    j_of = {top: j for j, top in enumerate(tops)}
+    classes = [None] * rot.nrows
+    for y, (top, c) in walked.items():
+        if top in j_of:
+            classes[y] = (j_of[top], c)
+    return classes, tops
+
+
+def lambda_complex(A, D):
+    """(walks, complex) of coker(1 - t) in degrees 0..D with b induced on it,
+    both full-size matrices built; raises as LambdaComplex does."""
+    walks = {}
+    for p in range(D + 1):
+        rot = rotation_matrix(A, p)
+        classes, _ = walks[p] = orbit_classes(rot)
+        for (y2, y), s in rot.entries.items():  # (1 - t) e_y = e_y - s e_y2
+            if classes[y] != (classes[y2] and (classes[y2][0], s * classes[y2][1])):
+                raise ValueError(f"projection does not kill im(1-t) at degree {p}")
+    M = Bimodule.regular(A)
+    hoch = {p: hoch_matrix(A, M, p) for p in range(1, D + 1)}
+    return walks, quotient_complex(entries_of(hoch), walks, "LambdaComplex")
+
+
+def project_element(lam, p, v: Vector) -> Vector:
+    """The class of v in degree p of lam, read off lam.word_classes(p)."""
+    classes = lam.word_classes(p)
+    out = {}
+    for y, val in v.items():
+        if classes[y]:
+            vec_axpy(out, val * classes[y][1], {classes[y][0]: 1})
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the integer elimination combining rows by the undivided pivot value and
 # entry, whose pivots chainlab.sparse._echelonize must reproduce
 # ---------------------------------------------------------------------------
@@ -378,7 +483,7 @@ def generalized_trace_matrix(A, r, n, lam, tuples):
                 continue
             word = [a0] + [decoded[t][2] for t in perm]
             sgn = -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1
-            vec_axpy(acc, sgn, lam.project_element(n, {cyclic_words.index(word): 1}))
+            vec_axpy(acc, sgn, project_element(lam, n, {cyclic_words.index(word): 1}))
         cols.append(acc)
     return SparseMatrix.from_columns(lam.complex.dim(n), cols)
 
@@ -546,8 +651,8 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     sub_idx = columns(lambda q: q <= 1)
     quot_idx = columns(lambda q: q >= 2)
     sub = subcomplex(total.diffs, sub_idx, "columns q <= 1")
-    quot = quotient_complex(total.diffs, {n: selection(idx, total.dim(n))
-                                          for n, idx in quot_idx.items()}, "columns q >= 2")
+    quot = quotient_complex(entries_of(total.diffs), {
+        n: selection(idx, total.dim(n)) for n, idx in quot_idx.items()}, "columns q >= 2")
 
     n_max = D - 2  # nodes need H_{n+1}(quot) and H_{n-1}(sub), both certified
     hs_sub = {n: HomologySpace(sub, n) for n in range(0, n_max + 1)}

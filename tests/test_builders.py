@@ -2,9 +2,13 @@
 the Chevalley-Eilenberg differential against the word-by-word builders of
 oracle.py: equal matrices on every preset, on rebased tables with real
 denominators, on bimodules of another dimension than the algebra, and on
-random structure constants."""
+random structure constants.  The lambda complex, which walks t by index
+arithmetic and reads b's entries with neither matrix built, against its route
+through both matrices: the same walks and quotient matrices, entry for
+entry."""
 
 import importlib.util
+import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -15,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from chainlab import lie
 from chainlab.algebras import Algebra, Bimodule
-from chainlab.cyclic import b_prime_matrix, hoch_from_b_prime, hoch_matrix, unit_homotopy
+from chainlab.cyclic import (b_prime_matrix, hoch_from_b_prime, hoch_matrix, lambda_complex,
+                             rotation_matrix, unit_homotopy)
 from chainlab.dsl import parse_algebra
 from chainlab.excision import ExtensionData, module_b_tensor_ideal
 from chainlab.lie import LieAlgebra, ce_complex, gl, lie_from_assoc
@@ -53,14 +58,19 @@ def test_hoch_matrix_is_b_prime_plus_wrap():
         assert hoch_matrix(A, M, p) == oracle.b_prime_matrix(A, M, p) + oracle.wrap_matrix(A, M, p)
 
 
-def _rebased_algebras(seed):
+def _rebased_jobs(seed):
+    """(D, algebra) of each job of perfbench/workloads.py's rebased tables."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    for slot, (_, preset, _, bits) in enumerate(workloads.REBASED):
+    for slot, (_, preset, D, bits) in enumerate(workloads.REBASED):
         text, fractional = workloads.generate_rebased(preset, bits, seed, slot)
         assert fractional
-        yield parse_algebra(text)
+        yield D, parse_algebra(text)
+
+
+def _rebased_algebras(seed):
+    return (A for _, A in _rebased_jobs(seed))
 
 
 def test_builders_match_oracle_on_rebased_tables():
@@ -165,3 +175,72 @@ def _ce_matrix(g, p):
 @given(lie_tables(), st.integers(1, 4))
 def test_ce_matches_oracle_on_random_tables(g, p):
     assert _ce_matrix(g, p) == oracle.ce_matrix(g, p)
+
+
+# ---------------------------------------------------------------------------
+# the lambda complex against its route through full-size matrices
+# ---------------------------------------------------------------------------
+
+
+def assert_lambda_matches_matrix_route(A, D):
+    try:
+        walks, expected = oracle.lambda_complex(A, D)
+    except ValueError as verdict:
+        with pytest.raises(ValueError, match=re.escape(str(verdict))):
+            lambda_complex(A, D)
+        return
+    lam = lambda_complex(A, D)
+    assert lam._walks == walks
+    assert lam.complex.dims == expected.dims
+    for p, d in expected.diffs.items():  # entry for entry, in the same order
+        assert list(lam.complex.diffs[p].entries.items()) == list(d.entries.items()), p
+
+
+def test_rotation_matches_the_word_by_word_oracle():
+    for d in range(5):
+        for p in range(6 if d < 4 else 5):
+            A = Algebra(d, None, {})
+            assert rotation_matrix(A, p) == oracle.rotation_matrix(A, p), (d, p)
+
+
+@pytest.mark.parametrize("spec", PRESETS)
+def test_lambda_matches_the_matrix_route_on_presets(spec):
+    A = algebra_preset(spec)
+    assert_lambda_matches_matrix_route(A, max(D for D in range(1, 7) if A.dim ** (D + 1) <= 3 ** 7))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lambda_matches_the_matrix_route_on_rebased_tables(seed):
+    for D, A in _rebased_jobs(seed):
+        assert_lambda_matches_matrix_route(A, D)
+        assert_lambda_matches_matrix_route(A.integral()[0], D)  # as the CLI builds it
+
+
+def products(draw, n_in, n_out, offset=0):
+    """{(x, y): {offset + k: c}} with x, y < n_in and k < n_out, at least one
+    nonzero product when n_in and n_out are."""
+    if not (n_in and n_out):
+        return {}
+    pair = st.tuples(st.integers(0, n_in - 1), st.integers(0, n_in - 1))
+    vec = st.dictionaries(st.integers(offset, offset + n_out - 1), SCALARS.filter(bool),
+                          min_size=1, max_size=n_out)
+    return draw(st.dictionaries(pair, vec, min_size=1, max_size=n_in * n_in))
+
+
+@st.composite
+def lambda_cases(draw):
+    """(A, D) with dim A <= 4 and D <= 5: an unvalidated random table, whose
+    d.d check usually fails, or a random table with products only from the
+    letters below k into the others, associative since those multiply to
+    zero."""
+    d, D = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return Algebra(d, None, products(draw, d, d), check=False), D
+    k = draw(st.integers(1, d - 1)) if d >= 2 else 0
+    return Algebra(d, None, products(draw, k, d - k, offset=k)), D
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lambda_cases())
+def test_lambda_matches_the_matrix_route_on_random_tables(case):
+    assert_lambda_matches_matrix_route(*case)

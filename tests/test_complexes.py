@@ -10,6 +10,7 @@ from chainlab.complexes import (
     HomologySpace,
     Interval,
     cone,
+    entries_of,
     homotopy_fiber,
     is_quasi_iso,
     quotient_complex,
@@ -190,9 +191,9 @@ def test_quotient_complex_rejects_a_dropped_coordinate_hitting_a_kept_one():
     diffs = {1: SparseMatrix(1, 2), 2: SparseMatrix(2, 2, {(0, 1): 1})}
     walks = {0: selection([0], 1), 1: selection([0], 2), 2: selection([0], 2)}
     with pytest.raises(ValueError, match="Q: induced differential ill-defined at degree 2"):
-        quotient_complex(diffs, walks, "Q")
+        quotient_complex(entries_of(diffs), walks, "Q")
     walks[1] = selection([1], 2)  # the image of the dropped coordinate is dropped too
-    assert quotient_complex(diffs, walks, "Q").diffs[2] == SparseMatrix(1, 1)
+    assert quotient_complex(entries_of(diffs), walks, "Q").diffs[2] == SparseMatrix(1, 1)
 
 
 def test_quotient_complex_rejects_a_signed_class_whose_members_disagree():
@@ -200,10 +201,21 @@ def test_quotient_complex_rejects_a_signed_class_whose_members_disagree():
     walks = {0: ([(0, 1), (0, -1)], [0]), 1: ([(0, 1), (0, -1)], [0])}
     same_sign = {1: SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 1})}
     with pytest.raises(ValueError, match="Q: induced differential ill-defined at degree 1"):
-        quotient_complex(same_sign, walks, "Q")
+        quotient_complex(entries_of(same_sign), walks, "Q")
     # d e_0 = e_1 projects to -[e_0], and d e_1 = -e_1 to +[e_0] = -(-[e_0])
     descends = {1: SparseMatrix(2, 2, {(1, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2)})}
-    assert quotient_complex(descends, walks, "Q").diffs[1] == SparseMatrix(1, 1, {(0, 0): Fraction(-1, 2)})
+    assert (quotient_complex(entries_of(descends), walks, "Q").diffs[1]
+            == SparseMatrix(1, 1, {(0, 0): Fraction(-1, 2)}))
+
+
+def test_quotient_complex_rejects_an_entry_outside_the_degrees():
+    # d_1 : Q^2 -> Q^1; an entry in column 2 or row 1 lies outside
+    walks = {0: selection([0], 1), 1: selection([0, 1], 2)}
+    quot = quotient_complex({1: [((0, 1), 3)]}, walks, "Q")
+    assert quot.diffs[1] == SparseMatrix(1, 2, {(0, 1): 3})
+    for r, c in [(0, 2), (1, 0)]:
+        with pytest.raises(IndexError, match=f"Q: entry \\({r},{c}\\) of d_1 outside 1x2"):
+            quotient_complex({1: [((0, 0), 1), ((r, c), 3)]}, walks, "Q")
 
 
 QUOTIENT_VALUES = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
@@ -252,9 +264,9 @@ def test_quotient_complex_matches_the_product_oracle(case):
         expected = oracle.quotient_differentials(diffs, walks)
     except ValueError:
         with pytest.raises(ValueError, match="Q: induced differential ill-defined at degree 1"):
-            quotient_complex(diffs, walks, "Q")
+            quotient_complex(entries_of(diffs), walks, "Q")
         return
-    assert quotient_complex(diffs, walks, "Q").diffs == expected
+    assert quotient_complex(entries_of(diffs), walks, "Q").diffs == expected
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from chainlab.cyclic import (
     lambda_complex,
     norm_matrix,
     rotation_matrix,
-    verify_unit_homotopy,
     words,
 )
 from chainlab.dsl import parse_algebra
@@ -93,7 +92,7 @@ def test_words_of_tensor_powers():
 
 @pytest.mark.parametrize("A", UNITAL_PRESETS, ids=lambda a: a.name)
 def test_unit_homotopy_identity(A):
-    ok, failing = verify_unit_homotopy(A, D=3)
+    ok, failing = oracle.verify_unit_homotopy(A, D=3)
     assert ok, f"b's + sb' = id fails at degree {failing}"
 
 
@@ -216,17 +215,17 @@ def test_lambda_orbit_walk_matches_the_elimination_oracle(A):
         assert lam._walks[p][1] == quotient.complement  # the section: e_j -> e_tops[j]
         assert lam.complex.dim(p) == one_minus_t.nrows - one_minus_t.rank()
         for y in range(one_minus_t.nrows):  # the projection, column by column
-            assert lam.project_element(p, {y: 1}) == quotient.project({y: 1})
+            assert oracle.project_element(lam, p, {y: 1}) == quotient.project({y: 1})
         v = {y: Fraction(y - 2, 3) for y in range(0, one_minus_t.nrows, 2) if y != 2}
-        assert lam.project_element(p, v) == exact_vec(quotient.project(v))
+        assert oracle.project_element(lam, p, v) == exact_vec(quotient.project(v))
 
 
 def test_lambda_checks_the_orbit_projection(monkeypatch):
     walk = cyclic._orbit_classes
 
-    def one_wrong_sign(rot):
-        classes, tops = walk(rot)
-        if rot.nrows == 8:  # degree 2 of a 2-dimensional algebra
+    def one_wrong_sign(image, s):
+        classes, tops = walk(image, s)
+        if len(image) == 8:  # degree 2 of a 2-dimensional algebra
             y = next(y for y, hit in enumerate(classes) if hit and tops[hit[0]] != y)
             classes[y] = (classes[y][0], -classes[y][1])
         return classes, tops
@@ -237,9 +236,22 @@ def test_lambda_checks_the_orbit_projection(monkeypatch):
 
 
 def test_lambda_checks_that_the_differential_descends(monkeypatch):
-    # b' does not map im(1 - t) into itself: on A (x) A, b'(1 - t)(a (x) a') = aa' + a'a
-    monkeypatch.setattr(cyclic, "hoch_matrix", cyclic.b_prime_matrix)
+    # without the wrap entries b is b', which does not map im(1 - t) into
+    # itself: on A (x) A, b'(1 - t)(a (x) a') = aa' + a'a
+    monkeypatch.setattr(cyclic, "_wrap_flat", lambda A, M, p: {})
     with pytest.raises(ValueError, match="LambdaComplex: induced differential ill-defined at degree 1"):
+        lambda_complex(dual_numbers(), 3)
+
+
+def test_lambda_rejects_an_entry_of_b_beyond_its_last_column(monkeypatch):
+    # b_1 of a 2-dimensional algebra is 2 x 4: flat key 4 * 2 is row 0 of column 4
+    wrap = cyclic._wrap_flat
+
+    def one_beyond(A, M, p):
+        return {**wrap(A, M, p), 4 * 2: 1} if p == 1 else wrap(A, M, p)
+
+    monkeypatch.setattr(cyclic, "_wrap_flat", one_beyond)
+    with pytest.raises(IndexError, match="LambdaComplex: entry \\(0,4\\) of d_1 outside 2x4"):
         lambda_complex(dual_numbers(), 3)
 
 

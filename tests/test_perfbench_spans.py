@@ -121,6 +121,18 @@ def test_lambda_complex_runs_no_elimination(capsys):
     assert rec.calls["sparse.matmul"] == 5
 
 
+@pytest.mark.parametrize("argv", [["lambda", "--preset", "truncated_poly:3", "-D", "6"],
+                                  ["hc", "--preset", "matrix:2", "-D", "5"]])
+def test_lambda_complex_builds_no_full_size_matrix(argv, capsys):
+    # t is walked by index arithmetic and b's entries go straight to the
+    # quotient: neither the rotation nor b is built into a matrix
+    rec = _traced(argv)
+    capsys.readouterr()
+    assert rec.calls["cyclic.LambdaComplex"] == 1
+    assert rec.calls["cyclic.rotation_matrix"] == 0
+    assert rec.calls["cyclic.hoch_matrix"] == 0
+
+
 def test_q_filtration_builds_its_stage_once(capsys):
     # filtration_Q builds b' in degrees 1..5; the kernel is cut out of that stage
     rec = _traced(["filtration", "--ext", "truncated_poly:3", "--level", "1", "-D", "5",
