@@ -104,15 +104,17 @@ class Algebra:
         aug = self.augmentation and {i: L * c for i, c in self.augmentation.items()}
         return Algebra(self.dim, self.labels, mul, unit, aug, self.name), L
 
-    def unit_adapted(self) -> "Algebra":
+    def unit_adapted(self, droppable=None) -> "Algebra":
         """This unital algebra in the basis g_0 = 1, g_k = L e_k for k != j in
-        order, j the first coordinate of the unit u.  With f_0 = 1 and f_k = e_k,
-        L is the lcm of the denominators of the constants of f_x f_y (x, y >= 1),
-        and g_x g_y = L^2 c^0 g_0 + L c^z g_z: int constants, unit {0: 1}."""
+        order, j the first coordinate of the unit u among the letters droppable
+        (all by default), labelled "1" and "L*" + e_k's label.  With f_0 = 1
+        and f_k = e_k, L is the lcm of the denominators of the constants of
+        f_x f_y (x, y >= 1), and g_x g_y = L^2 c^0 g_0 + L c^z g_z: int
+        constants, unit {0: 1}."""
         if not self.is_unital:
             raise UnitError("a unit-adapted basis needs a unital algebra")
         u = self.unit
-        j = min(u)
+        j = min(k for k in u if droppable is None or k in droppable)
         others = [k for k in range(self.dim) if k != j]
         inv = 1 / Fraction(u[j])
 
@@ -124,7 +126,8 @@ class Algebra:
                                     for x, a in enumerate(others, 1) for y, b in enumerate(others, 1)})
         mul = {(x, y): {z: c * L if z == 0 else c for z, c in v.items()} for (x, y), v in table.items()}
         mul.update({pair: {max(pair): ONE} for k in range(self.dim) for pair in ((0, k), (k, 0))})
-        return Algebra(self.dim, None, mul, unit={0: ONE}, name=self.name)
+        labels = ["1"] + [f"{L}*{self.labels[k]}" if L > 1 else self.labels[k] for k in others]
+        return Algebra(self.dim, labels, mul, unit={0: ONE}, name=self.name)
 
     @property
     def is_unital(self):

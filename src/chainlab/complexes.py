@@ -212,9 +212,14 @@ def quotient_complex(entries: dict, walks: dict, what: str) -> ChainComplex:
                     col[hit[0]] = s
                 else:
                     del col[hit[0]]
+        negated = {}  # j -> -(proj d e_tops[j]), built once per class
         for col, hit in zip(cols, classes):
-            top = cols[tops[hit[0]]] if hit else {}
-            if col != (top if not hit or hit[1] == 1 else {i: -v for i, v in top.items()}):
+            want = cols[tops[hit[0]]] if hit else {}
+            if hit and hit[1] != 1:
+                if hit[0] not in negated:
+                    negated[hit[0]] = {i: -v for i, v in want.items()}
+                want = negated[hit[0]]
+            if col != want:
                 raise ValueError(f"{what}: induced differential ill-defined at degree {n}")
         quot[n] = SparseMatrix(len(row_tops), len(tops), (
             ((i, j), v) for j, y in enumerate(tops) for i, v in cols[y].items()))

@@ -30,11 +30,12 @@ LambdaComplex, the smaller model.  For unital A, HH is the homology of the
 normalized complex C_n = A (x) Abar^n, Abar = A/Q.1, and Connes' sequence
 that of the (b, B) bicomplex on it (Loday 1.1.14, 2.1.7-2.1.9): no Bar
 columns, N or 1 - t, and d - 1 letters per inner slot.  hh_homology without
-reps and connes_check read those.  The bicomplex is kept where its own
-coordinates or columns are read, or there is no unit: hh_homology (its
-columns q < 2) and connes_check (q <= 1 and q >= 2) on non-unital A,
+reps and connes_check read those, as do the excision cuts of a unital A
+whose ideal misses 1 (excision._kernel_cuts).  The bicomplex is kept where
+its own coordinates or columns are read, or there is no unit: hh_homology
+(its columns q < 2) and connes_check (q <= 1 and q >= 2) on non-unital A,
 hh_homology and hc_homology with reps (whose representatives are written in
-the bicomplex's basis) and the excision comparisons.
+the bicomplex's basis) and the other excision cuts.
 
 hh_homology, hc_homology and connes_check build on A.integral() or
 A.unit_adapted(), the same algebra in a basis where its constants are ints,
@@ -321,8 +322,8 @@ class CyclicBicomplex:
     hh_homology and hc_homology with reps, and hh_homology and connes_check
     without a unit, report at bound D off the build to D - 1, guarded as for D
     (_read_bicomplex); the other cases read LambdaComplex or the normalized
-    complex instead.  The excision comparisons use the full hc_bicomplex
-    build and its b_prime.
+    complex instead.  The excision comparisons of a non-unital A, or of an
+    ideal holding 1, use the full hc_bicomplex build and its b_prime.
 
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
@@ -420,15 +421,15 @@ def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None):
     return CyclicBicomplex(B, ncols, D - 1, size_limit), L
 
 
-def _normalized_b(A: Algebra, D: int, size_limit=None):
+def _normalized_b(A: Algebra, D: int, size_limit=None, adapted=False):
     """(b, w): b_1..b_{D-1} of the normalized Hochschild complex C_p = A (x)
     Abar^p of unital A, Abar = A/Q.1, and w[p] = dim C_p for p < D, guarded as
-    the bicomplex of bound D.  On A.unit_adapted() Abar's letters are g_1..g_e,
-    so hoch_matrix writes b on the radices (e + 1, e, ..., e): the inner slots
-    multiply through the projection dropping g_0, the module slot and the wrap
-    through A's product."""
+    the bicomplex of bound D.  On A.unit_adapted(), or on A itself when it is
+    adapted already, Abar's letters are g_1..g_e, so hoch_matrix writes b on
+    the radices (e + 1, e, ..., e): the inner slots multiply through the
+    projection dropping g_0, the module slot and the wrap through A's product."""
     size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
-    G = A.unit_adapted()
+    G = A if adapted else A.unit_adapted()
     e = G.dim - 1
     letters = SimpleNamespace(dim=e, mul={(x - 1, y - 1): {z - 1: c for z, c in v.items() if z}
                                           for (x, y), v in G.mul.items() if x and y})
@@ -438,12 +439,12 @@ def _normalized_b(A: Algebra, D: int, size_limit=None):
             {p: (e + 1) * e ** p for p in range(D)})
 
 
-def _connes_total(A: Algebra, D: int, size_limit=None):
+def _connes_total(A: Algebra, D: int, size_limit=None, adapted=False):
     """(total, w): Connes' (b, B) bicomplex on the normalized complex of unital A
     to total degree D - 1, w[n] = dim C_n the width of its column 0.  Degree n
     lists the columns C_n, C_{n-2}, ..., so C_p sits at offset dims[n] - dims[p];
     d is b down each column and B from C_p to C_{p+1} one column left."""
-    b, w = _normalized_b(A, D, size_limit)
+    b, w = _normalized_b(A, D, size_limit, adapted)
     B = {p: _connes_B(A.dim - 1, p) for p in range(D - 2)}
     dims = {n: sum(w[p] for p in range(n, -1, -2)) for n in range(D)}
     diffs = {}

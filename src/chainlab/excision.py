@@ -13,8 +13,12 @@ f_ad projects each letter onto the letters dim(I)..dim(A)-1, so the kernel K
 of C(A) -> C(B) is the subcomplex of words holding an ideal letter, and C(I)
 that of words of ideal letters only.  f is onto and C(I) -> K one-to-one, so
 H(K) is relative homology and K / C(I) is acyclic exactly where the
-comparison is a quasi-isomorphism.  All are cut out of A's HC bicomplex, HH
-and the Hochschild column as its columns q < 2 and q < 1, Bar from its b'.
+comparison is a quasi-isomorphism.  HC and HH are cut out of Connes' (b, B)
+total on the normalized complex A (x) Abar^n when A is unital and 1 is not in
+I, in the basis 1, the ideal letters, the other complement letters, where
+Abar -> Bbar is again a coordinate projection: every column for HC, column 0
+for HH.  Otherwise out of A's HC bicomplex, HH as its columns q < 2.  The
+Hochschild and Bar comparisons are cut from b and -b' on the words A^(p+1).
 
 Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
@@ -28,6 +32,8 @@ identity asserted in graded_piece_check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from operator import add
 
 from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal
@@ -46,6 +52,7 @@ from .complexes import (
 from .cyclic import (
     CyclicBicomplex,
     WordBasis,
+    _connes_total,
     b_prime_matrix,
     bar_complex,
     hc_bicomplex,
@@ -369,27 +376,35 @@ def _hc_of_A(ext: ExtensionData, D: int, size_limit=None) -> CyclicBicomplex:
     return hc_bicomplex(ext.A_ad, D - 1, size_limit)
 
 
-def _word_cut(ext: ExtensionData, diffs: dict, rows: dict, what: str):
+def _unit_basis(ext: ExtensionData) -> Algebra | None:
+    """A_ad in the basis g_0 = 1, g_1..g_dI its ideal letters, then the other
+    complement letters (unit_adapted dropping the unit's first complement
+    coordinate); None when A has no unit or 1 lies in I."""
+    A, dI = ext.A_ad, ext.ideal_dim
+    return A.unit_adapted(range(dI, A.dim)) if A.is_unital and max(A.unit) >= dI else None
+
+
+def _word_cut(diffs: dict, rows: dict, what: str):
     """(K, inner) of a complex whose degree n is the direct sum, in order, of
-    the regular words A^(p+1) for p in rows[n].  K keeps the words holding an
-    ideal letter: the kernel of the map to B's complex, which applies f_ad,
-    the projection onto the other letters, letter by letter.  inner[n] lists
-    the positions in K_n of C(I), the words of ideal letters only.
-    subcomplex raises unless d keeps K."""
-    dA, dI = ext.A_ad.dim, ext.ideal_dim
-    marks = {}  # p -> (x, ideal letters only) for the words x of A^(p+1) in K
+    the word bases rows[n].  A word basis is a tuple of slots, each a string
+    naming its letters in order: "i" an ideal letter, "u" the unit, "c" a
+    complement letter.  K keeps the words holding an ideal letter: the kernel
+    of the map to B's complex, which kills the ideal letters and sends the
+    words of the others one to one onto B's words.  inner[n] lists the
+    positions in K_n of the ideal's complex, the words with no complement
+    letter.  subcomplex raises unless d keeps K."""
+    marks = {}  # word basis -> (x, no complement letter) for its words x in K
     keep, inner = {}, {}
-    for n, ps in rows.items():
+    for n, blocks in rows.items():
         keep[n], inner[n], off = [], [], 0
-        for p in ps:
-            if p not in marks:
-                marks[p] = [(x, max(w) < dI) for x, w in enumerate(WordBasis((dA,) * (p + 1)))
-                            if min(w) < dI]
-            for x, pure in marks[p]:
+        for block in blocks:
+            if block not in marks:
+                marks[block] = [(x, "c" not in w) for x, w in enumerate(product(*block)) if "i" in w]
+            for x, pure in marks[block]:
                 if pure:
                     inner[n].append(len(keep[n]))
                 keep[n].append(off + x)
-            off += dA ** (p + 1)
+            off += prod(map(len, block))
     return subcomplex(diffs, keep, what), inner
 
 
@@ -401,44 +416,74 @@ def _mod_ideal(K: ChainComplex, inner: dict) -> ChainComplex:
     return quotient_complex(entries_of(K.diffs), walks, "K / C(I)")
 
 
+def _letters(ext: ExtensionData) -> str:
+    """The slot of A_ad's words: its ideal letters, then its complement ones."""
+    return "i" * ext.ideal_dim + "c" * (ext.A_ad.dim - ext.ideal_dim)
+
+
 def _kernel_cut(ext: ExtensionData, bc: CyclicBicomplex, k: int | None = None):
     """_word_cut of the columns q < k of bc's total, every column by default.
     No map raises q and each degree lists its columns by q, so these lead
     each degree and are closed under d."""
     k = k or bc.ncols
-    rows = {n: [p for q, p, _, _ in comps if q < k] for n, comps in bc.layout.items()}
-    return _word_cut(ext, bc.total.diffs, rows, f"columns q < {k}")
+    rows = {n: [(_letters(ext),) * (p + 1) for q, p, _, _ in comps if q < k]
+            for n, comps in bc.layout.items()}
+    return _word_cut(bc.total.diffs, rows, f"columns q < {k}")
+
+
+def _kernel_cuts(ext: ExtensionData, D: int, flavors, size_limit=None):
+    """(cuts, b_prime): the _word_cut (K, inner) to degree D - 1 for each
+    flavor, "hh" or else HC, and A's b' on rows 1..D-1 if a bicomplex built
+    it, else None.  The guard reads the row A.dim^(D+1) of total degree D
+    before anything is built, so either model rejects the same inputs.  On
+    unital A with 1 not in I, off Connes' (b, B) total in _unit_basis:
+    Abar -> Bbar drops the ideal letters g_1..g_dI, so K is the words holding
+    one, on every column or on column 0 (HH), and C(I) is the reduced
+    normalized complex of I+ = Q.1 + I, whose HC is HC(I) over Q (Loday
+    2.1-2.2): slot 0 in 1 or I, the other slots in I.  Otherwise off A's HC
+    bicomplex, HH on its columns q < 2."""
+    size_guard(ext.A_ad.dim ** (D + 1), size_limit, "bicomplex row")
+    G = _unit_basis(ext)
+    if G is None:
+        bc = _hc_of_A(ext, D, size_limit)
+        return [_kernel_cut(ext, bc, 2 if f == "hh" else None) for f in flavors], bc.b_prime
+    total, _ = _connes_total(G, D, size_limit, adapted=True)
+    slot = _letters(ext)[:-1]  # Abar's letters g_1..g_e
+    columns = {n: [("u" + slot,) + (slot,) * p for p in range(n, -1, -2)] for n in total.dims}
+    return [_word_cut(total.diffs, {n: cols[:1] if f == "hh" else cols for n, cols in columns.items()},
+                      f"normalized {f}") for f in flavors], None
 
 
 def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
                       size_limit=None) -> HomologyReport:
     """Relative HC, or for flavor "hh" relative HH: the homology of
-    K = ker(C(A) -> C(B)) on every column, or on the columns q < 2.  f is
-    onto, so K is quasi-isomorphic to the homotopy fiber of C(A) -> C(B)."""
+    K = ker(C(A) -> C(B)) of _kernel_cuts.  f is onto, so K is
+    quasi-isomorphic to the homotopy fiber of C(A) -> C(B)."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    K = _kernel_cut(ext, _hc_of_A(ext, D, size_limit), 2 if flavor == "hh" else None)[0]
+    (K, _), = _kernel_cuts(ext, D, (flavor,), size_limit)[0]
     return K.homology(Interval(0, D - 2))
 
 
 def comparison_map(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
     """The HC comparison of excision: the inclusion of the ideal's total
-    complex C(I) into K = ker(C(A) -> C(B)).  Its cone is quasi-isomorphic to
-    K / C(I), and to the cone of C(I) into the relative fiber."""
+    complex C(I) into K = ker(C(A) -> C(B)), both cut from A's HC bicomplex.
+    Its cone is quasi-isomorphic to K / C(I), and to the cone of C(I) into
+    the relative fiber."""
     K, inner = _kernel_cut(ext, _hc_of_A(ext, D, size_limit))
     comps = {n: SparseMatrix(K.dim(n), len(pos), {(i, j): ONE for j, i in enumerate(pos)})
              for n, pos in inner.items()}
     return ChainMap(subcomplex(K.diffs, inner, "C(I)"), K, comps)
 
 
-def _column_comparison(ext: ExtensionData, bc: CyclicBicomplex) -> ChainComplex:
-    """K / C(I) of the Bar complex, acyclic exactly where the (I, I) Bar
-    complex maps quasi-isomorphically into the homotopy fiber of the (A, A)
-    -> (B, B) one: the comparison of the excision proof where a non-H-unital
-    ideal shows up.  The Bar complex of A, whose degree n holds the words
-    A^(n+1), is built from the b' on rows 1..D-1 that bc keeps."""
-    diffs = {p: bp.scale(-1) for p, bp in bc.b_prime.items()}
-    return _mod_ideal(*_word_cut(ext, diffs, {n: [n] for n in range(bc.bound + 1)}, "Bar"))
+def _column_comparison(ext: ExtensionData, diffs: dict, what: str) -> ChainComplex:
+    """K / C(I) of the complex whose degree n holds the words A^(n+1), with
+    d_p = diffs[p]: the Hochschild complex (b) or the Bar complex (-b').  It
+    is acyclic exactly where the (I, I) complex maps quasi-isomorphically into
+    the homotopy fiber of the (A, A) -> (B, B) one: the comparisons of the
+    excision proof where a non-H-unital ideal shows up."""
+    rows = {n: [(_letters(ext),) * (n + 1)] for n in range(len(diffs) + 1)}
+    return _mod_ideal(*_word_cut(diffs, rows, what))
 
 
 @dataclass
@@ -476,23 +521,28 @@ class WodzickiReport:
 def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
     """Quasi-isomorphism ranges of the ideal-to-relative comparison maps.
 
-    Four comparisons are read off A's HC bicomplex: HC, HH (its columns
-    q < 2) and the Hochschild and Bar columns the proof factors through (its
-    column q < 1, and the Bar complex of its b').  Each is a quasi-isomorphism
-    exactly where its K / C(I) is acyclic, with the same failing degree and
-    defect.  The report also carries the ideal's bounded H-unitality
-    certificate, so it exhibits "H-unital implies excision" on instances; a
-    failed verdict is a successful computation.  Relative HH and HC are H(K).
+    Four comparisons: HC and HH, read off the cuts of _kernel_cuts, and the
+    Hochschild and Bar complexes the proof factors through, cut from b and
+    -b' on the words A^(p+1), p = 1..D-1, where b is summed from b'.  Each is
+    a quasi-isomorphism exactly where its K / C(I) is acyclic, with the same
+    failing degree and defect.  The report also carries the ideal's bounded
+    H-unitality certificate, so it exhibits "H-unital implies excision" on
+    instances; a failed verdict is a successful computation.  Relative HH and
+    HC are H(K).
     """
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-    bc = _hc_of_A(ext, D, size_limit)
-    cuts = [_kernel_cut(ext, bc, k) for k in (2, None, 1)]  # HH, HC, Hochschild
-    hh, hc, hoch = (acyclicity(_mod_ideal(*cut), rng) for cut in cuts)
-    rel_hh, rel_hc = (K.homology(rng) for K, _ in cuts[:2])
-    return WodzickiReport(hh, hc, hoch, acyclicity(_column_comparison(ext, bc), rng),
-                          h_unitality_check(ext.ideal_algebra(), D, size_limit), rel_hh, rel_hc)
+    (hh, hc), b_prime = _kernel_cuts(ext, D, ("hh", "hc"), size_limit)
+    A, M = ext.A_ad, Bimodule.regular(ext.A_ad)
+    if b_prime is None:
+        b_prime = {p: b_prime_matrix(A, M, p) for p in range(1, D)}
+    hoch = _column_comparison(
+        ext, {p: hoch_from_b_prime(bp, A, M, p) for p, bp in b_prime.items()}, "Hochschild")
+    bar = _column_comparison(ext, {p: bp.scale(-1) for p, bp in b_prime.items()}, "Bar")
+    verdicts = (acyclicity(Q, rng) for Q in (_mod_ideal(*hh), _mod_ideal(*hc), hoch, bar))
+    return WodzickiReport(*verdicts, h_unitality_check(ext.ideal_algebra(), D, size_limit),
+                          hh[0].homology(rng), hc[0].homology(rng))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .algebras import (
 from .complexes import HomologySpace, Interval, acyclicity, subcomplex
 from .cyclic import size_guard
 from .errors import NotNilpotent, UnitError
-from .excision import ExtensionData, _hc_of_A, _kernel_cut, _mod_ideal
+from .excision import ExtensionData, _hc_of_A, _kernel_cut, _kernel_cuts, _mod_ideal
 from .sparse import SparseMatrix, Subspace, Vector, exact, exact_vec, vec_axpy
 
 ONE = 1
@@ -355,15 +355,16 @@ def tangent_table(C: Algebra, bases, D: int, size_limit=None):
     """For each Artinian base B: relative HC of C (x) B -> C, the HC of the
     augmentation-ideal coefficients C (x) Aug(B), and the quasi-isomorphism
     range of the comparison map between them.  All three are read off one cut
-    of A's HC bicomplex: relative HC is H(K), the ideal's HC is H(C(I)), and
-    the comparison is a quasi-isomorphism where K / C(I) is acyclic."""
+    of the (b, B) total of C (x) B (excision._kernel_cuts): relative HC is
+    H(K), the ideal's HC is H(C(I)), and the comparison is a
+    quasi-isomorphism where K / C(I) is acyclic."""
     if D < 2:
         raise ValueError("D must be >= 2")
     rows = []
     for base in bases:
         ext = base_extension(C, base)
         rng = Interval(0, D - 2)
-        K, inner = _kernel_cut(ext, _hc_of_A(ext, D, size_limit))
+        (K, inner), = _kernel_cuts(ext, D, ("hc",), size_limit)[0]
         rel = K.homology(rng)
         ideal_rep = subcomplex(K.diffs, inner, "C(I)").homology(rng)
         alpha = acyclicity(_mod_ideal(K, inner), rng)

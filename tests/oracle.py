@@ -20,7 +20,9 @@ Connes check read off the bicomplex built to total degree D; relative HH
 and HC and their comparison maps built on the HH or HC bicomplexes of their
 own, each a map into a homotopy fiber (_into_fiber); the excision verifier
 that builds each of its four comparisons and their cones on its own; the
-log-trace probe whose relative fiber is built to total degree 3, one beyond
+excision verdicts and tangent rows cut from A's HC bicomplex for every
+extension, where chainlab reads those of a unital A with 1 not in I off the
+normalized (b, B) total; the log-trace probe whose relative fiber is built to total degree 3, one beyond
 the two degrees rel HC_0 reads, and which classifies a trace as a chain of
 the fiber's A-part; the homology
 space that spans the boundaries in the full dimension of the degree and solves
@@ -33,11 +35,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from chainlab import cyclic, tangent
+from chainlab import cyclic, excision, tangent
 from chainlab.algebras import Algebra, Bimodule, commutator_subspace, matrix_algebra
-from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval, entries_of,
-                                homotopy_fiber, is_quasi_iso, quotient_complex, selection,
-                                subcomplex)
+from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval, acyclicity,
+                                entries_of, homotopy_fiber, is_quasi_iso, quotient_complex,
+                                selection, subcomplex)
 from chainlab.cyclic import (ConnesReport, WordBasis, bar_complex, hc_bicomplex, hh_bicomplex,
                              hoch_complex, hoch_matrix, tensor_powers, words)
 from chainlab.excision import ExtensionData, WodzickiReport, _bar_acyclicity
@@ -798,6 +800,38 @@ def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiRepo
     bar = _column_comparison(ext, D, "bar", size_limit)
     return WodzickiReport(verdict_hh, verdict_hc, verdict_hoch, is_quasi_iso(bar, rng),
                           _bar_acyclicity(bar.source, D), rel_hh, rel_hc)
+
+
+# ---------------------------------------------------------------------------
+# the excision verdicts and tangent rows cut from A's HC bicomplex for every
+# extension; chainlab.excision reads those of a unital A with 1 not in I off
+# Connes' (b, B) total on its normalized complex instead
+# ---------------------------------------------------------------------------
+
+
+def kernel_cut_wodzicki(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
+    """The excision verifier on A's HC bicomplex built to total degree D - 1:
+    HH, HC and the Hochschild complex are K / C(I) of its columns q < 2, of
+    every column and of q < 1, the Bar complex that of its b'."""
+    if D < 2:
+        raise ValueError("D must be >= 2")
+    rng = Interval(0, D - 2)
+    bc = excision._hc_of_A(ext, D, size_limit)
+    cuts = [excision._kernel_cut(ext, bc, k) for k in (2, None, 1)]
+    hh, hc, hoch = (acyclicity(excision._mod_ideal(*cut), rng) for cut in cuts)
+    bar = excision._column_comparison(ext, {p: bp.scale(-1) for p, bp in bc.b_prime.items()}, "Bar")
+    return WodzickiReport(hh, hc, hoch, acyclicity(bar, rng),
+                          excision.h_unitality_check(ext.ideal_algebra(), D, size_limit),
+                          cuts[0][0].homology(rng), cuts[1][0].homology(rng))
+
+
+def kernel_cut_tangent(ext: ExtensionData, D: int, size_limit=None) -> tuple:
+    """(relative HC, the ideal's HC, the comparison's verdict) of a tangent
+    row, off K and C(I) cut from A's HC bicomplex."""
+    rng = Interval(0, D - 2)
+    K, inner = excision._kernel_cut(ext, excision._hc_of_A(ext, D, size_limit))
+    return (K.homology(rng).betti, subcomplex(K.diffs, inner, "C(I)").homology(rng).betti,
+            acyclicity(excision._mod_ideal(K, inner), rng))
 
 
 class LogTraceProbe(tangent.LogTraceProbe):

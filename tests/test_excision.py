@@ -5,9 +5,10 @@ import pytest
 
 import oracle
 from chainlab import excision
-from chainlab.algebras import Bimodule
+from chainlab.algebras import Algebra, AlgebraMorphism, Bimodule, product_algebra
 from chainlab.complexes import ChainMap, Interval, is_quasi_iso, subcomplex
-from chainlab.cyclic import b_prime_matrix, bar_complex, hc_bicomplex, hh_bicomplex, hoch_complex
+from chainlab.cyclic import (_connes_total, b_prime_matrix, bar_complex, hc_bicomplex,
+                             hh_bicomplex, hoch_complex)
 from chainlab.errors import SizeLimit
 from chainlab.excision import (
     ExtensionData,
@@ -32,6 +33,7 @@ from chainlab.presets import (
     truncated_poly,
 )
 from chainlab.sparse import SparseMatrix
+from chainlab.tangent import ArtinianBase, LogTraceProbe, tangent_table
 
 ONE = Fraction(1)
 
@@ -338,10 +340,10 @@ EXTENSION_SPECS = sorted(_EXTENSION_BUILDERS) + [
     "collapse:dual_numbers"]
 
 
-def _wodzicki_payload(verify, ext, D):
+def _wodzicki_payload(verify, ext, D, size_limit=5000):
     """The report's JSON payload, or the message of the size limit it hit."""
     try:
-        rep = verify(ext, D, 5000)
+        rep = verify(ext, D, size_limit)
     except SizeLimit as exc:
         return str(exc)
     return {**rep.to_jsonable(), "relative_hh": rep.relative_hh.to_jsonable(),
@@ -358,6 +360,116 @@ def test_wodzicki_matches_the_verifier_that_builds_every_comparison(spec):
     assert isinstance(payloads[0][0], dict)  # D = 2 fits every spec
     for D, (got, ref) in enumerate(payloads, start=2):
         assert got == ref, D
+
+
+@pytest.mark.parametrize("spec", EXTENSION_SPECS)
+def test_wodzicki_matches_the_bicomplex_cut(spec):
+    # a unital A with 1 not in I reads HH and HC off the normalized (b, B)
+    # total, the Hochschild and Bar complexes off b' on A^(p+1); the
+    # reference cuts all four from A's HC bicomplex, as non-unital A and an
+    # ideal holding 1 still do
+    ext = ext_of(spec)
+    for D in range(2, 7):
+        assert _wodzicki_payload(wodzicki_verify, ext, D) == \
+            _wodzicki_payload(oracle.kernel_cut_wodzicki, ext, D), D
+
+
+@pytest.mark.parametrize("spec, D", [("upper_triangular:3", 5), ("matrix_dual:2", 4),
+                                     ("truncated_poly:4", 6)])
+def test_wodzicki_matches_the_bicomplex_cut_past_the_small_limit(spec, D):
+    ext = ext_of(spec)
+    assert _wodzicki_payload(wodzicki_verify, ext, D, None) == \
+        _wodzicki_payload(oracle.kernel_cut_wodzicki, ext, D, None)
+
+
+@pytest.mark.parametrize("spec, normalized", [
+    ("truncated_poly:3", True), ("split_product", True), ("identity:dual_numbers", True),
+    ("collapse:dual_numbers", False), ("identity:square_zero:2", False)])
+def test_the_model_follows_the_unit(spec, normalized):
+    # the (b, B) model needs a unit with a complement coordinate: 1 not in I
+    assert (excision._unit_basis(ext_of(spec)) is not None) == normalized
+
+
+def test_the_unit_basis_is_built_once_per_call_and_only_where_read(monkeypatch):
+    calls = []
+    adapted = Algebra.unit_adapted
+
+    def counted(self, *args):
+        calls.append(self)
+        return adapted(self, *args)
+
+    monkeypatch.setattr(Algebra, "unit_adapted", counted)
+    ext = ext_of("upper_triangular:2")
+    LogTraceProbe(ext, 1)
+    graded_piece_check(ext, None, 1, 4)
+    assert calls == []
+    for run in (wodzicki_verify, relative_homology):
+        run(ext, 4)
+        assert calls == [ext.A_ad]
+        calls.clear()
+    tangent_table(rationals(), [ArtinianBase.from_algebra(dual_numbers())] * 2, 3)
+    assert len(calls) == 2
+
+
+def test_the_guard_runs_before_the_unit_basis(monkeypatch):
+    # upper_triangular:3 at D = 4: the row 6^5 = 7 776 of total degree 4, on
+    # either model, before the adapted algebra is built
+    def refuse(*args):
+        raise AssertionError("the adapted algebra was built before the size guard ran")
+
+    monkeypatch.setattr(Algebra, "unit_adapted", refuse)
+    ext = ext_of("upper_triangular:3")
+    runs = (wodzicki_verify, lambda ext, D, limit: relative_homology(ext, D, "hc", limit),
+            lambda ext, D, limit: relative_homology(ext, D, "hh", limit))
+    for run in runs:
+        with pytest.raises(SizeLimit, match="^bicomplex row has dimension 7776 > size limit 7775$"):
+            run(ext, 4, 7775)
+
+
+def _unit_in_the_ideal_factor():
+    """Q x Q[e] -> Q[e] onto the second factor: the unit has an ideal
+    coordinate, and the two factors are not interchangeable."""
+    A = product_algebra(rationals(), dual_numbers())
+    f = SparseMatrix(2, 3, {(0, 1): ONE, (1, 2): ONE})
+    return ExtensionData(AlgebraMorphism(A, dual_numbers(), f))
+
+
+def test_the_unit_basis_keeps_the_ideal_letters_at_g1_to_gdI():
+    # split_product's unit {0: 1, 1: 1} has an ideal coordinate: unit_adapted()
+    # drops its first coordinate, the ideal letter i1, and puts c:1 at g_1
+    ext = ext_of("split_product")
+    assert ext.A_ad.unit == {0: 1, 1: 1} and ext.A_ad.labels == ["i1", "c:1"]
+    assert excision._unit_basis(ext).labels == ["1", "i1"]
+    assert ext.A_ad.unit_adapted().labels == ["1", "c:1"]
+    ext = _unit_in_the_ideal_factor()
+    assert ext.A_ad.unit == {0: 1, 1: 1} and ext.ideal_dim == 1
+    assert excision._unit_basis(ext).labels == ["1", "i1", "c:e"]
+
+
+def test_a_unit_in_the_ideal_factor_matches_both_references():
+    # on Q x Q[e] -> Q[e], a cut that took the complement letter c:1 for the
+    # ideal one is no subcomplex
+    ext = _unit_in_the_ideal_factor()
+    for D in range(2, 6):
+        got = _wodzicki_payload(wodzicki_verify, ext, D)
+        assert got == _wodzicki_payload(oracle.kernel_cut_wodzicki, ext, D), D
+        assert got == _wodzicki_payload(oracle.wodzicki_verify, ext, D), D
+
+
+def test_the_ideal_complex_needs_the_unit_in_slot_0():
+    # B sends a word of ideal letters in column C_0 of degree 2 to one led by
+    # 1 in C_1: without the words led by 1 the ideal's words are no
+    # subcomplex of K, and the quotient K / C(I) refuses to descend
+    ext = ext_of("upper_triangular:2")
+    total, _ = _connes_total(excision._unit_basis(ext), 5, adapted=True)
+    slot = excision._letters(ext)[:-1]
+    cuts = {head: excision._word_cut(total.diffs, {
+        n: [(head + slot,) + (slot,) * p for p in range(n, -1, -2)] for n in total.dims}, "K")
+        for head in "uc"}
+    assert excision._mod_ideal(*cuts["u"]).dims == {0: 0, 1: 2, 2: 8, 3: 22, 4: 52}
+    with pytest.raises(ValueError, match=r"^K / C\(I\): induced differential ill-defined "
+                                         r"at degree 2$"):
+        excision._mod_ideal(*cuts["c"])
 
 
 def _relative_hh(relative, ext, D):

@@ -61,24 +61,45 @@ def _traced(argv):
 
 
 def test_wodzicki_builds_each_bicomplex_once(capsys):
-    # A's HC bicomplex alone: every comparison is a cut of it, no bicomplex of
-    # I or B is built
+    # a unital A with 1 not in I: HH and HC are cut from the normalized (b, B)
+    # total, so no bicomplex of A, I or B is built, and no N
     rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "3"])
+    capsys.readouterr()
+    assert rec.counters["cyclic.bicomplex.builds"] == 0
+    assert rec.calls["cyclic.norm_matrix"] == 0
+
+
+def test_wodzicki_keeps_the_bicomplex_when_1_lies_in_the_ideal(capsys):
+    # collapse: has I = A, so A's HC bicomplex alone: every comparison is a
+    # cut of it, no bicomplex of I or B is built
+    rec = _traced(["wodzicki", "--ext", "collapse:dual_numbers", "-D", "3"])
     capsys.readouterr()
     assert rec.counters["cyclic.bicomplex.builds"] == 1
     assert rec.counters["cyclic.bicomplex.distinct"] == 1
 
 
 def test_wodzicki_cuts_instead_of_rebuilding(capsys):
-    # b' on rows 1..4 for A's HC bicomplex to total degree 4, which the Bar
-    # cut reuses, and on rows 1..5 for the ideal's H-unitality certificate; no
-    # Hochschild column of its own; no induced map, fiber or cone
+    # b' on rows 1..4 of A^(p+1) for the Hochschild and Bar cuts, b summed
+    # from it, and on rows 1..5 for the ideal's H-unitality certificate; the
+    # normalized b on rows 1..4 for the (b, B) total; no rotation, no induced
+    # map, fiber or cone
     rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "5"])
     capsys.readouterr()
     assert rec.calls["cyclic.b_prime_matrix"] == 9
-    assert rec.calls["cyclic.hoch_matrix"] == 0
+    assert rec.calls["cyclic.hoch_matrix"] == 4
+    assert rec.calls["cyclic.rotation_matrix"] == 0
     assert rec.calls["complexes.cone"] == 0
     assert rec.calls["cyclic.induced_map"] == 0
+
+
+def test_tangent_builds_no_bicomplex(capsys):
+    # each base's C (x) B is unital with 1 not in I: the normalized b on rows
+    # 1..2 for each base's (b, B) total, and no bicomplex
+    rec = _traced(["tangent", "--preset", "dual_numbers", "--bases", "dual_numbers,fat_point",
+                   "-D", "3"])
+    capsys.readouterr()
+    assert rec.counters["cyclic.bicomplex.builds"] == 0
+    assert rec.calls["cyclic.hoch_matrix"] == 4
 
 
 def test_chern1_builds_one_probe(capsys):

@@ -11,6 +11,7 @@ from chainlab.errors import ChainlabError, NotNilpotent, SizeLimit
 from chainlab.excision import ExtensionData, relative_homology
 from chainlab.presets import (
     _EXTENSION_BUILDERS,
+    algebra_preset,
     dual_numbers,
     extension_preset,
     fat_point,
@@ -188,6 +189,37 @@ def test_tangent_table_matches_the_separate_computations():
             ext = base_extension(C, base)
             assert row.rel_hc == relative_homology(ext, D, "hc").betti, (C.name, base.name)
             assert row.ideal_hc == hc_homology(ext.ideal_algebra(), D).betti, (C.name, base.name)
+
+
+def _tangent_rows(C, bases, D, size_limit):
+    """Each row's relative HC, ideal HC and comparison verdict, or the message
+    of the size limit the table hit."""
+    try:
+        return [(r.rel_hc, r.ideal_hc, r.alpha_quasi_iso, r.alpha_failing_degree, r.checked)
+                for r in tangent_table(C, bases, D, size_limit)]
+    except SizeLimit as exc:
+        return str(exc)
+
+
+def _kernel_cut_rows(C, bases, D, size_limit):
+    try:
+        refs = [oracle.kernel_cut_tangent(base_extension(C, base), D, size_limit)
+                for base in bases]
+    except SizeLimit as exc:
+        return str(exc)
+    return [(rel, ideal, alpha.ok, alpha.failing_degree, alpha.checked)
+            for rel, ideal, alpha in refs]
+
+
+@pytest.mark.parametrize("spec", ["dual_numbers", "truncated_poly:3", "matrix:2"])
+def test_tangent_rows_match_the_bicomplex_cut(spec):
+    # C (x) B is unital with 1 not in I, so the rows are read off the
+    # normalized (b, B) total; the reference cuts A's HC bicomplex
+    C = algebra_preset(spec)
+    bases = [ArtinianBase.from_algebra(B) for B in (dual_numbers(), fat_point(), rationals())]
+    for limit in (5000, 60000):
+        for D in range(2, 7):
+            assert _tangent_rows(C, bases, D, limit) == _kernel_cut_rows(C, bases, D, limit), D
 
 
 def test_log_trace_vectors_reach_the_classifier_canonical(monkeypatch):
