@@ -34,9 +34,7 @@ from .complexes import (
 from .cyclic import (
     bar_complex,
     connes_check,
-    hc_bicomplex,
     hc_homology,
-    hh_bicomplex,
     hh_homology,
     hoch_complex,
     lambda_complex,
@@ -54,7 +52,6 @@ from .excision import (
     h_unitary_check,
     q_kernel_complex,
     relative_homology,
-    stage_inclusion,
     wodzicki_verify,
 )
 from .lie import (

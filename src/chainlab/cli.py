@@ -32,7 +32,7 @@ from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_
 # name -> (help line, input kind, own options): the input is --preset or --file
 # for "algebra" and --ext for "extension"; both parse paths read this table
 COMMANDS = {
-    "hh": ("Hochschild homology (normalized complex when unital)", "algebra", ()),
+    "hh": ("Hochschild homology (normalized complex of A or A+; bicomplex for --reps)", "algebra", ()),
     "hc": ("cyclic homology (lambda complex; bicomplex for --reps)", "algebra", ()),
     "connes": ("exactness of the degree-lowering long exact sequence", "algebra", ()),
     "hunital": ("bounded H-unitality certificate", "algebra", ()),

@@ -29,17 +29,18 @@ Loday, Cyclic Homology, 2.1.5), so hc_homology reads its betti numbers off
 LambdaComplex, the smaller model.  For unital A, HH is the homology of the
 normalized complex C_n = A (x) Abar^n, Abar = A/Q.1, and Connes' sequence
 that of the (b, B) bicomplex on it (Loday 1.1.14, 2.1.7-2.1.9): no Bar
-columns, N or 1 - t, and d - 1 letters per inner slot.  hh_homology without
-reps and connes_check read those, as do the excision cuts of a unital A
-whose ideal misses 1 (excision._kernel_cuts).  The bicomplex is kept where
-its own coordinates or columns are read, or there is no unit: hh_homology
-(its columns q < 2) and connes_check (q <= 1 and q >= 2) on non-unital A,
-hh_homology and hc_homology with reps (whose representatives are written in
-the bicomplex's basis) and the other excision cuts.
+columns, N or 1 - t, and d - 1 letters per inner slot.  A non-unital A reads
+the same model of its unitalization A+ = Q.1 + A, whose reduced HH and HC are
+A's (Loday 1.4, 2.2; Wodzicki, Ann. Math. 129 (1989)), with A.dim letters per
+inner slot.  hh_homology without reps and connes_check read it, as do the
+excision cuts (excision._kernel_cuts).  The cyclic bicomplex serves only
+hh_homology and hc_homology with reps, whose representatives are written in
+its basis.
 
-hh_homology, hc_homology and connes_check build on A.integral() or
-A.unit_adapted(), the same algebra in a basis where its constants are ints,
-so none of their differentials holds a Fraction; the CLI's lambda does too.
+hh_homology, hc_homology and connes_check build on A.integral() or the
+unit_adapted() basis of A or A+, the same algebra in a basis where its
+constants are ints, so none of their differentials holds a Fraction; the
+CLI's lambda does too.
 lie.py builds lambda_complex on A itself, since its trace chain map is
 written in A's basis.
 """
@@ -53,7 +54,7 @@ from itertools import product, repeat, starmap
 from operator import add, floordiv, mod, mul
 from types import SimpleNamespace
 
-from .algebras import Algebra, Bimodule
+from .algebras import Algebra, Bimodule, unitalization
 from .complexes import (ChainComplex, ChainMap, HomologyReport, HomologySpace, Interval,
                         entries_of, quotient_complex, selection, subcomplex)
 from .errors import SizeLimit, UnitError
@@ -319,17 +320,14 @@ class CyclicBicomplex:
     """First-quadrant bicomplex, columns alternating Hochschild (even q,
     differential b) and Bar (odd q, differential -b'), horizontal maps 1-t
     (odd q -> even) and N (even q -> odd), materialised to total degree D.
-    hh_homology and hc_homology with reps, and hh_homology and connes_check
-    without a unit, report at bound D off the build to D - 1, guarded as for D
-    (_read_bicomplex); the other cases read LambdaComplex or the normalized
-    complex instead.  The excision comparisons of a non-unital A, or of an
-    ideal holding 1, use the full hc_bicomplex build and its b_prime.
+    Only hh_homology and hc_homology with reps read it, whose representatives
+    are written in its basis: they report at bound D off the build to D - 1,
+    guarded as for D (_read_bicomplex).  Every other result reads
+    LambdaComplex or the normalized (b, B) model.
 
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
-    the ChainComplex constructor asserts.  No map raises q and each degree
-    lists its columns by q, so the columns q < k (for k = 2 the two-column
-    total, for k = 1 the Hochschild complex) are its first width(n, k).
+    the ChainComplex constructor asserts.  Each degree lists its columns by q.
 
     Only the blocks the layout places are built: b' on rows 1..D, kept as
     b_prime (b on every row, its wrap entries summed into a copy of b', and
@@ -386,10 +384,6 @@ class CyclicBicomplex:
 
         self.total = ChainComplex(dims, diffs, Interval(0, D - 1))
 
-    def width(self, n: int, k: int) -> int:
-        """Number of coordinates of the columns q < k in total degree n."""
-        return sum(w for q, _, _, w in self.layout.get(n, ()) if q < k)
-
     def induced_map(self, other: "CyclicBicomplex", morphism_matrix: SparseMatrix) -> ChainMap:
         """Chain map on totals induced by an algebra morphism self.A -> other.A."""
         if other.ncols != self.ncols or other.bound != self.bound:
@@ -403,14 +397,6 @@ class CyclicBicomplex:
         return ChainMap(self.total, other.total, comps)
 
 
-def hh_bicomplex(A: Algebra, D: int, size_limit=None) -> CyclicBicomplex:
-    return CyclicBicomplex(A, 2, D, size_limit)
-
-
-def hc_bicomplex(A: Algebra, D: int, size_limit=None) -> CyclicBicomplex:
-    return CyclicBicomplex(A, D + 1, D, size_limit)
-
-
 def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None):
     """(bc, L): the bicomplex of A's integral basis (Algebra.integral) to total
     degree D - 1, all that a result reported at bound D reads: degrees 0..D-2
@@ -421,15 +407,20 @@ def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None):
     return CyclicBicomplex(B, ncols, D - 1, size_limit), L
 
 
-def _normalized_b(A: Algebra, D: int, size_limit=None, adapted=False):
-    """(b, w): b_1..b_{D-1} of the normalized Hochschild complex C_p = A (x)
-    Abar^p of unital A, Abar = A/Q.1, and w[p] = dim C_p for p < D, guarded as
-    the bicomplex of bound D.  On A.unit_adapted(), or on A itself when it is
-    adapted already, Abar's letters are g_1..g_e, so hoch_matrix writes b on
-    the radices (e + 1, e, ..., e): the inner slots multiply through the
-    projection dropping g_0, the module slot and the wrap through A's product."""
-    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
-    G = A if adapted else A.unit_adapted()
+def _normalized_b(A: Algebra, D: int, adapted=False):
+    """(b, w): b_1..b_{D-1} of the normalized Hochschild complex C_p = G (x)
+    Gbar^p, Gbar = G/Q.1, and w[p] = dim C_p for p < D.  G is A.unit_adapted()
+    for unital A, A itself when it is adapted already, and for non-unital A
+    the unitalization A+ = Q.1 + A in its unit-adapted basis: g_0 = 1, then
+    A's letters, with int constants.  Gbar's letters are g_1..g_e, so
+    hoch_matrix writes b on the radices (e + 1, e, ..., e): the inner slots
+    multiply through the projection dropping g_0, the module slot and the wrap
+    through G's product.  Callers guard A.dim^(D+1) first: the input's row,
+    so a non-unital A is refused before A+ is built."""
+    if adapted:
+        G = A
+    else:
+        G = (A if A.is_unital else unitalization(A)[0]).unit_adapted()
     e = G.dim - 1
     letters = SimpleNamespace(dim=e, mul={(x - 1, y - 1): {z - 1: c for z, c in v.items() if z}
                                           for (x, y), v in G.mul.items() if x and y})
@@ -439,13 +430,14 @@ def _normalized_b(A: Algebra, D: int, size_limit=None, adapted=False):
             {p: (e + 1) * e ** p for p in range(D)})
 
 
-def _connes_total(A: Algebra, D: int, size_limit=None, adapted=False):
-    """(total, w): Connes' (b, B) bicomplex on the normalized complex of unital A
-    to total degree D - 1, w[n] = dim C_n the width of its column 0.  Degree n
-    lists the columns C_n, C_{n-2}, ..., so C_p sits at offset dims[n] - dims[p];
-    d is b down each column and B from C_p to C_{p+1} one column left."""
-    b, w = _normalized_b(A, D, size_limit, adapted)
-    B = {p: _connes_B(A.dim - 1, p) for p in range(D - 2)}
+def _connes_total(A: Algebra, D: int, adapted=False):
+    """(total, w): Connes' (b, B) bicomplex on the normalized complex of
+    _normalized_b's model G to total degree D - 1, w[n] = dim C_n the width of
+    its column 0.  Degree n lists the columns C_n, C_{n-2}, ..., so C_p sits
+    at offset dims[n] - dims[p]; d is b down each column and B from C_p to
+    C_{p+1} one column left.  Gbar has e = w[0] - 1 letters."""
+    b, w = _normalized_b(A, D, adapted)
+    B = {p: _connes_B(w[0] - 1, p) for p in range(D - 2)}
     dims = {n: sum(w[p] for p in range(n, -1, -2)) for n in range(D)}
     diffs = {}
     for n in range(1, D):
@@ -473,15 +465,22 @@ def _in_basis_of_A(bc: CyclicBicomplex, L: int, report: HomologyReport) -> Homol
 
 
 def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
-    """HH_0..HH_{D-2} off the normalized complex of unital A without reps,
-    else the two-column bicomplex; either built to degree D - 1."""
+    """HH_0..HH_{D-2} off the normalized complex of _normalized_b without reps,
+    else the two-column bicomplex; either built to degree D - 1.  A
+    non-unital A has the reduced HH of A+ (Loday 1.4): degree 0 less the
+    word 1, which the cut's closure check proves is never a boundary."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    if A.is_unital and not reps:
-        b, w = _normalized_b(A, D, size_limit)
+    if reps:
+        bc, L = _read_bicomplex(A, 2, D, size_limit)
+        return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=True))
+    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
+    b, w = _normalized_b(A, D)
+    if A.is_unital:
         return ChainComplex(w, b, Interval(0, D - 2)).homology(Interval(0, D - 2))
-    bc, L = _read_bicomplex(A, 2, D, size_limit)
-    return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=reps))
+    keep = {0: range(1, w[0]), **{p: range(w[p]) for p in b}}
+    reduced = subcomplex(b, keep, "reduced normalized complex")
+    return reduced.homology(Interval(0, D - 2))
 
 
 def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
@@ -529,32 +528,30 @@ def _induced_matrix(images, target_hs: HomologySpace) -> SparseMatrix:
 def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     """Exactness of HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} by rank bookkeeping.
 
-    Uses the degreewise split short exact sequence (HH columns) -> (total) ->
-    (the other columns) of a total built to degree D - 1 with the guard of
-    degree D: for unital A the (b, B) bicomplex on the normalized complex,
-    whose HH column is column 0 (_connes_total); otherwise the cyclic
-    bicomplex, whose HH columns are q <= 1 (_read_bicomplex).  Both ends are
-    cut at the width w[n] of the HH columns, each with its closure check
-    (subcomplex, quotient_complex).  The other columns of degree n are,
-    block for block and in the same offset order, the columns of degree
-    n - 2, so the quotient is the total shifted by two: the cut's d_n is
-    checked equal to the total's d_{n-2} on every built degree, and H_n of
-    the quotient is H_{n-2} of the total, which reaches H_{D-1} without d_D.
+    Uses the degreewise split short exact sequence (HH column) -> (total) ->
+    (the other columns) of Connes' (b, B) total on the normalized complex of
+    _connes_total's model, built to degree D - 1 with the guard of degree D.
+    For non-unital A that model is A+ = Q.1 + A, whose sequence is the direct
+    sum of A's and of Q's, which is exact: the verdicts are A's, and the
+    report carries no Betti numbers.  Both ends are cut at the width w[n] of
+    column 0, each with its closure check (subcomplex, quotient_complex).
+    The other columns of degree n are, block for block and in the same offset
+    order, the columns of degree n - 2, so the quotient is the total shifted
+    by two: the cut's d_n is checked equal to the total's d_{n-2} on every
+    built degree, and H_n of the quotient is H_{n-2} of the total, which
+    reaches H_{D-1} without d_D.
     """
     if D < 3:
         raise ValueError("D must be >= 3")
-    if A.is_unital:
-        total, w = _connes_total(A, D, size_limit)
-    else:
-        bc, _ = _read_bicomplex(A, D + 1, D, size_limit)
-        total, w = bc.total, {n: bc.width(n, 2) for n in bc.total.dims}
+    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
+    total, w = _connes_total(A, D)
 
-    sub = subcomplex(total.diffs, {n: range(w[n]) for n in w}, "columns q <= 1")
+    sub = subcomplex(total.diffs, {n: range(w[n]) for n in w}, "column 0")
     quot = quotient_complex(entries_of(total.diffs), {
-        n: selection(range(w[n], total.dim(n)), total.dim(n)) for n in w}, "columns q >= 2")
+        n: selection(range(w[n], total.dim(n)), total.dim(n)) for n in w}, "columns p <= n - 2")
     for n in range(3, D):
         if quot.diffs[n] != total.diffs[n - 2]:
-            raise ValueError(f"columns q >= 2 are not the total shifted by two at degree {n}")
+            raise ValueError(f"columns p <= n - 2 are not the total shifted by two at degree {n}")
 
     n_max = D - 2  # nodes need H_{n+1}(quot) and H_{n-1}(sub), both certified
     hs_sub = {n: HomologySpace(sub, n) for n in range(0, n_max + 1)}

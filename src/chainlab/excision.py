@@ -14,11 +14,12 @@ of C(A) -> C(B) is the subcomplex of words holding an ideal letter, and C(I)
 that of words of ideal letters only.  f is onto and C(I) -> K one-to-one, so
 H(K) is relative homology and K / C(I) is acyclic exactly where the
 comparison is a quasi-isomorphism.  HC and HH are cut out of Connes' (b, B)
-total on the normalized complex A (x) Abar^n when A is unital and 1 is not in
-I, in the basis 1, the ideal letters, the other complement letters, where
-Abar -> Bbar is again a coordinate projection: every column for HC, column 0
-for HH.  Otherwise out of A's HC bicomplex, HH as its columns q < 2.  The
-Hochschild and Bar comparisons are cut from b and -b' on the words A^(p+1).
+total on the normalized complex G (x) Gbar^n: every column for HC, column 0
+for HH.  G is A in the basis 1, the ideal letters, the other complement
+letters when A is unital and 1 is not in I, and otherwise the unitalization
+A+ = Q.1 + A, whose reduced HH and HC are A's; either way Gbar -> Bbar is
+again a coordinate projection.  The Hochschild and Bar comparisons are cut
+from b and -b' on the words A^(p+1).
 
 Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
@@ -36,7 +37,7 @@ from itertools import product
 from math import prod
 from operator import add
 
-from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal
+from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal, unitalization
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -50,18 +51,15 @@ from .complexes import (
     subcomplex,
 )
 from .cyclic import (
-    CyclicBicomplex,
     WordBasis,
     _connes_total,
     b_prime_matrix,
     bar_complex,
-    hc_bicomplex,
     hoch_from_b_prime,
     hoch_matrix,
     size_guard,
     words,
 )
-from .errors import DegreeMismatch, NotAnIdeal
 from .sparse import SparseMatrix
 
 ONE = 1
@@ -212,20 +210,6 @@ def _stage_F(ext: ExtensionData, M_ad: Bimodule, n: int, D: int, kind: str,
     return FiltrationStage(n, f"F-{kind}", subcomplex(full_mats, indices, f"F^{n}"), indices)
 
 
-def stage_inclusion(inner: FiltrationStage, outer: FiltrationStage) -> ChainMap:
-    """Coordinate inclusion of a deeper stage into a shallower one."""
-    comps = {}
-    for p in range(inner.complex.lo, inner.complex.hi + 1):
-        pos = {g: i for i, g in enumerate(outer.indices[p])}
-        ent = {}
-        for i, g in enumerate(inner.indices[p]):
-            if g not in pos:
-                raise DegreeMismatch("stages are not nested")
-            ent[(pos[g], i)] = ONE
-        comps[p] = SparseMatrix(outer.complex.dim(p), inner.complex.dim(p), ent)
-    return ChainMap(inner.complex, outer.complex, comps)
-
-
 @dataclass
 class GradedPieceReport:
     passed: bool
@@ -367,15 +351,6 @@ def q_kernel_complex(ext: ExtensionData, stage: FiltrationStage) -> ChainComplex
 # ---------------------------------------------------------------------------
 
 
-def _hc_of_A(ext: ExtensionData, D: int, size_limit=None) -> CyclicBicomplex:
-    """A's HC bicomplex to total degree D - 1, all that a result reported at
-    bound D reads: degrees 0..D-2 of a cut need only d_1..d_{D-1}.  The guard
-    still reads the row A.dim^(D+1) of total degree D, as
-    cyclic._read_bicomplex does, so a size limit rejects the same inputs."""
-    size_guard(ext.A_ad.dim ** (D + 1), size_limit, "bicomplex row")
-    return hc_bicomplex(ext.A_ad, D - 1, size_limit)
-
-
 def _unit_basis(ext: ExtensionData) -> Algebra | None:
     """A_ad in the basis g_0 = 1, g_1..g_dI its ideal letters, then the other
     complement letters (unit_adapted dropping the unit's first complement
@@ -421,37 +396,24 @@ def _letters(ext: ExtensionData) -> str:
     return "i" * ext.ideal_dim + "c" * (ext.A_ad.dim - ext.ideal_dim)
 
 
-def _kernel_cut(ext: ExtensionData, bc: CyclicBicomplex, k: int | None = None):
-    """_word_cut of the columns q < k of bc's total, every column by default.
-    No map raises q and each degree lists its columns by q, so these lead
-    each degree and are closed under d."""
-    k = k or bc.ncols
-    rows = {n: [(_letters(ext),) * (p + 1) for q, p, _, _ in comps if q < k]
-            for n, comps in bc.layout.items()}
-    return _word_cut(bc.total.diffs, rows, f"columns q < {k}")
-
-
 def _kernel_cuts(ext: ExtensionData, D: int, flavors, size_limit=None):
-    """(cuts, b_prime): the _word_cut (K, inner) to degree D - 1 for each
-    flavor, "hh" or else HC, and A's b' on rows 1..D-1 if a bicomplex built
-    it, else None.  The guard reads the row A.dim^(D+1) of total degree D
-    before anything is built, so either model rejects the same inputs.  On
-    unital A with 1 not in I, off Connes' (b, B) total in _unit_basis:
-    Abar -> Bbar drops the ideal letters g_1..g_dI, so K is the words holding
+    """The _word_cut (K, inner) to degree D - 1 for each flavor, "hh" or else
+    HC, off Connes' (b, B) total on the normalized complex of a unital G: on
+    unital A with 1 not in I, _unit_basis; otherwise the unitalization A_ad+
+    = Q.1 + A_ad in its unit-adapted basis, whose slot Gbar holds all of
+    A_ad's letters and whose reduced HH and HC are A's (Loday 1.4, 2.2).
+    Gbar -> Bbar drops the ideal letters g_1..g_dI, so K is the words holding
     one, on every column or on column 0 (HH), and C(I) is the reduced
     normalized complex of I+ = Q.1 + I, whose HC is HC(I) over Q (Loday
-    2.1-2.2): slot 0 in 1 or I, the other slots in I.  Otherwise off A's HC
-    bicomplex, HH on its columns q < 2."""
+    2.1-2.2): slot 0 in 1 or I, the other slots in I.  The guard reads the
+    row A.dim^(D+1) of total degree D before anything is built."""
     size_guard(ext.A_ad.dim ** (D + 1), size_limit, "bicomplex row")
-    G = _unit_basis(ext)
-    if G is None:
-        bc = _hc_of_A(ext, D, size_limit)
-        return [_kernel_cut(ext, bc, 2 if f == "hh" else None) for f in flavors], bc.b_prime
-    total, _ = _connes_total(G, D, size_limit, adapted=True)
-    slot = _letters(ext)[:-1]  # Abar's letters g_1..g_e
+    G = _unit_basis(ext) or unitalization(ext.A_ad)[0].unit_adapted()
+    total, _ = _connes_total(G, D, adapted=True)
+    slot = "i" * ext.ideal_dim + "c" * (G.dim - 1 - ext.ideal_dim)  # Gbar's letters g_1..g_e
     columns = {n: [("u" + slot,) + (slot,) * p for p in range(n, -1, -2)] for n in total.dims}
     return [_word_cut(total.diffs, {n: cols[:1] if f == "hh" else cols for n, cols in columns.items()},
-                      f"normalized {f}") for f in flavors], None
+                      f"normalized {f}") for f in flavors]
 
 
 def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
@@ -461,16 +423,16 @@ def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
     quasi-isomorphic to the homotopy fiber of C(A) -> C(B)."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    (K, _), = _kernel_cuts(ext, D, (flavor,), size_limit)[0]
+    (K, _), = _kernel_cuts(ext, D, (flavor,), size_limit)
     return K.homology(Interval(0, D - 2))
 
 
 def comparison_map(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
     """The HC comparison of excision: the inclusion of the ideal's total
-    complex C(I) into K = ker(C(A) -> C(B)), both cut from A's HC bicomplex.
-    Its cone is quasi-isomorphic to K / C(I), and to the cone of C(I) into
-    the relative fiber."""
-    K, inner = _kernel_cut(ext, _hc_of_A(ext, D, size_limit))
+    complex C(I) into K = ker(C(A) -> C(B)), both cut by _kernel_cuts.  Its
+    cone is quasi-isomorphic to K / C(I), and to the cone of C(I) into the
+    relative fiber."""
+    (K, inner), = _kernel_cuts(ext, D, ("hc",), size_limit)
     comps = {n: SparseMatrix(K.dim(n), len(pos), {(i, j): ONE for j, i in enumerate(pos)})
              for n, pos in inner.items()}
     return ChainMap(subcomplex(K.diffs, inner, "C(I)"), K, comps)
@@ -533,43 +495,12 @@ def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiRepo
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-    (hh, hc), b_prime = _kernel_cuts(ext, D, ("hh", "hc"), size_limit)
+    hh, hc = _kernel_cuts(ext, D, ("hh", "hc"), size_limit)
     A, M = ext.A_ad, Bimodule.regular(ext.A_ad)
-    if b_prime is None:
-        b_prime = {p: b_prime_matrix(A, M, p) for p in range(1, D)}
+    b_prime = {p: b_prime_matrix(A, M, p) for p in range(1, D)}
     hoch = _column_comparison(
         ext, {p: hoch_from_b_prime(bp, A, M, p) for p, bp in b_prime.items()}, "Hochschild")
     bar = _column_comparison(ext, {p: bp.scale(-1) for p, bp in b_prime.items()}, "Bar")
     verdicts = (acyclicity(Q, rng) for Q in (_mod_ideal(*hh), _mod_ideal(*hc), hoch, bar))
     return WodzickiReport(*verdicts, h_unitality_check(ext.ideal_algebra(), D, size_limit),
                           hh[0].homology(rng), hc[0].homology(rng))
-
-
-# ---------------------------------------------------------------------------
-# module constructions for the corollary shadows
-# ---------------------------------------------------------------------------
-
-
-def module_b_tensor_ideal(ext: ExtensionData) -> Bimodule:
-    """B (x) I as an A-bimodule: a.(n (x) x) = f(a)n (x) x, (n (x) x).a = n (x) xa."""
-    A = ext.A_ad
-    B = ext.B
-    dI = ext.ideal_dim
-    dim = B.dim * dI
-    left = {}
-    right = {}
-    for a in range(A.dim):
-        fa = ext.f_ad.apply_basis(a)
-        for nb in range(B.dim):
-            ln = B.mul_vec(fa, {nb: ONE})
-            for x in range(dI):
-                if ln:
-                    left[(a, nb * dI + x)] = {nb2 * dI + x: c for nb2, c in ln.items()}
-            for x in range(dI):
-                prod = A.mul_vec({x: ONE}, {a: ONE})
-                if prod:
-                    if any(k >= dI for k in prod):
-                        raise NotAnIdeal("ideal coordinates leak under right action")
-                    right[(nb * dI + x, a)] = {nb * dI + k: c for k, c in prod.items()}
-    return Bimodule(A, dim, left, right, name="B(x)I")
-

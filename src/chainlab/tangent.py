@@ -19,6 +19,7 @@ from math import factorial
 from .algebras import (
     Algebra,
     AlgebraMorphism,
+    Bimodule,
     Ideal,
     augmentation_ideal,
     commutator_subspace,
@@ -27,9 +28,9 @@ from .algebras import (
     tensor,
 )
 from .complexes import HomologySpace, Interval, acyclicity, subcomplex
-from .cyclic import size_guard
+from .cyclic import hoch_matrix, size_guard
 from .errors import NotNilpotent, UnitError
-from .excision import ExtensionData, _hc_of_A, _kernel_cut, _kernel_cuts, _mod_ideal
+from .excision import ExtensionData, _kernel_cuts, _letters, _mod_ideal, _word_cut
 from .sparse import SparseMatrix, Subspace, Vector, exact, exact_vec, vec_axpy
 
 ONE = 1
@@ -113,7 +114,9 @@ class LogTraceProbe:
     """Shared machinery for the degree-one Chern data of an extension.
 
     rel HC_0 is H_0 of K = ker(C(A) -> C(B)), which reads K in degrees 0 and
-    1, so A's HC bicomplex is built to total degree 1.  K_0 is I, in the
+    1: the words of A and A (x) A holding an ideal letter, cut from b_1.  In
+    A's HC bicomplex the other block of total degree 1 is 1 - t on row 0,
+    which is 0, so b_1 alone has the same boundaries.  K_0 is I, in the
     ideal's own coordinates, so a trace in I is its own chain.  The size
     guard reads the row A.dim^4 of total degree 3, as _read_bicomplex does
     for a result reported at bound 3, so a size limit rejects the same
@@ -132,7 +135,10 @@ class LogTraceProbe:
                 self.ideal_basis.append({pos * A.dim + t: ONE})
         self.commutators = Subspace(A.dim, commutator_subspace(A))
         size_guard(A.dim ** 4, size_limit, "bicomplex row")
-        self.hs = HomologySpace(_kernel_cut(ext, _hc_of_A(ext, 2, size_limit))[0], 0)  # rel HC_0
+        letters = _letters(ext)
+        K, _ = _word_cut({1: hoch_matrix(A, Bimodule.regular(A), 1)},
+                         {0: [(letters,)], 1: [(letters, letters)]}, "K")
+        self.hs = HomologySpace(K, 0)  # rel HC_0
 
     @property
     def rel_hc0_dim(self):
@@ -364,7 +370,7 @@ def tangent_table(C: Algebra, bases, D: int, size_limit=None):
     for base in bases:
         ext = base_extension(C, base)
         rng = Interval(0, D - 2)
-        (K, inner), = _kernel_cuts(ext, D, ("hc",), size_limit)[0]
+        (K, inner), = _kernel_cuts(ext, D, ("hc",), size_limit)
         rel = K.homology(rng)
         ideal_rep = subcomplex(K.diffs, inner, "C(I)").homology(rng)
         alpha = acyclicity(_mod_ideal(K, inner), rng)

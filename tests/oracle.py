@@ -10,8 +10,9 @@ Subspace and the orbit walk of the rotation coinvariants are checked; the
 quotient complex formed by sparse products with projection and section
 matrices; the lambda complex through full-size matrices (the rotation built
 word by word and walked, quotient_complex over the built matrix of b) and the
-projection onto its classes; the unit-homotopy check b' s + s b' = id and
-the inclusion of the (I, M) Hochschild complex, which only tests run; the
+projection onto its classes; the unit-homotopy check b' s + s b' = id, the
+inclusions of the (I, M) Hochschild complex and of one filtration stage into
+the next, and the A-bimodule B (x) I, which only tests run; the
 integer elimination that combines rows by the undivided pivot
 value and entry; the generalized trace that walks every permutation of
 every wedge; the validators that loop over every basis triple for
@@ -21,8 +22,8 @@ and HC and their comparison maps built on the HH or HC bicomplexes of their
 own, each a map into a homotopy fiber (_into_fiber); the excision verifier
 that builds each of its four comparisons and their cones on its own; the
 excision verdicts and tangent rows cut from A's HC bicomplex for every
-extension, where chainlab reads those of a unital A with 1 not in I off the
-normalized (b, B) total; the log-trace probe whose relative fiber is built to total degree 3, one beyond
+extension, where chainlab reads them off the normalized (b, B) total of A or
+of A+; the log-trace probe whose relative fiber is built to total degree 3, one beyond
 the two degrees rel HC_0 reads, and which classifies a trace as a chain of
 the fiber's A-part; the homology
 space that spans the boundaries in the full dimension of the degree and solves
@@ -40,10 +41,11 @@ from chainlab.algebras import Algebra, Bimodule, commutator_subspace, matrix_alg
 from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval, acyclicity,
                                 entries_of, homotopy_fiber, is_quasi_iso, quotient_complex,
                                 selection, subcomplex)
-from chainlab.cyclic import (ConnesReport, WordBasis, bar_complex, hc_bicomplex, hh_bicomplex,
-                             hoch_complex, hoch_matrix, tensor_powers, words)
+from chainlab.cyclic import (ConnesReport, CyclicBicomplex, WordBasis, bar_complex, hoch_complex,
+                             hoch_matrix, tensor_powers, words)
 from chainlab.excision import ExtensionData, WodzickiReport, _bar_acyclicity
-from chainlab.errors import AssociativityError, NotNilpotent, RangeNotCertified
+from chainlab.errors import (AssociativityError, DegreeMismatch, NotAnIdeal, NotNilpotent,
+                             RangeNotCertified)
 from chainlab.sparse import SparseMatrix, Subspace as SparseSubspace, Vector, exact, vec_axpy
 
 
@@ -269,8 +271,9 @@ def quotient_differentials(diffs, walks) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# checks that only tests run: the unit homotopy on the Bar complex and the
-# coordinate inclusion of the (I, M) Hochschild complex into the (A, M) one
+# checks that only tests run: the unit homotopy on the Bar complex, the
+# coordinate inclusions of the (I, M) Hochschild complex into the (A, M) one
+# and of one filtration stage into the next, and the A-bimodule B (x) I
 # ---------------------------------------------------------------------------
 
 
@@ -301,6 +304,44 @@ def hoch_inclusion(ext: ExtensionData, M, D: int) -> ChainMap:
         ent = {(ambient.index(w), col): 1 for col, w in enumerate(words(I_alg, M_res, p))}
         comps[p] = SparseMatrix(tgt.dim(p), src.dim(p), ent)
     return ChainMap(src, tgt, comps)
+
+
+def stage_inclusion(inner, outer) -> ChainMap:
+    """Coordinate inclusion of a deeper filtration stage into a shallower one."""
+    comps = {}
+    for p in range(inner.complex.lo, inner.complex.hi + 1):
+        pos = {g: i for i, g in enumerate(outer.indices[p])}
+        ent = {}
+        for i, g in enumerate(inner.indices[p]):
+            if g not in pos:
+                raise DegreeMismatch("stages are not nested")
+            ent[(pos[g], i)] = 1
+        comps[p] = SparseMatrix(outer.complex.dim(p), inner.complex.dim(p), ent)
+    return ChainMap(inner.complex, outer.complex, comps)
+
+
+def module_b_tensor_ideal(ext: ExtensionData) -> Bimodule:
+    """B (x) I as an A-bimodule: a.(n (x) x) = f(a)n (x) x, (n (x) x).a = n (x) xa."""
+    A = ext.A_ad
+    B = ext.B
+    dI = ext.ideal_dim
+    dim = B.dim * dI
+    left = {}
+    right = {}
+    for a in range(A.dim):
+        fa = ext.f_ad.apply_basis(a)
+        for nb in range(B.dim):
+            ln = B.mul_vec(fa, {nb: 1})
+            for x in range(dI):
+                if ln:
+                    left[(a, nb * dI + x)] = {nb2 * dI + x: c for nb2, c in ln.items()}
+            for x in range(dI):
+                prod = A.mul_vec({x: 1}, {a: 1})
+                if prod:
+                    if any(k >= dI for k in prod):
+                        raise NotAnIdeal("ideal coordinates leak under right action")
+                    right[(nb * dI + x, a)] = {nb * dI + k: c for k, c in prod.items()}
+    return Bimodule(A, dim, left, right, name="B(x)I")
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +591,16 @@ def bimodule_axioms(M):
 # full-bound builds whose reports chainlab.cyclic must reproduce from the
 # build to D - 1
 # ---------------------------------------------------------------------------
+
+
+def hh_bicomplex(A: Algebra, D: int, size_limit=None) -> CyclicBicomplex:
+    """The two-column Hochschild bicomplex to total degree D."""
+    return CyclicBicomplex(A, 2, D, size_limit)
+
+
+def hc_bicomplex(A: Algebra, D: int, size_limit=None) -> CyclicBicomplex:
+    """The cyclic bicomplex with every column, to total degree D."""
+    return CyclicBicomplex(A, D + 1, D, size_limit)
 
 
 class HomologySpace:
@@ -804,9 +855,26 @@ def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiRepo
 
 # ---------------------------------------------------------------------------
 # the excision verdicts and tangent rows cut from A's HC bicomplex for every
-# extension; chainlab.excision reads those of a unital A with 1 not in I off
-# Connes' (b, B) total on its normalized complex instead
+# extension; chainlab.excision reads them off Connes' (b, B) total on the
+# normalized complex of A, or of A+ = Q.1 + A, instead
 # ---------------------------------------------------------------------------
+
+
+def _hc_of_A(ext: ExtensionData, D: int, size_limit=None):
+    """A's HC bicomplex to total degree D - 1, all that a result reported at
+    bound D reads, guarded as chainlab reads the row A.dim^(D+1)."""
+    cyclic.size_guard(ext.A_ad.dim ** (D + 1), size_limit, "bicomplex row")
+    return hc_bicomplex(ext.A_ad, D - 1, size_limit)
+
+
+def _kernel_cut(ext: ExtensionData, bc, k=None):
+    """excision._word_cut of the columns q < k of bc's total, every column by
+    default.  No map raises q and each degree lists its columns by q, so
+    these lead each degree and are closed under d."""
+    k = k or bc.ncols
+    rows = {n: [(excision._letters(ext),) * (p + 1) for q, p, _, _ in comps if q < k]
+            for n, comps in bc.layout.items()}
+    return excision._word_cut(bc.total.diffs, rows, f"columns q < {k}")
 
 
 def kernel_cut_wodzicki(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
@@ -816,8 +884,8 @@ def kernel_cut_wodzicki(ext: ExtensionData, D: int, size_limit=None) -> Wodzicki
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-    bc = excision._hc_of_A(ext, D, size_limit)
-    cuts = [excision._kernel_cut(ext, bc, k) for k in (2, None, 1)]
+    bc = _hc_of_A(ext, D, size_limit)
+    cuts = [_kernel_cut(ext, bc, k) for k in (2, None, 1)]
     hh, hc, hoch = (acyclicity(excision._mod_ideal(*cut), rng) for cut in cuts)
     bar = excision._column_comparison(ext, {p: bp.scale(-1) for p, bp in bc.b_prime.items()}, "Bar")
     return WodzickiReport(hh, hc, hoch, acyclicity(bar, rng),
@@ -829,7 +897,7 @@ def kernel_cut_tangent(ext: ExtensionData, D: int, size_limit=None) -> tuple:
     """(relative HC, the ideal's HC, the comparison's verdict) of a tangent
     row, off K and C(I) cut from A's HC bicomplex."""
     rng = Interval(0, D - 2)
-    K, inner = excision._kernel_cut(ext, excision._hc_of_A(ext, D, size_limit))
+    K, inner = _kernel_cut(ext, _hc_of_A(ext, D, size_limit))
     return (K.homology(rng).betti, subcomplex(K.diffs, inner, "C(I)").homology(rng).betti,
             acyclicity(excision._mod_ideal(K, inner), rng))
 

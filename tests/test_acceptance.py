@@ -17,9 +17,7 @@ from chainlab.complexes import Interval
 from chainlab.cyclic import (
     bar_complex,
     connes_check,
-    hc_bicomplex,
     hc_homology,
-    hh_bicomplex,
     hh_homology,
     hoch_complex,
     lambda_complex,
@@ -47,7 +45,7 @@ from chainlab.tangent import LogTraceProbe, chern1, k1_rel_probe
 from chainlab.complexes import cone
 
 import oracle
-from oracle import dense_betti
+from oracle import dense_betti, hc_bicomplex, hh_bicomplex
 
 ALGEBRA_PRESETS = [
     rationals(),

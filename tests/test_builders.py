@@ -22,7 +22,7 @@ from chainlab.algebras import Algebra, Bimodule
 from chainlab.cyclic import (b_prime_matrix, hoch_from_b_prime, hoch_matrix, lambda_complex,
                              rotation_matrix, unit_homotopy)
 from chainlab.dsl import parse_algebra
-from chainlab.excision import ExtensionData, module_b_tensor_ideal
+from chainlab.excision import ExtensionData
 from chainlab.lie import LieAlgebra, ce_complex, gl, lie_from_assoc
 from chainlab.presets import algebra_preset, extension_preset
 
@@ -87,7 +87,7 @@ def test_builders_match_oracle_on_other_bimodules(name):
     modules = [
         (ext.ideal_algebra(), ext.restrict_module_to_ideal(M_ad)),
         (ext.A_ad, Bimodule.over_morphism(ext.f_ad)),
-        (ext.A_ad, module_b_tensor_ideal(ext)),
+        (ext.A_ad, oracle.module_b_tensor_ideal(ext)),
         (ext.A_ad, Bimodule.trivial(ext.A_ad, 3)),
     ]
     for A, M in modules:

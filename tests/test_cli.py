@@ -159,6 +159,19 @@ def test_size_guard_reads_the_row_of_degree_d(cmd, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("cmd", ["hh", "connes"])
+def test_a_nonunital_input_is_guarded_on_its_own_row(cmd, capsys):
+    # square_zero:2 at D = 5: the guard reads the input's 2^6 = 64, not the
+    # 3^6 = 729 of its unitalization, whose normalized model is built
+    code, out, _ = run_cli(capsys, cmd, "--preset", "square_zero:2", "-D", "5",
+                           "--size-limit", "100")
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, cmd, "--preset", "square_zero:2", "-D", "5",
+                             "--size-limit", "50")
+    assert code == 2 and not out
+    assert err == "error: bicomplex row has dimension 64 > size limit 50\n"
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["lqt", "--preset", "rationals", "-r", "1", "-D", "2"],
      {"all_match": True, "ce_betti": {"0": 1, "1": 1, "2": 0}, "degrees": [0, 2],

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chainlab import cyclic, sparse
 from chainlab.algebras import (Algebra, Bimodule, augmentation_ideal, commutator_subspace,
-                               matrix_algebra)
+                               matrix_algebra, unitalization)
 from chainlab.cli import main
 from chainlab.complexes import ChainComplex, Interval
 from chainlab.cyclic import (
@@ -16,7 +16,6 @@ from chainlab.cyclic import (
     b_prime_matrix,
     bar_complex,
     connes_check,
-    hc_bicomplex,
     hc_homology,
     hh_homology,
     hoch_matrix,
@@ -43,7 +42,7 @@ from chainlab.presets import (
 from chainlab.sparse import SparseMatrix, exact_vec
 
 import oracle
-from oracle import dense_betti
+from oracle import dense_betti, hc_bicomplex
 
 UNITAL_PRESETS = [rationals(), dual_numbers(), truncated_poly(3), fat_point(),
                   product_qq(), upper_triangular(2), matrix_algebra(rationals(), 2)]
@@ -273,11 +272,14 @@ def test_lambda_agrees_with_hc():
 
 @pytest.mark.parametrize("D", [3, 4, 5])
 def test_hc_matches_the_bicomplex_on_nonunital_algebras(D):
-    # Connes' theorem needs no unit: C^lambda computes HC of the ideals too
+    # Connes' theorem needs no unit: C^lambda computes HC of the ideals too.
+    # HH and Connes' sequence are read off the normalized (b, B) model of
+    # A+ = Q.1 + A, against the cyclic bicomplex of A itself
     for A in _nonunital_algebras():
         assert not A.is_unital
-        assert hc_homology(A, D).to_jsonable() == oracle.hc_homology(A, D).to_jsonable(), \
-            (A.name, D)
+        for run, ref in ((hc_homology, oracle.hc_homology), (hh_homology, oracle.hh_homology),
+                         (connes_check, oracle.connes_check)):
+            assert run(A, D).to_jsonable() == ref(A, D).to_jsonable(), (A.name, run.__name__, D)
 
 
 @pytest.mark.parametrize("k, D", [(2, 9), (3, 9), (4, 8)])
@@ -502,11 +504,9 @@ def test_connes_checks_that_the_quotient_is_the_shifted_total(monkeypatch):
 FACTORS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
 
 
-@st.composite
-def unital_tables(draw):
-    """A unital preset in the basis f_i = sum_a P[a][i] e_a, P = L U with L unit
-    lower and U upper triangular, drawn so that the unit is not a basis vector."""
-    A = draw(st.sampled_from(UNITAL_PRESETS[1:]))
+def _rebased(draw, A):
+    """(mul, in_f): A's table in the basis f_i = sum_a P[a][i] e_a, P = L U with
+    L unit lower and U upper triangular, and the map from e- to f-coordinates."""
     n = A.dim
     lower = SparseMatrix(n, n, {(i, j): 1 if i == j else draw(FACTORS)
                                 for i in range(n) for j in range(i + 1)})
@@ -518,10 +518,18 @@ def unital_tables(draw):
     def in_f(v):
         return P.solve_many([v])[0]
 
+    return {(i, j): in_f(A.mul_vec(f[i], f[j])) for i in range(n) for j in range(n)}, in_f
+
+
+@st.composite
+def unital_tables(draw):
+    """A unital preset rebased (_rebased), drawn so that the unit is not a
+    basis vector."""
+    A = draw(st.sampled_from(UNITAL_PRESETS[1:]))
+    mul, in_f = _rebased(draw, A)
     unit = in_f(A.unit)
     assume(len(unit) > 1)
-    mul = {(i, j): in_f(A.mul_vec(f[i], f[j])) for i in range(n) for j in range(n)}
-    return Algebra(n, None, mul, unit=unit, name=f"{A.name} rebased")
+    return Algebra(A.dim, None, mul, unit=unit, name=f"{A.name} rebased")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -529,6 +537,31 @@ def unital_tables(draw):
 def test_unital_reports_match_the_bicomplex_when_the_unit_is_no_basis_vector(A, D):
     G = A.unit_adapted()
     assert G.unit == {0: 1}
+    assert all(type(c) is int for v in G.mul.values() for c in v.values())
+    assert hh_homology(A, D).to_jsonable() == oracle.hh_homology(A, D).to_jsonable()
+    assert connes_check(A, D).to_jsonable() == oracle.connes_check(A, D).to_jsonable()
+
+
+NONUNITAL_PRODUCTS = [A for A in _nonunital_algebras() if A.mul and A.dim <= 3]
+
+
+@st.composite
+def nonunital_tables(draw):
+    """A non-unital algebra with a nonzero product rebased (_rebased), drawn so
+    that a constant has a denominator: A+.unit_adapted() then scales A's
+    letters by L > 1."""
+    A = draw(st.sampled_from(NONUNITAL_PRODUCTS))
+    mul, _ = _rebased(draw, A)
+    B = Algebra(A.dim, None, mul, name=f"{A.name} rebased")
+    assume(B.integral()[1] > 1)
+    return B
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(nonunital_tables(), st.sampled_from([3, 4]))
+def test_nonunital_reports_match_the_bicomplex_on_tables_with_denominators(A, D):
+    G = unitalization(A)[0].unit_adapted()
+    assert G.unit == {0: 1} and G.labels[1].startswith(f"{A.integral()[1]}*")
     assert all(type(c) is int for v in G.mul.values() for c in v.values())
     assert hh_homology(A, D).to_jsonable() == oracle.hh_homology(A, D).to_jsonable()
     assert connes_check(A, D).to_jsonable() == oracle.connes_check(A, D).to_jsonable()
@@ -572,9 +605,12 @@ def test_unital_size_guard_runs_before_the_adapted_copy(monkeypatch):
         raise AssertionError("the adapted copy was built before the size guard ran")
 
     monkeypatch.setattr(Algebra, "unit_adapted", refuse)
-    for check in (hh_homology, connes_check):
-        with pytest.raises(SizeLimit, match="bicomplex row"):
-            check(matrix_algebra(rationals(), 2), 6, size_limit=100)
+    monkeypatch.setattr(cyclic, "unitalization", refuse)
+    # a non-unital input is guarded on its own row, 3^7 = 2 187, not on A+'s
+    for A in (matrix_algebra(rationals(), 2), square_zero(3)):
+        for check in (hh_homology, connes_check):
+            with pytest.raises(SizeLimit, match="bicomplex row"):
+                check(A, 6, size_limit=100)
 
 
 def test_hc_ranks_each_differential_on_the_rows_the_degree_below_left_free(monkeypatch):

@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import pytest
 
 import oracle
+from oracle import hc_bicomplex, hh_bicomplex
 from chainlab import excision
 from chainlab.algebras import Algebra, AlgebraMorphism, Bimodule, product_algebra
 from chainlab.complexes import ChainMap, Interval, is_quasi_iso, subcomplex
-from chainlab.cyclic import (_connes_total, b_prime_matrix, bar_complex, hc_bicomplex,
-                             hh_bicomplex, hoch_complex)
+from chainlab.cyclic import _connes_total, b_prime_matrix, bar_complex, hoch_complex
 from chainlab.errors import SizeLimit
 from chainlab.excision import (
     ExtensionData,
@@ -18,10 +18,8 @@ from chainlab.excision import (
     graded_piece_check,
     h_unitality_check,
     h_unitary_check,
-    module_b_tensor_ideal,
     q_kernel_complex,
     relative_homology,
-    stage_inclusion,
     wodzicki_verify,
 )
 from chainlab.presets import (
@@ -128,7 +126,7 @@ def test_stage_inclusions_are_chain_maps():
     ext = ext_of("truncated_poly:3")
     stages = [filtration_F(ext, None, n, 4, "bar") for n in range(3)]
     for inner, outer in zip(stages, stages[1:]):
-        stage_inclusion(inner, outer)  # validates commuting on build
+        oracle.stage_inclusion(inner, outer)  # validates commuting on build
 
 
 @pytest.mark.parametrize("name", ["dual_numbers", "truncated_poly:3",
@@ -257,7 +255,7 @@ def test_corollary_h_unitary_coefficients():
     # I H-unital, M = B (x) I: Bar(A, M) acyclic and the (I, M) complex maps
     # quasi-isomorphically to the (A, M) one
     ext = ext_of("split_product")
-    M = module_b_tensor_ideal(ext)
+    M = oracle.module_b_tensor_ideal(ext)
     M_res = ext.restrict_module_to_ideal(M)
     assert h_unitary_check(ext.ideal_algebra(), M_res, 4).passed
     assert h_unitary_check(ext.A_ad, M, 4).passed
@@ -337,7 +335,7 @@ def test_wodzicki_reads_the_reference_relative_homology(name):
 # every extension preset with its default parameters, and a few others
 EXTENSION_SPECS = sorted(_EXTENSION_BUILDERS) + [
     "aug:product", "truncated_poly:4", "upper_triangular:3", "identity:dual_numbers",
-    "collapse:dual_numbers"]
+    "collapse:dual_numbers", "identity:square_zero:2", "collapse:square_zero:2"]
 
 
 def _wodzicki_payload(verify, ext, D, size_limit=5000):
@@ -413,17 +411,21 @@ def test_the_unit_basis_is_built_once_per_call_and_only_where_read(monkeypatch):
 
 def test_the_guard_runs_before_the_unit_basis(monkeypatch):
     # upper_triangular:3 at D = 4: the row 6^5 = 7 776 of total degree 4, on
-    # either model, before the adapted algebra is built
+    # either model, before the adapted algebra is built; with 1 in I, before
+    # the unitalization is built, and on A's row, not on A+'s 7^5
     def refuse(*args):
         raise AssertionError("the adapted algebra was built before the size guard ran")
 
     monkeypatch.setattr(Algebra, "unit_adapted", refuse)
-    ext = ext_of("upper_triangular:3")
+    monkeypatch.setattr(excision, "unitalization", refuse)
     runs = (wodzicki_verify, lambda ext, D, limit: relative_homology(ext, D, "hc", limit),
             lambda ext, D, limit: relative_homology(ext, D, "hh", limit))
-    for run in runs:
-        with pytest.raises(SizeLimit, match="^bicomplex row has dimension 7776 > size limit 7775$"):
-            run(ext, 4, 7775)
+    for spec in ("upper_triangular:3", "collapse:upper_triangular:3"):
+        ext = ext_of(spec)
+        for run in runs:
+            with pytest.raises(SizeLimit,
+                               match="^bicomplex row has dimension 7776 > size limit 7775$"):
+                run(ext, 4, 7775)
 
 
 def _unit_in_the_ideal_factor():
@@ -500,9 +502,9 @@ def test_column_cuts_are_the_direct_comparisons(name):
     # the same cuts of hh_bicomplex's total
     ext = ext_of(name)
     D = 4
-    bc, ref = excision._hc_of_A(ext, D), hh_bicomplex(ext.A_ad, D - 1)
+    bc, ref = oracle._hc_of_A(ext, D), hh_bicomplex(ext.A_ad, D - 1)
     for k in (2, 1):
-        (K, inner), (ref_K, ref_inner) = (excision._kernel_cut(ext, b, k) for b in (bc, ref))
+        (K, inner), (ref_K, ref_inner) = (oracle._kernel_cut(ext, b, k) for b in (bc, ref))
         Q, ref_Q = excision._mod_ideal(K, inner), excision._mod_ideal(ref_K, ref_inner)
         for got, want in ((K, ref_K), (Q, ref_Q)):
             assert (got.dims, got.diffs, got.certified) == \
@@ -513,7 +515,8 @@ def test_column_cuts_are_the_direct_comparisons(name):
 def test_a_cut_that_is_not_closed_is_refused():
     # the column q = 1 without q = 0: 1 - t carries it into q = 0 from degree 2 on
     bc = hc_bicomplex(truncated_poly(3), 3)
-    keep = {n: range(bc.width(n, 1), bc.width(n, 2)) for n in bc.total.dims}
+    keep = {n: range(off, off + w) for n, comps in bc.layout.items() for q, _, off, w in comps
+            if q == 1}
     with pytest.raises(ValueError, match="column q = 1: differential leaks out of the "
                                          "subcomplex at degree 2"):
         subcomplex(bc.total.diffs, keep, "column q = 1")
@@ -525,4 +528,4 @@ def test_a_cut_whose_letters_are_not_an_ideal_is_refused():
     A = truncated_poly(3)
     with pytest.raises(ValueError, match="^columns q < 4: differential leaks out of the "
                                          "subcomplex at degree 2$"):
-        excision._kernel_cut(SimpleNamespace(A_ad=A, ideal_dim=1), hc_bicomplex(A, 3))
+        oracle._kernel_cut(SimpleNamespace(A_ad=A, ideal_dim=1), hc_bicomplex(A, 3))

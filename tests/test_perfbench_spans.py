@@ -69,13 +69,15 @@ def test_wodzicki_builds_each_bicomplex_once(capsys):
     assert rec.calls["cyclic.norm_matrix"] == 0
 
 
-def test_wodzicki_keeps_the_bicomplex_when_1_lies_in_the_ideal(capsys):
-    # collapse: has I = A, so A's HC bicomplex alone: every comparison is a
-    # cut of it, no bicomplex of I or B is built
+def test_wodzicki_cuts_the_unitalization_when_1_lies_in_the_ideal(capsys):
+    # collapse: has I = A, so HH and HC are cut from the (b, B) total of A+ =
+    # Q.1 + A, the normalized b on rows 1..2: no bicomplex, rotation or N
     rec = _traced(["wodzicki", "--ext", "collapse:dual_numbers", "-D", "3"])
     capsys.readouterr()
-    assert rec.counters["cyclic.bicomplex.builds"] == 1
-    assert rec.counters["cyclic.bicomplex.distinct"] == 1
+    assert rec.counters["cyclic.bicomplex.builds"] == 0
+    assert rec.calls["cyclic.hoch_matrix"] == 2
+    assert rec.calls["cyclic.rotation_matrix"] == 0
+    assert rec.calls["cyclic.norm_matrix"] == 0
 
 
 def test_wodzicki_cuts_instead_of_rebuilding(capsys):
@@ -102,10 +104,11 @@ def test_tangent_builds_no_bicomplex(capsys):
     assert rec.calls["cyclic.hoch_matrix"] == 4
 
 
-def test_chern1_builds_one_probe(capsys):
+def test_chern1_builds_one_b1_and_no_bicomplex(capsys):
     rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1", "--samples", "2"])
     capsys.readouterr()
-    assert rec.counters["cyclic.bicomplex.builds"] == 1
+    assert rec.counters["cyclic.bicomplex.builds"] == 0
+    assert rec.calls["cyclic.hoch_matrix"] == 1
     # one log per trace: chern1 takes the 4 generators and, per sample, u, v,
     # uv, the conjugate of u and the commutator; k1 the 4 generators and 1 sample
     assert rec.calls["tangent.nilpotent_log"] == 4 + 2 * 5 + 5
@@ -233,13 +236,15 @@ def test_hc_reps_keeps_one_bicomplex(capsys):
     assert rec.calls["cyclic.LambdaComplex"] == 0
 
 
-def test_connes_reads_the_quotient_off_the_shifted_total(capsys):
-    # H_{D-1} of the columns q >= 2 is H_{D-3} of the total: no b' on row D.
-    # A non-unital input keeps the cyclic bicomplex
+def test_nonunital_connes_reads_the_shifted_bB_total_of_the_unitalization(capsys):
+    # a non-unital input reads the (b, B) total of A+ = Q.1 + A: the normalized
+    # b on rows 1..4, no bicomplex and no b'.  H_{D-1} of the columns past
+    # column 0 is H_{D-3} of the total, so nothing is built on row D
     rec = _traced(["connes", "--preset", "square_zero:2", "-D", "5"])
     capsys.readouterr()
-    assert rec.counters["cyclic.bicomplex.builds"] == 1
-    assert rec.calls["cyclic.b_prime_matrix"] == 4
+    assert rec.counters["cyclic.bicomplex.builds"] == 0
+    assert rec.calls["cyclic.hoch_matrix"] == 4
+    assert rec.calls["cyclic.b_prime_matrix"] == 0
     # each HomologySpace reads classes off its kernel basis: one kernel_basis
     # in each of degrees 0..3 of the sub and of the total; the quotient's
     # degrees 0 and 1 are zero spaces and its higher ones are the total's
@@ -268,11 +273,11 @@ def test_chern1_solves_only_for_the_extension_data(capsys):
     assert rec.calls["sparse.solve_many"] == 2
 
 
-def test_chern1_builds_the_probe_to_total_degree_one(capsys):
-    # rel HC_0 = H_0(K) reads K in degrees 0 and 1: A's HC bicomplex to total
-    # degree 1 and K cut from it, 2 differentials with 60 stored entries,
-    # against 8 with 1 122 for the relative fiber to degree 1
+def test_chern1_cuts_the_probe_from_b1_alone(capsys):
+    # rel HC_0 = H_0(K) reads K in degrees 0 and 1: K cut from b_1, one
+    # differential with 24 stored entries, against 2 with 60 for A's HC
+    # bicomplex to total degree 1 and 8 with 1 122 for the relative fiber
     rec = _traced(["chern1", "--ext", "matrix_dual:2", "-r", "1"])
     capsys.readouterr()
-    assert rec.counters["complexes.degrees_built"] == 2
-    assert rec.counters["sparse.nnz_built"] == 60
+    assert rec.counters["complexes.degrees_built"] == 1
+    assert rec.counters["sparse.nnz_built"] == 24

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainlab.algebras import Algebra, Bimodule
-from chainlab.cyclic import hc_bicomplex
 from chainlab.dsl import parse_algebra
 from chainlab.lie import LieAlgebra
 from chainlab.presets import algebra_preset, truncated_poly
@@ -22,7 +21,7 @@ from chainlab.sparse import (
 from chainlab.tangent import nilpotent_log
 
 import oracle
-from oracle import dense_product, dense_rank, from_dense, image_basis, to_dense
+from oracle import dense_product, dense_rank, from_dense, hc_bicomplex, image_basis, to_dense
 
 
 def random_matrix(rng, nrows, ncols, fill=0.3, denominators=True):

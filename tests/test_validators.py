@@ -16,7 +16,7 @@ import oracle
 from chainlab.algebras import Algebra, Bimodule, matrix_algebra
 from chainlab.dsl import parse_algebra
 from chainlab.errors import AssociativityError
-from chainlab.excision import ExtensionData, module_b_tensor_ideal
+from chainlab.excision import ExtensionData
 from chainlab.lie import LieAlgebra, gl, lie_from_assoc
 from chainlab.presets import algebra_preset, extension_preset
 
@@ -225,7 +225,7 @@ def test_extension_bimodules_pass_the_axioms(name):
     M_ad = ext.adapt_module(None)
     for A, M in [(ext.ideal_algebra(), ext.restrict_module_to_ideal(M_ad)),
                  (ext.A_ad, Bimodule.over_morphism(ext.f_ad)),
-                 (ext.A_ad, module_b_tensor_ideal(ext))]:
+                 (ext.A_ad, oracle.module_b_tensor_ideal(ext))]:
         assert assert_bimodule_agrees(A, M.dim, M.left, M.right) is None
 
 
