@@ -468,7 +468,8 @@ def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyRepo
     """HH_0..HH_{D-2} off the normalized complex of _normalized_b without reps,
     else the two-column bicomplex; either built to degree D - 1.  A
     non-unital A has the reduced HH of A+ (Loday 1.4): degree 0 less the
-    word 1, which the cut's closure check proves is never a boundary."""
+    word 1, cut from d_1 alone after checking that its row 0 is empty, i.e.
+    that the word 1 is never a boundary; b_2, ... pass unchanged."""
     if D < 2:
         raise ValueError("D must be >= 2")
     if reps:
@@ -478,9 +479,11 @@ def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyRepo
     b, w = _normalized_b(A, D)
     if A.is_unital:
         return ChainComplex(w, b, Interval(0, D - 2)).homology(Interval(0, D - 2))
-    keep = {0: range(1, w[0]), **{p: range(w[p]) for p in b}}
-    reduced = subcomplex(b, keep, "reduced normalized complex")
-    return reduced.homology(Interval(0, D - 2))
+    d1 = b[1]
+    if any(r == 0 for r, _ in d1.entries):
+        raise ValueError("reduced normalized complex: differential leaks out of the subcomplex at degree 1")
+    b[1] = SparseMatrix(w[0] - 1, d1.ncols, {(r - 1, c): v for (r, c), v in d1.entries.items()})
+    return ChainComplex({**w, 0: w[0] - 1}, b, Interval(0, D - 2)).homology(Interval(0, D - 2))
 
 
 def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:

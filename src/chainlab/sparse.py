@@ -10,14 +10,16 @@ Products run fraction-free: each row of the left factor and each column of
 the right factor is scaled by the lcm of its denominators as it is read, the
 sums are taken in ints and divided back exactly.  Int factors skip this.
 
-Rank and kernel computations run a fraction-free integer elimination: each
-row is cleared of denominators by the same scaling, pivots are chosen by
-sparsity (fewest-entries row, then fewest-entries column), and a row is
-cleared against a pivot row by the pivot value and its own entry, both first
-divided by their gcd, so the intermediate integers stay small; the updated
-row is then renormalised by its gcd, which makes it the same row the
-undivided combination would give.
-Independent column blocks of the support graph are eliminated separately.
+Rank and kernel computations run one fraction-free integer elimination per
+matrix, over all its rows: the rows of a matrix holding a Fraction are
+cleared of denominators by the same scaling, those of an int matrix only
+divided by their gcd; pivots are chosen by sparsity (fewest-entries row, then
+fewest-entries column), and a row is cleared in place against a pivot row by
+the pivot value and its own entry, both first divided by their gcd, so the
+intermediate integers stay small; the updated row is then renormalised by its
+gcd, which makes it the same row the undivided combination would give.  A
+kernel is read off the same elimination by one backward pass over its pivot
+rows.
 
 rank() keeps the pivot columns it chose, and a chain complex ranks d_n
 without the rows at d_{n-1}'s pivot columns P (complexes.ChainComplex.rank_d).
@@ -282,35 +284,36 @@ class SparseMatrix:
         """This matrix with the rows in `rows` zeroed; the shape is kept."""
         out = SparseMatrix(self.nrows, self.ncols)
         out.entries = {k: v for k, v in self.entries.items() if k[0] not in rows}
-        out.fractional = self.fractional
+        out.fractional = self.fractional and any(type(v) is not int for v in out.entries.values())
         return out
 
     def rank(self) -> int:
-        pivots = set()
-        for comp_rows in _split_components(_integer_rows(self)):
-            pivots.update(pc for pc, _ in _echelonize(comp_rows, set()))
-        self.pivots = pivots
-        return len(pivots)
+        self.pivots = {pc for pc, _ in _echelonize(_integer_rows(self), set())}
+        return len(self.pivots)
 
     def kernel_basis(self) -> list:
         """Basis of {v : Mv = 0}, exact rational vectors ordered by smallest key:
         one per free (non-pivot) column, whose first key is that column, 1 there
-        and 0 at every other free column."""
-        rows = _integer_rows(self)
-        touched = set()
-        for r in rows:
-            touched.update(r)
-        basis = [{c: 1} for c in range(self.ncols) if c not in touched]
-        for comp_rows in _split_components(rows):
-            comp_cols = set()
-            for r in comp_rows:
-                comp_cols.update(r)
-            pivots = _echelonize(comp_rows, set())
-            pivot_cols = {pc for pc, _ in pivots}
-            for f in sorted(comp_cols - pivot_cols):
-                basis.append(_back_substitute(pivots, f))
-        basis.sort(key=lambda v: min(v))
-        return basis
+        and 0 at every other free column.
+
+        One backward pass over the pivot rows, in reverse elimination order,
+        clears each of the later pivot columns it holds, in ints; the row of
+        pivot pc then holds pc and free columns only, so the vector of free
+        column f has x[pc] = -R_pc[f] / R_pc[pc], its other pivot keys following
+        in reverse elimination order."""
+        pivots = _echelonize(_integer_rows(self), set())
+        kernel = {f: {f: 1} for f in range(self.ncols)}
+        reduced = {}
+        for pc, row in reversed(pivots):
+            del kernel[pc]
+            for c in [c for c in row if c in reduced]:
+                row = _cleared(row, reduced[c], c)
+            reduced[pc] = row
+            pval = row[pc]
+            for c, v in row.items():
+                if c != pc:
+                    kernel[c][pc] = exact(Fraction(-v, pval))
+        return sorted(kernel.values(), key=min)
 
     def solve_many(self, bs):
         """Solve Mx = b for each b; aligned list of solutions (None if inconsistent)."""
@@ -363,85 +366,68 @@ def _denominator_lcms(entries, axis) -> dict:
 
 
 def _clear_denominators(row: Vector) -> dict:
-    if not row:
-        return {}
     denom = lcm(*[v.denominator for v in row.values()])
-    out = {k: _int_scale(v, denom) for k, v in row.items()}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        out = {k: v // g for k, v in out.items()}
-    return out
+    return _normalize_int_row({k: _int_scale(v, denom) for k, v in row.items()})
 
 
 def _integer_rows(M: SparseMatrix):
-    return [_clear_denominators(r) for r in M.rows_list() if r]
-
-
-def _split_components(rows):
-    """Group rows by connected component of the shared-column graph."""
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for row in rows:
-        it = iter(row)
-        first = next(it, None)
-        if first is None:
-            continue
-        if first not in parent:
-            parent[first] = first
-        r0 = find(first)
-        for c in it:
-            if c not in parent:
-                parent[c] = r0
-            else:
-                parent[find(c)] = r0
-                r0 = find(c)
-    groups = {}
-    for row in rows:
-        if not row:
-            continue
-        groups.setdefault(find(next(iter(row))), []).append(row)
-    return list(groups.values())
+    """M's nonzero rows as gcd-normalised int rows; only a fractional M's are
+    first cleared of denominators."""
+    clear = _clear_denominators if M.fractional else _normalize_int_row
+    return [clear(r) for r in M.rows_list() if r]
 
 
 def _normalize_int_row(row):
+    """row divided by the gcd of its entries, in place; returns row."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
             return row
     if g > 1:
-        return {k: v // g for k, v in row.items()}
+        for k in row:
+            row[k] //= g
     return row
 
 
+def _cleared(row, prow, pc):
+    """row less the multiple of prow that zeroes its pc entry, both scaled by
+    the gcd-reduced pivot value and entry, then gcd-normalised; in place."""
+    pval, factor = prow[pc], row[pc]
+    g = gcd(pval, factor)
+    mul, factor = pval // g, factor // g
+    if mul != 1:
+        for c in row:
+            row[c] *= mul
+    for c, v in prow.items():
+        s = row.get(c, 0) - factor * v
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+    return _normalize_int_row(row)
+
+
 def _echelonize(rows, forbidden_cols):
-    """Integer row elimination choosing sparse pivots.
+    """Integer row elimination choosing sparse pivots; the row dicts of
+    `rows` are updated in place and become the pivot rows.
 
     Returns the finished pivot rows as [(pivot_col, row_dict), ...] in
-    elimination order.  Once a row is finished it is never modified, so a
-    finished row may still contain later pivot columns; back substitution
-    walks the list in reverse.
+    elimination order.  An active row is cleared by _cleared's combination,
+    inlined: it is scaled only when the reduced pivot value is not 1, and the
+    column index is touched only where a column appears or vanishes, so a
+    finished row has the values and key order the undivided combination
+    gives.  Once a row is finished it is never modified: it holds no earlier
+    pivot column but may still hold later ones, which kernel_basis clears in
+    reverse.
     """
-    active = {}
+    active = {rid: row for rid, row in enumerate(rows) if row}
     col_rows = {}
-    heap = []
-    for rid, row in enumerate(rows):
-        if not row:
-            continue
-        active[rid] = row
+    for rid, row in active.items():
         for c in row:
             col_rows.setdefault(c, set()).add(rid)
-        heapq.heappush(heap, (len(row), rid))
+    heap = [(len(row), rid) for rid, row in active.items()]
+    heapq.heapify(heap)
 
     pivots = []
     while active:
@@ -470,48 +456,37 @@ def _echelonize(rows, forbidden_cols):
         if pc in forbidden_cols:
             continue
         pval = prow[pc]
-        for rid2 in list(col_rows.get(pc, ())):
-            row2 = active[rid2]
-            factor = row2[pc]
+        for rid2 in list(col_rows[pc]):
+            row = active[rid2]
+            factor = row[pc]
             mul = pval
             g = gcd(pval, factor)
             if g != 1:
                 mul, factor = pval // g, factor // g
-            new_row = {c: mul * v for c, v in row2.items()}
+            if mul != 1:
+                for c in row:
+                    row[c] *= mul
             for c, v in prow.items():
-                s = new_row.get(c, 0) - factor * v
+                s = row.get(c)
+                if s is None:
+                    row[c] = -factor * v
+                    col_rows[c].add(rid2)
+                    continue
+                s -= factor * v
                 if s:
-                    new_row[c] = s
+                    row[c] = s
                 else:
-                    new_row.pop(c, None)
-            new_row = _normalize_int_row(new_row)
-            for c in row2:
-                if c not in new_row:
+                    del row[c]
                     col_rows[c].discard(rid2)
-            for c in new_row:
-                if c not in row2:
-                    col_rows.setdefault(c, set()).add(rid2)
-            if new_row:
-                active[rid2] = new_row
-                heapq.heappush(heap, (len(new_row), rid2))
+            if row:
+                _normalize_int_row(row)
+                heapq.heappush(heap, (len(row), rid2))
             else:
                 del active[rid2]
-                for c in row2:
-                    col_rows[c].discard(rid2)
+        for c in prow:  # no active row holds an emptied column again: drop it
+            if not col_rows[c]:
+                del col_rows[c]
     return pivots
-
-
-def _back_substitute(pivots, free_col):
-    """Kernel vector with 1 at free_col, solving the echelon rows."""
-    x = {free_col: 1}
-    for pc, row in reversed(pivots):
-        s = ZERO
-        for c, v in row.items():
-            if c != pc and c in x:
-                s += v * x[c]
-        if s:
-            x[pc] = exact(Fraction(-s, row[pc]))
-    return x
 
 
 def _solve_back(pivots, sentinel, k, ncols):

@@ -14,7 +14,10 @@ projection onto its classes; the unit-homotopy check b' s + s b' = id, the
 inclusions of the (I, M) Hochschild complex and of one filtration stage into
 the next, and the A-bimodule B (x) I, which only tests run; the
 integer elimination that combines rows by the undivided pivot
-value and entry; the generalized trace that walks every permutation of
+value and entry, and the kernel that splits a matrix into the connected
+components of its rows' shared columns, eliminates each on its own and
+back-substitutes every free column through all of its component's pivot
+rows; the generalized trace that walks every permutation of
 every wedge; the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
 Connes check read off the bicomplex built to total degree D; relative HH
@@ -34,7 +37,7 @@ elimination-backed queries that only tests read.
 import heapq
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 
 from chainlab import cyclic, excision, tangent
 from chainlab.algebras import Algebra, Bimodule, commutator_subspace, matrix_algebra
@@ -491,6 +494,68 @@ def echelonize(rows, forbidden_cols):
                 for c in row2:
                     col_rows[c].discard(rid2)
     return pivots
+
+
+def integer_rows(M):
+    """M's nonzero rows, each scaled by the lcm of its denominators and divided
+    by the gcd of the result."""
+    out = []
+    for row in M.rows_list():
+        if row:
+            den = lcm(*[v.denominator for v in row.values()])
+            ints = {k: int(v * den) for k, v in row.items()}
+            out.append(_normalize_int_row(ints))
+    return out
+
+
+def split_components(rows):
+    """The nonzero rows grouped by connected component of the shared-column
+    graph, each group in row order, the groups in order of their first row."""
+    parent = {}
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for row in rows:
+        for c in row:
+            parent.setdefault(c, c)
+        roots = {root(c) for c in row}
+        for r in roots:
+            parent[r] = min(roots)
+    groups = {}
+    for row in rows:
+        if row:
+            groups.setdefault(root(next(iter(row))), []).append(row)
+    return list(groups.values())
+
+
+def component_pivots(M) -> set:
+    """The union of the pivot columns of each component's own elimination."""
+    return {pc for comp in split_components(integer_rows(M)) for pc, _ in echelonize(comp, set())}
+
+
+def kernel_basis(M) -> list:
+    """M's kernel basis by per-component elimination and per-column back
+    substitution: the vector of free column f is {f: 1}, then x[pc] solved from
+    each pivot row of f's component in reverse elimination order."""
+    basis = []
+    touched = set()
+    for comp in split_components(integer_rows(M)):
+        cols = set().union(*comp)
+        touched |= cols
+        pivots = echelonize(comp, set())
+        for f in sorted(cols - {pc for pc, _ in pivots}):
+            x = {f: 1}
+            for pc, row in reversed(pivots):
+                s = sum(v * x[c] for c, v in row.items() if c != pc and c in x)
+                if s:
+                    x[pc] = exact(Fraction(-s, row[pc]))
+            basis.append(x)
+    basis += [{c: 1} for c in range(M.ncols) if c not in touched]
+    basis.sort(key=min)
+    return basis
 
 
 # ---------------------------------------------------------------------------

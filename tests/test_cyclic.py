@@ -282,6 +282,22 @@ def test_hc_matches_the_bicomplex_on_nonunital_algebras(D):
             assert run(A, D).to_jsonable() == ref(A, D).to_jsonable(), (A.name, run.__name__, D)
 
 
+def test_the_reduced_cut_refuses_a_boundary_on_the_word_1(monkeypatch):
+    # non-unital hh drops the word 1 (row 0) from d_1 alone; a d_1 with an entry
+    # there would make 1 a boundary, and the cut refuses it instead of dropping it
+    normalized_b = cyclic._normalized_b
+
+    def leaky(A, D):
+        b, w = normalized_b(A, D)
+        b[1] = b[1] + sparse.SparseMatrix(b[1].nrows, b[1].ncols, {(0, 0): 1})
+        return b, w
+
+    monkeypatch.setattr(cyclic, "_normalized_b", leaky)
+    with pytest.raises(ValueError, match=r"^reduced normalized complex: differential leaks "
+                                         r"out of the subcomplex at degree 1$"):
+        hh_homology(square_zero(2), 3)
+
+
 @pytest.mark.parametrize("k, D", [(2, 9), (3, 9), (4, 8)])
 def test_hc_of_truncated_polynomials_in_closed_form(k, D):
     # HC_n(Q[t]/t^k) = k for n even and 0 for n odd over Q: HC_n(Q) plus the

@@ -360,3 +360,61 @@ def test_echelonize_matches_the_undivided_combination(case):
     got = _echelonize([dict(r) for r in int_rows], forbidden)
     assert [(pc, list(row.items())) for pc, row in got] == \
         [(pc, list(row.items())) for pc, row in expected]
+
+
+# ---------------------------------------------------------------------------
+# one elimination per matrix and one backward pass against the per-component
+# elimination and per-column back substitution
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def block_sums(draw):
+    """A block-diagonal sum of matrices() with empty columns between and around
+    the blocks, its rows and columns then shuffled so the blocks interleave."""
+    blocks = draw(st.lists(matrices(), min_size=1, max_size=4))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(blocks) + 1, max_size=len(blocks) + 1))
+    ent, nrows, ncols = {}, 0, gaps[0]
+    for B, gap in zip(blocks, gaps[1:]):
+        ent.update({(nrows + i, ncols + j): v for (i, j), v in B.entries.items()})
+        nrows, ncols = nrows + B.nrows, ncols + B.ncols + gap
+    row_order = draw(st.permutations(range(nrows)))
+    col_order = draw(st.permutations(range(ncols)))
+    return SparseMatrix(nrows, ncols, {(row_order[i], col_order[j]): v for (i, j), v in ent.items()})
+
+
+@PRODUCT_SETTINGS
+@given(block_sums())
+def test_kernel_matches_the_per_component_back_substitution(M):
+    expected = oracle.kernel_basis(M)
+    assert [list(v.items()) for v in M.kernel_basis()] == [list(v.items()) for v in expected]
+    assert M.rank() == M.ncols - len(expected)
+    assert M.pivots == oracle.component_pivots(M)
+
+
+@st.composite
+def systems(draw):
+    M = draw(matrices())
+    vector = st.dictionaries(st.integers(0, M.nrows - 1), SCALARS["mixed"].filter(bool),
+                             max_size=M.nrows) if M.nrows else st.just({})
+    return M, draw(st.lists(vector, max_size=3))
+
+
+@PRODUCT_SETTINGS
+@given(systems())
+def test_queries_leave_their_inputs_unchanged(case):
+    M, bs = case
+    entries = list(M.entries.items())
+    rhs = [list(b.items()) for b in bs]
+    for query in (M.rank, M.kernel_basis, lambda: M.solve_many(bs)):
+        assert query() == query()
+        assert list(M.entries.items()) == entries
+        assert [list(b.items()) for b in bs] == rhs
+
+
+@PRODUCT_SETTINGS
+@given(factor_pairs(), st.sets(st.integers(0, 5)), SCALARS["mixed"])
+def test_fractional_flags_exactly_the_matrices_holding_a_fraction(pair, rows, c):
+    A, B = pair
+    for M in (A, B, A @ B, A.without_rows(rows), A.scale(c), B.scale(c)):
+        assert M.fractional == any(type(v) is not int for v in M.entries.values())
