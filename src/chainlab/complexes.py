@@ -11,9 +11,8 @@ subcomplex keeps a coordinate family and raises if d leaks out of it;
 quotient_complex passes to a quotient whose classes are signed coordinates
 (a plain coordinate quotient is a selection) and checks column by column that
 d descends, i.e. proj d = d' proj.  It reads d as ((row, col), value)
-entries, the form a SparseMatrix is built from: a built complex's through
-entries_of, and b's as the lambda complex computes them, never built into a
-matrix.
+entries, a built complex's through entries_of; its check-and-emit step,
+descend, also serves the lambda complex, which projects b's runs.
 """
 
 from __future__ import annotations
@@ -189,41 +188,48 @@ def quotient_complex(entries: dict, walks: dict, what: str) -> ChainComplex:
     is certified on lo..hi-1.
 
     proj d is d with each entry moved to its row's class and negated where the
-    class sign is -1, never multiplied, so Fraction entries stay cheap.  d
-    descends exactly when proj d = d' proj, checked column by column: the
-    column of e_y is c times that of e_tops[j], or 0 when [e_y] = 0.  d' is
-    built as a SparseMatrix, which normalizes its entries.
+    class sign is -1, never multiplied, so Fraction entries stay cheap; descend
+    checks it and emits d'.
     """
     lo, hi = min(walks), max(walks)
     quot = {}
     for n in range(lo + 1, hi + 1):
-        row_classes, row_tops = walks[n - 1]
-        classes, tops = walks[n]
-        cols = [{} for _ in classes]  # y -> proj d e_y
+        row_classes = walks[n - 1][0]
+        cols = [{} for _ in walks[n][0]]  # y -> proj d e_y
         for (r, y), v in entries[n]:
             try:
                 hit, col = row_classes[r], cols[y]
             except IndexError:
                 raise IndexError(f"{what}: entry ({r},{y}) of d_{n} outside "
-                                 f"{len(row_classes)}x{len(classes)}") from None
+                                 f"{len(row_classes)}x{len(cols)}") from None
             if hit:
                 s = col.get(hit[0], 0) + (v if hit[1] == 1 else -v)
                 if s:
                     col[hit[0]] = s
                 else:
                     del col[hit[0]]
-        negated = {}  # j -> -(proj d e_tops[j]), built once per class
-        for col, hit in zip(cols, classes):
-            want = cols[tops[hit[0]]] if hit else {}
-            if hit and hit[1] != 1:
-                if hit[0] not in negated:
-                    negated[hit[0]] = {i: -v for i, v in want.items()}
-                want = negated[hit[0]]
-            if col != want:
-                raise ValueError(f"{what}: induced differential ill-defined at degree {n}")
-        quot[n] = SparseMatrix(len(row_tops), len(tops), (
-            ((i, j), v) for j, y in enumerate(tops) for i, v in cols[y].items()))
+        quot[n] = descend(cols, walks, n, what)
     return ChainComplex({n: len(walks[n][1]) for n in walks}, quot, Interval(lo, hi - 1))
+
+
+def descend(cols: list, walks: dict, n: int, what: str) -> SparseMatrix:
+    """d'_n from cols[y] = proj d e_y (walks as in quotient_complex), each
+    column's rows ascending.  d descends exactly when proj d = d' proj,
+    checked column by column: the column of e_y is c times that of
+    e_tops[j], or 0 when [e_y] = 0.  d' is a SparseMatrix, which normalizes
+    its entries."""
+    classes, tops = walks[n]
+    negated = {}  # j -> -(proj d e_tops[j]), built once per class
+    for col, hit in zip(cols, classes):
+        want = cols[tops[hit[0]]] if hit else {}
+        if hit and hit[1] != 1:
+            if hit[0] not in negated:
+                negated[hit[0]] = {i: -v for i, v in want.items()}
+            want = negated[hit[0]]
+        if col != want:
+            raise ValueError(f"{what}: induced differential ill-defined at degree {n}")
+    return SparseMatrix(len(walks[n - 1][1]), len(tops), (
+        ((i, j), v) for j, y in enumerate(tops) for i, v in sorted(cols[y].items())))
 
 
 def shift(C: ChainComplex, k: int) -> ChainComplex:

@@ -8,16 +8,18 @@ the cyclic rotation on p+1 tensor factors carries the sign (-1)^p.
 Differentials are written by index arithmetic on the WordBasis layout, with
 no word formed per entry: b' is the Kronecker sum of (-1)^i id (x) mu_i (x) id
 (mu_0 the right action on the module slot, mu_i the product of slots i, i+1),
-so each structure constant of mu_i gives one strided run of entries.  b adds
-the wrap term's runs to those of b' before any matrix is built.
+so each structure constant of mu_i gives one strided run of entries; b adds
+the wrap term's runs.  The matrix builders sum the runs into flat entries;
+the lambda complex projects them onto its classes.
 
 The rotation t is a signed permutation of the words, so coker(1 - t) keeps
 one word per orbit whose signs multiply to +1, its largest, with [e_y] =
 +-[e_top] along the orbit; the other orbits vanish (see LambdaComplex).  Its
-walk reads t by index arithmetic, and b's entries go to the quotient as they
-are computed: neither is built into a matrix.  b descends to that quotient,
-which complexes.quotient_complex checks column by column; since ker proj =
-im(1 - t), this is the statement that b maps im(1 - t) into itself.
+walk reads t by index arithmetic, and each run of b is added, signed by its
+row's class, straight into its column's class vector: neither t nor b is
+built into a matrix.  b descends to that quotient, which
+complexes.descend checks column by column; since ker proj = im(1 - t), this
+is the statement that b maps im(1 - t) into itself.
 
 Totalization convention (validated by the d.d = 0 construction check): the
 Hochschild columns keep b, the Bar columns keep -b', the horizontal maps 1-t
@@ -50,13 +52,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat, starmap
+from itertools import chain, product, repeat, starmap
 from operator import add, floordiv, mod, mul
 from types import SimpleNamespace
 
 from .algebras import Algebra, Bimodule, unitalization
 from .complexes import (ChainComplex, ChainMap, HomologyReport, HomologySpace, Interval,
-                        entries_of, quotient_complex, selection, subcomplex)
+                        descend, entries_of, quotient_complex, selection, subcomplex)
 from .errors import SizeLimit, UnitError
 from .sparse import SparseMatrix, Vector, exact
 
@@ -119,21 +121,53 @@ def _decode(nrows, flat):
                map(flat.__getitem__, keys))
 
 
-def _slot_product(table, d, d_out, n_left, n_right, sign, nrows) -> dict:
-    """Flat entries (see _decode) of sign * (id_L (x) mu (x) id_R), where
-    mu = table: (x, y) -> {k: c} maps slots x (radix d_out), y (radix d) to k
-    (radix d_out), so entry (L, k, R) <- (L, x, y, R) sits at row
-    (L*d_out + k)*n_right + R and column ((L*d_out + x)*d + y)*n_right + R."""
-    out = {}
-    left_step = d_out * n_right * (d * nrows + 1)  # flat-index step of L; R steps by nrows + 1
-    right = range(0, n_right * (nrows + 1), nrows + 1)
+def _face_runs(table, d, d_out, n_left, n_right, sign):
+    """Runs (value, row, col, count, row_step, col_step, width), each the
+    entries (row + t*row_step + i, col + t*col_step + i) for t < count, i <
+    width, of the face sign * (id_L (x) mu (x) id_R): mu = table: (x, y) ->
+    {k: c} maps slots x (radix d_out), y (radix d) to k (radix d_out), so entry
+    (L, k, R) <- (L, x, y, R) sits at row (L*d_out + k)*n_right + R and column
+    ((L*d_out + x)*d + y)*n_right + R.  A face's entries are distinct."""
+    row_step = d_out * n_right
     for (x, y), vec in table.items():
         for k, coef in vec.items():
-            start = ((x * d + y) * nrows + k) * n_right
-            keys = range(start, start + n_left * left_step, left_step)
-            if n_right > 1:
-                keys = starmap(add, product(keys, right))
-            out.update(zip(keys, repeat(sign * coef)))
+            yield sign * coef, k * n_right, (x * d + y) * n_right, n_left, row_step, row_step * d, n_right
+
+
+def _b_prime_faces(A: Algebra, M: Bimodule, p: int) -> list:
+    """The p faces of b' on M (x) A^p, M.dim * A.dim^(p-1) rows."""
+    if p < 1:
+        raise ValueError("b' starts at degree 1")
+    d = A.dim
+    return [_face_runs(M.right, d, M.dim, 1, d ** (p - 1), 1)] + [
+        _face_runs(A.mul, d, d, M.dim * d ** (i - 1), d ** (p - 1 - i), -1 if i % 2 else 1)
+        for i in range(1, p)]
+
+
+def _wrap_runs(A: Algebra, M: Bimodule, p: int):
+    """Runs of (-1)^p times the wrap term of b: the last slot acts on the
+    module from the left, so entry (m2, w) <- (m, w, a) for (a, m) -> m2 and
+    every middle word w."""
+    d = A.dim
+    n_mid = d ** (p - 1)
+    sign = 1 if p % 2 == 0 else -1
+    for (a, m), vec in M.left.items():
+        for m2, coef in vec.items():
+            yield sign * coef, m2 * n_mid, m * n_mid * d + a, n_mid, 1, d, 1
+
+
+def _flat(faces, nrows) -> dict:
+    """Flat entries (see _decode) of the sum of faces; sums that cancel are dropped."""
+    out = {}
+    for runs in faces:
+        face = {}
+        for v, row, col, count, row_step, col_step, width in runs:
+            start, step = col * nrows + row, col_step * nrows + row_step
+            keys = range(start, start + count * step, step)
+            if width > 1:
+                keys = starmap(add, product(keys, range(0, width * (nrows + 1), nrows + 1)))
+            face.update(zip(keys, repeat(v)))
+        out = _sum_into(out, face) if out else face
     return out
 
 
@@ -149,66 +183,25 @@ def _sum_into(entries: dict, term: dict) -> dict:
     return entries
 
 
-def _b_prime_flat(A: Algebra, M: Bimodule, p: int) -> dict:
-    """Flat entries of b' on M (x) A^p, M.dim * A.dim^(p-1) rows (see _decode)."""
-    if p < 1:
-        raise ValueError("b' starts at degree 1")
-    d = A.dim
-    nrows = M.dim * d ** (p - 1)
-    entries = _slot_product(M.right, d, M.dim, 1, d ** (p - 1), 1, nrows)
-    for i in range(1, p):
-        _sum_into(entries, _slot_product(A.mul, d, d, M.dim * d ** (i - 1), d ** (p - 1 - i),
-                                         -1 if i % 2 else 1, nrows))
-    return entries
-
-
-def _wrap_flat(A: Algebra, M: Bimodule, p: int) -> dict:
-    """Flat entries of (-1)^p times the wrap term of b: the last slot acts on the
-    module from the left, so entry (m2, w) <- (m, w, a) for (a, m) -> m2 and
-    every middle word w."""
-    d = A.dim
-    n_mid = d ** (p - 1)
-    nrows = M.dim * n_mid
-    sign = 1 if p % 2 == 0 else -1
-    entries = {}
-    for (a, m), vec in M.left.items():
-        for m2, coef in vec.items():
-            start = (m * n_mid * d + a) * nrows + m2 * n_mid
-            keys = range(start, start + n_mid * (d * nrows + 1), d * nrows + 1)
-            entries.update(zip(keys, repeat(sign * coef)))
-    return entries
-
-
 def b_prime_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
     """b' on M (x) A^p: alternating sum of the p adjacent contractions."""
-    entries = _b_prime_flat(A, M, p)
     nrows = M.dim * A.dim ** (p - 1)
-    return SparseMatrix(nrows, nrows * A.dim, _decode(nrows, entries))
-
-
-def _hoch_flat(A: Algebra, M: Bimodule, p: int) -> dict:
-    """Flat entries of b = b' + (-1)^p (last slot wraps onto the module by the
-    left action), summed entrywise."""
-    return _sum_into(_b_prime_flat(A, M, p), _wrap_flat(A, M, p))
+    return SparseMatrix(nrows, nrows * A.dim, _decode(nrows, _flat(_b_prime_faces(A, M, p), nrows)))
 
 
 def hoch_matrix(A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
-    """b on M (x) A^p as one matrix."""
+    """b on M (x) A^p as one matrix: b' + (-1)^p (last slot wraps onto the
+    module by the left action), summed entrywise."""
     nrows = M.dim * A.dim ** (p - 1)
-    return SparseMatrix(nrows, nrows * A.dim, _decode(nrows, _hoch_flat(A, M, p)))
-
-
-def _hoch_entries(A: Algebra, M: Bimodule, p: int):
-    """b's entries in hoch_matrix's order, with no matrix built; b is computed
-    when the first entry is read."""
-    yield from _decode(M.dim * A.dim ** (p - 1), _hoch_flat(A, M, p))
+    faces = _b_prime_faces(A, M, p) + [_wrap_runs(A, M, p)]
+    return SparseMatrix(nrows, nrows * A.dim, _decode(nrows, _flat(faces, nrows)))
 
 
 def hoch_from_b_prime(b_prime: SparseMatrix, A: Algebra, M: Bimodule, p: int) -> SparseMatrix:
     """hoch_matrix(A, M, p) from b_prime = b_prime_matrix(A, M, p) already built:
     the wrap entries summed into a copy of b_prime's."""
     n = b_prime.nrows
-    wrap = {(k % n, k // n): c for k, c in _wrap_flat(A, M, p).items()}
+    wrap = {(k % n, k // n): c for k, c in _flat([_wrap_runs(A, M, p)], n).items()}
     return SparseMatrix(n, b_prime.ncols, _sum_into(dict(b_prime.entries), wrap))
 
 
@@ -626,6 +619,32 @@ def _orbit_classes(image: list, s: int):
     return classes, [orbit[0] for orbit in orbits]
 
 
+def _project_runs(runs, walks: dict, n: int) -> list:
+    """cols[y] = proj b e_y over the words y of degree n from b_n's runs: each
+    run's value added, signed by its row's class, into its column's class
+    vector, the run read as strided slices along its longer side.  A run
+    reaching past b_n raises IndexError naming its last entry."""
+    row_classes, cols = walks[n - 1][0], [{} for _ in walks[n][0]]
+    for v, row, col, count, row_step, col_step, width in runs:
+        r, y = row + (count - 1) * row_step + width - 1, col + (count - 1) * col_step + width - 1
+        if r >= len(row_classes) or y >= len(cols):
+            raise IndexError(f"LambdaComplex: entry ({r},{y}) of d_{n} outside "
+                             f"{len(row_classes)}x{len(cols)}")
+        lanes = ([(row + i, col + i, row_step, col_step, count) for i in range(width)] if count >= width
+                 else [(row + t * row_step, col + t * col_step, 1, 1, width) for t in range(count)])
+        neg = -v
+        for r, y, dr, dc, k in lanes:
+            for hit, vec in zip(row_classes[r:r + k * dr:dr], cols[y:y + k * dc:dc]):
+                if hit:
+                    j, c = hit
+                    s = vec.get(j, 0) + (v if c == 1 else neg)
+                    if s:
+                        vec[j] = s
+                    else:
+                        del vec[j]
+    return cols
+
+
 class LambdaComplex:
     """Degree-n space coker(1 - t) on A^(n+1), differential induced by b.
 
@@ -636,10 +655,10 @@ class LambdaComplex:
     walk over the orbits, t read by index arithmetic and no elimination, gives
     these classes, and construction checks proj (1 - t) = 0 on every word.  An
     orbit of k words adds k - 1 to the dimensions of both im(1 - t) and ker
-    proj (k if it vanishes), so ker proj = im(1 - t).  quotient_complex reads
-    b's entries, never built into a matrix, and checks column by column that b
-    descends, proj b = d' proj, i.e. that b kills ker proj: the same as
-    proj b (1 - t) = 0, b mapping im(1 - t) into itself.
+    proj (k if it vanishes), so ker proj = im(1 - t).  proj b is read off b's
+    runs in one pass, no matrix of b built, and complexes.descend checks on
+    every word that b descends, proj b = d' proj, i.e. that b kills ker proj:
+    the same as proj b (1 - t) = 0, b mapping im(1 - t) into itself.
     """
 
     def __init__(self, A: Algebra, D: int, size_limit=None):
@@ -658,8 +677,11 @@ class LambdaComplex:
                 moved = (hit and (hit[0], -hit[1]) for hit in moved)
             if list(moved) != classes:
                 raise ValueError(f"projection does not kill im(1-t) at degree {p}")
-        self.complex = quotient_complex({p: _hoch_entries(A, M, p) for p in range(1, D + 1)},
-                                        self._walks, "LambdaComplex")
+        quot = {p: descend(_project_runs(chain(*_b_prime_faces(A, M, p), _wrap_runs(A, M, p)),
+                                         self._walks, p), self._walks, p, "LambdaComplex")
+                for p in range(1, D + 1)}
+        self.complex = ChainComplex({p: len(tops) for p, (_, tops) in self._walks.items()},
+                                    quot, Interval(0, D - 1))
 
     def word_classes(self, p) -> list:
         """[e_y] = c [e_tops[j]] as classes[y] = (j, c), or None when 0."""

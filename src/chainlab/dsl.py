@@ -58,6 +58,7 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
     dim = None
     labels = None
     mul = {}
+    declared = set()  # (i, j) of every mul line, zero products too
     unit = None
     augmentation = None
     saw_table_line = False
@@ -84,6 +85,8 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
         if head in ("basis", "mul", "unit", "augmentation") and dim is None:
             raise ParseError(f"{head} line before algebra line", line=line_no)
         if head == "algebra":
+            if dim is not None:
+                raise ParseError("second algebra line", line=line_no)
             if len(tokens) != 4 or tokens[2].lower() != "dim":
                 raise ParseError("expected: algebra <name> dim <d>", line=line_no)
             name = tokens[1]
@@ -106,8 +109,9 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ParseError(f"mul indices ({i},{j}) out of range 1..{dim}", line=line_no)
             vec = _parse_terms(m.group(3), line_no, dim)
-            if (i - 1, j - 1) in mul:
+            if (i, j) in declared:
                 raise ParseError(f"duplicate mul {i} {j}", line=line_no)
+            declared.add((i, j))
             if vec:
                 mul[(i - 1, j - 1)] = vec
         elif head == "unit":

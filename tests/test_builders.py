@@ -3,9 +3,9 @@ the Chevalley-Eilenberg differential against the word-by-word builders of
 oracle.py: equal matrices on every preset, on rebased tables with real
 denominators, on bimodules of another dimension than the algebra, and on
 random structure constants.  The lambda complex, which walks t by index
-arithmetic and reads b's entries with neither matrix built, against its route
-through both matrices: the same walks and quotient matrices, entry for
-entry."""
+arithmetic and projects b's runs onto its classes with neither matrix built,
+against its route through both matrices: the same walks and quotient
+matrices, entry for entry."""
 
 import importlib.util
 import re

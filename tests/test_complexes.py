@@ -269,6 +269,20 @@ def test_quotient_complex_matches_the_product_oracle(case):
     assert quotient_complex(entries_of(diffs), walks, "Q").diffs == expected
 
 
+@QUOTIENT_SETTINGS
+@given(quotient_cases())
+def test_quotient_complex_emits_each_column_with_its_rows_ascending(case):
+    # the canonical order the lambda complex's run projection shares: column
+    # by column, rows ascending, whatever order d's entries came in
+    diffs, walks = case
+    try:
+        quot = quotient_complex(entries_of(diffs), walks, "Q")
+    except ValueError:
+        return
+    keys = list(quot.diffs[1].entries)
+    assert keys == sorted(keys, key=lambda key: (key[1], key[0]))
+
+
 # ---------------------------------------------------------------------------
 # HomologySpace against the parent's span-and-solve one
 # ---------------------------------------------------------------------------

@@ -235,21 +235,38 @@ def test_lambda_checks_the_orbit_projection(monkeypatch):
 
 
 def test_lambda_checks_that_the_differential_descends(monkeypatch):
-    # without the wrap entries b is b', which does not map im(1 - t) into
+    # without the wrap runs b is b', which does not map im(1 - t) into
     # itself: on A (x) A, b'(1 - t)(a (x) a') = aa' + a'a
-    monkeypatch.setattr(cyclic, "_wrap_flat", lambda A, M, p: {})
+    monkeypatch.setattr(cyclic, "_wrap_runs", lambda A, M, p: [])
     with pytest.raises(ValueError, match="LambdaComplex: induced differential ill-defined at degree 1"):
         lambda_complex(dual_numbers(), 3)
 
 
+def test_lambda_checks_the_descent_of_every_face(monkeypatch):
+    # b_2 with its inner face's sign flipped sends (1 - t)(1 (x) 1 (x) e) to
+    # 4 [1 (x) e] != 0 in coker(1 - t), so it does not descend
+    faces = cyclic._b_prime_faces
+
+    def inner_face_flipped(A, M, p):
+        out = faces(A, M, p)
+        if p == 2:
+            out[1] = ((-v, *rest) for v, *rest in out[1])
+        return out
+
+    monkeypatch.setattr(cyclic, "_b_prime_faces", inner_face_flipped)
+    with pytest.raises(ValueError, match="LambdaComplex: induced differential ill-defined at degree 2"):
+        lambda_complex(dual_numbers(), 3)
+
+
 def test_lambda_rejects_an_entry_of_b_beyond_its_last_column(monkeypatch):
-    # b_1 of a 2-dimensional algebra is 2 x 4: flat key 4 * 2 is row 0 of column 4
-    wrap = cyclic._wrap_flat
+    # b_1 of a 2-dimensional algebra is 2 x 4: a one-entry run at row 0 of
+    # column 4 lies one past its last column
+    wrap = cyclic._wrap_runs
 
     def one_beyond(A, M, p):
-        return {**wrap(A, M, p), 4 * 2: 1} if p == 1 else wrap(A, M, p)
+        return [*wrap(A, M, p), (1, 0, 4, 1, 1, 1, 1)] if p == 1 else wrap(A, M, p)
 
-    monkeypatch.setattr(cyclic, "_wrap_flat", one_beyond)
+    monkeypatch.setattr(cyclic, "_wrap_runs", one_beyond)
     with pytest.raises(IndexError, match="LambdaComplex: entry \\(0,4\\) of d_1 outside 2x4"):
         lambda_complex(dual_numbers(), 3)
 

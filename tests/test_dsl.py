@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainlab.algebras import Algebra
+from chainlab.cli import main
 from chainlab.dsl import parse_algebra
 from chainlab.errors import AssociativityError, ChainlabError, ParseError, SizeLimit
 from chainlab.presets import dual_numbers
@@ -105,6 +106,29 @@ def test_misc_errors():
         parse_algebra("preset no_such_thing\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("algebra a dim 3\nmul 3 3 = 1*3\nalgebra b dim 2\n", 3),  # a product index past the new dim
+    ("algebra a dim 2\nbasis x y\nalgebra b dim 3\n", 3),     # a label count that no longer fits
+    ("algebra a dim 2\nalgebra a dim 2\n", 2)])
+def test_a_second_algebra_line_is_a_parse_error_that_names_it(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(text)
+    assert str(exc.value) == f"second algebra line (line {line})"
+
+
+def test_a_second_algebra_line_exits_with_status_2(tmp_path, capsys):
+    path = tmp_path / "two.alg"
+    path.write_text("algebra a dim 3\nmul 3 3 = 1*3\nalgebra b dim 2\n")
+    assert main(["hh", "--file", str(path), "-D", "3"]) == 2
+    assert "second algebra line (line 3)" in capsys.readouterr().err
+
+
+def test_a_duplicate_mul_is_caught_when_the_first_summed_to_zero():
+    with pytest.raises(ParseError) as exc:
+        parse_algebra("algebra x dim 2\nmul 1 1 = 1*1 - 1*1\nmul 1 1 = 1*2\n")
+    assert str(exc.value) == "duplicate mul 1 1 (line 3)"
+
+
 def test_augmentation_directive():
     text = """
     algebra t2 dim 2
@@ -180,7 +204,8 @@ def terms(draw, dim):
 @st.composite
 def dsl_text(draw):
     """An algebra line, usually well formed and first, then table lines in any
-    order: mul, unit, augmentation and basis lines, now and then a malformed one."""
+    order: mul, unit, augmentation and basis lines, now and then a malformed one
+    or a second algebra line."""
     dim = draw(st.sampled_from([1, 2, 3, 2, 3, 0]))
     index = st.integers(1, max(dim, 1))
     lines = []
@@ -204,6 +229,9 @@ def dsl_text(draw):
         "algebra a dim 11", "algebra a dim -1", "algebra a dim x", "algebra a 2", None]))
     if header is not None:
         lines.insert(draw(st.sampled_from([0] * 7 + [len(lines)])), header)
+        if draw(st.integers(0, 3)) == 0:  # a repeated algebra line, mostly after the table
+            lines.insert(draw(st.sampled_from([len(lines)] * 3 + [1])),
+                         f"algebra b dim {draw(st.sampled_from([0, 1, 2, 3]))}")
     return "\n".join(lines) + "\n"
 
 
