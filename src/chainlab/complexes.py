@@ -17,16 +17,18 @@ descend, also serves the lambda complex, which projects b's runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import DegreeMismatch, RangeNotCertified
 from .sparse import SparseMatrix, Subspace, Vector, exact_vec
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: int
-    hi: int  # inclusive; empty when hi < lo
+class Interval(SimpleNamespace):
+    def __init__(self, lo: int, hi: int):  # hi inclusive; empty when hi < lo
+        super().__init__(lo=lo, hi=hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     def __contains__(self, n):
         return self.lo <= n <= self.hi
@@ -45,11 +47,9 @@ class Interval:
         return [self.lo, self.hi]
 
 
-@dataclass
-class HomologyReport:
-    betti: dict
-    certified: Interval
-    representatives: dict | None = None
+class HomologyReport(SimpleNamespace):
+    def __init__(self, betti: dict, certified: Interval, representatives: dict | None = None):
+        super().__init__(betti=betti, certified=certified, representatives=representatives)
 
     def betti_tuple(self, lo=None, hi=None):
         lo = self.certified.lo if lo is None else lo
@@ -198,6 +198,8 @@ def quotient_complex(entries: dict, walks: dict, what: str) -> ChainComplex:
         cols = [{} for _ in walks[n][0]]  # y -> proj d e_y
         for (r, y), v in entries[n]:
             try:
+                if r < 0 or y < 0:  # a negative index would wrap round
+                    raise IndexError
                 hit, col = row_classes[r], cols[y]
             except IndexError:
                 raise IndexError(f"{what}: entry ({r},{y}) of d_{n} outside "
@@ -309,12 +311,10 @@ def homotopy_fiber(f: ChainMap) -> ChainComplex:
     return shift(cone(f), -1)
 
 
-@dataclass
-class QuasiIsoVerdict:
-    ok: bool
-    checked: Interval
-    failing_degree: int | None = None
-    defect: int | None = None
+class QuasiIsoVerdict(SimpleNamespace):
+    def __init__(self, ok: bool, checked: Interval, failing_degree: int | None = None,
+                 defect: int | None = None):
+        super().__init__(ok=ok, checked=checked, failing_degree=failing_degree, defect=defect)
 
     def to_jsonable(self):
         out = {"quasi_iso": self.ok, "checked_range": self.checked.to_jsonable()}

@@ -50,7 +50,6 @@ written in A's basis.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat, starmap
 from operator import add, floordiv, mod, mul
@@ -498,12 +497,12 @@ def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConnesReport:
-    exact: bool
-    checked: Interval
-    degrees: dict  # n -> {"at_hh": bool, "at_hc": bool, "at_shift": bool}
-    failing_degree: int | None = None
+class ConnesReport(SimpleNamespace):
+    def __init__(self, exact: bool, checked: Interval, degrees: dict,
+                 failing_degree: int | None = None):
+        # degrees: n -> {"at_hh": bool, "at_hc": bool, "at_shift": bool}
+        super().__init__(exact=exact, checked=checked, degrees=degrees,
+                         failing_degree=failing_degree)
 
     def to_jsonable(self):
         out = {

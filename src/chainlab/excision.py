@@ -32,10 +32,10 @@ identity asserted in graded_piece_check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import add
+from types import SimpleNamespace
 
 from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal, unitalization
 from .complexes import (
@@ -134,12 +134,10 @@ class ExtensionData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HUnitalityVerdict:
-    passed: bool
-    betti: dict
-    certified: Interval
-    first_failing: int | None
+class HUnitalityVerdict(SimpleNamespace):
+    def __init__(self, passed: bool, betti: dict, certified: Interval, first_failing: int | None):
+        super().__init__(passed=passed, betti=betti, certified=certified,
+                         first_failing=first_failing)
 
     def to_jsonable(self):
         return {
@@ -173,12 +171,11 @@ def h_unitality_check(A: Algebra, D: int, size_limit=None) -> HUnitalityVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FiltrationStage:
-    level: int
-    kind: str  # "F-bar" | "F-hoch" | "Q-bar" | "Q-hoch"
-    complex: ChainComplex
-    indices: dict  # degree -> index list into the ambient word basis
+class FiltrationStage(SimpleNamespace):
+    # kind: "F-bar" | "F-hoch" | "Q-bar" | "Q-hoch"; indices: degree -> index
+    # list into the ambient word basis
+    def __init__(self, level: int, kind: str, complex: ChainComplex, indices: dict):
+        super().__init__(level=level, kind=kind, complex=complex, indices=indices)
 
     def dims_tuple(self):
         return tuple(self.complex.dim(p) for p in range(self.complex.lo, self.complex.hi + 1))
@@ -210,12 +207,12 @@ def _stage_F(ext: ExtensionData, M_ad: Bimodule, n: int, D: int, kind: str,
     return FiltrationStage(n, f"F-{kind}", subcomplex(full_mats, indices, f"F^{n}"), indices)
 
 
-@dataclass
-class GradedPieceReport:
-    passed: bool
-    kind_results: dict  # "bar"/"hoch" -> (ok, failing_degree)
-    quotient_dims: dict
-    stages: dict  # "bar"/"hoch" -> stage F^n, the inner stage of the check
+class GradedPieceReport(SimpleNamespace):
+    # kind_results: "bar"/"hoch" -> (ok, failing_degree); stages: "bar"/"hoch"
+    # -> stage F^n, the inner stage of the check
+    def __init__(self, passed: bool, kind_results: dict, quotient_dims: dict, stages: dict):
+        super().__init__(passed=passed, kind_results=kind_results,
+                         quotient_dims=quotient_dims, stages=stages)
 
     def to_jsonable(self):
         return {
@@ -448,15 +445,13 @@ def _column_comparison(ext: ExtensionData, diffs: dict, what: str) -> ChainCompl
     return _mod_ideal(*_word_cut(diffs, rows, what))
 
 
-@dataclass
-class WodzickiReport:
-    hh: QuasiIsoVerdict
-    hc: QuasiIsoVerdict
-    hoch_level: QuasiIsoVerdict
-    bar_level: QuasiIsoVerdict
-    ideal_h_unitality: HUnitalityVerdict
-    relative_hh: HomologyReport
-    relative_hc: HomologyReport
+class WodzickiReport(SimpleNamespace):
+    def __init__(self, hh: QuasiIsoVerdict, hc: QuasiIsoVerdict, hoch_level: QuasiIsoVerdict,
+                 bar_level: QuasiIsoVerdict, ideal_h_unitality: HUnitalityVerdict,
+                 relative_hh: HomologyReport, relative_hc: HomologyReport):
+        super().__init__(hh=hh, hc=hc, hoch_level=hoch_level, bar_level=bar_level,
+                         ideal_h_unitality=ideal_h_unitality, relative_hh=relative_hh,
+                         relative_hc=relative_hc)
 
     @property
     def passed(self):

@@ -38,9 +38,9 @@ the identity vanish on a wedge of nonzero weight, and every wedge otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from math import comb
+from types import SimpleNamespace
 
 from .algebras import Algebra, Ideal, matrix_algebra, mismatches, nested_products
 from .complexes import ChainComplex, HomologyReport, Interval
@@ -232,13 +232,16 @@ def triangular_lie(A: Algebra, I: Ideal, n: int, sigma) -> LieAlgebra:
 DEFAULT_EXTERIOR_LIMIT = 2_000_000
 
 
-@dataclass
-class CEComplex:
-    complex: ChainComplex
-    lie: LieAlgebra
-    bound: int
-    tuples: dict = field(repr=False)  # p -> list of index tuples
-    weight_zero: bool = False  # tuples hold only the wedges of weight 0
+class CEComplex(SimpleNamespace):
+    # tuples: p -> list of index tuples, only the wedges of weight 0 if weight_zero
+    def __init__(self, complex: ChainComplex, lie: LieAlgebra, bound: int, tuples: dict,
+                 weight_zero: bool = False):
+        super().__init__(complex=complex, lie=lie, bound=bound, tuples=tuples,
+                         weight_zero=weight_zero)
+
+    def __repr__(self):  # the tuples are too long to print
+        return (f"CEComplex(complex={self.complex!r}, lie={self.lie!r}, bound={self.bound!r}, "
+                f"weight_zero={self.weight_zero!r})")
 
     def homology(self, rng=None, **kw) -> HomologyReport:
         rng = rng or self.complex.certified
@@ -403,12 +406,11 @@ def generalized_trace_matrix(A: Algebra, r: int, n: int, lam: LambdaComplex,
     return SparseMatrix(lam.complex.dim(n), len(ce.tuples[n + 1]), entries)
 
 
-@dataclass
-class TraceReport:
-    chain_map_ok: bool
-    failing_degree: int | None
-    sign: int
-    degrees: Interval
+class TraceReport(SimpleNamespace):
+    def __init__(self, chain_map_ok: bool, failing_degree: int | None, sign: int,
+                 degrees: Interval):
+        super().__init__(chain_map_ok=chain_map_ok, failing_degree=failing_degree, sign=sign,
+                         degrees=degrees)
 
     def to_jsonable(self):
         return {
@@ -477,15 +479,11 @@ def _ce_betti(rep: HomologyReport, g: LieAlgebra, n: int) -> int:
     return rep.betti[n] if n <= g.dim else 0
 
 
-@dataclass
-class LqtReport:
-    ce_betti: dict
-    sym_betti: dict
-    matches: dict
-    all_match: bool
-    stable: bool
-    rank: int
-    degrees: Interval
+class LqtReport(SimpleNamespace):
+    def __init__(self, ce_betti: dict, sym_betti: dict, matches: dict, all_match: bool,
+                 stable: bool, rank: int, degrees: Interval):
+        super().__init__(ce_betti=ce_betti, sym_betti=sym_betti, matches=matches,
+                         all_match=all_match, stable=stable, rank=rank, degrees=degrees)
 
     def to_jsonable(self):
         return {
@@ -517,13 +515,10 @@ def lqt_verify(A: Algebra, r: int, D: int, size_limit=None) -> LqtReport:
     return LqtReport(ce_betti, sym_betti, matches, all(matches.values()), r >= D, r, degrees)
 
 
-@dataclass
-class CentralExtensionReport:
-    h1: int
-    h2: int
-    h2_indecomposable: int
-    hc1: int
-    equal: bool
+class CentralExtensionReport(SimpleNamespace):
+    def __init__(self, h1: int, h2: int, h2_indecomposable: int, hc1: int, equal: bool):
+        super().__init__(h1=h1, h2=h2, h2_indecomposable=h2_indecomposable, hc1=hc1,
+                         equal=equal)
 
     def to_jsonable(self):
         return {

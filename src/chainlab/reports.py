@@ -8,16 +8,15 @@ request.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 VERSION = "0.1.0"
 
 
-@dataclass
-class Report:
-    config: dict
-    results: list = field(default_factory=list)
-    version: str = VERSION
+class Report(SimpleNamespace):
+    def __init__(self, config: dict, results: list | None = None, version: str = VERSION):
+        super().__init__(config=config, results=[] if results is None else results,
+                         version=version)
 
     def add(self, task: str, inputs: dict, timings_ms=None, **payload):
         entry = {"task": task, "inputs": inputs, "timings_ms": timings_ms}

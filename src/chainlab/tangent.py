@@ -12,9 +12,9 @@ tests (commutator-subspace defects, class comparisons) are exact rank checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 from .algebras import (
     Algebra,
@@ -26,6 +26,7 @@ from .algebras import (
     matrix_algebra,
     matrix_units_trace,
     tensor,
+    unitalization,
 )
 from .complexes import HomologySpace, Interval, acyclicity, subcomplex
 from .cyclic import hoch_matrix, size_guard
@@ -62,20 +63,14 @@ def nilpotent_exp(A: Algebra, x: Vector) -> Vector:
     return _nilpotent_series(A, x, lambda k: exact(Fraction(1, factorial(k))))
 
 
-@dataclass
-class UnipotentElement:
+class UnipotentElement(SimpleNamespace):
     """1 + m with m in a nilpotent ideal of a unital ambient algebra."""
 
-    ambient: Algebra
-    nilpart: Vector
-
-    def __post_init__(self):
-        if not self.ambient.is_unital:
-            from .algebras import unitalization
-
-            plus, inc = unitalization(self.ambient)
-            self.nilpart = inc.apply(self.nilpart)
-            self.ambient = plus
+    def __init__(self, ambient: Algebra, nilpart: Vector):
+        if not ambient.is_unital:
+            ambient, inc = unitalization(ambient)
+            nilpart = inc.apply(nilpart)
+        super().__init__(ambient=ambient, nilpart=nilpart)
 
     def log(self) -> Vector:
         return nilpotent_log(self.ambient, self.nilpart)
@@ -175,16 +170,13 @@ class LogTraceProbe:
         return self.commutators.contains(v)
 
 
-@dataclass
-class Chern1Report:
-    rel_hc0_dim: int
-    image_rank: int
-    surjective: bool
-    homomorphism_ok: bool
-    conjugation_ok: bool
-    commutator_ok: bool
-    samples: int
-    seed: int
+class Chern1Report(SimpleNamespace):
+    def __init__(self, rel_hc0_dim: int, image_rank: int, surjective: bool,
+                 homomorphism_ok: bool, conjugation_ok: bool, commutator_ok: bool,
+                 samples: int, seed: int):
+        super().__init__(rel_hc0_dim=rel_hc0_dim, image_rank=image_rank, surjective=surjective,
+                         homomorphism_ok=homomorphism_ok, conjugation_ok=conjugation_ok,
+                         commutator_ok=commutator_ok, samples=samples, seed=seed)
 
     @property
     def passed(self):
@@ -253,14 +245,11 @@ def chern1(probe: LogTraceProbe, seed: int = 0, samples: int = 100) -> Chern1Rep
     )
 
 
-@dataclass
-class K1ProbeReport:
-    span_dim: int
-    rel_hc0_dim: int
-    contained: bool
-    equal: bool
-    samples: int
-    seed: int
+class K1ProbeReport(SimpleNamespace):
+    def __init__(self, span_dim: int, rel_hc0_dim: int, contained: bool, equal: bool,
+                 samples: int, seed: int):
+        super().__init__(span_dim=span_dim, rel_hc0_dim=rel_hc0_dim, contained=contained,
+                         equal=equal, samples=samples, seed=seed)
 
     def to_jsonable(self):
         return {
@@ -303,12 +292,10 @@ def k1_rel_probe(probe: LogTraceProbe, seed: int = 0, samples: int = 50) -> K1Pr
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ArtinianBase:
-    name: str
-    algebra: Algebra
-    aug_ideal: Ideal
-    nilpotency_order: int
+class ArtinianBase(SimpleNamespace):
+    def __init__(self, name: str, algebra: Algebra, aug_ideal: Ideal, nilpotency_order: int):
+        super().__init__(name=name, algebra=algebra, aug_ideal=aug_ideal,
+                         nilpotency_order=nilpotency_order)
 
     @classmethod
     def from_algebra(cls, B: Algebra, name=None) -> "ArtinianBase":
@@ -331,17 +318,15 @@ def base_extension(C: Algebra, base: ArtinianBase) -> ExtensionData:
     return ExtensionData(f)
 
 
-@dataclass
-class TangentRow:
-    base: str
-    base_dim: int
-    nilpotency_order: int
-    rel_hc: dict
-    ideal_hc: dict
-    ideal_mod_ambient_commutators: int
-    alpha_quasi_iso: bool
-    alpha_failing_degree: int | None
-    checked: Interval
+class TangentRow(SimpleNamespace):
+    def __init__(self, base: str, base_dim: int, nilpotency_order: int, rel_hc: dict,
+                 ideal_hc: dict, ideal_mod_ambient_commutators: int, alpha_quasi_iso: bool,
+                 alpha_failing_degree: int | None, checked: Interval):
+        super().__init__(base=base, base_dim=base_dim, nilpotency_order=nilpotency_order,
+                         rel_hc=rel_hc, ideal_hc=ideal_hc,
+                         ideal_mod_ambient_commutators=ideal_mod_ambient_commutators,
+                         alpha_quasi_iso=alpha_quasi_iso,
+                         alpha_failing_degree=alpha_failing_degree, checked=checked)
 
     def to_jsonable(self):
         return {

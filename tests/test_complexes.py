@@ -213,9 +213,11 @@ def test_quotient_complex_rejects_an_entry_outside_the_degrees():
     walks = {0: selection([0], 1), 1: selection([0, 1], 2)}
     quot = quotient_complex({1: [((0, 1), 3)]}, walks, "Q")
     assert quot.diffs[1] == SparseMatrix(1, 2, {(0, 1): 3})
-    for r, c in [(0, 2), (1, 0)]:
+    for r, c in [(0, 2), (1, 0), (-1, 0), (0, -1)]:  # a negative index does not wrap round
         with pytest.raises(IndexError, match=f"Q: entry \\({r},{c}\\) of d_1 outside 1x2"):
             quotient_complex({1: [((0, 0), 1), ((r, c), 3)]}, walks, "Q")
+    with pytest.raises(IndexError, match=r"Q: entry \(-1,-2\) of d_1 outside 1x2"):
+        quotient_complex({1: [((-1, -2), 3)]}, walks, "Q")
 
 
 QUOTIENT_VALUES = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
