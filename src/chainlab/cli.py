@@ -112,10 +112,7 @@ def _load_algebra(args):
 def _config_echo(args):
     # timings are a measurement detail: they must not influence the report
     # bytes, so they are not echoed
-    keys = ("command", "preset", "file", "ext", "degree_bound", "rank", "seed",
-            "samples", "size_limit", "format", "reps", "level", "kind",
-            "flavor", "gl", "bases")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: v for k, v in vars(args).items() if v is not None and k != "timings"}
 
 
 def _validate(args):

@@ -99,6 +99,16 @@ class WordBasis:
     def index(self, word) -> int:
         return sum(map(mul, word, self._steps))
 
+    def positions(self, box) -> list:
+        """Indices of the words whose slot t runs over range(lo, hi) for each
+        (t, lo, hi) in box, listed in box's slot order with the last entry
+        varying fastest; a slot box does not name is held at 0."""
+        out = [0]
+        for t, lo, hi in box:
+            offsets = [w * self._steps[t] for w in range(lo, hi)]
+            out = [i + o for i in out for o in offsets]
+        return out
+
     def word(self, index) -> tuple:
         out = []
         for r in reversed(self.radices):

@@ -25,16 +25,21 @@ Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
 equals the (I, M) complex and the stages exhaust the (A, M) complex.  The
 quotient of consecutive stages is isomorphic to the (I, M) Bar complex
-tensored with B and n free copies of A, shifted by n + 1; the isomorphism is
-realised by an explicit slot reordering whose sign is fixed by the chain-map
-identity asserted in graded_piece_check.
+tensored with B and n free copies of A, shifted by n + 1 (Wodzicki, Ann.
+Math. 129 (1989)).  Every cut of the two filtrations is a box of words, each
+slot running over a range of letters, whose coordinates
+WordBasis.positions lists in the box's slot order: F^n is [M, I^(p-n),
+A^n], the Q stage [B-module, complement^q, A^(p-q)], the Q kernel [B, B^n,
+I, A^(p-n-1)] in the stage's own basis, and F^{n+1} minus F^n [M, I^k,
+complement, A^n], k = p - n - 1.  graded_piece_check lists the last in the
+model's slot order (a_1..a_n, c, m, i_1..i_k), so the quotient's induced
+differential comes out in the model's basis and must equal the model's.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import prod
-from operator import add
 from types import SimpleNamespace
 
 from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal, unitalization
@@ -197,13 +202,11 @@ def _stage_F(ext: ExtensionData, M_ad: Bimodule, n: int, D: int, kind: str,
     """Stage n cut out of the full (A, M) differentials full_mats[p]."""
     if n < 0 or D < 1:
         raise ValueError("need n >= 0 and D >= 1")
-    A = ext.A_ad
-    dI = ext.ideal_dim
-    indices = {}
-    for p in range(D + 1):
-        full = words(A, M_ad, p)
-        stage = WordBasis([M_ad.dim] + [dI if t < p - n else A.dim for t in range(p)])
-        indices[p] = [full.index(w) for w in stage]
+    A, dI = ext.A_ad, ext.ideal_dim
+    # the box [M, I^(p-n), A^n] of the words (m; a_1..a_p)
+    indices = {p: words(A, M_ad, p).positions(
+        [(0, 0, M_ad.dim)] + [(t, 0, dI if t <= p - n else A.dim) for t in range(1, p + 1)])
+        for p in range(D + 1)}
     return FiltrationStage(n, f"F-{kind}", subcomplex(full_mats, indices, f"F^{n}"), indices)
 
 
@@ -225,26 +228,31 @@ class GradedPieceReport(SimpleNamespace):
 def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
                        size_limit=None) -> GradedPieceReport:
     """Verify F^{n+1}/F^n is the (I, M) Bar complex tensored with A^n (x) B,
-    shifted by n + 1, through the explicit reordering isomorphism.  The
-    report's stages hold F^n of both kinds."""
+    shifted by n + 1.  The quotient keeps the words (m; i_1..i_k, c, a_1..a_n)
+    of F^{n+1} outside F^n, k = p - n - 1 and c a complement letter, listed
+    in the model's slot order (a_1..a_n, c, m, i_1..i_k): quotient_complex
+    checks that d descends, which also shows F^n closed in F^{n+1}, and
+    writes the induced d in the model's basis, where it must equal the
+    model's differential exactly.  The report's stages hold F^n of both
+    kinds."""
     if n < 0 or D < 1:  # before the model's b' up to degree D - n - 1
         raise ValueError("need n >= 0 and D >= 1")
     M_ad = ext.adapt_module(M)
     A = ext.A_ad
     size_guard(len(words(A, M_ad, D)), size_limit, "filtration complex top degree")
-    dA, dI, dB, dM = A.dim, ext.ideal_dim, ext.B.dim, M_ad.dim
-    I_alg = ext.ideal_algebra()
-    M_res = ext.restrict_module_to_ideal(M_ad)
-
-    model_bar = {
-        p: b_prime_matrix(I_alg, M_res, p).scale(-1) for p in range(1, max(1, D - n))
-    }
-    free_dim = dB * dA ** n
-    # model: free (x) Bar(I, M)[n+1]; a degree-p word is the free part
-    # (a_1..a_n, c) followed by the Bar word (m; i_1..i_k), k = p - n - 1
-    model = {p: WordBasis((dA,) * n + (dB, dM) + (dI,) * (p - n - 1))
-             for p in range(n + 1, D + 1)}
-    mdl_dims = {p: len(model[p]) if p in model else 0 for p in range(D + 1)}
+    dA, dI, dM = A.dim, ext.ideal_dim, M_ad.dim
+    I_alg, M_res = ext.ideal_algebra(), ext.restrict_module_to_ideal(M_ad)
+    free_dim = ext.B.dim * dA ** n
+    # the model free (x) Bar(I, M)[n+1], -b' on the Bar words, writes its
+    # degree-p words as the free part (a_1..a_n, c) ahead of the Bar word
+    # (m; i_1..i_k), k = p - n - 1
+    mdl_dims = {p: free_dim * dM * dI ** (p - n - 1) if p > n else 0 for p in range(D + 1)}
+    model = {p: SparseMatrix.identity(free_dim).tensor(b_prime_matrix(I_alg, M_res, p - n - 1))
+             .scale(-1) if p > n + 1 else SparseMatrix.zeros(mdl_dims[p - 1], mdl_dims[p])
+             for p in range(1, D + 1)}
+    walk = {p: WordBasis((dM,) + (dI,) * (p - n - 1) + (dA,) * (n + 1)).positions(
+        [(t, 0, dA) for t in range(p - n + 1, p + 1)] + [(p - n, dI, dA), (0, 0, dM)]
+        + [(t, 0, dI) for t in range(1, p - n)]) if p > n else [] for p in range(D + 1)}
 
     # one b' per degree serves both kinds and both stages
     bprimes = {p: b_prime_matrix(A, M_ad, p) for p in range(1, D + 1)}
@@ -253,59 +261,21 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
     results = {}
     stages = {}
     for kind in ("bar", "hoch"):
-        inner = stages[kind] = _stage_F(ext, M_ad, n, D, kind, full_mats[kind])
-        outer = _stage_F(ext, M_ad, n + 1, D, kind, full_mats[kind])
-        keep = {}  # degree -> positions in F^{n+1} of the words outside F^n
-        for p in range(D + 1):
-            inner_set = set(inner.indices[p])
-            keep[p] = [i for i, g in enumerate(outer.indices[p]) if g not in inner_set]
-        quot = quotient_complex(entries_of(outer.complex.diffs), {
-            p: selection(keep[p], outer.complex.dim(p)) for p in keep}, f"F^{n + 1}/F^{n}")
-        quotient_dims = quot.dims
-
-        mdl_diffs = {}
-        sign = 1 if kind == "bar" else -1
-        for p in range(1, D + 1):
-            k = p - n - 1
-            if k >= 1:
-                mdl_diffs[p] = SparseMatrix.identity(free_dim).tensor(model_bar[k]).scale(sign)
-            else:
-                mdl_diffs[p] = SparseMatrix.zeros(mdl_dims[p - 1], mdl_dims[p])
-
-        # reordering isomorphism phi_p: (m; i_1..i_k, c, a_1..a_n) ->
-        # free part (a_1..a_n, c) (x) bar word (m; i_1..i_k)
-        phi = {}
-        for p in range(D + 1):
-            k = p - n - 1
-            ent = {}
-            if k >= 0:
-                ambient = words(A, M_ad, p)
-                for col, i in enumerate(keep[p]):
-                    m, *w = ambient.word(outer.indices[p][i])
-                    i_slots, c_slot, a_slots = w[:k], w[k] - dI, w[k + 1:]
-                    ent[(model[p].index((*a_slots, c_slot, m, *i_slots)), col)] = ONE
-            phi[p] = SparseMatrix(mdl_dims[p], quotient_dims[p], ent)
-
-        ok, failing = True, None
-        for p in range(1, D + 1):
-            if phi[p - 1] @ quot.diffs[p] != mdl_diffs[p] @ phi[p]:
-                ok, failing = False, p
-                break
-        results[kind] = (ok, failing)
+        stages[kind] = _stage_F(ext, M_ad, n, D, kind, full_mats[kind])
+        outer = _stage_F(ext, M_ad, n + 1, D, kind, full_mats[kind]).complex
+        quot = quotient_complex(entries_of(outer.diffs), {
+            p: selection(walk[p], outer.dim(p)) for p in walk}, f"F^{n + 1}/F^{n}")
+        want = model if kind == "bar" else {p: d.scale(-1) for p, d in model.items()}
+        failing = next((p for p in model if quot.diffs[p] != want[p]), None)
+        results[kind] = (failing is None, failing)
 
     passed = all(ok for ok, _ in results.values())
-    return GradedPieceReport(passed, results, quotient_dims, stages)
+    return GradedPieceReport(passed, results, quot.dims, stages)
 
 
 # ---------------------------------------------------------------------------
 # quotient filtration from the (A, B) complex to the (B, B) complex
 # ---------------------------------------------------------------------------
-
-
-def _q_stage_words(ext: ExtensionData, n: int, p: int) -> WordBasis:
-    """Stage-n words (b; x_1..x_p) of the Q filtration: x_t in B for t <= n, else in A."""
-    q = min(n, p)
-    return WordBasis((ext.B.dim,) * (1 + q) + (ext.A_ad.dim,) * (p - q))
 
 
 def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
@@ -321,25 +291,29 @@ def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
     sign = -1 if kind == "bar" else 1
     full_mats = {p: builder(A, M_B, p).scale(sign) for p in range(1, D + 1)}
 
-    # Q^n is the coordinate quotient onto the lifts of the stage words: their
-    # B-slots moved to the complement coordinates dI..dA-1 of the full word, in
-    # word order; a word with an I-slot among the first n goes to 0.
+    # Q^n is the coordinate quotient onto the box [B-module, complement^q,
+    # A^(p-q)], q = min(n, p): a B-slot is the complement letter dI..dA-1
+    # over it, and a word with an I-slot among the first n goes to 0
     walks = {}
     for p in range(D + 1):
         full = words(A, M_B, p)
-        lift = (0,) + (dI,) * min(n, p) + (0,) * (p - min(n, p))
-        walks[p] = selection([full.index(map(add, w, lift)) for w in _q_stage_words(ext, n, p)],
-                             len(full))
+        walks[p] = selection(full.positions(
+            [(0, 0, M_B.dim)] + [(t, dI if t <= n else 0, A.dim) for t in range(1, p + 1)]),
+            len(full))
     quot = quotient_complex(entries_of(full_mats), walks, f"Q^{n}")
     return FiltrationStage(n, f"Q-{kind}", quot, {})
 
 
 def q_kernel_complex(ext: ExtensionData, stage: FiltrationStage) -> ChainComplex:
-    """Kernel of Q^n -> Q^{n+1} in the built stage Q^n: stage-n words whose
-    slot n+1 lies in I."""
-    n, dI = stage.level, ext.ideal_dim
-    indices = {p: [s for s, (_, *x) in enumerate(_q_stage_words(ext, n, p)) if p > n and x[n] < dI]
-               for p in stage.complex.dims}
+    """Kernel of Q^n -> Q^{n+1} in the built stage Q^n, whose degree-p words
+    are (b; x_1..x_p), x_t in B for t <= n, else in A: the box [B, B^n, I,
+    A^(p-n-1)] of the words whose slot n+1 lies in I."""
+    n, dI, dA, dB = stage.level, ext.ideal_dim, ext.A_ad.dim, ext.B.dim
+    indices = {}
+    for p in stage.complex.dims:
+        basis = WordBasis((dB,) * (n + 1) + (dA,) * (p - n))
+        indices[p] = basis.positions([(t, 0, dI if t == n + 1 else r)
+                                      for t, r in enumerate(basis.radices)]) if p > n else []
     return subcomplex(stage.complex.diffs, indices, "Q-kernel")
 
 

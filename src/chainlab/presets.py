@@ -212,9 +212,9 @@ _EXTENSION_BUILDERS = {
     "fat_point": lambda args: _augmentation_extension(fat_point()),
     "upper_triangular": lambda args: _upper_triangular_extension(_int_arg(args, 2)),
     "matrix_dual": lambda args: _matrix_dual_extension(_int_arg(args, 2)),
-    "identity": lambda args: _identity_extension(args[0] if args else "rationals"),
-    "collapse": lambda args: _collapse_extension(args[0] if args else "rationals"),
-    "aug": lambda args: _augmentation_extension(algebra_preset(args[0] if args else "rationals")),
+    "identity": lambda args: _identity_extension(",".join(args) or "rationals"),
+    "collapse": lambda args: _collapse_extension(",".join(args) or "rationals"),
+    "aug": lambda args: _augmentation_extension(algebra_preset(",".join(args) or "rationals")),
 }
 
 
@@ -246,7 +246,7 @@ _EXTENSION_DIMS = {
     "upper_triangular": lambda args: comb(_int_arg(args, 2) + 1, 2),
     "matrix_dual": lambda args: 2 * _int_arg(args, 2) ** 2,
     **dict.fromkeys(("identity", "collapse", "aug"),
-                    lambda args: preset_dim(args[0] if args else "rationals")),
+                    lambda args: preset_dim(",".join(args) or "rationals")),
 }
 
 

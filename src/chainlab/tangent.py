@@ -63,6 +63,12 @@ def nilpotent_exp(A: Algebra, x: Vector) -> Vector:
     return _nilpotent_series(A, x, lambda k: exact(Fraction(1, factorial(k))))
 
 
+def _unital_ambient(A: Algebra):
+    """(A, 0) for unital A, else (A+, 1): A+ = Q.1 + A holds A's basis
+    vector k at k + 1, where UnipotentElement houses 1 + m for m in A."""
+    return (A, 0) if A.is_unital else (unitalization(A)[0], 1)
+
+
 class UnipotentElement(SimpleNamespace):
     """1 + m with m in a nilpotent ideal of a unital ambient algebra."""
 
@@ -123,7 +129,7 @@ class LogTraceProbe:
         self.ext = ext
         self.r = r
         A = ext.A_ad
-        self.Am = matrix_algebra(A, r)
+        self.Am, self.offset = _unital_ambient(matrix_algebra(A, r))
         self.ideal_basis = []
         for pos in range(r * r):
             for t in range(ext.ideal_dim):
@@ -140,7 +146,9 @@ class LogTraceProbe:
         return self.hs.dim
 
     def trace_log(self, u: UnipotentElement) -> Vector:
-        return exact_vec(matrix_units_trace(self.ext.A_ad, self.r, u.log()))
+        """trace log u, the log read back from Am to M_r(A) coordinates."""
+        log = {k - self.offset: c for k, c in u.log().items()}
+        return exact_vec(matrix_units_trace(self.ext.A_ad, self.r, log))
 
     def chern_class(self, u: UnipotentElement) -> Vector:
         """Class of trace(log u) in rel HC_0 (coordinates over representatives)."""
@@ -153,7 +161,8 @@ class LogTraceProbe:
         return self.hs.classify(v)
 
     def unipotent(self, nilpart: Vector) -> UnipotentElement:
-        return UnipotentElement(self.Am, nilpart)
+        """1 + nilpart, nilpart in M_r(A) coordinates."""
+        return UnipotentElement(self.Am, {k + self.offset: c for k, c in nilpart.items()})
 
     def generators(self):
         return [self.unipotent(v) for v in self.ideal_basis]

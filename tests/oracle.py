@@ -976,7 +976,7 @@ class LogTraceProbe(tangent.LogTraceProbe):
             raise NotNilpotent("kernel ideal must be nilpotent")
         self.ext, self.r = ext, r
         A = ext.A_ad
-        self.Am = matrix_algebra(A, r)
+        self.Am, self.offset = tangent._unital_ambient(matrix_algebra(A, r))
         self.ideal_basis = [{pos * A.dim + t: 1} for pos in range(r * r)
                             for t in range(ext.ideal_dim)]
         self.commutators = SparseSubspace(A.dim, commutator_subspace(A))

@@ -347,6 +347,14 @@ def test_preset_dim_is_the_dimension_the_builder_builds(case):
     assert preset_dim(spec, extension) == built.dim, spec
 
 
+@pytest.mark.parametrize("spec,dim", [("identity:upper_triangular:2,dual_numbers", 6),
+                                      ("collapse:upper_triangular:2,dual_numbers", 6),
+                                      ("aug:tensor:dual_numbers,dual_numbers", 4)])
+def test_a_wrapped_preset_keeps_every_parameter(spec, dim):
+    # UT2(Q[e]), not UT2(Q): the parameters after the first comma reach the inner preset
+    assert extension_preset(spec).source.dim == preset_dim(spec, extension=True) == dim
+
+
 @pytest.fixture
 def built(monkeypatch):
     """The dimension of every Algebra constructed while the test runs."""

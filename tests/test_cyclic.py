@@ -1,5 +1,6 @@
 import importlib.util
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,33 @@ def test_word_basis_zero_radix_is_empty(radices):
     basis = WordBasis(radices)
     assert len(basis) == 0
     assert list(basis) == []
+
+
+@st.composite
+def word_boxes(draw):
+    """(radices, box): every slot named once, in a drawn order, with a drawn
+    subrange of its radix."""
+    radices = draw(st.lists(st.integers(0, 3), max_size=4))
+    order = draw(st.permutations(range(len(radices))))
+    box = []
+    for t in order:
+        lo = draw(st.integers(0, radices[t]))
+        box.append((t, lo, draw(st.integers(lo, radices[t]))))
+    return radices, box
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(word_boxes())
+def test_positions_are_the_indices_of_the_box_words_in_its_slot_order(radices_box):
+    radices, box = radices_box
+    basis = WordBasis(radices)
+    want = []
+    for values in product(*(range(lo, hi) for _, lo, hi in box)):
+        word = [0] * len(radices)
+        for (t, _, _), w in zip(box, values):
+            word[t] = w
+        want.append(basis.index(word))
+    assert basis.positions(box) == want
 
 
 def test_words_of_tensor_powers():

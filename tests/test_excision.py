@@ -137,6 +137,25 @@ def test_graded_pieces_pass(name, level):
     assert rep.passed, rep.kind_results
 
 
+@pytest.mark.parametrize("level,failing", [(0, 3), (1, 4)])
+def test_graded_piece_check_fails_on_a_wrong_model(monkeypatch, level, failing):
+    # one entry of the ideal's b'_2 negated: the model is wrong from its Bar
+    # degree 2 on, which sits at degree level + 3
+    ext = ext_of("truncated_poly:3")
+
+    def wrong(A, M, p):
+        bp = b_prime_matrix(A, M, p)
+        if p == 2 and A.dim == ext.ideal_dim:  # the ideal's b', not the ambient's
+            key = min(bp.entries)
+            bp = bp - SparseMatrix(bp.nrows, bp.ncols, {key: 2 * bp.entries[key]})
+        return bp
+
+    monkeypatch.setattr(excision, "b_prime_matrix", wrong)
+    rep = graded_piece_check(ext, None, level, 5)
+    assert not rep.passed
+    assert rep.kind_results == {"bar": (False, failing), "hoch": (False, failing)}
+
+
 @pytest.mark.parametrize("name,level", [("truncated_poly:3", 1), ("split_product", 0),
                                         ("upper_triangular:2", 2)])
 def test_graded_piece_stages_are_the_filtration_stages(name, level):

@@ -134,6 +134,15 @@ def test_graded_piece_check_builds_b_prime_once_per_degree(capsys):
     assert rec.calls["cyclic.b_prime_matrix"] == 8
 
 
+def test_graded_piece_check_multiplies_only_for_d_squared(capsys):
+    # the quotient F^2/F^1 is read in the model's basis and compared with it
+    # as is: the only products are the d∘d checks of degrees 2..5 on F^1 and
+    # F^2 of both kinds and on the two quotients, 6 * 4
+    rec = _traced(["filtration", "--ext", "truncated_poly:3", "--level", "1", "-D", "5"])
+    capsys.readouterr()
+    assert rec.calls["sparse.matmul"] == 24
+
+
 def test_lambda_complex_runs_no_elimination(capsys):
     # coker(1 - t) is read off a walk over the orbits of t: no elimination
     rec = _traced(["lambda", "--preset", "truncated_poly:3", "-D", "6"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from chainlab.algebras import matrix_algebra
+from chainlab.algebras import matrix_algebra, matrix_units_trace
 from chainlab.complexes import HomologySpace
 from chainlab.cyclic import hc_homology
 from chainlab.errors import ChainlabError, NotNilpotent, SizeLimit
@@ -118,6 +118,20 @@ def test_chern1_properties(name, r, relhc0):
     rep = chern1(LogTraceProbe(ext_of(name), r), seed=0, samples=40)
     assert rep.passed
     assert rep.rel_hc0_dim == relhc0
+
+
+@pytest.mark.parametrize("name", ["collapse:square_zero:1", "collapse:square_zero:2"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_log_trace_of_a_nonunital_ambient_is_read_in_its_coordinates(name, r):
+    # M_r(A) is square-zero and has no unit: its unipotents live in M_r(A)+,
+    # and trace log(1 + v) = trace v in A's own coordinates
+    ext = ext_of(name)
+    probe = LogTraceProbe(ext, r)
+    for v in probe.ideal_basis:
+        assert probe.trace_log(probe.unipotent(v)) == matrix_units_trace(ext.A_ad, r, v)
+    rep = chern1(probe, seed=0, samples=20)
+    assert rep.passed and rep.image_rank == rep.rel_hc0_dim == ext.ideal_dim
+    assert k1_rel_probe(probe, seed=0, samples=10).equal
 
 
 def test_chern1_rejects_non_nilpotent_kernel():
