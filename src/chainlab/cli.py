@@ -128,6 +128,8 @@ def _validate(args):
         raise ChainlabError("filtration level must be >= 0")
     if args.samples < 0:
         raise ChainlabError("samples must be >= 0")
+    if args.command == "tangent" and not args.bases.replace(",", "").strip():
+        raise ChainlabError("--bases names no base")
 
 
 def run(args) -> Report:
@@ -165,9 +167,8 @@ def run(args) -> Report:
         ext = ExtensionData(guarded_preset(args.ext, args.size_limit, extension=True))
         if args.kind == "F":
             piece = graded_piece_check(ext, None, args.level, D, args.size_limit)
-            stage = piece.stages[args.flavor]
             payload = {
-                "dims": {str(p): stage.complex.dim(p) for p in range(0, D + 1)},
+                "dims": {str(p): piece.stage_dims[p] for p in range(0, D + 1)},
                 "verdict": piece.passed,
                 "graded_piece": piece.to_jsonable(),
             }

@@ -136,5 +136,10 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
 
 
 def parse_algebra_file(path, size_limit=None) -> Algebra:
-    with open(path, encoding="utf-8") as fh:
-        return parse_algebra(fh.read(), size_limit)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 at byte offset {exc.start}") from None
+    return parse_algebra(text, size_limit)

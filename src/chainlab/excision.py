@@ -18,8 +18,8 @@ total on the normalized complex G (x) Gbar^n: every column for HC, column 0
 for HH.  G is A in the basis 1, the ideal letters, the other complement
 letters when A is unital and 1 is not in I, and otherwise the unitalization
 A+ = Q.1 + A, whose reduced HH and HC are A's; either way Gbar -> Bbar is
-again a coordinate projection.  The Hochschild and Bar comparisons are cut
-from b and -b' on the words A^(p+1).
+again a coordinate projection.  The Hochschild comparison is cut from b on
+the words A^(p+1), and for non-unital A the Bar one from -b'.
 
 Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
@@ -31,9 +31,7 @@ slot running over a range of letters, whose coordinates
 WordBasis.positions lists in the box's slot order: F^n is [M, I^(p-n),
 A^n], the Q stage [B-module, complement^q, A^(p-q)], the Q kernel [B, B^n,
 I, A^(p-n-1)] in the stage's own basis, and F^{n+1} minus F^n [M, I^k,
-complement, A^n], k = p - n - 1.  graded_piece_check lists the last in the
-model's slot order (a_1..a_n, c, m, i_1..i_k), so the quotient's induced
-differential comes out in the model's basis and must equal the model's.
+complement, A^n], k = p - n - 1.
 """
 
 from __future__ import annotations
@@ -153,18 +151,13 @@ class HUnitalityVerdict(SimpleNamespace):
         }
 
 
-def _bar_acyclicity(bar: ChainComplex, D: int) -> HUnitalityVerdict:
-    """Verdict on a Bar complex built to degree D: acyclic in degrees < D."""
-    rep = bar.homology(Interval(0, D - 1))
-    failing = next((n for n in sorted(rep.betti) if rep.betti[n]), None)
-    return HUnitalityVerdict(failing is None, rep.betti, rep.certified, failing)
-
-
 def h_unitary_check(A: Algebra, M: Bimodule, D: int, size_limit=None) -> HUnitalityVerdict:
     """Bounded certificate: Bar(A, M) acyclic in degrees < D."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    return _bar_acyclicity(bar_complex(A, M, D, size_limit), D)
+    rep = bar_complex(A, M, D, size_limit).homology(Interval(0, D - 1))
+    failing = next((n for n in sorted(rep.betti) if rep.betti[n]), None)
+    return HUnitalityVerdict(failing is None, rep.betti, rep.certified, failing)
 
 
 def h_unitality_check(A: Algebra, D: int, size_limit=None) -> HUnitalityVerdict:
@@ -182,8 +175,13 @@ class FiltrationStage(SimpleNamespace):
     def __init__(self, level: int, kind: str, complex: ChainComplex, indices: dict):
         super().__init__(level=level, kind=kind, complex=complex, indices=indices)
 
-    def dims_tuple(self):
-        return tuple(self.complex.dim(p) for p in range(self.complex.lo, self.complex.hi + 1))
+
+def _differential(kind: str, A: Algebra, M: Bimodule, p: int, b_prime=None) -> SparseMatrix:
+    """d_p on the words of (A, M): -b' for kind "bar", b for "hoch"; read off
+    b_prime[p] = b'_p where those are built already."""
+    if b_prime is None:
+        return b_prime_matrix(A, M, p).scale(-1) if kind == "bar" else hoch_matrix(A, M, p)
+    return b_prime[p].scale(-1) if kind == "bar" else hoch_from_b_prime(b_prime[p], A, M, p)
 
 
 def filtration_F(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
@@ -191,18 +189,16 @@ def filtration_F(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
     """Stage n of the filtration from the (I, M) complex to the (A, M) one."""
     M_ad = ext.adapt_module(M)
     size_guard(len(words(ext.A_ad, M_ad, D)), size_limit, "filtration complex top degree")
-    builder = b_prime_matrix if kind == "bar" else hoch_matrix
-    sign = -1 if kind == "bar" else 1
-    full_mats = {p: builder(ext.A_ad, M_ad, p).scale(sign) for p in range(1, D + 1)}
-    return _stage_F(ext, M_ad, n, D, kind, full_mats)
+    return _stage_F(ext, M_ad, n, D, kind)
 
 
 def _stage_F(ext: ExtensionData, M_ad: Bimodule, n: int, D: int, kind: str,
-             full_mats: dict) -> FiltrationStage:
-    """Stage n cut out of the full (A, M) differentials full_mats[p]."""
+             b_prime=None) -> FiltrationStage:
+    """Stage n cut out of the (A, M) complex of kind, off b_prime[p] = b'_p if built."""
     if n < 0 or D < 1:
         raise ValueError("need n >= 0 and D >= 1")
     A, dI = ext.A_ad, ext.ideal_dim
+    full_mats = {p: _differential(kind, A, M_ad, p, b_prime) for p in range(1, D + 1)}
     # the box [M, I^(p-n), A^n] of the words (m; a_1..a_p)
     indices = {p: words(A, M_ad, p).positions(
         [(0, 0, M_ad.dim)] + [(t, 0, dI if t <= p - n else A.dim) for t in range(1, p + 1)])
@@ -211,11 +207,10 @@ def _stage_F(ext: ExtensionData, M_ad: Bimodule, n: int, D: int, kind: str,
 
 
 class GradedPieceReport(SimpleNamespace):
-    # kind_results: "bar"/"hoch" -> (ok, failing_degree); stages: "bar"/"hoch"
-    # -> stage F^n, the inner stage of the check
-    def __init__(self, passed: bool, kind_results: dict, quotient_dims: dict, stages: dict):
+    # kind_results: "bar"/"hoch" -> (ok, failing_degree); stage_dims: p -> dim F^n_p
+    def __init__(self, passed: bool, kind_results: dict, quotient_dims: dict, stage_dims: dict):
         super().__init__(passed=passed, kind_results=kind_results,
-                         quotient_dims=quotient_dims, stages=stages)
+                         quotient_dims=quotient_dims, stage_dims=stage_dims)
 
     def to_jsonable(self):
         return {
@@ -228,17 +223,15 @@ class GradedPieceReport(SimpleNamespace):
 def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
                        size_limit=None) -> GradedPieceReport:
     """Verify F^{n+1}/F^n is the (I, M) Bar complex tensored with A^n (x) B,
-    shifted by n + 1.  The quotient keeps the words (m; i_1..i_k, c, a_1..a_n)
-    of F^{n+1} outside F^n, k = p - n - 1 and c a complement letter, listed
-    in the model's slot order (a_1..a_n, c, m, i_1..i_k): quotient_complex
-    checks that d descends, which also shows F^n closed in F^{n+1}, and
-    writes the induced d in the model's basis, where it must equal the
-    model's differential exactly.  The report's stages hold F^n of both
-    kinds."""
+    shifted by n + 1, building F^{n+1} alone.  The quotient keeps its words
+    (m; i_1..i_k, c, a_1..a_n) outside F^n, k = p - n - 1 and c a complement
+    letter, in the model's slot order (a_1..a_n, c, m, i_1..i_k).
+    quotient_complex checks that d descends, which shows F^n closed (d∘d = 0
+    on F^{n+1} covers F^n), and writes the induced d in the model's basis,
+    where it must equal the model's exactly.  stage_dims are F^n's."""
     if n < 0 or D < 1:  # before the model's b' up to degree D - n - 1
         raise ValueError("need n >= 0 and D >= 1")
-    M_ad = ext.adapt_module(M)
-    A = ext.A_ad
+    M_ad, A = ext.adapt_module(M), ext.A_ad
     size_guard(len(words(A, M_ad, D)), size_limit, "filtration complex top degree")
     dA, dI, dM = A.dim, ext.ideal_dim, M_ad.dim
     I_alg, M_res = ext.ideal_algebra(), ext.restrict_module_to_ideal(M_ad)
@@ -254,23 +247,18 @@ def graded_piece_check(ext: ExtensionData, M: Bimodule | None, n: int, D: int,
         [(t, 0, dA) for t in range(p - n + 1, p + 1)] + [(p - n, dI, dA), (0, 0, dM)]
         + [(t, 0, dI) for t in range(1, p - n)]) if p > n else [] for p in range(D + 1)}
 
-    # one b' per degree serves both kinds and both stages
+    # one b' per degree serves both kinds
     bprimes = {p: b_prime_matrix(A, M_ad, p) for p in range(1, D + 1)}
-    full_mats = {"bar": {p: bp.scale(-1) for p, bp in bprimes.items()},
-                 "hoch": {p: hoch_from_b_prime(bp, A, M_ad, p) for p, bp in bprimes.items()}}
     results = {}
-    stages = {}
     for kind in ("bar", "hoch"):
-        stages[kind] = _stage_F(ext, M_ad, n, D, kind, full_mats[kind])
-        outer = _stage_F(ext, M_ad, n + 1, D, kind, full_mats[kind]).complex
+        outer = _stage_F(ext, M_ad, n + 1, D, kind, bprimes).complex
         quot = quotient_complex(entries_of(outer.diffs), {
             p: selection(walk[p], outer.dim(p)) for p in walk}, f"F^{n + 1}/F^{n}")
         want = model if kind == "bar" else {p: d.scale(-1) for p, d in model.items()}
         failing = next((p for p in model if quot.diffs[p] != want[p]), None)
         results[kind] = (failing is None, failing)
-
-    passed = all(ok for ok, _ in results.values())
-    return GradedPieceReport(passed, results, quot.dims, stages)
+    return GradedPieceReport(all(ok for ok, _ in results.values()), results, quot.dims, {
+        p: dM * dI ** max(p - n, 0) * dA ** min(n, p) for p in range(D + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +271,10 @@ def filtration_Q(ext: ExtensionData, n: int, D: int, kind: str = "bar",
     """Stage n: apply f to the first min(n, p) algebra slots of (A, B)-words."""
     if n < 0 or D < 1:
         raise ValueError("need n >= 0 and D >= 1")
-    A = ext.A_ad
-    dI = ext.ideal_dim
+    A, dI = ext.A_ad, ext.ideal_dim
     M_B = Bimodule.over_morphism(ext.f_ad)
     size_guard(len(words(A, M_B, D)), size_limit, "filtration complex top degree")
-    builder = b_prime_matrix if kind == "bar" else hoch_matrix
-    sign = -1 if kind == "bar" else 1
-    full_mats = {p: builder(A, M_B, p).scale(sign) for p in range(1, D + 1)}
+    full_mats = {p: _differential(kind, A, M_B, p) for p in range(1, D + 1)}
 
     # Q^n is the coordinate quotient onto the box [B-module, complement^q,
     # A^(p-q)], q = min(n, p): a B-slot is the complement letter dI..dA-1
@@ -409,14 +394,16 @@ def comparison_map(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
     return ChainMap(subcomplex(K.diffs, inner, "C(I)"), K, comps)
 
 
-def _column_comparison(ext: ExtensionData, diffs: dict, what: str) -> ChainComplex:
-    """K / C(I) of the complex whose degree n holds the words A^(n+1), with
-    d_p = diffs[p]: the Hochschild complex (b) or the Bar complex (-b').  It
-    is acyclic exactly where the (I, I) complex maps quasi-isomorphically into
-    the homotopy fiber of the (A, A) -> (B, B) one: the comparisons of the
+def _column_comparison(ext: ExtensionData, b_prime: dict, kind: str) -> ChainComplex:
+    """K / C(I) of the complex of kind "hoch" (b) or "bar" (-b') whose degree
+    n holds the words A^(n+1), read off b_prime[p] = b'_p.  It is acyclic
+    exactly where the (I, I) complex maps quasi-isomorphically into the
+    homotopy fiber of the (A, A) -> (B, B) one: the comparisons of the
     excision proof where a non-H-unital ideal shows up."""
+    A, M = ext.A_ad, Bimodule.regular(ext.A_ad)
+    diffs = {p: _differential(kind, A, M, p, b_prime) for p in b_prime}
     rows = {n: [(_letters(ext),) * (n + 1)] for n in range(len(diffs) + 1)}
-    return _mod_ideal(*_word_cut(diffs, rows, what))
+    return _mod_ideal(*_word_cut(diffs, rows, kind))
 
 
 class WodzickiReport(SimpleNamespace):
@@ -450,26 +437,33 @@ class WodzickiReport(SimpleNamespace):
 
 
 def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
-    """Quasi-isomorphism ranges of the ideal-to-relative comparison maps.
+    """Quasi-isomorphism ranges of the ideal-to-relative comparison maps: HC
+    and HH off _kernel_cuts, and the Hochschild and Bar complexes the proof
+    factors through, off _column_comparison of b' on rows 1..D-1.  Each holds
+    exactly where its K / C(I) is acyclic, with the same failing degree and
+    defect.  The ideal's bounded H-unitality certificate comes along, so a
+    report exhibits "H-unital implies excision"; a failed verdict is a
+    successful computation.  Relative HH and HC are H(K).
 
-    Four comparisons: HC and HH, read off the cuts of _kernel_cuts, and the
-    Hochschild and Bar complexes the proof factors through, cut from b and
-    -b' on the words A^(p+1), p = 1..D-1, where b is summed from b'.  Each is
-    a quasi-isomorphism exactly where its K / C(I) is acyclic, with the same
-    failing degree and defect.  The report also carries the ideal's bounded
-    H-unitality certificate, so it exhibits "H-unital implies excision" on
-    instances; a failed verdict is a successful computation.  Relative HH and
-    HC are H(K).
+    A unital A reads the Bar verdict off the certificate, one degree up: B is
+    unital too, so Bar(A), Bar(B) and K = ker(Bar(A) -> Bar(B)) are
+    contractible (s(x) = 1 (x) x), and 0 -> Bar(I) -> K -> K / Bar(I) -> 0
+    gives H_n(K / Bar(I)) = H_{n-1}(Bar(I)) (Loday, Cyclic Homology, 1.4).
+    A non-unital A, where the two can differ, keeps the cut.
     """
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
     hh, hc = _kernel_cuts(ext, D, ("hh", "hc"), size_limit)
-    A, M = ext.A_ad, Bimodule.regular(ext.A_ad)
-    b_prime = {p: b_prime_matrix(A, M, p) for p in range(1, D)}
-    hoch = _column_comparison(
-        ext, {p: hoch_from_b_prime(bp, A, M, p) for p, bp in b_prime.items()}, "Hochschild")
-    bar = _column_comparison(ext, {p: bp.scale(-1) for p, bp in b_prime.items()}, "Bar")
-    verdicts = (acyclicity(Q, rng) for Q in (_mod_ideal(*hh), _mod_ideal(*hc), hoch, bar))
-    return WodzickiReport(*verdicts, h_unitality_check(ext.ideal_algebra(), D, size_limit),
-                          hh[0].homology(rng), hc[0].homology(rng))
+    b_prime = {p: b_prime_matrix(ext.A_ad, Bimodule.regular(ext.A_ad), p) for p in range(1, D)}
+    hoch = acyclicity(_column_comparison(ext, b_prime, "hoch"), rng)
+    cert = h_unitality_check(ext.ideal_algebra(), D, size_limit)
+    f = cert.first_failing
+    if not ext.A_ad.is_unital:
+        bar = acyclicity(_column_comparison(ext, b_prime, "bar"), rng)
+    elif f is None or f + 1 > D - 2:
+        bar = QuasiIsoVerdict(True, rng)
+    else:
+        bar = QuasiIsoVerdict(False, rng, f + 1, cert.betti[f])
+    return WodzickiReport(acyclicity(_mod_ideal(*hh), rng), acyclicity(_mod_ideal(*hc), rng),
+                          hoch, bar, cert, hh[0].homology(rng), hc[0].homology(rng))

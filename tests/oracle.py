@@ -46,7 +46,7 @@ from chainlab.complexes import (ChainComplex, ChainMap, HomologyReport, Interval
                                 selection, subcomplex)
 from chainlab.cyclic import (ConnesReport, CyclicBicomplex, WordBasis, bar_complex, hoch_complex,
                              hoch_matrix, tensor_powers, words)
-from chainlab.excision import ExtensionData, WodzickiReport, _bar_acyclicity
+from chainlab.excision import ExtensionData, HUnitalityVerdict, WodzickiReport
 from chainlab.errors import (AssociativityError, DegreeMismatch, NotAnIdeal, NotNilpotent,
                              RangeNotCertified)
 from chainlab.sparse import SparseMatrix, Subspace as SparseSubspace, Vector, exact, vec_axpy
@@ -914,8 +914,11 @@ def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiRepo
     verdict_hc, rel_hc = totalized("hc")
     verdict_hoch = is_quasi_iso(_column_comparison(ext, D, "hoch", size_limit), rng)
     bar = _column_comparison(ext, D, "bar", size_limit)
+    cert = bar.source.homology(Interval(0, D - 1))
+    failing = next((n for n in sorted(cert.betti) if cert.betti[n]), None)
     return WodzickiReport(verdict_hh, verdict_hc, verdict_hoch, is_quasi_iso(bar, rng),
-                          _bar_acyclicity(bar.source, D), rel_hh, rel_hc)
+                          HUnitalityVerdict(failing is None, cert.betti, cert.certified, failing),
+                          rel_hh, rel_hc)
 
 
 # ---------------------------------------------------------------------------
@@ -945,14 +948,15 @@ def _kernel_cut(ext: ExtensionData, bc, k=None):
 def kernel_cut_wodzicki(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
     """The excision verifier on A's HC bicomplex built to total degree D - 1:
     HH, HC and the Hochschild complex are K / C(I) of its columns q < 2, of
-    every column and of q < 1, the Bar complex that of its b'."""
+    every column and of q < 1, the Bar complex that of its b', unital A
+    too, where chainlab reads it off the ideal's H-unitality certificate."""
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
     bc = _hc_of_A(ext, D, size_limit)
     cuts = [_kernel_cut(ext, bc, k) for k in (2, None, 1)]
     hh, hc, hoch = (acyclicity(excision._mod_ideal(*cut), rng) for cut in cuts)
-    bar = excision._column_comparison(ext, {p: bp.scale(-1) for p, bp in bc.b_prime.items()}, "Bar")
+    bar = excision._column_comparison(ext, bc.b_prime, "bar")
     return WodzickiReport(hh, hc, hoch, acyclicity(bar, rng),
                           excision.h_unitality_check(ext.ideal_algebra(), D, size_limit),
                           cuts[0][0].homology(rng), cuts[1][0].homology(rng))

@@ -228,6 +228,9 @@ def test_ce_report_stops_at_the_dimension(capsys):
      "error: samples must be >= 0\n"),
     (["connes", "--preset", "dual_numbers", "-D", "3", "--reps"],
      "error: connes has no representatives: --reps does not apply\n"),
+    (["tangent", "--bases", ","], "error: --bases names no base\n"),
+    (["tangent", "--bases", ""], "error: --bases names no base\n"),
+    (["tangent", "--preset", "dual_numbers", "--bases", " , "], "error: --bases names no base\n"),
 ])
 def test_bad_inputs_exit_2(argv, err, capsys):
     assert run_cli(capsys, *argv) == (2, "", err)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainlab.algebras import Algebra
 from chainlab.cli import main
-from chainlab.dsl import parse_algebra
+from chainlab.dsl import parse_algebra, parse_algebra_file
 from chainlab.errors import AssociativityError, ChainlabError, ParseError, SizeLimit
 from chainlab.presets import dual_numbers
 
@@ -121,6 +121,16 @@ def test_a_second_algebra_line_exits_with_status_2(tmp_path, capsys):
     path.write_text("algebra a dim 3\nmul 3 3 = 1*3\nalgebra b dim 2\n")
     assert main(["hh", "--file", str(path), "-D", "3"]) == 2
     assert "second algebra line (line 3)" in capsys.readouterr().err
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"algebra a dim 1\n\xff\n")
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(path)
+    assert str(exc.value) == "invalid UTF-8 at byte offset 16"
+    assert main(["hh", "--file", str(path), "-D", "3"]) == 2
+    assert capsys.readouterr().err == "parse error: invalid UTF-8 at byte offset 16\n"
 
 
 def test_a_duplicate_mul_is_caught_when_the_first_summed_to_zero():

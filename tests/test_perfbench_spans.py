@@ -81,10 +81,10 @@ def test_wodzicki_cuts_the_unitalization_when_1_lies_in_the_ideal(capsys):
 
 
 def test_wodzicki_cuts_instead_of_rebuilding(capsys):
-    # b' on rows 1..4 of A^(p+1) for the Hochschild and Bar cuts, b summed
-    # from it, and on rows 1..5 for the ideal's H-unitality certificate; the
-    # normalized b on rows 1..4 for the (b, B) total; no rotation, no induced
-    # map, fiber or cone
+    # b' on rows 1..4 of A^(p+1) for the Hochschild cut, b summed from it, and
+    # on rows 1..5 for the ideal's H-unitality certificate, which A's unit
+    # turns into the Bar verdict; the normalized b on rows 1..4 for the (b, B)
+    # total; no rotation, no induced map, fiber or cone
     rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "5"])
     capsys.readouterr()
     assert rec.calls["cyclic.b_prime_matrix"] == 9
@@ -92,6 +92,16 @@ def test_wodzicki_cuts_instead_of_rebuilding(capsys):
     assert rec.calls["cyclic.rotation_matrix"] == 0
     assert rec.calls["complexes.cone"] == 0
     assert rec.calls["cyclic.induced_map"] == 0
+
+
+@pytest.mark.parametrize("ext, D, cuts", [("truncated_poly:3", "5", 1),
+                                          ("collapse:square_zero:2", "4", 2)])
+def test_only_a_non_unital_wodzicki_builds_the_bar_cut(ext, D, cuts, capsys):
+    # a unital A reads the Bar comparison off the ideal's certificate and cuts
+    # the Hochschild column alone; a non-unital A cuts the Bar column too
+    rec = _traced(["wodzicki", "--ext", ext, "-D", D])
+    capsys.readouterr()
+    assert rec.calls["excision.column_comparison"] == cuts
 
 
 def test_tangent_builds_no_bicomplex(capsys):
@@ -127,20 +137,20 @@ def test_builder_spans_resolve():
 
 
 def test_graded_piece_check_builds_b_prime_once_per_degree(capsys):
-    # graded_piece_check: 5 b' on (A, A) shared by its four stages, the report's
-    # stage among them, and 3 on (I, I) for the model
+    # graded_piece_check: 5 b' on (A, A) shared by its stage F^2 of both kinds,
+    # and 3 on (I, I) for the model
     rec = _traced(["filtration", "--ext", "truncated_poly:3", "--level", "1", "-D", "5"])
     capsys.readouterr()
     assert rec.calls["cyclic.b_prime_matrix"] == 8
 
 
 def test_graded_piece_check_multiplies_only_for_d_squared(capsys):
-    # the quotient F^2/F^1 is read in the model's basis and compared with it
-    # as is: the only products are the d∘d checks of degrees 2..5 on F^1 and
-    # F^2 of both kinds and on the two quotients, 6 * 4
+    # only F^2 is built: the quotient F^2/F^1 is read in the model's basis
+    # and compared with it as is, so the only products are the d∘d checks of
+    # degrees 2..5 on F^2 of both kinds and on the two quotients, 4 * 4
     rec = _traced(["filtration", "--ext", "truncated_poly:3", "--level", "1", "-D", "5"])
     capsys.readouterr()
-    assert rec.calls["sparse.matmul"] == 24
+    assert rec.calls["sparse.matmul"] == 16
 
 
 def test_lambda_complex_runs_no_elimination(capsys):
