@@ -29,51 +29,61 @@ from .reports import Report, render_table
 from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_table
 
 
-# name -> (help line, input kind, own options): the input is --preset or --file
-# for "algebra" and --ext for "extension"; both parse paths read this table
+# name -> (help line, input kind, own options as in SHARED): the input is
+# --preset or --file for "algebra" and --ext for "extension"
 COMMANDS = {
     "hh": ("Hochschild homology (normalized complex of A or A+; bicomplex for --reps)", "algebra", ()),
     "hc": ("cyclic homology (lambda complex; bicomplex for --reps)", "algebra", ()),
     "connes": ("exactness of the degree-lowering long exact sequence", "algebra", ()),
     "hunital": ("bounded H-unitality certificate", "algebra", ()),
     "filtration": ("filtration stages of an extension", "extension", (
-        ("--level", {"type": int, "default": 0, "help": "stage index n"}),
-        ("--kind", {"choices": ["F", "Q"], "default": "F"}),
-        ("--flavor", {"choices": ["bar", "hoch"], "default": "bar"}))),
+        ("--level", {"dest": "level", "type": int, "default": 0, "help": "stage index n"}),
+        ("--kind", {"dest": "kind", "choices": ["F", "Q"], "default": "F"}),
+        ("--flavor", {"dest": "flavor", "choices": ["bar", "hoch"], "default": "bar"}))),
     "wodzicki": ("excision verifier for an extension", "extension", ()),
     "ce": ("Chevalley-Eilenberg homology", "algebra", (
-        ("--gl", {"type": int, "default": None,
+        ("--gl", {"dest": "gl", "type": int, "default": None,
                   "help": "use gl_r of the algebra instead of its underlying Lie algebra"}),)),
     "trace": ("chain-map identity of the generalized trace", "algebra", ()),
     "lqt": ("stable-range comparison with the symmetric model", "algebra", ()),
     "h2hc1": ("central extension shadow: H_2 vs HC_1", "algebra", ()),
     "chern1": ("degree-one log-trace probe of a nilpotent extension", "extension", ()),
     "tangent": ("tangent table over Artinian bases", "algebra", (
-        ("--bases", {"default": "dual_numbers", "help": "comma-separated augmented presets"}),)),
+        ("--bases", {"dest": "bases", "default": "dual_numbers",
+                     "help": "comma-separated augmented presets"}),)),
     "lambda": ("rotation-coinvariants model of the cyclic complex", "algebra", ()),
 }
+
+# (spellings, add_argument keywords) of each option, its dest always given:
+# _add_options hands them to argparse and _read reads argv off them
+INPUTS = {
+    "algebra": (("--preset", {"dest": "preset", "help": "algebra preset name[:params]"}),
+                ("--file", {"dest": "file", "help": "algebra DSL file"})),
+    "extension": (("--ext", {"dest": "ext", "required": True, "help": "extension preset name[:params]"}),),
+}
+SHARED = (
+    ("-D --degree-bound", {"dest": "degree_bound", "type": int, "default": 5}),
+    ("-r --rank", {"dest": "rank", "type": int, "default": 2}),
+    ("--seed", {"dest": "seed", "type": int, "default": 0}),
+    ("--samples", {"dest": "samples", "type": int, "default": 100}),
+    ("--size-limit", {"dest": "size_limit", "type": int, "default": None}),
+    ("--format", {"dest": "format", "choices": ["table", "json"], "default": "table"}),
+    ("--reps", {"dest": "reps", "action": "store_true", "default": False,
+                "help": "emit homology representatives"}),
+    ("--timings", {"dest": "timings", "action": "store_true", "default": False,
+                   "help": "record wall-clock timings"}),
+)
 
 
 def _add_options(parser, name):
     """Give `parser` subcommand `name`'s input, the shared options and its own
     options, in that order."""
     _, kind, own = COMMANDS[name]
-    if kind == "extension":
-        parser.add_argument("--ext", required=True, help="extension preset name[:params]")
-    else:
-        group = parser.add_mutually_exclusive_group()
-        group.add_argument("--preset", help="algebra preset name[:params]")
-        group.add_argument("--file", help="algebra DSL file")
-    parser.add_argument("-D", "--degree-bound", type=int, default=5, dest="degree_bound")
-    parser.add_argument("-r", "--rank", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=100)
-    parser.add_argument("--size-limit", type=int, default=None, dest="size_limit")
-    parser.add_argument("--format", choices=["table", "json"], default="table")
-    parser.add_argument("--reps", action="store_true", help="emit homology representatives")
-    parser.add_argument("--timings", action="store_true", help="record wall-clock timings")
-    for flag, kwargs in own:
-        parser.add_argument(flag, **kwargs)
+    inputs = parser.add_mutually_exclusive_group() if kind == "algebra" else parser
+    for flags, kwargs in INPUTS[kind]:
+        inputs.add_argument(*flags.split(), **kwargs)
+    for flags, kwargs in SHARED + own:
+        parser.add_argument(*flags.split(), **kwargs)
     return parser
 
 
@@ -86,21 +96,43 @@ def build_parser():
     return ap
 
 
-def command_parser(name):
-    """Subcommand `name`'s parser on its own, as build_parser() makes it."""
-    return _add_options(argparse.ArgumentParser(prog=f"chainlab {name}"), name)
+def _read(argv):
+    """The namespace the full parser makes of `argv`, read off the table; None,
+    leaving argv to argparse, unless argv[0] is a subcommand, every later word
+    spells one of its options in full or is a value that starts with no "-"
+    and converts, and the input is given once."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, kind, own = COMMANDS[argv[0]]
+    options = INPUTS[kind] + SHARED + own
+    spelled = {flag: kwargs for flags, kwargs in options for flag in flags.split()}
+    args = {"command": argv[0], **{kwargs["dest"]: kwargs.get("default") for _, kwargs in options}}
+    words = iter(argv[1:])
+    for word in words:
+        kwargs = spelled.get(word)
+        if kwargs is None:
+            return None
+        if "action" in kwargs:  # store_true
+            args[kwargs["dest"]] = True
+            continue
+        try:
+            value = next(words)
+            value = None if value.startswith("-") else kwargs.get("type", str)(value)
+        except (StopIteration, ValueError):
+            return None
+        if value is None or value not in kwargs.get("choices", [value]):
+            return None
+        args[kwargs["dest"]] = value
+    given = [kwargs["dest"] for _, kwargs in INPUTS[kind] if args[kwargs["dest"]] is not None]
+    if len(given) > 1 or kind == "extension" and not given:
+        return None
+    return argparse.Namespace(**args)
 
 
 def parse_args(argv):
-    """The namespace of `argv`, read by argv[0]'s parser alone when argv[0] is a
-    subcommand and that parser reads every word; else by the full parser, which
-    alone prints the top-level usage, help and errors. Exits as argparse does."""
-    if argv and argv[0] in COMMANDS:
-        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    """The namespace of `argv`: read by _read where it can, else by the full
+    parser, which alone prints usage, help and errors. Exits as argparse does."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def _load_algebra(args):
@@ -238,19 +270,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report = run(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except (ChainlabError, OSError) as exc:
+        print(f"{'parse error' if isinstance(exc, ParseError) else 'error'}: {exc}", file=sys.stderr)
         return 2
-    except ChainlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(render_table(report))
+    sys.stdout.write(report.to_json() if args.format == "json" else render_table(report))
     return 0
 
 

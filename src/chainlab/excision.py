@@ -394,15 +394,15 @@ def comparison_map(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
     return ChainMap(subcomplex(K.diffs, inner, "C(I)"), K, comps)
 
 
-def _column_comparison(ext: ExtensionData, b_prime: dict, kind: str) -> ChainComplex:
-    """K / C(I) of the complex of kind "hoch" (b) or "bar" (-b') whose degree
-    n holds the words A^(n+1), read off b_prime[p] = b'_p.  It is acyclic
+def _column_comparison(ext: ExtensionData, D: int, kind: str) -> ChainComplex:
+    """K / C(I) of the complex of kind "hoch" (b, off hoch_matrix) or "bar"
+    (-b') whose degree n < D holds the words A^(n+1).  It is acyclic
     exactly where the (I, I) complex maps quasi-isomorphically into the
     homotopy fiber of the (A, A) -> (B, B) one: the comparisons of the
     excision proof where a non-H-unital ideal shows up."""
     A, M = ext.A_ad, Bimodule.regular(ext.A_ad)
-    diffs = {p: _differential(kind, A, M, p, b_prime) for p in b_prime}
-    rows = {n: [(_letters(ext),) * (n + 1)] for n in range(len(diffs) + 1)}
+    diffs = {p: _differential(kind, A, M, p) for p in range(1, D)}
+    rows = {n: [(_letters(ext),) * (n + 1)] for n in range(D)}
     return _mod_ideal(*_word_cut(diffs, rows, kind))
 
 
@@ -439,7 +439,7 @@ class WodzickiReport(SimpleNamespace):
 def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
     """Quasi-isomorphism ranges of the ideal-to-relative comparison maps: HC
     and HH off _kernel_cuts, and the Hochschild and Bar complexes the proof
-    factors through, off _column_comparison of b' on rows 1..D-1.  Each holds
+    factors through, off _column_comparison on rows 1..D-1.  Each holds
     exactly where its K / C(I) is acyclic, with the same failing degree and
     defect.  The ideal's bounded H-unitality certificate comes along, so a
     report exhibits "H-unital implies excision"; a failed verdict is a
@@ -455,12 +455,11 @@ def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiRepo
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
     hh, hc = _kernel_cuts(ext, D, ("hh", "hc"), size_limit)
-    b_prime = {p: b_prime_matrix(ext.A_ad, Bimodule.regular(ext.A_ad), p) for p in range(1, D)}
-    hoch = acyclicity(_column_comparison(ext, b_prime, "hoch"), rng)
+    hoch = acyclicity(_column_comparison(ext, D, "hoch"), rng)
     cert = h_unitality_check(ext.ideal_algebra(), D, size_limit)
     f = cert.first_failing
     if not ext.A_ad.is_unital:
-        bar = acyclicity(_column_comparison(ext, b_prime, "bar"), rng)
+        bar = acyclicity(_column_comparison(ext, D, "bar"), rng)
     elif f is None or f + 1 > D - 2:
         bar = QuasiIsoVerdict(True, rng)
     else:

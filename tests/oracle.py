@@ -948,15 +948,15 @@ def _kernel_cut(ext: ExtensionData, bc, k=None):
 def kernel_cut_wodzicki(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
     """The excision verifier on A's HC bicomplex built to total degree D - 1:
     HH, HC and the Hochschild complex are K / C(I) of its columns q < 2, of
-    every column and of q < 1, the Bar complex that of its b', unital A
-    too, where chainlab reads it off the ideal's H-unitality certificate."""
+    every column and of q < 1; the Bar complex is chainlab's own cut of b',
+    unital A too, where chainlab reads it off the ideal's certificate."""
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
     bc = _hc_of_A(ext, D, size_limit)
     cuts = [_kernel_cut(ext, bc, k) for k in (2, None, 1)]
     hh, hc, hoch = (acyclicity(excision._mod_ideal(*cut), rng) for cut in cuts)
-    bar = excision._column_comparison(ext, bc.b_prime, "bar")
+    bar = excision._column_comparison(ext, D, "bar")
     return WodzickiReport(hh, hc, hoch, acyclicity(bar, rng),
                           excision.h_unitality_check(ext.ideal_algebra(), D, size_limit),
                           cuts[0][0].homology(rng), cuts[1][0].homology(rng))

@@ -24,3 +24,13 @@ def test_importing_the_cli_loads_only_the_stdlib():
                and m != "chainlab" and not m.startswith("chainlab.")}
     assert "chainlab.cli" in extra and not outside
     assert not loaded & {"dataclasses", "inspect"}  # each costs milliseconds at every start
+
+
+def test_a_plain_call_parses_without_loading_locale():
+    # argparse's first message lookup imports locale; a call the option table
+    # reads builds no parser, so it never looks one up
+    loaded = _loaded_modules(
+        "import contextlib, io\nfrom chainlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['hh', '--preset', 'rationals', '-D', '2', '--format', 'json']) == 0")
+    assert "chainlab.cli" in loaded and "locale" not in loaded

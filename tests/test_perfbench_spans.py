@@ -71,24 +71,25 @@ def test_wodzicki_builds_each_bicomplex_once(capsys):
 
 def test_wodzicki_cuts_the_unitalization_when_1_lies_in_the_ideal(capsys):
     # collapse: has I = A, so HH and HC are cut from the (b, B) total of A+ =
-    # Q.1 + A, the normalized b on rows 1..2: no bicomplex, rotation or N
+    # Q.1 + A, the normalized b on rows 1..2; b on rows 1..2 of A^(p+1) for
+    # the Hochschild cut: no bicomplex, rotation or N
     rec = _traced(["wodzicki", "--ext", "collapse:dual_numbers", "-D", "3"])
     capsys.readouterr()
     assert rec.counters["cyclic.bicomplex.builds"] == 0
-    assert rec.calls["cyclic.hoch_matrix"] == 2
+    assert rec.calls["cyclic.hoch_matrix"] == 4
     assert rec.calls["cyclic.rotation_matrix"] == 0
     assert rec.calls["cyclic.norm_matrix"] == 0
 
 
 def test_wodzicki_cuts_instead_of_rebuilding(capsys):
-    # b' on rows 1..4 of A^(p+1) for the Hochschild cut, b summed from it, and
-    # on rows 1..5 for the ideal's H-unitality certificate, which A's unit
-    # turns into the Bar verdict; the normalized b on rows 1..4 for the (b, B)
-    # total; no rotation, no induced map, fiber or cone
+    # b on rows 1..4 of A^(p+1) for the Hochschild cut, built straight with
+    # no b' under it; b' on rows 1..5 for the ideal's H-unitality certificate
+    # alone, which A's unit turns into the Bar verdict; the normalized b on
+    # rows 1..4 for the (b, B) total; no rotation, no induced map, fiber or cone
     rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "5"])
     capsys.readouterr()
-    assert rec.calls["cyclic.b_prime_matrix"] == 9
-    assert rec.calls["cyclic.hoch_matrix"] == 4
+    assert rec.calls["cyclic.b_prime_matrix"] == 5
+    assert rec.calls["cyclic.hoch_matrix"] == 8
     assert rec.calls["cyclic.rotation_matrix"] == 0
     assert rec.calls["complexes.cone"] == 0
     assert rec.calls["cyclic.induced_map"] == 0
