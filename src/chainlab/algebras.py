@@ -8,7 +8,9 @@ is 0 = 0, so every triple is covered, and the smallest triple where the sides
 differ is the one reported.  The bimodule axioms are checked the same way.
 An algebra's rational table is checked on its constants times L, the lcm of
 their denominators, as ints: both sides scale by L^2, so the failing triples
-are the same.
+are the same.  Each product table is also kept as rows {i: {j: e_i e_j}},
+built with it, on which sparse.bilinear multiplies vectors (mul_vec,
+left_vec, right_vec and lie's bracket_vec).
 Algebras may be non-unital; an optional augmentation (an algebra map to Q
 given by a coefficient functional) marks the local augmented algebras used as
 test bases.
@@ -26,7 +28,8 @@ from .errors import (
     NotAugmented,
     UnitError,
 )
-from .sparse import SparseMatrix, Subspace, Vector, exact_vec, product_ranks, vec_axpy, vec_sub
+from .sparse import (SparseMatrix, Subspace, Vector, bilinear, exact_vec, product_ranks,
+                     table_rows, vec_axpy, vec_sub)
 
 ONE = 1
 
@@ -70,14 +73,11 @@ class Algebra:
         self.labels = list(labels) if labels else [f"e{i + 1}" for i in range(dim)]
         if len(self.labels) != dim:
             raise ValueError("label count != dim")
-        self.mul = {}
-        for (i, j), vec in mul.items():
-            v = exact_vec(vec)
-            if v:
-                self.mul[(i, j)] = v
+        self.mul = {k: e for k, v in mul.items() if (e := exact_vec(v))}
         self.unit = exact_vec(unit) if unit else None
         self.augmentation = exact_vec(augmentation) if augmentation else None
         self.name = name
+        self._rows = table_rows(self.mul)
         if check:
             self._validate()
         self.commutative = all(self.mul_basis(j, i) == v for (i, j), v in self.mul.items())
@@ -87,11 +87,7 @@ class Algebra:
         return self.mul.get((i, j), {})
 
     def mul_vec(self, x: Vector, y: Vector) -> Vector:
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                vec_axpy(out, ci * cj, self.mul_basis(i, j))
-        return out
+        return bilinear(self._rows, x, y)
 
     def integral(self):
         """(B, L): this algebra in the basis L e_i, L the lcm of the structure
@@ -183,10 +179,9 @@ class Bimodule:
     def __init__(self, algebra: Algebra, dim, left, right, name=None, check=True):
         self.algebra = algebra
         self.dim = dim
-        self.left = {k: exact_vec(v) for k, v in left.items()}
-        self.right = {k: exact_vec(v) for k, v in right.items()}
-        self.left = {k: v for k, v in self.left.items() if v}
-        self.right = {k: v for k, v in self.right.items() if v}
+        self.left = {k: e for k, v in left.items() if (e := exact_vec(v))}
+        self.right = {k: e for k, v in right.items() if (e := exact_vec(v))}
+        self._left_rows, self._right_rows = table_rows(self.left), table_rows(self.right)
         self.name = name
         if check:
             self._validate()
@@ -198,24 +193,22 @@ class Bimodule:
         return self.right.get((m, a), {})
 
     def right_vec(self, mvec: Vector, avec: Vector) -> Vector:
-        out = {}
-        for m, cm in mvec.items():
-            for a, ca in avec.items():
-                vec_axpy(out, cm * ca, self.right_basis(m, a))
-        return out
+        return bilinear(self._right_rows, mvec, avec)
 
     def left_vec(self, avec: Vector, mvec: Vector) -> Vector:
-        out = {}
-        for a, ca in avec.items():
-            for m, cm in mvec.items():
-                vec_axpy(out, ca * cm, self.left_basis(a, m))
-        return out
+        return bilinear(self._left_rows, avec, mvec)
 
     def _validate(self):
         """(ab)m = a(bm), m(ab) = (ma)b and (am)b = a(mb) on every triple; the
         first failure in the order a, b, m (then left, right, compatibility)
-        is reported, with 0-based indices."""
+        is reported, with 0-based indices, once every index is in range."""
         A, L, R, da, dm = self.algebra.mul, self.left, self.right, self.algebra.dim, self.dim
+        for side, table, bounds in (("left", L, (da, dm)), ("right", R, (dm, da))):
+            for key, vec in table.items():
+                if not all(0 <= x < n for x, n in zip(key, bounds)):
+                    raise ValueError(f"{side} action key {key} out of range: algebra dim {da}, module dim {dm}")
+                if not all(0 <= k < dm for k in vec):
+                    raise ValueError(f"{side} action {key} has a coordinate outside module dim {dm}: {vec}")
         left = mismatches(nested_products(A, L, True), nested_products(L, L, False), (da, da, dm))
         right = mismatches(nested_products(R, R, True), nested_products(A, R, False), (dm, da, da))
         both = mismatches(nested_products(L, R, True), nested_products(R, L, False), (da, dm, da))
@@ -229,9 +222,7 @@ class Bimodule:
 
     @classmethod
     def regular(cls, A: Algebra):
-        left = {(a, m): A.mul_basis(a, m) for a in range(A.dim) for m in range(A.dim)}
-        right = {(m, a): A.mul_basis(m, a) for m in range(A.dim) for a in range(A.dim)}
-        return cls(A, A.dim, left, right, name="regular", check=False)
+        return cls(A, A.dim, A.mul, A.mul, name="regular", check=False)
 
     @classmethod
     def trivial(cls, A: Algebra, dim):
@@ -241,33 +232,17 @@ class Bimodule:
     def over_morphism(cls, f: "AlgebraMorphism"):
         """Target algebra as a bimodule over the source, acting through f."""
         A, B = f.source, f.target
-        left = {}
-        right = {}
-        for a in range(A.dim):
-            fa = f.apply_basis(a)
-            for m in range(B.dim):
-                lv = B.mul_vec(fa, {m: ONE})
-                rv = B.mul_vec({m: ONE}, fa)
-                if lv:
-                    left[(a, m)] = lv
-                if rv:
-                    right[(m, a)] = rv
+        fa = [f.apply_basis(a) for a in range(A.dim)]
+        left = {(a, m): B.mul_vec(fa[a], {m: ONE}) for a in range(A.dim) for m in range(B.dim)}
+        right = {(m, a): B.mul_vec({m: ONE}, fa[a]) for a in range(A.dim) for m in range(B.dim)}
         return cls(A, B.dim, left, right, name=f"{B.name or 'B'} over f")
 
     def with_algebra(self, A2: Algebra, basis_map: SparseMatrix):
         """Same module, actions through a change of algebra basis (columns of
         basis_map express A2 basis in the current algebra's coordinates)."""
-        left = {}
-        right = {}
-        for a in range(A2.dim):
-            img = basis_map.column(a)
-            for m in range(self.dim):
-                lv = self.left_vec(img, {m: ONE})
-                rv = self.right_vec({m: ONE}, img)
-                if lv:
-                    left[(a, m)] = lv
-                if rv:
-                    right[(m, a)] = rv
+        img = basis_map.columns()
+        left = {(a, m): self.left_vec(img[a], {m: ONE}) for a in range(A2.dim) for m in range(self.dim)}
+        right = {(m, a): self.right_vec({m: ONE}, img[a]) for a in range(A2.dim) for m in range(self.dim)}
         return Bimodule(A2, self.dim, left, right, name=self.name, check=False)
 
 
@@ -321,6 +296,9 @@ class Ideal:
         return self._span.contains(v)
 
     def _validate(self):
+        bad = [k for b in self.basis for k in b if not 0 <= k < self.ambient.dim]
+        if bad:
+            raise ValueError(f"ideal vector coordinate {bad[0]} outside algebra dim {self.ambient.dim}")
         for i in range(self.ambient.dim):
             for b in self.basis:
                 if not self.contains(self.ambient.mul_vec({i: ONE}, b)):
@@ -371,17 +349,9 @@ def matrix_algebra(A: Algebra, r: int) -> Algebra:
         return (i * r + j) * d + a
 
     labels = [f"E{i + 1}{j + 1}*{A.labels[a]}" for i in range(r) for j in range(r) for a in range(d)]
-    mul = {}
-    for i in range(r):
-        for j in range(r):
-            for a in range(d):
-                for k in range(r):
-                    for b in range(d):
-                        prod = A.mul_basis(a, b)
-                        if prod:
-                            mul[(idx(i, j, a), idx(j, k, b))] = {
-                                idx(i, k, c): v for c, v in prod.items()
-                            }
+    mul = {(idx(i, j, a), idx(j, k, b)): {idx(i, k, c): v for c, v in prod.items()}
+           for i in range(r) for j in range(r) for a in range(d) for k in range(r) for b in range(d)
+           if (prod := A.mul_basis(a, b))}
     unit = None
     if A.is_unital:
         unit = {}
@@ -494,12 +464,8 @@ def quotient(A: Algebra, I: Ideal):
         return {index[c]: val for c, val in r.items()}
 
     dim = len(complement)
-    mul = {}
-    for x in range(dim):
-        for y in range(dim):
-            prod = project(A.mul_vec({complement[x]: ONE}, {complement[y]: ONE}))
-            if prod:
-                mul[(x, y)] = prod
+    mul = {(x, y): project(A.mul_basis(a, b)) for x, a in enumerate(complement)
+           for y, b in enumerate(complement)}
     unit = project(A.unit) if A.is_unital else None
     labels = [A.labels[c] for c in complement]
     B = Algebra(dim, labels, mul, unit=unit or None,
@@ -511,11 +477,6 @@ def quotient(A: Algebra, I: Ideal):
 
 def commutator_subspace(A: Algebra):
     """Reduced basis of span{xy - yx}."""
-    span = Subspace(A.dim)
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            lhs = A.mul_vec({i: ONE}, {j: ONE})
-            rhs = A.mul_vec({j: ONE}, {i: ONE})
-            span.add(vec_sub(lhs, rhs))
-    return span.basis()
+    return Subspace(A.dim, [vec_sub(A.mul_basis(i, j), A.mul_basis(j, i))
+                            for i in range(A.dim) for j in range(i + 1, A.dim)]).basis()
 

@@ -18,8 +18,8 @@ total on the normalized complex G (x) Gbar^n: every column for HC, column 0
 for HH.  G is A in the basis 1, the ideal letters, the other complement
 letters when A is unital and 1 is not in I, and otherwise the unitalization
 A+ = Q.1 + A, whose reduced HH and HC are A's; either way Gbar -> Bbar is
-again a coordinate projection.  The Hochschild comparison is cut from b on
-the words A^(p+1), and for non-unital A the Bar one from -b'.
+again a coordinate projection.  The Hochschild comparison is cut from the HH
+one, and for non-unital A the Bar one from -b' on the words A^(p+1).
 
 Filtration stage n of the (A, M) complex: words whose first p - n algebra
 slots (the ones adjacent to the module slot) are constrained to I.  Stage 0
@@ -361,15 +361,34 @@ def _kernel_cuts(ext: ExtensionData, D: int, flavors, size_limit=None):
     Gbar -> Bbar drops the ideal letters g_1..g_dI, so K is the words holding
     one, on every column or on column 0 (HH), and C(I) is the reduced
     normalized complex of I+ = Q.1 + I, whose HC is HC(I) over Q (Loday
-    2.1-2.2): slot 0 in 1 or I, the other slots in I.  The guard reads the
-    row A.dim^(D+1) of total degree D before anything is built."""
+    2.1-2.2): slot 0 in 1 or I, the other slots in I.  Flavor "hoch", after
+    "hh", is _hoch_cut of the hh cut.  The guard reads the row A.dim^(D+1) of
+    total degree D before anything is built."""
     size_guard(ext.A_ad.dim ** (D + 1), size_limit, "bicomplex row")
     G = _unit_basis(ext) or unitalization(ext.A_ad)[0].unit_adapted()
     total, _ = _connes_total(G, D, adapted=True)
     slot = "i" * ext.ideal_dim + "c" * (G.dim - 1 - ext.ideal_dim)  # Gbar's letters g_1..g_e
     columns = {n: [("u" + slot,) + (slot,) * p for p in range(n, -1, -2)] for n in total.dims}
-    return [_word_cut(total.diffs, {n: cols[:1] if f == "hh" else cols for n, cols in columns.items()},
-                      f"normalized {f}") for f in flavors]
+    cuts = {}
+    for f in flavors:
+        cuts[f] = _hoch_cut(*cuts["hh"], slot, G.dim > ext.A_ad.dim) if f == "hoch" else _word_cut(
+            total.diffs, {n: cols[:1] if f == "hh" else cols for n, cols in columns.items()},
+            f"normalized {f}")
+    return [cuts[f] for f in flavors]
+
+
+def _hoch_cut(K, inner, slot: str, naive: bool):
+    """The Hochschild comparison's (K, inner) off the hh cut (K, inner), Gbar's
+    letters slot: C(I) loses the words (1; i_1..i_n), dI^n of them for n > 0,
+    and on A_ad+ (naive) K loses every word led by 1, the first e^n - c^n of
+    K_n (e letters, c complement ones).  wodzicki_verify has the proofs."""
+    e, dI = len(slot), slot.count("i")
+    inner = {n: pos[dI ** n if n else 0:] for n, pos in inner.items()}
+    if naive:
+        lead = {n: e ** n - (e - dI) ** n for n in inner}
+        K = subcomplex(K.diffs, {n: range(lead[n], K.dim(n)) for n in inner}, "naive K")
+        inner = {n: [x - lead[n] for x in pos] for n, pos in inner.items()}
+    return K, inner
 
 
 def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
@@ -394,16 +413,15 @@ def comparison_map(ext: ExtensionData, D: int, size_limit=None) -> ChainMap:
     return ChainMap(subcomplex(K.diffs, inner, "C(I)"), K, comps)
 
 
-def _column_comparison(ext: ExtensionData, D: int, kind: str) -> ChainComplex:
-    """K / C(I) of the complex of kind "hoch" (b, off hoch_matrix) or "bar"
-    (-b') whose degree n < D holds the words A^(n+1).  It is acyclic
-    exactly where the (I, I) complex maps quasi-isomorphically into the
-    homotopy fiber of the (A, A) -> (B, B) one: the comparisons of the
-    excision proof where a non-H-unital ideal shows up."""
+def _column_comparison(ext: ExtensionData, D: int) -> ChainComplex:
+    """K / C(I) of the Bar complex, -b' on the words A^(n+1) of degree n < D.
+    It is acyclic exactly where Bar(I) maps quasi-isomorphically into the
+    homotopy fiber of Bar(A) -> Bar(B): the comparison of the excision proof
+    where a non-H-unital ideal shows up.  Only a non-unital A cuts it."""
     A, M = ext.A_ad, Bimodule.regular(ext.A_ad)
-    diffs = {p: _differential(kind, A, M, p) for p in range(1, D)}
+    diffs = {p: _differential("bar", A, M, p) for p in range(1, D)}
     rows = {n: [(_letters(ext),) * (n + 1)] for n in range(D)}
-    return _mod_ideal(*_word_cut(diffs, rows, kind))
+    return _mod_ideal(*_word_cut(diffs, rows, "bar"))
 
 
 class WodzickiReport(SimpleNamespace):
@@ -437,32 +455,42 @@ class WodzickiReport(SimpleNamespace):
 
 
 def wodzicki_verify(ext: ExtensionData, D: int, size_limit=None) -> WodzickiReport:
-    """Quasi-isomorphism ranges of the ideal-to-relative comparison maps: HC
-    and HH off _kernel_cuts, and the Hochschild and Bar complexes the proof
-    factors through, off _column_comparison on rows 1..D-1.  Each holds
-    exactly where its K / C(I) is acyclic, with the same failing degree and
-    defect.  The ideal's bounded H-unitality certificate comes along, so a
-    report exhibits "H-unital implies excision"; a failed verdict is a
-    successful computation.  Relative HH and HC are H(K).
+    """Quasi-isomorphism ranges of the ideal-to-relative comparison maps: HC,
+    HH and the Hochschild complex on A^(n+1) off _kernel_cuts, and the Bar
+    complex the proof factors through.  Each holds exactly where its K / C(I)
+    is acyclic, with the same failing degree and defect.  The ideal's bounded
+    H-unitality certificate comes along, so a report exhibits "H-unital
+    implies excision"; a failed verdict is a successful computation.
+    Relative HH and HC are H(K).
+
+    The naive Hochschild K / C(I) is read off the hh cut (_hoch_cut).  On the
+    unital model it is K / C(I)', C(I)' the words of K with no complement
+    letter and slot 0 not 1: normalization is a quasi-isomorphism for unital
+    A and B (Loday, Cyclic Homology, 1.1) that commutes with the unital f, so
+    the five lemma on 0 -> K -> C(A) -> C(B) -> 0 makes K_naive -> K one; it
+    sends the naive C(I), whose words hold no unit, one to one onto C(I)',
+    and the five lemma on 0 -> C(I) -> K -> K / C(I) -> 0 does the rest.  On
+    A_ad+, A_ad's letters multiply with no unit component, so the naive
+    complex of A_ad is the subcomplex of words not led by 1, and the naive K
+    and C(I) are those of K and C(I)', in the basis g_k = L e_k.
 
     A unital A reads the Bar verdict off the certificate, one degree up: B is
     unital too, so Bar(A), Bar(B) and K = ker(Bar(A) -> Bar(B)) are
     contractible (s(x) = 1 (x) x), and 0 -> Bar(I) -> K -> K / Bar(I) -> 0
     gives H_n(K / Bar(I)) = H_{n-1}(Bar(I)) (Loday, Cyclic Homology, 1.4).
-    A non-unital A, where the two can differ, keeps the cut.
+    A non-unital A, where the two can differ, cuts it (_column_comparison).
     """
     if D < 2:
         raise ValueError("D must be >= 2")
     rng = Interval(0, D - 2)
-    hh, hc = _kernel_cuts(ext, D, ("hh", "hc"), size_limit)
-    hoch = acyclicity(_column_comparison(ext, D, "hoch"), rng)
+    hh, hc, hoch = _kernel_cuts(ext, D, ("hh", "hc", "hoch"), size_limit)
     cert = h_unitality_check(ext.ideal_algebra(), D, size_limit)
     f = cert.first_failing
     if not ext.A_ad.is_unital:
-        bar = acyclicity(_column_comparison(ext, D, "bar"), rng)
+        bar = acyclicity(_column_comparison(ext, D), rng)
     elif f is None or f + 1 > D - 2:
         bar = QuasiIsoVerdict(True, rng)
     else:
         bar = QuasiIsoVerdict(False, rng, f + 1, cert.betti[f])
-    return WodzickiReport(acyclicity(_mod_ideal(*hh), rng), acyclicity(_mod_ideal(*hc), rng),
-                          hoch, bar, cert, hh[0].homology(rng), hc[0].homology(rng))
+    hh_v, hc_v, hoch_v = (acyclicity(_mod_ideal(*cut), rng) for cut in (hh, hc, hoch))
+    return WodzickiReport(hh_v, hc_v, hoch_v, bar, cert, hh[0].homology(rng), hc[0].homology(rng))

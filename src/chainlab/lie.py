@@ -46,7 +46,8 @@ from .algebras import Algebra, Ideal, matrix_algebra, mismatches, nested_product
 from .complexes import ChainComplex, HomologyReport, Interval
 from .cyclic import LambdaComplex, hc_homology, lambda_complex
 from .errors import ChainlabError, NotNilpotent, SizeLimit, UnitError
-from .sparse import SparseMatrix, Subspace, Vector, exact_vec, product_ranks, vec_axpy, vec_sub
+from .sparse import (SparseMatrix, Subspace, Vector, bilinear, exact_vec, product_ranks,
+                     table_rows, vec_axpy, vec_sub)
 
 ONE = 1
 
@@ -74,6 +75,7 @@ class LieAlgebra:
                 raise ValueError("[x, x] must vanish")
             self._both[(i, j)], self._both[(j, i)] = v, {k: -c for k, c in v.items()}
         self.bracket = {(i, j): v for (i, j), v in self._both.items() if i < j}
+        self._rows = table_rows(self._both)
         if check:
             self._validate()
         self.weights = self.inner = None
@@ -84,11 +86,7 @@ class LieAlgebra:
         return self._both.get((i, j), {})
 
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                vec_axpy(out, ci * cj, self.bracket_basis(i, j))
-        return out
+        return bilinear(self._rows, x, y)
 
     def _validate(self):
         """Jacobi on every triple i < j < k, the sum of [[x_i, x_j], x_k] over
@@ -143,13 +141,8 @@ class LieAlgebra:
 
 
 def _commutators(A: Algebra) -> dict:
-    bracket = {}
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            v = vec_sub(A.mul_basis(i, j), A.mul_basis(j, i))
-            if v:
-                bracket[(i, j)] = v
-    return bracket
+    return {(i, j): vec_sub(A.mul_basis(i, j), A.mul_basis(j, i))
+            for i in range(A.dim) for j in range(i + 1, A.dim)}
 
 
 def lie_from_assoc(A: Algebra) -> LieAlgebra:

@@ -87,6 +87,33 @@ def vec_axpy(out: Vector, c, v: Vector) -> None:
             out.pop(k, None)
 
 
+def table_rows(table: dict) -> dict:
+    """A bilinear table {(i, j): product} as the rows {i: {j: product}}."""
+    rows = {}
+    for (i, j), v in table.items():
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def bilinear(rows: dict, x: Vector, y: Vector) -> Vector:
+    """vec_axpy(out, x_i y_j, rows[i][j]) for i in x, then j in y, inlined and
+    run only on the pairs (i, j) with a product."""
+    out = {}
+    for i, ci in x.items():
+        row = rows.get(i, ())
+        for j, cj in y.items():
+            if j in row:
+                c = ci * cj
+                c = c if type(c) is int else exact(c)
+                for k, val in row[j].items():
+                    s = out.get(k, ZERO) + c * val
+                    if s:
+                        out[k] = s
+                    else:
+                        out.pop(k, None)
+    return out
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse rational matrix; fractional is True when
     some entry is a Fraction (a product of two int matrices skips scaling);

@@ -94,15 +94,11 @@ class UnipotentElement(SimpleNamespace):
         return UnipotentElement(self.ambient, series)
 
     def conjugate_by(self, g: "UnipotentElement") -> "UnipotentElement":
-        gi = g.inverse()
-        m = dict(self.nilpart)
-        # g (1 + m) g^{-1} = 1 + g m g^{-1}; expand (1+a) m (1+b) with b = gi.nilpart
-        a, b = g.nilpart, gi.nilpart
-        out = dict(m)
-        vec_axpy(out, ONE, self.ambient.mul_vec(a, m))
-        mb = self.ambient.mul_vec(m, b)
-        vec_axpy(out, ONE, mb)
-        vec_axpy(out, ONE, self.ambient.mul_vec(a, mb))
+        # g (1 + m) g^{-1} = 1 + g m g^{-1}; expand (1+a) m (1+b) with b = g^{-1}'s nilpart
+        a, b, m, mul = g.nilpart, g.inverse().nilpart, self.nilpart, self.ambient.mul_vec
+        out, mb = dict(m), mul(m, b)
+        for v in (mul(a, m), mb, mul(a, mb)):
+            vec_axpy(out, ONE, v)
         return UnipotentElement(self.ambient, out)
 
 

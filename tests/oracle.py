@@ -12,7 +12,8 @@ matrices; the lambda complex through full-size matrices (the rotation built
 word by word and walked, quotient_complex over the built matrix of b) and the
 projection onto its classes; the unit-homotopy check b' s + s b' = id, the
 inclusions of the (I, M) Hochschild complex and of one filtration stage into
-the next, and the A-bimodule B (x) I, which only tests run; the
+the next, and the A-bimodule B (x) I, which only tests run; the product of
+two vectors through a table's basis products, one coefficient at a time; the
 integer elimination that combines rows by the undivided pivot
 value and entry, and the kernel that splits a matrix into the connected
 components of its rows' shared columns, eliminates each on its own and
@@ -605,6 +606,23 @@ def generalized_trace_matrix(A, r, n, lam, tuples):
 ONE = 1
 
 
+def bilinear(basis, x, y):
+    """sum x_i y_j basis(i, j) over every i in x, then j in y, then the keys of
+    the product, one coefficient at a time: the reference for
+    sparse.bilinear, which Algebra.mul_vec, Bimodule.left_vec and right_vec
+    and LieAlgebra.bracket_vec run on their tables' rows."""
+    out = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            for k, v in basis(i, j).items():
+                s = out.get(k, 0) + ci * cj * v
+                if s == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+    return out
+
+
 def associativity(A):
     """Raises AssociativityError on the first triple, in lexicographic order,
     where (x_i x_j) x_k != x_i (x_j x_k)."""
@@ -612,8 +630,8 @@ def associativity(A):
         for j in range(A.dim):
             left = A.mul_basis(i, j)
             for k in range(A.dim):
-                lhs = A.mul_vec(left, {k: ONE})
-                rhs = A.mul_vec({i: ONE}, A.mul_basis(j, k))
+                lhs = bilinear(A.mul_basis, left, {k: ONE})
+                rhs = bilinear(A.mul_basis, {i: ONE}, A.mul_basis(j, k))
                 if lhs != rhs:
                     raise AssociativityError((i + 1, j + 1, k + 1))
 
@@ -621,13 +639,14 @@ def associativity(A):
 def jacobi(g):
     """Raises ValueError on the first triple i < j < k, in lexicographic order,
     where the Jacobi sum is nonzero."""
+    br = g.bracket_basis
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             for k in range(j + 1, g.dim):
                 acc = {}
-                vec_axpy(acc, ONE, g.bracket_vec(g.bracket_basis(i, j), {k: ONE}))
-                vec_axpy(acc, ONE, g.bracket_vec(g.bracket_basis(j, k), {i: ONE}))
-                vec_axpy(acc, ONE, g.bracket_vec(g.bracket_basis(k, i), {j: ONE}))
+                vec_axpy(acc, ONE, bilinear(br, br(i, j), {k: ONE}))
+                vec_axpy(acc, ONE, bilinear(br, br(j, k), {i: ONE}))
+                vec_axpy(acc, ONE, bilinear(br, br(k, i), {j: ONE}))
                 if acc:
                     raise ValueError(f"Jacobi identity fails on triple ({i + 1},{j + 1},{k + 1})")
 
@@ -636,17 +655,24 @@ def bimodule_axioms(M):
     """Raises ValueError on the first (a, b, m) where the left action, the
     right action or their compatibility fails, checked in that order."""
     A = M.algebra
+
+    def left(x, y):
+        return bilinear(M.left_basis, x, y)
+
+    def right(x, y):
+        return bilinear(M.right_basis, x, y)
+
     for a in range(A.dim):
         for b in range(A.dim):
             ab = A.mul_basis(a, b)
             for m in range(M.dim):
                 mv = {m: ONE}
-                if M.left_vec(ab, mv) != M.left_vec({a: ONE}, M.left_vec({b: ONE}, mv)):
+                if left(ab, mv) != left({a: ONE}, left({b: ONE}, mv)):
                     raise ValueError(f"left action not associative at ({a},{b},{m})")
-                if M.right_vec(mv, ab) != M.right_vec(M.right_vec(mv, {a: ONE}), {b: ONE}):
+                if right(mv, ab) != right(right(mv, {a: ONE}), {b: ONE}):
                     raise ValueError(f"right action not associative at ({m},{a},{b})")
-                lhs = M.right_vec(M.left_vec({a: ONE}, mv), {b: ONE})
-                rhs = M.left_vec({a: ONE}, M.right_vec(mv, {b: ONE}))
+                lhs = right(left({a: ONE}, mv), {b: ONE})
+                rhs = left({a: ONE}, right(mv, {b: ONE}))
                 if lhs != rhs:
                     raise ValueError(f"left/right actions do not commute at ({a},{m},{b})")
 
@@ -956,7 +982,7 @@ def kernel_cut_wodzicki(ext: ExtensionData, D: int, size_limit=None) -> Wodzicki
     bc = _hc_of_A(ext, D, size_limit)
     cuts = [_kernel_cut(ext, bc, k) for k in (2, None, 1)]
     hh, hc, hoch = (acyclicity(excision._mod_ideal(*cut), rng) for cut in cuts)
-    bar = excision._column_comparison(ext, D, "bar")
+    bar = excision._column_comparison(ext, D)
     return WodzickiReport(hh, hc, hoch, acyclicity(bar, rng),
                           excision.h_unitality_check(ext.ideal_algebra(), D, size_limit),
                           cuts[0][0].homology(rng), cuts[1][0].homology(rng))

@@ -1,10 +1,13 @@
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from chainlab import algebras
 from chainlab.algebras import (
     Algebra,
@@ -22,6 +25,7 @@ from chainlab.algebras import (
 )
 from chainlab.dsl import parse_algebra
 from chainlab.errors import AssociativityError, IdealNotNilpotent, NotAnIdeal, UnitError
+from chainlab.lie import LieAlgebra
 from chainlab.presets import (
     dual_numbers,
     fat_point,
@@ -305,3 +309,62 @@ def test_associativity_of_a_rebased_table_is_checked_in_ints(monkeypatch):
         A = parse_algebra(workloads.generate_rebased(preset, bits, 1, slot)[0])
         assert A.integral()[1] > 1, slot
     assert seen and set(seen) == {int}
+
+
+# ints and Fractions whose partial sums cancel, Fraction(4, 2) an integral one
+COEFFS = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                          Fraction(-3, 2), Fraction(4, 2)])
+
+
+@st.composite
+def product_tables(draw):
+    """(dim, {(i, j): product}, x, y) over the letters 0..dim-1."""
+    dim = draw(st.integers(1, 4))
+    idx = st.integers(0, dim - 1)
+    vec = st.dictionaries(idx, COEFFS, max_size=dim)
+    table = draw(st.dictionaries(st.tuples(idx, idx), st.dictionaries(idx, COEFFS, min_size=1, max_size=dim),
+                                 max_size=dim * dim))
+    return dim, table, draw(vec), draw(vec)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(product_tables())
+def test_products_match_the_reference_product_key_for_key(case):
+    # the same values in the same key order as the oracle's product, which
+    # reads the raw table one coefficient at a time
+    dim, table, x, y = case
+    want = oracle.bilinear(lambda i, j: table.get((i, j), {}), x, y)
+    A = Algebra(dim, None, table, check=False)
+    M = Bimodule(A, dim, table, table, check=False)
+    for got in (A.mul_vec(x, y), M.left_vec(x, y), M.right_vec(x, y)):
+        assert list(got.items()) == list(want.items())
+    bracket = {(i, j): v for (i, j), v in table.items() if i < j}
+    both = {**bracket, **{(j, i): {k: -c for k, c in v.items()} for (i, j), v in bracket.items()}}
+    g = LieAlgebra(dim, None, bracket, check=False)
+    want = oracle.bilinear(lambda i, j: both.get((i, j), {}), x, y)
+    assert list(g.bracket_vec(x, y).items()) == list(want.items())
+
+
+@pytest.mark.parametrize("side, key", [("left", (0, 5)), ("left", (9, 0)),
+                                       ("right", (0, 5)), ("right", (9, 0))])
+def test_a_bimodule_refuses_a_key_outside_its_dimensions(side, key):
+    A = dual_numbers()
+    R = Bimodule.regular(A)
+    tables = {"left": dict(R.left), "right": dict(R.right)}
+    tables[side][key] = {0: ONE}
+    msg = f"{side} action key {key} out of range: algebra dim 2, module dim 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        Bimodule(A, 2, tables["left"], tables["right"])
+
+
+def test_a_bimodule_refuses_a_coordinate_outside_the_module():
+    A = dual_numbers()
+    R = Bimodule.regular(A)
+    with pytest.raises(ValueError, match=r"^left action \(0, 1\) has a coordinate outside "
+                                         r"module dim 2: \{5: 1\}$"):
+        Bimodule(A, 2, {**R.left, (0, 1): {5: 1}}, R.right)
+
+
+def test_an_ideal_refuses_a_coordinate_outside_the_algebra():
+    with pytest.raises(ValueError, match="^ideal vector coordinate 5 outside algebra dim 2$"):
+        Ideal(dual_numbers(), [{5: 1}])

@@ -476,6 +476,21 @@ def test_a_unit_in_the_ideal_factor_matches_both_references():
         assert got == _wodzicki_payload(oracle.wodzicki_verify, ext, D), D
 
 
+def test_a_non_unital_extension_with_a_proper_ideal_matches_both_references():
+    # the fallback presets have I = A or I = 0, where both sides are acyclic;
+    # V2 -> V1 with zero products keeps a proper ideal, and its Hochschild
+    # comparison, the words of A+'s hh cut not led by 1, fails at degree 1
+    ext = ExtensionData(AlgebraMorphism(square_zero(2), square_zero(1),
+                                        SparseMatrix(1, 2, {(0, 0): ONE})))
+    assert ext.ideal_dim == 1 and excision._unit_basis(ext) is None
+    for D in range(2, 7):
+        got = _wodzicki_payload(wodzicki_verify, ext, D)
+        assert got == _wodzicki_payload(oracle.kernel_cut_wodzicki, ext, D), D
+        assert got == _wodzicki_payload(oracle.wodzicki_verify, ext, D), D
+        assert got["hoch_level"]["quasi_iso"] == (D == 2), D
+    assert got["hoch_level"]["failing_degree"] == 1 and got["hoch_level"]["defect"] == 2
+
+
 def test_the_ideal_complex_needs_the_unit_in_slot_0():
     # B sends a word of ideal letters in column C_0 of degree 2 to one led by
     # 1 in C_1: without the words led by 1 the ideal's words are no

@@ -70,36 +70,36 @@ def test_wodzicki_builds_each_bicomplex_once(capsys):
 
 
 def test_wodzicki_cuts_the_unitalization_when_1_lies_in_the_ideal(capsys):
-    # collapse: has I = A, so HH and HC are cut from the (b, B) total of A+ =
-    # Q.1 + A, the normalized b on rows 1..2; b on rows 1..2 of A^(p+1) for
-    # the Hochschild cut: no bicomplex, rotation or N
+    # collapse: has I = A, so HH, HC and the Hochschild comparison are cut
+    # from the (b, B) total of A+ = Q.1 + A, the normalized b on rows 1..2:
+    # nothing on A^(p+1), no bicomplex, rotation or N
     rec = _traced(["wodzicki", "--ext", "collapse:dual_numbers", "-D", "3"])
     capsys.readouterr()
     assert rec.counters["cyclic.bicomplex.builds"] == 0
-    assert rec.calls["cyclic.hoch_matrix"] == 4
+    assert rec.calls["cyclic.hoch_matrix"] == 2
     assert rec.calls["cyclic.rotation_matrix"] == 0
     assert rec.calls["cyclic.norm_matrix"] == 0
 
 
 def test_wodzicki_cuts_instead_of_rebuilding(capsys):
-    # b on rows 1..4 of A^(p+1) for the Hochschild cut, built straight with
-    # no b' under it; b' on rows 1..5 for the ideal's H-unitality certificate
-    # alone, which A's unit turns into the Bar verdict; the normalized b on
-    # rows 1..4 for the (b, B) total; no rotation, no induced map, fiber or cone
+    # the normalized b on rows 1..4 for the (b, B) total, whose hh cut the
+    # Hochschild comparison is read off; b' on rows 1..5 for the ideal's
+    # H-unitality certificate alone, which A's unit turns into the Bar
+    # verdict; nothing on A^(p+1), no rotation, induced map, fiber or cone
     rec = _traced(["wodzicki", "--ext", "truncated_poly:3", "-D", "5"])
     capsys.readouterr()
     assert rec.calls["cyclic.b_prime_matrix"] == 5
-    assert rec.calls["cyclic.hoch_matrix"] == 8
+    assert rec.calls["cyclic.hoch_matrix"] == 4
     assert rec.calls["cyclic.rotation_matrix"] == 0
     assert rec.calls["complexes.cone"] == 0
     assert rec.calls["cyclic.induced_map"] == 0
 
 
-@pytest.mark.parametrize("ext, D, cuts", [("truncated_poly:3", "5", 1),
-                                          ("collapse:square_zero:2", "4", 2)])
+@pytest.mark.parametrize("ext, D, cuts", [("truncated_poly:3", "5", 0),
+                                          ("collapse:square_zero:2", "4", 1)])
 def test_only_a_non_unital_wodzicki_builds_the_bar_cut(ext, D, cuts, capsys):
-    # a unital A reads the Bar comparison off the ideal's certificate and cuts
-    # the Hochschild column alone; a non-unital A cuts the Bar column too
+    # every A reads the Hochschild comparison off the hh cut; a unital A reads
+    # the Bar one off the ideal's certificate, a non-unital A cuts it
     rec = _traced(["wodzicki", "--ext", ext, "-D", D])
     capsys.readouterr()
     assert rec.calls["excision.column_comparison"] == cuts
