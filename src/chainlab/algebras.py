@@ -50,11 +50,9 @@ def nested_products(inner: dict, outer: dict, left: bool) -> dict:
     return out
 
 
-def mismatches(lhs: dict, rhs: dict, bounds) -> list:
-    """The keys, each coordinate k[t] in range(bounds[t]), where two tensors
-    from nested_products differ."""
-    return [k for k in lhs.keys() | rhs.keys()
-            if lhs.get(k, {}) != rhs.get(k, {}) and all(0 <= x < n for x, n in zip(k, bounds))]
+def mismatches(lhs: dict, rhs: dict) -> list:
+    """The keys where two tensors from nested_products differ."""
+    return [k for k in lhs.keys() | rhs.keys() if lhs.get(k, {}) != rhs.get(k, {})]
 
 
 def _integral_table(mul: dict) -> tuple:
@@ -100,28 +98,34 @@ class Algebra:
         aug = self.augmentation and {i: L * c for i, c in self.augmentation.items()}
         return Algebra(self.dim, self.labels, mul, unit, aug, self.name), L
 
-    def unit_adapted(self, droppable=None) -> "Algebra":
+    def unit_adapted(self, droppable=None, fewer_than=None) -> "Algebra | None":
         """This unital algebra in the basis g_0 = 1, g_k = L e_k for k != j in
         order, j the first coordinate of the unit u among the letters droppable
         (all by default), labelled "1" and "L*" + e_k's label.  With f_0 = 1
         and f_k = e_k, L is the lcm of the denominators of the constants of
         f_x f_y (x, y >= 1), and g_x g_y = L^2 c^0 g_0 + L c^z g_z: int
-        constants, unit {0: 1}."""
+        constants, unit {0: 1}.  With fewer_than, None (nothing built) unless
+        that table has fewer nonzero constants, first read off the support: it
+        has at least one per g_0 g_k, g_k g_0 and nonzero e_a e_b (a, b != j)."""
         if not self.is_unital:
             raise UnitError("a unit-adapted basis needs a unital algebra")
         u = self.unit
         j = min(k for k in u if droppable is None or k in droppable)
+        if fewer_than is not None and 2 * self.dim - 1 + sum(j not in ab for ab in self.mul) >= fewer_than:
+            return None
         others = [k for k in range(self.dim) if k != j]
         inv = 1 / Fraction(u[j])
 
         def coords(v):  # e-coordinates -> f-coordinates
             t = v.get(j, 0) * inv
-            return {0: t, **{s: v.get(k, 0) - t * u.get(k, 0) for s, k in enumerate(others, 1)}}
+            return exact_vec({0: t, **{s: v.get(k, 0) - t * u.get(k, 0) for s, k in enumerate(others, 1)}})
 
-        L, table = _integral_table({(x, y): coords(self.mul_basis(a, b))
-                                    for x, a in enumerate(others, 1) for y, b in enumerate(others, 1)})
+        L, table = _integral_table({(x, y): coords(self.mul[a, b]) for x, a in enumerate(others, 1)
+                                    for y, b in enumerate(others, 1) if (a, b) in self.mul})
         mul = {(x, y): {z: c * L if z == 0 else c for z, c in v.items()} for (x, y), v in table.items()}
         mul.update({pair: {max(pair): ONE} for k in range(self.dim) for pair in ((0, k), (k, 0))})
+        if fewer_than is not None and sum(map(len, mul.values())) >= fewer_than:
+            return None
         labels = ["1"] + [f"{L}*{self.labels[k]}" if L > 1 else self.labels[k] for k in others]
         return Algebra(self.dim, labels, mul, unit={0: ONE}, name=self.name)
 
@@ -152,7 +156,7 @@ class Algebra:
         # in the basis L e_i both sides scale by L^2: the same mismatches, in ints
         table = _integral_table(self.mul)[1]
         bad = min(mismatches(nested_products(table, table, True),
-                             nested_products(table, table, False), (self.dim,) * 3),
+                             nested_products(table, table, False)),
                   default=None)
         if bad is not None:
             raise AssociativityError(tuple(x + 1 for x in bad))
@@ -209,9 +213,9 @@ class Bimodule:
                     raise ValueError(f"{side} action key {key} out of range: algebra dim {da}, module dim {dm}")
                 if not all(0 <= k < dm for k in vec):
                     raise ValueError(f"{side} action {key} has a coordinate outside module dim {dm}: {vec}")
-        left = mismatches(nested_products(A, L, True), nested_products(L, L, False), (da, da, dm))
-        right = mismatches(nested_products(R, R, True), nested_products(A, R, False), (dm, da, da))
-        both = mismatches(nested_products(L, R, True), nested_products(R, L, False), (da, dm, da))
+        left = mismatches(nested_products(A, L, True), nested_products(L, L, False))
+        right = mismatches(nested_products(R, R, True), nested_products(A, R, False))
+        both = mismatches(nested_products(L, R, True), nested_products(R, L, False))
         first = min([(a, b, m, 0) for a, b, m in left] + [(a, b, m, 1) for m, a, b in right]
                     + [(a, b, m, 2) for a, m, b in both], default=None)
         if first is not None:
@@ -256,11 +260,13 @@ class AlgebraMorphism:
     def _validate(self):
         if (self.matrix.nrows, self.matrix.ncols) != (self.target.dim, self.source.dim):
             raise ValueError("morphism matrix has wrong shape")
+        cols = self.matrix.columns()
         for i in range(self.source.dim):
             for j in range(self.source.dim):
-                lhs = self.apply(self.source.mul_basis(i, j))
-                rhs = self.target.mul_vec(self.apply_basis(i), self.apply_basis(j))
-                if lhs != rhs:
+                lhs = {}
+                for k, c in self.source.mul_basis(i, j).items():
+                    vec_axpy(lhs, c, cols[k])
+                if lhs != self.target.mul_vec(cols[i], cols[j]):
                     raise ValueError(f"not multiplicative on basis pair ({i + 1},{j + 1})")
 
     def apply_basis(self, i) -> Vector:

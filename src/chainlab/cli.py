@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from .cyclic import connes_check, hc_homology, hh_homology, lambda_complex
+from .cyclic import connes_check, hc_homology, hh_homology, lambda_complex, size_guard, sparser_basis
 from .dsl import parse_algebra_file
 from .errors import ChainlabError, ParseError
 from .excision import (
@@ -178,7 +178,9 @@ def run(args) -> Report:
         report.add(cmd, {"algebra": A.name, "D": D}, **rep.to_jsonable())
     elif cmd == "lambda":
         A = _load_algebra(args)
-        lam = lambda_complex(A.integral()[0], D, args.size_limit)  # same report in L e_i
+        size_guard(A.dim ** (D + 1), args.size_limit, "lambda complex top degree")
+        # same betti in any basis; --reps keeps L e_i, whose normalised reps are A's
+        lam = lambda_complex(A.integral()[0] if args.reps else sparser_basis(A), D, args.size_limit)
         rep = lam.homology(reps=args.reps)
         payload = rep.to_jsonable()
         payload["dims"] = {str(p): lam.complex.dim(p) for p in range(0, D + 1)}

@@ -42,7 +42,9 @@ its basis.
 hh_homology, hc_homology and connes_check build on A.integral() or the
 unit_adapted() basis of A or A+, the same algebra in a basis where its
 constants are ints, so none of their differentials holds a Fraction; the
-CLI's lambda does too.
+CLI's lambda does too.  Without reps, hc_homology and lambda build on the
+sparser of the two (sparser_basis): HC is a functor, so both give the same
+betti numbers, and a dense rebased table keeps about half its constants there.
 lie.py builds lambda_complex on A itself, since its trace chain map is
 written in A's basis.
 """
@@ -432,6 +434,17 @@ def _normalized_b(A: Algebra, D: int, adapted=False):
             {p: (e + 1) * e ** p for p in range(D)})
 
 
+def sparser_basis(A: Algebra) -> Algebra:
+    """A.unit_adapted() if its table has fewer nonzero constants than A's (and
+    A.integral()'s), else A.integral()[0]; the loser is never built.  A unit
+    c e_j ties (the adapted table is A's, e_j rescaled), so it is not tried."""
+    if A.is_unital and len(A.unit) > 1:
+        G = A.unit_adapted(fewer_than=sum(map(len, A.mul.values())))
+        if G is not None:
+            return G
+    return A.integral()[0]
+
+
 def _connes_total(A: Algebra, D: int, adapted=False):
     """(total, w): Connes' (b, B) bicomplex on the normalized complex of
     _normalized_b's model G to total degree D - 1, w[n] = dim C_n the width of
@@ -499,7 +512,7 @@ def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyRepo
         bc, L = _read_bicomplex(A, D + 1, D, size_limit)
         return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=True))
     size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
-    return lambda_complex(A.integral()[0], D - 1, size_limit).homology(Interval(0, D - 2))
+    return lambda_complex(sparser_basis(A), D - 1, size_limit).homology(Interval(0, D - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,11 @@ class LieAlgebra:
         self.name = name
         self._both = {}  # [x_i, x_j] for i < j and for i > j
         for (i, j), vec in bracket.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"bracket key {(i, j)} out of range: dim {dim}")
             v = exact_vec(vec)
+            if not all(0 <= k < dim for k in v):
+                raise ValueError(f"bracket {(i, j)} has a coordinate outside dim {dim}: {v}")
             if not v:
                 continue
             if i == j:
@@ -97,7 +101,7 @@ class LieAlgebra:
         for (a, b, c), vec in nested_products(self.bracket, self._both, True).items():
             if c != a and c != b:
                 vec_axpy(jacobi.setdefault(tuple(sorted((a, b, c))), {}), -1 if a < c < b else 1, vec)
-        bad = min(mismatches(jacobi, {}, (self.dim,) * 3), default=None)
+        bad = min(mismatches(jacobi, {}), default=None)
         if bad is not None:
             raise ValueError("Jacobi identity fails on triple (%d,%d,%d)" % tuple(x + 1 for x in bad))
 

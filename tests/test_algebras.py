@@ -193,8 +193,13 @@ def test_bimodule_regular_and_morphism():
 
 def test_morphism_validation():
     E = dual_numbers()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not multiplicative on basis pair \(1,1\)$"):
         AlgebraMorphism(E, E, SparseMatrix(2, 2, {(0, 1): ONE, (1, 0): ONE}))  # swap is not multiplicative
+    # e -> 2e is multiplicative; e -> 1 + e first fails at (2, 2): e.e = 0 goes
+    # to 0, but (1 + e)^2 = 1 + 2e
+    AlgebraMorphism(E, E, SparseMatrix(2, 2, {(0, 0): ONE, (1, 1): 2}))
+    with pytest.raises(ValueError, match=r"^not multiplicative on basis pair \(2,2\)$"):
+        AlgebraMorphism(E, E, SparseMatrix(2, 2, {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE}))
 
 
 def test_product_algebra():

@@ -20,7 +20,7 @@ import oracle
 from chainlab import lie
 from chainlab.algebras import Algebra, Bimodule
 from chainlab.cyclic import (b_prime_matrix, hoch_from_b_prime, hoch_matrix, lambda_complex,
-                             rotation_matrix, unit_homotopy)
+                             rotation_matrix, sparser_basis, unit_homotopy)
 from chainlab.dsl import parse_algebra
 from chainlab.excision import ExtensionData
 from chainlab.lie import LieAlgebra, ce_complex, gl, lie_from_assoc
@@ -213,7 +213,8 @@ def test_lambda_matches_the_matrix_route_on_presets(spec):
 def test_lambda_matches_the_matrix_route_on_rebased_tables(seed):
     for D, A in _rebased_jobs(seed):
         assert_lambda_matches_matrix_route(A, D)
-        assert_lambda_matches_matrix_route(A.integral()[0], D)  # as the CLI builds it
+        assert_lambda_matches_matrix_route(A.integral()[0], D)  # as the CLI's lambda --reps builds it
+        assert_lambda_matches_matrix_route(sparser_basis(A), D)  # as hc and lambda build it
 
 
 def products(draw, n_in, n_out, offset=0):

@@ -13,6 +13,7 @@ from chainlab.cli import main
 from chainlab.complexes import ChainComplex, Interval
 from chainlab.cyclic import (
     CyclicBicomplex,
+    LambdaComplex,
     WordBasis,
     b_prime_matrix,
     bar_complex,
@@ -23,6 +24,7 @@ from chainlab.cyclic import (
     lambda_complex,
     norm_matrix,
     rotation_matrix,
+    sparser_basis,
     words,
 )
 from chainlab.dsl import parse_algebra
@@ -470,8 +472,10 @@ def test_reports_match_the_full_bound_build_on_rebased_tables():
                 getattr(oracle, name)(A, D).to_jsonable(), (slot, D)
 
 
-# hh, hc and connes build on the table's integral basis (Algebra.integral), the
-# CLI's lambda too; the oracle and the rational-table builds below do not
+# hh and hc --reps build on the table's integral basis (Algebra.integral), the
+# CLI's lambda --reps too; hh and connes read the unit-adapted copy
+# (Algebra.unit_adapted), and hc and lambda the sparser of the two
+# (cyclic.sparser_basis); the oracle and the rational-table builds below do not
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -661,17 +665,115 @@ def test_the_bB_total_is_checked_for_d_squared(monkeypatch):
         connes_check(truncated_poly(3), 5)
 
 
-def test_unital_size_guard_runs_before_the_adapted_copy(monkeypatch):
-    def refuse(*args):
+def test_unital_size_guard_runs_before_the_adapted_copy(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
         raise AssertionError("the adapted copy was built before the size guard ran")
 
     monkeypatch.setattr(Algebra, "unit_adapted", refuse)
     monkeypatch.setattr(cyclic, "unitalization", refuse)
     # a non-unital input is guarded on its own row, 3^7 = 2 187, not on A+'s
     for A in (matrix_algebra(rationals(), 2), square_zero(3)):
-        for check in (hh_homology, connes_check):
+        for check in (hh_homology, hc_homology, connes_check):
             with pytest.raises(SizeLimit, match="bicomplex row"):
                 check(A, 6, size_limit=100)
+    for preset in ("matrix:2", "square_zero:3"):
+        assert main(["lambda", "--preset", preset, "-D", "6", "--size-limit", "100"]) == 2
+        assert "lambda complex top degree" in capsys.readouterr().err, preset
+
+
+# ---------------------------------------------------------------------------
+# hc and lambda build on the sparser of a unital table's two int bases
+# ---------------------------------------------------------------------------
+
+
+def _spy_adapted(monkeypatch, built):
+    """Record in built what each Algebra.unit_adapted call returns."""
+    adapted = Algebra.unit_adapted
+
+    def spy(self, *args, **kwargs):
+        built.append(adapted(self, *args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(Algebra, "unit_adapted", spy)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_rebased_table_builds_hc_and_lambda_on_the_adapted_copy(seed, tmp_path, monkeypatch,
+                                                                     capsys):
+    # a rebased table has all d^3 constants nonzero, the adapted copy about half
+    for slot, cmd, D, A, text in rebased_jobs(seed):
+        path = tmp_path / f"rebased_{slot}.alg"
+        path.write_text(text, encoding="utf-8")
+        for sub in ("hc", "lambda"):
+            argv = [sub, "--file", str(path), "-D", str(D), "--format", "json"]
+            built, on = [], []
+            init = LambdaComplex.__init__
+
+            def spy_init(self, G, *args):
+                on.append(G)
+                init(self, G, *args)
+            with monkeypatch.context() as m:
+                _spy_adapted(m, built)
+                m.setattr(LambdaComplex, "__init__", spy_init)
+                got = _cli_bytes(capsys, argv)
+            (G,) = built
+            assert G is not None and on == [G], (slot, sub)
+            assert sum(map(len, G.mul.values())) < sum(map(len, A.mul.values())), slot
+            with monkeypatch.context() as m:  # forced onto A.integral()
+                m.setattr(Algebra, "unit_adapted", lambda self, *args, **kwargs: None)
+                assert _cli_bytes(capsys, argv) == got, (slot, sub)
+
+
+@pytest.mark.parametrize("spec", ["matrix:2", "matrix:3", "upper_triangular:2", "upper_triangular:3"])
+def test_the_support_bound_keeps_the_integral_basis_of_sparse_presets(spec, monkeypatch):
+    # (2d - 1) + #{nonzero e_a e_b, a, b != j} already reaches the table's own
+    # count, so no adapted table is computed and no Algebra is built
+    A = algebra_preset(spec)
+    j = min(A.unit)
+    assert len(A.unit) > 1
+    assert 2 * A.dim - 1 + sum(j not in ab for ab in A.mul) >= sum(map(len, A.mul.values()))
+    built, algebras = [], []
+    _spy_adapted(monkeypatch, built)
+    init = Algebra.__init__
+
+    def spy_init(self, *args, **kwargs):
+        algebras.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Algebra, "__init__", spy_init)
+    assert sparser_basis(A) is A
+    hc_homology(A, 3)
+    assert built == [None, None] and algebras == []
+
+
+def test_a_one_coordinate_unit_keeps_the_integral_basis(monkeypatch, capsys):
+    # the adapted table of a unit c e_j is A's with e_j rescaled: a tie, never computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("unit_adapted was called on a one-coordinate unit")
+
+    monkeypatch.setattr(Algebra, "unit_adapted", refuse)
+    half = Algebra(2, None, {(0, 0): {0: Fraction(1, 2)}, (0, 1): {1: Fraction(1, 2)},
+                             (1, 0): {1: Fraction(1, 2)}}, unit={0: 2})  # e_1 = 1/2
+    for A in UNITAL_PRESETS[:4] + [half]:
+        assert len(A.unit) == 1, A
+        G = sparser_basis(A)
+        assert G is A.integral()[0] or G.mul == A.integral()[0].mul, A
+        assert hc_homology(A, 4).betti == oracle.hc_homology(A, 4).betti, A
+    assert main(["lambda", "--preset", "truncated_poly:3", "-D", "4"]) == 0
+    assert main(["hc", "--preset", "fat_point", "-D", "4"]) == 0
+    capsys.readouterr()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(unital_tables())
+def test_the_support_bound_is_at_most_the_adapted_count(A):
+    # one constant for each g_0 g_k and g_k g_0, and at least one for each
+    # nonzero e_a e_b with a, b != j, since the change of basis is injective
+    j = min(A.unit)
+    bound = 2 * A.dim - 1 + sum(j not in ab for ab in A.mul)
+    G = A.unit_adapted()
+    count = sum(map(len, G.mul.values()))
+    assert bound <= count
+    assert A.unit_adapted(fewer_than=count) is None
+    assert A.unit_adapted(fewer_than=count + 1).mul == G.mul
 
 
 def test_hc_ranks_each_differential_on_the_rows_the_degree_below_left_free(monkeypatch):

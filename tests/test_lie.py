@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -57,6 +58,17 @@ def test_jacobi_enforced():
     # [x1,x2] = x1 and [x2,x3] = x2 with [x1,x3] = 0 violates Jacobi on (1,2,3)
     with pytest.raises(ValueError):
         LieAlgebra(3, None, {(0, 1): {0: ONE}, (1, 2): {1: ONE}})
+
+
+@pytest.mark.parametrize("bracket, msg", [
+    ({(0, 5): {0: ONE}}, "bracket key (0, 5) out of range: dim 2"),
+    ({(0, 1): {7: ONE}}, "bracket (0, 1) has a coordinate outside dim 2: {7: 1}"),
+])
+def test_a_bracket_outside_the_dimension_is_refused(bracket, msg):
+    # the Jacobi check compares the tensors on every key, so a key or a
+    # coordinate out of range must be refused before it
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        LieAlgebra(2, None, bracket)
 
 
 def test_lie_from_assoc_commutative_gives_abelian():
