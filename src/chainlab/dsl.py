@@ -84,9 +84,10 @@ def parse_algebra(text: str, size_limit=None) -> Algebra:
         saw_table_line = True
         if head in ("basis", "mul", "unit", "augmentation") and dim is None:
             raise ParseError(f"{head} line before algebra line", line=line_no)
+        if {"algebra": dim, "basis": labels, "unit": unit,
+                "augmentation": augmentation}.get(head) is not None:  # set by an earlier line
+            raise ParseError(f"second {head} line", line=line_no)
         if head == "algebra":
-            if dim is not None:
-                raise ParseError("second algebra line", line=line_no)
             if len(tokens) != 4 or tokens[2].lower() != "dim":
                 raise ParseError("expected: algebra <name> dim <d>", line=line_no)
             name = tokens[1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebras import Algebra, AlgebraMorphism, matrix_algebra, product_algebra
+from .algebras import Algebra, AlgebraMorphism, matrix_algebra, product_algebra, tensor
 from .cyclic import size_guard
 from .errors import NotAugmented, ParseError, UnitError
 from .sparse import SparseMatrix
@@ -107,46 +107,51 @@ def _int_arg(args, default: int, least: int = 1) -> int:
     return value
 
 
-_ALGEBRA_BUILDERS = {
-    "rationals": lambda args: rationals(),
-    "q": lambda args: rationals(),
-    "zero": lambda args: zero_algebra(),
-    "dual_numbers": lambda args: dual_numbers(),
-    "truncated_poly": lambda args: truncated_poly(_int_arg(args, 3)),
-    "square_zero": lambda args: square_zero(_int_arg(args, 1, least=0)),
-    "fat_point": lambda args: fat_point(),
-    "product": lambda args: product_qq(),
-    "matrix": lambda args: matrix_algebra(
-        algebra_preset(args[1]) if len(args) > 1 else rationals(), _int_arg(args, 2)
-    ),
-    "upper_triangular": lambda args: upper_triangular(
-        _int_arg(args, 2), algebra_preset(args[1]) if len(args) > 1 else None,
-    ),
-    "tensor": lambda args: _tensor_preset(args),
-}
+def _int_entry(build, default, dim=lambda k: k, least=1):
+    """The entry of the preset build(k) of dimension dim(k), k its int parameter."""
+    def entry(args):
+        k = _int_arg(args, default, least)
+        return dim(k), lambda: build(k)
+    return entry
 
 
-def _tensor_preset(args):
-    from .algebras import tensor
+def _inner(args):
+    """The entry of the algebra preset args spell out, commas included (Q if none)."""
+    return _resolve(",".join(args)) if args else (1, rationals)
 
+
+def _matrix(args):
+    dim, base = _inner(args[1:])
+    r = _int_arg(args, 2)
+    return r * r * dim, lambda: matrix_algebra(base(), r)
+
+
+def _upper_triangular(args):
+    n = _int_arg(args, 2)
+    dim, base = _inner(args[1:])
+    return comb(n + 1, 2) * dim, lambda: upper_triangular(n, base())
+
+
+def _tensor(args):
     if len(args) != 2:
         raise ParseError("tensor preset needs two algebra names")
-    return tensor(algebra_preset(args[0]), algebra_preset(args[1]))
+    (dim_a, a), (dim_b, b) = map(_resolve, args)
+    return dim_a * dim_b, lambda: tensor(a(), b())
 
 
-def _parse(spec: str):
-    name, _, argstr = spec.partition(":")
-    return name.strip().lower(), [a.strip() for a in argstr.split(",") if a.strip()] if argstr else []
-
-
-def algebra_preset(spec: str) -> Algebra:
-    """Resolve 'name' or 'name:arg1,arg2' to an Algebra."""
-    name, args = _parse(spec)
-    builder = _ALGEBRA_BUILDERS.get(name)
-    if builder is None:
-        raise ParseError(f"unknown algebra preset '{name}' "
-                         f"(known: {', '.join(sorted(_ALGEBRA_BUILDERS))})")
-    return builder(args)
+_ALGEBRA_BUILDERS = {
+    "rationals": lambda args: (1, rationals),
+    "q": lambda args: (1, rationals),
+    "zero": lambda args: (0, zero_algebra),
+    "dual_numbers": lambda args: (2, dual_numbers),
+    "truncated_poly": _int_entry(truncated_poly, 3),
+    "square_zero": _int_entry(square_zero, 1, least=0),
+    "fat_point": lambda args: (3, fat_point),
+    "product": lambda args: (2, product_qq),
+    "matrix": _matrix,
+    "upper_triangular": _upper_triangular,
+    "tensor": _tensor,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -194,77 +199,69 @@ def _matrix_dual_extension(r: int):
     return AlgebraMorphism(A, B, SparseMatrix(r * r, 2 * r * r, ent))
 
 
-def _identity_extension(spec: str):
-    A = algebra_preset(spec)
-    return AlgebraMorphism(A, A, SparseMatrix.identity(A.dim))
-
-
-def _collapse_extension(spec: str):
-    A = algebra_preset(spec)
-    return AlgebraMorphism(A, zero_algebra(), SparseMatrix.zeros(0, A.dim))
+def _wrapper(make):
+    """The entry of make(A), A the algebra preset every parameter spells out."""
+    def entry(args):
+        dim, build = _inner(args)
+        return dim, lambda: make(build())
+    return entry
 
 
 _EXTENSION_BUILDERS = {
-    "split_product": lambda args: _split_product_extension(),
-    "square_zero": lambda args: _augmentation_extension(dual_numbers()),
-    "dual_numbers": lambda args: _augmentation_extension(dual_numbers()),
-    "truncated_poly": lambda args: _augmentation_extension(truncated_poly(_int_arg(args, 3))),
-    "fat_point": lambda args: _augmentation_extension(fat_point()),
-    "upper_triangular": lambda args: _upper_triangular_extension(_int_arg(args, 2)),
-    "matrix_dual": lambda args: _matrix_dual_extension(_int_arg(args, 2)),
-    "identity": lambda args: _identity_extension(",".join(args) or "rationals"),
-    "collapse": lambda args: _collapse_extension(",".join(args) or "rationals"),
-    "aug": lambda args: _augmentation_extension(algebra_preset(",".join(args) or "rationals")),
+    "split_product": lambda args: (2, _split_product_extension),
+    "square_zero": lambda args: (2, lambda: _augmentation_extension(dual_numbers())),
+    "dual_numbers": lambda args: (2, lambda: _augmentation_extension(dual_numbers())),
+    "truncated_poly": _int_entry(lambda k: _augmentation_extension(truncated_poly(k)), 3),
+    "fat_point": lambda args: (3, lambda: _augmentation_extension(fat_point())),
+    "upper_triangular": _int_entry(_upper_triangular_extension, 2, lambda n: comb(n + 1, 2)),
+    "matrix_dual": _int_entry(_matrix_dual_extension, 2, lambda r: 2 * r * r),
+    "identity": _wrapper(lambda A: AlgebraMorphism(A, A, SparseMatrix.identity(A.dim))),
+    "collapse": _wrapper(lambda A: AlgebraMorphism(A, zero_algebra(),
+                                                   SparseMatrix.zeros(0, A.dim))),
+    "aug": _wrapper(_augmentation_extension),
 }
+
+
+def _parse(spec: str):
+    name, _, argstr = spec.partition(":")
+    return name.strip().lower(), [a.strip() for a in argstr.split(",") if a.strip()] if argstr else []
+
+
+def _resolve(spec: str, extension=False):
+    """(dimension, builder) of spec's catalog entry, which reads its parameters
+    once: the dimension of the algebra (of the source, for an extension) and
+    the zero-argument callable that builds it.  Nothing is built; a bad name
+    or parameter raises here, before any size guard."""
+    name, args = _parse(spec)
+    entries = _EXTENSION_BUILDERS if extension else _ALGEBRA_BUILDERS
+    entry = entries.get(name)
+    if entry is None:
+        raise ParseError(f"unknown {'extension' if extension else 'algebra'} preset '{name}' "
+                         f"(known: {', '.join(sorted(entries))})")
+    return entry(args)
+
+
+def algebra_preset(spec: str) -> Algebra:
+    """Resolve 'name' or 'name:arg1,arg2' to an Algebra."""
+    return _resolve(spec)[1]()
 
 
 def extension_preset(spec: str) -> AlgebraMorphism:
-    name, args = _parse(spec)
-    builder = _EXTENSION_BUILDERS.get(name)
-    if builder is None:
-        raise ParseError(f"unknown extension preset '{name}' "
-                         f"(known: {', '.join(sorted(_EXTENSION_BUILDERS))})")
-    return builder(args)
-
-
-# The dimension of each preset's algebra (of an extension's source algebra),
-# read off its parameters so that a size guard can run before anything is built.
-_ALGEBRA_DIMS = {
-    "rationals": lambda args: 1, "q": lambda args: 1, "zero": lambda args: 0,
-    "dual_numbers": lambda args: 2, "fat_point": lambda args: 3, "product": lambda args: 2,
-    "truncated_poly": lambda args: _int_arg(args, 3),
-    "square_zero": lambda args: _int_arg(args, 1, least=0),
-    "matrix": lambda args: _int_arg(args, 2) ** 2 * (preset_dim(args[1]) if len(args) > 1 else 1),
-    "upper_triangular": lambda args: (comb(_int_arg(args, 2) + 1, 2)
-                                      * (preset_dim(args[1]) if len(args) > 1 else 1)),
-    "tensor": lambda args: preset_dim(args[0]) * preset_dim(args[1]),
-}
-_EXTENSION_DIMS = {
-    "split_product": lambda args: 2, "square_zero": lambda args: 2,
-    "dual_numbers": lambda args: 2, "fat_point": lambda args: 3,
-    "truncated_poly": lambda args: _int_arg(args, 3),
-    "upper_triangular": lambda args: comb(_int_arg(args, 2) + 1, 2),
-    "matrix_dual": lambda args: 2 * _int_arg(args, 2) ** 2,
-    **dict.fromkeys(("identity", "collapse", "aug"),
-                    lambda args: preset_dim(",".join(args) or "rationals")),
-}
+    return _resolve(spec, extension=True)[1]()
 
 
 def preset_dim(spec: str, extension=False) -> int:
     """The dimension of the algebra spec names (of the source, for an extension
-    preset), without building it.  Raises ParseError or LookupError on some of
-    the specs the builder rejects."""
-    name, args = _parse(spec)
-    return (_EXTENSION_DIMS if extension else _ALGEBRA_DIMS)[name](args)
+    preset), read off its catalog entry without building anything.  A spec
+    whose name or parameters the catalog rejects raises the ParseError that
+    building it raises."""
+    return _resolve(spec, extension)[0]
 
 
 def guarded_preset(spec: str, size_limit=None, extension=False):
-    """The algebra (or extension) spec names, once the dimension read off spec
-    is within the size limit; a spec preset_dim cannot read is left to the
-    builder's own error."""
-    try:
-        dim = preset_dim(spec, extension)
-    except (ParseError, LookupError):
-        dim = 0
-    size_guard(dim, size_limit, f"{'extension' if extension else 'preset'} '{spec}'")
+    """The algebra (or extension) spec names, once its dimension is within the
+    size limit; a bad name or parameter is reported first.  It builds through
+    algebra_preset or extension_preset, the spans perfbench/tracer.py times."""
+    size_guard(preset_dim(spec, extension), size_limit,
+               f"{'extension' if extension else 'preset'} '{spec}'")
     return (extension_preset if extension else algebra_preset)(spec)

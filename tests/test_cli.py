@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from chainlab import cli
 from chainlab.algebras import Algebra
 from chainlab.cli import COMMANDS, build_parser, main
-from chainlab.errors import ChainlabError
+from chainlab.errors import ChainlabError, ParseError
 from chainlab.presets import (_ALGEBRA_BUILDERS, _EXTENSION_BUILDERS, algebra_preset,
                               extension_preset, preset_dim)
 
@@ -242,12 +242,14 @@ PARAMS = st.sampled_from(["", "", "-1", "0", "1", "2", "3", "x"])
 
 
 @st.composite
-def preset_spec(draw, names):
-    """name, name:param or name:param,algebra with small or malformed params."""
+def preset_spec(draw, names, depth=2):
+    """name, name:param or name:param,base with small or malformed params; the
+    base is an algebra spec drawn the same way, so composite bases nest, as in
+    matrix:2,upper_triangular:2,dual_numbers."""
     name = draw(st.sampled_from(names))
     args = [draw(PARAMS)]
-    if draw(st.booleans()):
-        args.append(draw(st.sampled_from(ALGEBRA_NAMES)))
+    if depth and draw(st.booleans()):
+        args.append(draw(preset_spec(ALGEBRA_NAMES, depth - 1)))
     return f"{name}:{','.join(args)}" if any(args) else name
 
 
@@ -362,6 +364,23 @@ def test_a_wrapped_preset_keeps_every_parameter(spec, dim):
     assert extension_preset(spec).source.dim == preset_dim(spec, extension=True) == dim
 
 
+@pytest.mark.parametrize("spec,dim", [("matrix:2,upper_triangular:2,dual_numbers", 24),
+                                      ("upper_triangular:2,matrix:2,dual_numbers", 24),
+                                      ("matrix:2,tensor:dual_numbers,dual_numbers", 16)])
+def test_a_composite_keeps_every_parameter_of_its_base(spec, dim):
+    # M2(UT2(Q[e])), not M2(UT2(Q)): everything after r (or n) is the base preset
+    assert algebra_preset(spec).dim == preset_dim(spec) == dim
+
+
+@pytest.mark.parametrize("spec", ["matrix:2,dual_numbers,fat_point",
+                                  "upper_triangular:2,dual_numbers,fat_point"])
+def test_a_simple_base_given_surplus_parameters_is_refused(spec):
+    # the base spec is 'dual_numbers,fat_point', as in identity:dual_numbers,fat_point
+    for read in (preset_dim, algebra_preset):
+        with pytest.raises(ParseError, match="^unknown algebra preset 'dual_numbers,fat_point' "):
+            read(spec)
+
+
 @pytest.fixture
 def built(monkeypatch):
     """The dimension of every Algebra constructed while the test runs."""
@@ -389,7 +408,9 @@ def built(monkeypatch):
     (["filtration", "--ext", "collapse:upper_triangular:30", "--kind", "Q"],
      "extension 'collapse:upper_triangular:30' has dimension 465"),
     (["tangent", "--preset", "dual_numbers", "--bases", "fat_point,tensor:fat_point,matrix"],
-     None),  # a spec the dimension table cannot read is left to the builder
+     None),  # tensor checks its arity before it reads a dimension
+    (["ce", "--preset", "matrix:20,upper_triangular:5,fat_point", "--gl", "2"],
+     "preset 'matrix:20,upper_triangular:5,fat_point' has dimension 18000"),
 ])
 def test_an_oversized_preset_is_rejected_before_it_is_built(argv, what, capsys, built):
     code, out, err = run_cli(capsys, *argv, "-D", "3", "--size-limit", "10")

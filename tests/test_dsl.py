@@ -123,6 +123,24 @@ def test_a_second_algebra_line_exits_with_status_2(tmp_path, capsys):
     assert "second algebra line (line 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first, second", [("basis a b", "basis c d"),
+                                           ("unit = 1*2", "unit = 1*1"),
+                                           ("augmentation = 1", "augmentation = 1")])
+def test_a_second_basis_unit_or_augmentation_line_is_a_parse_error_that_names_it(first, second):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(f"algebra a dim 2\n{first}\nmul 1 1 = 1*1\n{second}\n")
+    assert str(exc.value) == f"second {first.split()[0]} line (line 4)"
+
+
+def test_a_second_unit_line_exits_with_status_2(tmp_path, capsys):
+    # the first unit is wrong and the second right: the last line no longer wins
+    path = tmp_path / "two_units.alg"
+    path.write_text("algebra a dim 2\nmul 1 1 = 1*1\nmul 1 2 = 1*2\nmul 2 1 = 1*2\n"
+                    "unit = 1*2\nunit = 1*1\n")
+    assert main(["hh", "--file", str(path), "-D", "2"]) == 2
+    assert capsys.readouterr().err == "parse error: second unit line (line 6)\n"
+
+
 def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_bytes(b"algebra a dim 1\n\xff\n")
