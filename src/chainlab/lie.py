@@ -13,18 +13,28 @@ nonzero bracket are visited.
 Homology is read off the weight-0 summand when the Lie algebra declares a
 grading: an integer weight w_k in Z^r for each basis element and inner
 elements h_1..h_r of weight 0 with [h_i, x_k] = w_k[i] x_k, the bracket adding
-weights.  All three conditions are checked exactly on construction.  A wedge then
-has the sum of its weights as weight, d preserves it, and by Cartan's formula
-L_h = d i_h + i_h d (i_h = wedge with h) the action of h_i, which is w[i]
+weights, all checked exactly on construction.  d preserves the weight of a
+wedge, and by Cartan's formula L_h = d i_h + i_h d the action of h_i, w[i]
 times the identity on the weight-w summand, is null-homotopic; over Q every
 summand of nonzero weight is acyclic (Loday, Cyclic Homology, 10.1).  gl(A, r)
-declares the grading w(E_kl (x) a) = e_k - e_l with h_i = E_ii (x) 1 when A is
-unital; the weight-0 wedges are those whose row multiset equals their column
-multiset.  ce_complex builds only those, in the same lexicographic order,
-and ce_homology reports representatives at their positions in the full
-exterior power; the size guard still reads the full exterior power
-C(dim g, p).  Commutator Lie algebras, triangular_lie and gl of a non-unital
-algebra declare no grading and build every wedge.
+declares w(E_kl (x) a) = e_k - e_l with h_i = E_ii (x) 1 when A is unital, so
+the weight-0 wedges C_0 are those whose row multiset equals their column
+multiset; ce_complex builds only those, in lexicographic order, and
+representatives are reported at their positions in the full exterior power,
+which the size guard still reads.  Commutator Lie algebras, triangular_lie and
+gl of a non-unital algebra declare no grading and build every wedge.
+
+gl also declares, and LieAlgebra checks, the action of S_r by E_kl (x) a ->
+E_s(k)s(l) (x) a; without representatives ce_homology reads C_0's quotient by
+it.  A class is an orbit of wedges, kept as its lex-first member; an orbit
+whose stabiliser flips a wedge's sign is 0.  A transposition (i j) is a
+diagonal sign matrix times e_ij(1) e_ji(-1) e_ij(1), e_ij(t) = exp(t X),
+X = E_ij (x) 1.  Conjugation by e_ij(t) acts on the chains as exp(t L_X), the
+identity on homology since L_X = d i_X + i_X d; a diagonal sign matrix
+multiplies a wedge by a sign that depends only on its weight, so it is the
+identity on C_0.  So S_r acts trivially on H(C_0) and, over Q,
+H((C_0)_{S_r}) = H(C_0)_{S_r} = H(C_0) (Loday-Quillen 1984; Loday, Cyclic
+Homology, 10.1-10.2).  The trace check and representatives keep all of C_0.
 
 The generalized trace sends a wedge of matrices over an algebra to the signed
 sum over cyclic words of matrix-trace coefficients, landing in the
@@ -60,7 +70,10 @@ class LieAlgebra:
 
     grading, when given, is (weights, inner): one tuple of r ints per basis
     element and r vectors h_i of weight 0 with [h_i, x_k] = weights[k][i] x_k.
-    It is validated exactly whether or not check is set."""
+    A third entry may list symmetries (s, pi): permutations of the weight
+    coordinates and of the basis, pi mapping each bracket onto the permuted one
+    and each weight w to s.w.  Both are validated exactly whether or not check
+    is set; self.symmetries keeps the pi."""
 
     def __init__(self, dim, labels, bracket, name=None, check=True, grading=None):
         self.dim = dim
@@ -83,6 +96,7 @@ class LieAlgebra:
         if check:
             self._validate()
         self.weights = self.inner = None
+        self.symmetries = []
         if grading is not None:
             self._declare_grading(*grading)
 
@@ -105,7 +119,7 @@ class LieAlgebra:
         if bad is not None:
             raise ValueError("Jacobi identity fails on triple (%d,%d,%d)" % tuple(x + 1 for x in bad))
 
-    def _declare_grading(self, weights, inner):
+    def _declare_grading(self, weights, inner, symmetries=()):
         weights = [tuple(w) for w in weights]
         inner = [exact_vec(h) for h in inner]
         r = len(inner)
@@ -129,7 +143,18 @@ class LieAlgebra:
                 if self.bracket_vec(h, {k: ONE}) != want:
                     raise ValueError(f"grading: [h{i + 1}, {label[k]}] is not "
                                      f"{weights[k][i]}*{label[k]}")
-        self.weights, self.inner = weights, inner
+        for n, (s, pi) in enumerate(symmetries, 1):
+            if sorted(s) != list(range(r)) or sorted(pi) != list(range(self.dim)):
+                raise ValueError(f"symmetry {n} is not a pair of permutations")
+            for (a, b), vec in self.bracket.items():
+                if self.bracket_basis(pi[a], pi[b]) != {pi[c]: x for c, x in vec.items()}:
+                    raise ValueError(f"symmetry {n}: [{label[pi[a]]}, {label[pi[b]]}] is not "
+                                     f"the image of [{label[a]}, {label[b]}]")
+            for k, w in enumerate(weights):
+                if any(weights[pi[k]][s[i]] != x for i, x in enumerate(w)):
+                    raise ValueError(f"symmetry {n} sends {label[k]} of weight {w} to "
+                                     f"{label[pi[k]]} of weight {weights[pi[k]]}")
+        self.weights, self.inner, self.symmetries = weights, inner, [pi for _, pi in symmetries]
 
     def lower_central_series(self):
         """Dims of g = L_1 >= L_2 >= ... until stabilisation or zero."""
@@ -156,14 +181,17 @@ def lie_from_assoc(A: Algebra) -> LieAlgebra:
 
 def gl(A: Algebra, r: int) -> LieAlgebra:
     """gl_r(A), graded by w(E_kl (x) a) = e_k - e_l with h_i = E_ii (x) 1 when A
-    is unital (basis index (k*r + l)*dim A + a, as in matrix_algebra)."""
+    is unital (basis index (k*r + l)*dim A + a, as in matrix_algebra), with the
+    symmetries E_kl (x) a -> E_s(k)s(l) (x) a for s = (1 2) and (1 2 ... r)."""
     M = matrix_algebra(A, r)
     grading = None
     if A.is_unital:
         weights = [tuple(int(i == k) - int(i == l) for i in range(r))
                    for k in range(r) for l in range(r) for _ in range(A.dim)]
         inner = [{(i * r + i) * A.dim + a: c for a, c in A.unit.items()} for i in range(r)]
-        grading = (weights, inner)
+        gens = [(1, 0) + tuple(range(2, r)), tuple(range(1, r)) + (0,)][:r - 1]
+        grading = (weights, inner, [(s, [(s[k] * r + s[l]) * A.dim + a for k in range(r)
+                                         for l in range(r) for a in range(A.dim)]) for s in gens])
     return LieAlgebra(M.dim, M.labels, _commutators(M), name=f"gl{r}({A.name or 'A'})",
                       grading=grading)
 
@@ -230,17 +258,19 @@ DEFAULT_EXTERIOR_LIMIT = 2_000_000
 
 
 class CEComplex(SimpleNamespace):
-    # tuples: p -> list of index tuples, only the wedges of weight 0 if weight_zero
+    # tuples: p -> index tuples, of weight 0 if weight_zero, one per class if coinvariants
     def __init__(self, complex: ChainComplex, lie: LieAlgebra, bound: int, tuples: dict,
-                 weight_zero: bool = False):
+                 weight_zero: bool = False, coinvariants: bool = False):
         super().__init__(complex=complex, lie=lie, bound=bound, tuples=tuples,
-                         weight_zero=weight_zero)
+                         weight_zero=weight_zero, coinvariants=coinvariants)
 
     def __repr__(self):  # the tuples are too long to print
         return (f"CEComplex(complex={self.complex!r}, lie={self.lie!r}, bound={self.bound!r}, "
-                f"weight_zero={self.weight_zero!r})")
+                f"weight_zero={self.weight_zero!r}, coinvariants={self.coinvariants!r})")
 
     def homology(self, rng=None, **kw) -> HomologyReport:
+        if self.coinvariants and kw.get("reps"):
+            raise ValueError("the coinvariant complex has no representatives in the wedges")
         rng = rng or self.complex.certified
         rep = self.complex.homology(rng, **kw)
         if self.weight_zero and rep.representatives is not None:
@@ -293,8 +323,43 @@ def _weight_zero_wedges(weights, top) -> dict:
     return out
 
 
-def _ce_matrix(g: LieAlgebra, tuples_p, masks_p, index_pm1) -> SparseMatrix:
-    """d on the p-wedges, as tuples and bitmasks; index_pm1 is keyed by bitmask.
+def _wedge_classes(tuples, masks, perms):
+    """(representatives, their masks, index) of the orbits of the p-wedges
+    (lexicographic) under the basis permutations perms: index sends the mask of
+    x_T to (row, odd), x_T = (-1)^odd x_rep.  pi sends x_T to the sign of
+    re-sorting pi(T) times its wedge; an orbit reaching a wedge with both signs
+    is 0, row -1.  No perms: every wedge is its own class."""
+    if not perms:
+        return tuples, masks, dict(zip(masks, zip(range(len(masks)), repeat(0))))
+    reps, rep_masks, index = [], [], {}
+    for tup, mask in zip(tuples, masks):
+        if mask in index:
+            continue
+        orbit, todo, alive = {mask: 0}, [(tup, 0)], True
+        while todo:
+            t, odd = todo.pop()
+            for pi in perms:
+                img = [pi[k] for k in t]
+                image, e = 0, odd
+                for j in img:
+                    e += (image >> j).bit_count()  # the earlier slots above j
+                    image |= 1 << j
+                if image not in orbit:
+                    orbit[image] = e & 1
+                    todo.append((sorted(img), e & 1))
+                elif orbit[image] != e & 1:
+                    alive = False
+        if alive:
+            reps.append(tup)
+            rep_masks.append(mask)
+        row = len(reps) - 1 if alive else -1
+        index.update((m, (row, e)) for m, e in orbit.items())
+    return reps, rep_masks, index
+
+
+def _ce_matrix(g: LieAlgebra, tuples_p, masks_p, index_pm1, nrows) -> SparseMatrix:
+    """d on the p-wedges, as tuples and bitmasks; index_pm1 sends the bitmask
+    of a (p-1)-wedge to (row, odd) as _wedge_classes does, out of nrows.
     [x_a, x_b] for a < b in S lands on S - {a, b} + {c} for each term c outside it."""
     terms = [{} for _ in range(g.dim)]  # terms[a][bit of b]: the terms of [x_a, x_b], a < b
     for (a, b), vec in g.bracket.items():
@@ -313,18 +378,20 @@ def _ce_matrix(g: LieAlgebra, tuples_p, masks_p, index_pm1) -> SparseMatrix:
                 for c_bit, below, coef in terms[a][b_bit]:
                     if rest & c_bit:
                         continue
-                    row = index_pm1[rest | c_bit]
-                    if (rs + (rest & below).bit_count()) % 2:
+                    row, odd = index_pm1[rest | c_bit]
+                    if (rs + odd + (rest & below).bit_count()) % 2:
                         coef = -coef
                     out[row] = out.get(row, 0) + coef
+        out.pop(-1, None)  # the terms on wedges whose class is 0
         entries.update(zip(zip(out, repeat(col)), out.values()))  # SparseMatrix drops zeros
-    return SparseMatrix(len(index_pm1), len(tuples_p), entries)
+    return SparseMatrix(nrows, len(tuples_p), entries)
 
 
-def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
+def ce_complex(g: LieAlgebra, D: int, size_limit=None, coinvariants=False) -> CEComplex:
     """Chevalley-Eilenberg chains through wedge degree D; when g declares a
-    grading, only the summand of weight 0 (the others are acyclic).  The size
-    guard reads the full exterior powers either way."""
+    grading, only the summand of weight 0 (the others are acyclic), with
+    coinvariants its quotient by g.symmetries.  The size guard reads the full
+    exterior powers either way."""
     if D < 1:
         raise ValueError("D must be >= 1")
     limit = DEFAULT_EXTERIOR_LIMIT if size_limit is None else size_limit
@@ -333,20 +400,22 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None) -> CEComplex:
         if comb(g.dim, p) > limit:
             raise SizeLimit(f"exterior power C({g.dim},{p}) exceeds limit {limit}")
     weight_zero = g.weights is not None
-    wedges = _weight_zero_wedges(g.weights or [()] * g.dim, top)  # no grading: every wedge
-    dims = {p: len(tuples) for p, (tuples, _) in wedges.items()}
-    diffs = {p: _ce_matrix(g, *wedges[p], dict(zip(wedges[p - 1][1], range(dims[p - 1]))))
-             for p in range(1, top + 1)}  # rows keyed by bitmask
+    perms = g.symmetries if coinvariants else ()
+    cells = {p: _wedge_classes(*wedges, perms)  # no grading: every wedge
+             for p, wedges in _weight_zero_wedges(g.weights or [()] * g.dim, top).items()}
+    dims = {p: len(c[0]) for p, c in cells.items()}
+    diffs = {p: _ce_matrix(g, *cells[p][:2], cells[p - 1][2], dims[p - 1])
+             for p in range(1, top + 1)}
     bounded = top == g.dim
     certified = Interval(0, top if bounded else top - 1)
     cx = ChainComplex(dims, diffs, certified, bounded_above=bounded)
-    return CEComplex(cx, g, D, {p: tuples for p, (tuples, _) in wedges.items()}, weight_zero)
+    return CEComplex(cx, g, D, {p: c[0] for p, c in cells.items()}, weight_zero, bool(perms))
 
 
 def ce_homology(g: LieAlgebra, D: int, size_limit=None, reps=False) -> HomologyReport:
     """Homology through degree D - 1, read off the weight-0 summand when g
-    declares a grading (the other summands are acyclic)."""
-    ce = ce_complex(g, D, size_limit)
+    declares a grading (without reps, off its quotient by g.symmetries)."""
+    ce = ce_complex(g, D, size_limit, coinvariants=not reps)
     hi = min(D - 1, ce.complex.certified.hi)
     return ce.homology(Interval(0, hi), reps=reps)
 
@@ -502,7 +571,7 @@ def lqt_verify(A: Algebra, r: int, D: int, size_limit=None) -> LqtReport:
         raise UnitError("the stable comparison expects a unital algebra")
     g = gl(A, r)
     ce_rep = ce_homology(g, D + 1, size_limit)
-    hc_rep = hc_homology(A, D + 2, size_limit)
+    hc_rep = hc_homology(A, max(D + 1, 2), size_limit)  # HC_0..HC_{D-1}, the generators
     gens = {n: hc_rep.betti[n - 1] for n in range(1, D + 1)}
     sym = sym_model_betti(gens, D)
     degrees = Interval(0, D)

@@ -108,9 +108,11 @@ def _int_arg(args, default: int, least: int = 1) -> int:
 
 
 def _int_entry(build, default, dim=lambda k: k, least=1):
-    """The entry of the preset build(k) of dimension dim(k), k its int parameter."""
+    """The entry of the preset build(k) of dimension dim(k), k its one int parameter."""
     def entry(args):
         k = _int_arg(args, default, least)
+        if len(args) > 1:
+            raise ParseError(f"preset takes one parameter, got '{','.join(args)}'")
         return dim(k), lambda: build(k)
     return entry
 
@@ -140,14 +142,14 @@ def _tensor(args):
 
 
 _ALGEBRA_BUILDERS = {
-    "rationals": lambda args: (1, rationals),
-    "q": lambda args: (1, rationals),
-    "zero": lambda args: (0, zero_algebra),
-    "dual_numbers": lambda args: (2, dual_numbers),
+    "rationals": (1, rationals),
+    "q": (1, rationals),
+    "zero": (0, zero_algebra),
+    "dual_numbers": (2, dual_numbers),
     "truncated_poly": _int_entry(truncated_poly, 3),
     "square_zero": _int_entry(square_zero, 1, least=0),
-    "fat_point": lambda args: (3, fat_point),
-    "product": lambda args: (2, product_qq),
+    "fat_point": (3, fat_point),
+    "product": (2, product_qq),
     "matrix": _matrix,
     "upper_triangular": _upper_triangular,
     "tensor": _tensor,
@@ -208,11 +210,11 @@ def _wrapper(make):
 
 
 _EXTENSION_BUILDERS = {
-    "split_product": lambda args: (2, _split_product_extension),
-    "square_zero": lambda args: (2, lambda: _augmentation_extension(dual_numbers())),
-    "dual_numbers": lambda args: (2, lambda: _augmentation_extension(dual_numbers())),
+    "split_product": (2, _split_product_extension),
+    "square_zero": (2, lambda: _augmentation_extension(dual_numbers())),
+    "dual_numbers": (2, lambda: _augmentation_extension(dual_numbers())),
     "truncated_poly": _int_entry(lambda k: _augmentation_extension(truncated_poly(k)), 3),
-    "fat_point": lambda args: (3, lambda: _augmentation_extension(fat_point())),
+    "fat_point": (3, lambda: _augmentation_extension(fat_point())),
     "upper_triangular": _int_entry(_upper_triangular_extension, 2, lambda n: comb(n + 1, 2)),
     "matrix_dual": _int_entry(_matrix_dual_extension, 2, lambda r: 2 * r * r),
     "identity": _wrapper(lambda A: AlgebraMorphism(A, A, SparseMatrix.identity(A.dim))),
@@ -230,15 +232,18 @@ def _parse(spec: str):
 def _resolve(spec: str, extension=False):
     """(dimension, builder) of spec's catalog entry, which reads its parameters
     once: the dimension of the algebra (of the source, for an extension) and
-    the zero-argument callable that builds it.  Nothing is built; a bad name
-    or parameter raises here, before any size guard."""
+    the zero-argument callable that builds it.  A simple preset's entry is
+    that pair, and it takes no parameters.  Nothing is built; a bad name or
+    parameter raises here, before any size guard."""
     name, args = _parse(spec)
     entries = _EXTENSION_BUILDERS if extension else _ALGEBRA_BUILDERS
     entry = entries.get(name)
     if entry is None:
         raise ParseError(f"unknown {'extension' if extension else 'algebra'} preset '{name}' "
                          f"(known: {', '.join(sorted(entries))})")
-    return entry(args)
+    if args and type(entry) is tuple:
+        raise ParseError(f"preset '{name}' takes no parameters, got '{','.join(args)}'")
+    return entry if type(entry) is tuple else entry(args)
 
 
 def algebra_preset(spec: str) -> Algebra:

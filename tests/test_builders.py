@@ -167,8 +167,8 @@ def lie_tables(draw):
 def _ce_matrix(g, p):
     """The production differential on wedge degree p, fed as ce_complex feeds it."""
     wedges = lie._weight_zero_wedges([()] * g.dim, p)  # no grading: every wedge
-    index = {mask: k for k, mask in enumerate(wedges[p - 1][1])}
-    return lie._ce_matrix(g, *wedges[p], index)
+    index = {mask: (k, 0) for k, mask in enumerate(wedges[p - 1][1])}  # row, odd
+    return lie._ce_matrix(g, *wedges[p], index, len(index))
 
 
 @BUILDER_SETTINGS

@@ -381,6 +381,24 @@ def test_a_simple_base_given_surplus_parameters_is_refused(spec):
             read(spec)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["hh", "--preset", "dual_numbers:x"], "preset 'dual_numbers' takes no parameters, got 'x'"),
+    (["hh", "--preset", "rationals:-1"], "preset 'rationals' takes no parameters, got '-1'"),
+    (["hh", "--preset", "matrix:2,fat_point:2"], "preset 'fat_point' takes no parameters, got '2'"),
+    (["hh", "--preset", "truncated_poly:3,x"], "preset takes one parameter, got '3,x'"),
+    (["wodzicki", "--ext", "square_zero:3"], "preset 'square_zero' takes no parameters, got '3'"),
+    (["wodzicki", "--ext", "upper_triangular:2,fat_point"],
+     "preset takes one parameter, got '2,fat_point'"),
+    (["wodzicki", "--ext", "aug:product:2"], "preset 'product' takes no parameters, got '2'"),
+])
+def test_a_preset_refuses_parameters_it_does_not_read(argv, message, capsys):
+    # a simple preset reads none and a one-int preset one; square_zero:k is the
+    # algebra preset with a parameter, square_zero the extension without one
+    assert main(argv + ["-D", "2", "--format", "json"]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    assert algebra_preset("square_zero:3").dim == preset_dim("square_zero:3") == 3
+
+
 @pytest.fixture
 def built(monkeypatch):
     """The dimension of every Algebra constructed while the test runs."""

@@ -4,7 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from chainlab import lie
 from chainlab.algebras import Ideal, augmentation_ideal, matrix_algebra
 from chainlab.cli import main as cli_main
 from chainlab.complexes import Interval
@@ -341,6 +342,128 @@ def test_weight_zero_betti_equal_full_betti_on_rebased_tables():
             assert ce_homology(g, D).betti == full_homology(g, D).betti, (A.name, r)
 
 
+# ---------------------------------------------------------------------------
+# the S_r-coinvariants of the weight-0 summand
+# ---------------------------------------------------------------------------
+
+
+def weight_zero_betti(g, D):
+    """Betti numbers of the weight-0 summand itself, with no S_r quotient."""
+    ce = ce_complex(g, D)
+    return ce.homology(Interval(0, min(D - 1, ce.complex.certified.hi))).betti
+
+
+def test_coinvariant_cases_include_non_commutative_coefficients():
+    assert {("matrix:2", 2), ("upper_triangular:2", 2), ("upper_triangular:2", 3)} <= \
+        {(spec, r) for spec, r, _ in _dims_cases()}
+
+
+@pytest.mark.parametrize("spec,r,D", _dims_cases())
+def test_coinvariant_betti_equal_weight_zero_betti(spec, r, D):
+    g = gl(algebra_preset(spec), r)
+    assert ce_complex(g, D, coinvariants=True).coinvariants == (r > 1)
+    assert ce_homology(g, D).betti == weight_zero_betti(g, D)
+
+
+def test_coinvariant_betti_equal_weight_zero_betti_on_rebased_tables():
+    for A in _rebased_algebras(seed=1):
+        for r, D in ((2, 5 if A.dim <= 3 else 4), (3, 4 if A.dim <= 3 else 3)):
+            g = gl(A, r)
+            assert ce_homology(g, D).betti == weight_zero_betti(g, D), (A.name, r, D)
+
+
+def test_gl_declares_the_permutations_of_the_matrix_indices():
+    g = gl(dual_numbers(), 3)  # E_kl (x) a at (3k + l) * 2 + a
+    swap, cycle = g.symmetries
+    assert swap[(0 * 3 + 2) * 2 + 1] == (1 * 3 + 2) * 2 + 1  # E13 (x) e -> E23 (x) e
+    assert cycle[(0 * 3 + 2) * 2 + 1] == (1 * 3 + 0) * 2 + 1  # E13 (x) e -> E21 (x) e
+    assert len(gl(rationals(), 2).symmetries) == 1  # the transposition is the 2-cycle
+    assert gl(rationals(), 1).symmetries == []
+    assert gl(algebra_preset("square_zero:2"), 2).symmetries == []
+
+
+def test_a_permutation_that_is_no_automorphism_is_refused():
+    # the transposition of gl_2 composed with t <-> t^2 on Q[t]/t^3 keeps every
+    # weight, but [E11*t, E12*t] = E12*t^2 while [E22*t^2, E21*t^2] = 0, not E21*t
+    g = gl(algebra_preset("truncated_poly:3"), 2)
+    pi, = g.symmetries
+    mutant = [pi[k] - k % 3 + (0, 2, 1)[k % 3] for k in range(g.dim)]
+    with pytest.raises(ValueError, match=re.escape(
+            "symmetry 1: [E22*t^2, E21*t^2] is not the image of [E11*t, E12*t]")):
+        LieAlgebra(g.dim, g.labels, g.bracket, grading=(g.weights, g.inner, [((1, 0), mutant)]))
+    LieAlgebra(g.dim, g.labels, g.bracket, grading=(g.weights, g.inner, [((1, 0), pi)]))
+
+
+def test_a_permutation_that_moves_weights_wrongly_is_refused():
+    g = gl(rationals(), 3)
+    with pytest.raises(ValueError, match=re.escape(
+            "symmetry 1 sends E12*1 of weight (1, -1, 0) to E21*1 of weight (-1, 1, 0)")):
+        LieAlgebra(g.dim, g.labels, g.bracket,  # s must be the transposition (1 2)
+                   grading=(g.weights, g.inner, [((0, 1, 2), g.symmetries[0])]))
+    with pytest.raises(ValueError, match="^symmetry 2 is not a pair of permutations$"):
+        LieAlgebra(g.dim, g.labels, g.bracket,
+                   grading=(g.weights, g.inner, [((1, 0, 2), g.symmetries[0]), ((1, 0), [0] * 9)]))
+
+
+def test_a_sign_killed_orbit_is_dropped():
+    # the transposition sends E12 ^ E21 to E21 ^ E12 = -E12 ^ E21, and
+    # E11 ^ E22 to -E11 ^ E22: both weight-0 classes of degree 2 are 0
+    g = gl(rationals(), 2)  # basis E11, E12, E21, E22
+    tuples, masks = lie._weight_zero_wedges(g.weights, 2)[2]
+    assert tuples == [(0, 3), (1, 2)]
+    reps, rep_masks, index = lie._wedge_classes(tuples, masks, g.symmetries)
+    assert reps == rep_masks == [] and {row for row, _ in index.values()} == {-1}
+    ce = ce_complex(g, 4, coinvariants=True)
+    assert ce.complex.dims == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}
+    assert ce.tuples[3] == [(0, 1, 2)]  # E11 ^ E12 ^ E21, the lex-first of its orbit
+
+
+def _sort_sign(seq) -> int:
+    return (-1) ** sum(a > b for a, b in combinations(seq, 2))
+
+
+@pytest.mark.parametrize("spec,r,D", [("rationals", 3, 5), ("dual_numbers", 3, 4),
+                                      ("rationals", 4, 4), ("matrix:2", 2, 4)])
+def test_wedge_classes_against_the_whole_group(spec, r, D):
+    # every sigma in S_r, not the two generators: sigma(x_rep) = sign * x_T
+    # for T the sorted image, so x_T = sign * x_rep in the quotient, and an
+    # orbit is 0 exactly when some sigma fixes rep with an odd re-sorting
+    A = algebra_preset(spec)
+    g = gl(A, r)
+    group = [[(s[k] * r + s[l]) * A.dim + a for k in range(r) for l in range(r)
+              for a in range(A.dim)] for s in permutations(range(r))]
+    for p, (tuples, masks) in lie._weight_zero_wedges(g.weights, D).items():
+        reps, rep_masks, index = lie._wedge_classes(tuples, masks, g.symmetries)
+        assert sorted(index) == sorted(masks)
+        assert rep_masks == [sum(1 << k for k in t) for t in reps]
+        for tup in tuples:
+            images = {tuple(sorted(pi[k] for k in tup)): _sort_sign([pi[k] for k in tup])
+                      for pi in group}
+            killed = any(_sort_sign([pi[k] for k in tup]) == -1 and
+                         sorted(pi[k] for k in tup) == list(tup) for pi in group)
+            rep = min(images)
+            for image, sign in images.items():
+                row, odd = index[sum(1 << k for k in image)]
+                if killed:
+                    assert row == -1 and rep not in reps, (p, tup)
+                else:
+                    assert reps[row] == rep and (-1) ** odd == sign * images[rep], (p, tup)
+
+
+def test_gl_1_builds_the_weight_zero_complex_unchanged():
+    for spec in ("dual_numbers", "matrix:2", "truncated_poly:4"):
+        g = gl(algebra_preset(spec), 1)
+        a, b = ce_complex(g, 5, coinvariants=True), ce_complex(g, 5)
+        assert not a.coinvariants and (a.complex.dims, a.tuples) == (b.complex.dims, b.tuples)
+        assert a.complex.diffs == b.complex.diffs
+
+
+def test_the_coinvariant_complex_reports_no_representatives():
+    ce = ce_complex(gl(rationals(), 2), 3, coinvariants=True)
+    with pytest.raises(ValueError, match="no representatives"):
+        ce.homology(reps=True)
+
+
 # sha256 of the reports these commands gave while ce built every wedge
 FULL_REPORT_SHA256 = {
     ("dual_numbers", "3", "4"): "5be05db9dccd10bca81504038e7dbc71329e23acb5024e43b1aec68b85224ddd",
@@ -399,6 +522,23 @@ def test_size_guard_reads_the_full_exterior_power(argv, message, capsys):
     # 0), but the guard keeps rejecting what the full complex would exceed
     assert cli_main(argv + ["--format", "json"]) == 2
     assert capsys.readouterr().err == message
+
+
+def test_lqt_at_degree_zero_compares_degree_zero():
+    rep = lqt_verify(rationals(), 2, 0)
+    assert (rep.ce_betti, rep.sym_betti, rep.all_match) == ({0: 1}, {0: 1}, True)
+
+
+def test_lqt_guards_only_the_cyclic_degrees_it_reads(capsys):
+    # HC_0..HC_2 of Q[t]/t^3 come off the lambda complex to degree 3, guarded
+    # as the bicomplex row 3^5 = 243 (3^6 = 729 while HC_3 was built too)
+    argv = ["lqt", "--preset", "truncated_poly:3", "-r", "1", "-D", "3", "--format", "json"]
+    assert cli_main(argv) == 0
+    unguarded = json.loads(capsys.readouterr().out)["results"]
+    assert cli_main(argv + ["--size-limit", "243"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == unguarded
+    assert cli_main(argv + ["--size-limit", "242"]) == 2
+    assert capsys.readouterr().err == "error: bicomplex row has dimension 243 > size limit 242\n"
 
 
 # gl_r(A) whose trace is also checked at n = 4, on the weight-0 wedges: the

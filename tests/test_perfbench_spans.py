@@ -187,10 +187,11 @@ def test_q_filtration_builds_its_stage_once(capsys):
 
 
 def test_ce_of_gl_ranks_only_the_weight_zero_summand(capsys):
-    # 1 323 weight-0 columns in degrees 1..5; the full exterior powers have 12 615
+    # 231 columns in degrees 1..5: the S_3-coinvariant classes of the 1 323
+    # weight-0 wedges (2, 3, 16, 60, 150); the full exterior powers have 12 615
     rec = _traced(["ce", "--preset", "dual_numbers", "--gl", "3", "-D", "5"])
     capsys.readouterr()
-    assert rec.counters["sparse.rank.cols"] == 1323
+    assert rec.counters["sparse.rank.cols"] == 231
     assert rec.calls["lie.ce_complex"] == 1
 
 

@@ -77,7 +77,8 @@ def test_repr_names_every_field_in_order():
                "defect=2)")
     assert repr(Report({})) == "Report(config={}, results=[], version='0.1.0')"
     assert (repr(CEComplex("cx", "g", 3, {1: [(0,)]}))
-            == "CEComplex(complex='cx', lie='g', bound=3, weight_zero=False)")
+            == "CEComplex(complex='cx', lie='g', bound=3, weight_zero=False, "
+               "coinvariants=False)")
 
 
 def test_interval_is_hashable_iterable_and_truthy():
