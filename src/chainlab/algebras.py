@@ -153,6 +153,10 @@ class Algebra:
             for k in vec:
                 if not 0 <= k < self.dim:
                     raise ValueError("product coefficient index out of range")
+        for name, vec in (("unit", self.unit), ("augmentation", self.augmentation)):
+            bad = [k for k in vec or () if not 0 <= k < self.dim]
+            if bad:
+                raise ValueError(f"{name} coordinate {bad[0]} outside algebra dim {self.dim}")
         # in the basis L e_i both sides scale by L^2: the same mismatches, in ints
         table = _integral_table(self.mul)[1]
         bad = min(mismatches(nested_products(table, table, True),

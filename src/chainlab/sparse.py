@@ -17,9 +17,10 @@ divided by their gcd; pivots are chosen by sparsity (fewest-entries row, then
 fewest-entries column), and a row is cleared in place against a pivot row by
 the pivot value and its own entry, both first divided by their gcd, so the
 intermediate integers stay small; the updated row is then renormalised by its
-gcd, which makes it the same row the undivided combination would give.  A
-kernel is read off the same elimination by one backward pass over its pivot
-rows.
+gcd, which makes it the same row the undivided combination would give.
+Kernels and solutions are read off one backward pass over the pivot rows:
+solve_many eliminates [M | -b_1 ... -b_k] once and reads the solution of
+Mx = b_j off the kernel vector of b_j's column.
 
 rank() keeps the pivot columns it chose, and a chain complex ranks d_n
 without the rows at d_{n-1}'s pivot columns P (complexes.ChainComplex.rank_d).
@@ -321,54 +322,30 @@ class SparseMatrix:
     def kernel_basis(self) -> list:
         """Basis of {v : Mv = 0}, exact rational vectors ordered by smallest key:
         one per free (non-pivot) column, whose first key is that column, 1 there
-        and 0 at every other free column.
-
-        One backward pass over the pivot rows, in reverse elimination order,
-        clears each of the later pivot columns it holds, in ints; the row of
-        pivot pc then holds pc and free columns only, so the vector of free
-        column f has x[pc] = -R_pc[f] / R_pc[pc], its other pivot keys following
-        in reverse elimination order."""
-        pivots = _echelonize(_integer_rows(self), set())
-        kernel = {f: {f: 1} for f in range(self.ncols)}
-        reduced = {}
-        for pc, row in reversed(pivots):
-            del kernel[pc]
-            for c in [c for c in row if c in reduced]:
-                row = _cleared(row, reduced[c], c)
-            reduced[pc] = row
-            pval = row[pc]
-            for c, v in row.items():
-                if c != pc:
-                    kernel[c][pc] = exact(Fraction(-v, pval))
-        return sorted(kernel.values(), key=min)
+        and 0 at every other free column, as _kernel reads them."""
+        return sorted(_kernel(_echelonize(_integer_rows(self), set()), self.ncols).values(), key=min)
 
     def solve_many(self, bs):
-        """Solve Mx = b for each b; aligned list of solutions (None if inconsistent)."""
-        rows = self.rows_list()
-        aug = []
-        sentinel = self.ncols
-        for i, row in enumerate(rows):
-            r = dict(row)
-            for k, b in enumerate(bs):
-                if b.get(i):
-                    r[sentinel + k] = b[i]
-            if r:
-                aug.append(r)
-        int_rows = [_clear_denominators(r) for r in aug]
-        forbidden = set(range(sentinel, sentinel + len(bs)))
-        pivots = _echelonize(int_rows, forbidden)
-        # Inconsistent systems leave a row supported on sentinel columns only.
-        bad = set()
-        for pc, row in pivots:
-            if pc >= sentinel:
-                bad.update(k - sentinel for k in row if k >= sentinel)
-        sols = []
-        for k in range(len(bs)):
-            if k in bad:
-                sols.append(None)
-                continue
-            sols.append(_solve_back(pivots, sentinel, k, self.ncols))
-        return sols
+        """Solve Mx = b for each b; aligned list of solutions (None if
+        inconsistent), 0 at every free column of M.
+
+        With n = ncols, Mx = b_j exactly when x + e_{n+j} is in the kernel of
+        [M | -b_1 ... -b_k], so one elimination of that matrix, never pivoting
+        on a column n + j, and one backward pass serve every b.  A row left on
+        those columns alone marks each b it holds inconsistent; b_j's solution
+        is otherwise the kernel vector of free column n + j without that key.
+        A coordinate of b outside M's rows raises IndexError."""
+        n = self.ncols
+        entries = dict(self.entries)
+        entries.update(((i, n + j), -v) for j, b in enumerate(bs) for i, v in b.items())
+        aug = SparseMatrix(self.nrows, n + len(bs), entries)
+        pivots = _echelonize(_integer_rows(aug), set(range(n, aug.ncols)))
+        bad = {c for pc, row in pivots if pc >= n for c in row}
+        # a row on the columns n.. alone takes min(row) as its pivot, which two
+        # such rows can share: the backward pass reads only the pivots of M
+        kernel = _kernel([(pc, row) for pc, row in pivots if pc < n], aug.ncols)
+        return [None if n + j in bad else {c: v for c, v in kernel[n + j].items() if c < n}
+                for j in range(len(bs))]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +422,7 @@ def _echelonize(rows, forbidden_cols):
     column index is touched only where a column appears or vanishes, so a
     finished row has the values and key order the undivided combination
     gives.  Once a row is finished it is never modified: it holds no earlier
-    pivot column but may still hold later ones, which kernel_basis clears in
+    pivot column but may still hold later ones, which _kernel clears in
     reverse.
     """
     active = {rid: row for rid, row in enumerate(rows) if row}
@@ -516,21 +493,28 @@ def _echelonize(rows, forbidden_cols):
     return pivots
 
 
-def _solve_back(pivots, sentinel, k, ncols):
-    """Particular solution reading the k-th augmented column; free vars 0."""
-    # A pivot row encodes sum(row[c]*x_c) = row[col] for the k-th system.
-    x = {}
-    col = sentinel + k
+def _kernel(pivots, ncols) -> dict:
+    """{free column f: its kernel vector} over ncols columns, from the pivot
+    rows [(pc, row), ...] of _echelonize: the vector of f is 1 at f and 0 at
+    every other free column.
+
+    One backward pass over the pivot rows, in reverse elimination order,
+    clears each of the later pivot columns it holds, in ints; the row of pivot
+    pc then holds pc and free columns only, so the vector of free column f has
+    x[pc] = -R_pc[f] / R_pc[pc], its pivot keys following f in reverse
+    elimination order."""
+    kernel = {f: {f: 1} for f in range(ncols)}
+    reduced = {}
     for pc, row in reversed(pivots):
-        if pc >= sentinel:
-            continue
-        s = row.get(col, 0)
+        del kernel[pc]
+        for c in [c for c in row if c in reduced]:
+            row = _cleared(row, reduced[c], c)
+        reduced[pc] = row
+        pval = row[pc]
         for c, v in row.items():
-            if c != pc and c < sentinel and c in x:
-                s -= v * x[c]
-        if s:
-            x[pc] = exact(Fraction(s, row[pc]))
-    return x
+            if c != pc:
+                kernel[c][pc] = exact(Fraction(-v, pval))
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ integer elimination that combines rows by the undivided pivot
 value and entry, and the kernel that splits a matrix into the connected
 components of its rows' shared columns, eliminates each on its own and
 back-substitutes every free column through all of its component's pivot
-rows; the generalized trace that walks every permutation of
+rows, and the solver that back-substitutes each right-hand side through
+every pivot row of M; the generalized trace that walks every permutation of
 every wedge; the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
 Connes check read off the bicomplex built to total degree D; relative HH
@@ -557,6 +558,35 @@ def kernel_basis(M) -> list:
     basis += [{c: 1} for c in range(M.ncols) if c not in touched]
     basis.sort(key=min)
     return basis
+
+
+def solve_many(M, bs) -> list:
+    """Mx = b for each b by substitution: the rows of [M | b_1 ... b_k]
+    eliminated with the b columns never pivots; None for each b a row left on
+    those columns alone holds, otherwise x[pc] solved from each pivot row of M
+    in reverse elimination order, 0 at every free column."""
+    n = M.ncols
+    rows = []
+    for i, row in enumerate(M.rows_list()):
+        row.update((n + k, b[i]) for k, b in enumerate(bs) if b.get(i))
+        if row:
+            den = lcm(*[Fraction(v).denominator for v in row.values()])
+            rows.append(_normalize_int_row({k: int(v * den) for k, v in row.items()}))
+    pivots = echelonize(rows, set(range(n, n + len(bs))))
+    bad = {c for pc, row in pivots if pc >= n for c in row}
+    sols = []
+    for k in range(len(bs)):
+        if n + k in bad:
+            sols.append(None)
+            continue
+        x = {}
+        for pc, row in reversed(pivots):
+            if pc < n:
+                s = row.get(n + k, 0) - sum(v * x[c] for c, v in row.items() if c != pc and c in x)
+                if s:
+                    x[pc] = exact(Fraction(s, row[pc]))
+        sols.append(x)
+    return sols
 
 
 # ---------------------------------------------------------------------------

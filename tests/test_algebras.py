@@ -373,3 +373,13 @@ def test_a_bimodule_refuses_a_coordinate_outside_the_module():
 def test_an_ideal_refuses_a_coordinate_outside_the_algebra():
     with pytest.raises(ValueError, match="^ideal vector coordinate 5 outside algebra dim 2$"):
         Ideal(dual_numbers(), [{5: 1}])
+
+
+@pytest.mark.parametrize("kwargs, msg", [
+    ({"unit": {0: 1, 4: 2}}, "unit coordinate 4 outside algebra dim 1"),
+    ({"augmentation": {0: 1, 5: 3}}, "augmentation coordinate 5 outside algebra dim 1"),
+    ({"augmentation": {-1: 1}}, "augmentation coordinate -1 outside algebra dim 1"),
+])
+def test_an_algebra_refuses_a_unit_or_augmentation_coordinate_outside_it(kwargs, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        Algebra(1, ["1"], {(0, 0): {0: 1}}, **kwargs)

@@ -393,6 +393,47 @@ def test_kernel_matches_the_per_component_back_substitution(M):
 
 
 @st.composite
+def solve_cases(draw):
+    """M with Fraction entries and 1-4 right-hand sides, each M x for a drawn x
+    or drawn outright, so some lie outside the image."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    cell = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    M = SparseMatrix(nrows, ncols, draw(st.dictionaries(cell, FRACTIONS, max_size=nrows * ncols))
+                     if ncols else {})
+    mixed = SCALARS["mixed"].filter(bool)
+    bs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if ncols and draw(st.booleans()):
+            bs.append(M.apply(draw(st.dictionaries(st.integers(0, ncols - 1), mixed, max_size=ncols))))
+        else:
+            bs.append(draw(st.dictionaries(st.integers(0, nrows - 1), mixed, max_size=nrows)))
+    return M, bs
+
+
+@PRODUCT_SETTINGS
+@given(solve_cases())
+def test_solve_many_matches_the_substitution_solver(case):
+    M, bs = case
+    sols = M.solve_many(bs)
+    expected = oracle.solve_many(M, bs)
+    assert [s if s is None else list(s.items()) for s in sols] == \
+        [s if s is None else list(s.items()) for s in expected]
+    for b, sol in zip(bs, sols):
+        aug = SparseMatrix(M.nrows, M.ncols + 1, {**M.entries, **{(i, M.ncols): v for i, v in b.items()}})
+        assert (sol is None) == (dense_rank(aug) > dense_rank(M))
+        if sol is not None:
+            assert M.apply(sol) == b and all(is_canonical(v) for v in sol.values())
+
+
+def test_solve_many_refuses_a_right_hand_side_outside_the_rows():
+    I2 = SparseMatrix.identity(2)
+    with pytest.raises(IndexError, match=r"^entry \(5,2\) outside 2x4$"):
+        I2.solve_many([{5: 1}, {-1: 2}])
+    with pytest.raises(IndexError, match=r"^entry \(-1,2\) outside 2x3$"):
+        I2.solve_many([{-1: 2}])
+
+
+@st.composite
 def systems(draw):
     M = draw(matrices())
     vector = st.dictionaries(st.integers(0, M.nrows - 1), SCALARS["mixed"].filter(bool),
