@@ -67,6 +67,8 @@ def _integral_table(mul: dict) -> tuple:
 
 class Algebra:
     def __init__(self, dim, labels, mul, unit=None, augmentation=None, name=None, check=True):
+        if dim < 0:
+            raise ValueError(f"algebra dimension {dim} is negative")
         self.dim = dim
         self.labels = list(labels) if labels else [f"e{i + 1}" for i in range(dim)]
         if len(self.labels) != dim:
@@ -185,6 +187,8 @@ class Bimodule:
     """Left and right module structure over a single algebra."""
 
     def __init__(self, algebra: Algebra, dim, left, right, name=None, check=True):
+        if dim < 0:
+            raise ValueError(f"module dimension {dim} is negative")
         self.algebra = algebra
         self.dim = dim
         self.left = {k: e for k, v in left.items() if (e := exact_vec(v))}
@@ -348,27 +352,36 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 
+def matrix_units(A: Algebra, positions, name) -> Algebra:
+    """The algebra spanned by E_ij (x) a for (i, j) in positions, a list that
+    E_ij E_jl = E_il keeps inside itself; basis E_ij (x) a in position order,
+    then A's.  The table is read off A's nonzero products; the unit is the sum
+    of E_ii (x) 1 when A has one and every index has its diagonal position."""
+    d = A.dim
+    at = {p: k * d for k, p in enumerate(positions)}  # E_ij (x) a is basis element at[i, j] + a
+    rows = {}  # i -> [(l, at[i, l])]
+    for (i, l), k in at.items():
+        rows.setdefault(i, []).append((l, k))
+    mul = {}
+    for (i, j), left in at.items():
+        for l, right in rows.get(j, ()):
+            out = at.get((i, l))
+            if out is None:
+                raise ValueError(f"positions not closed under products: E{i + 1}{l + 1} is missing")
+            for (a, b), prod in A.mul.items():
+                mul[left + a, right + b] = {out + c: v for c, v in prod.items()}
+    diagonal = [at.get((i, i)) for i in sorted({i for p in positions for i in p})]
+    unit = ({k + a: v for k in diagonal for a, v in A.unit.items()}
+            if A.is_unital and None not in diagonal else None)
+    return Algebra(len(positions) * d, [f"E{i + 1}{j + 1}*{x}" for i, j in positions for x in A.labels],
+                   mul, unit=unit, name=name)
+
+
 def matrix_algebra(A: Algebra, r: int) -> Algebra:
     """r x r matrices with entries in A; basis E_ij (x) a, row-major."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    d = A.dim
-    dim = r * r * d
-
-    def idx(i, j, a):
-        return (i * r + j) * d + a
-
-    labels = [f"E{i + 1}{j + 1}*{A.labels[a]}" for i in range(r) for j in range(r) for a in range(d)]
-    mul = {(idx(i, j, a), idx(j, k, b)): {idx(i, k, c): v for c, v in prod.items()}
-           for i in range(r) for j in range(r) for a in range(d) for k in range(r) for b in range(d)
-           if (prod := A.mul_basis(a, b))}
-    unit = None
-    if A.is_unital:
-        unit = {}
-        for i in range(r):
-            for a, v in A.unit.items():
-                unit[idx(i, i, a)] = v
-    return Algebra(dim, labels, mul, unit=unit, name=f"M{r}({A.name or 'A'})")
+    return matrix_units(A, [(i, j) for i in range(r) for j in range(r)], f"M{r}({A.name or 'A'})")
 
 
 def matrix_units_trace(A: Algebra, r: int, v: Vector) -> Vector:

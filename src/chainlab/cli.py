@@ -23,7 +23,7 @@ from .excision import (
     q_kernel_complex,
     wodzicki_verify,
 )
-from .lie import ce_homology, gl, h2_vs_hc1, lie_from_assoc, lqt_verify, trace_chain_check
+from .lie import ce_homology, guarded_gl, h2_vs_hc1, lie_from_assoc, lqt_verify, trace_chain_check
 from .presets import guarded_preset
 from .reports import Report, render_table
 from .tangent import ArtinianBase, LogTraceProbe, chern1, k1_rel_probe, tangent_table
@@ -225,7 +225,7 @@ def run(args) -> Report:
         report.add(cmd, {"ext": args.ext, "D": D}, **payload)
     elif cmd == "ce":
         A = _load_algebra(args)
-        g = lie_from_assoc(A) if args.gl is None else gl(A, args.gl)
+        g = lie_from_assoc(A) if args.gl is None else guarded_gl(A, args.gl, D, args.size_limit)
         rep = ce_homology(g, D, args.size_limit, reps=args.reps)
         report.add(cmd, {"lie": g.name, "D": D}, **rep.to_jsonable())
     elif cmd == "trace":

@@ -85,6 +85,12 @@ class ChainComplex:
         if degrees != list(range(degrees[0], degrees[-1] + 1)):
             raise ValueError("degrees must be contiguous")
         self.lo, self.hi = degrees[0], degrees[-1]
+        for n in degrees:
+            if dims[n] < 0:
+                raise ValueError(f"degree {n} has negative dimension {dims[n]}")
+        stray = [n for n in diffs if not self.lo < n <= self.hi]
+        if stray:
+            raise ValueError(f"d_{min(stray)} has no source and target among degrees {self.lo}..{self.hi}")
         self.dims = dict(dims)
         self.diffs = dict(diffs)
         self.certified = certified

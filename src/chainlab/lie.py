@@ -20,9 +20,12 @@ summand of nonzero weight is acyclic (Loday, Cyclic Homology, 10.1).  gl(A, r)
 declares w(E_kl (x) a) = e_k - e_l with h_i = E_ii (x) 1 when A is unital, so
 the weight-0 wedges C_0 are those whose row multiset equals their column
 multiset; ce_complex builds only those, in lexicographic order, and
-representatives are reported at their positions in the full exterior power,
-which the size guard still reads.  Commutator Lie algebras, triangular_lie and
-gl of a non-unital algebra declare no grading and build every wedge.
+representatives are reported at their positions in the full exterior power.
+The size guard still reads the full exterior powers C(dim g, p); guarded_gl,
+which ce --gl, trace, lqt and h2hc1 build gl_r(A) through, reads them off
+dim gl_r(A) = r^2 dim A before gl_r(A) is built.  Commutator Lie algebras,
+triangular_lie and gl of a non-unital algebra declare no grading and build
+every wedge.
 
 gl also declares, and LieAlgebra checks, the action of S_r by E_kl (x) a ->
 E_s(k)s(l) (x) a; without representatives ce_homology reads C_0's quotient by
@@ -54,7 +57,7 @@ from types import SimpleNamespace
 
 from .algebras import Algebra, Ideal, matrix_algebra, mismatches, nested_products
 from .complexes import ChainComplex, HomologyReport, Interval
-from .cyclic import LambdaComplex, hc_homology, lambda_complex
+from .cyclic import DEFAULT_SIZE_LIMIT, LambdaComplex, hc_homology, lambda_complex
 from .errors import ChainlabError, NotNilpotent, SizeLimit, UnitError
 from .sparse import (SparseMatrix, Subspace, Vector, bilinear, exact_vec, product_ranks,
                      table_rows, vec_axpy, vec_sub)
@@ -76,6 +79,8 @@ class LieAlgebra:
     is set; self.symmetries keeps the pi."""
 
     def __init__(self, dim, labels, bracket, name=None, check=True, grading=None):
+        if dim < 0:
+            raise ValueError(f"Lie algebra dimension {dim} is negative")
         self.dim = dim
         self.labels = list(labels) if labels else [f"x{i + 1}" for i in range(dim)]
         self.name = name
@@ -196,6 +201,13 @@ def gl(A: Algebra, r: int) -> LieAlgebra:
                       grading=grading)
 
 
+def guarded_gl(A: Algebra, r: int, D: int, size_limit=None) -> LieAlgebra:
+    """gl(A, r), once the size guard of its CE chains through wedge degree D
+    has read its dimension r^2 dim A: an over-limit gl_r(A) is never built."""
+    _exterior_guard(r * r * A.dim, D, size_limit)
+    return gl(A, r)
+
+
 def triangular_lie(A: Algebra, I: Ideal, n: int, sigma) -> LieAlgebra:
     """Matrices over A with entry (i, j) confined to I unless i < j in the
     transitive closure of sigma (pairs of 1-based indices).  Must come out
@@ -254,7 +266,14 @@ def triangular_lie(A: Algebra, I: Ideal, n: int, sigma) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_EXTERIOR_LIMIT = 2_000_000
+def _exterior_guard(dim: int, D: int, size_limit=None):
+    """Refuse the CE chains through wedge degree D of a Lie algebra of
+    dimension dim: every exterior power C(dim, p), p <= min(D, dim), must be
+    within the size limit."""
+    limit = DEFAULT_SIZE_LIMIT if size_limit is None else size_limit
+    for p in range(min(D, dim) + 1):
+        if comb(dim, p) > limit:
+            raise SizeLimit(f"exterior power C({dim},{p}) exceeds limit {limit}")
 
 
 class CEComplex(SimpleNamespace):
@@ -394,11 +413,8 @@ def ce_complex(g: LieAlgebra, D: int, size_limit=None, coinvariants=False) -> CE
     exterior powers either way."""
     if D < 1:
         raise ValueError("D must be >= 1")
-    limit = DEFAULT_EXTERIOR_LIMIT if size_limit is None else size_limit
+    _exterior_guard(g.dim, D, size_limit)
     top = min(D, g.dim)
-    for p in range(top + 1):
-        if comb(g.dim, p) > limit:
-            raise SizeLimit(f"exterior power C({g.dim},{p}) exceeds limit {limit}")
     weight_zero = g.weights is not None
     perms = g.symmetries if coinvariants else ()
     cells = {p: _wedge_classes(*wedges, perms)  # no grading: every wedge
@@ -491,10 +507,11 @@ def trace_chain_check(A: Algebra, r: int, N: int, size_limit=None):
     """Exact matrix identity Tr . d_CE = sign * d_lambda . Tr for wedge
     degrees <= N + 1, on the weight-0 wedges when gl_r(A) is graded; returns
     (report, trace matrices, lambda complex, ce)."""
-    g = gl(A, r)
-    if g.dim < 2:  # no d_CE to check: the exterior powers stop at degree g.dim
-        raise ChainlabError(f"trace needs dim gl_r(A) >= 2, got {g.dim} for r = {r}")
-    N = min(N, g.dim - 1)  # higher exterior powers vanish
+    dim = r * r * A.dim
+    if dim < 2:  # no d_CE to check: the exterior powers stop at degree dim
+        raise ChainlabError(f"trace needs dim gl_r(A) >= 2, got {dim} for r = {r}")
+    N = min(N, dim - 1)  # higher exterior powers vanish
+    g = guarded_gl(A, r, N + 1, size_limit)
     ce = ce_complex(g, N + 1, size_limit)
     lam = lambda_complex(A, N, size_limit)
     traces = {n: generalized_trace_matrix(A, r, n, lam, ce) for n in range(0, N + 1)}
@@ -569,7 +586,7 @@ def lqt_verify(A: Algebra, r: int, D: int, size_limit=None) -> LqtReport:
     r >= D a mismatch is reported, not failed."""
     if not A.is_unital:
         raise UnitError("the stable comparison expects a unital algebra")
-    g = gl(A, r)
+    g = guarded_gl(A, r, D + 1, size_limit)
     ce_rep = ce_homology(g, D + 1, size_limit)
     hc_rep = hc_homology(A, max(D + 1, 2), size_limit)  # HC_0..HC_{D-1}, the generators
     gens = {n: hc_rep.betti[n - 1] for n in range(1, D + 1)}
@@ -600,7 +617,7 @@ def h2_vs_hc1(A: Algebra, r: int, size_limit=None) -> CentralExtensionReport:
     """Compare HC_1(A) with the kernel size of the universal central extension
     of gl_r(A), i.e. the indecomposable part of H_2: products of H_1 classes
     (their exterior square) are discounted from the raw dimension."""
-    g = gl(A, r)
+    g = guarded_gl(A, r, 3, size_limit)
     rep = ce_homology(g, 3, size_limit)
     h1, h2 = _ce_betti(rep, g, 1), _ce_betti(rep, g, 2)
     prim = h2 - comb(h1, 2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebras import Algebra, AlgebraMorphism, matrix_algebra, product_algebra, tensor
+from .algebras import Algebra, AlgebraMorphism, matrix_algebra, matrix_units, product_algebra, tensor
 from .cyclic import size_guard
 from .errors import NotAugmented, ParseError, UnitError
 from .sparse import SparseMatrix
@@ -66,32 +66,8 @@ def upper_triangular(n: int, base: Algebra | None = None) -> Algebra:
     base = base or rationals()
     if not base.is_unital:
         raise UnitError("upper_triangular needs a unital base")
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pos = {p: k for k, p in enumerate(pairs)}
-    d = base.dim
-    dim = len(pairs) * d
-
-    def idx(p, a):
-        return pos[p] * d + a
-
-    mul = {}
-    for (i, j) in pairs:
-        for (k, l) in pairs:
-            if j != k:
-                continue
-            for a in range(d):
-                for b in range(d):
-                    prod = base.mul_basis(a, b)
-                    if prod:
-                        mul[(idx((i, j), a), idx((k, l), b))] = {
-                            idx((i, l), c): v for c, v in prod.items()
-                        }
-    unit = {}
-    for i in range(n):
-        for a, v in base.unit.items():
-            unit[idx((i, i), a)] = v
-    labels = [f"E{i + 1}{j + 1}*{base.labels[a]}" for (i, j) in pairs for a in range(d)]
-    return Algebra(dim, labels, mul, unit=unit, name=f"UT{n}({base.name or 'A'})")
+    return matrix_units(base, [(i, j) for i in range(n) for j in range(i, n)],
+                        f"UT{n}({base.name or 'A'})")
 
 
 def _int_arg(args, default: int, least: int = 1) -> int:
@@ -183,21 +159,15 @@ def _upper_triangular_extension(n: int):
     diag = rationals()
     for _ in range(n - 1):
         diag = product_algebra(diag, rationals())
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    ent = {}
-    for k, (i, j) in enumerate(pairs):
-        if i == j:
-            ent[(i, k)] = ONE
-    return AlgebraMorphism(A, diag, SparseMatrix(n, len(pairs), ent))
+    ent = {(i, k): ONE for i, k in enumerate(sorted(A.unit))}  # E_ii*1, the unit's terms
+    return AlgebraMorphism(A, diag, SparseMatrix(n, A.dim, ent))
 
 
 def _matrix_dual_extension(r: int):
     """M_r(Q[e]) -> M_r(Q), e -> 0."""
     A = matrix_algebra(dual_numbers(), r)
     B = matrix_algebra(rationals(), r)
-    ent = {}
-    for p in range(r * r):
-        ent[(p, 2 * p)] = ONE  # E_ij*1 -> E_ij; E_ij*e -> 0
+    ent = {(p, 2 * p): ONE for p in range(r * r)}  # E_ij*1 -> E_ij; E_ij*e -> 0
     return AlgebraMorphism(A, B, SparseMatrix(r * r, 2 * r * r, ent))
 
 

@@ -123,6 +123,8 @@ class SparseMatrix:
     __slots__ = ("nrows", "ncols", "entries", "fractional", "pivots")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
+        if nrows < 0 or ncols < 0:
+            raise ValueError(f"matrix shape {nrows}x{ncols} is negative")
         self.nrows = nrows
         self.ncols = ncols
         data = {}

@@ -117,7 +117,9 @@ class LogTraceProbe:
     ideal's own coordinates, so a trace in I is its own chain.  The size
     guard reads the row A.dim^4 of total degree 3, as _read_bicomplex does
     for a result reported at bound 3, so a size limit rejects the same
-    inputs."""
+    inputs.  A second guard then reads (r^2 A.dim)^2, the basis pairs of
+    M_r(A), which its table and its associativity check grow with, before
+    M_r(A) is built."""
 
     def __init__(self, ext: ExtensionData, r: int, size_limit=None):
         if ext.ideal_dim and not ext.I_ad.is_nilpotent:
@@ -125,13 +127,14 @@ class LogTraceProbe:
         self.ext = ext
         self.r = r
         A = ext.A_ad
+        size_guard(A.dim ** 4, size_limit, "bicomplex row")
+        size_guard((r * r * A.dim) ** 2, size_limit, f"M_{r}(A) basis-pair table")
         self.Am, self.offset = _unital_ambient(matrix_algebra(A, r))
         self.ideal_basis = []
         for pos in range(r * r):
             for t in range(ext.ideal_dim):
                 self.ideal_basis.append({pos * A.dim + t: ONE})
         self.commutators = Subspace(A.dim, commutator_subspace(A))
-        size_guard(A.dim ** 4, size_limit, "bicomplex row")
         letters = _letters(ext)
         K, _ = _word_cut({1: hoch_matrix(A, Bimodule.regular(A), 1)},
                          {0: [(letters,)], 1: [(letters, letters)]}, "K")

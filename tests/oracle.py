@@ -20,7 +20,8 @@ components of its rows' shared columns, eliminates each on its own and
 back-substitutes every free column through all of its component's pivot
 rows, and the solver that back-substitutes each right-hand side through
 every pivot row of M; the generalized trace that walks every permutation of
-every wedge; the validators that loop over every basis triple for
+every wedge; matrix units multiplied one pair of basis words at a time;
+the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
 Connes check read off the bicomplex built to total degree D; relative HH
 and HC and their comparison maps built on the HH or HC bicomplexes of their
@@ -625,6 +626,33 @@ def generalized_trace_matrix(A, r, n, lam, tuples):
             vec_axpy(acc, sgn, project_element(lam, n, {cyclic_words.index(word): 1}))
         cols.append(acc)
     return SparseMatrix.from_columns(lam.complex.dim(n), cols)
+
+
+# ---------------------------------------------------------------------------
+# matrix units over an algebra, multiplied one pair of basis words at a time,
+# which chainlab.algebras.matrix_units must reproduce
+# ---------------------------------------------------------------------------
+
+
+def matrix_units(A, positions, name):
+    """The algebra of the words ((i, j), a) = E_ij (x) a over positions, in
+    that order: every pair of words is multiplied on its own, E_ij a times
+    E_kl b being 0 unless j = k and E_il (x) ab otherwise, each term of ab
+    located by searching the word list.  The unit is the sum of E_ii (x) 1
+    when A has one and every index has its diagonal position."""
+    words = [(p, a) for p in positions for a in range(A.dim)]
+    mul = {}
+    for x, ((i, j), a) in enumerate(words):
+        for y, ((k, l), b) in enumerate(words):
+            if j == k:
+                for c, v in A.mul_basis(a, b).items():
+                    mul.setdefault((x, y), {})[words.index(((i, l), c))] = v
+    indices = {i for p in positions for i in p}
+    unit = None
+    if A.is_unital and all((i, i) in positions for i in indices):
+        unit = {words.index(((i, i), a)): v for i in indices for a, v in A.unit.items()}
+    labels = [f"E{i + 1}{j + 1}*{A.labels[a]}" for (i, j), a in words]
+    return Algebra(len(words), labels, mul, unit=unit, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from chainlab.algebras import (
     augmentation_ideal,
     commutator_subspace,
     matrix_algebra,
+    matrix_units,
     matrix_units_trace,
     product_algebra,
     quotient,
@@ -383,3 +384,69 @@ def test_an_ideal_refuses_a_coordinate_outside_the_algebra():
 def test_an_algebra_refuses_a_unit_or_augmentation_coordinate_outside_it(kwargs, msg):
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         Algebra(1, ["1"], {(0, 0): {0: 1}}, **kwargs)
+
+
+MATRIX_BASES = {"Q": rationals, "Q[e]": dual_numbers, "Q[t]/t^3": lambda: truncated_poly(3),
+                "fat_point": fat_point, "M2(Q)": lambda: matrix_algebra(rationals(), 2)}
+
+
+def _same_algebra(got, want):
+    assert (got.dim, got.labels, got.name, got.unit) == (want.dim, want.labels, want.name, want.unit)
+    assert got.mul == want.mul
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("base", sorted(MATRIX_BASES))
+def test_matrix_and_upper_triangular_algebras_match_the_word_by_word_reference(base, n):
+    A = MATRIX_BASES[base]()
+    full = [(i, j) for i in range(n) for j in range(n)]
+    upper = [(i, j) for i, j in full if i <= j]
+    M, U = matrix_algebra(A, n), upper_triangular(n, A)
+    _same_algebra(M, oracle.matrix_units(A, full, f"M{n}({A.name})"))
+    _same_algebra(U, oracle.matrix_units(A, upper, f"UT{n}({A.name})"))
+    # UT_n(A) is the sub-table of M_n(A) on the upper positions, re-indexed
+    d = A.dim
+    new = {(i * n + j) * d + a: k for k, (i, j, a) in
+           enumerate((i, j, a) for i, j in upper for a in range(d))}
+    assert U.mul == {(new[x], new[y]): {new[z]: v for z, v in vec.items()}
+                     for (x, y), vec in M.mul.items() if x in new and y in new}
+    assert U.unit == {new[k]: v for k, v in M.unit.items()}
+
+
+@st.composite
+def closed_positions(draw):
+    """A shuffled list of positions closed under E_ij E_jl = E_il: the
+    transitive closure of a random relation on at most 4 indices, with or
+    without the diagonal."""
+    n = draw(st.integers(1, 4))
+    pairs = set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)))
+    if draw(st.booleans()):
+        pairs |= {(i, i) for i in range(n)}
+    while True:
+        more = {(i, l) for i, j in pairs for k, l in pairs if j == k} - pairs
+        if not more:
+            break
+        pairs |= more
+    return draw(st.permutations(sorted(pairs)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(MATRIX_BASES)), closed_positions())
+def test_matrix_units_on_any_closed_positions_match_the_reference(base, positions):
+    A = MATRIX_BASES[base]()
+    _same_algebra(matrix_units(A, positions, "P"), oracle.matrix_units(A, positions, "P"))
+
+
+def test_matrix_units_refuse_positions_a_product_leaves():
+    with pytest.raises(ValueError, match="^positions not closed under products: E11 is missing$"):
+        matrix_units(rationals(), [(0, 1), (1, 0)], "P")
+
+
+def test_an_algebra_refuses_a_negative_dimension_by_name():
+    with pytest.raises(ValueError, match="^algebra dimension -1 is negative$"):
+        Algebra(-1, None, {})
+
+
+def test_a_bimodule_refuses_a_negative_dimension():
+    with pytest.raises(ValueError, match="^module dimension -3 is negative$"):
+        Bimodule(rationals(), -3, {}, {})

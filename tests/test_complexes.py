@@ -392,3 +392,17 @@ def test_rank_d_matches_the_dense_rank(case, data):
     moved = shift(C, k)
     assert {m - k: moved.rank_d(m) for m in range(k, top + 2 + k)} == expected
     assert {m: C.rank_d(m) for m in degrees} == expected
+
+
+def test_a_complex_refuses_a_negative_dimension():
+    with pytest.raises(ValueError, match="^degree 0 has negative dimension -1$"):
+        ChainComplex({0: -1}, {}, Interval(0, 0))
+
+
+@pytest.mark.parametrize("n", [0, 2, -4])
+def test_a_complex_refuses_a_differential_outside_its_degrees(n):
+    # dims {0, 1} leave room for d_1 alone, checked or not
+    for check in (True, False):
+        with pytest.raises(ValueError, match=f"^d_{n} has no source and target among degrees 0..1$"):
+            ChainComplex({0: 1, 1: 1}, {1: SparseMatrix(1, 1), n: SparseMatrix(1, 1)},
+                         Interval(0, 1), check=check)

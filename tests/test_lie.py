@@ -72,6 +72,11 @@ def test_a_bracket_outside_the_dimension_is_refused(bracket, msg):
         LieAlgebra(2, None, bracket)
 
 
+def test_a_lie_algebra_refuses_a_negative_dimension():
+    with pytest.raises(ValueError, match="^Lie algebra dimension -2 is negative$"):
+        LieAlgebra(-2, None, {})
+
+
 def test_lie_from_assoc_commutative_gives_abelian():
     g = lie_from_assoc(dual_numbers())
     assert not g.bracket
@@ -118,6 +123,29 @@ def test_ce_d_squared_and_bounded_top():
 def test_size_limit():
     with pytest.raises(SizeLimit):
         ce_complex(gl(rationals(), 4), 5, size_limit=100)
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["ce", "--preset", "rationals", "--gl", "45", "-D", "2"], "exterior power C(2025,2) exceeds limit 2000000"),
+    (["trace", "--preset", "rationals", "-r", "40", "-D", "2"], "exterior power C(1600,3) exceeds limit 2000000"),
+    (["lqt", "--preset", "rationals", "-r", "40", "-D", "2"], "exterior power C(1600,3) exceeds limit 2000000"),
+    (["h2hc1", "--preset", "rationals", "-r", "40"], "exterior power C(1600,3) exceeds limit 2000000"),
+    (["ce", "--preset", "dual_numbers", "--gl", "3", "-D", "5", "--size-limit", "100"],
+     "exterior power C(18,2) exceeds limit 100"),
+    (["trace", "--preset", "rationals", "-r", "3", "-D", "9", "--size-limit", "50"],
+     "exterior power C(9,3) exceeds limit 50"),
+    # the checks that came before the guard still come first
+    (["trace", "--preset", "rationals", "-r", "1", "-D", "3"], "trace needs dim gl_r(A) >= 2, got 1 for r = 1"),
+    (["lqt", "--preset", "square_zero:1", "-r", "40", "-D", "2"], "the stable comparison expects a unital algebra"),
+])
+def test_gl_is_refused_before_it_is_built(monkeypatch, capsys, argv, msg):
+    def unbuilt(*args):
+        raise AssertionError("gl_r(A) was built")
+
+    monkeypatch.setattr(lie, "gl", unbuilt)
+    monkeypatch.setattr(lie, "matrix_algebra", unbuilt)
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"error: {msg}\n"
 
 
 def test_gl2_of_m2_matches_gl4():

@@ -459,3 +459,9 @@ def test_fractional_flags_exactly_the_matrices_holding_a_fraction(pair, rows, c)
     A, B = pair
     for M in (A, B, A @ B, A.without_rows(rows), A.scale(c), B.scale(c)):
         assert M.fractional == any(type(v) is not int for v in M.entries.values())
+
+
+@pytest.mark.parametrize("shape", [(-1, 2), (2, -1), (-3, -3)])
+def test_a_matrix_refuses_a_negative_shape(shape):
+    with pytest.raises(ValueError, match=f"^matrix shape {shape[0]}x{shape[1]} is negative$"):
+        SparseMatrix(*shape)

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 import oracle
+from chainlab import tangent
 from chainlab.algebras import matrix_algebra, matrix_units_trace
 from chainlab.complexes import HomologySpace
 from chainlab.cyclic import hc_homology
 from chainlab.errors import ChainlabError, NotNilpotent, SizeLimit
+from chainlab.cli import main as cli_main
 from chainlab.excision import ExtensionData, relative_homology
 from chainlab.presets import (
     _EXTENSION_BUILDERS,
@@ -286,6 +288,34 @@ def test_probe_keeps_the_guard_of_degree_three():
         with pytest.raises(SizeLimit, match=f"^bicomplex row has dimension 4096 > size limit {limit}$"):
             LogTraceProbe(ext, 1, size_limit=limit)
     assert LogTraceProbe(ext, 1, size_limit=5000).rel_hc0_dim == 1
+
+
+class _Built(Exception):
+    pass
+
+
+def _unbuilt(*args):
+    raise _Built("M_r(A) was built")
+
+
+def test_chern1_refuses_m_r_before_it_is_built(monkeypatch, capsys):
+    monkeypatch.setattr(tangent, "matrix_algebra", _unbuilt)
+    assert cli_main(["chern1", "--ext", "dual_numbers", "-r", "30", "--samples", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: M_30(A) basis-pair table has dimension 3240000 > size limit 2000000\n"
+
+
+def test_the_m_r_guard_reads_the_basis_pairs_after_the_bicomplex_row(monkeypatch):
+    monkeypatch.setattr(tangent, "matrix_algebra", _unbuilt)
+    # (r^2 dim A)^2 on dual_numbers: 1352^2 at r = 26 passes the default limit, 1458^2 at r = 27 not
+    with pytest.raises(_Built):
+        LogTraceProbe(ext_of("dual_numbers"), 26)
+    with pytest.raises(SizeLimit, match="^M_27\\(A\\) basis-pair table has dimension 2125764 > "
+                                        "size limit 2000000$"):
+        LogTraceProbe(ext_of("dual_numbers"), 27)
+    # the row A.dim^4 = 4096 of matrix_dual:2 is refused first
+    with pytest.raises(SizeLimit, match="^bicomplex row has dimension 4096 > size limit 600$"):
+        LogTraceProbe(ext_of("matrix_dual:2"), 5, size_limit=600)
 
 
 def test_a_log_trace_outside_the_ideal_is_refused():
