@@ -498,8 +498,14 @@ def quotient(A: Algebra, I: Ideal):
     return B, proj
 
 
+def commutators(A: Algebra) -> dict:
+    """(i, j) -> e_i e_j - e_j e_i for i < j: the bracket table of A's commutator
+    Lie algebra, whose values span the commutator subspace."""
+    return {(i, j): vec_sub(A.mul_basis(i, j), A.mul_basis(j, i))
+            for i in range(A.dim) for j in range(i + 1, A.dim)}
+
+
 def commutator_subspace(A: Algebra):
     """Reduced basis of span{xy - yx}."""
-    return Subspace(A.dim, [vec_sub(A.mul_basis(i, j), A.mul_basis(j, i))
-                            for i in range(A.dim) for j in range(i + 1, A.dim)]).basis()
+    return Subspace(A.dim, list(commutators(A).values())).basis()
 

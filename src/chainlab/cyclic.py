@@ -34,10 +34,10 @@ that of the (b, B) bicomplex on it (Loday 1.1.14, 2.1.7-2.1.9): no Bar
 columns, N or 1 - t, and d - 1 letters per inner slot.  A non-unital A reads
 the same model of its unitalization A+ = Q.1 + A, whose reduced HH and HC are
 A's (Loday 1.4, 2.2; Wodzicki, Ann. Math. 129 (1989)), with A.dim letters per
-inner slot.  hh_homology without reps and connes_check read it, as do the
-excision cuts (excision._kernel_cuts).  The cyclic bicomplex serves only
-hh_homology and hc_homology with reps, whose representatives are written in
-its basis.
+inner slot.  hh_homology without reps, connes_check and the excision cuts
+(excision._kernel_cuts) read it through _normalized_b, which alone guards
+it and picks its unital basis.  The cyclic bicomplex serves only the reps of
+hh_homology and hc_homology (_read_bicomplex), written in its basis.
 
 hh_homology, hc_homology and connes_check build on A.integral() or the
 unit_adapted() basis of A or A+, the same algebra in a basis where its
@@ -324,10 +324,10 @@ class CyclicBicomplex:
     """First-quadrant bicomplex, columns alternating Hochschild (even q,
     differential b) and Bar (odd q, differential -b'), horizontal maps 1-t
     (odd q -> even) and N (even q -> odd), materialised to total degree D.
-    Only hh_homology and hc_homology with reps read it, whose representatives
-    are written in its basis: they report at bound D off the build to D - 1,
-    guarded as for D (_read_bicomplex).  Every other result reads
-    LambdaComplex or the normalized (b, B) model.
+    Only hh_homology and hc_homology with reps read it, each through one call
+    of _read_bicomplex, whose report at bound D reads the build to D - 1,
+    guarded as for D, and writes the representatives in A's basis.  Every
+    other result reads LambdaComplex or the normalized (b, B) model.
 
     ncols=2 is the two-column Hochschild totalization; ncols=D+1 the cyclic
     one.  The plain-sum total differential squares to zero degreewise, which
@@ -401,30 +401,30 @@ class CyclicBicomplex:
         return ChainMap(self.total, other.total, comps)
 
 
-def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None):
-    """(bc, L): the bicomplex of A's integral basis (Algebra.integral) to total
-    degree D - 1, all that a result reported at bound D reads: degrees 0..D-2
-    need only d_1..d_{D-1}.  The guard still reads the row A.dim^(D+1) of total
-    degree D, so a size limit rejects the same inputs."""
+def _read_bicomplex(A: Algebra, ncols: int, D: int, size_limit=None) -> HomologyReport:
+    """The reps report at bound D off the bicomplex of A's integral basis
+    (Algebra.integral) built to total degree D - 1: degrees 0..D-2 need only
+    d_1..d_{D-1}.  The guard reads the row A.dim^(D+1) of total degree D, so a
+    size limit rejects the same inputs; _in_basis_of_A maps reps to A's basis."""
     size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
     B, L = A.integral()
-    return CyclicBicomplex(B, ncols, D - 1, size_limit), L
+    bc = CyclicBicomplex(B, ncols, D - 1, size_limit)
+    return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=True))
 
 
-def _normalized_b(A: Algebra, D: int, adapted=False):
+def _normalized_b(A: Algebra, D: int, size_limit=None, droppable=None):
     """(b, w): b_1..b_{D-1} of the normalized Hochschild complex C_p = G (x)
-    Gbar^p, Gbar = G/Q.1, and w[p] = dim C_p for p < D.  G is A.unit_adapted()
-    for unital A, A itself when it is adapted already, and for non-unital A
-    the unitalization A+ = Q.1 + A in its unit-adapted basis: g_0 = 1, then
-    A's letters, with int constants.  Gbar's letters are g_1..g_e, so
-    hoch_matrix writes b on the radices (e + 1, e, ..., e): the inner slots
-    multiply through the projection dropping g_0, the module slot and the wrap
-    through G's product.  Callers guard A.dim^(D+1) first: the input's row,
-    so a non-unital A is refused before A+ is built."""
-    if adapted:
-        G = A
-    else:
-        G = (A if A.is_unital else unitalization(A)[0]).unit_adapted()
+    Gbar^p, Gbar = G/Q.1, and w[p] = dim C_p for p < D, built once the input's
+    row A.dim^(D+1) passes the guard.  G is A.unit_adapted(droppable) if A has
+    a unit coordinate among the letters droppable (all by default), else the
+    unitalization A+ = Q.1 + A in its unit-adapted basis: g_0 = 1, then A's
+    letters, with int constants.  Gbar's letters are g_1..g_e, so hoch_matrix
+    writes b on the radices (e + 1, e, ..., e): the inner slots multiply
+    through the projection dropping g_0, the module slot and the wrap through
+    G's product."""
+    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
+    unital = A.is_unital and any(droppable is None or k in droppable for k in A.unit)
+    G = A.unit_adapted(droppable) if unital else unitalization(A)[0].unit_adapted()
     e = G.dim - 1
     letters = SimpleNamespace(dim=e, mul={(x - 1, y - 1): {z - 1: c for z, c in v.items() if z}
                                           for (x, y), v in G.mul.items() if x and y})
@@ -445,13 +445,13 @@ def sparser_basis(A: Algebra) -> Algebra:
     return A.integral()[0]
 
 
-def _connes_total(A: Algebra, D: int, adapted=False):
+def _connes_total(A: Algebra, D: int, size_limit=None, droppable=None):
     """(total, w): Connes' (b, B) bicomplex on the normalized complex of
-    _normalized_b's model G to total degree D - 1, w[n] = dim C_n the width of
-    its column 0.  Degree n lists the columns C_n, C_{n-2}, ..., so C_p sits
-    at offset dims[n] - dims[p]; d is b down each column and B from C_p to
+    _normalized_b's model G, guarded and chosen there, to total degree D - 1,
+    w[n] = dim C_n the width of its column 0.  Degree n lists the columns C_n,
+    C_{n-2}, ..., so C_p sits at offset dims[n] - dims[p]; d is b down each column and B from C_p to
     C_{p+1} one column left.  Gbar has e = w[0] - 1 letters."""
-    b, w = _normalized_b(A, D, adapted)
+    b, w = _normalized_b(A, D, size_limit, droppable)
     B = {p: _connes_B(w[0] - 1, p) for p in range(D - 2)}
     dims = {n: sum(w[p] for p in range(n, -1, -2)) for n in range(D)}
     diffs = {}
@@ -480,18 +480,16 @@ def _in_basis_of_A(bc: CyclicBicomplex, L: int, report: HomologyReport) -> Homol
 
 
 def hh_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyReport:
-    """HH_0..HH_{D-2} off the normalized complex of _normalized_b without reps,
-    else the two-column bicomplex; either built to degree D - 1.  A
-    non-unital A has the reduced HH of A+ (Loday 1.4): degree 0 less the
-    word 1, cut from d_1 alone after checking that its row 0 is empty, i.e.
-    that the word 1 is never a boundary; b_2, ... pass unchanged."""
+    """HH_0..HH_{D-2} off _normalized_b without reps, else off the two-column
+    bicomplex (_read_bicomplex); either built to degree D - 1.  A non-unital
+    A has the reduced HH of A+ (Loday 1.4): degree 0 less the word 1, cut
+    from d_1 alone after checking that its row 0 is empty, i.e. that the word
+    1 is never a boundary; b_2, ... pass unchanged."""
     if D < 2:
         raise ValueError("D must be >= 2")
     if reps:
-        bc, L = _read_bicomplex(A, 2, D, size_limit)
-        return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=True))
-    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
-    b, w = _normalized_b(A, D)
+        return _read_bicomplex(A, 2, D, size_limit)
+    b, w = _normalized_b(A, D, size_limit)
     if A.is_unital:
         return ChainComplex(w, b, Interval(0, D - 2)).homology(Interval(0, D - 2))
     d1 = b[1]
@@ -509,8 +507,7 @@ def hc_homology(A: Algebra, D: int, size_limit=None, reps=False) -> HomologyRepo
     if D < 2:
         raise ValueError("D must be >= 2")
     if reps:
-        bc, L = _read_bicomplex(A, D + 1, D, size_limit)
-        return _in_basis_of_A(bc, L, bc.total.homology(Interval(0, D - 2), reps=True))
+        return _read_bicomplex(A, D + 1, D, size_limit)
     size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
     return lambda_complex(sparser_basis(A), D - 1, size_limit).homology(Interval(0, D - 2))
 
@@ -547,8 +544,8 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     """Exactness of HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} by rank bookkeeping.
 
     Uses the degreewise split short exact sequence (HH column) -> (total) ->
-    (the other columns) of Connes' (b, B) total on the normalized complex of
-    _connes_total's model, built to degree D - 1 with the guard of degree D.
+    (the other columns) of Connes' (b, B) total of _connes_total, built to
+    degree D - 1 with the guard of degree D, both in _normalized_b.
     For non-unital A that model is A+ = Q.1 + A, whose sequence is the direct
     sum of A's and of Q's, which is exact: the verdicts are A's, and the
     report carries no Betti numbers.  Both ends are cut at the width w[n] of
@@ -561,8 +558,7 @@ def connes_check(A: Algebra, D: int, size_limit=None) -> ConnesReport:
     """
     if D < 3:
         raise ValueError("D must be >= 3")
-    size_guard(A.dim ** (D + 1), size_limit, "bicomplex row")
-    total, w = _connes_total(A, D)
+    total, w = _connes_total(A, D, size_limit)
 
     sub = subcomplex(total.diffs, {n: range(w[n]) for n in w}, "column 0")
     quot = quotient_complex(entries_of(total.diffs), {

@@ -40,7 +40,7 @@ from itertools import product
 from math import prod
 from types import SimpleNamespace
 
-from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal, unitalization
+from .algebras import Algebra, AlgebraMorphism, Bimodule, Ideal
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -179,6 +179,8 @@ class FiltrationStage(SimpleNamespace):
 def _differential(kind: str, A: Algebra, M: Bimodule, p: int, b_prime=None) -> SparseMatrix:
     """d_p on the words of (A, M): -b' for kind "bar", b for "hoch"; read off
     b_prime[p] = b'_p where those are built already."""
+    if kind not in ("bar", "hoch"):
+        raise ValueError(f"unknown complex kind {kind!r}: expected 'bar' or 'hoch'")
     if b_prime is None:
         return b_prime_matrix(A, M, p).scale(-1) if kind == "bar" else hoch_matrix(A, M, p)
     return b_prime[p].scale(-1) if kind == "bar" else hoch_from_b_prime(b_prime[p], A, M, p)
@@ -307,14 +309,6 @@ def q_kernel_complex(ext: ExtensionData, stage: FiltrationStage) -> ChainComplex
 # ---------------------------------------------------------------------------
 
 
-def _unit_basis(ext: ExtensionData) -> Algebra | None:
-    """A_ad in the basis g_0 = 1, g_1..g_dI its ideal letters, then the other
-    complement letters (unit_adapted dropping the unit's first complement
-    coordinate); None when A has no unit or 1 lies in I."""
-    A, dI = ext.A_ad, ext.ideal_dim
-    return A.unit_adapted(range(dI, A.dim)) if A.is_unital and max(A.unit) >= dI else None
-
-
 def _word_cut(diffs: dict, rows: dict, what: str):
     """(K, inner) of a complex whose degree n is the direct sum, in order, of
     the word bases rows[n].  A word basis is a tuple of slots, each a string
@@ -354,24 +348,23 @@ def _letters(ext: ExtensionData) -> str:
 
 def _kernel_cuts(ext: ExtensionData, D: int, flavors, size_limit=None):
     """The _word_cut (K, inner) to degree D - 1 for each flavor, "hh" or else
-    HC, off Connes' (b, B) total on the normalized complex of a unital G: on
-    unital A with 1 not in I, _unit_basis; otherwise the unitalization A_ad+
-    = Q.1 + A_ad in its unit-adapted basis, whose slot Gbar holds all of
+    HC, off _connes_total of A_ad, guarded there on A_ad's row, with the unit
+    dropping a complement letter: G is A_ad in the basis 1, the ideal letters,
+    the other complement letters when A is unital and 1 is not in I; else
+    A_ad+ = Q.1 + A_ad, w[0] = A_ad.dim + 1, whose slot Gbar holds all of
     A_ad's letters and whose reduced HH and HC are A's (Loday 1.4, 2.2).
     Gbar -> Bbar drops the ideal letters g_1..g_dI, so K is the words holding
     one, on every column or on column 0 (HH), and C(I) is the reduced
     normalized complex of I+ = Q.1 + I, whose HC is HC(I) over Q (Loday
     2.1-2.2): slot 0 in 1 or I, the other slots in I.  Flavor "hoch", after
-    "hh", is _hoch_cut of the hh cut.  The guard reads the row A.dim^(D+1) of
-    total degree D before anything is built."""
-    size_guard(ext.A_ad.dim ** (D + 1), size_limit, "bicomplex row")
-    G = _unit_basis(ext) or unitalization(ext.A_ad)[0].unit_adapted()
-    total, _ = _connes_total(G, D, adapted=True)
-    slot = "i" * ext.ideal_dim + "c" * (G.dim - 1 - ext.ideal_dim)  # Gbar's letters g_1..g_e
+    "hh", is _hoch_cut of the hh cut."""
+    A, dI = ext.A_ad, ext.ideal_dim
+    total, w = _connes_total(A, D, size_limit, range(dI, A.dim))
+    slot = "i" * dI + "c" * (w[0] - 1 - dI)  # Gbar's letters g_1..g_e
     columns = {n: [("u" + slot,) + (slot,) * p for p in range(n, -1, -2)] for n in total.dims}
     cuts = {}
     for f in flavors:
-        cuts[f] = _hoch_cut(*cuts["hh"], slot, G.dim > ext.A_ad.dim) if f == "hoch" else _word_cut(
+        cuts[f] = _hoch_cut(*cuts["hh"], slot, w[0] > A.dim) if f == "hoch" else _word_cut(
             total.diffs, {n: cols[:1] if f == "hh" else cols for n, cols in columns.items()},
             f"normalized {f}")
     return [cuts[f] for f in flavors]
@@ -396,6 +389,8 @@ def relative_homology(ext: ExtensionData, D: int, flavor: str = "hc",
     """Relative HC, or for flavor "hh" relative HH: the homology of
     K = ker(C(A) -> C(B)) of _kernel_cuts.  f is onto, so K is
     quasi-isomorphic to the homotopy fiber of C(A) -> C(B)."""
+    if flavor not in ("hh", "hc"):
+        raise ValueError(f"unknown flavor {flavor!r}: expected 'hh' or 'hc'")
     if D < 2:
         raise ValueError("D must be >= 2")
     (K, _), = _kernel_cuts(ext, D, (flavor,), size_limit)

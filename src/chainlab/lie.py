@@ -55,7 +55,7 @@ from itertools import repeat
 from math import comb
 from types import SimpleNamespace
 
-from .algebras import Algebra, Ideal, matrix_algebra, mismatches, nested_products
+from .algebras import Algebra, Ideal, commutators, matrix_algebra, mismatches, nested_products
 from .complexes import ChainComplex, HomologyReport, Interval
 from .cyclic import DEFAULT_SIZE_LIMIT, LambdaComplex, hc_homology, lambda_complex
 from .errors import ChainlabError, NotNilpotent, SizeLimit, UnitError
@@ -174,14 +174,9 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'anonymous'}, dim={self.dim})"
 
 
-def _commutators(A: Algebra) -> dict:
-    return {(i, j): vec_sub(A.mul_basis(i, j), A.mul_basis(j, i))
-            for i in range(A.dim) for j in range(i + 1, A.dim)}
-
-
 def lie_from_assoc(A: Algebra) -> LieAlgebra:
     """Commutator bracket on the underlying space of an associative algebra."""
-    return LieAlgebra(A.dim, A.labels, _commutators(A), name=f"Lie({A.name or 'A'})")
+    return LieAlgebra(A.dim, A.labels, commutators(A), name=f"Lie({A.name or 'A'})")
 
 
 def gl(A: Algebra, r: int) -> LieAlgebra:
@@ -197,7 +192,7 @@ def gl(A: Algebra, r: int) -> LieAlgebra:
         gens = [(1, 0) + tuple(range(2, r)), tuple(range(1, r)) + (0,)][:r - 1]
         grading = (weights, inner, [(s, [(s[k] * r + s[l]) * A.dim + a for k in range(r)
                                          for l in range(r) for a in range(A.dim)]) for s in gens])
-    return LieAlgebra(M.dim, M.labels, _commutators(M), name=f"gl{r}({A.name or 'A'})",
+    return LieAlgebra(M.dim, M.labels, commutators(M), name=f"gl{r}({A.name or 'A'})",
                       grading=grading)
 
 

@@ -115,8 +115,8 @@ class LogTraceProbe:
     A's HC bicomplex the other block of total degree 1 is 1 - t on row 0,
     which is 0, so b_1 alone has the same boundaries.  K_0 is I, in the
     ideal's own coordinates, so a trace in I is its own chain.  The size
-    guard reads the row A.dim^4 of total degree 3, as _read_bicomplex does
-    for a result reported at bound 3, so a size limit rejects the same
+    guard reads the row A.dim^4 of total degree 3, as the --reps reader
+    _read_bicomplex does at bound 3, so a size limit rejects the same
     inputs.  A second guard then reads (r^2 A.dim)^2, the basis pairs of
     M_r(A), which its table and its associativity check grow with, before
     M_r(A) is built."""

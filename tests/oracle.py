@@ -33,8 +33,9 @@ of A+; the log-trace probe whose relative fiber is built to total degree 3, one 
 the two degrees rel HC_0 reads, and which classifies a trace as a chain of
 the fiber's A-part; the homology
 space that spans the boundaries in the full dimension of the degree and solves
-a classifier matrix for every class; and the dense conversions and
-elimination-backed queries that only tests read.
+a classifier matrix for every class; the rank of a matrix reduced modulo a
+large prime; and the dense conversions and elimination-backed queries that
+only tests read.
 """
 
 import heapq
@@ -89,6 +90,37 @@ def dense_rank(M) -> int:
         if row == M.nrows:
             break
     return rank
+
+
+def rank_mod_p(M, p=2**31 - 1) -> int:
+    """The rank of M's reduction modulo the prime p, by row echelon form over
+    Z/p, each row reduced by the stored pivot row of its leading column.  A
+    Fraction entry is num * den^(-1) mod p; ValueError when p divides den.
+    rank_p <= rank_Q for any M whose reduction exists: a nonzero minor mod p
+    is a nonzero minor."""
+    rows = {}
+    for (i, j), v in M.entries.items():
+        v = Fraction(v)
+        if v.denominator % p == 0:
+            raise ValueError(f"entry ({i},{j}) = {v} has a denominator divisible by {p}")
+        if v.numerator % p:
+            rows.setdefault(i, {})[j] = v.numerator * pow(v.denominator, -1, p) % p
+    pivots = {}  # leading column -> row with entry 1 there
+    for row in rows.values():
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[lead]
+            for j, v in pivots[lead].items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 def dense_betti(cx, lo, hi) -> dict:

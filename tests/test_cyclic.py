@@ -215,11 +215,33 @@ def test_morita_smoke_low_degree():
 
 
 def test_morita_rank_three():
-    # degree 3 for M3(Q) needs half-million-column totals; degree 2 is the
-    # routine-suite compromise, rank 2 covers degree 3 in the acceptance run
+    # the normalized complex and the lambda complex reach degree 3 of M3(Q)
+    # in a fraction of a second
     M3 = matrix_algebra(rationals(), 3)
-    assert hh_homology(M3, 4).betti_tuple(0, 2) == (1, 0, 0)
-    assert hc_homology(M3, 4).betti_tuple(0, 2) == (1, 0, 1)
+    assert hh_homology(M3, 5).betti_tuple(0, 3) == (1, 0, 0, 0)
+    assert hc_homology(M3, 5).betti_tuple(0, 3) == (1, 0, 1, 0)
+
+
+MORITA_BASES = [dual_numbers(), truncated_poly(3), fat_point()]
+
+
+@pytest.mark.parametrize("A", MORITA_BASES, ids=lambda A: A.name)
+def test_morita_invariance_over_small_bases(A):
+    # HH and HC are Morita invariant, so M_2(A) has A's betti numbers.  The
+    # guard reads M_2(A)'s bicomplex row 12^6 = 2 985 984 for dim A = 3, though
+    # the normalized top degree has 12 * 11^4 words, so that one needs a limit
+    M2, limit = matrix_algebra(A, 2), 3_000_000
+    for run in (hh_homology, hc_homology):
+        assert run(M2, 5, limit).betti == run(A, 5).betti, run.__name__
+
+
+@pytest.mark.parametrize("A", MORITA_BASES, ids=lambda A: A.name)
+def test_triangular_matrices_split_into_two_copies(A):
+    # UT_2(A) is A x A plus a square-zero bimodule, and a triangular algebra has
+    # the HH and HC of its diagonal: each betti number twice A's
+    UT2 = upper_triangular(2, A)
+    for run in (hh_homology, hc_homology):
+        assert run(UT2, 5).betti == {n: 2 * b for n, b in run(A, 5).betti.items()}, run.__name__
 
 
 def test_connes_exactness():
@@ -334,8 +356,8 @@ def test_the_reduced_cut_refuses_a_boundary_on_the_word_1(monkeypatch):
     # there would make 1 a boundary, and the cut refuses it instead of dropping it
     normalized_b = cyclic._normalized_b
 
-    def leaky(A, D):
-        b, w = normalized_b(A, D)
+    def leaky(A, D, *args):
+        b, w = normalized_b(A, D, *args)
         b[1] = b[1] + sparse.SparseMatrix(b[1].nrows, b[1].ncols, {(0, 0): 1})
         return b, w
 
@@ -647,6 +669,18 @@ def test_the_bB_total_and_the_lambda_complex_agree_on_hc(A, D):
     total, w = cyclic._connes_total(A, D)
     assert total.homology(Interval(0, D - 2)).betti == hc_homology(A, D).betti
     assert w == {p: A.dim * (A.dim - 1) ** p for p in range(D)}
+
+
+@pytest.mark.parametrize("spec, D", [("truncated_poly:4", 7), ("matrix:2", 6), ("fat_point", 6),
+                                     ("upper_triangular:3", 5), ("product", 7)])
+def test_the_rank_mod_a_large_prime_matches_every_built_differential(spec, D):
+    # rank_p <= rank_Q always; the int differentials of the normalized, (b, B)
+    # and lambda models, at the degrees their readers build for bound D, keep
+    # their rank modulo 2^31 - 1
+    A = algebra_preset(spec)
+    diffs = [*cyclic._normalized_b(A, D)[0].values(), *cyclic._connes_total(A, D)[0].diffs.values(),
+             *lambda_complex(A, D - 1).complex.diffs.values()]
+    assert [oracle.rank_mod_p(d) for d in diffs] == [d.rank() for d in diffs]
 
 
 def test_the_bB_total_is_checked_for_d_squared(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from oracle import hc_bicomplex, hh_bicomplex
-from chainlab import excision
+from chainlab import cyclic, excision
 from chainlab.algebras import Algebra, AlgebraMorphism, Bimodule, product_algebra
 from chainlab.complexes import ChainMap, Interval, is_quasi_iso, subcomplex
 from chainlab.cyclic import _connes_total, b_prime_matrix, bar_complex, hoch_complex
@@ -32,6 +32,7 @@ from chainlab.presets import (
 )
 from chainlab.sparse import SparseMatrix
 from chainlab.tangent import ArtinianBase, LogTraceProbe, tangent_table
+from test_cyclic import _spy_adapted
 
 ONE = Fraction(1)
 
@@ -105,6 +106,19 @@ def test_filtration_builders_guard_the_top_degree():
         with pytest.raises(SizeLimit, match=f"has dimension {dim} > size limit {dim - 1}$"):
             build(dim - 1)
         build(dim)
+
+
+@pytest.mark.parametrize("kind", ["bogus", "Bar", "hh"])
+def test_filtration_F_refuses_an_unknown_kind(kind):
+    # a kind other than "bar" read as "hoch" would build b for a typo
+    with pytest.raises(ValueError, match=f"^unknown complex kind '{kind}': expected 'bar' or 'hoch'$"):
+        filtration_F(ext_of("truncated_poly:3"), None, 1, 3, kind)
+
+
+@pytest.mark.parametrize("kind", ["bogus", "Hoch", "hc"])
+def test_filtration_Q_refuses_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match=f"^unknown complex kind '{kind}': expected 'bar' or 'hoch'$"):
+        filtration_Q(ext_of("truncated_poly:3"), 1, 3, kind)
 
 
 def test_filtration_exhausts_at_high_level():
@@ -237,6 +251,13 @@ def test_relative_identities():
     assert rel.betti[0] == 1
     relm = relative_homology(ext_of("matrix_dual:2"), 3, "hc")
     assert relm.betti[0] == 1
+
+
+@pytest.mark.parametrize("flavor", ["bogus", "hoch", "HC"])
+def test_relative_homology_refuses_an_unknown_flavor(flavor):
+    # "bogus" read as HC, and "hoch" (an internal cut) died with a bare KeyError
+    with pytest.raises(ValueError, match=f"^unknown flavor '{flavor}': expected 'hh' or 'hc'$"):
+        relative_homology(ext_of("truncated_poly:3"), 4, flavor)
 
 
 def test_wodzicki_split_extension_passes():
@@ -401,9 +422,14 @@ def test_wodzicki_matches_the_bicomplex_cut_past_the_small_limit(spec, D):
 @pytest.mark.parametrize("spec, normalized", [
     ("truncated_poly:3", True), ("split_product", True), ("identity:dual_numbers", True),
     ("collapse:dual_numbers", False), ("identity:square_zero:2", False)])
-def test_the_model_follows_the_unit(spec, normalized):
-    # the (b, B) model needs a unit with a complement coordinate: 1 not in I
-    assert (excision._unit_basis(ext_of(spec)) is not None) == normalized
+def test_the_model_follows_the_unit(spec, normalized, monkeypatch):
+    # the (b, B) model needs a unit with a complement coordinate: 1 not in I;
+    # otherwise it is A_ad+, one letter wider
+    ext, built = ext_of(spec), []
+    _spy_adapted(monkeypatch, built)
+    relative_homology(ext, 3, "hh")
+    (G,) = built
+    assert (G.dim == ext.A_ad.dim) == normalized
 
 
 def test_the_unit_basis_is_built_once_per_call_and_only_where_read(monkeypatch):
@@ -435,7 +461,7 @@ def test_the_guard_runs_before_the_unit_basis(monkeypatch):
         raise AssertionError("the adapted algebra was built before the size guard ran")
 
     monkeypatch.setattr(Algebra, "unit_adapted", refuse)
-    monkeypatch.setattr(excision, "unitalization", refuse)
+    monkeypatch.setattr(cyclic, "unitalization", refuse)
     runs = (wodzicki_verify, lambda ext, D, limit: relative_homology(ext, D, "hc", limit),
             lambda ext, D, limit: relative_homology(ext, D, "hh", limit))
     for spec in ("upper_triangular:3", "collapse:upper_triangular:3"):
@@ -454,16 +480,19 @@ def _unit_in_the_ideal_factor():
     return ExtensionData(AlgebraMorphism(A, dual_numbers(), f))
 
 
-def test_the_unit_basis_keeps_the_ideal_letters_at_g1_to_gdI():
+def test_the_unit_basis_keeps_the_ideal_letters_at_g1_to_gdI(monkeypatch):
     # split_product's unit {0: 1, 1: 1} has an ideal coordinate: unit_adapted()
     # drops its first coordinate, the ideal letter i1, and puts c:1 at g_1
     ext = ext_of("split_product")
     assert ext.A_ad.unit == {0: 1, 1: 1} and ext.A_ad.labels == ["i1", "c:1"]
-    assert excision._unit_basis(ext).labels == ["1", "i1"]
     assert ext.A_ad.unit_adapted().labels == ["1", "c:1"]
-    ext = _unit_in_the_ideal_factor()
-    assert ext.A_ad.unit == {0: 1, 1: 1} and ext.ideal_dim == 1
-    assert excision._unit_basis(ext).labels == ["1", "i1", "c:e"]
+    other = _unit_in_the_ideal_factor()
+    assert other.A_ad.unit == {0: 1, 1: 1} and other.ideal_dim == 1
+    built = []
+    _spy_adapted(monkeypatch, built)
+    for e in (ext, other):
+        relative_homology(e, 3, "hh")
+    assert [G.labels for G in built] == [["1", "i1"], ["1", "i1", "c:e"]]
 
 
 def test_a_unit_in_the_ideal_factor_matches_both_references():
@@ -476,13 +505,17 @@ def test_a_unit_in_the_ideal_factor_matches_both_references():
         assert got == _wodzicki_payload(oracle.wodzicki_verify, ext, D), D
 
 
-def test_a_non_unital_extension_with_a_proper_ideal_matches_both_references():
+def test_a_non_unital_extension_with_a_proper_ideal_matches_both_references(monkeypatch):
     # the fallback presets have I = A or I = 0, where both sides are acyclic;
     # V2 -> V1 with zero products keeps a proper ideal, and its Hochschild
     # comparison, the words of A+'s hh cut not led by 1, fails at degree 1
     ext = ExtensionData(AlgebraMorphism(square_zero(2), square_zero(1),
                                         SparseMatrix(1, 2, {(0, 0): ONE})))
-    assert ext.ideal_dim == 1 and excision._unit_basis(ext) is None
+    built = []
+    with monkeypatch.context() as m:
+        _spy_adapted(m, built)
+        relative_homology(ext, 3, "hh")
+    assert ext.ideal_dim == 1 and [G.dim for G in built] == [ext.A_ad.dim + 1]
     for D in range(2, 7):
         got = _wodzicki_payload(wodzicki_verify, ext, D)
         assert got == _wodzicki_payload(oracle.kernel_cut_wodzicki, ext, D), D
@@ -496,7 +529,7 @@ def test_the_ideal_complex_needs_the_unit_in_slot_0():
     # 1 in C_1: without the words led by 1 the ideal's words are no
     # subcomplex of K, and the quotient K / C(I) refuses to descend
     ext = ext_of("upper_triangular:2")
-    total, _ = _connes_total(excision._unit_basis(ext), 5, adapted=True)
+    total, _ = _connes_total(ext.A_ad, 5, droppable=range(ext.ideal_dim, ext.A_ad.dim))
     slot = excision._letters(ext)[:-1]
     cuts = {head: excision._word_cut(total.diffs, {
         n: [(head + slot,) + (slot,) * p for p in range(n, -1, -2)] for n in total.dims}, "K")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chainlab.algebras import Algebra, Bimodule
 from chainlab.dsl import parse_algebra
@@ -459,6 +459,14 @@ def test_fractional_flags_exactly_the_matrices_holding_a_fraction(pair, rows, c)
     A, B = pair
     for M in (A, B, A @ B, A.without_rows(rows), A.scale(c), B.scale(c)):
         assert M.fractional == any(type(v) is not int for v in M.entries.values())
+
+
+@PRODUCT_SETTINGS
+@given(matrices(), st.sampled_from([2, 3, 5, 7, 2**31 - 1]))
+def test_the_rank_mod_p_is_never_above_the_rank(M, p):
+    # a minor that is nonzero mod p is nonzero over Q
+    assume(all(Fraction(v).denominator % p for v in M.entries.values()))
+    assert oracle.rank_mod_p(M, p) <= M.rank()
 
 
 @pytest.mark.parametrize("shape", [(-1, 2), (2, -1), (-3, -3)])
