@@ -37,16 +37,16 @@ identity on homology since L_X = d i_X + i_X d; a diagonal sign matrix
 multiplies a wedge by a sign that depends only on its weight, so it is the
 identity on C_0.  So S_r acts trivially on H(C_0) and, over Q,
 H((C_0)_{S_r}) = H(C_0)_{S_r} = H(C_0) (Loday-Quillen 1984; Loday, Cyclic
-Homology, 10.1-10.2).  The trace check and representatives keep all of C_0.
+Homology, 10.1-10.2).  Only representatives keep all of C_0.
 
 The generalized trace sends a wedge of matrices over an algebra to the signed
 sum over cyclic words of matrix-trace coefficients, landing in the
 rotation-coinvariants model of the cyclic complex; a wedge of nonzero weight
 closes no matrix-unit chain and maps to 0.  Its chain-map identity against the
 Chevalley-Eilenberg differential is an exact matrix check with a single global
-sign, frozen below, made on every wedge trace_chain_check builds: the weight-0
-wedges when gl declares a grading, since d preserves weight and both sides of
-the identity vanish on a wedge of nonzero weight, and every wedge otherwise.
+sign, frozen below, made on each column trace_chain_check builds: a weight-0
+S_r-class when gl declares a grading (d keeps weight, Tr is 0 off weight 0,
+and the classes suffice, as proved there), a wedge otherwise.
 """
 
 from __future__ import annotations
@@ -458,7 +458,7 @@ def _closed_chains(units, n) -> list:
 
 def generalized_trace_matrix(A: Algebra, r: int, n: int, lam: LambdaComplex,
                              ce: CEComplex) -> SparseMatrix:
-    """Wedge degree n+1 of gl_r(A) to the degree-n rotation coinvariants.
+    """Wedge degree n+1 (ce.tuples[n + 1]) of gl_r(A) to the degree-n rotation coinvariants.
 
     On a wedge of elementary matrices a_t (x) E(i_t, j_t) the image is the
     signed sum over permutations s fixing slot 0 of trace(E_0 E_{s(1)} ...)
@@ -500,14 +500,24 @@ class TraceReport(SimpleNamespace):
 
 def trace_chain_check(A: Algebra, r: int, N: int, size_limit=None):
     """Exact matrix identity Tr . d_CE = sign * d_lambda . Tr for wedge
-    degrees <= N + 1, on the weight-0 wedges when gl_r(A) is graded; returns
-    (report, trace matrices, lambda complex, ce)."""
+    degrees <= N + 1, on the S_r-classes of weight-0 wedges when gl_r(A) is
+    graded; returns (report, trace matrices, lambda complex, ce).
+
+    The classes give the verdict and failing degree of all of C_0.  d commutes
+    with each declared pi (LieAlgebra checks it), and Tr . pi = Tr: pi relabels
+    the unit (i, j) of each slot as (s i, s j) and keeps its letter, so
+    _closed_chains walks the same chains (j_a = i_b exactly when s j_a = s i_b)
+    in the same slot order, with the same sign and word; Tr, alternating in the
+    slots (Loday, Cyclic Homology, 10.2.3), absorbs the sign of re-sorting
+    pi(T).  So x_T = +-sigma x_rep, sigma in S_r, has Tr x_T = +-Tr x_rep and
+    the identity on x_T exactly when on x_rep, whose class column reads
+    Tr d x_rep; on a class that vanishes, x = -sigma x, so Tr x = 0 = Tr d x."""
     dim = r * r * A.dim
     if dim < 2:  # no d_CE to check: the exterior powers stop at degree dim
         raise ChainlabError(f"trace needs dim gl_r(A) >= 2, got {dim} for r = {r}")
     N = min(N, dim - 1)  # higher exterior powers vanish
     g = guarded_gl(A, r, N + 1, size_limit)
-    ce = ce_complex(g, N + 1, size_limit)
+    ce = ce_complex(g, N + 1, size_limit, coinvariants=True)
     lam = lambda_complex(A, N, size_limit)
     traces = {n: generalized_trace_matrix(A, r, n, lam, ce) for n in range(0, N + 1)}
     failing = None

@@ -20,7 +20,8 @@ components of its rows' shared columns, eliminates each on its own and
 back-substitutes every free column through all of its component's pivot
 rows, and the solver that back-substitutes each right-hand side through
 every pivot row of M; the generalized trace that walks every permutation of
-every wedge; matrix units multiplied one pair of basis words at a time;
+every wedge; the signed Burnside count of the S_r-classes of weight-0 wedges
+of gl_r(A), summed over every element of S_r; matrix units multiplied one pair of basis words at a time;
 the validators that loop over every basis triple for
 associativity, the Jacobi identity and the bimodule axioms; hh, hc and the
 Connes check read off the bicomplex built to total degree D; relative HH
@@ -658,6 +659,35 @@ def generalized_trace_matrix(A, r, n, lam, tuples):
             vec_axpy(acc, sgn, project_element(lam, n, {cyclic_words.index(word): 1}))
         cols.append(acc)
     return SparseMatrix.from_columns(lam.complex.dim(n), cols)
+
+
+# ---------------------------------------------------------------------------
+# the signed Burnside count over all of S_r, which the orbit walk of
+# chainlab.lie._wedge_classes must reproduce class for class
+# ---------------------------------------------------------------------------
+
+
+def coinvariant_dims(A, r, D) -> list:
+    """dim (C_0^p)_{S_r} of gl_r(A) for p <= D, as (1/r!) sum_sigma tr(sigma):
+    sigma x_T is the sign of re-sorting sigma(T) times x_sigma(T), so its trace
+    sums that sign over the weight-0 p-subsets T with sigma(T) = T.  A wedge of
+    E_kl (x) a, at (k r + l) dim A + a, has weight 0 when its row indices and
+    its column indices are the same multiset."""
+    units = [(k, l, a) for k in range(r) for l in range(r) for a in range(A.dim)]
+    group = list(permutations(range(r)))
+    dims = []
+    for p in range(D + 1):
+        total = 0
+        for T in combinations(range(len(units)), p):
+            if sorted(units[t][0] for t in T) != sorted(units[t][1] for t in T):
+                continue
+            for s in group:
+                image = [(s[units[t][0]] * r + s[units[t][1]]) * A.dim + units[t][2] for t in T]
+                if sorted(image) == list(T):
+                    total += -1 if sum(x > y for x, y in combinations(image, 2)) % 2 else 1
+        assert total % len(group) == 0, (p, total)
+        dims.append(total // len(group))
+    return dims
 
 
 # ---------------------------------------------------------------------------

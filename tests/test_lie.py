@@ -596,8 +596,8 @@ def test_generalized_trace_matches_the_permutation_walk(spec):
 
 
 # the trace checked on every wedge: trace_chain_check builds only the weight-0
-# wedges of a graded gl_r(A), which is sound because every other column of Tr
-# is 0 and d_CE preserves weight
+# wedges of a graded gl_r(A) (one per S_r-class, tested below), which is sound
+# because every other column of Tr is 0 and d_CE preserves weight
 FULL_TRACE_CASES = [(s, r, 3) for s in PRESETS for r in (1, 2)
                     if algebra_preset(s).is_unital and r * r * algebra_preset(s).dim > 1]
 
@@ -626,3 +626,98 @@ def test_trace_on_an_ungraded_gl_builds_every_wedge():
     assert rep.chain_map_ok and not ce.weight_zero
     for p in range(5):
         assert ce.tuples[p] == list(combinations(range(ce.lie.dim), p))
+
+
+# ---------------------------------------------------------------------------
+# the trace checked on the S_r-classes: trace_chain_check reads one column per
+# class of a graded gl_r(A), which is sound because d_CE commutes with each
+# declared pi and Tr . pi = Tr, the fact these tests pin
+# ---------------------------------------------------------------------------
+
+
+def _trace_moved_by_a_symmetry(A, r, D):
+    """The first (n, wedge, generator) of the full weight-0 complex of gl_r(A)
+    whose trace column is not the column of its pi-image times the sign of
+    re-sorting that image, or None."""
+    g = gl(A, r)
+    ce = ce_complex(g, D)
+    lam = lambda_complex(A, D - 1)
+    for n in range(min(D, g.dim)):
+        cols = generalized_trace_matrix(A, r, n, lam, ce).columns()
+        where = {tup: k for k, tup in enumerate(ce.tuples[n + 1])}
+        for tup, k in where.items():
+            for m, pi in enumerate(g.symmetries):
+                image = [pi[x] for x in tup]
+                moved = cols[where[tuple(sorted(image))]]
+                if cols[k] != {i: _sort_sign(image) * c for i, c in moved.items()}:
+                    return n, tup, m
+    return None
+
+
+def _weight_zero_failing_degree(A, r, N):
+    """trace_chain_check's failing degree, read off every weight-0 wedge."""
+    ce = ce_complex(gl(A, r), N + 1)
+    lam = lambda_complex(A, N)
+    traces = {n: generalized_trace_matrix(A, r, n, lam, ce) for n in range(N + 1)}
+    return next((n for n in range(1, N + 1) if traces[n - 1] @ ce.complex.diffs[n + 1] !=
+                 (lam.complex.diffs[n] @ traces[n]).scale(TRACE_CHAIN_SIGN)), None)
+
+
+CLOSED_CHAINS = lie._closed_chains
+
+
+def _sign_by_row_of_slot_0(units, n):
+    # a trace that reads the row index k of slot 0: lex-first class members
+    # all have k = 0 there, so only their pi-images can see it
+    return [(sgn * (-1) ** units[0][0], order) for sgn, order in CLOSED_CHAINS(units, n)]
+
+
+def _sign_flipped_on_three_slots(units, n):
+    return [(-sgn if len(order) == 3 else sgn, order) for sgn, order in CLOSED_CHAINS(units, n)]
+
+
+SYMMETRY_TRACE_CASES = [(s, r, 5 if r == 2 else 4) for s in PRESETS
+                        if algebra_preset(s).is_unital for r in (2, 3)]
+
+
+@pytest.mark.parametrize("spec,r,D", SYMMETRY_TRACE_CASES)
+def test_the_trace_is_invariant_under_the_declared_symmetries(spec, r, D):
+    g = gl(algebra_preset(spec), r)
+    assert len(g.symmetries) == r - 1  # the transposition, and for r = 3 the 3-cycle
+    assert _trace_moved_by_a_symmetry(algebra_preset(spec), r, D) is None
+
+
+@pytest.mark.parametrize("spec,r", [("rationals", 2), ("dual_numbers", 2), ("matrix:2", 2),
+                                    ("dual_numbers", 3)])
+def test_a_trace_that_reads_the_row_index_is_not_invariant(spec, r, monkeypatch):
+    A = algebra_preset(spec)
+    monkeypatch.setattr(lie, "_closed_chains", _sign_by_row_of_slot_0)
+    assert _trace_moved_by_a_symmetry(A, r, 3) is not None
+    # the class route cannot see this mutant, which is why the test above exists
+    assert trace_chain_check(A, r, 3)[0].chain_map_ok
+    assert _weight_zero_failing_degree(A, r, 3) == 1
+
+
+@pytest.mark.parametrize("spec,r", [("dual_numbers", 3), ("truncated_poly:3", 3),
+                                    ("matrix:2", 2), ("upper_triangular:2", 2)])
+def test_a_broken_trace_fails_at_the_same_degree_on_the_classes(spec, r, monkeypatch):
+    A = algebra_preset(spec)
+    rep, _, _, ce = trace_chain_check(A, r, 3)
+    assert ce.coinvariants and rep.chain_map_ok
+    assert _weight_zero_failing_degree(A, r, 3) is None
+    monkeypatch.setattr(lie, "_closed_chains", _sign_flipped_on_three_slots)
+    rep = trace_chain_check(A, r, 3)[0]
+    assert (rep.chain_map_ok, rep.failing_degree) == (False, 2)
+    assert _weight_zero_failing_degree(A, r, 3) == 2
+
+
+@pytest.mark.parametrize("spec,r,D", [
+    ("rationals", 2, 4), ("rationals", 3, 5), ("rationals", 4, 5), ("dual_numbers", 2, 5),
+    ("dual_numbers", 3, 5), ("matrix:2", 2, 4), ("upper_triangular:2", 2, 4),
+    ("truncated_poly:3", 3, 4), ("fat_point", 2, 4), ("product", 3, 4)])
+def test_the_live_classes_are_the_signed_burnside_count(spec, r, D):
+    A = algebra_preset(spec)
+    g = gl(A, r)
+    live = [len(lie._wedge_classes(*wedges, g.symmetries)[0])
+            for _, wedges in sorted(lie._weight_zero_wedges(g.weights, D).items())]
+    assert live == oracle.coinvariant_dims(A, r, D)
