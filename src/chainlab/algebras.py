@@ -1,11 +1,12 @@
 """Finite-dimensional associative algebras over Q by structure constants.
 
 Every constructor revalidates associativity on all basis triples, so no
-unvalidated algebra can circulate.  The check builds both sides of the
-identity, (x_i x_j) x_k and x_i (x_j x_k), as tensors keyed (i, j, k) by
-walking only the nonzero structure constants; a triple neither side reaches
-is 0 = 0, so every triple is covered, and the smallest triple where the sides
-differ is the one reported.  The bimodule axioms are checked the same way.
+unvalidated algebra can circulate.  The check is one defect sum: walking only
+the nonzero structure constants, it adds the terms of (x_i x_j) x_k and
+subtracts those of x_i (x_j x_k) in one dict keyed by an int packing (i, j, k)
+and the output coordinate, building neither side; a triple no term reaches is
+0 = 0, and the smallest triple with a nonzero sum is reported.  The bimodule
+axioms share one such sum, the axiom packed after (a, b, m).
 An algebra's rational table is checked on its constants times L, the lcm of
 their denominators, as ints: both sides scale by L^2, so the failing triples
 are the same.  Each product table is also kept as rows {i: {j: e_i e_j}},
@@ -19,7 +20,8 @@ test bases.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import lcm, prod
 
 from .errors import (
     AssociativityError,
@@ -34,25 +36,34 @@ from .sparse import (SparseMatrix, Subspace, Vector, bilinear, exact_vec, produc
 ONE = 1
 
 
-def nested_products(inner: dict, outer: dict, left: bool) -> dict:
-    """Every (x y) z (left) or x (y z) (not left) reached by nonzero structure
-    constants, keyed (x, y, z).  inner is the table {(x, y): x y} of the
-    product taken first, outer that of the one taken second.  A key absent
-    from the result, or mapped to {}, is a zero product."""
+def nested_terms(inner: dict, outer: dict, left: bool, strides, offset=0, sign=1):
+    """(offset + x sx + y sy + z sz, sign c, w) for each term of (x y) z (left)
+    or x (y z) (not left) reached by nonzero structure constants: inner is the
+    table {(x, y): x y} of the product taken first, outer that of the one taken
+    second, c a constant of x y on u, and w = u z (left) or z u."""
     by_slot = {}  # the factor outer shares with inner's product -> [(other factor, product)]
     for (u, z), vec in outer.items():
         by_slot.setdefault(u if left else z, []).append((z if left else u, vec))
-    out = {}
+    sx, sy, sz = strides
     for (x, y), v in inner.items():
+        xy = offset + x * sx + y * sy
         for u, c in v.items():
+            c *= sign
             for z, w in by_slot.get(u, ()):
-                vec_axpy(out.setdefault((x, y, z) if left else (z, x, y), {}), c, w)
-    return out
+                yield xy + z * sz, c, w
 
 
-def mismatches(lhs: dict, rhs: dict) -> list:
-    """The keys where two tensors from nested_products differ."""
-    return [k for k in lhs.keys() | rhs.keys() if lhs.get(k, {}) != rhs.get(k, {})]
+def first_defect(terms, radices):
+    """The defect sum: each term (key, c, w) adds c w_k at key + k, into one
+    dict.  Returns the smallest key with a nonzero sum as its digits in radices,
+    the last one (the coordinate k) dropped, or None when every sum is 0."""
+    acc = {}
+    get = acc.get
+    for key, c, w in terms:
+        for k, e in w.items():
+            acc[key + k] = get(key + k, 0) + c * e
+    bad = min((key for key, s in acc.items() if s), default=None)
+    return None if bad is None else tuple(bad // prod(radices[i:]) % n for i, n in enumerate(radices[:-1], 1))
 
 
 def _integral_table(mul: dict) -> tuple:
@@ -159,11 +170,10 @@ class Algebra:
             bad = [k for k in vec or () if not 0 <= k < self.dim]
             if bad:
                 raise ValueError(f"{name} coordinate {bad[0]} outside algebra dim {self.dim}")
-        # in the basis L e_i both sides scale by L^2: the same mismatches, in ints
-        table = _integral_table(self.mul)[1]
-        bad = min(mismatches(nested_products(table, table, True),
-                             nested_products(table, table, False)),
-                  default=None)
+        # in the basis L e_i both sides scale by L^2: the same defects, in ints
+        table, d = _integral_table(self.mul)[1], self.dim
+        bad = first_defect(chain(nested_terms(table, table, True, (d ** 3, d * d, d)),
+                                 nested_terms(table, table, False, (d * d, d, d ** 3), 0, -1)), (d,) * 4)
         if bad is not None:
             raise AssociativityError(tuple(x + 1 for x in bad))
         if self.unit is not None:
@@ -221,11 +231,12 @@ class Bimodule:
                     raise ValueError(f"{side} action key {key} out of range: algebra dim {da}, module dim {dm}")
                 if not all(0 <= k < dm for k in vec):
                     raise ValueError(f"{side} action {key} has a coordinate outside module dim {dm}: {vec}")
-        left = mismatches(nested_products(A, L, True), nested_products(L, L, False))
-        right = mismatches(nested_products(R, R, True), nested_products(A, R, False))
-        both = mismatches(nested_products(L, R, True), nested_products(R, L, False))
-        first = min([(a, b, m, 0) for a, b, m in left] + [(a, b, m, 1) for m, a, b in right]
-                    + [(a, b, m, 2) for a, m, b in both], default=None)
+        # one defect sum keyed (a, b, m, axiom, coordinate): (ab)m - a(bm), (ma)b - m(ab), (am)b - a(mb)
+        sa, sb, sm = 3 * da * dm * dm, 3 * dm * dm, 3 * dm
+        sides = ((A, L, True, (sa, sb, sm), 0, 1), (L, L, False, (sb, sm, sa), 0, -1),
+                 (R, R, True, (sm, sa, sb), dm, 1), (A, R, False, (sa, sb, sm), dm, -1),
+                 (L, R, True, (sa, sm, sb), 2 * dm, 1), (R, L, False, (sm, sb, sa), 2 * dm, -1))
+        first = first_defect(chain.from_iterable(nested_terms(*s) for s in sides), (da, da, dm, 3, dm))
         if first is not None:
             a, b, m, which = first
             raise ValueError((f"left action not associative at ({a},{b},{m})",

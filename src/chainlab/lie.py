@@ -55,12 +55,12 @@ from itertools import repeat
 from math import comb
 from types import SimpleNamespace
 
-from .algebras import Algebra, Ideal, commutators, matrix_algebra, mismatches, nested_products
+from .algebras import Algebra, Ideal, commutators, first_defect, matrix_algebra
 from .complexes import ChainComplex, HomologyReport, Interval
 from .cyclic import DEFAULT_SIZE_LIMIT, LambdaComplex, hc_homology, lambda_complex
 from .errors import ChainlabError, NotNilpotent, SizeLimit, UnitError
 from .sparse import (SparseMatrix, Subspace, Vector, bilinear, exact_vec, product_ranks,
-                     table_rows, vec_axpy, vec_sub)
+                     table_rows, vec_sub)
 
 ONE = 1
 
@@ -112,15 +112,16 @@ class LieAlgebra:
         return bilinear(self._rows, x, y)
 
     def _validate(self):
-        """Jacobi on every triple i < j < k, the sum of [[x_i, x_j], x_k] over
-        the cyclic rotations, built from the nonzero terms [[x_a, x_b], x_c],
-        a < b.  Such a term is a rotation of the sorted triple unless
-        a < c < b, where it enters with the sign of a transposition."""
-        jacobi = {}
-        for (a, b, c), vec in nested_products(self.bracket, self._both, True).items():
-            if c != a and c != b:
-                vec_axpy(jacobi.setdefault(tuple(sorted((a, b, c))), {}), -1 if a < c < b else 1, vec)
-        bad = min(mismatches(jacobi, {}), default=None)
+        """Jacobi on every triple i < j < k through one defect sum: each nonzero
+        term [[x_a, x_b], x_z], a < b, z not in {a, b}, is one of the rotations
+        summed on the sorted triple, negated when a < z < b (a transposition),
+        and is added straight into it; the smallest nonzero sum is reported."""
+        n, rows = self.dim, self._rows
+        terms = ((((z * n + a) * n + b if z < a else
+                   (a * n + z) * n + b if z < b else (a * n + b) * n + z) * n, -c if a < z < b else c, w)
+                 for (a, b), v in self.bracket.items() for u, c in v.items()
+                 for z, w in rows.get(u, {}).items() if z != a and z != b)
+        bad = first_defect(terms, (n,) * 4)
         if bad is not None:
             raise ValueError("Jacobi identity fails on triple (%d,%d,%d)" % tuple(x + 1 for x in bad))
 
@@ -342,32 +343,30 @@ def _wedge_classes(tuples, masks, perms):
     (lexicographic) under the basis permutations perms: index sends the mask of
     x_T to (row, odd), x_T = (-1)^odd x_rep.  pi sends x_T to the sign of
     re-sorting pi(T) times its wedge; an orbit reaching a wedge with both signs
-    is 0, row -1.  No perms: every wedge is its own class."""
+    is 0, each of its wedges sent to (-1, 0).  No perms: one class per wedge."""
     if not perms:
         return tuples, masks, dict(zip(masks, zip(range(len(masks)), repeat(0))))
     reps, rep_masks, index = [], [], {}
     for tup, mask in zip(tuples, masks):
         if mask in index:
             continue
-        orbit, todo, alive = {mask: 0}, [(tup, 0)], True
-        while todo:
-            t, odd = todo.pop()
+        orbit, walk, alive = {mask: 0}, [tup], True
+        for t in walk:  # grows with the orbit; each t, in its order, wedges to x_rep
             for pi in perms:
                 img = [pi[k] for k in t]
-                image, e = 0, odd
+                image = e = 0
                 for j in img:
                     e += (image >> j).bit_count()  # the earlier slots above j
                     image |= 1 << j
-                if image not in orbit:
+                if (seen := orbit.get(image)) is None:
                     orbit[image] = e & 1
-                    todo.append((sorted(img), e & 1))
-                elif orbit[image] != e & 1:
+                    walk.append(img)
+                elif seen != e & 1:
                     alive = False
         if alive:
             reps.append(tup)
             rep_masks.append(mask)
-        row = len(reps) - 1 if alive else -1
-        index.update((m, (row, e)) for m, e in orbit.items())
+        index.update((m, (len(reps) - 1, e) if alive else (-1, 0)) for m, e in orbit.items())
     return reps, rep_masks, index
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,18 +300,52 @@ def test_a_rational_non_associative_table_names_the_same_triple():
     assert str(exc.value) == "associativity fails on basis triple (2, 3, 3)"
 
 
+def test_a_table_failing_on_several_triples_reports_the_smallest():
+    # associativity fails on (1,2,3), (1,3,3), (2,1,2), (2,3,2), (3,1,2) and
+    # (3,3,3); the walk meets the products of e3 e3 first
+    with pytest.raises(AssociativityError) as exc:
+        Algebra(3, None, {(2, 2): {1: 1}, (1, 2): {0: 1}, (0, 1): {2: 1}})
+    assert exc.value.triple == (1, 2, 3)
+
+
+@pytest.mark.parametrize("left, message", [
+    # e acts as 2P on the left, P the projection onto m1, and by the swap S of
+    # m1 and m2 on the right: all three axioms fail at (0, 0, 0)
+    ({(0, 0): {0: 2}}, "left action not associative at (0,0,0)"),
+    # e acts as P: the left action holds; the right action and the
+    # compatibility fail at (0, 0, 0)
+    ({(0, 0): {0: 1}}, "right action not associative at (0,0,0)"),
+])
+def test_a_bimodule_failing_two_axioms_at_one_triple_reports_the_first(left, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Bimodule(rationals(), 2, left, {(0, 0): {1: 1}, (1, 0): {0: 1}})
+
+
+def test_validating_a_matrix_algebra_builds_no_product_tensor():
+    # the defect sum holds one int per (triple, coordinate) a nonzero product
+    # reaches; building both sides of the identity as tensors peaked near 29 MB
+    tracemalloc.start()
+    try:
+        matrix_algebra(dual_numbers(), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+
+
 def test_associativity_of_a_rebased_table_is_checked_in_ints(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     seen = []
-    nested = algebras.nested_products
+    defect = algebras.first_defect
 
-    def spy(inner, outer, left):
-        seen.extend(type(c) for table in (inner, outer) for v in table.values() for c in v.values())
-        return nested(inner, outer, left)
-    monkeypatch.setattr(algebras, "nested_products", spy)
+    def spy(terms, radices):
+        terms = list(terms)
+        seen.extend(type(x) for _, c, w in terms for x in (c, *w.values()))
+        return defect(terms, radices)
+    monkeypatch.setattr(algebras, "first_defect", spy)
     for slot, (_, preset, _, bits) in enumerate(workloads.REBASED):
         A = parse_algebra(workloads.generate_rebased(preset, bits, 1, slot)[0])
         assert A.integral()[1] > 1, slot

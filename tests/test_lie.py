@@ -61,13 +61,19 @@ def test_jacobi_enforced():
         LieAlgebra(3, None, {(0, 1): {0: ONE}, (1, 2): {1: ONE}})
 
 
+def test_jacobi_failing_on_several_triples_reports_the_smallest():
+    # Jacobi fails on (1,2,3) and (1,3,4); the walk meets [x3, x4] first
+    with pytest.raises(ValueError, match=r"^Jacobi identity fails on triple \(1,2,3\)$"):
+        LieAlgebra(4, None, {(2, 3): {0: ONE}, (1, 2): {3: ONE}, (0, 3): {1: ONE}})
+
+
 @pytest.mark.parametrize("bracket, msg", [
     ({(0, 5): {0: ONE}}, "bracket key (0, 5) out of range: dim 2"),
     ({(0, 1): {7: ONE}}, "bracket (0, 1) has a coordinate outside dim 2: {7: 1}"),
 ])
 def test_a_bracket_outside_the_dimension_is_refused(bracket, msg):
-    # the Jacobi check compares the tensors on every key, so a key or a
-    # coordinate out of range must be refused before it
+    # the Jacobi check packs a triple and a coordinate into one int key, where
+    # an index out of range would land on another key, so it is refused first
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         LieAlgebra(2, None, bracket)
 
@@ -440,7 +446,7 @@ def test_a_sign_killed_orbit_is_dropped():
     tuples, masks = lie._weight_zero_wedges(g.weights, 2)[2]
     assert tuples == [(0, 3), (1, 2)]
     reps, rep_masks, index = lie._wedge_classes(tuples, masks, g.symmetries)
-    assert reps == rep_masks == [] and {row for row, _ in index.values()} == {-1}
+    assert reps == rep_masks == [] and set(index.values()) == {(-1, 0)}
     ce = ce_complex(g, 4, coinvariants=True)
     assert ce.complex.dims == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}
     assert ce.tuples[3] == [(0, 1, 2)]  # E11 ^ E12 ^ E21, the lex-first of its orbit
@@ -472,8 +478,8 @@ def test_wedge_classes_against_the_whole_group(spec, r, D):
             rep = min(images)
             for image, sign in images.items():
                 row, odd = index[sum(1 << k for k in image)]
-                if killed:
-                    assert row == -1 and rep not in reps, (p, tup)
+                if killed:  # (-1, 0), whatever the walk met first
+                    assert (row, odd) == (-1, 0) and rep not in reps, (p, tup)
                 else:
                     assert reps[row] == rep and (-1) ** odd == sign * images[rep], (p, tup)
 
